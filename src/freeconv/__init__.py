@@ -22,7 +22,6 @@ from .convolutions import (
 from .evolution import (
     CATALOG,
     Check,
-    ConsistencyError,
     VerifyReport,
     belinschi_nica,
     bercovici_pata,
@@ -42,6 +41,7 @@ from .evolution import (
 )
 from .functionals import (
     CanonicalTriple,
+    ConsistencyError,
     JacobiDepthError,
     JacobiParams,
     MomentFunctional,
@@ -62,7 +62,6 @@ from .multivariate import (
     NC_CATALOG,
     NCFunctional,
     NCPair,
-    NCSeries,
     nc_bp,
     nc_bp_inverse,
     nc_boolean_convolve,
@@ -71,7 +70,6 @@ from .multivariate import (
     nc_free_convolve,
     nc_free_power,
     nc_from_univariate,
-    nc_m_series,
     nc_moments_from_eta,
     nc_moments_from_r,
     nc_phi,

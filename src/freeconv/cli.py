@@ -1,8 +1,9 @@
 """Command-line verification harness.
 
 Exit codes: 0 success / identity verified, 1 identity violated (residual
-printed), 2 usage or parse error, 3 domain error (zero-variance strip,
-non-invertible series, and friends).
+printed), 2 usage or parse error (an order outside a verify entry's range
+included), 3 domain error (zero-variance strip, non-invertible series, and
+friends), 4 internal consistency failure (two independent paths disagreed).
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from .evolution import (
     two_state_semigroup,
     maassen_semigroup,
     verify,
+    verify_order,
 )
 from .functionals import (
     CanonicalTriple,
+    ConsistencyError,
     JacobiDepthError,
     MomentFunctional,
     NoJacobiRepresentationError,
@@ -47,7 +50,7 @@ from .functionals import (
     ZeroVarianceError,
     jacobi_from_moments,
 )
-from .multivariate import NC_CATALOG, nc_verify
+from .multivariate import NC_CATALOG, nc_verify, nc_verify_order
 from .oracle import (
     boolean_cumulants_oracle,
     enumerate_interval,
@@ -64,6 +67,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_t(text):
@@ -258,16 +262,13 @@ def _cmd_verify(args):
         names = list(CATALOG) + [f"nc:{n}" for n in NC_CATALOG]
     else:
         names = [args.name]
-    reports = []
-    for name in names:
-        if name.startswith("nc:"):
-            reports.append(nc_verify(name[3:], params=params if len(names) == 1
-                                     else None,
-                                     order=args.order, seed=args.seed))
-        else:
-            reports.append(verify(name, params=params if len(names) == 1
-                                  else None,
-                                  order=args.order, seed=args.seed))
+    runs = [(nc_verify, nc_verify_order, name[3:]) if name.startswith("nc:")
+            else (verify, verify_order, name) for name in names]
+    for _, order_of, name in runs:  # reject a bad order before any entry runs
+        order_of(name, args.order)
+    own = params if len(names) == 1 else None
+    reports = [fn(name, params=own, order=args.order, seed=args.seed)
+               for fn, _, name in runs]
     if args.format == "json":
         _emit({"reports": [_report_doc(r) for r in reports],
                "verified": all(r.verified for r in reports)})
@@ -287,6 +288,8 @@ def _cmd_nc(args):
         names = list(NC_CATALOG)
     else:
         names = [args.name]
+    for name in names:
+        nc_verify_order(name, args.order)
     reports = [nc_verify(n, params={"d": args.d} if args.d else None,
                          order=args.order, seed=args.seed) for n in names]
     if args.format == "json":
@@ -428,6 +431,9 @@ def run(argv=None):
     except DOMAIN_ERRORS as e:
         sys.stderr.write(f"domain error: {e}\n")
         return EXIT_DOMAIN
+    except ConsistencyError as e:
+        sys.stderr.write(f"internal error: {e}\n")
+        return EXIT_INTERNAL
     except (ValueError, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

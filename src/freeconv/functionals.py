@@ -5,7 +5,8 @@ functional on polynomials (m_0 = 1 implicit); positivity is never assumed.
 :class:`JacobiParams` holds the rows (beta_0..; gamma_0..) of the continued
 fraction of the Cauchy transform, with optional early termination
 (gamma_k = 0) and an optional repeating tail for the eventually-constant
-families.
+families.  The private triangular-solve kernels of ``transforms`` live here
+too, so that coefficient stripping shares them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ class ZeroVarianceError(ArithmeticError):
     """Operation requires nonzero variance."""
 
 
+class ConsistencyError(RuntimeError):
+    """Two independent computation paths disagreed (convention bug trap)."""
+
+
 class MomentFunctional:
     __slots__ = ("order", "_m")
 
@@ -37,10 +42,6 @@ class MomentFunctional:
         ms += [ZERO] * (order - len(ms))
         self.order = order
         self._m = tuple(ms)
-
-    @classmethod
-    def point_mass_zero(cls, order):
-        return cls(order, ())
 
     def m(self, k):
         """The k-th moment; m(0) = 1."""
@@ -226,22 +227,17 @@ def moments_from_jacobi(j, order):
 def _strip_once(mf, beta, gamma):
     """Moments of the once-stripped functional, via (eta - beta*w)/(gamma*w^2).
 
-    The eta coefficients are computed with the division-free recursion
-    eta_n = m_n - sum_{j<n} eta_j m_{n-j}; only the final division by gamma
-    must be exact (it always is over Q; over Q[t] it validates that the
-    functional really strips within the polynomial ring).
+    The eta coefficients come from the division-free kernel
+    ``_divide_one_plus_m``; only the final division by gamma must be exact
+    (it always is over Q; over Q[t] it validates that the functional really
+    strips within the polynomial ring).
     """
     n = mf.order
-    eta = [ZERO] * (n + 1)
-    for k in range(1, n + 1):
-        s = mf.m(k)
-        for j in range(1, k):
-            s = s - eta[j] * mf.m(k - j)
-        eta[k] = s
+    eta = _divide_one_plus_m((ZERO,) + mf.moments(), _moment_table(mf), n)
     # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
     out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
     if not (out[0] == 1):
-        raise AssertionError("stripped series must be unital")
+        raise ConsistencyError("stripped series must be unital")
     return MomentFunctional(n - 2, out[1:])
 
 
@@ -271,6 +267,80 @@ def jacobi_from_moments(mf, levels):
         if j + 1 < levels:
             work = _strip_once(work, b, g)
     return JacobiParams(betas, gammas)
+
+
+# -- triangular-solve kernels ---------------------------------------------------
+#
+# Coefficient lists are indexed by degree.  With W = z(1+M), the power table
+# p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and [z^k] W^k = 1 makes
+# every solve through W triangular.
+
+
+def _moment_table(mf):
+    """[1, m_1, ..., m_N]: the coefficients of 1 + M."""
+    return [ONE] + list(mf.moments())
+
+
+def _add_diagonal(p, m):
+    """Extend the power table p by its anti-diagonal k + j = s, s = len(p).
+
+    Reads only m[:s], so a forward solve can find m[s] after each call.
+    """
+    s = len(p)
+    p[0].append(ZERO)
+    for k in range(1, s):
+        prev = p[k - 1]
+        j = s - k
+        c = prev[j]
+        for i in range(1, j + 1):
+            if not is_zero(m[i]):
+                c = c + m[i] * prev[j - i]
+        p[k].append(c)
+    p.append([ONE])
+
+
+def _power_table(m, n):
+    """p[k][j] = [z^j](1+M)^k for k + j <= n, from m = [1, m_1, ..., m_n]."""
+    p = [[ONE]]
+    for _ in range(n):
+        _add_diagonal(p, m)
+    return p
+
+
+def _substitute_at(a, p, n):
+    """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
+    s = ZERO
+    for k in range(1, n + 1):
+        if not is_zero(a[k]):
+            s = s + a[k] * p[k][n - k]
+    return s
+
+
+def _substitute_w(a, p, n):
+    """[z^k] A(z(1+M)) for k = 0..n."""
+    return [a[0]] + [_substitute_at(a, p, k) for k in range(1, n + 1)]
+
+
+def _solve_w(rhs, p, n):
+    """The A with A(0) = 0 and [z^k] A(z(1+M)) = rhs[k] for k = 1..n."""
+    a = [ZERO] * (n + 1)
+    for k in range(1, n + 1):
+        s = rhs[k]
+        for j in range(1, k):
+            s = s - a[j] * p[j][k - j]
+        a[k] = s
+    return a
+
+
+def _divide_one_plus_m(num, m, n):
+    """num * (1+M)^{-1} through z^n, for num[0] = 0 and m = [1, m_1, ...]."""
+    out = [ZERO] * (n + 1)
+    for k in range(1, n + 1):
+        s = num[k]
+        for j in range(1, k):
+            s = s - out[j] * m[k - j]
+        out[k] = s
+    return out
 
 
 # -- named families -----------------------------------------------------------

@@ -2,17 +2,28 @@
 
 Functionals are maps from words over {1..d} (length <= N) to coefficients,
 with the empty word at 1.  The transform equations are the same as in one
-variable,
+variable, with W_i = z_i(1+M), and every site composes three private kernels
+over sparse word dicts (a missing word is zero): _apply_w_substitution(a, m,
+w) = [x_w] A(W_1, ..., W_d); _split_sum(left, right, w), the sum over
+w = uv of left[u] right[v], which multiplies or divides by (1+M); and
+_fill_words, which fills a word dict in length order.
 
-    R(z_1(1+M), ..., z_d(1+M)) = M,
-    eta = (1+M)^{-1} M,
-    eta~ = R2(z_i(1+M)) (1+M)^{-1},
-    R^{mu |> nu} = R^mu(z_i(1+M^nu)) (1+M^nu)^{-1},
+    R(W) = M                      nc_r (solve), nc_moments_from_r (forward)
+    eta = M (1+M)^{-1}            nc_eta (divide), nc_moments_from_eta
+    eta~ = R2(W) (1+M)^{-1}       nc_two_state_r (solve against eta~ (1+M)),
+                                  nc_tilde_from_two_state_r (substitute,
+                                  then divide)
+    R^{mu|>nu} = R^mu(W) (1+M)^{-1}, M = M^nu
+                                  nc_subordination (substitute, then divide)
+    1 + M^{mu boxplus nu} = (1 + M^lam)(1 + M^nu(W)), M = M^lam
+                                  _composition_product (substitute, then
+                                  multiply)
 
-solved word by word.  Substituting z_i -> z_i(1+M) places (1+M) to the right
-of each letter, following the displayed order of the defining equations; the
-coefficient extraction runs over the subsets of letter positions containing
-the first position, with the gaps carrying moments.
+A solve stores a[w] only after solving for it, so the substitution skips the
+term that carries a[w].  Substituting z_i -> z_i(1+M) places (1+M) to the
+right of each letter, following the displayed order of the defining
+equations; the coefficient extraction runs over the subsets of letter
+positions containing the first position, with the gaps carrying moments.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.
@@ -25,18 +36,15 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import ZERO, ONE, as_coeff, formal_t, is_zero, reciprocal
-from .evolution import VerifyReport, check_eq
+from .coeffs import ZERO, ONE, as_coeff, formal_t, is_zero
+from .evolution import VerifyReport, _entry_order, check_eq
 from .functionals import MomentFunctional
-from .series import NotInvertibleError
 
 MAX_NC_ORDER = 8
 
 
-def words(d, order, include_empty=False):
-    """All words over {1..d} of length 1..order (optionally also empty)."""
-    if include_empty:
-        yield ()
+def words(d, order):
+    """All words over {1..d} of length 1..order, shortest first."""
     for n in range(1, order + 1):
         yield from itertools.product(range(1, d + 1), repeat=n)
 
@@ -120,140 +128,6 @@ class NCPair:
         return self.tilde.order
 
 
-class NCSeries:
-    """Sparse word-indexed series (empty word allowed) under concatenation."""
-
-    __slots__ = ("d", "order", "_c")
-
-    def __init__(self, d, order, coeffs):
-        if not 1 <= order <= MAX_NC_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_NC_ORDER}")
-        self.d = d
-        self.order = order
-        clean = {}
-        for w, c in coeffs.items():
-            w = tuple(w)
-            if len(w) > order:
-                continue
-            if any(not 1 <= x <= d for x in w):
-                raise ValueError(f"word {w} outside alphabet 1..{d}")
-            c = as_coeff(c)
-            if not is_zero(c):
-                clean[w] = c
-        self._c = clean
-
-    @classmethod
-    def one(cls, d, order):
-        return cls(d, order, {(): ONE})
-
-    @classmethod
-    def letter(cls, i, d, order):
-        return cls(d, order, {(i,): ONE})
-
-    def coeff(self, w):
-        return self._c.get(tuple(w), ZERO)
-
-    def items(self):
-        return self._c.items()
-
-    def valuation_positive(self):
-        return () not in self._c
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self._c)
-        for w, c in other._c.items():
-            out[w] = out.get(w, ZERO) + c
-        return NCSeries(self.d, min(self.order, other.order), out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self._c)
-        for w, c in other._c.items():
-            out[w] = out.get(w, ZERO) - c
-        return NCSeries(self.d, min(self.order, other.order), out)
-
-    def scale(self, c):
-        c = as_coeff(c)
-        return NCSeries(self.d, self.order,
-                        {w: c * x for w, x in self._c.items()})
-
-    def __mul__(self, other):
-        """Concatenation (Cauchy) product; order is non-commutative."""
-        self._check(other)
-        order = min(self.order, other.order)
-        out = {}
-        for u, a in self._c.items():
-            for v, b in other._c.items():
-                if len(u) + len(v) <= order:
-                    w = u + v
-                    out[w] = out.get(w, ZERO) + a * b
-        return NCSeries(self.d, order, out)
-
-    def reciprocal(self):
-        """Two-sided inverse; requires a nonzero empty-word coefficient."""
-        c0 = self._c.get((), ZERO)
-        if is_zero(c0):
-            raise NotInvertibleError("empty-word coefficient is zero")
-        inv0 = reciprocal(c0)
-        rest = NCSeries(self.d, self.order,
-                        {w: c for w, c in self._c.items() if w}).scale(inv0)
-        # geometric series in the valuation-positive part
-        acc = NCSeries.one(self.d, self.order)
-        term = NCSeries.one(self.d, self.order)
-        for _ in range(self.order):
-            term = (term * rest).scale(-1)
-            acc = acc + term
-        return acc.scale(inv0)
-
-    def substitute(self, subs):
-        """Replace each letter i by subs[i-1]; substitutes need positive valuation."""
-        if len(subs) != self.d:
-            raise ValueError("need one substitute per letter")
-        for s in subs:
-            if not s.valuation_positive():
-                raise ValueError("substitutes must have zero empty-word term")
-        order = min([self.order] + [s.order for s in subs])
-        total = NCSeries(self.d, order, {(): self._c.get((), ZERO)})
-        for w, c in self._c.items():
-            if not w:
-                continue
-            prod = None
-            for i in w:
-                prod = subs[i - 1] if prod is None else prod * subs[i - 1]
-                if not prod._c:
-                    break
-            if prod is not None and prod._c:
-                total = total + prod.scale(c)
-        return total
-
-    def _check(self, other):
-        if not isinstance(other, NCSeries) or other.d != self.d:
-            raise ValueError("operands over different alphabets")
-
-    def __eq__(self, other):
-        if not isinstance(other, NCSeries):
-            return NotImplemented
-        if self.d != other.d:
-            return False
-        n = min(self.order, other.order)
-        seen = set(self._c) | set(other._c)
-        return all(self.coeff(w) == other.coeff(w)
-                   for w in seen if len(w) <= n)
-
-    def __repr__(self):
-        return f"<NCSeries d={self.d} order={self.order} ({len(self._c)} words)>"
-
-
-def nc_m_series(mu):
-    """The moment series M = sum_w m_w z_w (no empty-word term)."""
-    return NCSeries(mu.d, mu.order, dict(mu.items()))
-
-
-def nc_series_from_cumulants(kappa, d, order):
-    return NCSeries(d, order, dict(kappa))
-
-
 def nc_point_mass(beta, d, order):
     """delta_beta with delta_beta[x_w] = prod_j beta_{w_j}."""
     beta = [as_coeff(x) for x in beta]
@@ -287,135 +161,110 @@ def nc_to_univariate(ncf):
 
 @lru_cache(maxsize=None)
 def _splits(n):
-    """Subsets S of positions {0..n-1} with 0 in S, plus the gap intervals.
+    """Subsets S of positions {0..n-1} with 0 in S, plus the nonempty gaps.
 
-    Returned as (marked_positions, gaps) pairs, gaps being (start, end)
-    index ranges between consecutive marked positions and after the last.
+    Returned as (marked_positions, gaps) pairs, gaps being the nonempty
+    (start, end) index ranges between consecutive marked positions and after
+    the last.
     """
     out = []
     for mask in range(1 << (n - 1)):
         marked = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1]
-        gaps = []
-        for a, b in zip(marked, marked[1:] + [n]):
-            gaps.append((a + 1, b))
-        out.append((tuple(marked), tuple(gaps)))
+        gaps = tuple((x + 1, y) for x, y in zip(marked, marked[1:] + [n])
+                     if x + 1 < y)
+        out.append((tuple(marked), gaps))
     return tuple(out)
 
 
-def _apply_w_substitution(coeff_of, mu, w):
-    """[x_w] A(z_1(1+M^mu), ..., z_d(1+M^mu)) for A with coefficients coeff_of.
+def _apply_w_substitution(a, m, w):
+    """[x_w] A(z_1(1+M), ..., z_d(1+M)) for the word dicts a of A and m of M.
 
     Expands over the subsets of positions carrying the letters of A; the gaps
-    between them (and after the last) carry moments of mu.
+    between them (and after the last) carry moments.  A word missing from
+    either dict counts as zero, so a solve for a[w] can call this before it
+    stores a[w].
     """
-    n = len(w)
     total = ZERO
-    for marked, gaps in _splits(n):
-        c = coeff_of(tuple(w[i] for i in marked))
-        if is_zero(c):
+    for marked, gaps in _splits(len(w)):
+        c = a.get(tuple([w[i] for i in marked]))
+        if c is None:
             continue
-        for a, b in gaps:
-            if a < b:
-                c = c * mu.m(w[a:b])
-                if is_zero(c):
-                    break
+        for x, y in gaps:
+            g = m.get(w[x:y])
+            if g is None:
+                break
+            c = c * g
         else:
             total = total + c
     return total
 
 
+def _split_sum(left, right, w):
+    """The sum of left[u] * right[v] over the splits w = uv into nonempty words."""
+    s = ZERO
+    for k in range(1, len(w)):
+        u = left.get(w[:k])
+        if u is not None:
+            v = right.get(w[k:])
+            if v is not None:
+                s = s + u * v
+    return s
+
+
+def _fill_words(d, order, coeff):
+    """The sparse dict {w: coeff(w, out)} over words of length 1..order.
+
+    Filled in length order; ``coeff`` may read ``out`` at shorter words, and
+    w itself is stored only after ``coeff`` returns.
+    """
+    out = {}
+    for w in words(d, order):
+        c = coeff(w, out)
+        if not is_zero(c):
+            out[w] = c
+    return out
+
+
 def nc_r(mu):
     """Word-indexed free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    d, order = mu.d, mu.order
-    kappa = {}
-    get = lambda v: kappa.get(v, ZERO)
-    for n in range(1, order + 1):
-        for w in itertools.product(range(1, d + 1), repeat=n):
-            # the S = all-positions term contributes kappa_w itself
-            rest = _apply_w_substitution(
-                lambda v: ZERO if len(v) == n else get(v), mu, w)
-            kappa[w] = mu.m(w) - rest
-    return {w: c for w, c in kappa.items() if not is_zero(c)}
+    m = mu._m
+    return _fill_words(mu.d, mu.order, lambda w, kappa: (
+        m.get(w, ZERO) - _apply_w_substitution(kappa, m, w)))
 
 
 def nc_moments_from_r(kappa, d, order):
     """Forward solve of R(z_i(1+M)) = M."""
-    get = lambda v: kappa.get(v, ZERO)
-    out = nc_zero(d, order)
-    ms = {}
-    for n in range(1, order + 1):
-        partial = NCFunctional(d, order, ms)
-        for w in itertools.product(range(1, d + 1), repeat=n):
-            val = _apply_w_substitution(get, partial, w)
-            if not is_zero(val):
-                ms[w] = val
-    return NCFunctional(d, order, ms)
+    return NCFunctional(d, order, _fill_words(
+        d, order, lambda w, m: _apply_w_substitution(kappa, m, w)))
 
 
 def nc_eta(mu):
     """Boolean word cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v (u,v nonempty)."""
-    eta = {}
-    for n in range(1, mu.order + 1):
-        for w in itertools.product(range(1, mu.d + 1), repeat=n):
-            s = mu.m(w)
-            for k in range(1, n):
-                e = eta.get(w[:k], ZERO)
-                if not is_zero(e):
-                    s = s - e * mu.m(w[k:])
-            if not is_zero(s):
-                eta[w] = s
-    return eta
+    m = mu._m
+    return _fill_words(mu.d, mu.order, lambda w, eta: (
+        m.get(w, ZERO) - _split_sum(eta, m, w)))
 
 
 def nc_moments_from_eta(eta, d, order):
-    ms = {}
-    for n in range(1, order + 1):
-        for w in itertools.product(range(1, d + 1), repeat=n):
-            s = eta.get(w, ZERO)
-            for k in range(1, n):
-                e = eta.get(w[:k], ZERO)
-                if not is_zero(e) and w[k:] in ms:
-                    s = s + e * ms[w[k:]]
-            if not is_zero(s):
-                ms[w] = s
-    return NCFunctional(d, order, ms)
+    return NCFunctional(d, order, _fill_words(d, order, lambda w, m: (
+        eta.get(w, ZERO) + _split_sum(eta, m, w))))
 
 
 def nc_two_state_r(pair):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for the word two-state R-transform."""
-    d, order = pair.d, pair.order
     eta_t = nc_eta(pair.tilde)
-    base = pair.base
-    kappa = {}
-    get = lambda v: kappa.get(v, ZERO)
-    for n in range(1, order + 1):
-        for w in itertools.product(range(1, d + 1), repeat=n):
-            lhs = eta_t.get(w, ZERO)
-            for k in range(1, n):
-                e = eta_t.get(w[:k], ZERO)
-                if not is_zero(e):
-                    lhs = lhs + e * base.m(w[k:])
-            rest = _apply_w_substitution(
-                lambda v: ZERO if len(v) == n else get(v), base, w)
-            kappa[w] = lhs - rest
-    return {w: c for w, c in kappa.items() if not is_zero(c)}
+    m = pair.base._m
+    return _fill_words(pair.d, pair.order, lambda w, kappa: (
+        eta_t.get(w, ZERO) + _split_sum(eta_t, m, w)
+        - _apply_w_substitution(kappa, m, w)))
 
 
 def nc_tilde_from_two_state_r(r2, base):
     """Invert: eta~ = R2(z_i(1+M)) (1+M)^{-1}, then moments."""
-    d, order = base.d, base.order
-    get = lambda v: r2.get(v, ZERO)
-    eta = {}
-    for n in range(1, order + 1):
-        for w in itertools.product(range(1, d + 1), repeat=n):
-            s = _apply_w_substitution(get, base, w)
-            for k in range(1, n):
-                e = eta.get(w[:k], ZERO)
-                if not is_zero(e):
-                    s = s - e * base.m(w[k:])
-            if not is_zero(s):
-                eta[w] = s
-    return nc_moments_from_eta(eta, d, order)
+    m = base._m
+    eta = _fill_words(base.d, base.order, lambda w, e: (
+        _apply_w_substitution(r2, m, w) - _split_sum(e, m, w)))
+    return nc_moments_from_eta(eta, base.d, base.order)
 
 
 def nc_free_convolve(a, b):
@@ -482,42 +331,24 @@ def nc_bp_inverse(mu):
 
 def nc_subordination(mu, nu):
     """R^{mu |> nu} (1+M^nu) = R^mu(z_i(1+M^nu)), solved triangularly."""
-    d = mu.d
     order = min(mu.order, nu.order)
     mu, nu = mu.truncate(order), nu.truncate(order)
     kmu = nc_r(mu)
-    get = lambda v: kmu.get(v, ZERO)
-    ksub = {}
-    for n in range(1, order + 1):
-        for w in itertools.product(range(1, d + 1), repeat=n):
-            s = _apply_w_substitution(get, nu, w)
-            for k in range(1, n):
-                c = ksub.get(w[:k], ZERO)
-                if not is_zero(c):
-                    s = s - c * nu.m(w[k:])
-            if not is_zero(s):
-                ksub[w] = s
-    return nc_moments_from_r(ksub, d, order)
+    m = nu._m
+    ksub = _fill_words(mu.d, order, lambda w, k: (
+        _apply_w_substitution(kmu, m, w) - _split_sum(k, m, w)))
+    return nc_moments_from_r(ksub, mu.d, order)
 
 
 def _composition_product(lam, nu):
     """(1 + M^lam)(1 + M^nu(z_i(1+M^lam))) - 1, as a word functional."""
     d, order = lam.d, min(lam.order, nu.order)
     lam, nu = lam.truncate(order), nu.truncate(order)
-    get = lambda v: nu.m(v) if len(v) <= order else ZERO
-    sub = {}  # [w] M^nu(W_lam), cached per word
-    out = {}
-    for n in range(1, order + 1):
-        for w in itertools.product(range(1, d + 1), repeat=n):
-            sub[w] = _apply_w_substitution(get, lam, w)
-            s = sub[w] + lam.m(w)
-            for k in range(1, n):
-                c = lam.m(w[:k])
-                if not is_zero(c):
-                    s = s + c * sub[w[k:]]
-            if not is_zero(s):
-                out[w] = s
-    return NCFunctional(d, order, out)
+    m = lam._m
+    sub = _fill_words(d, order, lambda w, _: (  # M^nu(W_lam)
+        _apply_w_substitution(nu._m, m, w)))
+    return NCFunctional(d, order, _fill_words(d, order, lambda w, _: (
+        sub.get(w, ZERO) + m.get(w, ZERO) + _split_sum(m, sub, w))))
 
 
 def nc_subordination_inverse(lam, nu):
@@ -604,7 +435,6 @@ def _nc_verify_recover_tau(order, rng, params):
     beta = params.get("beta", Fraction(1, 3))
     gamma = params.get("gamma", Fraction(2))
     t = params.get("t", Fraction(1))
-    order = min(order, MAX_NC_ORDER)
     rho = semicircular(b, c, order - 2)
     rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
     rel = CanonicalTriple(beta_t, gamma_t, rho_t.truncate(order - 2))
@@ -634,18 +464,24 @@ NC_CATALOG = {
     "recover-tau": (_nc_verify_recover_tau, 8),
 }
 
+# As evolution.MIN_ORDER; MAX_NC_ORDER caps every entry.
+NC_MIN_ORDER = {"composition": 3, "final-prop": 3, "recover-tau": 4}
+
+
+def nc_verify_order(name, order=None):
+    """The order ``nc_verify(name, order=order)`` runs at, or ValueError."""
+    return _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER.get(name), name,
+                        order, MAX_NC_ORDER)
+
 
 def nc_verify(name, params=None, order=None, seed=0):
-    try:
-        fn, default_order = NC_CATALOG[name]
-    except KeyError:
-        raise ValueError(f"unknown nc verify entry {name!r}; "
-                         f"choose from {sorted(NC_CATALOG)}") from None
-    order = default_order if order is None else order
+    order = nc_verify_order(name, order)
     rng = random.Random(seed)
-    checks, notes = fn(order, rng, dict(params or {}))
+    checks, notes = NC_CATALOG[name][0](order, rng, dict(params or {}))
     return VerifyReport(f"nc:{name}", order, checks, notes)
 
 
 def nc_verify_all(order=None, seed=0):
+    for name in NC_CATALOG:
+        nc_verify_order(name, order)
     return [nc_verify(name, order=order, seed=seed) for name in NC_CATALOG]

@@ -35,9 +35,6 @@ class SetPartition:
         self.blocks = blocks
         self.n = n
 
-    def block_sizes(self):
-        return tuple(sorted(len(b) for b in self.blocks))
-
     def is_non_crossing(self):
         """No a < b < c < d with a,c in one block and b,d in another."""
         owner = {}

@@ -106,10 +106,6 @@ class TruncSeries:
         c = as_coeff(c)
         return TruncSeries(self.order, [c * x for x in self._c])
 
-    def shift_up(self, k):
-        """Multiply by z^k (raises the exact order by k)."""
-        return TruncSeries(self.order + k, [ZERO] * k + list(self._c))
-
     def shift_down(self, k):
         """Divide by z^k; the low-order coefficients must vanish."""
         if any(not is_zero(c) for c in self._c[:k]):

@@ -1,21 +1,34 @@
 """The transform dictionary: M, eta, R, F, phi and the two-state R-transform.
 
-The primary computation path is combinatorial: triangular solves of
+The primary path is combinatorial: with W = z(1+M), every solve composes the
+private kernels of ``functionals``, which work on the power table
+p = _power_table(m, n), p[k][j] = [z^j](1+M)^k, so [z^n] W^k = p[k][n-k]:
 
-    R(z(1 + M(z))) = M(z)                    (moments <-> free cumulants)
-    eta = M - eta*M                           (moments <-> Boolean cumulants)
-    eta_tilde = R2(z(1 + M)) * (1 + M)^{-1}   (two-state R-transform)
+    R(W) = M                 r_from_moments: _solve_w; moments_from_r: forward,
+                             one _add_diagonal and _substitute_at per degree
+    eta = M (1+M)^{-1}       eta_from_moments: _divide_one_plus_m
+    eta~ = R2(W) (1+M)^{-1}  two_state_r: _solve_w against eta~ (1+M);
+                             tilde_from_two_state_r: _substitute_w, then
+                             _divide_one_plus_m
 
-working with the coefficient table p[k][j] = [z^j](1+M)^k, so that
-[z^n] (z(1+M))^k = p[k][n-k].  A second, reversion-based path through the
-Laurent expansions at infinity (F^{<-1>}(z) - z) is provided purely as a
-cross-check; the two paths share no code.
+A second, reversion-based path through the Laurent expansions at infinity
+(F^{<-1>}(z) - z) is provided purely as a cross-check; it calls none of the
+kernels, so the two paths share no solve.
 """
 
 from __future__ import annotations
 
-from .coeffs import ZERO, ONE, is_zero
-from .functionals import MomentFunctional
+from .coeffs import ZERO, ONE
+from .functionals import (
+    MomentFunctional,
+    _add_diagonal,
+    _divide_one_plus_m,
+    _moment_table,
+    _power_table,
+    _solve_w,
+    _substitute_at,
+    _substitute_w,
+)
 from .series import LaurentAtInfinity, TruncSeries
 
 
@@ -24,76 +37,30 @@ def m_series(mf):
     return TruncSeries(mf.order, (ZERO,) + mf.moments())
 
 
-def _power_table(m, order):
-    """p[k][j] = [z^j](1+M)^k for 0 <= k, j <= order, with m[i] = m_i (m[0]=1)."""
-    p = [[ONE] + [ZERO] * order]
-    for k in range(1, order + 1):
-        prev = p[-1]
-        row = [ZERO] * (order + 1)
-        for j in range(order + 1 - k):
-            s = prev[j]
-            for i in range(1, j + 1):
-                if not is_zero(m[i]):
-                    s = s + m[i] * prev[j - i]
-            row[j] = s
-        p.append(row)
-    return p
-
-
-def _moment_table(mf):
-    return [ONE] + list(mf.moments())
-
-
 def r_from_moments(mf):
     """Free cumulants kappa_1..kappa_N as the coefficients of R(z)."""
     n = mf.order
-    p = _power_table(_moment_table(mf), n)
-    kappa = [ZERO] * (n + 1)
-    for k in range(1, n + 1):
-        s = mf.m(k)
-        for j in range(1, k):
-            s = s - kappa[j] * p[j][k - j]
-        kappa[k] = s  # [z^k] W^k = 1
-    return TruncSeries(n, kappa)
+    m = _moment_table(mf)
+    return TruncSeries(n, _solve_w(m, _power_table(m, n), n))
 
 
 def moments_from_r(r, order):
     """Solve R(z(1+M)) = M forward for the moments."""
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
-    m = [ONE] + [ZERO] * order
-    # p[k][j] filled along anti-diagonals: stage n computes p[k][n-k]
-    p = [[ONE] + [ZERO] * order]
+    kappa = r.coeffs()
+    m = [ONE]
+    p = [[ONE]]
     for n in range(1, order + 1):
-        p.append([ZERO] * (order + 1))
-        p[n][0] = ONE
-        for k in range(1, n + 1):
-            j = n - k
-            prev = p[k - 1]
-            s = prev[j]
-            for i in range(1, j + 1):
-                if not is_zero(m[i]):
-                    s = s + m[i] * prev[j - i]
-            p[k][j] = s
-        t = ZERO
-        for k in range(1, n + 1):
-            c = r.coeff(k)
-            if not is_zero(c):
-                t = t + c * p[k][n - k]
-        m[n] = t
+        _add_diagonal(p, m)
+        m.append(_substitute_at(kappa, p, n))
     return MomentFunctional(order, m[1:])
 
 
 def eta_from_moments(mf):
     """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}."""
-    n = mf.order
-    eta = [ZERO] * (n + 1)
-    for k in range(1, n + 1):
-        s = mf.m(k)
-        for j in range(1, k):
-            s = s - eta[j] * mf.m(k - j)
-        eta[k] = s
-    return TruncSeries(n, eta)
+    return TruncSeries(mf.order, _divide_one_plus_m(
+        (ZERO,) + mf.moments(), _moment_table(mf), mf.order))
 
 
 def moments_from_eta(eta, order):
@@ -157,13 +124,11 @@ def f_inverse_at_infinity(mf):
     """The compositional inverse F^{<-1>}(z) = z + d_0 + d_1/z + ...
 
     Computed through series reversion in the w = 1/z chart: with
-    f(w) = w/(1 - eta(w)) = 1/F(1/w), the compositional inverse of F
+    f(w) = 1/F(1/w) = w(1 + M(w)), the compositional inverse of F
     corresponds to the reversion h of f, and F^{<-1>}(z) = 1/h(1/z).
     """
-    eta = eta_from_moments(mf)
     n = mf.order
-    one_minus = TruncSeries.one(n) - eta
-    f = one_minus.reciprocal().shift_up(1)
+    f = TruncSeries(n + 1, (ZERO, ONE) + mf.moments())
     h = f.reversion()
     g = h.shift_down(1).reciprocal()  # h(w) = w/g(w)
     return LaurentAtInfinity(ONE, g.coeff(1),
@@ -182,41 +147,28 @@ def two_state_r(pair):
     rhs = eta_from_moments(pair.tilde) * (
         TruncSeries.one(n) + m_series(pair.base))
     p = _power_table(_moment_table(pair.base), n)
-    kappa = [ZERO] * (n + 1)
-    for k in range(1, n + 1):
-        s = rhs.coeff(k)
-        for j in range(1, k):
-            s = s - kappa[j] * p[j][k - j]
-        kappa[k] = s
-    return TruncSeries(n, kappa)
+    return TruncSeries(n, _solve_w(rhs.coeffs(), p, n))
 
 
 def tilde_from_two_state_r(r2, base):
     """The functional mu_tilde with two_state_r((mu_tilde, base)) = r2."""
     n = min(base.order, r2.order)
-    base = base.truncate(n)
-    p = _power_table(_moment_table(base), n)
-    rhs = [ZERO] * (n + 1)  # R2(W) = eta_tilde * (1+M), coefficientwise
-    for k in range(1, n + 1):
-        s = ZERO
-        for j in range(1, k + 1):
-            c = r2.coeff(j)
-            if not is_zero(c):
-                s = s + c * p[j][k - j]
-        rhs[k] = s
-    eta = [ZERO] * (n + 1)  # divide by (1+M): eta_n = rhs_n - sum eta_j m_{n-j}
-    for k in range(1, n + 1):
-        s = rhs[k]
-        for j in range(1, k):
-            s = s - eta[j] * base.m(k - j)
-        eta[k] = s
-    return moments_from_eta(TruncSeries(n, eta), n)
+    m = _moment_table(base)
+    num = _substitute_w(r2.coeffs(), _power_table(m, n), n)
+    return moments_from_eta(TruncSeries(n, _divide_one_plus_m(num, m, n)), n)
 
 
 def two_state_phi_by_reversion(pair):
-    """phi_{tilde,base}(z) = (z - F_tilde) o F_base^{<-1>}; cross-check path."""
+    """phi_{tilde,base}(z) = (z - F_tilde) o F_base^{<-1>}; cross-check path.
+
+    z - F_tilde(z) = eta_tilde(1/z) z with 1 - eta = (1 + M)^{-1}, taken as a
+    series reciprocal rather than from the Boolean cumulant solve.
+    """
+    n = pair.order
     h = f_inverse_at_infinity(pair.base)
-    d = LaurentAtInfinity.ident_z(pair.order - 1) - f_at_infinity(pair.tilde)
+    inv = (TruncSeries.one(n) + m_series(pair.tilde)).reciprocal()
+    d = LaurentAtInfinity(ZERO, -inv.coeff(1),
+                          [-inv.coeff(k + 1) for k in range(1, n)], n - 1)
     return d.compose_descending(h)
 
 

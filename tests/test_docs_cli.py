@@ -4,18 +4,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeconv import docs
+import freeconv
+from freeconv import docs, evolution
 from freeconv.cli import run
 from freeconv.coeffs import formal_t
 from freeconv.docs import DocumentError
 from freeconv.functionals import (
     CanonicalTriple,
+    ConsistencyError,
     JacobiParams,
     MomentFunctional,
     TwoStatePair,
     bernoulli_sym,
     semicircular,
 )
+from freeconv.multivariate import (MAX_NC_ORDER, NC_CATALOG, NC_MIN_ORDER,
+                                   nc_verify_all)
 
 
 def test_rational_encoding():
@@ -211,3 +215,53 @@ def test_cli_deterministic_output(tmp_path, capsys):
         assert run(["verify", "bn-mean", "--seed", "9"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+ENTRY_MIN_ORDERS = (
+    [(name, low) for name, low in evolution.MIN_ORDER.items()]
+    + [(f"nc:{name}", low) for name, low in NC_MIN_ORDER.items()])
+
+
+def test_min_orders_cover_the_catalogs():
+    assert set(evolution.MIN_ORDER) == set(evolution.CATALOG)
+    assert set(NC_MIN_ORDER) == set(NC_CATALOG)
+    for name, (_, default) in evolution.CATALOG.items():
+        assert evolution.MIN_ORDER[name] <= default
+    for name, (_, default) in NC_CATALOG.items():
+        assert NC_MIN_ORDER[name] <= default <= MAX_NC_ORDER
+
+
+@pytest.mark.parametrize("name,low", ENTRY_MIN_ORDERS)
+def test_cli_verify_order_range(name, low, capsys):
+    assert run(["verify", name, "--order", str(low - 1)]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(["verify", name, "--order", str(low)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    if name.startswith("nc:"):
+        assert run(["verify", name, "--order", str(MAX_NC_ORDER + 1)]) == 2
+
+
+def test_cli_verify_all_rejects_order_before_running(capsys):
+    assert run(["verify", "all", "--order", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nc verify entry 'composition' needs an order in 3..8" \
+        in captured.err
+    assert run(["nc", "verify", "all", "--order", "2"]) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError):
+        evolution.verify_all(order=2)
+    with pytest.raises(ValueError):
+        nc_verify_all(order=MAX_NC_ORDER + 1)
+
+
+def test_cli_consistency_error_exits_4(monkeypatch, capsys):
+    def broken(order, rng, params):
+        raise ConsistencyError("paths disagree")
+
+    monkeypatch.setitem(evolution.CATALOG, "pde", (broken, 8))
+    assert run(["verify", "pde"]) == 4
+    assert "internal error: paths disagree" in capsys.readouterr().err
+    assert not issubclass(ConsistencyError, AssertionError)
+    assert freeconv.ConsistencyError is evolution.ConsistencyError \
+        is ConsistencyError

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.coeffs import formal_t
 from freeconv.convolutions import free_convolve, free_power
@@ -133,13 +134,15 @@ def test_subordination_composition_lemma():
     assert [rhs.coeff(k) for k in range(4)] == [F(0), F(1), F(0), F(1)]
 
 
-def test_subordination_inverse_roundtrip():
-    rng = random.Random(7)
-    for _ in range(5):
-        mu, nu = rand_functional(rng, 10), rand_functional(rng, 10)
-        assert subordination_inverse(subordination(mu, nu), nu) == mu
-    mu = rand_functional(rng, 10)
-    assert subordination_inverse(mu, MomentFunctional(10, ())) == mu
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 10), st.booleans())
+def test_subordination_inverse_roundtrip(seed, order, formal):
+    rng = random.Random(seed)
+    mu, nu = rand_functional(rng, order), rand_functional(rng, order)
+    if formal:
+        mu = free_power(mu, formal_t())
+    assert subordination_inverse(subordination(mu, nu), nu) == mu
+    assert subordination_inverse(mu, MomentFunctional(order, ())) == mu
     assert subordination_inverse(bercovici_pata(mu), mu) == mu
 
 

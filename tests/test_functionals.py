@@ -5,10 +5,12 @@ import pytest
 
 from freeconv.functionals import (
     CanonicalTriple,
+    ConsistencyError,
     JacobiDepthError,
     JacobiParams,
     MomentFunctional,
     NoJacobiRepresentationError,
+    _strip_once,
     arcsine,
     bernoulli_sym,
     family,
@@ -148,3 +150,10 @@ def test_functional_equality_via_min_order():
     assert a.agrees_with(b, 4)
     with pytest.raises(ValueError):
         a.agrees_with(b, 5)
+
+
+def test_strip_once_non_unital_is_consistency_error():
+    mu = semicircular(0, 1, 6)
+    assert _strip_once(mu, 0, 1) == semicircular(0, 1, 4)
+    with pytest.raises(ConsistencyError):
+        _strip_once(mu, 0, 2)  # a wrong variance leaves m_0 = 1/2

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.coeffs import formal_t
 from freeconv.evolution import (
@@ -42,6 +43,7 @@ from freeconv.transforms import (
     two_state_r,
 )
 from freeconv.functionals import TwoStatePair
+from ncseries import NCSeries, nc_m_series, nc_series_from_cumulants
 
 
 def rand_nc(rng, d, order, span=2):
@@ -57,7 +59,6 @@ def rand_functional(rng, order, span=3):
 
 
 def test_series_concatenation_examples():
-    from freeconv.multivariate import NCSeries
     z1 = NCSeries.letter(1, 2, 4)
     z2 = NCSeries.letter(2, 2, 4)
     prod = z1 * z2
@@ -73,7 +74,6 @@ def test_series_concatenation_examples():
 
 
 def test_series_reciprocal_is_two_sided():
-    from freeconv.multivariate import NCSeries, nc_m_series
     rng = random.Random(61)
     mu = rand_nc(rng, 2, 5)
     one = NCSeries.one(2, 5)
@@ -86,7 +86,6 @@ def test_series_reciprocal_is_two_sided():
 
 
 def test_series_substitute_examples():
-    from freeconv.multivariate import NCSeries
     d, order = 2, 4
     z1 = NCSeries.letter(1, d, order)
     z2 = NCSeries.letter(2, d, order)
@@ -101,7 +100,6 @@ def test_series_substitute_examples():
 
 
 def test_series_substitute_reduces_to_compose_at_d1():
-    from freeconv.multivariate import NCSeries
     from freeconv.series import TruncSeries
     rng = random.Random(62)
     outer = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
@@ -118,8 +116,6 @@ def test_series_substitute_reduces_to_compose_at_d1():
 
 def test_solvers_satisfy_defining_equations_via_series():
     """R(z_i(1+M)) = M and eta = (1+M)^{-1} M, checked with NCSeries ops."""
-    from freeconv.multivariate import (NCSeries, nc_m_series,
-                                       nc_series_from_cumulants)
     rng = random.Random(63)
     d, order = 2, 5
     mu = rand_nc(rng, d, order)
@@ -203,25 +199,32 @@ def test_pairwise_cumulant_recursion():
     assert all(len(w) != 3 for w in kappa)
 
 
-def test_d1_reductions_match_single_variable():
-    rng = random.Random(32)
-    mf = rand_functional(rng, 8)
-    nf = rand_functional(rng, 8)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 8))
+def test_d1_reductions_match_single_variable(seed, order):
+    rng = random.Random(seed)
+    mf = rand_functional(rng, order)
+    nf = rand_functional(rng, order)
     wmf, wnf = nc_from_univariate(mf), nc_from_univariate(nf)
     k = nc_r(wmf)
     ks = r_from_moments(mf)
-    assert all(k.get((1,) * n, F(0)) == ks.coeff(n) for n in range(1, 9))
+    assert all(k.get((1,) * n, F(0)) == ks.coeff(n) for n in range(1, order + 1))
     e = nc_eta(wmf)
     es = eta_from_moments(mf)
-    assert all(e.get((1,) * n, F(0)) == es.coeff(n) for n in range(1, 9))
+    assert all(e.get((1,) * n, F(0)) == es.coeff(n) for n in range(1, order + 1))
+    assert nc_to_univariate(nc_moments_from_r(k, 1, order)) == mf
+    assert nc_to_univariate(nc_moments_from_eta(e, 1, order)) == mf
     assert nc_to_univariate(nc_subordination(wmf, wnf)) == subordination(mf, nf)
     assert nc_to_univariate(nc_subordination_inverse(wmf, wnf)) == \
         subordination_inverse(mf, nf)
     assert nc_to_univariate(nc_bp(wmf)) == bercovici_pata(mf)
-    assert nc_to_univariate(nc_phi(wmf.truncate(6))) == phi_map(mf.truncate(6))
+    if order >= 3:
+        assert nc_to_univariate(nc_phi(wmf.truncate(order - 2))) == \
+            phi_map(mf.truncate(order - 2))
     r2 = nc_two_state_r(NCPair(wmf, wnf))
     r2s = two_state_r(TwoStatePair(mf, nf))
-    assert all(r2.get((1,) * n, F(0)) == r2s.coeff(n) for n in range(1, 9))
+    assert all(r2.get((1,) * n, F(0)) == r2s.coeff(n) for n in range(1, order + 1))
+    assert nc_to_univariate(nc_tilde_from_two_state_r(r2, wnf)) == mf
 
 
 def test_free_boolean_convolutions_assoc_comm():

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from freeconv.coeffs import formal_t
+from freeconv.convolutions import free_power
 from freeconv.functionals import (
     MomentFunctional,
     TwoStatePair,
@@ -127,19 +130,24 @@ def test_two_state_r_trivializations():
         assert two_state_r(TwoStatePair(tilde, d0)) == eta_from_moments(tilde)
 
 
-def test_two_state_r_reversion_path():
-    rng = random.Random(6)
-    for _ in range(8):
-        pair = TwoStatePair(rand_functional(rng, 10), rand_functional(rng, 10))
-        assert two_state_r(pair) == two_state_r_by_reversion(pair)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 10))
+def test_two_state_r_reversion_path(seed, order):
+    rng = random.Random(seed)
+    pair = TwoStatePair(rand_functional(rng, order), rand_functional(rng, order))
+    assert two_state_r(pair) == two_state_r_by_reversion(pair)
 
 
-def test_tilde_from_two_state_r_roundtrip():
-    rng = random.Random(8)
-    for _ in range(8):
-        pair = TwoStatePair(rand_functional(rng, 10), rand_functional(rng, 10))
-        r2 = two_state_r(pair)
-        assert tilde_from_two_state_r(r2, pair.base) == pair.tilde
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 8), st.booleans())
+def test_tilde_from_two_state_r_roundtrip(seed, order, formal):
+    rng = random.Random(seed)
+    pair = TwoStatePair(rand_functional(rng, order), rand_functional(rng, order))
+    if formal:  # over Q[t]: both components raised to a formal free power
+        t = formal_t()
+        pair = TwoStatePair(free_power(pair.tilde, t), free_power(pair.base, t))
+    r2 = two_state_r(pair)
+    assert tilde_from_two_state_r(r2, pair.base) == pair.tilde
 
 
 def test_moment_cumulant_relation_as_composition():

@@ -9,12 +9,10 @@ Two coefficient rings are supported throughout the package:
 Fractions promote into the polynomial ring automatically; polynomials with
 distinct parameter names do not mix (``RingMismatchError``).
 
-A ``TPoly`` may carry a truncation *cap*: ``cap=None`` means the value is an
-exact polynomial, ``cap=k`` means coefficients of degree <= k are exact and
-higher degrees are unknown.  Caps only enter through :meth:`TPoly.reciprocal`
-of a non-constant polynomial (e.g. 1/(1+t)); every moment of the semigroup
-objects handled here has t-degree bounded by its index, so a generous cap
-keeps all identity checks exact polynomial comparisons.
+Every ``TPoly`` is an exact polynomial.  Division is exact or raises
+``ExactDivisionError``, and only nonzero constants have a reciprocal: no
+operation of the package needs a power series in t (``belinschi_nica``
+divides by 1 + t exactly, see its docstring).
 """
 
 from __future__ import annotations
@@ -30,28 +28,17 @@ class ExactDivisionError(ArithmeticError):
     """Division in Q[t] did not come out exact."""
 
 
-def _min_cap(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class TPoly:
-    """Polynomial in one formal parameter over Q, optionally truncated."""
+    """Polynomial in one formal parameter over Q."""
 
-    __slots__ = ("coeffs", "var", "cap")
+    __slots__ = ("coeffs", "var")
 
-    def __init__(self, coeffs=(), var="t", cap=None):
+    def __init__(self, coeffs=(), var="t"):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        if cap is not None:
-            cs = cs[: cap + 1]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
         self.var = var
-        self.cap = cap
 
     @classmethod
     def constant(cls, value, var="t"):
@@ -72,11 +59,6 @@ class TPoly:
     def constant_term(self):
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.constant_term()
-
     def coeff(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
@@ -84,7 +66,7 @@ class TPoly:
         """Return other as a TPoly in the same variable, or None."""
         if isinstance(other, TPoly):
             if other.var == self.var or other.is_constant():
-                return TPoly(other.coeffs, var=self.var, cap=other.cap)
+                return TPoly(other.coeffs, var=self.var)
             if self.is_constant():
                 return None  # handled by caller: switch to other's ring
             raise RingMismatchError(
@@ -101,13 +83,12 @@ class TPoly:
             return NotImplemented
         n = max(len(self.coeffs), len(o.coeffs))
         return TPoly(
-            [self.coeff(k) + o.coeff(k) for k in range(n)],
-            var=self.var, cap=_min_cap(self.cap, o.cap))
+            [self.coeff(k) + o.coeff(k) for k in range(n)], var=self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TPoly([-c for c in self.coeffs], var=self.var, cap=self.cap)
+        return TPoly([-c for c in self.coeffs], var=self.var)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TPoly) else -Fraction(other))
@@ -121,20 +102,16 @@ class TPoly:
             if isinstance(other, TPoly):
                 return other * self.constant_term()
             return NotImplemented
-        cap = _min_cap(self.cap, o.cap)
         n = len(self.coeffs) + len(o.coeffs) - 1
         if n <= 0:
-            return TPoly((), var=self.var, cap=cap)
-        if cap is not None:
-            n = min(n, cap + 1)
+            return TPoly((), var=self.var)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(o.coeffs):
-                if i + j < n:
-                    out[i + j] += a * b
-        return TPoly(out, var=self.var, cap=cap)
+                out[i + j] += a * b
+        return TPoly(out, var=self.var)
 
     __rmul__ = __mul__
 
@@ -150,13 +127,6 @@ class TPoly:
             k >>= 1
         return result
 
-    def valuation(self):
-        """Index of the lowest nonzero coefficient (-1 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return -1
-
     def __truediv__(self, other):
         """Exact division; raises ExactDivisionError if not exact in Q[t]."""
         o = self._coerce(other)
@@ -168,21 +138,9 @@ class TPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if o.is_constant():
             c = o.constant_term()
-            return TPoly([a / c for a in self.coeffs], var=self.var,
-                         cap=_min_cap(self.cap, o.cap))
+            return TPoly([a / c for a in self.coeffs], var=self.var)
         if not self.coeffs:
-            return TPoly((), var=self.var, cap=_min_cap(self.cap, o.cap))
-        cap = _min_cap(self.cap, o.cap)
-        if cap is None:
-            return self._exact_long_division(o)
-        return self._truncated_division(o, cap)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TPoly.constant(other, var=self.var) / self
-        return NotImplemented
-
-    def _exact_long_division(self, o):
+            return TPoly((), var=self.var)
         rem = list(self.coeffs)
         dn, dd = len(o.coeffs) - 1, o.coeffs[-1]
         if len(rem) - 1 < dn:
@@ -198,41 +156,25 @@ class TPoly:
             raise ExactDivisionError(f"({self}) not divisible by ({o})")
         return TPoly(q, var=self.var)
 
-    def _truncated_division(self, o, cap):
-        v = o.valuation()
-        if self.valuation() < v:
-            raise ExactDivisionError(f"({self}) not divisible by ({o})")
-        num = self.coeffs[v:]
-        den = o.coeffs[v:]
-        out_cap = cap - v
-        inv = _series_inverse(den, out_cap)
-        out = _series_mul(num, inv, out_cap)
-        return TPoly(out, var=self.var, cap=out_cap)
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return TPoly.constant(other, var=self.var) / self
+        return NotImplemented
 
-    def reciprocal(self, cap=None):
-        """Multiplicative inverse.
-
-        Exact for nonzero constants; for non-constant polynomials the inverse
-        is a power series in the parameter, so a truncation cap is required
-        (explicit, or inherited from self).
-        """
+    def reciprocal(self):
+        """Multiplicative inverse; only nonzero constants have one in Q[t]."""
         if not self.coeffs:
             raise ZeroDivisionError("zero polynomial has no reciprocal")
         if self.is_constant():
-            return TPoly((1 / self.constant_term(),), var=self.var, cap=self.cap)
+            return TPoly((1 / self.constant_term(),), var=self.var)
         if self.constant_term() == 0:
             raise ZeroDivisionError("constant term is zero; not invertible")
-        cap = _min_cap(cap, self.cap)
-        if cap is None:
-            raise ExactDivisionError(
-                "inverse of a non-constant polynomial needs a truncation cap")
-        return TPoly(_series_inverse(self.coeffs, cap), var=self.var, cap=cap)
+        raise ExactDivisionError(
+            f"({self}) has no inverse in Q[{self.var}]")
 
     def t_derivative(self):
-        return TPoly(
-            [k * c for k, c in enumerate(self.coeffs)][1:],
-            var=self.var,
-            cap=None if self.cap is None else max(self.cap - 1, 0))
+        return TPoly([k * c for k, c in enumerate(self.coeffs)][1:],
+                     var=self.var)
 
     def evaluate(self, value):
         """Specialize the parameter to a rational value."""
@@ -250,10 +192,7 @@ class TPoly:
         if (self.var != other.var
                 and not (self.is_constant() or other.is_constant())):
             return False
-        cap = _min_cap(self.cap, other.cap)
-        if cap is None:
-            return self.coeffs == other.coeffs
-        return all(self.coeff(k) == other.coeff(k) for k in range(cap + 1))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         if self.is_constant():
@@ -276,34 +215,7 @@ class TPoly:
                 parts.append(f"{c}*{self.var}" if c != 1 else self.var)
             else:
                 parts.append(f"{c}*{self.var}^{k}" if c != 1 else f"{self.var}^{k}")
-        s = " + ".join(parts).replace("+ -", "- ")
-        if self.cap is not None:
-            s += f" (+O({self.var}^{self.cap + 1}))"
-        return s
-
-
-def _series_inverse(cs, cap):
-    """Inverse of a coefficient list with cs[0] != 0, through degree cap."""
-    inv0 = 1 / cs[0]
-    out = [inv0]
-    for k in range(1, cap + 1):
-        s = Fraction(0)
-        for j in range(1, min(k, len(cs) - 1) + 1):
-            s += cs[j] * out[k - j]
-        out.append(-inv0 * s)
-    return out
-
-
-def _series_mul(a, b, cap):
-    out = [Fraction(0)] * (cap + 1)
-    for i, x in enumerate(a):
-        if i > cap or x == 0:
-            continue
-        for j, y in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += x * y
-    return out
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 # -- ring-generic helpers used by the series layer ---------------------------
@@ -342,9 +254,9 @@ def exact_div(a, b):
     return Fraction(a) / Fraction(b)
 
 
-def reciprocal(c, cap=None):
+def reciprocal(c):
     if isinstance(c, TPoly):
-        return c.reciprocal(cap=cap)
+        return c.reciprocal()
     if c == 0:
         raise ZeroDivisionError("division by zero")
     return ONE / Fraction(c)

@@ -67,7 +67,7 @@ def encode_functional(mf):
             "moments": [encode_coeff(m) for m in mf.moments()]}
 
 
-def encode_jacobi(jp, order=None):
+def encode_jacobi(jp):
     doc = {"type": "jacobi",
            "betas": [encode_coeff(b) for b in jp.betas],
            "gammas": [encode_coeff(g) for g in jp.gammas],
@@ -75,8 +75,6 @@ def encode_jacobi(jp, order=None):
     if jp.repeat is not None:
         doc["repeat"] = {"beta": encode_coeff(jp.repeat[0]),
                          "gamma": encode_coeff(jp.repeat[1])}
-    if order is not None:
-        doc["order"] = order
     return doc
 
 
@@ -86,13 +84,11 @@ def encode_pair(pair):
             "base": encode_functional(pair.base)}
 
 
-def encode_triple(triple, order=None):
+def encode_triple(triple):
     doc = {"type": "triple",
            "beta": encode_coeff(triple.beta),
            "gamma": encode_coeff(triple.gamma),
            "rho": None if triple.rho is None else encode_functional(triple.rho)}
-    if order is not None:
-        doc["order"] = order
     return doc
 
 

@@ -140,20 +140,19 @@ def bercovici_pata_inverse(mu):
     return moments_from_eta(r_from_moments(mu), mu.order)
 
 
-def belinschi_nica(mu, t, cap=None):
-    """B_t[mu] = (mu^{boxplus(1+t)})^{uplus 1/(1+t)}.
+def belinschi_nica(mu, t):
+    """B_t[mu] = (mu^{boxplus s})^{uplus 1/s} with s = 1 + t.
 
-    For formal t, 1/(1+t) lives in the capped polynomial ring; the default
-    cap 2*order + 2 exceeds the t-degree of every moment produced here.
+    Boolean powers scale eta, so eta^{B_t[mu]} = eta^{mu^{boxplus s}} / s,
+    and for formal t this division is exact in Q[t]: the n-th Boolean
+    cumulant of mu^{boxplus s} is a sum over the irreducible non-crossing
+    partitions pi of {1..n} of prod_{V in pi} s kappa_{|V|}(mu), each term
+    s^{#blocks(pi)} times free cumulants of mu, with at least one block.
     """
-    t = as_coeff(t)
-    one_plus = 1 + t if isinstance(t, Fraction) else t + 1
-    if not isinstance(one_plus, Fraction) and not one_plus.is_constant():
-        inv = one_plus.reciprocal(cap=2 * mu.order + 2 if cap is None else cap)
-    else:
-        inv = reciprocal(one_plus if isinstance(one_plus, Fraction)
-                         else one_plus.as_fraction())
-    return boolean_power(free_power(mu, one_plus), inv)
+    s = 1 + as_coeff(t)
+    eta = eta_from_moments(free_power(mu, s))
+    return moments_from_eta(
+        TruncSeries(mu.order, [c / s for c in eta.coeffs()]), mu.order)
 
 
 # -- subordination ------------------------------------------------------------

@@ -9,7 +9,6 @@ products.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 from .coeffs import ONE, ZERO, as_coeff
@@ -156,34 +155,6 @@ def enumerate_interval(n):
 
     rec(1, [])
     return out
-
-
-@lru_cache(maxsize=None)
-def _nc_size_profile(n):
-    """Counter: sorted block-size tuple -> number of NC partitions with it.
-
-    Computed by the gap recursion (block of the minimum has size k, leaving k
-    ordered gaps), convolving profiles of the gaps; no partitions are
-    materialized.  Cross-checked against enumerate_nc in the test suite.
-    """
-    if n == 0:
-        return Counter({(): 1})
-    total = Counter()
-    for k in range(1, n + 1):
-        # profiles of k ordered gaps with sizes summing to n - k
-        gaps = Counter({((), 0): 1})  # (merged profile, used length) -> count
-        for _ in range(k):
-            nxt = Counter()
-            for (profile, used), cnt in gaps.items():
-                for g in range(0, n - k - used + 1):
-                    for sub, sc in _nc_size_profile(g).items():
-                        key = (tuple(sorted(profile + sub)), used + g)
-                        nxt[key] += cnt * sc
-            gaps = nxt
-        for (profile, used), cnt in gaps.items():
-            if used == n - k:
-                total[tuple(sorted(profile + (k,)))] += cnt
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,14 @@
 :class:`TruncSeries` is an ordinary truncated power series
 c_0 + c_1 z + ... + c_N z^N, exact through z^N.  :class:`LaurentAtInfinity`
 is top*z + c_0 + c_1/z + ... + c_K/z^K with top restricted to 0 or 1 (every
-F-transform expansion used here has the form z - beta - gamma/z - ...).
+F-transform expansion used here has the form z - beta - gamma/z - ...); it is
+stored as ``top`` and its chart c_0 + c_1 w + ... + c_K w^K in w = 1/z, a
+TruncSeries, so every product, reciprocal and composition of either type runs
+through TruncSeries.
 
 All values are immutable; operations return fresh objects and propagate the
-guaranteed-exact order as the minimum of the inputs' orders.
+guaranteed-exact order as the minimum of the inputs' orders, except that a
+Laurent product keeps the order its factors' leading terms determine.
 """
 
 from __future__ import annotations
@@ -36,10 +40,6 @@ class TruncSeries:
         cs += [ZERO] * (order + 1 - len(cs))
         self.order = order
         self._c = tuple(cs)
-
-    @classmethod
-    def zero(cls, order):
-        return cls(order, ())
 
     @classmethod
     def one(cls, order):
@@ -174,27 +174,37 @@ class TruncSeries:
 
 
 class LaurentAtInfinity:
-    """top*z + c_0 + c_1/z + ... + c_K/z^K, exact through z^-K."""
+    """top*z + c_0 + c_1/z + ... + c_K/z^K, exact through z^-K.
 
-    __slots__ = ("tail_order", "top", "_c")
+    Stored as ``top`` and the chart d(w) = c_0 + c_1 w + ... + c_K w^K in
+    w = 1/z, a TruncSeries of order K, which does all the arithmetic.
+    """
+
+    __slots__ = ("top", "d")
 
     def __init__(self, top, constant, tail, tail_order=None):
+        tail = tuple(tail)
+        self._set(top, TruncSeries(
+            len(tail) if tail_order is None else tail_order,
+            (constant,) + tail))
+
+    @classmethod
+    def from_chart(cls, top, d):
+        """top*z + d(1/z) for a TruncSeries d."""
+        out = cls.__new__(cls)
+        out._set(top, d)
+        return out
+
+    def _set(self, top, d):
         top = as_coeff(top)
         if not (top == 0 or top == 1):
             raise ValueError("coefficient of z must be 0 or 1")
-        tail = [as_coeff(c) for c in tail]
-        if tail_order is None:
-            tail_order = len(tail)
-        if len(tail) > tail_order:
-            tail = tail[:tail_order]
-        tail += [ZERO] * (tail_order - len(tail))
         self.top = top
-        self.tail_order = tail_order
-        self._c = (as_coeff(constant),) + tuple(tail)
+        self.d = d
 
-    @classmethod
-    def zero(cls, tail_order):
-        return cls(ZERO, ZERO, (), tail_order)
+    @property
+    def tail_order(self):
+        return self.d.order
 
     @classmethod
     def ident_z(cls, tail_order):
@@ -205,48 +215,29 @@ class LaurentAtInfinity:
         """Coefficient of z^(-k); k = -1 gives the z coefficient."""
         if k == -1:
             return self.top
-        return self._c[k] if 0 <= k <= self.tail_order else ZERO
+        return self.d.coeff(k)
 
     def is_descending(self):
         return is_zero(self.top)
 
     def is_zero(self):
-        return is_zero(self.top) and all(is_zero(c) for c in self._c)
+        return is_zero(self.top) and self.d.is_zero()
 
     def truncate(self, tail_order):
-        if tail_order >= self.tail_order:
-            return self
-        return LaurentAtInfinity(self.top, self._c[0],
-                                 self._c[1: tail_order + 1], tail_order)
-
-    def _effective_degree(self):
-        """Largest z-degree carrying a nonzero known coefficient."""
-        if not is_zero(self.top):
-            return 1
-        for k, c in enumerate(self._c):
-            if not is_zero(c):
-                return -k
-        return -(self.tail_order + 1)
+        return LaurentAtInfinity.from_chart(self.top, self.d.truncate(tail_order))
 
     def __add__(self, other):
         other = self._promote(other)
-        n = min(self.tail_order, other.tail_order)
-        return LaurentAtInfinity(
-            self.top + other.top,
-            self._c[0] + other._c[0],
-            [self._c[k] + other._c[k] for k in range(1, n + 1)], n)
+        return LaurentAtInfinity.from_chart(self.top + other.top,
+                                            self.d + other.d)
 
     def __sub__(self, other):
         other = self._promote(other)
-        n = min(self.tail_order, other.tail_order)
-        return LaurentAtInfinity(
-            self.top - other.top,
-            self._c[0] - other._c[0],
-            [self._c[k] - other._c[k] for k in range(1, n + 1)], n)
+        return LaurentAtInfinity.from_chart(self.top - other.top,
+                                            self.d - other.d)
 
     def __neg__(self):
-        return LaurentAtInfinity(-self.top, -self._c[0], [-c for c in self._c[1:]],
-                                 self.tail_order)
+        return LaurentAtInfinity.from_chart(-self.top, -self.d)
 
     def _promote(self, other):
         if isinstance(other, LaurentAtInfinity):
@@ -257,62 +248,49 @@ class LaurentAtInfinity:
         c = as_coeff(c)
         if not is_zero(self.top) and not (c == 1):
             raise ValueError("cannot scale a series with a z term")
-        return LaurentAtInfinity(self.top, c * self._c[0],
-                                 [c * x for x in self._c[1:]], self.tail_order)
+        return LaurentAtInfinity.from_chart(self.top, self.d.scale(c))
+
+    def _over_z(self):
+        """self/z = top + c_0 w + c_1 w^2 + ..., exact through w^(K+1)."""
+        return TruncSeries(self.tail_order + 1, (self.top,) + self.d.coeffs())
 
     def __mul__(self, other):
+        """z^2 (self/z)(other/z), exact as far as both factors determine it.
+
+        If self/z has valuation v_a and is known through w^(K_a+1) (and
+        likewise for other), the product is known through
+        w^min(K_a+1+v_b, K_b+1+v_a); both charts are padded with zeros to
+        that order, and a padded zero only meets a zero coefficient below it.
+        """
         other = self._promote(other)
         if not is_zero(self.top) and not is_zero(other.top):
             raise ValueError("product would carry a z^2 term")
-        da, db = self._effective_degree(), other._effective_degree()
-        n = min(self.tail_order - db, other.tail_order - da)
-        if n < 0:
+        a, b = self._over_z(), other._over_z()
+        n = min(a.order + b.valuation(), b.order + a.valuation())
+        if n < 2:
             raise ValueError("operands too short to determine the product")
-        # degrees run from +1 down to -n; accumulate into index = 1 - degree
-        out = [ZERO] * (n + 2)
-        for i in range(-1, self.tail_order + 1):
-            a = self.coeff(i)
-            if is_zero(a):
-                continue
-            for j in range(-1, other.tail_order + 1):
-                b = other.coeff(j)
-                if is_zero(b):
-                    continue
-                deg = -(i + j)  # z-degree of the product term
-                if deg > 1 or deg < -n:
-                    continue
-                idx = 1 - deg
-                out[idx] = out[idx] + a * b
-        return LaurentAtInfinity(out[0], out[1], out[2:], n)
+        p = TruncSeries(n, a.coeffs()) * TruncSeries(n, b.coeffs())
+        return LaurentAtInfinity.from_chart(p.coeff(1),
+                                            TruncSeries(n - 2, p.coeffs()[2:]))
 
     def derivative(self):
         """d/dz, term by term: c_k/z^k -> -k*c_k/z^(k+1)."""
-        n = self.tail_order
-        tail = [ZERO] * (n + 2)
-        for k in range(1, n + 1):
-            tail[k + 1] = self._c[k] * Fraction(-k)
-        return LaurentAtInfinity(ZERO, self.top, tail[1:], n + 1)
+        c = self.d.coeffs()
+        return LaurentAtInfinity.from_chart(ZERO, TruncSeries(
+            self.tail_order + 1,
+            [self.top, ZERO] + [c[k] * Fraction(-k) for k in range(1, len(c))]))
 
     def t_derivative(self):
-        return LaurentAtInfinity(
-            t_derivative(self.top), t_derivative(self._c[0]),
-            [t_derivative(c) for c in self._c[1:]], self.tail_order)
+        return LaurentAtInfinity.from_chart(t_derivative(self.top),
+                                            self.d.t_derivative())
 
     def reciprocal_of_monic(self):
-        """1/self for top = 1: a descending series with zero constant term."""
+        """1/self for top = 1: w / (self/z), a descending series."""
         if is_zero(self.top) or not (self.top == 1):
             raise NotInvertibleError("only z - c0 - c1/z - ... is inverted here")
-        # 1/(z + c0 + c1/z + ...) = (1/z) * 1/(1 + u), u = (c0 + c1/z + ...)/z
-        n = self.tail_order
-        u = [ZERO] + [self._c[k] for k in range(0, n + 1)]  # u_k at z^-k, k>=1
-        inv = [ONE] + [ZERO] * (n + 1)  # series in 1/z for 1/(1+u)
-        for k in range(1, n + 2):
-            s = ZERO
-            for j in range(1, min(k, n + 1) + 1):
-                s = s + u[j] * inv[k - j]
-            inv[k] = -s
-        # multiply by 1/z: coefficient of z^-k in result is inv[k-1]
-        return LaurentAtInfinity(ZERO, ZERO, inv[: n + 2], n + 2)
+        inv = self._over_z().reciprocal()
+        return LaurentAtInfinity.from_chart(
+            ZERO, TruncSeries(inv.order + 1, (ZERO,) + inv.coeffs()))
 
     def compose_descending(self, inner):
         """self(inner(z)) for descending self (top = 0) and monic inner (top = 1)."""
@@ -320,29 +298,22 @@ class LaurentAtInfinity:
             raise CompositionDomainError("outer series must have no z term")
         if is_zero(inner.top) or not (inner.top == 1):
             raise CompositionDomainError("inner series must be z - c0 - ...")
-        u = inner.reciprocal_of_monic()
-        n = self.tail_order
-        acc = LaurentAtInfinity(ZERO, self._c[n], (), u.tail_order)
-        for k in range(n - 1, -1, -1):
-            acc = acc * u + LaurentAtInfinity(ZERO, self._c[k], (), u.tail_order)
-        return acc.truncate(min(acc.tail_order, n))
+        return LaurentAtInfinity.from_chart(
+            ZERO, self.d.compose(inner.reciprocal_of_monic().d))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentAtInfinity):
             return NotImplemented
-        n = min(self.tail_order, other.tail_order)
-        if not (self.top == other.top and self._c[0] == other._c[0]):
-            return False
-        return all(self._c[k] == other._c[k] for k in range(1, n + 1))
+        return self.top == other.top and self.d == other.d
 
     def __repr__(self):
         parts = []
         if not is_zero(self.top):
             parts.append("z")
-        if not is_zero(self._c[0]):
-            parts.append(f"({self._c[0]})")
+        if not is_zero(self.d.coeff(0)):
+            parts.append(f"({self.d.coeff(0)})")
         for k in range(1, self.tail_order + 1):
-            if not is_zero(self._c[k]):
-                parts.append(f"({self._c[k]})/z^{k}")
+            if not is_zero(self.d.coeff(k)):
+                parts.append(f"({self.d.coeff(k)})/z^{k}")
         body = " + ".join(parts) if parts else "0"
         return f"<Laurent tail_order={self.tail_order}: {body}>"

@@ -11,6 +11,10 @@ p = _power_table(m, n), p[k][j] = [z^j](1+M)^k, so [z^n] W^k = p[k][n-k]:
                              tilde_from_two_state_r: _substitute_w, then
                              _divide_one_plus_m
 
+Laurent expansions at infinity are built as shifts of their w = 1/z charts:
+F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
+and phi(1/w) = R(w)/w.
+
 A second, reversion-based path through the Laurent expansions at infinity
 (F^{<-1>}(z) - z) is provided purely as a cross-check; it calls none of the
 kernels, so the two paths share no solve.
@@ -82,23 +86,21 @@ def f_at_infinity(mf):
     From the dictionary F(1/w) = (1 - eta(w))/w; the tail is exact through
     z^-(N-1).
     """
-    eta = eta_from_moments(mf)
-    n = mf.order
-    return LaurentAtInfinity(
-        ONE, -eta.coeff(1), [-eta.coeff(k + 1) for k in range(1, n)], n - 1)
+    return LaurentAtInfinity.from_chart(
+        ONE, -eta_from_moments(mf).shift_down(1))
 
 
 def functional_from_f(f):
     """Inverse of f_at_infinity: moments of the functional with this F-expansion."""
     order = f.tail_order + 1
-    eta = TruncSeries(order, [ZERO, -f.coeff(0)]
-                      + [-f.coeff(k) for k in range(1, f.tail_order + 1)])
-    return moments_from_eta(eta, order)
+    return moments_from_eta(TruncSeries(order, (ZERO,) + (-f.d).coeffs()),
+                            order)
 
 
 def cauchy_g(mf):
     """Expansion G(z) = 1/z + m_1/z^2 + ... + m_N/z^(N+1)."""
-    return LaurentAtInfinity(ZERO, ZERO, (ONE,) + mf.moments(), mf.order + 1)
+    return LaurentAtInfinity.from_chart(
+        ZERO, TruncSeries(mf.order + 1, (ZERO, ONE) + mf.moments()))
 
 
 def voiculescu_phi(mf):
@@ -108,31 +110,25 @@ def voiculescu_phi(mf):
 
 def phi_from_r_series(r):
     """Descending expansion with [z^-(n-1)] = kappa_n."""
-    n = r.order
-    return LaurentAtInfinity(
-        ZERO, r.coeff(1), [r.coeff(k + 1) for k in range(1, n)], n - 1)
+    return LaurentAtInfinity.from_chart(ZERO, r.shift_down(1))
 
 
 def r_series_from_phi(phi):
     """Convert a descending phi-expansion back to the R-series."""
-    order = phi.tail_order + 1
-    return TruncSeries(order, [ZERO, phi.coeff(0)]
-                       + [phi.coeff(k) for k in range(1, phi.tail_order + 1)])
+    return TruncSeries(phi.tail_order + 1, (ZERO,) + phi.d.coeffs())
 
 
 def f_inverse_at_infinity(mf):
     """The compositional inverse F^{<-1>}(z) = z + d_0 + d_1/z + ...
 
-    Computed through series reversion in the w = 1/z chart: with
-    f(w) = 1/F(1/w) = w(1 + M(w)), the compositional inverse of F
+    Computed through series reversion in the w = 1/z chart: the chart of
+    G is f(w) = 1/F(1/w) = w(1 + M(w)), the compositional inverse of F
     corresponds to the reversion h of f, and F^{<-1>}(z) = 1/h(1/z).
     """
-    n = mf.order
-    f = TruncSeries(n + 1, (ZERO, ONE) + mf.moments())
-    h = f.reversion()
-    g = h.shift_down(1).reciprocal()  # h(w) = w/g(w)
-    return LaurentAtInfinity(ONE, g.coeff(1),
-                             [g.coeff(k) for k in range(2, n + 1)], n - 1)
+    h = cauchy_g(mf).d.reversion()
+    g = h.shift_down(1).reciprocal()  # h(w) = w/g(w), g(0) = 1
+    return LaurentAtInfinity.from_chart(
+        ONE, TruncSeries(g.order - 1, g.coeffs()[1:]))
 
 
 def voiculescu_phi_by_reversion(mf):
@@ -167,8 +163,8 @@ def two_state_phi_by_reversion(pair):
     n = pair.order
     h = f_inverse_at_infinity(pair.base)
     inv = (TruncSeries.one(n) + m_series(pair.tilde)).reciprocal()
-    d = LaurentAtInfinity(ZERO, -inv.coeff(1),
-                          [-inv.coeff(k + 1) for k in range(1, n)], n - 1)
+    d = LaurentAtInfinity.from_chart(
+        ZERO, -TruncSeries(n - 1, inv.coeffs()[1:]))
     return d.compose_descending(h)
 
 

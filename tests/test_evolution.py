@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv.coeffs import formal_t
+from freeconv.coeffs import evaluate, formal_t
 from freeconv.convolutions import free_convolve, free_power
 from freeconv.evolution import (
     CATALOG,
@@ -33,7 +33,12 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
-from freeconv.transforms import cauchy_g, f_at_infinity, voiculescu_phi
+from freeconv.transforms import (
+    cauchy_g,
+    eta_from_moments,
+    f_at_infinity,
+    voiculescu_phi,
+)
 
 
 def rand_functional(rng, order, span=3):
@@ -104,6 +109,36 @@ def test_belinschi_nica_b1_is_bp():
     mu = rand_functional(rng, 10)
     assert belinschi_nica(mu, 1) == bercovici_pata(mu)
     assert belinschi_nica(mu, 0) == mu
+
+
+def specialize(mf, value):
+    return MomentFunctional(mf.order, [evaluate(c, value) for c in mf.moments()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 8), st.booleans())
+def test_belinschi_nica_exact_over_q_t(seed, order, formal):
+    """B_t over Q[t] with no truncation in t.
+
+    eta(B_t[mu]) (1+t) = eta(mu^{boxplus(1+t)}) holds exactly, B_t
+    specialises to B_s, and for rational mu the moment m_k is a polynomial of
+    t-degree at most k - 2 (k >= 2): the Boolean cumulant b_j of
+    mu^{boxplus(1+t)} has t-degree at most the number of blocks of an
+    irreducible non-crossing partition of {1..j}, j - 1 for j >= 2.
+    """
+    rng = random.Random(seed)
+    t = formal_t()
+    mu = rand_functional(rng, order)
+    if formal:
+        mu = free_power(mu, t)
+    bt = belinschi_nica(mu, t)
+    assert (eta_from_moments(bt).scale(1 + t)
+            == eta_from_moments(free_power(mu, 1 + t)))
+    for s in (F(1, 2), F(1), F(2)):
+        assert specialize(bt, s) == specialize(belinschi_nica(mu, s), s)
+    if not formal:
+        assert all(c.degree <= max(k - 2, 0)
+                   for k, c in enumerate(bt.moments(), start=1))
 
 
 def test_subordination_examples():

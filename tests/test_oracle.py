@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +9,6 @@ from freeconv.coeffs import formal_t
 from freeconv.oracle import (
     MAX_ORACLE_ORDER,
     SetPartition,
-    _nc_size_profile,
     boolean_cumulants_oracle,
     enumerate_interval,
     enumerate_nc,
@@ -59,13 +57,6 @@ def test_enumerations_are_duplicate_free_and_valid():
         assert all(p.is_interval() for p in ints)
         # interval partitions are exactly the non-crossing ones that are intervals
         assert {p.blocks for p in ints} <= {p.blocks for p in ncs}
-
-
-def test_size_profile_matches_enumeration():
-    for n in range(1, 10):
-        profile = Counter(tuple(sorted(len(b) for b in p.blocks))
-                          for p in enumerate_nc(n))
-        assert profile == _nc_size_profile(n)
 
 
 def test_order_cap():

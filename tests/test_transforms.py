@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from freeconv.coeffs import formal_t
-from freeconv.convolutions import free_power
+from freeconv.convolutions import free_power, monotone_convolve
 from freeconv.functionals import (
     MomentFunctional,
     TwoStatePair,
@@ -94,13 +94,24 @@ def test_phi_examples():
     assert phi.coeff(0) == 0 and all(phi.coeff(k) == 0 for k in range(2, 6))
 
 
-def test_f_times_g_is_one():
-    rng = random.Random(3)
-    for _ in range(5):
-        mf = rand_functional(rng, 10)
-        prod = f_at_infinity(mf) * cauchy_g(mf)
-        assert prod.coeff(0) == 1
-        assert all(prod.coeff(k) == 0 for k in range(1, prod.tail_order + 1))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 10), st.integers(0, 3),
+       st.booleans())
+def test_f_times_g_is_one(seed, order, extra, formal):
+    """F G = 1 through z^-N: the product keeps the precision its factors'
+    valuations allow (F is known through z^-(N-1), G through z^-(N+1))."""
+    rng = random.Random(seed)
+    mf = rand_functional(rng, order)
+    other = rand_functional(rng, order + extra)
+    if formal:
+        t = formal_t()
+        mf, other = free_power(mf, t), free_power(other, t)
+    prod = f_at_infinity(mf) * cauchy_g(mf)
+    assert prod.tail_order == mf.order
+    assert prod.top == 0 and prod.coeff(0) == 1
+    assert all(prod.coeff(k) == 0 for k in range(1, prod.tail_order + 1))
+    assert monotone_convolve(mf, other).order == order
+    assert monotone_convolve(other, mf).order == order
 
 
 def test_dictionary_phi_matches_reversion_path():

@@ -4,10 +4,22 @@ Two coefficient rings are supported throughout the package:
 
 * plain ``fractions.Fraction`` for Q, and
 * :class:`TPoly` for Q[t], polynomials in a formal parameter (named ``t``
-  by default) with Fraction coefficients.
+  by default) with rational coefficients.
 
-Fractions promote into the polynomial ring automatically; polynomials with
-distinct parameter names do not mix (``RingMismatchError``).
+A ``TPoly`` stores integer numerators over one common denominator, the
+layout of FLINT's ``fmpq_poly``: ``nums`` is a tuple of ``int`` without
+trailing zeros and ``den`` a positive ``int``, in canonical form
+gcd(den, *nums) = 1, with den = 1 for the zero polynomial.  Each operation
+works on Python integers and reduces its result once, with one gcd, rather
+than once per coefficient; the canonical form makes equality a comparison of
+``(nums, den)``.  ``TPoly.coeffs``, the tuple of ``Fraction`` coefficients,
+is a view derived from ``nums`` and ``den`` on each read; no arithmetic
+uses it.
+
+Fractions and ints promote into the polynomial ring automatically;
+polynomials with distinct parameter names do not mix
+(``RingMismatchError``), but a constant adopts the other operand's
+parameter.
 
 Every ``TPoly`` is an exact polynomial.  Division is exact or raises
 ``ExactDivisionError``, and only nonzero constants have a reciprocal: no
@@ -18,6 +30,9 @@ divides by 1 + t exactly, see its docstring).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_new = object.__new__
 
 
 class RingMismatchError(TypeError):
@@ -28,16 +43,45 @@ class ExactDivisionError(ArithmeticError):
     """Division in Q[t] did not come out exact."""
 
 
-class TPoly:
-    """Polynomial in one formal parameter over Q."""
+def _canonical(nums, den, var, bound):
+    """The TPoly sum(nums[k] t^k) / den, for a list of ints and den > 0.
 
-    __slots__ = ("coeffs", "var")
+    ``bound`` is a number whose gcd with the numerators equals that of
+    ``den``: ``den`` itself always does, and 1 says the quotient is already
+    reduced.
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif bound != 1:
+        g = gcd(bound, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    p = _new(TPoly)
+    p.nums = tuple(nums)
+    p.den = den
+    p.var = var
+    return p
+
+
+class TPoly:
+    """Polynomial in one formal parameter over Q, as integers over one
+    positive common denominator."""
+
+    __slots__ = ("nums", "den", "var")
 
     def __init__(self, coeffs=(), var="t"):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # Each c is in lowest terms, so over the lcm of their denominators
+        # the numerators already have no factor in common with it.
+        den = lcm(*[c.denominator for c in cs])
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums = tuple(nums)
+        self.den = den if nums else 1
         self.var = var
 
     @classmethod
@@ -50,68 +94,95 @@ class TPoly:
         return cls((0, 1), var=var)
 
     @property
+    def coeffs(self):
+        """The coefficients as a tuple of ``Fraction``, built on each read."""
+        return tuple([Fraction(x, self.den) for x in self.nums])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.nums) - 1
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def constant_term(self):
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def coeff(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
+        return Fraction(0)
 
-    def _coerce(self, other):
-        """Return other as a TPoly in the same variable, or None."""
+    def _parts(self, other):
+        """(nums, den) of other as an element of this ring.
+
+        None when other is no coefficient, or when self is a constant and
+        other a polynomial in another parameter: then other's ring wins.
+        """
         if isinstance(other, TPoly):
-            if other.var == self.var or other.is_constant():
-                return TPoly(other.coeffs, var=self.var)
-            if self.is_constant():
-                return None  # handled by caller: switch to other's ring
+            if other.var == self.var or len(other.nums) <= 1:
+                return other.nums, other.den
+            if len(self.nums) <= 1:
+                return None
             raise RingMismatchError(
                 f"cannot mix Q[{self.var}] and Q[{other.var}]")
-        if isinstance(other, (int, Fraction)):
-            return TPoly((Fraction(other),), var=self.var)
+        if isinstance(other, int):
+            return ((other,) if other else ()), 1
+        if isinstance(other, Fraction):
+            return ((other.numerator,) if other else ()), other.denominator
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             if isinstance(other, TPoly):  # self constant, other's ring wins
-                return other + self.constant_term()
+                return other + self
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return TPoly(
-            [self.coeff(k) + o.coeff(k) for k in range(n)], var=self.var)
+        b, db = parts
+        a, da = self.nums, self.den
+        # gcd(g, *nums) = gcd(den, *nums): a prime with unequal powers in da
+        # and db divides every scaled numerator of one operand but, both being
+        # in lowest terms, not every one of the other; a prime with equal
+        # powers has the same power in g as in den.
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        den = da * sa
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        nums = [x * sa + y * sb for x, y in zip(a, b)]
+        nums += [x * sa for x in a[len(b):]]
+        return _canonical(nums, den, self.var, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TPoly([-c for c in self.coeffs], var=self.var)
+        return _canonical([-x for x in self.nums], self.den, self.var, 1)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TPoly) else -Fraction(other))
+        if isinstance(other, (TPoly, int, Fraction)):
+            return self + -other
+        return self + -Fraction(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             if isinstance(other, TPoly):
-                return other * self.constant_term()
+                return other * self
             return NotImplemented
-        n = len(self.coeffs) + len(o.coeffs) - 1
-        if n <= 0:
-            return TPoly((), var=self.var)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return TPoly(out, var=self.var)
+        b, db = parts
+        a = self.nums
+        if not a or not b:
+            return _canonical([], 1, self.var, 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        den = self.den * db
+        return _canonical(out, den, self.var, den)
 
     __rmul__ = __mul__
 
@@ -123,38 +194,55 @@ class TPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __truediv__(self, other):
         """Exact division; raises ExactDivisionError if not exact in Q[t]."""
-        o = self._coerce(other)
-        if o is None:
+        parts = self._parts(other)
+        if parts is None:
             if isinstance(other, TPoly):
                 return TPoly.constant(self.constant_term(), var=other.var) / other
             return NotImplemented
-        if not o.coeffs:
+        b, db = parts
+        if not b:
             raise ZeroDivisionError("division by zero polynomial")
-        if o.is_constant():
-            c = o.constant_term()
-            return TPoly([a / c for a in self.coeffs], var=self.var)
-        if not self.coeffs:
-            return TPoly((), var=self.var)
-        rem = list(self.coeffs)
-        dn, dd = len(o.coeffs) - 1, o.coeffs[-1]
-        if len(rem) - 1 < dn:
-            raise ExactDivisionError(f"({self}) not divisible by ({o})")
-        q = [Fraction(0)] * (len(rem) - dn)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            c = rem[k] / dd
+        a, da = self.nums, self.den
+        if len(b) == 1:
+            c = b[0]
+            if c < 0:
+                a, c = [-x for x in a], -c
+            den = da * c
+            return _canonical([x * db for x in a], den, self.var, den)
+        if not a:
+            return _canonical([], 1, self.var, 1)
+        dn, lead = len(b) - 1, b[-1]
+        if len(a) - 1 < dn:
+            raise ExactDivisionError(f"({self}) not divisible by ({other})")
+        # Long division of the numerators, scaling the remainder (and the
+        # quotient so far) whenever the leading coefficient does not divide
+        # it: then b * q = a * scale in Z[t].
+        rem, q, scale = list(a), [0] * (len(a) - dn), 1
+        for k in range(len(a) - 1, dn - 1, -1):
+            r = rem[k]
+            if not r:
+                continue
+            s = abs(lead) // gcd(r, lead)
+            if s != 1:
+                rem = [x * s for x in rem]
+                q = [x * s for x in q]
+                scale *= s
+                r *= s
+            c = r // lead
             q[k - dn] = c
-            if c != 0:
-                for j, b in enumerate(o.coeffs):
-                    rem[k - dn + j] -= c * b
-        if any(c != 0 for c in rem):
-            raise ExactDivisionError(f"({self}) not divisible by ({o})")
-        return TPoly(q, var=self.var)
+            for j, y in enumerate(b, k - dn):
+                rem[j] -= c * y
+        if any(rem):
+            raise ExactDivisionError(f"({self}) not divisible by ({other})")
+        den = da * scale
+        return _canonical([x * db for x in q], den, self.var, den)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -163,47 +251,55 @@ class TPoly:
 
     def reciprocal(self):
         """Multiplicative inverse; only nonzero constants have one in Q[t]."""
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroDivisionError("zero polynomial has no reciprocal")
         if self.is_constant():
-            return TPoly((1 / self.constant_term(),), var=self.var)
-        if self.constant_term() == 0:
+            n, d = self.nums[0], self.den
+            if n < 0:
+                n, d = -n, -d
+            return _canonical([d], n, self.var, 1)
+        if not self.nums[0]:
             raise ZeroDivisionError("constant term is zero; not invertible")
         raise ExactDivisionError(
             f"({self}) has no inverse in Q[{self.var}]")
 
     def t_derivative(self):
-        return TPoly([k * c for k, c in enumerate(self.coeffs)][1:],
-                     var=self.var)
+        nums = [k * x for k, x in enumerate(self.nums)][1:]
+        return _canonical(nums, self.den, self.var, self.den)
 
     def evaluate(self, value):
         """Specialize the parameter to a rational value."""
         value = Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        if not self.nums:
+            return Fraction(0)
+        p, q = value.numerator, value.denominator
+        acc, scale = 0, 1
+        for x in reversed(self.nums):
+            acc = acc * p + x * scale
+            scale *= q
+        return Fraction(acc, self.den * (scale // q))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TPoly((Fraction(other),), var=self.var)
-        if not isinstance(other, TPoly):
+        if isinstance(other, TPoly):
+            if (self.var != other.var
+                    and len(self.nums) > 1 and len(other.nums) > 1):
+                return False
+            return self.nums == other.nums and self.den == other.den
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if (self.var != other.var
-                and not (self.is_constant() or other.is_constant())):
-            return False
-        return self.coeffs == other.coeffs
+        b, db = self._parts(other)
+        return self.nums == b and self.den == db
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant_term())
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self.nums, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):

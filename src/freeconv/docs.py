@@ -25,6 +25,25 @@ class DocumentError(ValueError):
     """Malformed or unknown-field functional document."""
 
 
+# The highest truncation order a document may request, so that an untrusted
+# document cannot ask for unbounded work.
+MAX_ORDER = 64
+
+
+def _order(doc, required=True):
+    """The document's ``order`` field, or None when optional and absent.
+
+    Raises DocumentError unless it is an integer in 1..MAX_ORDER.
+    """
+    if not required and "order" not in doc:
+        return None
+    n = doc["order"]
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
+        raise DocumentError(
+            f"order must be an integer in 1..{MAX_ORDER}, got {n!r}")
+    return n
+
+
 def encode_rational(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -99,9 +118,7 @@ def decode(doc, order=None):
     kind = doc["type"]
     if kind == "moments":
         _expect_fields(doc, ("type", "order", "moments"))
-        n = doc["order"]
-        if not isinstance(n, int) or n < 1:
-            raise DocumentError("order must be a positive integer")
+        n = _order(doc)
         ms = doc["moments"]
         if not isinstance(ms, list) or len(ms) != n:
             raise DocumentError(f"expected {n} moments")
@@ -109,6 +126,7 @@ def decode(doc, order=None):
     if kind == "jacobi":
         _expect_fields(doc, ("type", "betas", "gammas", "terminated"),
                        ("repeat", "order"))
+        _order(doc, required=False)
         repeat = None
         if "repeat" in doc:
             _expect_fields(doc["repeat"], ("beta", "gamma"))
@@ -122,23 +140,25 @@ def decode(doc, order=None):
             raise DocumentError(str(e)) from None
     if kind == "family":
         _expect_fields(doc, ("type", "name", "order"), ("params",))
+        n = _order(doc)
         name = doc["name"]
         if name not in FAMILIES:
             raise DocumentError(f"unknown family {name!r}")
         params = {k: decode_rational(v)
                   for k, v in doc.get("params", {}).items()}
         try:
-            return family(name, params, doc["order"])
+            return family(name, params, n)
         except ValueError as e:
             raise DocumentError(str(e)) from None
     if kind == "pair":
         _expect_fields(doc, ("type", "order", "tilde", "base"))
+        n = _order(doc)
         tilde = decode(doc["tilde"])
         base = decode(doc["base"])
-        return TwoStatePair(as_functional(tilde, doc["order"]),
-                            as_functional(base, doc["order"]))
+        return TwoStatePair(as_functional(tilde, n), as_functional(base, n))
     if kind == "triple":
         _expect_fields(doc, ("type", "beta", "gamma", "rho"), ("order",))
+        _order(doc, required=False)
         rho = doc["rho"]
         rho_val = None
         if rho is not None:

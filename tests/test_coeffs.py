@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.coeffs import (
     ExactDivisionError,
@@ -90,3 +93,151 @@ def test_equality_with_scalars():
     assert TPoly((F(3),)) == 3
     assert not (t == 1)
     assert (1 + t - t) == 1
+
+
+# -- the ring against a plain-Fraction model -----------------------------------
+
+
+def _rand_coeffs(rng, degree):
+    """degree + 1 coefficients, a third of them zero (the top one too), or
+    none for degree -1."""
+    return [F(0) if rng.random() < 1 / 3
+            else F(rng.randint(-30, 30), rng.randint(1, 12))
+            for _ in range(degree + 1)]
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _m_add(a, b):
+    n = max(len(a), len(b))
+    return _strip([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                   for k in range(n)])
+
+
+def _m_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _m_divmod(a, b):
+    """Long division of the stripped lists a by b != 0 over Q."""
+    rem, q = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        q[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _strip(q), _strip(rem)
+
+
+def _canonical(p, model):
+    """p is a TPoly in canonical form whose coefficients are model."""
+    assert isinstance(p, TPoly)
+    assert isinstance(p.nums, tuple) and isinstance(p.den, int)
+    assert all(type(x) is int for x in p.nums)
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.nums or p.den == 1
+    assert p.coeffs == model
+    assert all(type(c) is F for c in p.coeffs)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(-1, 6), st.integers(-1, 6))
+def test_ring_agrees_with_fraction_model(seed, da, db):
+    rng = random.Random(seed)
+    a, b = _rand_coeffs(rng, da), _rand_coeffs(rng, db)
+    ma, mb = _strip(a), _strip(b)
+    pa, pb = TPoly(a), TPoly(b)
+    assert _canonical(pa, ma) and _canonical(pb, mb)
+    assert _canonical(pa + pb, _m_add(ma, mb))
+    assert _canonical(pa - pb, _m_add(ma, [-x for x in mb]))
+    assert _canonical(-pa, tuple(-x for x in ma))
+    assert _canonical(pa * pb, _m_mul(ma, mb))
+    k = rng.randint(0, 4)
+    want = (F(1),)
+    for _ in range(k):
+        want = _m_mul(want, ma)
+    assert _canonical(pa ** k, want)
+    assert _canonical(pa.t_derivative(),
+                      tuple(j * x for j, x in enumerate(ma))[1:])
+    x = F(rng.randint(-5, 5), rng.randint(1, 4))
+    value = pa.evaluate(x)
+    assert type(value) is F
+    assert value == sum((c * x ** j for j, c in enumerate(ma)), F(0))
+    # exact division, and the cases it refuses
+    if not mb:
+        with pytest.raises(ZeroDivisionError):
+            pa / pb
+    else:
+        assert _canonical((pa * pb) / pb, ma)
+        q, r = _m_divmod(ma, mb)
+        if r:
+            with pytest.raises(ExactDivisionError):
+                pa / pb
+        else:
+            assert _canonical(pa / pb, q)
+    # equality and hashing follow the coefficients
+    assert (pa == pb) == (ma == mb)
+    assert pa == TPoly(ma) and hash(pa) == hash(TPoly(ma))
+    assert pa - pb + pb == pa and hash(pa - pb + pb) == hash(pa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(-1, 6))
+def test_ring_scalars_and_constants(seed, da):
+    rng = random.Random(seed)
+    ma = _strip(_rand_coeffs(rng, da))
+    pa = TPoly(ma)
+    for c in (rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9))):
+        mc = _strip([F(c)])
+        assert _canonical(pa + c, _m_add(ma, mc))
+        assert _canonical(c + pa, _m_add(ma, mc))
+        assert _canonical(c - pa, _m_add(mc, [-x for x in ma]))
+        assert _canonical(pa * c, _m_mul(ma, mc))
+        assert _canonical(c * pa, _m_mul(ma, mc))
+        if c:
+            assert _canonical(pa / c, tuple(x / c for x in ma))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                pa / c
+        # a constant equals and hashes like its Fraction, whatever its ring
+        const = TPoly.constant(c, var=rng.choice(("t", "s")))
+        assert _canonical(const, mc)
+        assert const == c and c == const and const == F(c)
+        assert hash(const) == hash(F(c)) == hash(c)
+        assert not const.nums or _canonical(const.reciprocal(), (1 / F(c),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 6))
+def test_ring_constants_adopt_the_other_variable(seed, da):
+    rng = random.Random(seed)
+    ma = _strip(_rand_coeffs(rng, da) + [F(rng.randint(1, 9))])
+    pa = TPoly(ma, var="t")
+    c = F(rng.randint(-9, 9), rng.randint(1, 9))
+    const = TPoly.constant(c, var="s")
+    for p in (pa + const, const + pa, pa * const, const * pa, const - pa,
+              pa - const, pa / (const or 1)):
+        assert isinstance(p, TPoly) and p.var == "t"
+    assert _canonical(const + pa, _m_add(ma, (c,) if c else ()))
+    assert _canonical(const * pa, _m_mul(ma, (c,) if c else ()))
+    if c:
+        with pytest.raises(ExactDivisionError):
+            const / pa
+    else:
+        assert _canonical(const / pa, ()) and (const / pa).var == "t"
+    assert TPoly(ma, var="s") != pa
+    with pytest.raises(RingMismatchError):
+        pa + TPoly(ma, var="s")
+    with pytest.raises(RingMismatchError):
+        pa * TPoly(ma, var="s")

@@ -89,6 +89,47 @@ def test_unknown_fields_rejected():
         docs.decode({"type": "family", "name": "gaussian", "order": 4})
 
 
+BAD_ORDERS = ("abc", 2.5, True, False, 0, -1, None, docs.MAX_ORDER + 1)
+
+
+def _doc_of_kind(kind, order):
+    moments = {"type": "moments", "order": 2, "moments": ["0", "1"]}
+    if kind == "moments":
+        return {**moments, "order": order, "moments": ["0"] * 3}
+    if kind == "family":
+        return {"type": "family", "name": "semicircular",
+                "params": {"beta": "0", "gamma": "1"}, "order": order}
+    if kind == "pair":
+        return {"type": "pair", "order": order,
+                "tilde": moments, "base": moments}
+    if kind == "triple":
+        return {"type": "triple", "beta": "0", "gamma": "1", "rho": moments,
+                "order": order}
+    return {"type": "jacobi", "betas": ["0"], "gammas": ["1"],
+            "terminated": False, "order": order}
+
+
+@pytest.mark.parametrize("kind", ("moments", "family", "pair", "triple",
+                                  "jacobi"))
+@pytest.mark.parametrize("order", BAD_ORDERS, ids=repr)
+def test_document_order_is_validated(kind, order):
+    with pytest.raises(DocumentError, match="order must be an integer"):
+        docs.decode(_doc_of_kind(kind, order))
+
+
+def test_document_order_limit():
+    doc = _doc_of_kind("family", docs.MAX_ORDER)
+    assert docs.decode(doc).order == docs.MAX_ORDER
+    assert docs.decode(_doc_of_kind("pair", 2)).order == 2
+
+
+@pytest.mark.parametrize("order", BAD_ORDERS, ids=repr)
+def test_cli_bad_document_order_is_usage_error(tmp_path, capsys, order):
+    path = write(tmp_path, "f.json", _doc_of_kind("family", order))
+    assert run(["convert", "--to", "moments", path]) == 2
+    assert "order must be an integer" in capsys.readouterr().err
+
+
 def test_family_doc():
     doc = {"type": "family", "name": "free_meixner",
            "params": {"b": "0", "c": "1", "beta": "0", "gamma": "1"},
@@ -242,10 +283,11 @@ def test_cli_verify_order_range(name, low, capsys):
 
 
 def test_cli_verify_all_rejects_order_before_running(capsys):
-    assert run(["verify", "all", "--order", "9"]) == 2
+    # order 5 suits every entry that runs before two-state-meixner
+    assert run(["verify", "all", "--order", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "nc verify entry 'composition' needs an order in 3..8" \
+    assert "verify entry 'two-state-meixner' needs an order >= 6, got 5" \
         in captured.err
     assert run(["nc", "verify", "all", "--order", "2"]) == 2
     assert capsys.readouterr().out == ""
@@ -253,6 +295,21 @@ def test_cli_verify_all_rejects_order_before_running(capsys):
         evolution.verify_all(order=2)
     with pytest.raises(ValueError):
         nc_verify_all(order=MAX_NC_ORDER + 1)
+
+
+def test_cli_verify_all_caps_word_layer_order(capsys):
+    order = MAX_NC_ORDER + 1
+    assert run(["verify", "all", "--order", str(order), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verified"]
+    orders = {r["name"]: r["order"] for r in out["reports"]}
+    assert orders == {**{name: order for name in evolution.CATALOG},
+                      **{f"nc:{name}": MAX_NC_ORDER for name in NC_CATALOG}}
+    for r in out["reports"]:
+        capped = any("MAX_NC_ORDER" in note for note in r["notes"])
+        assert capped == r["name"].startswith("nc:")
+    # one named word-layer entry is still held to its range
+    assert run(["verify", "nc:composition", "--order", str(order)]) == 2
 
 
 def test_cli_consistency_error_exits_4(monkeypatch, capsys):

@@ -26,6 +26,11 @@ COMMANDS = (
     ("power", "--op", "two-state", "--t", "formal", "pair.json"),
     ("conv", "--op", "monotone", "mu.json", "nu.json"),
     ("verify", "all", "--format", "json"),
+    ("power", "--op", "bt", "--t", "formal", "mu12.json"),
+    ("power", "--op", "free", "--t", "formal", "mu12.json"),
+    ("semigroup", "--t", "formal", "--triple", "triple12.json"),
+    ("semigroup", "--t", "formal", "--rel", "rel12.json",
+     "--base", "triple12.json"),
 )
 
 

@@ -90,19 +90,22 @@ DEFAULT_ORDER = 10
 def _coerce_functional(value, order):
     """To a MomentFunctional; ``order=None`` keeps the document's own.
 
-    Jacobi documents have no intrinsic order and fall back to the default.
+    Jacobi documents without an ``order`` field fall back to the default.
     """
     if order is None and not isinstance(value, MomentFunctional):
         order = DEFAULT_ORDER
     return docs.as_functional(value, order)
 
 
-def _load_functional(path, order):
-    return _coerce_functional(docs.decode(docs.load(path)), order)
-
-
 def _load_raw(path):
-    return docs.decode(docs.load(path))
+    """The decoded document at ``path`` and its ``order`` field (or None)."""
+    doc = docs.load(path)
+    return docs.decode(doc), doc.get("order")
+
+
+def _load_functional(path, order):
+    value, own = _load_raw(path)
+    return _coerce_functional(value, own if order is None else order)
 
 
 def _emit(doc):
@@ -117,8 +120,7 @@ def _emit_functional(mf):
 
 
 def _cmd_convert(args):
-    value = _load_raw(args.file)
-    mf = _coerce_functional(value, args.order)
+    mf = _load_functional(args.file, args.order)
     if args.to == "moments":
         _emit_functional(mf)
     else:
@@ -129,7 +131,7 @@ def _cmd_convert(args):
 
 def _cmd_conv(args):
     if args.op == "two-state":
-        a, b = _load_raw(args.a), _load_raw(args.b)
+        (a, _), (b, _) = _load_raw(args.a), _load_raw(args.b)
         if not (isinstance(a, TwoStatePair) and isinstance(b, TwoStatePair)):
             raise DocumentError("two-state convolution needs pair documents")
         _emit(docs.encode_pair(two_state_convolve(a, b)))
@@ -145,7 +147,7 @@ def _cmd_conv(args):
 def _cmd_power(args):
     t = _parse_t(args.t)
     if args.op == "two-state":
-        pair = _load_raw(args.file)
+        pair, _ = _load_raw(args.file)
         if not isinstance(pair, TwoStatePair):
             raise DocumentError("two-state power needs a pair document")
         _emit(docs.encode_pair(two_state_power(pair, t)))
@@ -184,20 +186,25 @@ def _cmd_semigroup(args):
     t = _parse_t(args.t)
 
     def load_triple(path):
-        value = _load_raw(path)
+        value, own = _load_raw(path)
         if not isinstance(value, CanonicalTriple):
             raise DocumentError(f"{path}: expected a triple document")
-        return value
+        return value, own
 
     if args.triple is not None:
-        _emit_functional(maassen_semigroup(load_triple(args.triple), t,
-                                           args.order))
+        triple, own = load_triple(args.triple)
+        order = own if args.order is None else args.order
+        _emit_functional(maassen_semigroup(triple, t, order))
         return EXIT_OK
     if args.rel is None or args.base is None:
         raise DocumentError("need either --triple, or both --rel and --base")
-    rel = load_triple(args.rel)
-    base = load_triple(args.base)
-    _emit(docs.encode_pair(two_state_semigroup(rel, base, t, args.order)))
+    rel, own_rel = load_triple(args.rel)
+    base, own_base = load_triple(args.base)
+    order = args.order
+    if order is None:  # the smaller of the documents' own orders, if any
+        order = min((o for o in (own_rel, own_base) if o is not None),
+                    default=None)
+    _emit(docs.encode_pair(two_state_semigroup(rel, base, t, order)))
     return EXIT_OK
 
 

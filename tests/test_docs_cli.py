@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import freeconv
-from freeconv import docs, evolution
+from freeconv import docs, evolution, oracle
 from freeconv.cli import run
 from freeconv.coeffs import formal_t
 from freeconv.docs import DocumentError
@@ -20,6 +20,7 @@ from freeconv.functionals import (
 )
 from freeconv.multivariate import (MAX_NC_ORDER, NC_CATALOG, NC_MIN_ORDER,
                                    nc_verify_all)
+from freeconv.oracle import MAX_ORACLE_ORDER
 
 
 def test_rational_encoding():
@@ -233,6 +234,79 @@ def test_cli_oracle(capsys, tmp_path):
     assert run(["oracle", "cumulants", "--kind", "boolean", b]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["cumulants"] == ["0", "1", "0", "0", "0", "0"]
+
+
+def _semicircle_jacobi(**extra):
+    return {"type": "jacobi", "betas": ["0"], "gammas": ["1"],
+            "terminated": False, "repeat": {"beta": "0", "gamma": "1"},
+            **extra}
+
+
+def _no_enumeration(*args):
+    raise AssertionError("the oracle enumerated partitions")
+
+
+@pytest.mark.parametrize("argv", (
+    ["oracle", "count", "nc", str(MAX_ORACLE_ORDER + 1)],
+    ["oracle", "count", "interval", str(MAX_ORACLE_ORDER + 1)],
+    ["oracle", "cumulants", "--kind", "free", "DOC"],
+    ["oracle", "cumulants", "--kind", "boolean", "DOC"],
+    ["oracle", "cumulants", "--kind", "free", "--order",
+     str(MAX_ORACLE_ORDER + 1), "SHORT"],
+))
+def test_cli_oracle_order_cap(monkeypatch, capsys, tmp_path, argv):
+    """Above MAX_ORACLE_ORDER = 12 the oracle exits 2 with empty standard
+    output, before it enumerates anything."""
+    assert MAX_ORACLE_ORDER == 12
+    monkeypatch.setattr(oracle, "_nc_raw", _no_enumeration)
+    monkeypatch.setattr(oracle, "_interval_size_tuples", _no_enumeration)
+    paths = {"DOC": write(tmp_path, "d.json",
+                          bernoulli_doc(MAX_ORACLE_ORDER + 1)),
+             "SHORT": write(tmp_path, "s.json", _semicircle_jacobi(order=4))}
+    assert run([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"1..{MAX_ORACLE_ORDER}" in captured.err
+
+
+def test_cli_jacobi_document_order(tmp_path, capsys):
+    """A jacobi document's ``order`` sets the truncation unless --order
+    overrides it; without either the default order 10 applies."""
+    j4 = write(tmp_path, "j4.json", _semicircle_jacobi(order=4))
+    assert run(["convert", "--to", "moments", j4]) == 0
+    assert json.loads(capsys.readouterr().out)["moments"] == \
+        ["0", "1", "0", "2"]
+    assert run(["convert", "--to", "moments", "--order", "6", j4]) == 0
+    assert json.loads(capsys.readouterr().out)["moments"] == \
+        ["0", "1", "0", "2", "0", "5"]
+    assert run(["oracle", "cumulants", "--kind", "free", j4]) == 0
+    assert json.loads(capsys.readouterr().out)["cumulants"] == \
+        ["0", "1", "0", "0"]
+    j = write(tmp_path, "j.json", _semicircle_jacobi())
+    assert run(["convert", "--to", "moments", j]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 10
+
+
+def test_cli_triple_document_order(tmp_path, capsys):
+    """A triple document's ``order`` sets the semigroup's order unless
+    --order overrides it; without either it is rho's order + 2."""
+    def triple(**extra):
+        return {"type": "triple", "beta": "0", "gamma": "1",
+                "rho": semicircle_doc(8), **extra}
+
+    t5 = write(tmp_path, "t5.json", triple(order=5))
+    assert run(["semigroup", "--t", "1/2", "--triple", t5]) == 0
+    assert json.loads(capsys.readouterr().out)["moments"] == \
+        ["0", "1/2", "0", "1", "0"]
+    assert run(["semigroup", "--t", "1/2", "--order", "3", "--triple", t5]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 3
+    t = write(tmp_path, "t.json", triple())
+    assert run(["semigroup", "--t", "1/2", "--triple", t]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 10
+    t4 = write(tmp_path, "t4.json", triple(order=4))
+    assert run(["semigroup", "--t", "1/2", "--rel", t5, "--base", t4]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["order"] == 4 and out["base"]["order"] == 4
 
 
 def test_cli_nc_verify(capsys):

@@ -1,9 +1,10 @@
-from fractions import Fraction as F
+import random
+from fractions import Fraction, Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv.coeffs import formal_t
+from freeconv.coeffs import TPoly, formal_t
 from freeconv.series import (
     CompositionDomainError,
     LaurentAtInfinity,
@@ -115,6 +116,96 @@ def test_t_specialization_commutes(a, b, q):
     spec_a, spec_b = specialize(at), specialize(bt)
     assert specialize(at * bt) == spec_a * spec_b
     assert specialize(at + bt) == spec_a + spec_b
+
+
+# -- the rational path against a plain list-of-Fraction model -----------------
+#
+# A series over Q multiplies, inverts and composes on integer numerators over
+# one denominator; any TPoly coefficient sends it down the generic loops.
+# The model below works coefficient by coefficient in Fraction and shares no
+# algorithm with the library: composition sums powers of the inner series,
+# and reversion uses Lagrange inversion.
+
+
+def _model_mul(a, b, n):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)
+                 if i < len(a) and k - i < len(b)), F(0))
+            for k in range(n + 1)]
+
+
+def _model_reciprocal(a, n):
+    out = [1 / a[0]]
+    for k in range(1, n + 1):
+        out.append(-sum((a[j] * out[k - j] for j in range(1, k + 1)), F(0))
+                   / a[0])
+    return out
+
+
+def _model_compose(f, g, n):
+    out, power = [F(0)] * (n + 1), [F(1)] + [F(0)] * n
+    for k in range(n + 1):
+        out = [x + f[k] * y for x, y in zip(out, power)]
+        power = _model_mul(power, g, n)
+    return out
+
+
+def _model_reversion(f, n):
+    """[z^k] f^{<-1>} = (1/k) [z^(k-1)] (z/f)^k."""
+    h = _model_reciprocal(f[1:], n - 1)
+    out, power = [F(0)], [F(1)] + [F(0)] * (n - 1)
+    for k in range(1, n + 1):
+        power = _model_mul(power, h, n - 1)
+        out.append(power[k - 1] / k)
+    return out
+
+
+def _check_against_model(seed, order, poly):
+    """Product, reciprocal, composition and reversion of random Q-series of
+    the given order, with the leading coefficient of the left operand a
+    constant TPoly when ``poly``; returns the results' coefficients."""
+    rng = random.Random(seed)
+
+    def draw(n):
+        return [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1)]
+
+    lead = TPoly.constant if poly else F
+    n_b = order + rng.randint(0, 3)
+    a, b = draw(order), draw(n_b)
+    a[0] = a[0] or F(1)
+    g = [F(0)] + b[1:]
+    cases = [
+        (TruncSeries(order, [lead(a[0])] + a[1:]) * TruncSeries(n_b, b),
+         _model_mul(a, b, order)),
+        (TruncSeries(order, [lead(a[0])] + a[1:]).reciprocal(),
+         _model_reciprocal(a, order)),
+        (TruncSeries(order, [lead(a[0])] + a[1:]).compose(TruncSeries(n_b, g)),
+         _model_compose(a, g, order)),
+    ]
+    if order >= 1:
+        f = [F(0), a[1] or F(1)] + a[2:]
+        cases.append((TruncSeries(order, [f[0], lead(f[1])] + f[2:]).reversion(),
+                      _model_reversion(f, order)))
+    for got, want in cases:
+        assert got.order == order
+        assert list(got.coeffs()) == want
+    return [c for got, _ in cases for c in got.coeffs()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=40))
+def test_rational_path_matches_fraction_model(seed, order):
+    coeffs = _check_against_model(seed, order, poly=False)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=10))
+def test_generic_path_matches_fraction_model(seed, order):
+    """One TPoly coefficient runs the generic loops, which agree too."""
+    coeffs = _check_against_model(seed, order, poly=True)
+    assert any(isinstance(c, TPoly) for c in coeffs)
 
 
 def test_t_derivative():

@@ -51,6 +51,7 @@ from .functionals import (
     jacobi_from_moments,
 )
 from .multivariate import (
+    MAX_NC_D,
     MAX_NC_ORDER,
     NC_CATALOG,
     nc_verify,
@@ -311,8 +312,9 @@ def _cmd_nc(args):
         names = [args.name]
     for name in names:
         nc_verify_order(name, args.order)
-    reports = [nc_verify(n, params={"d": args.d} if args.d else None,
-                         order=args.order, seed=args.seed) for n in names]
+    params = None if args.d is None else {"d": args.d}
+    reports = [nc_verify(n, params=params, order=args.order, seed=args.seed)
+               for n in names]
     if args.format == "json":
         _emit({"reports": [_report_doc(r) for r in reports],
                "verified": all(r.verified for r in reports)})
@@ -332,7 +334,7 @@ def _cmd_oracle(args):
     fn = free_cumulants_oracle if args.kind == "free" \
         else boolean_cumulants_oracle
     _emit({"kind": args.kind, "order": mf.order,
-           "cumulants": [docs.encode_coeff(c) for c in fn(mf)]})
+           "cumulants": docs.encode_coeffs(fn(mf))})
     return EXIT_OK
 
 
@@ -420,7 +422,8 @@ def build_parser():
     ncsub = p.add_subparsers(dest="nc_command", required=True)
     q = ncsub.add_parser("verify")
     q.add_argument("name", choices=sorted(NC_CATALOG) + ["all"])
-    q.add_argument("--d", type=int, default=None, help="alphabet size")
+    q.add_argument("--d", type=int, default=None,
+                   help=f"alphabet size, 1..{MAX_NC_D} (default 2)")
     q.add_argument("--order", type=int, default=None)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--format", choices=("text", "json"), default="text")

@@ -2,7 +2,10 @@
 
 Rationals are strings "p/q" in lowest terms ("/q" omitted when q = 1);
 polynomial-in-t coefficients are arrays of such strings by ascending
-t-degree.  Unknown fields are rejected.
+t-degree.  Each document prints in one ring: if any of its coefficients is
+a polynomial in t, every coefficient prints as an array (a rational as a
+constant one), otherwise every coefficient prints as a rational.  Unknown
+fields are rejected.
 """
 
 from __future__ import annotations
@@ -59,10 +62,28 @@ def decode_rational(s):
     return x
 
 
-def encode_coeff(c):
-    if isinstance(c, TPoly):
-        return [encode_rational(x) for x in c.coeffs] or ["0"]
-    return encode_rational(c)
+def encode_coeff(c, poly=None):
+    """A rational string, or an array of them when ``poly`` (by default, when
+    c is a TPoly)."""
+    if poly is None:
+        poly = isinstance(c, TPoly)
+    if not poly:
+        return encode_rational(c)
+    cs = c.coeffs if isinstance(c, TPoly) else (c,)
+    return [encode_rational(x) for x in cs] or ["0"]
+
+
+def _is_poly(cs):
+    """The ring of a document with coefficients cs: Q[t] if any is a TPoly."""
+    return any(isinstance(c, TPoly) for c in cs)
+
+
+def encode_coeffs(cs, poly=None):
+    """The coefficients cs in one ring, Q[t] when ``poly`` (by default, when
+    any of them is a TPoly)."""
+    if poly is None:
+        poly = _is_poly(cs)
+    return [encode_coeff(c, poly) for c in cs]
 
 
 def decode_coeff(v):
@@ -81,34 +102,38 @@ def _expect_fields(doc, required, optional=()):
         raise DocumentError(f"unknown fields {sorted(unknown)}")
 
 
-def encode_functional(mf):
+def encode_functional(mf, poly=None):
     return {"type": "moments", "order": mf.order,
-            "moments": [encode_coeff(m) for m in mf.moments()]}
+            "moments": encode_coeffs(mf.moments(), poly)}
 
 
 def encode_jacobi(jp):
+    poly = _is_poly(jp.betas + jp.gammas + (jp.repeat or ()))
     doc = {"type": "jacobi",
-           "betas": [encode_coeff(b) for b in jp.betas],
-           "gammas": [encode_coeff(g) for g in jp.gammas],
+           "betas": encode_coeffs(jp.betas, poly),
+           "gammas": encode_coeffs(jp.gammas, poly),
            "terminated": jp.terminated}
     if jp.repeat is not None:
-        doc["repeat"] = {"beta": encode_coeff(jp.repeat[0]),
-                         "gamma": encode_coeff(jp.repeat[1])}
+        doc["repeat"] = {"beta": encode_coeff(jp.repeat[0], poly),
+                         "gamma": encode_coeff(jp.repeat[1], poly)}
     return doc
 
 
 def encode_pair(pair):
+    poly = _is_poly(pair.tilde.moments() + pair.base.moments())
     return {"type": "pair", "order": pair.order,
-            "tilde": encode_functional(pair.tilde),
-            "base": encode_functional(pair.base)}
+            "tilde": encode_functional(pair.tilde, poly),
+            "base": encode_functional(pair.base, poly)}
 
 
 def encode_triple(triple):
-    doc = {"type": "triple",
-           "beta": encode_coeff(triple.beta),
-           "gamma": encode_coeff(triple.gamma),
-           "rho": None if triple.rho is None else encode_functional(triple.rho)}
-    return doc
+    rho = triple.rho
+    poly = _is_poly((triple.beta, triple.gamma)
+                    + (() if rho is None else rho.moments()))
+    return {"type": "triple",
+            "beta": encode_coeff(triple.beta, poly),
+            "gamma": encode_coeff(triple.gamma, poly),
+            "rho": None if rho is None else encode_functional(rho, poly)}
 
 
 def decode(doc):

@@ -35,11 +35,12 @@ from .functionals import (
     NoJacobiRepresentationError,
     TwoStatePair,
     ZeroVarianceError,
-    _divide_one_plus_m,
+    _fill,
     _moment_table,
     _power_table,
+    _split_sum,
     _strip_once,
-    _substitute_w,
+    _substitute_at,
     arcsine,
     bernoulli_sym,
     free_meixner,
@@ -164,10 +165,11 @@ def subordination(mu, nu):
     Solved through R^{mu |> nu} = R^mu(z(1+M^nu)) * (1+M^nu)^{-1}.
     """
     n = min(mu.order, nu.order)
-    kap = r_from_moments(mu.truncate(n))
+    kap = r_from_moments(mu.truncate(n)).coeffs()
     m = _moment_table(nu)
-    num = _substitute_w(kap.coeffs(), _power_table(m, n), n)
-    return moments_from_r(TruncSeries(n, _divide_one_plus_m(num, m, n)), n)
+    p = _power_table(m, n)
+    return moments_from_r(TruncSeries(n, _fill(n, lambda k, ksub: (
+        _substitute_at(kap, p, k) - _split_sum(ksub, m, k)))), n)
 
 
 def subordination_inverse(lam, nu):
@@ -181,7 +183,8 @@ def subordination_inverse(lam, nu):
     n = min(lam.order, nu.order)
     lam, nu = lam.truncate(n), nu.truncate(n)
     p = _power_table(_moment_table(lam), n + 1)
-    b_of_w = _substitute_w([ZERO] + _moment_table(nu), p, n + 1)
+    b = [ZERO] + _moment_table(nu)
+    b_of_w = _fill(n + 1, lambda k, _: _substitute_at(b, p, k))
     return free_deconvolve(MomentFunctional(n, b_of_w[2:]), nu)
 
 

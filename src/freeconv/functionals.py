@@ -6,12 +6,23 @@ functional on polynomials (m_0 = 1 implicit); positivity is never assumed.
 fraction of the Cauchy transform, with optional early termination
 (gamma_k = 0) and an optional repeating tail for the eventually-constant
 families.  The private triangular-solve kernels of ``transforms`` live here
-too, so that coefficient stripping shares them.
+too, so that coefficient stripping shares them.  With W = z(1+M), the power
+table p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and [z^k] W^k = 1
+makes every solve through W triangular.  Each is one _fill rule over
+_substitute_at and _split_sum, beside its word-layer twin in
+``multivariate``, a _fill_words rule over the twins of those kernels:
+
+    r_from_moments, moments_from_r      nc_r, nc_moments_from_r
+    eta_from_moments, _strip_once       nc_eta
+    moments_from_eta                    nc_moments_from_eta
+    two_state_r                         nc_two_state_r
+    tilde_from_two_state_r              nc_tilde_from_two_state_r
+    evolution.subordination             nc_subordination
 """
 
 from __future__ import annotations
 
-from .coeffs import ZERO, ONE, TPoly, as_coeff, exact_div, is_zero
+from .coeffs import ZERO, ONE, as_coeff, exact_div, is_zero
 
 
 class JacobiDepthError(ValueError):
@@ -227,13 +238,14 @@ def moments_from_jacobi(j, order):
 def _strip_once(mf, beta, gamma):
     """Moments of the once-stripped functional, via (eta - beta*w)/(gamma*w^2).
 
-    The eta coefficients come from the division-free kernel
-    ``_divide_one_plus_m``; only the final division by gamma must be exact
-    (it always is over Q; over Q[t] it validates that the functional really
-    strips within the polynomial ring).
+    The eta coefficients come from the division-free eta_from_moments rule;
+    only the final division by gamma must be exact (it always is over Q;
+    over Q[t] it validates that the functional really strips within the
+    polynomial ring).
     """
     n = mf.order
-    eta = _divide_one_plus_m((ZERO,) + mf.moments(), _moment_table(mf), n)
+    m = _moment_table(mf)
+    eta = _fill(n, lambda k, e: m[k] - _split_sum(e, m, k))
     # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
     out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
     if not (out[0] == 1):
@@ -269,11 +281,7 @@ def jacobi_from_moments(mf, levels):
     return JacobiParams(betas, gammas)
 
 
-# -- triangular-solve kernels ---------------------------------------------------
-#
-# Coefficient lists are indexed by degree.  With W = z(1+M), the power table
-# p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and [z^k] W^k = 1 makes
-# every solve through W triangular.
+# -- triangular-solve kernels (coefficient lists indexed by degree) -------------
 
 
 def _moment_table(mf):
@@ -284,21 +292,12 @@ def _moment_table(mf):
 def _add_diagonal(p, m):
     """Extend the power table p by its anti-diagonal k + j = s, s = len(p).
 
-    Reads only m[:s], so a forward solve can find m[s] after each call.
+    Reads only m[1:s], so a forward solve can find m[s] after each call.
     """
     s = len(p)
     p[0].append(ZERO)
     if s > 1:
-        # Row 1 is 1 + M itself.  The sum it stands for, ZERO + m_1 p[0][j-1]
-        # + ... + m_j p[0][0], is a TPoly once some nonzero m_i, i <= j, is
-        # one, so the entry takes the ring of the entry before it.
-        c = m[s - 1]
-        if is_zero(c):
-            c = ZERO
-        last = p[1][-1]
-        if isinstance(last, TPoly) and not isinstance(c, TPoly):
-            c = TPoly.constant(c, var=last.var)
-        p[1].append(c)
+        p[1].append(m[s - 1])  # row 1 is 1 + M itself
     for k in range(2, s):
         prev = p[k - 1]
         j = s - k
@@ -327,30 +326,20 @@ def _substitute_at(a, p, n):
     return s
 
 
-def _substitute_w(a, p, n):
-    """[z^k] A(z(1+M)) for k = 0..n."""
-    return [a[0]] + [_substitute_at(a, p, k) for k in range(1, n + 1)]
+def _split_sum(left, right, n):
+    """The sum of left[j] * right[n-j] over 0 < j < n."""
+    s = ZERO
+    for j in range(1, n):
+        s = s + left[j] * right[n - j]
+    return s
 
 
-def _solve_w(rhs, p, n):
-    """The A with A(0) = 0 and [z^k] A(z(1+M)) = rhs[k] for k = 1..n."""
-    a = [ZERO] * (n + 1)
-    for k in range(1, n + 1):
-        s = rhs[k]
-        for j in range(1, k):
-            s = s - a[j] * p[j][k - j]
-        a[k] = s
-    return a
-
-
-def _divide_one_plus_m(num, m, n):
-    """num * (1+M)^{-1} through z^n, for num[0] = 0 and m = [1, m_1, ...]."""
+def _fill(n, coeff):
+    """[0, c_1, ..., c_n] with c_k = coeff(k, out), filled by degree; out[k]
+    reads as zero until coeff returns, so a solve's own unknown drops out."""
     out = [ZERO] * (n + 1)
     for k in range(1, n + 1):
-        s = num[k]
-        for j in range(1, k):
-            s = s - out[j] * m[k - j]
-        out[k] = s
+        out[k] = coeff(k, out)
     return out
 
 

@@ -42,6 +42,14 @@ from .functionals import MomentFunctional
 
 MAX_NC_ORDER = 8
 
+# The largest alphabet a word-layer verify entry may run at.  The number of
+# words grows as d^order: composition, the slowest entry, took 38 s at d = 3
+# and order MAX_NC_ORDER, and at d = 4 took 5.5 s at order 6 and 39 s at
+# order 7 (CPython 3.11, one core of a 2-core x86 host), so d = 4 at order 8
+# would run for minutes.  It is a constant, not a flag; nc_verify rejects a
+# larger d before any entry runs.
+MAX_NC_D = 3
+
 
 def words(d, order):
     """All words over {1..d} of length 1..order, shortest first."""
@@ -474,10 +482,24 @@ def nc_verify_order(name, order=None):
                         order, MAX_NC_ORDER)
 
 
+def nc_verify_d(d):
+    """The alphabet size ``d`` as an int, or ValueError unless it is an
+    integer in 1..MAX_NC_D (a bool is not; an integral Fraction, as the CLI
+    parses ``--param d=3``, is)."""
+    if isinstance(d, Fraction) and d.denominator == 1:
+        d = d.numerator
+    if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= MAX_NC_D:
+        raise ValueError(f"d must be an integer in 1..{MAX_NC_D}, got {d}")
+    return d
+
+
 def nc_verify(name, params=None, order=None, seed=0):
     order = nc_verify_order(name, order)
+    params = dict(params or {})
+    if "d" in params:
+        params["d"] = nc_verify_d(params["d"])
     rng = random.Random(seed)
-    checks, notes = NC_CATALOG[name][0](order, rng, dict(params or {}))
+    checks, notes = NC_CATALOG[name][0](order, rng, params)
     return VerifyReport(f"nc:{name}", order, checks, notes)
 
 

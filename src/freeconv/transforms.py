@@ -1,15 +1,17 @@
 """The transform dictionary: M, eta, R, F, phi and the two-state R-transform.
 
-The primary path is combinatorial: with W = z(1+M), every solve composes the
-private kernels of ``functionals``, which work on the power table
-p = _power_table(m, n), p[k][j] = [z^j](1+M)^k, so [z^n] W^k = p[k][n-k]:
+The primary path is combinatorial: with W = z(1+M) and the power table
+p = _power_table(m, n), p[k][j] = [z^j](1+M)^k, so [z^n] W^k = p[k][n-k],
+every solve is one ``functionals._fill`` rule for [z^n] beside its nc_ twin
+in ``multivariate`` (``functionals`` pairs them up), with
+S(a) = _substitute_at(a, p, n) and P(l, r) = _split_sum(l, r, n):
 
-    R(W) = M                 r_from_moments: _solve_w; moments_from_r: forward,
-                             one _add_diagonal and _substitute_at per degree
-    eta = M (1+M)^{-1}       eta_from_moments: _divide_one_plus_m
-    eta~ = R2(W) (1+M)^{-1}  two_state_r: _solve_w against eta~ (1+M);
-                             tilde_from_two_state_r: _substitute_w, then
-                             _divide_one_plus_m
+    R(W) = M                 r_from_moments: m_n - S(kappa)
+                             moments_from_r: S(kappa), after _add_diagonal(p, m)
+    eta = M (1+M)^{-1}       eta_from_moments: m_n - P(eta, m)
+                             moments_from_eta: eta_n + P(eta, m)
+    eta~ = R2(W) (1+M)^{-1}  two_state_r: [z^n] eta~ (1+M) - S(R2)
+                             tilde_from_two_state_r: S(R2) - P(eta~, m)
 
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
@@ -26,12 +28,11 @@ from .coeffs import ZERO, ONE
 from .functionals import (
     MomentFunctional,
     _add_diagonal,
-    _divide_one_plus_m,
+    _fill,
     _moment_table,
     _power_table,
-    _solve_w,
+    _split_sum,
     _substitute_at,
-    _substitute_w,
 )
 from .series import LaurentAtInfinity, TruncSeries
 
@@ -45,7 +46,9 @@ def r_from_moments(mf):
     """Free cumulants kappa_1..kappa_N as the coefficients of R(z)."""
     n = mf.order
     m = _moment_table(mf)
-    return TruncSeries(n, _solve_w(m, _power_table(m, n), n))
+    p = _power_table(m, n)
+    return TruncSeries(n, _fill(n, lambda k, kappa: (
+        m[k] - _substitute_at(kappa, p, k))))
 
 
 def moments_from_r(r, order):
@@ -53,31 +56,29 @@ def moments_from_r(r, order):
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
     kappa = r.coeffs()
-    m = [ONE]
     p = [[ONE]]
-    for n in range(1, order + 1):
+
+    def moment(k, m):
         _add_diagonal(p, m)
-        m.append(_substitute_at(kappa, p, n))
-    return MomentFunctional(order, m[1:])
+        return _substitute_at(kappa, p, k)
+
+    return MomentFunctional(order, _fill(order, moment)[1:])
 
 
 def eta_from_moments(mf):
     """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}."""
-    return TruncSeries(mf.order, _divide_one_plus_m(
-        (ZERO,) + mf.moments(), _moment_table(mf), mf.order))
+    m = _moment_table(mf)
+    return TruncSeries(mf.order, _fill(mf.order, lambda k, eta: (
+        m[k] - _split_sum(eta, m, k))))
 
 
 def moments_from_eta(eta, order):
     """Solve M = eta + eta*M forward for the moments."""
     if order > eta.order:
         raise ValueError(f"eta known to order {eta.order} < {order}")
-    m = [ZERO] * (order + 1)
-    for k in range(1, order + 1):
-        s = eta.coeff(k)
-        for j in range(1, k):
-            s = s + eta.coeff(j) * m[k - j]
-        m[k] = s
-    return MomentFunctional(order, m[1:])
+    e = eta.coeffs()
+    return MomentFunctional(order, _fill(order, lambda k, m: (
+        e[k] + _split_sum(e, m, k)))[1:])
 
 
 def f_at_infinity(mf):
@@ -140,18 +141,21 @@ def voiculescu_phi_by_reversion(mf):
 def two_state_r(pair):
     """Solve eta^tilde = R2(z(1+M)) (1+M)^{-1} for the two-state R-transform."""
     n = pair.order
-    rhs = eta_from_moments(pair.tilde) * (
-        TruncSeries.one(n) + m_series(pair.base))
+    e = (eta_from_moments(pair.tilde) * (
+        TruncSeries.one(n) + m_series(pair.base))).coeffs()
     p = _power_table(_moment_table(pair.base), n)
-    return TruncSeries(n, _solve_w(rhs.coeffs(), p, n))
+    return TruncSeries(n, _fill(n, lambda k, r2: (
+        e[k] - _substitute_at(r2, p, k))))
 
 
 def tilde_from_two_state_r(r2, base):
     """The functional mu_tilde with two_state_r((mu_tilde, base)) = r2."""
     n = min(base.order, r2.order)
     m = _moment_table(base)
-    num = _substitute_w(r2.coeffs(), _power_table(m, n), n)
-    return moments_from_eta(TruncSeries(n, _divide_one_plus_m(num, m, n)), n)
+    p = _power_table(m, n)
+    a = r2.coeffs()
+    return moments_from_eta(TruncSeries(n, _fill(n, lambda k, eta: (
+        _substitute_at(a, p, k) - _split_sum(eta, m, k)))), n)
 
 
 def two_state_phi_by_reversion(pair):

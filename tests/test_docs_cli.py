@@ -18,8 +18,8 @@ from freeconv.functionals import (
     bernoulli_sym,
     semicircular,
 )
-from freeconv.multivariate import (MAX_NC_ORDER, NC_CATALOG, NC_MIN_ORDER,
-                                   nc_verify_all)
+from freeconv.multivariate import (MAX_NC_D, MAX_NC_ORDER, NC_CATALOG,
+                                   NC_MIN_ORDER, nc_verify_all, nc_verify_d)
 from freeconv.oracle import MAX_ORACLE_ORDER
 
 
@@ -75,6 +75,23 @@ def test_pair_and_triple_docs():
     assert back.rho == tri.rho
     tri0 = CanonicalTriple(F(2), F(0), None)
     assert docs.decode(docs.encode_triple(tri0)).rho is None
+
+
+def test_documents_print_in_one_ring():
+    t = formal_t()
+    mixed = MomentFunctional(3, (F(0), t, F(1, 2)))
+    assert docs.encode_functional(mixed)["moments"] == [
+        ["0"], ["0", "1"], ["1/2"]]
+    assert docs.encode_functional(bernoulli_sym(2))["moments"] == ["0", "1"]
+    pair = docs.encode_pair(TwoStatePair(mixed, MomentFunctional(3, (1, 2, 3))))
+    assert pair["base"]["moments"] == [["1"], ["2"], ["3"]]
+    tri = docs.encode_triple(CanonicalTriple(F(1), t, bernoulli_sym(2)))
+    assert tri["beta"] == ["1"] and tri["rho"]["moments"] == [["0"], ["1"]]
+    jac = docs.encode_jacobi(JacobiParams((F(0),), (1 + t,), repeat=(0, 1)))
+    assert jac["betas"] == [["0"]] and jac["repeat"] == {
+        "beta": ["0"], "gamma": ["1"]}
+    assert docs.encode_coeffs([F(2), F(0)]) == ["2", "0"]
+    assert docs.encode_coeffs([F(2), t - t]) == [["2"], ["0"]]
 
 
 def test_unknown_fields_rejected():
@@ -236,6 +253,60 @@ def test_cli_oracle(capsys, tmp_path):
     assert out["cumulants"] == ["0", "1", "0", "0", "0", "0"]
 
 
+def _coefficients(doc):
+    """Every coefficient of a printed document."""
+    if doc.get("type") in ("moments", None):
+        return doc.get("moments", doc.get("cumulants"))
+    if doc["type"] == "pair":
+        return _coefficients(doc["tilde"]) + _coefficients(doc["base"])
+    if doc["type"] == "triple":
+        rho = [] if doc["rho"] is None else _coefficients(doc["rho"])
+        return [doc["beta"], doc["gamma"]] + rho
+    return (doc["betas"] + doc["gammas"]
+            + list(doc.get("repeat", {}).values()))
+
+
+def test_cli_documents_print_in_one_ring(tmp_path, capsys):
+    """A document whose coefficients are partly polynomials in t prints every
+    coefficient as an array, whichever of them the solves left rational."""
+    q = write(tmp_path, "q.json", {"type": "moments", "order": 4,
+                                   "moments": ["0", "1", "0", "2"]})
+    qt = write(tmp_path, "qt.json", {"type": "moments", "order": 4,
+                                     "moments": [["0", "1"], ["1"], "0", "2"]})
+    pq = write(tmp_path, "pq.json", {"type": "pair", "order": 4,
+                                     "tilde": bernoulli_doc(4),
+                                     "base": semicircle_doc(4)})
+    tri = write(tmp_path, "tri.json", {"type": "triple", "beta": "0",
+                                       "gamma": "1", "rho": bernoulli_doc(4)})
+    assert run(["power", "--op", "free", "--t", "formal", q]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["moments"] == [["0"], ["0", "1"], ["0"], ["0", "0", "2"]]
+    commands = (
+        [["power", "--op", op, "--t", t, f] for op in ("free", "boolean", "bt")
+         for t in ("formal", "1/2") for f in (q, qt)]
+        + [["map", "--op", op, f] for op in ("phi", "bp", "bp-inv")
+           for f in (q, qt)]
+        + [["conv", "--op", op, a, b] for op in ("free", "boolean", "monotone")
+           for a, b in ((q, qt), (qt, q), (q, q))]
+        + [["subord", *flag, a, b] for flag in ([], ["--inverse"], ["--phi2"])
+           for a, b in ((q, qt), (qt, q))]
+        + [["power", "--op", "two-state", "--t", "formal", pq],
+           ["semigroup", "--t", "formal", "--order", "6", "--triple", tri],
+           ["semigroup", "--t", "formal", "--order", "6", "--rel", tri,
+            "--base", tri],
+           ["map", "--op", "triple", q],
+           ["convert", "--to", "moments", qt],
+           ["oracle", "cumulants", "--kind", "free", qt]])
+    rings = set()
+    for argv in commands:
+        assert run(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        ring = {type(c) for c in _coefficients(doc)}
+        assert len(ring) == 1, (argv, doc)
+        rings |= ring
+    assert rings == {str, list}
+
+
 def _semicircle_jacobi(**extra):
     return {"type": "jacobi", "betas": ["0"], "gammas": ["1"],
             "terminated": False, "repeat": {"beta": "0", "gamma": "1"},
@@ -313,6 +384,36 @@ def test_cli_nc_verify(capsys):
     assert run(["nc", "verify", "all"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("d", ["3/2", "0", str(MAX_NC_D + 1), "true"])
+def test_cli_word_layer_d_is_checked_before_any_entry_runs(
+        d, monkeypatch, capsys):
+    def ran(order, rng, params):
+        raise AssertionError("an entry ran")
+
+    for name in NC_CATALOG:
+        monkeypatch.setitem(NC_CATALOG, name, (ran, 6))
+    assert run(["verify", "nc:composition", "--param", f"d={d}"]) == 2
+    assert capsys.readouterr().out == ""
+    for name in ("composition", "all"):
+        try:
+            code = run(["nc", "verify", name, "--d", d])
+        except SystemExit as e:  # argparse rejects a --d that is no int
+            code = e.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_word_layer_d_range(capsys):
+    assert nc_verify_d(F(3)) == 3 and nc_verify_d(MAX_NC_D) == MAX_NC_D
+    for bad in (True, 0, MAX_NC_D + 1, F(3, 2), "2", 2.0):
+        with pytest.raises(ValueError):
+            nc_verify_d(bad)
+    assert run(["verify", "nc:composition", "--param", "d=1",
+                "--order", "3"]) == 0
+    assert run(["nc", "verify", "final-prop", "--d", "1", "--order", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_cli_bad_json_is_usage_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from freeconv.coeffs import evaluate, formal_t
 from freeconv.convolutions import free_convolve, free_power
 from freeconv.evolution import (
     CATALOG,
+    MIN_ORDER,
     belinschi_nica,
     bercovici_pata,
     bercovici_pata_inverse,
@@ -333,6 +334,16 @@ def test_verify_catalog_all_entries():
         rep = verify(name, seed=99)
         assert rep.verified, (name, [(c.label, c.detail)
                                      for c in rep.checks if not c.ok])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 2))
+def test_verify_sweep_seeds_and_low_orders(name, seed, extra):
+    """Every entry at random seeds, from its minimum order to two above it."""
+    rep = verify(name, order=MIN_ORDER[name] + extra, seed=seed)
+    assert rep.verified, (name, seed, [(c.label, c.detail)
+                                       for c in rep.checks if not c.ok])
 
 
 def test_verify_accepts_explicit_params():

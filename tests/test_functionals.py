@@ -2,9 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from freeconv.coeffs import ONE, ZERO, TPoly, is_zero
 from freeconv.functionals import (
     CanonicalTriple,
     ConsistencyError,
@@ -12,7 +10,6 @@ from freeconv.functionals import (
     JacobiParams,
     MomentFunctional,
     NoJacobiRepresentationError,
-    _power_table,
     _strip_once,
     arcsine,
     bernoulli_sym,
@@ -160,29 +157,3 @@ def test_strip_once_non_unital_is_consistency_error():
     assert _strip_once(mu, 0, 1) == semicircular(0, 1, 4)
     with pytest.raises(ConsistencyError):
         _strip_once(mu, 0, 2)  # a wrong variance leaves m_0 = 1/2
-
-
-_rational = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
-_coefficient = st.one_of(
-    _rational,
-    _rational.map(TPoly.constant),
-    st.lists(_rational, max_size=3).map(TPoly),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_coefficient, min_size=1, max_size=9))
-def test_power_table_row_one_keeps_the_ring_of_its_sum(ms):
-    """Row 1 of the power table is read off M, but each entry keeps the ring
-    (Fraction or TPoly) of the sum ZERO + sum_i m_i [z^(j-i)] 1 it stands
-    for, so formal-t outputs keep their types."""
-    m = [ONE] + ms
-    p = _power_table(m, len(ms))
-    assert len(p[1]) == len(ms)
-    for j in range(1, len(ms)):
-        want = ZERO
-        for i in range(1, j + 1):
-            if not is_zero(m[i]):
-                want = want + m[i] * (ONE if i == j else ZERO)
-        assert p[1][j] == want
-        assert type(p[1][j]) is type(want)

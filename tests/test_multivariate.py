@@ -14,6 +14,7 @@ from freeconv.evolution import (
 from freeconv.functionals import MomentFunctional
 from freeconv.multivariate import (
     NC_CATALOG,
+    NC_MIN_ORDER,
     NCFunctional,
     NCPair,
     nc_bp,
@@ -321,6 +322,18 @@ def test_nc_catalog():
                                      for c in rep.checks if not c.ok])
     with pytest.raises(ValueError):
         nc_verify("nope")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(NC_CATALOG)), st.integers(1, 2),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
+def test_nc_verify_sweep_seeds_and_low_orders(name, d, seed, extra):
+    """Every word-layer entry at d <= 2 and random seeds, from its minimum
+    order to two above it (recover-tau is a d = 1 reduction and ignores d)."""
+    rep = nc_verify(name, params={"d": d}, order=NC_MIN_ORDER[name] + extra,
+                    seed=seed)
+    assert rep.verified, (name, d, seed, [(c.label, c.detail)
+                                          for c in rep.checks if not c.ok])
 
 
 def test_composition_identity_d3():

@@ -1,17 +1,23 @@
 import random
+import sys
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeconv import functionals
 from freeconv.coeffs import formal_t
 from freeconv.convolutions import free_power, monotone_convolve
 from freeconv.functionals import (
     MomentFunctional,
     TwoStatePair,
     bernoulli_sym,
+    jacobi_from_moments,
+    moments_from_jacobi,
     point_mass,
     semicircular,
 )
+from freeconv.oracle import free_cumulants_oracle
 from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
     cauchy_g,
@@ -182,3 +188,39 @@ def test_two_state_r_of_phi_sigma_pair():
     assert r2.coeff(1) == 0 and r2.coeff(2) == 1 and r2.coeff(3) == 0
     pair = TwoStatePair(phi_map(sigma.truncate(4)), sigma)
     assert two_state_r_by_reversion(pair) == r2
+
+
+SOLVE_KERNELS = ("_power_table", "_add_diagonal", "_fill", "_substitute_at",
+                 "_split_sum")
+
+
+def test_cross_checks_share_no_solve_kernel(monkeypatch):
+    """The reversion path, the partition oracle and the Jacobi expansion still
+    run, and agree with the primary path, when every solve kernel of
+    ``functionals`` raises, in that module and wherever it was imported."""
+    rng = random.Random(33)
+    mf = rand_functional(rng, 8)
+    pair = TwoStatePair(rand_functional(rng, 8), rand_functional(rng, 8))
+    phi, kappa, r2 = voiculescu_phi(mf), r_from_moments(mf), two_state_r(pair)
+    jacobi = jacobi_from_moments(mf, 4)
+
+    def broken(*args):
+        raise AssertionError("a solve kernel ran")
+
+    kernels = {name: getattr(functionals, name) for name in SOLVE_KERNELS}
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("freeconv"):
+            for name, fn in kernels.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(AssertionError):
+        r_from_moments(mf)
+    with pytest.raises(AssertionError):
+        jacobi_from_moments(mf, 4)
+
+    assert voiculescu_phi_by_reversion(mf) == phi
+    f_inv = f_inverse_at_infinity(mf)
+    assert f_inv - LaurentAtInfinity.ident_z(f_inv.tail_order) == phi
+    assert two_state_r_by_reversion(pair) == r2
+    assert free_cumulants_oracle(mf) == list(kappa.coeffs()[1:])
+    assert moments_from_jacobi(jacobi, mf.order) == mf

@@ -29,6 +29,7 @@ from .evolution import (
     belinschi_nica,
     bercovici_pata,
     bercovici_pata_inverse,
+    entry_params,
     phi_map,
     phi_two,
     strip,
@@ -209,15 +210,14 @@ def _cmd_semigroup(args):
     return EXIT_OK
 
 
-def _print_report(rep, out=None):
-    out = sys.stdout if out is None else out
+def _print_report(rep):
     for c in rep.checks:
         line = f"{'ok  ' if c.ok else 'FAIL'} [{rep.name}] {c.label}"
-        out.write(line + "\n")
+        sys.stdout.write(line + "\n")
         if not c.ok and c.detail:
-            out.write(f"     residual: {c.detail}\n")
+            sys.stdout.write(f"     residual: {c.detail}\n")
     for note in rep.notes:
-        out.write(f"note [{rep.name}] {note}\n")
+        sys.stdout.write(f"note [{rep.name}] {note}\n")
 
 
 def _report_doc(rep):
@@ -232,65 +232,52 @@ def _report_doc(rep):
 
 FAMILY_ALIASES = {"bernoulli": "bernoulli_sym", "semicircle": "semicircular"}
 
-# per-entry parameters exposed as direct flags on `verify`
-VERIFY_PARAM_FLAGS = (
-    "beta", "gamma", "rho", "beta0", "b", "c", "beta2", "gamma2",
-    "b-t", "c-t", "beta-t", "gamma-t", "rho-t",
-    "mu", "nu", "nu-prime", "omega", "tau", "p", "a", "t",
-)
-
-
-def _parse_param_value(value):
-    if value.endswith(".json") or value.startswith("@"):
-        path = value[1:] if value.startswith("@") else value
-        return docs.decode(docs.load(path))
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        return FAMILY_ALIASES.get(value, value)  # family name
-
-
-def _verify_params(args):
-    params = {}
-    for key, value in args.param or []:
-        params[key] = value
-    for flag in VERIFY_PARAM_FLAGS:
-        key = flag.replace("-", "_")
-        value = getattr(args, "p_" + key, None)
-        if value is not None:
-            params[key] = _parse_param_value(value)
-    return params
-
 
 def _parse_param(text):
+    """KEY=VALUE: a JSON document path, a rational or a family name."""
     if "=" not in text:
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
     key, value = text.split("=", 1)
-    return key.replace("-", "_"), _parse_param_value(value)
-
-
-def _cmd_verify(args):
-    params = _verify_params(args)
-    if args.name == "all":
-        names = list(CATALOG) + [f"nc:{n}" for n in NC_CATALOG]
+    if value.endswith(".json") or value.startswith("@"):
+        value = docs.decode(docs.load(value.removeprefix("@")))
     else:
-        names = [args.name]
-    # `verify all` runs the word-layer entries at most at their cap
-    nc_order = args.order
-    if args.name == "all" and args.order is not None:
-        nc_order = min(args.order, MAX_NC_ORDER)
-    runs = [(nc_verify, nc_verify_order, name[3:], nc_order)
-            if name.startswith("nc:")
-            else (verify, verify_order, name, args.order) for name in names]
-    for _, order_of, name, order in runs:  # reject before any entry runs
-        order_of(name, order)
-    own = params if len(names) == 1 else None
-    reports = [fn(name, params=own, order=order, seed=args.seed)
-               for fn, _, name, order in runs]
-    for rep in reports:
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            value = FAMILY_ALIASES.get(value, value)  # family name
+    return key.replace("-", "_"), value
+
+
+def _verify_entries(args, runs, params):
+    """Run and print the (name, order) pairs ``runs`` of catalog entries,
+    ``nc:`` names on the word layer; the exit code.  Each entry gets the
+    parameters it takes; one that the named entry, or each of several, does
+    not take is rejected before any entry runs."""
+    planned = []
+    for name, order in runs:
+        fn, order_of, catalog = ((nc_verify, nc_verify_order, NC_CATALOG)
+                                 if name.startswith("nc:")
+                                 else (verify, verify_order, CATALOG))
+        name = name.removeprefix("nc:")
+        takes = entry_params(catalog[name][0])
+        own = params if len(runs) == 1 else {
+            k: v for k, v in params.items() if k in takes}
+        order_of(name, order, own)
+        planned.append((fn, name, order, own))
+    unused = set(params).difference(*(own for *_, own in planned))
+    if unused:
+        raise ValueError(f"no entry takes parameter {', '.join(sorted(unused))}")
+    reports = []
+    for fn, name, order, own in planned:
+        rep = fn(name, params=own, order=order, seed=args.seed)
         if args.order is not None and rep.order != args.order:
             rep.notes.append(f"run at order {rep.order}, the word layer's cap "
                              f"MAX_NC_ORDER, not at {args.order}")
+        skipped = [k for k in params if k not in own]
+        if skipped:
+            rep.notes.append(f"run without {', '.join(skipped)}, which this "
+                             f"entry does not take")
+        reports.append(rep)
     if args.format == "json":
         _emit({"reports": [_report_doc(r) for r in reports],
                "verified": all(r.verified for r in reports)})
@@ -305,23 +292,21 @@ def _cmd_verify(args):
     return EXIT_OK if all(r.verified for r in reports) else EXIT_VIOLATED
 
 
+def _cmd_verify(args):
+    params = dict(args.param or [])
+    if args.name != "all":
+        return _verify_entries(args, [(args.name, args.order)], params)
+    # `verify all` runs the word-layer entries at most at their cap
+    nc_order = None if args.order is None else min(args.order, MAX_NC_ORDER)
+    return _verify_entries(
+        args, [(name, args.order) for name in CATALOG]
+        + [(f"nc:{name}", nc_order) for name in NC_CATALOG], params)
+
+
 def _cmd_nc(args):
-    if args.name == "all":
-        names = list(NC_CATALOG)
-    else:
-        names = [args.name]
-    for name in names:
-        nc_verify_order(name, args.order)
-    params = None if args.d is None else {"d": args.d}
-    reports = [nc_verify(n, params=params, order=args.order, seed=args.seed)
-               for n in names]
-    if args.format == "json":
-        _emit({"reports": [_report_doc(r) for r in reports],
-               "verified": all(r.verified for r in reports)})
-    else:
-        for rep in reports:
-            _print_report(rep)
-    return EXIT_OK if all(r.verified for r in reports) else EXIT_VIOLATED
+    names = list(NC_CATALOG) if args.name == "all" else [args.name]
+    return _verify_entries(args, [(f"nc:{name}", args.order) for name in names],
+                           {} if args.d is None else {"d": args.d})
 
 
 def _cmd_oracle(args):
@@ -411,11 +396,9 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--param", action="append", type=_parse_param,
                    metavar="KEY=VALUE",
-                   help="override an entry parameter (rational, family name, "
-                        "or JSON document path)")
-    for flag in VERIFY_PARAM_FLAGS:
-        p.add_argument(f"--{flag}", dest="p_" + flag.replace("-", "_"),
-                       default=None, help=argparse.SUPPRESS)
+                   help="set a parameter the entry takes (rational, family "
+                        "name, or JSON document path); the entry draws the "
+                        "others from --seed")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("nc", help="multivariate (word-series) identities")

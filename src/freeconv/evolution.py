@@ -13,6 +13,7 @@ through the same entry points.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .coeffs import (
 from .functionals import (
     CanonicalTriple,
     ConsistencyError,
+    FAMILIES,
     JacobiParams,
     MomentFunctional,
     NoJacobiRepresentationError,
@@ -43,6 +45,7 @@ from .functionals import (
     _substitute_at,
     arcsine,
     bernoulli_sym,
+    family,
     free_meixner,
     jacobi_from_moments,
     moments_from_jacobi,
@@ -75,13 +78,19 @@ from .convolutions import (
 # -- Phi and J (Jacobi right and left shifts) ---------------------------------
 
 
-def _try_jacobi(mf, levels):
-    if levels < 1 or mf.order < 2 * levels:
-        return None
+def _check_shift(label, mf, out, shift):
+    """Raise ConsistencyError unless the Jacobi rows of ``mf``, where it has
+    them, moved by ``shift`` to (betas, gammas), give the moments ``out``."""
     try:
-        return jacobi_from_moments(mf, levels)
+        jp = jacobi_from_moments(mf, mf.order // 2)
     except (NoJacobiRepresentationError, ExactDivisionError):
-        return None
+        return
+    shifted = JacobiParams(*shift(jp), terminated=jp.terminated)
+    check_order = out.order if jp.terminated \
+        else min(out.order, 2 * shifted.depth())
+    if check_order >= 1 and not moments_from_jacobi(
+            shifted, check_order).agrees_with(out, check_order):
+        raise ConsistencyError(f"{label}: transform and Jacobi paths disagree")
 
 
 def phi_map(nu):
@@ -94,16 +103,8 @@ def phi_map(nu):
     n = nu.order + 2
     eta = TruncSeries(n, (ZERO, ZERO, ONE) + nu.moments())
     out = moments_from_eta(eta, n)
-    jp = _try_jacobi(nu, nu.order // 2)
-    if jp is not None:
-        shifted = JacobiParams((ZERO,) + jp.betas, (ONE,) + jp.gammas,
-                               terminated=jp.terminated, repeat=jp.repeat)
-        depth_cap = n if (jp.terminated or jp.repeat is not None) \
-            else 2 * (jp.depth() + 1)
-        check_order = min(n, depth_cap)
-        if not moments_from_jacobi(shifted, check_order).agrees_with(
-                out, check_order):
-            raise ConsistencyError("Phi: transform and Jacobi paths disagree")
+    _check_shift("Phi", nu, out,
+                 lambda jp: ((ZERO,) + jp.betas, (ONE,) + jp.gammas))
     return out
 
 
@@ -118,16 +119,7 @@ def strip(mu):
     if is_zero(gamma):
         raise ZeroVarianceError("cannot strip a zero-variance functional")
     out = _strip_once(mu, beta, gamma)
-    jp = _try_jacobi(mu, mu.order // 2)
-    if jp is not None and jp.depth() >= 2:
-        shifted = JacobiParams(jp.betas[1:], jp.gammas[1:],
-                               terminated=jp.terminated, repeat=jp.repeat)
-        depth_cap = out.order if (jp.terminated or jp.repeat is not None) \
-            else 2 * (jp.depth() - 1)
-        check_order = min(out.order, depth_cap)
-        if check_order >= 1 and not moments_from_jacobi(
-                shifted, check_order).agrees_with(out, check_order):
-            raise ConsistencyError("J: transform and Jacobi paths disagree")
+    _check_shift("J", mu, out, lambda jp: (jp.betas[1:], jp.gammas[1:]))
     return out
 
 
@@ -406,33 +398,53 @@ def _rand_q(rng, span=3, den=3, nonzero=False):
             return x
 
 
-def _rand_functional(rng, order, span=2):
-    return MomentFunctional(order, [_rand_q(rng, span) for _ in range(order)])
+class _BadParameter(ValueError):
+    """(value, problem) of a supplied entry parameter of the wrong kind."""
 
 
-def _get_q(params, key, default):
-    v = params.get(key)
-    return default if v is None else as_coeff(v)
+def _q(value, default):
+    """A supplied rational (or Q[t] element), or ``default`` when None."""
+    if value is None:
+        return default
+    try:
+        return as_coeff(value)
+    except TypeError:
+        raise _BadParameter(value, "want a rational") from None
 
 
-def _get_functional(params, key, order, rng):
-    v = params.get(key)
-    if v is None:
-        return _rand_functional(rng, order)
-    if isinstance(v, JacobiParams):
-        v = moments_from_jacobi(v, order)
-    if isinstance(v, MomentFunctional):
-        if v.order < order:
-            raise ValueError(f"{key} needs order >= {order}")
-        return v.truncate(order)
-    if isinstance(v, str):
-        from .functionals import FAMILIES, family
-        if v not in FAMILIES:
-            raise ValueError(f"unknown family {v!r} for {key}")
+def _functional(value, order, rng):
+    """A supplied functional at ``order``, or one drawn from ``rng``."""
+    if value is None:
+        return MomentFunctional(order, [_rand_q(rng, 2) for _ in range(order)])
+    if isinstance(value, JacobiParams):
+        value = moments_from_jacobi(value, order)
+    if isinstance(value, MomentFunctional) and value.order >= order:
+        return value.truncate(order)
+    if isinstance(value, str) and value in FAMILIES:
         defaults = {"b": ONE, "c": ONE, "beta": ZERO, "gamma": ONE}
-        _, argnames = FAMILIES[v]
-        return family(v, {a: defaults[a] for a in argnames}, order)
-    raise TypeError(f"bad value for {key}: {v!r}")
+        _, argnames = FAMILIES[value]
+        return family(value, {a: defaults[a] for a in argnames}, order)
+    raise _BadParameter(value, f"want a moment functional of order >= "
+                               f"{order}, Jacobi rows or one of the families "
+                               f"{', '.join(sorted(FAMILIES))}")
+
+
+def _triples(rng, rho_order, beta_t, gamma_t, rho_t, beta, gamma, rho):
+    """The relative and base canonical triples, drawing what is not given."""
+    rel = CanonicalTriple(_q(beta_t, _rand_q(rng)),
+                          _q(gamma_t, _rand_q(rng, nonzero=True)),
+                          _functional(rho_t, rho_order, rng))
+    base = CanonicalTriple(_q(beta, _rand_q(rng)),
+                           _q(gamma, _rand_q(rng, nonzero=True)),
+                           _functional(rho, rho_order, rng))
+    return rel, base
+
+
+def _meixner_params(rng, b, c, beta, gamma, beta2, gamma2):
+    """The parameters of two free Meixner laws, drawing what is not given."""
+    return (_q(b, _rand_q(rng)), _q(c, _rand_q(rng)),
+            _q(beta, _rand_q(rng)), _q(gamma, _rand_q(rng, nonzero=True)),
+            _q(beta2, _rand_q(rng)), _q(gamma2, _rand_q(rng, nonzero=True)))
 
 
 def _delta_bool_phi(beta_c, inner, gamma_c, order):
@@ -442,10 +454,11 @@ def _delta_bool_phi(beta_c, inner, gamma_c, order):
                             boolean_power(lifted.truncate(order), gamma_c))
 
 
-def _verify_free_evolution(order, rng, params):
-    beta = _get_q(params, "beta", _rand_q(rng))
-    gamma = _get_q(params, "gamma", _rand_q(rng, nonzero=True))
-    rho = _get_functional(params, "rho", order - 2, rng)
+def _verify_free_evolution(order, rng, beta=None, gamma=None, rho=None,
+                           beta0=None):
+    beta = _q(beta, _rand_q(rng))
+    gamma = _q(gamma, _rand_q(rng, nonzero=True))
+    rho = _functional(rho, order - 2, rng)
     t = formal_t()
     checks, notes = [], []
     triple = CanonicalTriple(beta, gamma, rho)
@@ -457,17 +470,17 @@ def _verify_free_evolution(order, rng, params):
         mu_t, display))
     checks.append(check_eq("J[mu_t] = rho boxplus sigma_{b,g}^{boxplus t}",
                         strip(mu_t), inner))
-    beta0 = _get_q(params, "beta0", _rand_q(rng))
+    beta0 = _q(beta0, _rand_q(rng))
     mu0_t = maassen_semigroup(CanonicalTriple(beta0, ZERO, None), t, order)
     checks.append(check_eq("gamma = 0 branch: mu_t = delta_{beta t}",
                         mu0_t, point_mass(beta0 * t, order)))
     return checks, notes
 
 
-def _verify_bn_mean(order, rng, params):
-    beta = _get_q(params, "beta", _rand_q(rng))
-    gamma = _get_q(params, "gamma", _rand_q(rng, nonzero=True))
-    rho = _get_functional(params, "rho", order - 2, rng)
+def _verify_bn_mean(order, rng, beta=None, gamma=None, rho=None):
+    beta = _q(beta, _rand_q(rng))
+    gamma = _q(gamma, _rand_q(rng, nonzero=True))
+    rho = _functional(rho, order - 2, rng)
     t = formal_t()
     checks, notes = [], []
     start = _delta_bool_phi(beta, rho, gamma, order)
@@ -486,13 +499,10 @@ def _verify_bn_mean(order, rng, params):
     return checks, notes
 
 
-def _verify_monotone_lemma(order, rng, params):
-    rel = CanonicalTriple(_get_q(params, "beta_t", _rand_q(rng)),
-                          _get_q(params, "gamma_t", _rand_q(rng, nonzero=True)),
-                          _get_functional(params, "rho_t", order - 2, rng))
-    base = CanonicalTriple(_get_q(params, "beta", _rand_q(rng)),
-                           _get_q(params, "gamma", _rand_q(rng, nonzero=True)),
-                           _get_functional(params, "rho", order - 2, rng))
+def _verify_monotone_lemma(order, rng, beta_t=None, gamma_t=None, rho_t=None,
+                           beta=None, gamma=None, rho=None):
+    rel, base = _triples(rng, order - 2, beta_t, gamma_t, rho_t,
+                         beta, gamma, rho)
     t = formal_t()
     checks, notes = [], []
     base_t = maassen_semigroup(base, t, order)
@@ -516,12 +526,13 @@ def _thm_b_tilde(rho_t, omega, p, beta_t, gamma_t, s, order):
     return _delta_bool_phi(beta_t * s, inner, gamma_t * s, order)
 
 
-def _verify_thm_b(order, rng, params):
-    omega = _get_functional(params, "omega", order, rng)
-    rho_t = _get_functional(params, "rho_t", order, rng)
-    p = _get_q(params, "p", Fraction(rng.randint(1, 3), rng.randint(1, 2)))
-    beta_t = _get_q(params, "beta_t", _rand_q(rng))
-    gamma_t = _get_q(params, "gamma_t", _rand_q(rng, nonzero=True))
+def _verify_thm_b(order, rng, omega=None, rho_t=None, p=None, beta_t=None,
+                  gamma_t=None):
+    omega = _functional(omega, order, rng)
+    rho_t = _functional(rho_t, order, rng)
+    p = _q(p, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+    beta_t = _q(beta_t, _rand_q(rng))
+    gamma_t = _q(gamma_t, _rand_q(rng, nonzero=True))
     t = formal_t()
     checks, notes = [], []
     mu = free_power(subordination(omega, rho_t), reciprocal(p))
@@ -559,9 +570,9 @@ def _verify_thm_b(order, rng, params):
     return checks, notes
 
 
-def _verify_subord_id_power(order, rng, params):
-    mu = _get_functional(params, "mu", order, rng)
-    nu = _get_functional(params, "nu", order, rng)
+def _verify_subord_id_power(order, rng, mu=None, nu=None):
+    mu = _functional(mu, order, rng)
+    nu = _functional(nu, order, rng)
     t = formal_t()
     lhs = free_power(subordination(mu, nu), t)
     rhs = subordination(free_power(mu, t), nu)
@@ -569,19 +580,19 @@ def _verify_subord_id_power(order, rng, params):
                      lhs, rhs)], []
 
 
-def _verify_subord_id_absorb(order, rng, params):
-    mu = _get_functional(params, "mu", order, rng)
-    nu_prime = _get_functional(params, "nu_prime", order, rng)
+def _verify_subord_id_absorb(order, rng, mu=None, nu_prime=None):
+    mu = _functional(mu, order, rng)
+    nu_prime = _functional(nu_prime, order, rng)
     lhs = subordination(mu, free_convolve(mu, nu_prime))
     rhs = bercovici_pata(subordination(mu, nu_prime))
     return [check_eq("mu |> (mu boxplus nu') = B[mu |> nu']", lhs, rhs)], []
 
 
-def _verify_subord_linear(order, rng, params):
-    mu = _get_functional(params, "mu", order, rng)
-    nu = _get_functional(params, "nu", order, rng)
-    rho = _get_functional(params, "rho", order, rng)
-    a = _get_q(params, "a", _rand_q(rng))
+def _verify_subord_linear(order, rng, mu=None, nu=None, rho=None, a=None):
+    mu = _functional(mu, order, rng)
+    nu = _functional(nu, order, rng)
+    rho = _functional(rho, order, rng)
+    a = _q(a, _rand_q(rng))
     sigma = semicircular(0, 1, order)
     checks = [
         check_eq("(mu boxplus nu) |> rho = (mu |> rho) boxplus (nu |> rho)",
@@ -602,13 +613,10 @@ def _verify_subord_linear(order, rng, params):
     return checks, []
 
 
-def _verify_meixner_subord(order, rng, params):
-    b = _get_q(params, "b", _rand_q(rng))
-    c = _get_q(params, "c", _rand_q(rng))
-    beta = _get_q(params, "beta", _rand_q(rng))
-    gamma = _get_q(params, "gamma", _rand_q(rng, nonzero=True))
-    beta2 = _get_q(params, "beta2", _rand_q(rng))
-    gamma2 = _get_q(params, "gamma2", _rand_q(rng, nonzero=True))
+def _verify_meixner_subord(order, rng, b=None, c=None, beta=None, gamma=None,
+                           beta2=None, gamma2=None):
+    b, c, beta, gamma, beta2, gamma2 = _meixner_params(
+        rng, b, c, beta, gamma, beta2, gamma2)
     lhs = subordination(free_meixner(b, c, beta2, gamma2, order),
                         free_meixner(b, c, beta, gamma, order))
     rhs = free_meixner(b + beta, c + gamma, beta2, gamma2, order)
@@ -616,13 +624,10 @@ def _verify_meixner_subord(order, rng, params):
         "mu_{b,c,b',g'} |> mu_{b,c,b,g} = mu_{b+b,c+g,b',g'}", lhs, rhs)], []
 
 
-def _verify_meixner_monotone(order, rng, params):
-    b = _get_q(params, "b", _rand_q(rng))
-    c = _get_q(params, "c", _rand_q(rng))
-    beta = _get_q(params, "beta", _rand_q(rng))
-    gamma = _get_q(params, "gamma", _rand_q(rng, nonzero=True))
-    beta2 = _get_q(params, "beta2", _rand_q(rng))
-    gamma2 = _get_q(params, "gamma2", _rand_q(rng, nonzero=True))
+def _verify_meixner_monotone(order, rng, b=None, c=None, beta=None,
+                             gamma=None, beta2=None, gamma2=None):
+    b, c, beta, gamma, beta2, gamma2 = _meixner_params(
+        rng, b, c, beta, gamma, beta2, gamma2)
     checks = [
         check_eq("mu_{b,c,b,g} |> mu_{b+b,c+g,b',g'} = mu_{b,c,b+b',g+g'}",
                  monotone_convolve(free_meixner(b, c, beta, gamma, order),
@@ -641,8 +646,8 @@ def _verify_meixner_monotone(order, rng, params):
     return checks, []
 
 
-def _verify_bt_semigroup(order, rng, params):
-    mu = _get_functional(params, "mu", order, rng)
+def _verify_bt_semigroup(order, rng, mu=None):
+    mu = _functional(mu, order, rng)
     t = formal_t()
     s, u = Fraction(1, 2), Fraction(1, 3)
     checks = [
@@ -661,9 +666,9 @@ def _verify_bt_semigroup(order, rng, params):
     return checks, []
 
 
-def _verify_prop_equiv_b(order, rng, params):
-    rho_t = _get_functional(params, "rho_t", order, rng)
-    tau = _get_functional(params, "tau", order, rng)
+def _verify_prop_equiv_b(order, rng, rho_t=None, tau=None):
+    rho_t = _functional(rho_t, order, rng)
+    tau = _functional(tau, order, rng)
     t = formal_t()
     theta = f_at_infinity(free_power(subordination(tau, rho_t), t))
     lhs = f_at_infinity(free_convolve(rho_t, free_power(tau, t)))
@@ -674,12 +679,13 @@ def _verify_prop_equiv_b(order, rng, params):
         "theta_t = F_{(tau |> rho~)^{boxplus t}}", lhs, rhs)], []
 
 
-def _verify_general_b(order, rng, params):
-    b_t = _get_q(params, "b_t", _rand_q(rng))
-    c_t = _get_q(params, "c_t", _rand_q(rng, nonzero=True))
-    beta = _get_q(params, "beta", _rand_q(rng))
-    gamma = _get_q(params, "gamma", _rand_q(rng, nonzero=True))
-    rho = _get_functional(params, "rho", order - 2, rng)
+def _verify_general_b(order, rng, b_t=None, c_t=None, beta=None, gamma=None,
+                      rho=None):
+    b_t = _q(b_t, _rand_q(rng))
+    c_t = _q(c_t, _rand_q(rng, nonzero=True))
+    beta = _q(beta, _rand_q(rng))
+    gamma = _q(gamma, _rand_q(rng, nonzero=True))
+    rho = _functional(rho, order - 2, rng)
     rho_t = _delta_bool_phi(b_t, rho, c_t, order)
     p = exact_div(c_t, gamma)
     u = b_t - beta * exact_div(c_t, gamma)
@@ -691,24 +697,25 @@ def _verify_general_b(order, rng, params):
         "((delta_{-u} boxplus rho~) |> rho~)^{boxplus 1/p} = mu", lhs, mu)], []
 
 
-def _verify_two_state_meixner(order, rng, params):
-    b_t = _get_q(params, "b_t", _rand_q(rng))
-    b = _get_q(params, "b", _rand_q(rng))
-    beta_t = _get_q(params, "beta_t", _rand_q(rng))
-    gamma_t = _get_q(params, "gamma_t", _rand_q(rng, nonzero=True))
-    beta = _get_q(params, "beta", _rand_q(rng))
+def _verify_two_state_meixner(order, rng, b_t=None, b=None, beta_t=None,
+                              gamma_t=None, beta=None, c_t=None, c=None,
+                              gamma=None, t=None):
+    b_t = _q(b_t, _rand_q(rng))
+    b = _q(b, _rand_q(rng))
+    beta_t = _q(beta_t, _rand_q(rng))
+    gamma_t = _q(gamma_t, _rand_q(rng, nonzero=True))
+    beta = _q(beta, _rand_q(rng))
     while True:
-        # Jacobi rows of the displays must stay nonzero for extraction
-        c_t = _get_q(params, "c_t", _rand_q(rng, nonzero=True))
-        c = _get_q(params, "c", _rand_q(rng, nonzero=True))
-        gamma = _get_q(params, "gamma", _rand_q(rng, nonzero=True))
-        t = _get_q(params, "t", Fraction(rng.randint(1, 4), rng.randint(1, 3)))
-        degenerate = (c_t + gamma * t == 0 or c + gamma * t == 0
-                      or gamma + c - c_t == 0)
-        if not degenerate:
+        # redraw until the displays' Jacobi rows are nonzero for extraction
+        ct, cc, g, tt = (_q(c_t, _rand_q(rng, nonzero=True)),
+                         _q(c, _rand_q(rng, nonzero=True)),
+                         _q(gamma, _rand_q(rng, nonzero=True)),
+                         _q(t, Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+        if ct + g * tt != 0 and cc + g * tt != 0 and g + cc - ct != 0:
             break
-        if any(k in params for k in ("c_t", "c", "gamma", "t")):
+        if any(v is not None for v in (c_t, c, gamma, t)):
             raise ValueError("supplied parameters give degenerate Jacobi rows")
+    c_t, c, gamma, t = ct, cc, g, tt
     checks, notes = [], []
     rho = semicircular(b, c, order - 2)       # constant rows (b..; c..)
     rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
@@ -755,7 +762,7 @@ def _verify_two_state_meixner(order, rng, params):
     return checks, notes
 
 
-def _verify_counterexample_r(order, rng, params):
+def _verify_counterexample_r(order, rng):
     eps = formal_t("eps")
     moments = [eps ** n if n % 2 == 0 else ZERO for n in range(1, order + 1)]
     two_point = MomentFunctional(order, moments)
@@ -777,13 +784,10 @@ def _verify_counterexample_r(order, rng, params):
     return checks, []
 
 
-def _verify_pde(order, rng, params):
-    rel = CanonicalTriple(_get_q(params, "beta_t", _rand_q(rng)),
-                          _get_q(params, "gamma_t", _rand_q(rng, nonzero=True)),
-                          _get_functional(params, "rho_t", order + 2, rng))
-    base = CanonicalTriple(_get_q(params, "beta", _rand_q(rng)),
-                           _get_q(params, "gamma", _rand_q(rng, nonzero=True)),
-                           _get_functional(params, "rho", order + 2, rng))
+def _verify_pde(order, rng, beta_t=None, gamma_t=None, rho_t=None, beta=None,
+                gamma=None, rho=None):
+    rel, base = _triples(rng, order + 2, beta_t, gamma_t, rho_t,
+                         beta, gamma, rho)
     res1, res2 = pde_residual(rel, base, order)
     return [
         check_zero("d_t F~ equation residual = 0", res1),
@@ -791,13 +795,10 @@ def _verify_pde(order, rng, params):
     ], []
 
 
-def _verify_generator(order, rng, params):
-    rel = CanonicalTriple(_get_q(params, "beta_t", _rand_q(rng)),
-                          _get_q(params, "gamma_t", _rand_q(rng, nonzero=True)),
-                          _get_functional(params, "rho_t", order + 4, rng))
-    base = CanonicalTriple(_get_q(params, "beta", _rand_q(rng)),
-                           _get_q(params, "gamma", _rand_q(rng, nonzero=True)),
-                           _get_functional(params, "rho", order + 4, rng))
+def _verify_generator(order, rng, beta_t=None, gamma_t=None, rho_t=None,
+                      beta=None, gamma=None, rho=None):
+    rel, base = _triples(rng, order + 4, beta_t, gamma_t, rho_t,
+                         beta, gamma, rho)
     res = cauchy_evolution_residual(rel, base, order)
     res_printed = cauchy_evolution_residual(rel, base, order, printed_sign=True)
     notes = [
@@ -849,16 +850,25 @@ MIN_ORDER = {
 }
 
 
-def _entry_order(kind, catalog, low, name, order, high=None):
-    """The order a catalog entry runs at: its default when ``order`` is None.
+def entry_params(fn):
+    """The parameters a catalog entry function takes, after order and rng."""
+    return tuple(inspect.signature(fn).parameters)[2:]
 
-    Raises ValueError for an unknown entry or an order outside low..high.
-    """
+
+def _entry_order(kind, catalog, low, name, order, high=None, params=()):
+    """The order a catalog entry runs at: its default when ``order`` is None.
+    Raises ValueError for an unknown entry, a parameter it does not take, or
+    an order outside low..high."""
     try:
-        default_order = catalog[name][1]
+        fn, default_order = catalog[name]
     except KeyError:
         raise ValueError(f"unknown {kind} entry {name!r}; "
                          f"choose from {sorted(catalog)}") from None
+    takes = entry_params(fn)
+    unknown = ", ".join(k for k in params if k not in takes)
+    if unknown:
+        raise ValueError(f"{kind} entry {name!r} takes no parameter {unknown}; "
+                         f"it takes {', '.join(takes) or 'none'}")
     if order is None:
         return default_order
     if order < low or (high is not None and order > high):
@@ -868,17 +878,29 @@ def _entry_order(kind, catalog, low, name, order, high=None):
     return order
 
 
-def verify_order(name, order=None):
-    """The order ``verify(name, order=order)`` runs at, or ValueError."""
-    return _entry_order("verify", CATALOG, MIN_ORDER.get(name), name, order)
+def _run_entry(kind, catalog, name, order, params, seed):
+    """The checks and notes of a catalog entry run with ``params``."""
+    try:
+        return catalog[name][0](order, random.Random(seed), **params)
+    except _BadParameter as e:
+        value, problem = e.args
+        key = ", ".join(k for k, v in params.items() if v is value)
+        raise ValueError(f"{kind} entry {name!r}: parameter {key}: "
+                         f"{problem}") from None
+
+
+def verify_order(name, order=None, params=()):
+    """The order ``verify(name, params, order)`` runs at, or ValueError."""
+    return _entry_order("verify", CATALOG, MIN_ORDER.get(name), name, order,
+                        params=params)
 
 
 def verify(name, params=None, order=None, seed=0):
     """Check a named identity exactly at the given truncation order."""
-    order = verify_order(name, order)
-    rng = random.Random(seed)
-    checks, notes = CATALOG[name][0](order, rng, dict(params or {}))
-    return VerifyReport(name, order, checks, notes)
+    params = dict(params or {})
+    order = verify_order(name, order, params)
+    return VerifyReport(name, order, *_run_entry("verify", CATALOG, name,
+                                                 order, params, seed))
 
 
 def verify_all(order=None, seed=0):

@@ -32,13 +32,17 @@ test suite asserts this.
 from __future__ import annotations
 
 import itertools
-import random
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .coeffs import ZERO, ONE, as_coeff, formal_t, is_zero
-from .evolution import VerifyReport, _entry_order, check_eq
-from .functionals import MomentFunctional
+from .convolutions import free_convolve, free_power
+from .evolution import (VerifyReport, _BadParameter, _entry_order, _q,
+                        _run_entry, check_eq, maassen_semigroup, strip,
+                        subordination_inverse, two_state_semigroup)
+from .functionals import (CanonicalTriple, JacobiParams, MomentFunctional,
+                          free_meixner, jacobi_from_moments, semicircular)
 
 MAX_NC_ORDER = 8
 
@@ -275,13 +279,17 @@ def nc_tilde_from_two_state_r(r2, base):
     return nc_moments_from_eta(eta, base.d, base.order)
 
 
+def _combine_cumulants(a, b, cumulants, op, moments):
+    """moments(op(cumulants(a), cumulants(b))) word by word, at one order."""
+    order = min(a.order, b.order)
+    out = dict(cumulants(a.truncate(order)))
+    for w, c in cumulants(b.truncate(order)).items():
+        out[w] = op(out.get(w, ZERO), c)
+    return moments(out, a.d, order)
+
+
 def nc_free_convolve(a, b):
-    d, order = a.d, min(a.order, b.order)
-    ka, kb = nc_r(a.truncate(order)), nc_r(b.truncate(order))
-    out = dict(ka)
-    for w, c in kb.items():
-        out[w] = out.get(w, ZERO) + c
-    return nc_moments_from_r(out, d, order)
+    return _combine_cumulants(a, b, nc_r, operator.add, nc_moments_from_r)
 
 
 def nc_free_power(a, t):
@@ -291,21 +299,11 @@ def nc_free_power(a, t):
 
 
 def nc_free_deconvolve(a, b):
-    d, order = a.d, min(a.order, b.order)
-    ka, kb = nc_r(a.truncate(order)), nc_r(b.truncate(order))
-    out = dict(ka)
-    for w, c in kb.items():
-        out[w] = out.get(w, ZERO) - c
-    return nc_moments_from_r(out, d, order)
+    return _combine_cumulants(a, b, nc_r, operator.sub, nc_moments_from_r)
 
 
 def nc_boolean_convolve(a, b):
-    d, order = a.d, min(a.order, b.order)
-    ea, eb = nc_eta(a.truncate(order)), nc_eta(b.truncate(order))
-    out = dict(ea)
-    for w, c in eb.items():
-        out[w] = out.get(w, ZERO) + c
-    return nc_moments_from_eta(out, d, order)
+    return _combine_cumulants(a, b, nc_eta, operator.add, nc_moments_from_eta)
 
 
 def nc_boolean_power(a, t):
@@ -370,17 +368,20 @@ def nc_subordination_inverse(lam, nu):
 # -- verification ---------------------------------------------------------------
 
 
-def _rand_nc(rng, d, order, span=2):
-    ms = {}
-    for w in words(d, order):
-        ms[w] = Fraction(rng.randint(-span, span), rng.randint(1, 2))
-    return NCFunctional(d, order, ms)
+def _nc_functional(value, rng, d, order):
+    """A supplied word functional, or one drawn from ``rng`` when None."""
+    if value is None:
+        return NCFunctional(d, order, {
+            w: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            for w in words(d, order)})
+    if not isinstance(value, NCFunctional):
+        raise _BadParameter(value, "want a word functional (NCFunctional)")
+    return value
 
 
-def _nc_verify_composition(order, rng, params):
-    d = params.get("d", 2)
-    mu = params.get("mu") or _rand_nc(rng, d, order)
-    nu = params.get("nu") or _rand_nc(rng, d, order)
+def _nc_verify_composition(order, rng, d=2, mu=None, nu=None):
+    mu = _nc_functional(mu, rng, d, order)
+    nu = _nc_functional(nu, rng, d, order)
     lam = nc_subordination(mu, nu)
     lhs = nc_free_convolve(mu, nu)
     rhs = _composition_product(lam, nu)
@@ -393,15 +394,16 @@ def _nc_verify_composition(order, rng, params):
     return checks, []
 
 
-def _nc_verify_final_prop(order, rng, params):
-    d = params.get("d", 2)
-    rho_t = params.get("rho_t") or _rand_nc(rng, d, order)
-    tau = params.get("tau") or _rand_nc(rng, d, order)
-    beta_t = params.get("beta_t") or [
-        Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d)]
-    gamma_t = as_coeff(params.get("gamma_t")
-                       if params.get("gamma_t") is not None
-                       else Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+def _nc_verify_final_prop(order, rng, d=2, rho_t=None, tau=None, beta_t=None,
+                          gamma_t=None):
+    rho_t = _nc_functional(rho_t, rng, d, order)
+    tau = _nc_functional(tau, rng, d, order)
+    if beta_t is None:
+        beta_t = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                  for _ in range(d)]
+    elif not isinstance(beta_t, (list, tuple)) or len(beta_t) != d:
+        raise _BadParameter(beta_t, f"want a list of {d} rationals")
+    gamma_t = _q(gamma_t, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
     t = formal_t()
     mu = nc_subordination(tau, rho_t)
     mu_t = nc_free_power(mu, t)
@@ -425,24 +427,14 @@ def _nc_verify_final_prop(order, rng, params):
     return checks, []
 
 
-def _nc_verify_recover_tau(order, rng, params):
+def _nc_verify_recover_tau(order, rng, b_t=Fraction(1, 2), c_t=Fraction(2),
+                           b=Fraction(-1), c=Fraction(1), beta_t=Fraction(1),
+                           gamma_t=Fraction(3, 2), beta=Fraction(1, 3),
+                           gamma=Fraction(2), t=Fraction(1)):
     # d = 1 reduction: recover tau from a two-state free Meixner semigroup and
     # reproduce its Jacobi display, cross-checked against the single-variable path.
-    from .convolutions import free_convolve, free_power
-    from .evolution import (maassen_semigroup, strip, subordination_inverse,
-                            two_state_semigroup)
-    from .functionals import (CanonicalTriple, JacobiParams, free_meixner,
-                              jacobi_from_moments, semicircular)
-
-    b_t = params.get("b_t", Fraction(1, 2))
-    c_t = params.get("c_t", Fraction(2))
-    b = params.get("b", Fraction(-1))
-    c = params.get("c", Fraction(1))
-    beta_t = params.get("beta_t", Fraction(1))
-    gamma_t = params.get("gamma_t", Fraction(3, 2))
-    beta = params.get("beta", Fraction(1, 3))
-    gamma = params.get("gamma", Fraction(2))
-    t = params.get("t", Fraction(1))
+    b_t, c_t, b, c, beta_t, gamma_t, beta, gamma, t = (
+        _q(v, None) for v in (b_t, c_t, b, c, beta_t, gamma_t, beta, gamma, t))
     rho = semicircular(b, c, order - 2)
     rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
     rel = CanonicalTriple(beta_t, gamma_t, rho_t.truncate(order - 2))
@@ -476,10 +468,13 @@ NC_CATALOG = {
 NC_MIN_ORDER = {"composition": 3, "final-prop": 3, "recover-tau": 4}
 
 
-def nc_verify_order(name, order=None):
-    """The order ``nc_verify(name, order=order)`` runs at, or ValueError."""
-    return _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER.get(name), name,
-                        order, MAX_NC_ORDER)
+def nc_verify_order(name, order=None, params=()):
+    """The order ``nc_verify(name, params, order)`` runs at, or ValueError."""
+    order = _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER.get(name), name,
+                         order, MAX_NC_ORDER, params)
+    if "d" in params:
+        nc_verify_d(params["d"])
+    return order
 
 
 def nc_verify_d(d):
@@ -494,13 +489,12 @@ def nc_verify_d(d):
 
 
 def nc_verify(name, params=None, order=None, seed=0):
-    order = nc_verify_order(name, order)
     params = dict(params or {})
+    order = nc_verify_order(name, order, params)
     if "d" in params:
         params["d"] = nc_verify_d(params["d"])
-    rng = random.Random(seed)
-    checks, notes = NC_CATALOG[name][0](order, rng, params)
-    return VerifyReport(f"nc:{name}", order, checks, notes)
+    return VerifyReport(f"nc:{name}", order, *_run_entry(
+        "nc verify", NC_CATALOG, name, order, params, seed))
 
 
 def nc_verify_all(order=None, seed=0):

@@ -6,7 +6,7 @@ import pytest
 
 import freeconv
 from freeconv import docs, evolution, oracle
-from freeconv.cli import run
+from freeconv.cli import build_parser, run
 from freeconv.coeffs import formal_t
 from freeconv.docs import DocumentError
 from freeconv.functionals import (
@@ -190,8 +190,9 @@ def test_cli_strip_zero_variance_is_domain_error(tmp_path, capsys):
 
 
 def test_cli_verify_exit_codes(capsys):
-    assert run(["verify", "free-evolution", "--beta", "1/2", "--gamma", "1",
-                "--rho", "bernoulli", "--order", "10"]) == 0
+    assert run(["verify", "free-evolution", "--param", "beta=1/2",
+                "--param", "gamma=1", "--param", "rho=bernoulli",
+                "--order", "10"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
 
@@ -389,7 +390,7 @@ def test_cli_nc_verify(capsys):
 @pytest.mark.parametrize("d", ["3/2", "0", str(MAX_NC_D + 1), "true"])
 def test_cli_word_layer_d_is_checked_before_any_entry_runs(
         d, monkeypatch, capsys):
-    def ran(order, rng, params):
+    def ran(order, rng, d=2):
         raise AssertionError("an entry ran")
 
     for name in NC_CATALOG:
@@ -488,7 +489,7 @@ def test_cli_verify_all_caps_word_layer_order(capsys):
 
 
 def test_cli_consistency_error_exits_4(monkeypatch, capsys):
-    def broken(order, rng, params):
+    def broken(order, rng):
         raise ConsistencyError("paths disagree")
 
     monkeypatch.setitem(evolution.CATALOG, "pde", (broken, 8))
@@ -497,3 +498,73 @@ def test_cli_consistency_error_exits_4(monkeypatch, capsys):
     assert not issubclass(ConsistencyError, AssertionError)
     assert freeconv.ConsistencyError is evolution.ConsistencyError \
         is ConsistencyError
+
+
+def test_verify_parser_has_one_parameter_path():
+    """`verify` takes a parameter only as --param: no per-parameter flags."""
+    args = build_parser().parse_args(["verify", "all"])
+    assert set(vars(args)) == {"command", "fn", "name", "order", "seed",
+                               "format", "param"}
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "free-evolution", "--beta", "1"])
+
+
+@pytest.mark.parametrize("argv,named", (
+    (["verify", "free-evolution", "--param", "gama=2"],
+     ("gama", "beta, gamma, rho, beta0")),
+    (["verify", "all", "--param", "d=0"], ("d",)),
+    (["verify", "all", "--param", "gama=2"], ("gama",)),
+    (["verify", "thm-b", "--param", "d=2"], ("d", "omega, rho_t")),
+    (["nc", "verify", "recover-tau", "--d", "3"], ("recover-tau", "d")),
+    (["verify", "nc:recover-tau", "--param", "d=1"], ("recover-tau", "d")),
+))
+def test_cli_verify_rejects_a_parameter_no_entry_takes(argv, named, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for text in named:
+        assert text in captured.err
+
+
+@pytest.mark.parametrize("argv,param", (
+    (["verify", "thm-b", "--param", "rho_t=1/2"], "rho_t"),
+    (["verify", "free-evolution", "--param", "beta=DOC"], "beta"),
+    (["verify", "free-evolution", "--param", "rho=no_such_family"], "rho"),
+    (["verify", "nc:composition", "--param", "mu=1/2"], "mu"),
+    (["verify", "nc:final-prop", "--param", "beta_t=1/2"], "beta_t"),
+))
+def test_cli_verify_parameter_of_the_wrong_kind_is_usage_error(
+        argv, param, tmp_path, capsys):
+    doc = write(tmp_path, "mu.json", bernoulli_doc(8))
+    assert run([a.replace("DOC", doc) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter {param}:" in captured.err
+
+
+def test_cli_verify_several_entries_note_a_parameter_one_does_not_take(
+        capsys):
+    assert run(["nc", "verify", "all", "--d", "2", "--order", "4",
+                "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    noted = {r["name"] for r in reports
+             if any("run without d" in note for note in r["notes"])}
+    assert noted == {"nc:recover-tau"}
+
+
+@pytest.mark.parametrize("argv", (
+    ["verify", "bt-semigroup", "--format", "json"],
+    ["verify", "pde", "--format", "json", "--order", "4"],
+    ["verify", "nc:composition", "--format", "json", "--order", "3"],
+    ["verify", "thm-b", "--order", "3", "--seed", "5"],
+    ["nc", "verify", "final-prop", "--d", "2", "--order", "3", "--seed", "5"],
+))
+def test_cli_forms_the_benchmark_runs(argv, capsys):
+    """The command lines perfbench/workloads.py and perfbench/baseline.py
+    pass to the CLI."""
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if "json" in argv:
+        assert json.loads(out)["verified"] is True
+    else:
+        assert "FAIL" not in out and "checks verified" in out

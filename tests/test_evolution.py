@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeconv import evolution
 from freeconv.coeffs import evaluate, formal_t
 from freeconv.convolutions import free_convolve, free_power
 from freeconv.evolution import (
@@ -26,6 +27,7 @@ from freeconv.evolution import (
 )
 from freeconv.functionals import (
     CanonicalTriple,
+    ConsistencyError,
     MomentFunctional,
     ZeroVarianceError,
     bernoulli_sym,
@@ -365,3 +367,27 @@ def test_check_eq_reports_residual():
     assert "m_1" in chk.detail and "1" in chk.detail
     chk = check_eq("label", point_mass(1, 4), point_mass(1, 4))
     assert chk.ok and chk.detail == ""
+
+
+@pytest.mark.parametrize("mf", (semicircular(0, 1, 8), bernoulli_sym(8)),
+                         ids=("rows-repeat", "rows-terminate"))
+@pytest.mark.parametrize("target,op,label", (
+    ("moments_from_eta", phi_map, "Phi"),
+    ("_strip_once", strip, "J"),
+))
+def test_jacobi_shift_cross_check_rejects_a_wrong_transform_path(
+        monkeypatch, mf, target, op, label):
+    """Phi and J each check their transform path against the shifted Jacobi
+    rows of a rational input; a transform path that is off by one in every
+    moment must not get past that check."""
+    op(mf)
+    transform = getattr(evolution, target)
+
+    def off_by_one(*args):
+        out = transform(*args)
+        return MomentFunctional(out.order, [m + 1 for m in out.moments()])
+
+    monkeypatch.setattr(evolution, target, off_by_one)
+    with pytest.raises(ConsistencyError,
+                       match=f"^{label}: transform and Jacobi paths disagree$"):
+        op(mf)

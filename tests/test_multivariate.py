@@ -329,11 +329,17 @@ def test_nc_catalog():
        st.integers(0, 2 ** 32 - 1), st.integers(0, 2))
 def test_nc_verify_sweep_seeds_and_low_orders(name, d, seed, extra):
     """Every word-layer entry at d <= 2 and random seeds, from its minimum
-    order to two above it (recover-tau is a d = 1 reduction and ignores d)."""
-    rep = nc_verify(name, params={"d": d}, order=NC_MIN_ORDER[name] + extra,
+    order to two above it (recover-tau is a d = 1 reduction and takes no d)."""
+    params = {} if name == "recover-tau" else {"d": d}
+    rep = nc_verify(name, params=params, order=NC_MIN_ORDER[name] + extra,
                     seed=seed)
     assert rep.verified, (name, d, seed, [(c.label, c.detail)
                                           for c in rep.checks if not c.ok])
+
+
+def test_nc_verify_rejects_a_parameter_the_entry_does_not_take():
+    with pytest.raises(ValueError, match="takes no parameter d"):
+        nc_verify("recover-tau", params={"d": 2})
 
 
 def test_composition_identity_d3():

@@ -249,19 +249,20 @@ def _parse_param(text):
 
 
 def _verify_entries(args, runs, params):
-    """Run and print the (name, order) pairs ``runs`` of catalog entries,
-    ``nc:`` names on the word layer; the exit code.  Each entry gets the
-    parameters it takes; one that the named entry, or each of several, does
-    not take is rejected before any entry runs."""
+    """Run and print the (name, order) pairs ``runs``, ``nc:`` on the word
+    layer; the exit code.  One entry must take every parameter; each of several
+    gets those it takes, by name and class, and each must go to some entry."""
     planned = []
     for name, order in runs:
         fn, order_of, catalog = ((nc_verify, nc_verify_order, NC_CATALOG)
                                  if name.startswith("nc:")
                                  else (verify, verify_order, CATALOG))
         name = name.removeprefix("nc:")
-        takes = entry_params(catalog[name][0])
-        own = params if len(runs) == 1 else {
-            k: v for k, v in params.items() if k in takes}
+        own = params
+        if len(runs) > 1:  # the names of several come from the catalogs
+            takes = entry_params(catalog[name][0])
+            own = {k: v for k, v in params.items()
+                   if k in takes and isinstance(v, takes[k])}
         order_of(name, order, own)
         planned.append((fn, name, order, own))
     unused = set(params).difference(*(own for *_, own in planned))
@@ -276,7 +277,7 @@ def _verify_entries(args, runs, params):
         skipped = [k for k in params if k not in own]
         if skipped:
             rep.notes.append(f"run without {', '.join(skipped)}, which this "
-                             f"entry does not take")
+                             f"entry does not take as given")
         reports.append(rep)
     if args.format == "json":
         _emit({"reports": [_report_doc(r) for r in reports],
@@ -285,10 +286,9 @@ def _verify_entries(args, runs, params):
         for rep in reports:
             _print_report(rep)
         total = sum(len(r.checks) for r in reports)
-        bad = sum(1 for r in reports for c in r.checks if not c.ok)
-        sys.stdout.write(
-            f"{total - bad}/{total} checks verified across "
-            f"{len(reports)} identities\n")
+        ok = sum(c.ok for r in reports for c in r.checks)
+        sys.stdout.write(f"{ok}/{total} checks verified across "
+                         f"{len(reports)} identities\n")
     return EXIT_OK if all(r.verified for r in reports) else EXIT_VIOLATED
 
 
@@ -335,6 +335,12 @@ def build_parser():
         p.add_argument("--order", type=int, default=None,
                        help="truncation order (default: the document's own; "
                             "10 where one is required)")
+
+    def run_options(p, fn):  # verify and nc verify
+        p.add_argument("--order", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("convert", help="convert between representations")
     p.add_argument("--to", choices=("moments", "jacobi"), required=True)
@@ -391,15 +397,12 @@ def build_parser():
     p.add_argument("name", help="catalog entry or 'all'",
                    choices=sorted(CATALOG) + [f"nc:{n}" for n in NC_CATALOG]
                    + ["all"])
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    run_options(p, _cmd_verify)
     p.add_argument("--param", action="append", type=_parse_param,
                    metavar="KEY=VALUE",
                    help="set a parameter the entry takes (rational, family "
                         "name, or JSON document path); the entry draws the "
                         "others from --seed")
-    p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("nc", help="multivariate (word-series) identities")
     ncsub = p.add_subparsers(dest="nc_command", required=True)
@@ -407,10 +410,7 @@ def build_parser():
     q.add_argument("name", choices=sorted(NC_CATALOG) + ["all"])
     q.add_argument("--d", type=int, default=None,
                    help=f"alphabet size, 1..{MAX_NC_D} (default 2)")
-    q.add_argument("--order", type=int, default=None)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--format", choices=("text", "json"), default="text")
-    q.set_defaults(fn=_cmd_nc)
+    run_options(q, _cmd_nc)
 
     p = sub.add_parser("oracle", help="partition-enumeration cross-checks")
     osub = p.add_subparsers(dest="what", required=True)

@@ -424,9 +424,8 @@ def _functional(value, order, rng):
         defaults = {"b": ONE, "c": ONE, "beta": ZERO, "gamma": ONE}
         _, argnames = FAMILIES[value]
         return family(value, {a: defaults[a] for a in argnames}, order)
-    raise _BadParameter(value, f"want a moment functional of order >= "
-                               f"{order}, Jacobi rows or one of the families "
-                               f"{', '.join(sorted(FAMILIES))}")
+    raise _BadParameter(value, f"want a moment functional of order >= {order}"
+                               f", Jacobi rows or a family: {sorted(FAMILIES)}")
 
 
 def _triples(rng, rho_order, beta_t, gamma_t, rho_t, beta, gamma, rho):
@@ -851,24 +850,29 @@ MIN_ORDER = {
 
 
 def entry_params(fn):
-    """The parameters a catalog entry function takes, after order and rng."""
-    return tuple(inspect.signature(fn).parameters)[2:]
+    """Each parameter after order and rng -> the class its value must be."""
+    params = list(inspect.signature(fn, eval_str=True).parameters.values())
+    return {p.name: object if p.annotation is p.empty else p.annotation
+            for p in params[2:]}
 
 
-def _entry_order(kind, catalog, low, name, order, high=None, params=()):
+def _entry_order(kind, catalog, min_order, name, order, high=None, params=()):
     """The order a catalog entry runs at: its default when ``order`` is None.
-    Raises ValueError for an unknown entry, a parameter it does not take, or
-    an order outside low..high."""
+    Raises ValueError for an unknown entry, a parameter it does not take or
+    not of the class it needs, or an order outside min_order[name]..high."""
     try:
-        fn, default_order = catalog[name]
+        (fn, default_order), low = catalog[name], min_order[name]
     except KeyError:
         raise ValueError(f"unknown {kind} entry {name!r}; "
                          f"choose from {sorted(catalog)}") from None
     takes = entry_params(fn)
-    unknown = ", ".join(k for k in params if k not in takes)
-    if unknown:
-        raise ValueError(f"{kind} entry {name!r} takes no parameter {unknown}; "
-                         f"it takes {', '.join(takes) or 'none'}")
+    for key in params:
+        if key not in takes:
+            raise ValueError(f"{kind} entry {name!r} takes no parameter {key}; "
+                             f"it takes {', '.join(takes) or 'none'}")
+        if not isinstance(params[key], takes[key]):
+            raise ValueError(f"{kind} entry {name!r}: parameter {key}: want "
+                             f"{takes[key].__name__}")
     if order is None:
         return default_order
     if order < low or (high is not None and order > high):
@@ -884,15 +888,15 @@ def _run_entry(kind, catalog, name, order, params, seed):
         return catalog[name][0](order, random.Random(seed), **params)
     except _BadParameter as e:
         value, problem = e.args
-        key = ", ".join(k for k, v in params.items() if v is value)
-        raise ValueError(f"{kind} entry {name!r}: parameter {key}: "
+        keys = [k for k, v in params.items() if v is value]
+        which = keys[0] if len(keys) == 1 else f"value {value!r}"
+        raise ValueError(f"{kind} entry {name!r}: parameter {which}: "
                          f"{problem}") from None
 
 
 def verify_order(name, order=None, params=()):
     """The order ``verify(name, params, order)`` runs at, or ValueError."""
-    return _entry_order("verify", CATALOG, MIN_ORDER.get(name), name, order,
-                        params=params)
+    return _entry_order("verify", CATALOG, MIN_ORDER, name, order, params=params)
 
 
 def verify(name, params=None, order=None, seed=0):

@@ -370,16 +370,15 @@ def nc_subordination_inverse(lam, nu):
 
 def _nc_functional(value, rng, d, order):
     """A supplied word functional, or one drawn from ``rng`` when None."""
-    if value is None:
-        return NCFunctional(d, order, {
-            w: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            for w in words(d, order)})
-    if not isinstance(value, NCFunctional):
-        raise _BadParameter(value, "want a word functional (NCFunctional)")
-    return value
+    if value is not None:
+        return value
+    return NCFunctional(d, order, {
+        w: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        for w in words(d, order)})
 
 
-def _nc_verify_composition(order, rng, d=2, mu=None, nu=None):
+def _nc_verify_composition(order, rng, d=2, mu: NCFunctional = None,
+                           nu: NCFunctional = None):
     mu = _nc_functional(mu, rng, d, order)
     nu = _nc_functional(nu, rng, d, order)
     lam = nc_subordination(mu, nu)
@@ -394,14 +393,15 @@ def _nc_verify_composition(order, rng, d=2, mu=None, nu=None):
     return checks, []
 
 
-def _nc_verify_final_prop(order, rng, d=2, rho_t=None, tau=None, beta_t=None,
+def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
+                          tau: NCFunctional = None, beta_t: list = None,
                           gamma_t=None):
     rho_t = _nc_functional(rho_t, rng, d, order)
     tau = _nc_functional(tau, rng, d, order)
     if beta_t is None:
         beta_t = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
                   for _ in range(d)]
-    elif not isinstance(beta_t, (list, tuple)) or len(beta_t) != d:
+    elif len(beta_t) != d:
         raise _BadParameter(beta_t, f"want a list of {d} rationals")
     gamma_t = _q(gamma_t, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
     t = formal_t()
@@ -469,11 +469,11 @@ NC_MIN_ORDER = {"composition": 3, "final-prop": 3, "recover-tau": 4}
 
 
 def nc_verify_order(name, order=None, params=()):
-    """The order ``nc_verify(name, params, order)`` runs at, or ValueError."""
-    order = _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER.get(name), name,
-                         order, MAX_NC_ORDER, params)
+    """The order ``nc_verify(name, params, order)`` runs at; makes d an int."""
+    order = _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER, name, order,
+                         MAX_NC_ORDER, params)
     if "d" in params:
-        nc_verify_d(params["d"])
+        params["d"] = nc_verify_d(params["d"])
     return order
 
 
@@ -491,8 +491,6 @@ def nc_verify_d(d):
 def nc_verify(name, params=None, order=None, seed=0):
     params = dict(params or {})
     order = nc_verify_order(name, order, params)
-    if "d" in params:
-        params["d"] = nc_verify_d(params["d"])
     return VerifyReport(f"nc:{name}", order, *_run_entry(
         "nc verify", NC_CATALOG, name, order, params, seed))
 

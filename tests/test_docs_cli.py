@@ -542,6 +542,34 @@ def test_cli_verify_parameter_of_the_wrong_kind_is_usage_error(
     assert f"parameter {param}:" in captured.err
 
 
+def test_a_wrong_kind_parameter_shared_by_two_keys_is_named_by_value(
+        monkeypatch):
+    value = object()
+
+    def entry(order, rng, a=None, b=None):
+        evolution._q(a, None)
+
+    monkeypatch.setitem(evolution.CATALOG, "pde", (entry, 4))
+    with pytest.raises(ValueError, match="parameter a: want a rational"):
+        evolution.verify("pde", params={"a": value, "b": 1})
+    with pytest.raises(ValueError, match="parameter value <object"):
+        evolution.verify("pde", params={"a": value, "b": value})
+
+
+@pytest.mark.parametrize("argv", (
+    ["verify", "no-such-entry"],
+    ["verify", "nc:nope"],
+    ["nc", "verify", "nope"],
+))
+def test_cli_verify_unknown_entry_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-1] in captured.err
+
+
 def test_cli_verify_several_entries_note_a_parameter_one_does_not_take(
         capsys):
     assert run(["nc", "verify", "all", "--d", "2", "--order", "4",
@@ -550,6 +578,22 @@ def test_cli_verify_several_entries_note_a_parameter_one_does_not_take(
     noted = {r["name"] for r in reports
              if any("run without d" in note for note in r["notes"])}
     assert noted == {"nc:recover-tau"}
+
+
+@pytest.mark.parametrize("param,word_entry", (
+    ("beta_t=1/2", "nc:final-prop"),  # a list of d rationals there
+    ("mu=bernoulli", "nc:composition"),  # a word functional there
+))
+def test_cli_verify_all_passes_no_entry_a_parameter_of_another_class(
+        param, word_entry, capsys):
+    assert run(["verify", "all", "--param", param, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verified"]
+    key = param.split("=")[0]
+    taken = {r["name"] for r in out["reports"]
+             if not any(f"run without {key}" in n for n in r["notes"])}
+    assert word_entry not in taken
+    assert any(not name.startswith("nc:") for name in taken)
 
 
 @pytest.mark.parametrize("argv", (

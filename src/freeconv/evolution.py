@@ -40,6 +40,8 @@ from .functionals import (
     _fill,
     _moment_table,
     _power_table,
+    _scale_in,
+    _scale_out,
     _split_sum,
     _strip_once,
     _substitute_at,
@@ -157,11 +159,12 @@ def subordination(mu, nu):
     Solved through R^{mu |> nu} = R^mu(z(1+M^nu)) * (1+M^nu)^{-1}.
     """
     n = min(mu.order, nu.order)
-    kap = r_from_moments(mu.truncate(n)).coeffs()
-    m = _moment_table(nu)
+    d, (kap, m) = _scale_in(r_from_moments(mu.truncate(n)).coeffs(),
+                            _moment_table(nu)[:n + 1])
     p = _power_table(m, n)
-    return moments_from_r(TruncSeries(n, _fill(n, lambda k, ksub: (
-        _substitute_at(kap, p, k) - _split_sum(ksub, m, k)))), n)
+    ksub = _scale_out(d, _fill(n, lambda k, ksub: (
+        _substitute_at(kap, p, k) - _split_sum(ksub, m, k))))
+    return moments_from_r(TruncSeries(n, ksub), n)
 
 
 def subordination_inverse(lam, nu):
@@ -174,10 +177,14 @@ def subordination_inverse(lam, nu):
     """
     n = min(lam.order, nu.order)
     lam, nu = lam.truncate(n), nu.truncate(n)
-    p = _power_table(_moment_table(lam), n + 1)
-    b = [ZERO] + _moment_table(nu)
+    d, (m, b) = _scale_in(_moment_table(lam), _moment_table(nu))
+    p = _power_table(m, n + 1)
+    # b[k] = [z^k] B is m^nu_{k-1}, which _scale_in graded by k - 1: so is
+    # [z^k] B(W), the moment m_{k-1} of mu boxplus nu.
+    b = [0] + b
     b_of_w = _fill(n + 1, lambda k, _: _substitute_at(b, p, k))
-    return free_deconvolve(MomentFunctional(n, b_of_w[2:]), nu)
+    return free_deconvolve(
+        MomentFunctional(n, _scale_out(d, b_of_w[1:])[1:]), nu)
 
 
 def phi_two(mu, nu):

@@ -18,9 +18,20 @@ _substitute_at and _split_sum, beside its word-layer twin in
     two_state_r                         nc_two_state_r
     tilde_from_two_state_r              nc_tilde_from_two_state_r
     evolution.subordination             nc_subordination
+
+Over Q the solves run on plain ``int``: ``_scale_in`` picks an integer D
+with c_k D^k integral for every input coefficient c_k and scales the inputs
+so, which is the same solve for the series at Dz.  There W = z(1+M) still
+has [z^k] W^k = 1, so every unknown is an integer combination of integers
+and the unchanged kernels keep the whole recursion in Z; ``_scale_out``
+returns output k as the reduced Fraction x_k / D^k.  Inputs over Q[t], or
+mixing the rings, take the same kernels on their coefficients as they are.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from .coeffs import ZERO, ONE, as_coeff, exact_div, is_zero
 
@@ -244,8 +255,8 @@ def _strip_once(mf, beta, gamma):
     polynomial ring).
     """
     n = mf.order
-    m = _moment_table(mf)
-    eta = _fill(n, lambda k, e: m[k] - _split_sum(e, m, k))
+    d, (m,) = _scale_in(_moment_table(mf))
+    eta = _scale_out(d, _fill(n, lambda k, e: m[k] - _split_sum(e, m, k)))
     # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
     out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
     if not (out[0] == 1):
@@ -282,6 +293,10 @@ def jacobi_from_moments(mf, levels):
 
 
 # -- triangular-solve kernels (coefficient lists indexed by degree) -------------
+#
+# The kernels are ring-neutral: each sum starts from its first term (or is the
+# int 0 when it has none) and each power-table row from the table's own 1, so
+# they run unchanged on Fraction, TPoly or plain int coefficients.
 
 
 def _moment_table(mf):
@@ -289,13 +304,59 @@ def _moment_table(mf):
     return [ONE] + list(mf.moments())
 
 
+def _scale_in(*seqs):
+    """(D, seqs as ints): the graded integer inputs of one solve over Q.
+
+    When every coefficient is a ``Fraction`` and every constant term an
+    integer, D is the product of the factors each coefficient c_k = a/q
+    still needs, D <- D q / gcd(q, D^k) in degree order, so that q divides
+    D^k; the k-th entry of each sequence becomes the int c_k D^k.  Under
+    z -> Dz every solve is a weight-homogeneous recursion with integer
+    coefficients and [z^k] W^k = 1, so the kernels keep the entries
+    integral, and ``_scale_out`` divides output k by D^k.  Otherwise D is
+    None and the sequences come back as they are, for the generic path.
+    """
+    d = 1
+    for cs in seqs:
+        for k, c in enumerate(cs):
+            if type(c) is not Fraction:
+                return None, seqs
+            q = c.denominator
+            if q != 1:
+                if not k:
+                    return None, seqs
+                dk = d ** k
+                if dk % q:
+                    d *= q // gcd(q, dk)
+    scaled = []
+    for cs in seqs:
+        row, dk = [], 1
+        for c in cs:
+            row.append(c.numerator * (dk // c.denominator))
+            dk *= d
+        scaled.append(row)
+    return d, scaled
+
+
+def _scale_out(d, xs):
+    """[x_k / D^k] as Fractions, the inverse of ``_scale_in``; xs itself when
+    D is None."""
+    if d is None:
+        return xs
+    out, dk = [], 1
+    for x in xs:
+        out.append(Fraction(x, dk))
+        dk *= d
+    return out
+
+
 def _add_diagonal(p, m):
     """Extend the power table p by its anti-diagonal k + j = s, s = len(p).
 
     Reads only m[1:s], so a forward solve can find m[s] after each call.
+    Row 0 stays [1]: no solve reads past it.
     """
     s = len(p)
-    p[0].append(ZERO)
     if s > 1:
         p[1].append(m[s - 1])  # row 1 is 1 + M itself
     for k in range(2, s):
@@ -306,12 +367,13 @@ def _add_diagonal(p, m):
             if not is_zero(m[i]):
                 c = c + m[i] * prev[j - i]
         p[k].append(c)
-    p.append([ONE])
+    p.append([p[0][0]])
 
 
 def _power_table(m, n):
-    """p[k][j] = [z^j](1+M)^k for k + j <= n, from m = [1, m_1, ..., m_n]."""
-    p = [[ONE]]
+    """p[k][j] = [z^j](1+M)^k for k + j <= n, from m = [1, m_1, ..., m_n];
+    row 0 is just [1]."""
+    p = [[m[0]]]
     for _ in range(n):
         _add_diagonal(p, m)
     return p
@@ -319,17 +381,20 @@ def _power_table(m, n):
 
 def _substitute_at(a, p, n):
     """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
-    s = ZERO
+    s = None
     for k in range(1, n + 1):
         if not is_zero(a[k]):
-            s = s + a[k] * p[k][n - k]
-    return s
+            t = a[k] * p[k][n - k]
+            s = t if s is None else s + t
+    return 0 if s is None else s
 
 
 def _split_sum(left, right, n):
     """The sum of left[j] * right[n-j] over 0 < j < n."""
-    s = ZERO
-    for j in range(1, n):
+    if n < 2:
+        return 0
+    s = left[1] * right[n - 1]
+    for j in range(2, n):
         s = s + left[j] * right[n - j]
     return s
 
@@ -337,7 +402,7 @@ def _split_sum(left, right, n):
 def _fill(n, coeff):
     """[0, c_1, ..., c_n] with c_k = coeff(k, out), filled by degree; out[k]
     reads as zero until coeff returns, so a solve's own unknown drops out."""
-    out = [ZERO] * (n + 1)
+    out = [0] * (n + 1)
     for k in range(1, n + 1):
         out[k] = coeff(k, out)
     return out

@@ -13,6 +13,10 @@ S(a) = _substitute_at(a, p, n) and P(l, r) = _split_sum(l, r, n):
     eta~ = R2(W) (1+M)^{-1}  two_state_r: [z^n] eta~ (1+M) - S(R2)
                              tilde_from_two_state_r: S(R2) - P(eta~, m)
 
+Over Q each solve runs on integers graded by z -> Dz (``functionals._scale_in``
+and ``_scale_out``): the leading term [z^k] W^k = 1 keeps it integral, and
+output k comes back as a Fraction over D^k.
+
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
 and phi(1/w) = R(w)/w.
@@ -31,6 +35,8 @@ from .functionals import (
     _fill,
     _moment_table,
     _power_table,
+    _scale_in,
+    _scale_out,
     _split_sum,
     _substitute_at,
 )
@@ -45,40 +51,40 @@ def m_series(mf):
 def r_from_moments(mf):
     """Free cumulants kappa_1..kappa_N as the coefficients of R(z)."""
     n = mf.order
-    m = _moment_table(mf)
+    d, (m,) = _scale_in(_moment_table(mf))
     p = _power_table(m, n)
-    return TruncSeries(n, _fill(n, lambda k, kappa: (
-        m[k] - _substitute_at(kappa, p, k))))
+    return TruncSeries(n, _scale_out(d, _fill(n, lambda k, kappa: (
+        m[k] - _substitute_at(kappa, p, k)))))
 
 
 def moments_from_r(r, order):
     """Solve R(z(1+M)) = M forward for the moments."""
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
-    kappa = r.coeffs()
-    p = [[ONE]]
+    d, (kappa,) = _scale_in(r.coeffs()[:order + 1])
+    p = [[ONE if d is None else 1]]
 
     def moment(k, m):
         _add_diagonal(p, m)
         return _substitute_at(kappa, p, k)
 
-    return MomentFunctional(order, _fill(order, moment)[1:])
+    return MomentFunctional(order, _scale_out(d, _fill(order, moment))[1:])
 
 
 def eta_from_moments(mf):
     """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}."""
-    m = _moment_table(mf)
-    return TruncSeries(mf.order, _fill(mf.order, lambda k, eta: (
-        m[k] - _split_sum(eta, m, k))))
+    d, (m,) = _scale_in(_moment_table(mf))
+    return TruncSeries(mf.order, _scale_out(d, _fill(mf.order, lambda k, eta: (
+        m[k] - _split_sum(eta, m, k)))))
 
 
 def moments_from_eta(eta, order):
     """Solve M = eta + eta*M forward for the moments."""
     if order > eta.order:
         raise ValueError(f"eta known to order {eta.order} < {order}")
-    e = eta.coeffs()
-    return MomentFunctional(order, _fill(order, lambda k, m: (
-        e[k] + _split_sum(e, m, k)))[1:])
+    d, (e,) = _scale_in(eta.coeffs()[:order + 1])
+    return MomentFunctional(order, _scale_out(d, _fill(order, lambda k, m: (
+        e[k] + _split_sum(e, m, k))))[1:])
 
 
 def f_at_infinity(mf):
@@ -143,19 +149,20 @@ def two_state_r(pair):
     n = pair.order
     e = (eta_from_moments(pair.tilde) * (
         TruncSeries.one(n) + m_series(pair.base))).coeffs()
-    p = _power_table(_moment_table(pair.base), n)
-    return TruncSeries(n, _fill(n, lambda k, r2: (
-        e[k] - _substitute_at(r2, p, k))))
+    d, (e, m) = _scale_in(e, _moment_table(pair.base))
+    p = _power_table(m, n)
+    return TruncSeries(n, _scale_out(d, _fill(n, lambda k, r2: (
+        e[k] - _substitute_at(r2, p, k)))))
 
 
 def tilde_from_two_state_r(r2, base):
     """The functional mu_tilde with two_state_r((mu_tilde, base)) = r2."""
     n = min(base.order, r2.order)
-    m = _moment_table(base)
+    d, (m, a) = _scale_in(_moment_table(base)[:n + 1], r2.coeffs()[:n + 1])
     p = _power_table(m, n)
-    a = r2.coeffs()
-    return moments_from_eta(TruncSeries(n, _fill(n, lambda k, eta: (
-        _substitute_at(a, p, k) - _split_sum(eta, m, k)))), n)
+    eta = _scale_out(d, _fill(n, lambda k, eta: (
+        _substitute_at(a, p, k) - _split_sum(eta, m, k))))
+    return moments_from_eta(TruncSeries(n, eta), n)
 
 
 def two_state_phi_by_reversion(pair):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv import functionals
-from freeconv.coeffs import formal_t
+from freeconv.coeffs import TPoly, formal_t
 from freeconv.convolutions import free_power, monotone_convolve
+from freeconv.evolution import subordination, subordination_inverse
 from freeconv.functionals import (
     MomentFunctional,
     TwoStatePair,
@@ -191,7 +192,17 @@ def test_two_state_r_of_phi_sigma_pair():
 
 
 SOLVE_KERNELS = ("_power_table", "_add_diagonal", "_fill", "_substitute_at",
-                 "_split_sum")
+                 "_split_sum", "_scale_in", "_scale_out")
+
+
+def _patch_kernel(mp, name, fn):
+    """Replace the ``functionals`` kernel ``name`` by fn, in that module and
+    wherever it was imported."""
+    kernel = getattr(functionals, name)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("freeconv"):
+            if getattr(module, name, None) is kernel:
+                mp.setattr(module, name, fn)
 
 
 def test_cross_checks_share_no_solve_kernel(monkeypatch):
@@ -207,12 +218,8 @@ def test_cross_checks_share_no_solve_kernel(monkeypatch):
     def broken(*args):
         raise AssertionError("a solve kernel ran")
 
-    kernels = {name: getattr(functionals, name) for name in SOLVE_KERNELS}
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("freeconv"):
-            for name, fn in kernels.items():
-                if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, broken)
+    for name in SOLVE_KERNELS:
+        _patch_kernel(monkeypatch, name, broken)
     with pytest.raises(AssertionError):
         r_from_moments(mf)
     with pytest.raises(AssertionError):
@@ -224,3 +231,60 @@ def test_cross_checks_share_no_solve_kernel(monkeypatch):
     assert two_state_r_by_reversion(pair) == r2
     assert free_cumulants_oracle(mf) == list(kappa.coeffs()[1:])
     assert moments_from_jacobi(jacobi, mf.order) == mf
+
+
+def _nine_solves(mu, nu, r):
+    """The output coefficients of every triangular solve over one input set:
+    the functionals mu and nu and the series r, all of one order."""
+    n = mu.order
+    out = [
+        r_from_moments(mu).coeffs(),
+        moments_from_r(r, n).moments(),
+        eta_from_moments(mu).coeffs(),
+        moments_from_eta(r, n).moments(),
+        two_state_r(TwoStatePair(mu, nu)).coeffs(),
+        tilde_from_two_state_r(r, nu).moments(),
+        subordination(mu, nu).moments(),
+        subordination_inverse(mu, nu).moments(),
+    ]
+    if n >= 2 and mu.mean_var()[1] != 0:
+        out.append(functionals._strip_once(mu, *mu.mean_var()).moments())
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from([(1,), (3, 5, 7, 11), (1, 3, 5, 7, 11), (2, 9)]))
+def test_graded_int_solves_match_generic_path(seed, order, denominators):
+    """Over Q every solve runs on ints scaled by D^k and returns Fractions
+    equal to the generic path's, which one constant TPoly coefficient in mu
+    and in r selects.  The coprime denominators make D large; a third of the
+    draws are zero."""
+    rng = random.Random(seed)
+
+    def draw():
+        return [F(rng.choice((-3, -1, 0, 0, 1, 2)), rng.choice(denominators))
+                for _ in range(order)]
+
+    mu, nu = MomentFunctional(order, draw()), MomentFunctional(order, draw())
+    r = TruncSeries(order, [0] + draw())
+    kernel, filled = functionals._fill, []
+
+    def spy(n, coeff):
+        out = kernel(n, coeff)
+        filled.append(all(type(x) is int for x in out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_kernel(mp, "_fill", spy)
+        graded = _nine_solves(mu, nu, r)
+    assert len(filled) >= len(graded) and all(filled)
+    for cs in graded:
+        assert all(type(c) is F for c in cs)
+
+    wrapped = [TPoly.constant(mu.m(1))] + list(mu.moments()[1:])
+    generic = _nine_solves(MomentFunctional(order, wrapped), nu,
+                           TruncSeries(order, [0, TPoly.constant(r.coeff(1))]
+                                       + list(r.coeffs()[2:])))
+    assert any(isinstance(c, TPoly) for cs in generic for c in cs)
+    assert [list(cs) for cs in graded] == [list(cs) for cs in generic]

@@ -247,7 +247,7 @@ def _nine_solves(mu, nu, r):
         subordination(mu, nu).moments(),
         subordination_inverse(mu, nu).moments(),
     ]
-    if n >= 2 and mu.mean_var()[1] != 0:
+    if n >= 3 and mu.mean_var()[1] != 0:  # the stripped order n - 2 >= 1
         out.append(functionals._strip_once(mu, *mu.mean_var()).moments())
     return out
 

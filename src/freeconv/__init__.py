@@ -8,7 +8,7 @@ catalog of machine-verified identities, in one and several non-commuting
 variables.
 """
 
-from .coeffs import ExactDivisionError, RingMismatchError, TPoly, formal_t
+from .coeffs import ExactDivisionError, TPoly, formal_t
 from .convolutions import (
     boolean_convolve,
     boolean_power,

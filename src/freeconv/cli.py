@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import docs
-from .coeffs import ExactDivisionError, RingMismatchError, formal_t
+from .coeffs import ExactDivisionError, formal_t
 from .convolutions import (
     boolean_convolve,
     boolean_power,
@@ -68,7 +68,7 @@ from .series import CompositionDomainError, NotInvertibleError
 
 DOMAIN_ERRORS = (ZeroVarianceError, NoJacobiRepresentationError,
                  JacobiDepthError, NotInvertibleError, CompositionDomainError,
-                 ExactDivisionError, RingMismatchError, ZeroDivisionError)
+                 ExactDivisionError, ZeroDivisionError)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1

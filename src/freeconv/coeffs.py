@@ -3,8 +3,8 @@
 Two coefficient rings are supported throughout the package:
 
 * plain ``fractions.Fraction`` for Q, and
-* :class:`TPoly` for Q[t], polynomials in a formal parameter (named ``t``
-  by default) with rational coefficients.
+* :class:`TPoly` for Q[t], polynomials in one formal parameter t with
+  rational coefficients.
 
 Both rest on one private integer kernel, the layout of FLINT's
 ``fmpq_poly``: a sequence of rationals held as ``int`` numerators over one
@@ -24,15 +24,22 @@ comparison of ``(nums, den)``.  ``TPoly.coeffs``, the tuple of ``Fraction``
 coefficients, is a view derived from ``nums`` and ``den`` on each read; no
 arithmetic uses it.
 
-Fractions and ints promote into the polynomial ring automatically;
-polynomials with distinct parameter names do not mix
-(``RingMismatchError``), but a constant adopts the other operand's
-parameter.
+There is one parameter: the t of "for all t >= 0" statements, or any
+other formal symbol a caller reads into it (``counterexample-r`` calls it
+eps).  Ints and Fractions promote into Q[t] on either side of an operator,
+and a constant ``TPoly`` equals and hashes like its ``Fraction``.
 
-Every ``TPoly`` is an exact polynomial.  Division is exact or raises
-``ExactDivisionError``, and only nonzero constants have a reciprocal: no
-operation of the package needs a power series in t (``belinschi_nica``
-divides by 1 + t exactly, see its docstring).
+Python's operators are the whole ring protocol.  The generic paths of the
+series engine and of the solve kernels use ``+``, ``-`` (binary and unary),
+``*``, ``/``, ``==`` against an int, and truthiness as the zero test, so
+another exact ring plugs in by defining those (the integer fast paths take
+only ``Fraction`` coefficients).  ``/`` is exact or raises:
+``ExactDivisionError`` when the quotient is not a polynomial,
+``ZeroDivisionError`` for a zero divisor.  A reciprocal is ``ONE / c``, so
+only nonzero constants have one in Q[t]: no operation of the package needs
+a power series in t (``belinschi_nica`` divides by 1 + t exactly, see its
+docstring).  Beyond the operators, ``as_coeff`` admits a value from outside
+the program, and ``t_derivative`` and ``evaluate`` act on the parameter.
 """
 
 from __future__ import annotations
@@ -41,10 +48,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _new = object.__new__
-
-
-class RingMismatchError(TypeError):
-    """Operands live in incompatible coefficient rings."""
 
 
 class ExactDivisionError(ArithmeticError):
@@ -79,7 +82,7 @@ def _convolve(a, b, n):
     return out
 
 
-def _canonical(nums, den, var, bound):
+def _canonical(nums, den, bound):
     """The TPoly sum(nums[k] t^k) / den, for a list of ints and den > 0.
 
     ``bound`` is a number whose gcd with the numerators equals that of
@@ -99,7 +102,6 @@ def _canonical(nums, den, var, bound):
     p = _new(TPoly)
     p.nums = tuple(nums)
     p.den = den
-    p.var = var
     return p
 
 
@@ -107,25 +109,19 @@ class TPoly:
     """Polynomial in one formal parameter over Q, as integers over one
     positive common denominator."""
 
-    __slots__ = ("nums", "den", "var")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=(), var="t"):
+    def __init__(self, coeffs=()):
         nums, den = _common(
             [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs])
         while nums and not nums[-1]:
             nums.pop()
         self.nums = tuple(nums)
         self.den = den if nums else 1
-        self.var = var
 
     @classmethod
-    def constant(cls, value, var="t"):
-        return cls((Fraction(value),), var=var)
-
-    @classmethod
-    def gen(cls, var="t"):
-        """The parameter itself."""
-        return cls((0, 1), var=var)
+    def constant(cls, value):
+        return cls((Fraction(value),))
 
     @property
     def coeffs(self):
@@ -147,19 +143,12 @@ class TPoly:
             return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
-    def _parts(self, other):
-        """(nums, den) of other as an element of this ring.
-
-        None when other is no coefficient, or when self is a constant and
-        other a polynomial in another parameter: then other's ring wins.
-        """
+    @staticmethod
+    def _parts(other):
+        """(nums, den) of other as an element of Q[t]; None when other is no
+        coefficient."""
         if isinstance(other, TPoly):
-            if other.var == self.var or len(other.nums) <= 1:
-                return other.nums, other.den
-            if len(self.nums) <= 1:
-                return None
-            raise RingMismatchError(
-                f"cannot mix Q[{self.var}] and Q[{other.var}]")
+            return other.nums, other.den
         if isinstance(other, int):
             return ((other,) if other else ()), 1
         if isinstance(other, Fraction):
@@ -169,8 +158,6 @@ class TPoly:
     def __add__(self, other):
         parts = self._parts(other)
         if parts is None:
-            if isinstance(other, TPoly):  # self constant, other's ring wins
-                return other + self
             return NotImplemented
         b, db = parts
         a, da = self.nums, self.den
@@ -185,17 +172,15 @@ class TPoly:
             a, b, sa, sb = b, a, sb, sa
         nums = [x * sa + y * sb for x, y in zip(a, b)]
         nums += [x * sa for x in a[len(b):]]
-        return _canonical(nums, den, self.var, g)
+        return _canonical(nums, den, g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical([-x for x in self.nums], self.den, self.var, 1)
+        return _canonical([-x for x in self.nums], self.den, 1)
 
     def __sub__(self, other):
-        if isinstance(other, (TPoly, int, Fraction)):
-            return self + -other
-        return self + -Fraction(other)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -203,23 +188,21 @@ class TPoly:
     def __mul__(self, other):
         parts = self._parts(other)
         if parts is None:
-            if isinstance(other, TPoly):
-                return other * self
             return NotImplemented
         b, db = parts
         a = self.nums
         if not a or not b:
-            return _canonical([], 1, self.var, 1)
+            return _canonical([], 1, 1)
         out = _convolve(a, b, len(a) + len(b) - 1)
         den = self.den * db
-        return _canonical(out, den, self.var, den)
+        return _canonical(out, den, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        result = TPoly.constant(1, var=self.var)
+        result = TPoly((1,))
         base = self
         while k:
             if k & 1:
@@ -233,8 +216,6 @@ class TPoly:
         """Exact division; raises ExactDivisionError if not exact in Q[t]."""
         parts = self._parts(other)
         if parts is None:
-            if isinstance(other, TPoly):
-                return TPoly.constant(self.constant_term(), var=other.var) / other
             return NotImplemented
         b, db = parts
         if not b:
@@ -245,9 +226,9 @@ class TPoly:
             if c < 0:
                 a, c = [-x for x in a], -c
             den = da * c
-            return _canonical([x * db for x in a], den, self.var, den)
+            return _canonical([x * db for x in a], den, den)
         if not a:
-            return _canonical([], 1, self.var, 1)
+            return _canonical([], 1, 1)
         dn, lead = len(b) - 1, b[-1]
         if len(a) - 1 < dn:
             raise ExactDivisionError(f"({self}) not divisible by ({other})")
@@ -272,30 +253,18 @@ class TPoly:
         if any(rem):
             raise ExactDivisionError(f"({self}) not divisible by ({other})")
         den = da * scale
-        return _canonical([x * db for x in q], den, self.var, den)
+        return _canonical([x * db for x in q], den, den)
 
     def __rtruediv__(self, other):
+        """other / self for an int or Fraction other: ``ONE / p`` inverts a
+        nonzero constant p, and raises ExactDivisionError for any other p."""
         if isinstance(other, (int, Fraction)):
-            return TPoly.constant(other, var=self.var) / self
+            return TPoly.constant(other) / self
         return NotImplemented
-
-    def reciprocal(self):
-        """Multiplicative inverse; only nonzero constants have one in Q[t]."""
-        if not self.nums:
-            raise ZeroDivisionError("zero polynomial has no reciprocal")
-        if self.is_constant():
-            n, d = self.nums[0], self.den
-            if n < 0:
-                n, d = -n, -d
-            return _canonical([d], n, self.var, 1)
-        if not self.nums[0]:
-            raise ZeroDivisionError("constant term is zero; not invertible")
-        raise ExactDivisionError(
-            f"({self}) has no inverse in Q[{self.var}]")
 
     def t_derivative(self):
         nums = [k * x for k, x in enumerate(self.nums)][1:]
-        return _canonical(nums, self.den, self.var, self.den)
+        return _canonical(nums, self.den, self.den)
 
     def evaluate(self, value):
         """Specialize the parameter to a rational value."""
@@ -310,20 +279,15 @@ class TPoly:
         return Fraction(acc, self.den * (scale // q))
 
     def __eq__(self, other):
-        if isinstance(other, TPoly):
-            if (self.var != other.var
-                    and len(self.nums) > 1 and len(other.nums) > 1):
-                return False
-            return self.nums == other.nums and self.den == other.den
-        if not isinstance(other, (int, Fraction)):
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        b, db = self._parts(other)
-        return self.nums == b and self.den == db
+        return (self.nums, self.den) == parts
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant_term())
-        return hash((self.var, self.nums, self.den))
+        return hash((self.nums, self.den))
 
     def __bool__(self):
         return bool(self.nums)
@@ -338,9 +302,9 @@ class TPoly:
             if k == 0:
                 parts.append(str(c))
             elif k == 1:
-                parts.append(f"{c}*{self.var}" if c != 1 else self.var)
+                parts.append(f"{c}*t" if c != 1 else "t")
             else:
-                parts.append(f"{c}*{self.var}^{k}" if c != 1 else f"{self.var}^{k}")
+                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -358,10 +322,6 @@ def as_coeff(x):
     raise TypeError(f"not a coefficient: {x!r}")
 
 
-def is_zero(c):
-    return c == 0
-
-
 def t_derivative(c):
     """d/dt on a coefficient; rationals are constants."""
     if isinstance(c, TPoly):
@@ -371,21 +331,7 @@ def t_derivative(c):
 
 def exact_div(a, b):
     """a / b in the coefficient ring; exact or raises."""
-    if isinstance(a, TPoly) or isinstance(b, TPoly):
-        if not isinstance(a, TPoly):
-            a = TPoly.constant(a, var=b.var)
-        return a / b
-    if b == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(a) / Fraction(b)
-
-
-def reciprocal(c):
-    if isinstance(c, TPoly):
-        return c.reciprocal()
-    if c == 0:
-        raise ZeroDivisionError("division by zero")
-    return ONE / Fraction(c)
+    return as_coeff(a) / as_coeff(b)
 
 
 def evaluate(c, value):
@@ -395,5 +341,6 @@ def evaluate(c, value):
     return Fraction(c)
 
 
-def formal_t(var="t"):
-    return TPoly.gen(var=var)
+def formal_t():
+    """The parameter t."""
+    return TPoly((0, 1))

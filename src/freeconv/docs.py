@@ -21,6 +21,7 @@ from .functionals import (
     MomentFunctional,
     TwoStatePair,
     family,
+    moments_from_jacobi,
 )
 
 
@@ -203,8 +204,6 @@ def decode(doc):
 
 def as_functional(value, order):
     """Coerce a decoded document to a MomentFunctional at the given order."""
-    from .functionals import moments_from_jacobi
-
     if isinstance(value, MomentFunctional):
         if order is None:
             return value

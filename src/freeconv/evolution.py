@@ -17,16 +17,16 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import get_args
 
 from .coeffs import (
     ExactDivisionError,
     ZERO,
     ONE,
+    TPoly,
     as_coeff,
     exact_div,
     formal_t,
-    is_zero,
-    reciprocal,
 )
 from .functionals import (
     CanonicalTriple,
@@ -118,7 +118,7 @@ def strip(mu):
     The output order is mu.order - 2.
     """
     beta, gamma = mu.mean_var()
-    if is_zero(gamma):
+    if not gamma:
         raise ZeroVarianceError("cannot strip a zero-variance functional")
     out = _strip_once(mu, beta, gamma)
     _check_shift("J", mu, out, lambda jp: (jp.betas[1:], jp.gammas[1:]))
@@ -227,8 +227,8 @@ def triple_from_semigroup(mu):
     m_n(rho) = kappa_{n+2}/gamma."""
     r = r_from_moments(mu)
     beta, gamma = r.coeff(1), r.coeff(2)
-    if is_zero(gamma):
-        if any(not is_zero(r.coeff(k)) for k in range(3, mu.order + 1)):
+    if not gamma:
+        if any(r.coeff(k) for k in range(3, mu.order + 1)):
             raise ZeroVarianceError(
                 "zero variance with nonzero higher cumulants: not a "
                 "finite-variance semigroup element")
@@ -405,18 +405,19 @@ def _rand_q(rng, span=3, den=3, nonzero=False):
             return x
 
 
+# The classes an entry parameter may have, as its annotation states: a
+# coefficient, or a value ``_functional`` makes a moment functional of.
+Coeff = int | Fraction | TPoly
+Functional = MomentFunctional | JacobiParams | str
+
+
 class _BadParameter(ValueError):
     """(value, problem) of a supplied entry parameter of the wrong kind."""
 
 
 def _q(value, default):
-    """A supplied rational (or Q[t] element), or ``default`` when None."""
-    if value is None:
-        return default
-    try:
-        return as_coeff(value)
-    except TypeError:
-        raise _BadParameter(value, "want a rational") from None
+    """A supplied coefficient, or ``default`` when None."""
+    return default if value is None else as_coeff(value)
 
 
 def _functional(value, order, rng):
@@ -460,8 +461,8 @@ def _delta_bool_phi(beta_c, inner, gamma_c, order):
                             boolean_power(lifted.truncate(order), gamma_c))
 
 
-def _verify_free_evolution(order, rng, beta=None, gamma=None, rho=None,
-                           beta0=None):
+def _verify_free_evolution(order, rng, beta: Coeff = None, gamma: Coeff = None,
+                           rho: Functional = None, beta0: Coeff = None):
     beta = _q(beta, _rand_q(rng))
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
@@ -483,7 +484,8 @@ def _verify_free_evolution(order, rng, beta=None, gamma=None, rho=None,
     return checks, notes
 
 
-def _verify_bn_mean(order, rng, beta=None, gamma=None, rho=None):
+def _verify_bn_mean(order, rng, beta: Coeff = None, gamma: Coeff = None,
+                    rho: Functional = None):
     beta = _q(beta, _rand_q(rng))
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
@@ -505,8 +507,10 @@ def _verify_bn_mean(order, rng, beta=None, gamma=None, rho=None):
     return checks, notes
 
 
-def _verify_monotone_lemma(order, rng, beta_t=None, gamma_t=None, rho_t=None,
-                           beta=None, gamma=None, rho=None):
+def _verify_monotone_lemma(order, rng, beta_t: Coeff = None,
+                           gamma_t: Coeff = None, rho_t: Functional = None,
+                           beta: Coeff = None, gamma: Coeff = None,
+                           rho: Functional = None):
     rel, base = _triples(rng, order - 2, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
     t = formal_t()
@@ -527,13 +531,13 @@ def _verify_monotone_lemma(order, rng, beta_t=None, gamma_t=None, rho_t=None,
 def _thm_b_tilde(rho_t, omega, p, beta_t, gamma_t, s, order):
     """mu~_s = delta_{b~s} uplus Phi[rho~ boxplus omega^{boxplus s/p}]^{uplus g~s}."""
     inner = free_convolve(rho_t.truncate(order - 2),
-                          free_power(omega.truncate(order - 2),
-                                     s * reciprocal(p)))
+                          free_power(omega.truncate(order - 2), s / p))
     return _delta_bool_phi(beta_t * s, inner, gamma_t * s, order)
 
 
-def _verify_thm_b(order, rng, omega=None, rho_t=None, p=None, beta_t=None,
-                  gamma_t=None):
+def _verify_thm_b(order, rng, omega: Functional = None,
+                  rho_t: Functional = None, p: Coeff = None,
+                  beta_t: Coeff = None, gamma_t: Coeff = None):
     omega = _functional(omega, order, rng)
     rho_t = _functional(rho_t, order, rng)
     p = _q(p, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
@@ -541,7 +545,7 @@ def _verify_thm_b(order, rng, omega=None, rho_t=None, p=None, beta_t=None,
     gamma_t = _q(gamma_t, _rand_q(rng, nonzero=True))
     t = formal_t()
     checks, notes = [], []
-    mu = free_power(subordination(omega, rho_t), reciprocal(p))
+    mu = free_power(subordination(omega, rho_t), ONE / p)
 
     def make_pair(s):
         return TwoStatePair(
@@ -550,16 +554,15 @@ def _verify_thm_b(order, rng, omega=None, rho_t=None, p=None, beta_t=None,
 
     pair_t = make_pair(t)
     stripped = free_convolve(rho_t.truncate(order - 2),
-                             free_power(omega.truncate(order - 2),
-                                        t * reciprocal(p)))
+                             free_power(omega.truncate(order - 2), t / p))
     checks.append(check_eq("J[mu~_t] = rho~ boxplus omega^{boxplus t/p}",
                         strip(pair_t.tilde), stripped))
     chain = monotone_convolve(rho_t, free_power(mu, t))
-    full = free_convolve(rho_t, free_power(omega, t * reciprocal(p)))
+    full = free_convolve(rho_t, free_power(omega, t / p))
     checks.append(check_eq("rho~ boxplus omega^{t/p} = rho~ |> mu_t",
                         full, chain))
     lhs_phi = voiculescu_phi(rho_t) + voiculescu_phi(omega).scale(
-        t * reciprocal(p))
+        t / p)
     rhs_phi = voiculescu_phi(chain)
     checks.append(check_eq("phi_{rho~} + (t/p) phi_omega = phi_{rho~ |> mu_t}",
                         lhs_phi, rhs_phi))
@@ -576,7 +579,8 @@ def _verify_thm_b(order, rng, omega=None, rho_t=None, p=None, beta_t=None,
     return checks, notes
 
 
-def _verify_subord_id_power(order, rng, mu=None, nu=None):
+def _verify_subord_id_power(order, rng, mu: Functional = None,
+                            nu: Functional = None):
     mu = _functional(mu, order, rng)
     nu = _functional(nu, order, rng)
     t = formal_t()
@@ -586,7 +590,8 @@ def _verify_subord_id_power(order, rng, mu=None, nu=None):
                      lhs, rhs)], []
 
 
-def _verify_subord_id_absorb(order, rng, mu=None, nu_prime=None):
+def _verify_subord_id_absorb(order, rng, mu: Functional = None,
+                             nu_prime: Functional = None):
     mu = _functional(mu, order, rng)
     nu_prime = _functional(nu_prime, order, rng)
     lhs = subordination(mu, free_convolve(mu, nu_prime))
@@ -594,7 +599,9 @@ def _verify_subord_id_absorb(order, rng, mu=None, nu_prime=None):
     return [check_eq("mu |> (mu boxplus nu') = B[mu |> nu']", lhs, rhs)], []
 
 
-def _verify_subord_linear(order, rng, mu=None, nu=None, rho=None, a=None):
+def _verify_subord_linear(order, rng, mu: Functional = None,
+                          nu: Functional = None, rho: Functional = None,
+                          a: Coeff = None):
     mu = _functional(mu, order, rng)
     nu = _functional(nu, order, rng)
     rho = _functional(rho, order, rng)
@@ -619,8 +626,9 @@ def _verify_subord_linear(order, rng, mu=None, nu=None, rho=None, a=None):
     return checks, []
 
 
-def _verify_meixner_subord(order, rng, b=None, c=None, beta=None, gamma=None,
-                           beta2=None, gamma2=None):
+def _verify_meixner_subord(order, rng, b: Coeff = None, c: Coeff = None,
+                           beta: Coeff = None, gamma: Coeff = None,
+                           beta2: Coeff = None, gamma2: Coeff = None):
     b, c, beta, gamma, beta2, gamma2 = _meixner_params(
         rng, b, c, beta, gamma, beta2, gamma2)
     lhs = subordination(free_meixner(b, c, beta2, gamma2, order),
@@ -630,8 +638,9 @@ def _verify_meixner_subord(order, rng, b=None, c=None, beta=None, gamma=None,
         "mu_{b,c,b',g'} |> mu_{b,c,b,g} = mu_{b+b,c+g,b',g'}", lhs, rhs)], []
 
 
-def _verify_meixner_monotone(order, rng, b=None, c=None, beta=None,
-                             gamma=None, beta2=None, gamma2=None):
+def _verify_meixner_monotone(order, rng, b: Coeff = None, c: Coeff = None,
+                             beta: Coeff = None, gamma: Coeff = None,
+                             beta2: Coeff = None, gamma2: Coeff = None):
     b, c, beta, gamma, beta2, gamma2 = _meixner_params(
         rng, b, c, beta, gamma, beta2, gamma2)
     checks = [
@@ -652,7 +661,7 @@ def _verify_meixner_monotone(order, rng, b=None, c=None, beta=None,
     return checks, []
 
 
-def _verify_bt_semigroup(order, rng, mu=None):
+def _verify_bt_semigroup(order, rng, mu: Functional = None):
     mu = _functional(mu, order, rng)
     t = formal_t()
     s, u = Fraction(1, 2), Fraction(1, 3)
@@ -672,7 +681,8 @@ def _verify_bt_semigroup(order, rng, mu=None):
     return checks, []
 
 
-def _verify_prop_equiv_b(order, rng, rho_t=None, tau=None):
+def _verify_prop_equiv_b(order, rng, rho_t: Functional = None,
+                         tau: Functional = None):
     rho_t = _functional(rho_t, order, rng)
     tau = _functional(tau, order, rng)
     t = formal_t()
@@ -685,8 +695,9 @@ def _verify_prop_equiv_b(order, rng, rho_t=None, tau=None):
         "theta_t = F_{(tau |> rho~)^{boxplus t}}", lhs, rhs)], []
 
 
-def _verify_general_b(order, rng, b_t=None, c_t=None, beta=None, gamma=None,
-                      rho=None):
+def _verify_general_b(order, rng, b_t: Coeff = None, c_t: Coeff = None,
+                      beta: Coeff = None, gamma: Coeff = None,
+                      rho: Functional = None):
     b_t = _q(b_t, _rand_q(rng))
     c_t = _q(c_t, _rand_q(rng, nonzero=True))
     beta = _q(beta, _rand_q(rng))
@@ -698,14 +709,16 @@ def _verify_general_b(order, rng, b_t=None, c_t=None, beta=None, gamma=None,
     mu = maassen_semigroup(CanonicalTriple(beta, gamma, rho), 1, order)
     lhs = free_power(
         subordination(free_convolve(point_mass(-u, order), rho_t), rho_t),
-        reciprocal(p))
+        ONE / p)
     return [check_eq(
         "((delta_{-u} boxplus rho~) |> rho~)^{boxplus 1/p} = mu", lhs, mu)], []
 
 
-def _verify_two_state_meixner(order, rng, b_t=None, b=None, beta_t=None,
-                              gamma_t=None, beta=None, c_t=None, c=None,
-                              gamma=None, t=None):
+def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
+                              beta_t: Coeff = None, gamma_t: Coeff = None,
+                              beta: Coeff = None, c_t: Coeff = None,
+                              c: Coeff = None, gamma: Coeff = None,
+                              t: Coeff = None):
     b_t = _q(b_t, _rand_q(rng))
     b = _q(b, _rand_q(rng))
     beta_t = _q(beta_t, _rand_q(rng))
@@ -769,7 +782,7 @@ def _verify_two_state_meixner(order, rng, b_t=None, b=None, beta_t=None,
 
 
 def _verify_counterexample_r(order, rng):
-    eps = formal_t("eps")
+    eps = formal_t()  # the one parameter of Q[t], here read as eps
     moments = [eps ** n if n % 2 == 0 else ZERO for n in range(1, order + 1)]
     two_point = MomentFunctional(order, moments)
     kappa = r_from_moments(two_point)
@@ -790,8 +803,9 @@ def _verify_counterexample_r(order, rng):
     return checks, []
 
 
-def _verify_pde(order, rng, beta_t=None, gamma_t=None, rho_t=None, beta=None,
-                gamma=None, rho=None):
+def _verify_pde(order, rng, beta_t: Coeff = None, gamma_t: Coeff = None,
+                rho_t: Functional = None, beta: Coeff = None,
+                gamma: Coeff = None, rho: Functional = None):
     rel, base = _triples(rng, order + 2, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
     res1, res2 = pde_residual(rel, base, order)
@@ -801,8 +815,9 @@ def _verify_pde(order, rng, beta_t=None, gamma_t=None, rho_t=None, beta=None,
     ], []
 
 
-def _verify_generator(order, rng, beta_t=None, gamma_t=None, rho_t=None,
-                      beta=None, gamma=None, rho=None):
+def _verify_generator(order, rng, beta_t: Coeff = None, gamma_t: Coeff = None,
+                      rho_t: Functional = None, beta: Coeff = None,
+                      gamma: Coeff = None, rho: Functional = None):
     rel, base = _triples(rng, order + 4, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
     res = cauchy_evolution_residual(rel, base, order)
@@ -857,7 +872,8 @@ MIN_ORDER = {
 
 
 def entry_params(fn):
-    """Each parameter after order and rng -> the class its value must be."""
+    """Each parameter after order and rng -> the class (or union of classes)
+    its value must be."""
     params = list(inspect.signature(fn, eval_str=True).parameters.values())
     return {p.name: object if p.annotation is p.empty else p.annotation
             for p in params[2:]}
@@ -878,8 +894,9 @@ def _entry_order(kind, catalog, min_order, name, order, high=None, params=()):
             raise ValueError(f"{kind} entry {name!r} takes no parameter {key}; "
                              f"it takes {', '.join(takes) or 'none'}")
         if not isinstance(params[key], takes[key]):
+            want = get_args(takes[key]) or (takes[key],)
             raise ValueError(f"{kind} entry {name!r}: parameter {key}: want "
-                             f"{takes[key].__name__}")
+                             f"{' or '.join(c.__name__ for c in want)}")
     if order is None:
         return default_order
     if order < low or (high is not None and order > high):

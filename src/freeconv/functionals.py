@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .coeffs import ZERO, ONE, as_coeff, exact_div, is_zero
+from .coeffs import ZERO, ONE, as_coeff, exact_div
 
 
 class JacobiDepthError(ValueError):
@@ -138,7 +138,7 @@ class CanonicalTriple:
     def __init__(self, beta, gamma, rho=None):
         self.beta = as_coeff(beta)
         self.gamma = as_coeff(gamma)
-        if is_zero(self.gamma):
+        if not self.gamma:
             if rho is not None:
                 raise ValueError("rho must be absent when gamma = 0")
             self.rho = None
@@ -162,7 +162,7 @@ class JacobiParams:
         if terminated:
             if repeat is not None:
                 raise ValueError("terminated parameters take no repeating tail")
-            if not gammas or not is_zero(gammas[-1]):
+            if not gammas or gammas[-1]:
                 raise ValueError("termination requires a final gamma = 0")
         if repeat is not None:
             repeat = (as_coeff(repeat[0]), as_coeff(repeat[1]))
@@ -233,7 +233,7 @@ def moments_from_jacobi(j, order):
         nv = [ZERO] * size
         for i in range(size):
             c = v[i]
-            if is_zero(c):
+            if not c:
                 continue
             if i < levels_needed:
                 nv[i + 1] = nv[i + 1] + c  # up-step out of level i
@@ -281,7 +281,7 @@ def jacobi_from_moments(mf, levels):
         b, g = work.mean_var()
         betas.append(b)
         gammas.append(g)
-        if is_zero(g):
+        if not g:
             candidate = JacobiParams(betas, gammas, terminated=True)
             if moments_from_jacobi(candidate, mf.order) == mf:
                 return candidate
@@ -364,7 +364,7 @@ def _add_diagonal(p, m):
         j = s - k
         c = prev[j]
         for i in range(1, j + 1):
-            if not is_zero(m[i]):
+            if m[i]:
                 c = c + m[i] * prev[j - i]
         p[k].append(c)
     p.append([p[0][0]])
@@ -383,7 +383,7 @@ def _substitute_at(a, p, n):
     """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
     s = None
     for k in range(1, n + 1):
-        if not is_zero(a[k]):
+        if a[k]:
             t = a[k] * p[k][n - k]
             s = t if s is None else s + t
     return 0 if s is None else s

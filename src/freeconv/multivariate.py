@@ -36,9 +36,9 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import ZERO, ONE, as_coeff, formal_t, is_zero
+from .coeffs import ZERO, ONE, as_coeff, formal_t
 from .convolutions import free_convolve, free_power
-from .evolution import (VerifyReport, _BadParameter, _entry_order, _q,
+from .evolution import (Coeff, VerifyReport, _BadParameter, _entry_order, _q,
                         _run_entry, check_eq, maassen_semigroup, strip,
                         subordination_inverse, two_state_semigroup)
 from .functionals import (CanonicalTriple, JacobiParams, MomentFunctional,
@@ -83,7 +83,7 @@ class NCFunctional:
             if any(not 1 <= x <= d for x in w):
                 raise ValueError(f"word {w} outside alphabet 1..{d}")
             c = as_coeff(c)
-            if not is_zero(c):
+            if c:
                 clean[w] = c
         self._m = clean
 
@@ -232,7 +232,7 @@ def _fill_words(d, order, coeff):
     out = {}
     for w in words(d, order):
         c = coeff(w, out)
-        if not is_zero(c):
+        if c:
             out[w] = c
     return out
 
@@ -315,14 +315,11 @@ def nc_boolean_power(a, t):
 def nc_phi(nu):
     """eta^{Phi[nu]} = sum_i z_i (1 + M^nu) z_i; output order nu.order + 2."""
     d, order = nu.d, nu.order + 2
-    if order > MAX_NC_ORDER:
-        order = MAX_NC_ORDER
     eta = {}
     for i in range(1, d + 1):
         eta[(i, i)] = ONE
         for w, c in nu.items():
-            if len(w) + 2 <= order:
-                eta[(i,) + w + (i,)] = c
+            eta[(i,) + w + (i,)] = c
     return nc_moments_from_eta(eta, d, order)
 
 
@@ -395,7 +392,7 @@ def _nc_verify_composition(order, rng, d=2, mu: NCFunctional = None,
 
 def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
                           tau: NCFunctional = None, beta_t: list = None,
-                          gamma_t=None):
+                          gamma_t: Coeff = None):
     rho_t = _nc_functional(rho_t, rng, d, order)
     tau = _nc_functional(tau, rng, d, order)
     if beta_t is None:
@@ -427,10 +424,12 @@ def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
     return checks, []
 
 
-def _nc_verify_recover_tau(order, rng, b_t=Fraction(1, 2), c_t=Fraction(2),
-                           b=Fraction(-1), c=Fraction(1), beta_t=Fraction(1),
-                           gamma_t=Fraction(3, 2), beta=Fraction(1, 3),
-                           gamma=Fraction(2), t=Fraction(1)):
+def _nc_verify_recover_tau(order, rng, b_t: Coeff = Fraction(1, 2),
+                           c_t: Coeff = Fraction(2), b: Coeff = Fraction(-1),
+                           c: Coeff = Fraction(1), beta_t: Coeff = Fraction(1),
+                           gamma_t: Coeff = Fraction(3, 2),
+                           beta: Coeff = Fraction(1, 3),
+                           gamma: Coeff = Fraction(2), t: Coeff = Fraction(1)):
     # d = 1 reduction: recover tau from a two-state free Meixner semigroup and
     # reproduce its Jacobi display, cross-checked against the single-variable path.
     b_t, c_t, b, c, beta_t, gamma_t, beta, gamma, t = (

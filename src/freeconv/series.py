@@ -35,8 +35,6 @@ from .coeffs import (
     _common,
     _convolve,
     as_coeff,
-    is_zero,
-    reciprocal,
     t_derivative,
 )
 
@@ -98,11 +96,11 @@ class TruncSeries:
         return self._c
 
     def is_zero(self):
-        return all(is_zero(c) for c in self._c)
+        return not any(self._c)
 
     def valuation(self):
         for k, c in enumerate(self._c):
-            if not is_zero(c):
+            if c:
                 return k
         return self.order + 1
 
@@ -134,11 +132,11 @@ class TruncSeries:
         out = [ZERO] * (n + 1)
         for i in range(n + 1):
             a = self._c[i]
-            if is_zero(a):
+            if not a:
                 continue
             for j in range(n + 1 - i):
                 b = other._c[j]
-                if not is_zero(b):
+                if b:
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(n, out)
 
@@ -153,12 +151,12 @@ class TruncSeries:
 
     def shift_down(self, k):
         """Divide by z^k; the low-order coefficients must vanish."""
-        if any(not is_zero(c) for c in self._c[:k]):
+        if any(self._c[:k]):
             raise ValueError(f"series not divisible by z^{k}")
         return TruncSeries(self.order - k, self._c[k:])
 
     def reciprocal(self):
-        if is_zero(self._c[0]):
+        if not self._c[0]:
             raise NotInvertibleError("constant term is zero")
         if _rational(self._c):
             # self = A/d with A = a_0 + a_1 z + ... in Z[z], and 1/A has
@@ -178,7 +176,7 @@ class TruncSeries:
                 out.append(Fraction(d * x, p))
                 p *= a0
             return _series(self.order, out)
-        inv0 = reciprocal(self._c[0])
+        inv0 = ONE / self._c[0]
         out = [inv0]
         for k in range(1, self.order + 1):
             s = ZERO
@@ -191,7 +189,7 @@ class TruncSeries:
         """self(inner(z)); inner must have zero constant term."""
         if not isinstance(inner, TruncSeries):
             raise TypeError("inner must be a TruncSeries")
-        if not is_zero(inner.coeff(0)):
+        if inner.coeff(0):
             raise CompositionDomainError("inner constant term must vanish")
         n = min(self.order, inner.order)
         f, h = self._c[: n + 1], inner._c[: n + 1]
@@ -199,7 +197,7 @@ class TruncSeries:
             # Horner from the top coefficient down, on ints over one
             # denominator: acc <- acc * inner + c_k, reduced once per step.
             g, gd = _common(h)
-            acc = _canonical([f[n].numerator], f[n].denominator, None, 1)
+            acc = _canonical([f[n].numerator], f[n].denominator, 1)
             for c in reversed(f[:n]):
                 den = acc.den * gd
                 nums = _convolve(acc.nums, g, n + 1)
@@ -208,7 +206,7 @@ class TruncSeries:
                     nums = [x * s for x in nums]
                 nums[0] += c.numerator * (den * s // c.denominator)
                 den *= s
-                acc = _canonical(nums, den, None, den)
+                acc = _canonical(nums, den, den)
             return _from_ints(n, acc.nums, acc.den)
         # Horner evaluation from the top coefficient down.
         acc = TruncSeries(n, (self.coeff(n),))
@@ -218,12 +216,12 @@ class TruncSeries:
 
     def reversion(self):
         """Compositional inverse; requires c_0 = 0 and c_1 invertible."""
-        if not is_zero(self._c[0]):
+        if self._c[0]:
             raise CompositionDomainError("reversion needs zero constant term")
-        if is_zero(self.coeff(1)):
+        if not self.coeff(1):
             raise NotInvertibleError("linear coefficient is zero")
         n = self.order
-        inv1 = reciprocal(self.coeff(1))
+        inv1 = ONE / self.coeff(1)
         out = [ZERO, inv1] + [ZERO] * (n - 1)
         for k in range(2, n + 1):
             partial = TruncSeries(k, out[: k + 1])
@@ -246,7 +244,7 @@ class TruncSeries:
     def __repr__(self):
         parts = []
         for k, c in enumerate(self._c):
-            if not is_zero(c):
+            if c:
                 parts.append(f"({c})" + ("" if k == 0 else f"*z^{k}"))
         body = " + ".join(parts) if parts else "0"
         return f"<TruncSeries order={self.order}: {body}>"
@@ -297,10 +295,10 @@ class LaurentAtInfinity:
         return self.d.coeff(k)
 
     def is_descending(self):
-        return is_zero(self.top)
+        return not self.top
 
     def is_zero(self):
-        return is_zero(self.top) and self.d.is_zero()
+        return not self.top and self.d.is_zero()
 
     def truncate(self, tail_order):
         return LaurentAtInfinity.from_chart(self.top, self.d.truncate(tail_order))
@@ -325,7 +323,7 @@ class LaurentAtInfinity:
 
     def scale(self, c):
         c = as_coeff(c)
-        if not is_zero(self.top) and not (c == 1):
+        if self.top and not (c == 1):
             raise ValueError("cannot scale a series with a z term")
         return LaurentAtInfinity.from_chart(self.top, self.d.scale(c))
 
@@ -342,7 +340,7 @@ class LaurentAtInfinity:
         that order, and a padded zero only meets a zero coefficient below it.
         """
         other = self._promote(other)
-        if not is_zero(self.top) and not is_zero(other.top):
+        if self.top and other.top:
             raise ValueError("product would carry a z^2 term")
         a, b = self._over_z(), other._over_z()
         n = min(a.order + b.valuation(), b.order + a.valuation())
@@ -365,7 +363,7 @@ class LaurentAtInfinity:
 
     def reciprocal_of_monic(self):
         """1/self for top = 1: w / (self/z), a descending series."""
-        if is_zero(self.top) or not (self.top == 1):
+        if not (self.top == 1):
             raise NotInvertibleError("only z - c0 - c1/z - ... is inverted here")
         inv = self._over_z().reciprocal()
         return LaurentAtInfinity.from_chart(
@@ -375,7 +373,7 @@ class LaurentAtInfinity:
         """self(inner(z)) for descending self (top = 0) and monic inner (top = 1)."""
         if not self.is_descending():
             raise CompositionDomainError("outer series must have no z term")
-        if is_zero(inner.top) or not (inner.top == 1):
+        if not (inner.top == 1):
             raise CompositionDomainError("inner series must be z - c0 - ...")
         return LaurentAtInfinity.from_chart(
             ZERO, self.d.compose(inner.reciprocal_of_monic().d))
@@ -387,12 +385,12 @@ class LaurentAtInfinity:
 
     def __repr__(self):
         parts = []
-        if not is_zero(self.top):
+        if self.top:
             parts.append("z")
-        if not is_zero(self.d.coeff(0)):
+        if self.d.coeff(0):
             parts.append(f"({self.d.coeff(0)})")
         for k in range(1, self.tail_order + 1):
-            if not is_zero(self.d.coeff(k)):
+            if self.d.coeff(k):
                 parts.append(f"({self.d.coeff(k)})/z^{k}")
         body = " + ".join(parts) if parts else "0"
         return f"<Laurent tail_order={self.tail_order}: {body}>"

@@ -8,7 +8,7 @@ with the triangular-solve kernels they check.
 
 from __future__ import annotations
 
-from freeconv.coeffs import ZERO, ONE, as_coeff, is_zero, reciprocal
+from freeconv.coeffs import ZERO, ONE, as_coeff
 from freeconv.multivariate import MAX_NC_ORDER
 from freeconv.series import NotInvertibleError
 
@@ -31,7 +31,7 @@ class NCSeries:
             if any(not 1 <= x <= d for x in w):
                 raise ValueError(f"word {w} outside alphabet 1..{d}")
             c = as_coeff(c)
-            if not is_zero(c):
+            if c:
                 clean[w] = c
         self._c = clean
 
@@ -86,9 +86,9 @@ class NCSeries:
     def reciprocal(self):
         """Two-sided inverse; requires a nonzero empty-word coefficient."""
         c0 = self._c.get((), ZERO)
-        if is_zero(c0):
+        if not c0:
             raise NotInvertibleError("empty-word coefficient is zero")
-        inv0 = reciprocal(c0)
+        inv0 = ONE / c0
         rest = NCSeries(self.d, self.order,
                         {w: c for w, c in self._c.items() if w}).scale(inv0)
         # geometric series in the valuation-positive part

@@ -257,7 +257,7 @@ def test_criterion_09_counterexample_series():
     rep = verify("counterexample-r", order=10)
     assert rep.verified, rep.checks
     # the same comparison, spelled out: kappa_{2k} of the two-point functional
-    eps = formal_t("eps")
+    eps = formal_t()
     two_point = MomentFunctional(
         10, [eps ** n if n % 2 == 0 else F(0) for n in range(1, 11)])
     kappa = r_from_moments(two_point)

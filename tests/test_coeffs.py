@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv.coeffs import (
+    ONE,
     ExactDivisionError,
-    RingMismatchError,
     TPoly,
     exact_div,
     formal_t,
@@ -41,6 +41,8 @@ def test_fraction_promotion_both_sides():
     assert t + F(1, 2) == poly(F(1, 2), 1)
     assert F(2) * t == poly(0, 2)
     assert 3 - t == poly(3, -1)
+    assert TPoly.constant(2) + t == poly(2, 1) == t + TPoly.constant(2)
+    assert formal_t() + formal_t() == 2 * t  # one parameter
 
 
 def test_exact_division():
@@ -54,6 +56,11 @@ def test_exact_division():
     assert (t * t * 3) / t == poly(0, 3)
     with pytest.raises(ExactDivisionError):
         (1 + t) / t
+    # exact_div promotes either side
+    assert exact_div(t * t, t) == t and exact_div(1, 1 + t - t) == 1
+    assert exact_div(3, TPoly.constant(4)) == F(3, 4)
+    with pytest.raises(ExactDivisionError):
+        exact_div(1, 1 + t)
 
 
 def test_division_by_zero():
@@ -64,20 +71,22 @@ def test_division_by_zero():
         exact_div(F(1), F(0))
 
 
-def test_reciprocal_needs_cap():
+def test_one_over_a_tpoly_inverts_only_constants():
     t = formal_t()
-    with pytest.raises(ExactDivisionError):
-        (1 + t).reciprocal()
-    assert TPoly((F(2),)).reciprocal() == F(1, 2)
+    inv = ONE / TPoly((F(-2),))
+    assert isinstance(inv, TPoly) and inv == F(-1, 2)
+    for p in (1 + t, t):
+        with pytest.raises(ExactDivisionError):
+            ONE / p
+    with pytest.raises(ZeroDivisionError):
+        ONE / TPoly(())
 
 
-def test_ring_mismatch():
-    t = formal_t("t")
-    eps = formal_t("eps")
-    with pytest.raises(RingMismatchError):
-        t + eps
-    # constants cross rings freely
-    assert TPoly((F(2),), var="t") + eps == TPoly((2, 1), var="eps")
+def test_truthiness_is_the_zero_test():
+    t = formal_t()
+    for x in (0, 3, F(0), F(-1, 2), TPoly(()), TPoly((0, 0)), TPoly((F(0),)),
+              TPoly.constant(5), t, t - t, (1 + t) * (1 - t)):
+        assert bool(x) == (x != 0)
 
 
 def test_evaluate_and_derivative():
@@ -210,34 +219,34 @@ def test_ring_scalars_and_constants(seed, da):
         else:
             with pytest.raises(ZeroDivisionError):
                 pa / c
-        # a constant equals and hashes like its Fraction, whatever its ring
-        const = TPoly.constant(c, var=rng.choice(("t", "s")))
+        # a constant equals and hashes like its Fraction
+        const = TPoly.constant(c)
         assert _canonical(const, mc)
         assert const == c and c == const and const == F(c)
         assert hash(const) == hash(F(c)) == hash(c)
-        assert not const.nums or _canonical(const.reciprocal(), (1 / F(c),))
+        assert not const.nums or _canonical(ONE / const, (1 / F(c),))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 6))
-def test_ring_constants_adopt_the_other_variable(seed, da):
+def test_ring_constants_promote_on_both_sides(seed, da):
     rng = random.Random(seed)
     ma = _strip(_rand_coeffs(rng, da) + [F(rng.randint(1, 9))])
-    pa = TPoly(ma, var="t")
+    pa = TPoly(ma)
     c = F(rng.randint(-9, 9), rng.randint(1, 9))
-    const = TPoly.constant(c, var="s")
-    for p in (pa + const, const + pa, pa * const, const * pa, const - pa,
-              pa - const, pa / (const or 1)):
-        assert isinstance(p, TPoly) and p.var == "t"
-    assert _canonical(const + pa, _m_add(ma, (c,) if c else ()))
-    assert _canonical(const * pa, _m_mul(ma, (c,) if c else ()))
-    if c:
-        with pytest.raises(ExactDivisionError):
-            const / pa
-    else:
-        assert _canonical(const / pa, ()) and (const / pa).var == "t"
-    assert TPoly(ma, var="s") != pa
-    with pytest.raises(RingMismatchError):
-        pa + TPoly(ma, var="s")
-    with pytest.raises(RingMismatchError):
-        pa * TPoly(ma, var="s")
+    mc = (c,) if c else ()
+    for const in (TPoly.constant(c), c):
+        assert _canonical(const + pa, _m_add(ma, mc))
+        assert _canonical(pa + const, _m_add(ma, mc))
+        assert _canonical(const - pa, _m_add(mc, [-x for x in ma]))
+        assert _canonical(pa - const, _m_add(ma, [-x for x in mc]))
+        assert _canonical(const * pa, _m_mul(ma, mc))
+        assert _canonical(pa * const, _m_mul(ma, mc))
+        if c:
+            assert _canonical(pa / const, tuple(x / c for x in ma))
+            with pytest.raises(ExactDivisionError):
+                const / pa
+        else:
+            assert _canonical(const / pa, ())
+            with pytest.raises(ZeroDivisionError):
+                pa / const

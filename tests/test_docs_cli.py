@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import freeconv
-from freeconv import docs, evolution, oracle
+from freeconv import cli, docs, evolution, oracle
 from freeconv.cli import build_parser, run
 from freeconv.coeffs import formal_t
 from freeconv.docs import DocumentError
@@ -547,13 +547,35 @@ def test_a_wrong_kind_parameter_shared_by_two_keys_is_named_by_value(
     value = object()
 
     def entry(order, rng, a=None, b=None):
-        evolution._q(a, None)
+        evolution._functional(a, order, rng)
 
     monkeypatch.setitem(evolution.CATALOG, "pde", (entry, 4))
-    with pytest.raises(ValueError, match="parameter a: want a rational"):
+    with pytest.raises(ValueError, match="parameter a: want a moment functional"):
         evolution.verify("pde", params={"a": value, "b": 1})
     with pytest.raises(ValueError, match="parameter value <object"):
         evolution.verify("pde", params={"a": value, "b": value})
+
+
+@pytest.mark.parametrize("param", ("mu=1/2", "beta=bernoulli", "gamma_t=DOC"))
+def test_cli_verify_all_rejects_a_wrong_kind_parameter_before_any_entry_runs(
+        param, monkeypatch, tmp_path, capsys):
+    """Each entry's annotations name the classes it takes, so `verify all`
+    rejects a parameter no entry takes in that class up front."""
+    ran = []
+    monkeypatch.setattr(cli, "verify", lambda name, **kw: ran.append(name))
+    monkeypatch.setattr(cli, "nc_verify", lambda name, **kw: ran.append(name))
+    param = param.replace("DOC", write(tmp_path, "mu.json", bernoulli_doc(8)))
+    assert run(["verify", "all", "--order", "16", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert f"no entry takes parameter {param.split('=')[0]}" in captured.err
+
+
+def test_every_entry_parameter_is_annotated_with_what_it_accepts():
+    for catalog in (evolution.CATALOG, NC_CATALOG):
+        for name, (fn, _) in catalog.items():
+            for key, cls in evolution.entry_params(fn).items():
+                assert cls is not object or key == "d", (name, key)
 
 
 @pytest.mark.parametrize("argv", (

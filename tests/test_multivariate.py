@@ -13,6 +13,7 @@ from freeconv.evolution import (
 )
 from freeconv.functionals import MomentFunctional
 from freeconv.multivariate import (
+    MAX_NC_ORDER,
     NC_CATALOG,
     NC_MIN_ORDER,
     NCFunctional,
@@ -266,6 +267,14 @@ def test_phi_map_zero_example():
     assert phi0.m((1, 2)) == 0
     assert phi0.m((1, 1, 2, 2)) == 1
     assert phi0.m((1, 2, 2, 1)) == 0
+
+
+def test_phi_map_output_order_is_two_more_or_rejected():
+    for order in range(1, MAX_NC_ORDER - 1):
+        assert nc_phi(nc_zero(2, order)).order == order + 2
+    for order in (MAX_NC_ORDER - 1, MAX_NC_ORDER):
+        with pytest.raises(ValueError, match="order must be in"):
+            nc_phi(nc_zero(1, order))
 
 
 def test_bp_bijection():

@@ -145,6 +145,8 @@ def belinschi_nica(mu, t):
     s^{#blocks(pi)} times free cumulants of mu, with at least one block.
     """
     s = 1 + as_coeff(t)
+    if not s:
+        raise ZeroDivisionError("B_t divides by 1 + t, which is 0 at t = -1")
     eta = eta_from_moments(free_power(mu, s))
     return moments_from_eta(
         TruncSeries(mu.order, [c / s for c in eta.coeffs()]), mu.order)
@@ -411,6 +413,16 @@ Coeff = int | Fraction | TPoly
 Functional = MomentFunctional | JacobiParams | str
 
 
+class _NonzeroCoeffType(type):
+    def __instancecheck__(cls, value):
+        return isinstance(value, Coeff) and bool(value)
+
+
+class NonzeroCoeff(metaclass=_NonzeroCoeffType):
+    """The annotation of a coefficient an entry divides by: a Coeff other
+    than zero, so that a zero is rejected before the entry runs."""
+
+
 class _BadParameter(ValueError):
     """(value, problem) of a supplied entry parameter of the wrong kind."""
 
@@ -536,7 +548,7 @@ def _thm_b_tilde(rho_t, omega, p, beta_t, gamma_t, s, order):
 
 
 def _verify_thm_b(order, rng, omega: Functional = None,
-                  rho_t: Functional = None, p: Coeff = None,
+                  rho_t: Functional = None, p: NonzeroCoeff = None,
                   beta_t: Coeff = None, gamma_t: Coeff = None):
     omega = _functional(omega, order, rng)
     rho_t = _functional(rho_t, order, rng)

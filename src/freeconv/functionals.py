@@ -304,30 +304,42 @@ def _moment_table(mf):
     return [ONE] + list(mf.moments())
 
 
+def _grade(pairs, d=1):
+    """D grown from ``d`` so that q divides D^k for every (k, a/q) in
+    ``pairs``: D <- D q / gcd(q, D^k), in their order.  None when some
+    coefficient is not a ``Fraction``, or one with k = 0 is not an integer.
+    The graded integer paths of the single- and multi-variate solves share
+    this rule."""
+    for k, c in pairs:
+        if type(c) is not Fraction:
+            return None
+        q = c.denominator
+        if q != 1:
+            if not k:
+                return None
+            dk = d ** k
+            if dk % q:
+                d *= q // gcd(q, dk)
+    return d
+
+
 def _scale_in(*seqs):
     """(D, seqs as ints): the graded integer inputs of one solve over Q.
 
     When every coefficient is a ``Fraction`` and every constant term an
-    integer, D is the product of the factors each coefficient c_k = a/q
-    still needs, D <- D q / gcd(q, D^k) in degree order, so that q divides
-    D^k; the k-th entry of each sequence becomes the int c_k D^k.  Under
-    z -> Dz every solve is a weight-homogeneous recursion with integer
-    coefficients and [z^k] W^k = 1, so the kernels keep the entries
-    integral, and ``_scale_out`` divides output k by D^k.  Otherwise D is
-    None and the sequences come back as they are, for the generic path.
+    integer, D comes from ``_grade`` over the coefficients c_k = a/q in
+    degree order, so that q divides D^k; the k-th entry of each sequence
+    becomes the int c_k D^k.  Under z -> Dz every solve is a
+    weight-homogeneous recursion with integer coefficients and
+    [z^k] W^k = 1, so the kernels keep the entries integral, and
+    ``_scale_out`` divides output k by D^k.  Otherwise D is None and the
+    sequences come back as they are, for the generic path.
     """
     d = 1
     for cs in seqs:
-        for k, c in enumerate(cs):
-            if type(c) is not Fraction:
-                return None, seqs
-            q = c.denominator
-            if q != 1:
-                if not k:
-                    return None, seqs
-                dk = d ** k
-                if dk % q:
-                    d *= q // gcd(q, dk)
+        d = _grade(enumerate(cs), d)
+        if d is None:
+            return None, seqs
     scaled = []
     for cs in seqs:
         row, dk = [], 1

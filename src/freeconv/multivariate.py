@@ -2,11 +2,11 @@
 
 Functionals are maps from words over {1..d} (length <= N) to coefficients,
 with the empty word at 1.  The transform equations are the same as in one
-variable, with W_i = z_i(1+M), and every site composes three private kernels
-over sparse word dicts (a missing word is zero): _apply_w_substitution(a, m,
-w) = [x_w] A(W_1, ..., W_d); _split_sum(left, right, w), the sum over
-w = uv of left[u] right[v], which multiplies or divides by (1+M); and
-_fill_words, which fills a word dict in length order.
+variable, with W_i = z_i(1+M), and every site is one rule over sparse word
+dicts (a missing word is zero): _fill_words fills a word dict in length
+order, handing the rule s = [x_w] A(W_1, ..., W_d) for the word dicts of A
+and M it is given; _split_sum(left, right, w), the sum over w = uv of
+left[u] right[v], multiplies or divides by (1+M).
 
     R(W) = M                      nc_r (solve), nc_moments_from_r (forward)
     eta = M (1+M)^{-1}            nc_eta (divide), nc_moments_from_eta
@@ -22,8 +22,12 @@ _fill_words, which fills a word dict in length order.
 A solve stores a[w] only after solving for it, so the substitution skips the
 term that carries a[w].  Substituting z_i -> z_i(1+M) places (1+M) to the
 right of each letter, following the displayed order of the defining
-equations; the coefficient extraction runs over the subsets of letter
-positions containing the first position, with the gaps carrying moments.
+equations.  _fill_words extracts the coefficient by a recursion over the
+prefixes of the letters of A that a word's letters carry, one state table
+per fill; _apply_w_substitution reads [x_w] A(W) from it, once per word.
+Over Q every fill runs on ints graded by word length (_grade_words, the
+rule of functionals._scale_in), and Q[t] or mixed inputs take the same
+kernels on their coefficients as they are.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.
@@ -34,7 +38,6 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import lru_cache
 
 from .coeffs import ZERO, ONE, as_coeff, formal_t
 from .convolutions import free_convolve, free_power
@@ -42,16 +45,18 @@ from .evolution import (Coeff, VerifyReport, _BadParameter, _entry_order, _q,
                         _run_entry, check_eq, maassen_semigroup, strip,
                         subordination_inverse, two_state_semigroup)
 from .functionals import (CanonicalTriple, JacobiParams, MomentFunctional,
-                          free_meixner, jacobi_from_moments, semicircular)
+                          _grade, free_meixner, jacobi_from_moments,
+                          semicircular)
 
 MAX_NC_ORDER = 8
 
-# The largest alphabet a word-layer verify entry may run at.  The number of
-# words grows as d^order: composition, the slowest entry, took 38 s at d = 3
-# and order MAX_NC_ORDER, and at d = 4 took 5.5 s at order 6 and 39 s at
-# order 7 (CPython 3.11, one core of a 2-core x86 host), so d = 4 at order 8
-# would run for minutes.  It is a constant, not a flag; nc_verify rejects a
-# larger d before any entry runs.
+# The largest alphabet a word-layer verify entry may run at: the largest d
+# at which every entry runs within about 40 s at order MAX_NC_ORDER.  The
+# number of words grows as d^order.  At order 8, composition takes 1.3 s at
+# d = 3 and 11 s at d = 4; final-prop, the slowest entry because its formal
+# t keeps its fills on Q[t] arithmetic, takes 6 s at d = 3 but 42 s and
+# 270 MB at d = 4 (CPython 3.11, one core of a 2-core x86 host).  It is a
+# constant, not a flag; nc_verify rejects a larger d before any entry runs.
 MAX_NC_D = 3
 
 
@@ -171,49 +176,61 @@ def nc_to_univariate(ncf):
                             [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
 
 
-@lru_cache(maxsize=None)
-def _splits(n):
-    """Subsets S of positions {0..n-1} with 0 in S, plus the nonempty gaps.
+def _grade_words(*dicts):
+    """(D, dicts as ints): ``functionals._scale_in`` for word dicts.
 
-    Returned as (marked_positions, gaps) pairs, gaps being the nonempty
-    (start, end) index ranges between consecutive marked positions and after
-    the last.
+    Graded by word length: when every coefficient is a ``Fraction``, c_w
+    becomes the int c_w D^|w|, with D grown by ``functionals._grade``.  Every
+    word transform is weight-homogeneous in |w| and divides by nothing, so a
+    fill on graded inputs stays in Z, and ``_ungrade_words`` divides output w
+    by D^|w|.  Otherwise D is None and the dicts come back as they are.
     """
-    out = []
-    for mask in range(1 << (n - 1)):
-        marked = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1]
-        gaps = tuple((x + 1, y) for x, y in zip(marked, marked[1:] + [n])
-                     if x + 1 < y)
-        out.append((tuple(marked), gaps))
-    return tuple(out)
+    scale = 1
+    for dct in dicts:
+        scale = _grade(zip(map(len, dct), dct.values()), scale)
+        if scale is None:
+            return None, dicts
+    return scale, [{w: c.numerator * (scale ** len(w) // c.denominator)
+                    for w, c in dct.items()} for dct in dicts]
 
 
-def _apply_w_substitution(a, m, w):
-    """[x_w] A(z_1(1+M), ..., z_d(1+M)) for the word dicts a of A and m of M.
+def _ungrade_words(scale, out):
+    """{w: x_w / D^|w|} as Fractions for D = ``scale``, the inverse of
+    ``_grade_words``; out itself when D is None."""
+    if scale is None:
+        return out
+    return {w: Fraction(x, scale ** len(w)) for w, x in out.items()}
 
-    Expands over the subsets of positions carrying the letters of A; the gaps
-    between them (and after the last) carry moments.  A word missing from
-    either dict counts as zero, so a solve for a[w] can call this before it
-    stores a[w].
-    """
-    total = ZERO
-    for marked, gaps in _splits(len(w)):
-        c = a.get(tuple([w[i] for i in marked]))
-        if c is None:
-            continue
-        for x, y in gaps:
-            g = m.get(w[x:y])
-            if g is None:
-                break
-            c = c * g
-        else:
-            total = total + c
-    return total
+
+def _add_products(row, x, y, n_p, n_g, n_i):
+    """row[(p n_g + g) n_i + i] += x[g] y[p n_i + i] for p < n_p, g < n_g and
+    i < n_i.  None marks an absent entry: a product with an absent factor is
+    no term, and an entry that gets no term stays None."""
+    span = n_g * n_i
+    for p in range(n_p):
+        ys = y[p * n_i:(p + 1) * n_i]
+        for g, c in enumerate(x):
+            if c is not None:
+                lo = p * span + g * n_i
+                row[lo:lo + n_i] = [
+                    s if v is None else c * v if s is None else s + c * v
+                    for s, v in zip(row[lo:lo + n_i], ys)]
+
+
+def _apply_w_substitution(row, rank, a, w):
+    """[x_w] A(z_1(1+M), ..., z_d(1+M)) for the word w of that rank: the
+    terms with a gap, row[rank] of ``_fill_words``'s state table, plus a[w]
+    (0 when there is no term).  A solve for a[w] calls this before it stores
+    a[w], so its own unknown drops out."""
+    s, c = row[rank], a.get(w)
+    if c is None:
+        return 0 if s is None else s
+    return c if s is None else s + c
 
 
 def _split_sum(left, right, w):
     """The sum of left[u] * right[v] over the splits w = uv into nonempty words."""
-    s = ZERO
+    s = 0
     for k in range(1, len(w)):
         u = left.get(w[:k])
         if u is not None:
@@ -223,60 +240,109 @@ def _split_sum(left, right, w):
     return s
 
 
-def _fill_words(d, order, coeff):
-    """The sparse dict {w: coeff(w, out)} over words of length 1..order.
+def _fill_words(d, order, coeff, subst=None):
+    """The sparse dict {w: coeff(w, out, s)} over words of length 1..order.
 
     Filled in length order; ``coeff`` may read ``out`` at shorter words, and
-    w itself is stored only after ``coeff`` returns.
+    w itself is stored only after ``coeff`` returns.  Without ``subst``,
+    s = 0.  With ``subst`` = (a, m), s = [x_w] A(W) for the word dicts a of A
+    and m of M, W_i = z_i(1+M); None in place of a or m stands for ``out``.
+
+    The substitution runs by a recursion over prefixes.  With
+    T(v, x) = [x_x] sum over u != () of a_{vu} W_u, so that s = T((), w),
+    the first letter c of x = c.y is the first letter of u, and the moment
+    after it is the part g of y = g.r before the next letter of u:
+
+        T(v, c.y) = m_y a_{vc} + sum over y = g.r, r != () of m_g T(vc, r),
+
+    with m_() = 1.  A state (v, x) has length |v| + |x|.  The term with
+    g = () has the same length and the same word vx, and every other term
+    reads shorter states; the only term with a coefficient as long as the
+    state is a_{vx}, the one without gaps.  So each length L runs in three
+    steps: the states of length L without a_{vx}, longest v first; the words
+    of length L, where a solve finds a_w; and then a_{vx} for every state.
+    A state table is one list per (L, |v|) indexed by the rank of vx among
+    the words of length L, None for a state with no term: about
+    order * d^order states at O(order) work each, local to one fill.
     """
     out = {}
-    for w in words(d, order):
-        c = coeff(w, out)
-        if c:
-            out[w] = c
+    letters = range(1, d + 1)
+    size = [d ** k for k in range(order + 1)]
+    if subst is not None:
+        a, m = (out if f is None else f for f in subst)
+        dense_a, dense_m, states = [None], [None], [None]
+    for n in range(1, order + 1):
+        ws = list(itertools.product(letters, repeat=n))  # by rank
+        if subst is not None:
+            rows = [None] * n
+            rows[n - 1] = [None] * size[n]
+            for j in range(n - 2, -1, -1):  # j = |v|, y = |x| - 1
+                y = n - j - 1
+                row = rows[j + 1][:]
+                _add_products(row, dense_a[j + 1], dense_m[y],
+                              1, size[j + 1], size[y])
+                for k in range(1, y):
+                    _add_products(row, dense_m[k], states[n - k][j + 1],
+                                  size[j + 1], size[k], size[y - k])
+                rows[j] = row
+        for rank, w in enumerate(ws):
+            s = 0 if subst is None else _apply_w_substitution(
+                rows[0], rank, a, w)
+            c = coeff(w, out, s)
+            if c:
+                out[w] = c
+        if subst is not None and n < order:
+            dense_a.append([a.get(w) for w in ws])
+            dense_m.append([m.get(w) for w in ws])
+            rows[0] = None
+            for j in range(1, n):
+                rows[j] = [s if c is None else c if s is None else s + c
+                           for s, c in zip(rows[j], dense_a[n])]
+            states.append(rows)
     return out
 
 
 def nc_r(mu):
     """Word-indexed free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    m = mu._m
-    return _fill_words(mu.d, mu.order, lambda w, kappa: (
-        m.get(w, ZERO) - _apply_w_substitution(kappa, m, w)))
+    scale, (m,) = _grade_words(mu._m)
+    return _ungrade_words(scale, _fill_words(
+        mu.d, mu.order, lambda w, kappa, s: m.get(w, 0) - s, (None, m)))
 
 
 def nc_moments_from_r(kappa, d, order):
     """Forward solve of R(z_i(1+M)) = M."""
-    return NCFunctional(d, order, _fill_words(
-        d, order, lambda w, m: _apply_w_substitution(kappa, m, w)))
+    scale, (kappa,) = _grade_words(kappa)
+    return NCFunctional(d, order, _ungrade_words(scale, _fill_words(
+        d, order, lambda w, m, s: s, (kappa, None))))
 
 
 def nc_eta(mu):
     """Boolean word cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v (u,v nonempty)."""
-    m = mu._m
-    return _fill_words(mu.d, mu.order, lambda w, eta: (
-        m.get(w, ZERO) - _split_sum(eta, m, w)))
+    scale, (m,) = _grade_words(mu._m)
+    return _ungrade_words(scale, _fill_words(
+        mu.d, mu.order, lambda w, eta, _: m.get(w, 0) - _split_sum(eta, m, w)))
 
 
 def nc_moments_from_eta(eta, d, order):
-    return NCFunctional(d, order, _fill_words(d, order, lambda w, m: (
-        eta.get(w, ZERO) + _split_sum(eta, m, w))))
+    scale, (eta,) = _grade_words(eta)
+    return NCFunctional(d, order, _ungrade_words(scale, _fill_words(
+        d, order, lambda w, m, _: eta.get(w, 0) + _split_sum(eta, m, w))))
 
 
 def nc_two_state_r(pair):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for the word two-state R-transform."""
-    eta_t = nc_eta(pair.tilde)
-    m = pair.base._m
-    return _fill_words(pair.d, pair.order, lambda w, kappa: (
-        eta_t.get(w, ZERO) + _split_sum(eta_t, m, w)
-        - _apply_w_substitution(kappa, m, w)))
+    scale, (eta_t, m) = _grade_words(nc_eta(pair.tilde), pair.base._m)
+    return _ungrade_words(scale, _fill_words(
+        pair.d, pair.order, lambda w, _, s: (
+            eta_t.get(w, 0) + _split_sum(eta_t, m, w) - s), (None, m)))
 
 
 def nc_tilde_from_two_state_r(r2, base):
     """Invert: eta~ = R2(z_i(1+M)) (1+M)^{-1}, then moments."""
-    m = base._m
-    eta = _fill_words(base.d, base.order, lambda w, e: (
-        _apply_w_substitution(r2, m, w) - _split_sum(e, m, w)))
-    return nc_moments_from_eta(eta, base.d, base.order)
+    scale, (r2, m) = _grade_words(r2, base._m)
+    eta = _fill_words(base.d, base.order, lambda w, e, s: (
+        s - _split_sum(e, m, w)), (r2, m))
+    return nc_moments_from_eta(_ungrade_words(scale, eta), base.d, base.order)
 
 
 def _combine_cumulants(a, b, cumulants, op, moments):
@@ -336,22 +402,21 @@ def nc_subordination(mu, nu):
     """R^{mu |> nu} (1+M^nu) = R^mu(z_i(1+M^nu)), solved triangularly."""
     order = min(mu.order, nu.order)
     mu, nu = mu.truncate(order), nu.truncate(order)
-    kmu = nc_r(mu)
-    m = nu._m
-    ksub = _fill_words(mu.d, order, lambda w, k: (
-        _apply_w_substitution(kmu, m, w) - _split_sum(k, m, w)))
-    return nc_moments_from_r(ksub, mu.d, order)
+    scale, (kmu, m) = _grade_words(nc_r(mu), nu._m)
+    ksub = _fill_words(mu.d, order, lambda w, k, s: (
+        s - _split_sum(k, m, w)), (kmu, m))
+    return nc_moments_from_r(_ungrade_words(scale, ksub), mu.d, order)
 
 
 def _composition_product(lam, nu):
     """(1 + M^lam)(1 + M^nu(z_i(1+M^lam))) - 1, as a word functional."""
     d, order = lam.d, min(lam.order, nu.order)
     lam, nu = lam.truncate(order), nu.truncate(order)
-    m = lam._m
-    sub = _fill_words(d, order, lambda w, _: (  # M^nu(W_lam)
-        _apply_w_substitution(nu._m, m, w)))
-    return NCFunctional(d, order, _fill_words(d, order, lambda w, _: (
-        sub.get(w, ZERO) + m.get(w, ZERO) + _split_sum(m, sub, w))))
+    scale, (m, b) = _grade_words(lam._m, nu._m)
+    sub = _fill_words(d, order, lambda w, _, s: s, (b, m))  # M^nu(W_lam)
+    return NCFunctional(d, order, _ungrade_words(scale, _fill_words(
+        d, order, lambda w, _, s: sub.get(w, 0) + m.get(w, 0)
+        + _split_sum(m, sub, w))))
 
 
 def nc_subordination_inverse(lam, nu):

@@ -75,10 +75,14 @@ class NCSeries:
         """Concatenation (Cauchy) product; order is non-commutative."""
         self._check(other)
         order = min(self.order, other.order)
+        by_length = [[] for _ in range(order + 1)]
+        for v, b in other._c.items():
+            if len(v) <= order:
+                by_length[len(v)].append((v, b))
         out = {}
         for u, a in self._c.items():
-            for v, b in other._c.items():
-                if len(u) + len(v) <= order:
+            for k in range(order - len(u) + 1):
+                for v, b in by_length[k]:
                     w = u + v
                     out[w] = out.get(w, ZERO) + a * b
         return NCSeries(self.d, order, out)
@@ -108,16 +112,16 @@ class NCSeries:
                 raise ValueError("substitutes must have zero empty-word term")
         order = min([self.order] + [s.order for s in subs])
         total = NCSeries(self.d, order, {(): self._c.get((), ZERO)})
+        prods = {(): NCSeries.one(self.d, order)}  # word -> its substitute
+
+        def product(w):
+            if w not in prods:
+                prods[w] = product(w[:-1]) * subs[w[-1] - 1]
+            return prods[w]
+
         for w, c in self._c.items():
-            if not w:
-                continue
-            prod = None
-            for i in w:
-                prod = subs[i - 1] if prod is None else prod * subs[i - 1]
-                if not prod._c:
-                    break
-            if prod is not None and prod._c:
-                total = total + prod.scale(c)
+            if w:
+                total = total + product(w).scale(c)
         return total
 
     def _check(self, other):

@@ -542,6 +542,31 @@ def test_cli_verify_parameter_of_the_wrong_kind_is_usage_error(
     assert f"parameter {param}:" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", (
+    (["verify", "thm-b", "--param", "p=0"], "parameter p: want NonzeroCoeff"),
+    (["verify", "all", "--param", "p=0"], "no entry takes parameter p"),
+))
+def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
+        argv, message, monkeypatch, capsys):
+    """thm-b divides by p, so p = 0 is a usage error that names p, not a
+    domain error from inside the entry."""
+    ran = []
+    monkeypatch.setattr(cli, "verify", lambda name, **kw: ran.append(name))
+    monkeypatch.setattr(cli, "nc_verify", lambda name, **kw: ran.append(name))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_bt_power_at_t_minus_one_names_the_zero_divisor(tmp_path, capsys):
+    b = write(tmp_path, "b.json", bernoulli_doc(8))
+    assert run(["power", "--op", "bt", "--t", "-1", b]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "domain error: B_t divides by 1 + t, which is 0" in captured.err
+
+
 def test_a_wrong_kind_parameter_shared_by_two_keys_is_named_by_value(
         monkeypatch):
     value = object()

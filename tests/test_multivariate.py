@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv.coeffs import formal_t
+from freeconv import multivariate
+from freeconv.coeffs import TPoly, formal_t
 from freeconv.evolution import (
     bercovici_pata,
     phi_map,
@@ -18,6 +19,7 @@ from freeconv.multivariate import (
     NC_MIN_ORDER,
     NCFunctional,
     NCPair,
+    _composition_product,
     nc_bp,
     nc_bp_inverse,
     nc_boolean_convolve,
@@ -354,3 +356,101 @@ def test_nc_verify_rejects_a_parameter_the_entry_does_not_take():
 def test_composition_identity_d3():
     rep = nc_verify("composition", params={"d": 3}, order=4, seed=42)
     assert rep.verified
+
+
+def _sparse_nc(rng, d, order, denominators):
+    """Word coefficients over 1..order with a third of the words zero."""
+    return {w: F(rng.choice((-3, -1, 1, 2)), rng.choice(denominators))
+            for w in words(d, order) if rng.random() >= 1 / 3}
+
+
+def _six_word_solves(mu, nu, kappa):
+    """The fills that substitute z_i -> z_i(1+M), as word dicts."""
+    d, n = mu.d, mu.order
+    return {
+        "nc_r": nc_r(mu),
+        "nc_moments_from_r": dict(nc_moments_from_r(kappa, d, n).items()),
+        "nc_two_state_r": nc_two_state_r(NCPair(mu, nu)),
+        "nc_tilde_from_two_state_r": dict(
+            nc_tilde_from_two_state_r(kappa, nu).items()),
+        "nc_subordination": dict(nc_subordination(mu, nu).items()),
+        "_composition_product": dict(_composition_product(mu, nu).items()),
+    }
+
+
+def _check_with_series(mu, nu, kappa, out):
+    """Each solve against its defining equation in NCSeries operations."""
+    d, n = mu.d, mu.order
+    one = NCSeries.one(d, n)
+
+    def series(coeffs):
+        return NCSeries(d, n, dict(coeffs))
+
+    def subs(m):
+        return [NCSeries.letter(i, d, n) * (one + m) for i in range(1, d + 1)]
+
+    m_mu, m_nu, k = series(mu.items()), series(nu.items()), series(kappa)
+    r_mu = series(out["nc_r"])
+    assert r_mu.substitute(subs(m_mu)) == m_mu
+    m_k = series(out["nc_moments_from_r"])
+    assert k.substitute(subs(m_k)) == m_k
+    eta_mu = m_mu * (one + m_mu).reciprocal()
+    assert series(out["nc_two_state_r"]).substitute(subs(m_nu)) == \
+        eta_mu * (one + m_nu)
+    m_t = series(out["nc_tilde_from_two_state_r"])
+    assert m_t * (one + m_t).reciprocal() == \
+        k.substitute(subs(m_nu)) * (one + m_nu).reciprocal()
+    m_l = series(out["nc_subordination"])
+    r_l = r_mu.substitute(subs(m_nu)) * (one + m_nu).reciprocal()
+    assert r_l.substitute(subs(m_l)) == m_l
+    assert series(out["_composition_product"]) == \
+        (one + m_mu) * (one + m_nu.substitute(subs(m_mu))) - one
+
+
+def _wrap_first(coeffs):
+    """The coefficients with the first one a constant TPoly."""
+    coeffs = dict(coeffs)
+    for w in coeffs:
+        coeffs[w] = TPoly.constant(coeffs[w])
+        break
+    return coeffs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(d, n) for d in (1, 2, 3) for n in range(1, 8)
+                        if d ** n <= 3 ** 5]),
+       st.sampled_from([(1,), (1, 2), (3, 5, 7), (1, 2, 3, 5)]))
+def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
+    """The six substituting word solves satisfy their defining equations in
+    NCSeries operations, which share no code with the prefix recursion, on
+    sparse draws; over Q every fill runs on ints, and the result equals the
+    generic path's, which one constant TPoly coefficient in each input
+    selects.  d and the order stop where the NCSeries reference takes
+    seconds per example."""
+    d, n = shape
+    rng = random.Random(seed)
+    mu, nu, kappa = (_sparse_nc(rng, d, n, denominators) for _ in range(3))
+    mu, nu = NCFunctional(d, n, mu), NCFunctional(d, n, nu)
+    kernel, filled = multivariate._fill_words, []
+
+    def spy(*args):
+        out = kernel(*args)
+        filled.append(all(type(c) is int for c in out.values()))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multivariate, "_fill_words", spy)
+        graded = _six_word_solves(mu, nu, kappa)
+    assert filled and all(filled)
+    for out in graded.values():
+        assert all(type(c) is F for c in out.values())
+    _check_with_series(mu, nu, kappa, graded)
+
+    generic = _six_word_solves(NCFunctional(d, n, _wrap_first(mu.items())),
+                               NCFunctional(d, n, _wrap_first(nu.items())),
+                               _wrap_first(kappa))
+    if mu.items():  # nc_r keeps mu's first word as it is
+        assert any(isinstance(c, TPoly)
+                   for out in generic.values() for c in out.values())
+    assert generic == graded

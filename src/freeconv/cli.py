@@ -29,6 +29,7 @@ from .evolution import (
     belinschi_nica,
     bercovici_pata,
     bercovici_pata_inverse,
+    class_names,
     entry_params,
     phi_map,
     phi_two,
@@ -253,21 +254,27 @@ def _verify_entries(args, runs, params):
     layer; the exit code.  One entry must take every parameter; each of several
     gets those it takes, by name and class, and each must go to some entry."""
     planned = []
-    for name, order in runs:
+    refused = {}  # parameter -> the first entry to refuse its class, and why
+    for run_name, order in runs:
         fn, order_of, catalog = ((nc_verify, nc_verify_order, NC_CATALOG)
-                                 if name.startswith("nc:")
+                                 if run_name.startswith("nc:")
                                  else (verify, verify_order, CATALOG))
-        name = name.removeprefix("nc:")
+        name = run_name.removeprefix("nc:")
         own = params
         if len(runs) > 1:  # the names of several come from the catalogs
             takes = entry_params(catalog[name][0])
             own = {k: v for k, v in params.items()
                    if k in takes and isinstance(v, takes[k])}
+            for k in takes.keys() & params.keys() - own.keys():
+                refused.setdefault(
+                    k, f" as given: {run_name} wants {class_names(takes[k])}")
         order_of(name, order, own)
         planned.append((fn, name, order, own))
     unused = set(params).difference(*(own for *_, own in planned))
     if unused:
-        raise ValueError(f"no entry takes parameter {', '.join(sorted(unused))}")
+        raise ValueError("; ".join(f"no entry takes parameter {k}"
+                                   f"{refused.get(k, '')}"
+                                   for k in sorted(unused)))
     reports = []
     for fn, name, order, own in planned:
         rep = fn(name, params=own, order=order, seed=args.seed)

@@ -891,6 +891,11 @@ def entry_params(fn):
             for p in params[2:]}
 
 
+def class_names(cls):
+    """The classes an entry parameter's annotation ``cls`` admits, by name."""
+    return " or ".join(c.__name__ for c in get_args(cls) or (cls,))
+
+
 def _entry_order(kind, catalog, min_order, name, order, high=None, params=()):
     """The order a catalog entry runs at: its default when ``order`` is None.
     Raises ValueError for an unknown entry, a parameter it does not take or
@@ -906,9 +911,8 @@ def _entry_order(kind, catalog, min_order, name, order, high=None, params=()):
             raise ValueError(f"{kind} entry {name!r} takes no parameter {key}; "
                              f"it takes {', '.join(takes) or 'none'}")
         if not isinstance(params[key], takes[key]):
-            want = get_args(takes[key]) or (takes[key],)
             raise ValueError(f"{kind} entry {name!r}: parameter {key}: want "
-                             f"{' or '.join(c.__name__ for c in want)}")
+                             f"{class_names(takes[key])}")
     if order is None:
         return default_order
     if order < low or (high is not None and order > high):

@@ -4,21 +4,26 @@ This module is the independent cross-check for the transform recursions: free
 cumulants come from sums over non-crossing partitions, Boolean cumulants from
 sums over interval partitions.  It deliberately shares no series arithmetic
 with the transforms module — only partition enumeration and coefficient
-products.
+products.  Over Q those products run on ints, graded by the oracle's own lcm
+rule (``_graded``), not by the grading of the triangular solves.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .coeffs import ONE, ZERO, as_coeff
 from .functionals import MomentFunctional
 
 # Catalan(12) = 208,012 partitions.  free_cumulants_oracle enumerates NC(n)
-# for every n up to its order: about 11 s at order 12 and 34 s at order 13
-# (CPython 3.11, one core of a 2-core x86 host), and the count grows about
-# fourfold per order, so 12 keeps one oracle call near ten seconds.  It is a
-# constant, not a flag; the CLI rejects a larger order before enumerating.
+# for every n up to its order: a cold call at order 12 takes about 6 s
+# (CPython 3.11, one core of a 2-core x86 host; 10-11 s when the oracle ran
+# on Fractions), and about 5.3 s of that is the enumeration in _nc_raw, not
+# the arithmetic.  The count grows about fourfold per order, so 12 keeps one
+# oracle call under ten seconds.  It is a constant, not a flag; the CLI
+# rejects a larger order before enumerating.
 MAX_ORACLE_ORDER = 12
 
 
@@ -159,60 +164,86 @@ def _interval_size_tuples(n):
     return tuple(out)
 
 
+def _graded(cs):
+    """(D, [c_k D^k for k = 1..N]) as ints, with D the lcm of the denominators
+    of the rationals c_1..c_N; None when some c_k is not rational.
+
+    Every block-size tuple of a partition of {1..n} sums to n, so each product
+    of c_{|V|} over its blocks scales by D^n, and a sum over the partitions of
+    {1..n} can run on these ints and be divided by D^n once at the end.
+    """
+    if not all(isinstance(c, (int, Fraction)) for c in cs):
+        return None
+    d = lcm(*(c.denominator for c in cs))
+    return d, [c.numerator * (d ** k // c.denominator)
+               for k, c in enumerate(cs, 1)]
+
+
 def moments_from_free_cumulants(kappa, t, order):
     """m_n(t) = sum over NC(n) of t^{|pi|} * prod kappa_{|V|}.
 
     The sum runs over every enumerated partition (one term each; no
     aggregation shortcuts).  ``kappa`` is a sequence kappa_1..kappa_order.
+    For rational t = a/b and rational kappa it runs on ints: with K_k =
+    kappa_k D^k, m_n D^n b^n = sum of a^{|pi|} b^{n-|pi|} prod K_{|V|}.
     """
     _check_order(order)
     if len(kappa) < order:
         raise ValueError("need cumulants up to the requested order")
     t = as_coeff(t)
-    tpow = [ONE]
-    for _ in range(order):
-        tpow.append(tpow[-1] * t)
+    graded = _graded(kappa[:order]) if isinstance(t, Fraction) else None
+    if graded is None:
+        ks, zero = kappa, ZERO
+        tpow = [ONE]
+        for _ in range(order):
+            tpow.append(tpow[-1] * t)
+    else:
+        (d, ks), zero = graded, 0
+        a, b = t.numerator, t.denominator
     ms = []
     for n in range(1, order + 1):
-        total = ZERO
+        weight = tpow if graded is None else [a ** j * b ** (n - j)
+                                              for j in range(n + 1)]
+        total = zero
         for sizes in _nc_block_sizes(n):
-            prod = tpow[len(sizes)]
+            prod = weight[len(sizes)]
             for sz in sizes:
-                prod = prod * kappa[sz - 1]
+                prod = prod * ks[sz - 1]
             total = total + prod
-        ms.append(total)
+        ms.append(total if graded is None else Fraction(total, d ** n * b ** n))
     return MomentFunctional(order, ms)
+
+
+def _invert(mf, size_tuples):
+    """c_1..c_N with m_n = sum over the partitions of {1..n}, one per tuple of
+    ``size_tuples(n)``, of prod c_{|V|}: a triangular inversion that subtracts
+    one product per partition other than the full block.  Rational moments
+    run on ints graded by ``_graded`` and come back as Fractions."""
+    _check_order(mf.order)
+    ms, one = mf.moments(), ONE
+    graded = _graded(ms)
+    if graded is not None:
+        (d, ms), one = graded, 1
+    cs = []
+    for n, s in enumerate(ms, 1):
+        for sizes in size_tuples(n):
+            if sizes == (n,):
+                continue  # the full block carries the unknown c_n
+            prod = one
+            for sz in sizes:
+                prod = prod * cs[sz - 1]
+            s = s - prod
+        cs.append(s)
+    if graded is None:
+        return cs
+    return [Fraction(c, d ** n) for n, c in enumerate(cs, 1)]
 
 
 def free_cumulants_oracle(mf):
     """kappa_1..kappa_N by triangular inversion of the NC partition sums."""
-    _check_order(mf.order)
-    kappa = []
-    for n in range(1, mf.order + 1):
-        s = mf.m(n)
-        for sizes in _nc_block_sizes(n):
-            if sizes == (n,):
-                continue  # the full block carries the unknown kappa_n
-            prod = ONE
-            for sz in sizes:
-                prod = prod * kappa[sz - 1]
-            s = s - prod
-        kappa.append(s)
-    return kappa
+    return _invert(mf, _nc_block_sizes)
 
 
 def boolean_cumulants_oracle(mf):
     """b_1..b_N by triangular inversion of the interval partition sums."""
-    _check_order(mf.order)
-    b = []
-    for n in range(1, mf.order + 1):
-        s = mf.m(n)
-        for sizes in _interval_size_tuples(n):
-            if sizes == (n,):
-                continue
-            prod = ONE
-            for sz in sizes:
-                prod = prod * b[sz - 1]
-            s = s - prod
-        b.append(s)
-    return b
+    return _invert(mf, _interval_size_tuples)

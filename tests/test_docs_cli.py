@@ -545,11 +545,13 @@ def test_cli_verify_parameter_of_the_wrong_kind_is_usage_error(
 @pytest.mark.parametrize("argv,message", (
     (["verify", "thm-b", "--param", "p=0"], "parameter p: want NonzeroCoeff"),
     (["verify", "all", "--param", "p=0"], "no entry takes parameter p"),
+    (["verify", "all", "--param", "p=0"], "p as given: thm-b wants NonzeroCoeff"),
 ))
 def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
         argv, message, monkeypatch, capsys):
     """thm-b divides by p, so p = 0 is a usage error that names p, not a
-    domain error from inside the entry."""
+    domain error from inside the entry; `verify all` names the entry that
+    takes p and the class it wants."""
     ran = []
     monkeypatch.setattr(cli, "verify", lambda name, **kw: ran.append(name))
     monkeypatch.setattr(cli, "nc_verify", lambda name, **kw: ran.append(name))

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeconv.functionals import MomentFunctional, bernoulli_sym, point_mass
-from freeconv.coeffs import formal_t
+from freeconv.coeffs import TPoly, formal_t
 from freeconv.oracle import (
     MAX_ORACLE_ORDER,
     SetPartition,
@@ -110,3 +112,71 @@ def test_moments_from_cumulants_inverts_oracle():
         9, [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(9)])
     kappa = free_cumulants_oracle(mf)
     assert moments_from_free_cumulants(kappa, 1, 9) == mf
+
+
+@cache
+def _block_sizes(kind, n):
+    parts = enumerate_nc(n) if kind == "nc" else enumerate_interval(n)
+    return [[len(b) for b in p.blocks] for p in parts]
+
+
+def _inverted(kind, ms):
+    """c_1..c_N with m_n = sum over the partitions of {1..n} of prod c_{|V|},
+    in plain coefficient arithmetic."""
+    cs = []
+    for n, s in enumerate(ms, 1):
+        for sizes in _block_sizes(kind, n):
+            if len(sizes) > 1:
+                s -= math.prod(cs[k - 1] for k in sizes)
+        cs.append(s)
+    return cs
+
+
+def _nc_moments(kappa, t, order):
+    return [sum(t ** len(sizes) * math.prod(kappa[k - 1] for k in sizes)
+                for sizes in _block_sizes("nc", n))
+            for n in range(1, order + 1)]
+
+
+# large primes make the lcm of the denominators, and its powers, huge
+PRIMES = (10007, 65521, 999983, 1000003, 2 ** 31 - 1)
+
+
+def _draw(rng, shape, order):
+    if shape == "integer":
+        return [F(rng.randint(-5, 5)) for _ in range(order)]
+    if shape == "zeros":
+        return [F(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.4
+                else F(0) for _ in range(order)]
+    return [F(rng.randint(-50, 50), rng.choice(PRIMES)) for _ in range(order)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 10),
+       st.sampled_from(["integer", "zeros", "primes"]))
+def test_oracle_matches_plain_partition_sums(seed, order, shape):
+    """The oracle's integer path returns the values and the Fraction type of
+    the partition sums taken in Fraction arithmetic."""
+    rng = random.Random(seed)
+    mf = MomentFunctional(order, _draw(rng, shape, order))
+    kappa = _draw(rng, shape, order)
+    t = F(rng.randint(-3, 3), rng.randint(1, 4))
+    for got, want in (
+            (free_cumulants_oracle(mf), _inverted("nc", mf.moments())),
+            (boolean_cumulants_oracle(mf), _inverted("interval", mf.moments())),
+            (moments_from_free_cumulants(kappa, t, order).moments(),
+             _nc_moments(kappa, t, order))):
+        assert list(got) == want
+        assert all(type(x) is F for x in got)
+
+
+def test_oracle_keeps_formal_t_outputs_on_tpoly():
+    t = formal_t()
+    kappa = [F(1, 2), F(1), F(0), F(-2, 3), F(1, 7), F(0)]
+    mf = moments_from_free_cumulants(kappa, t, 6)
+    assert mf.moments() == tuple(_nc_moments(kappa, t, 6))
+    for got in (mf.moments(), free_cumulants_oracle(mf),
+                boolean_cumulants_oracle(mf)):
+        assert all(isinstance(x, TPoly) for x in got)
+    assert free_cumulants_oracle(mf) == [t * k for k in kappa]
+    assert boolean_cumulants_oracle(mf) == _inverted("interval", mf.moments())

@@ -39,12 +39,10 @@ from .functionals import (
     ZeroVarianceError,
     _fill,
     _moment_table,
-    _power_table,
     _scale_in,
     _scale_out,
     _split_sum,
     _strip_once,
-    _substitute_at,
     arcsine,
     bernoulli_sym,
     family,
@@ -163,9 +161,8 @@ def subordination(mu, nu):
     n = min(mu.order, nu.order)
     d, (kap, m) = _scale_in(r_from_moments(mu.truncate(n)).coeffs(),
                             _moment_table(nu)[:n + 1])
-    p = _power_table(m, n)
-    ksub = _scale_out(d, _fill(n, lambda k, ksub: (
-        _substitute_at(kap, p, k) - _split_sum(ksub, m, k))))
+    ksub = _scale_out(d, _fill(n, lambda k, ksub, s: (
+        s - _split_sum(ksub, m, k)), (kap, m)))
     return moments_from_r(TruncSeries(n, ksub), n)
 
 
@@ -180,11 +177,9 @@ def subordination_inverse(lam, nu):
     n = min(lam.order, nu.order)
     lam, nu = lam.truncate(n), nu.truncate(n)
     d, (m, b) = _scale_in(_moment_table(lam), _moment_table(nu))
-    p = _power_table(m, n + 1)
     # b[k] = [z^k] B is m^nu_{k-1}, which _scale_in graded by k - 1: so is
     # [z^k] B(W), the moment m_{k-1} of mu boxplus nu.
-    b = [0] + b
-    b_of_w = _fill(n + 1, lambda k, _: _substitute_at(b, p, k))
+    b_of_w = _fill(n + 1, lambda k, _, s: s, ([0] + b, m))
     return free_deconvolve(
         MomentFunctional(n, _scale_out(d, b_of_w[1:])[1:]), nu)
 

@@ -8,9 +8,9 @@ fraction of the Cauchy transform, with optional early termination
 families.  The private triangular-solve kernels of ``transforms`` live here
 too, so that coefficient stripping shares them.  With W = z(1+M), the power
 table p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and [z^k] W^k = 1
-makes every solve through W triangular.  Each is one _fill rule over
-_substitute_at and _split_sum, beside its word-layer twin in
-``multivariate``, a _fill_words rule over the twins of those kernels:
+makes every solve through W triangular.  Each is one _fill rule (k, out, s)
+beside its word-layer twin in ``multivariate``, a _fill_words rule
+(w, out, s); both drivers own the table of their substitution (a, m):
 
     r_from_moments, moments_from_r      nc_r, nc_moments_from_r
     eta_from_moments, _strip_once       nc_eta
@@ -18,6 +18,7 @@ _substitute_at and _split_sum, beside its word-layer twin in
     two_state_r                         nc_two_state_r
     tilde_from_two_state_r              nc_tilde_from_two_state_r
     evolution.subordination             nc_subordination
+    evolution.subordination_inverse     _composition_product
 
 Over Q the solves run on plain ``int``: ``_scale_in`` picks an integer D
 with c_k D^k integral for every input coefficient c_k and scales the inputs
@@ -101,7 +102,8 @@ class MomentFunctional:
         return self.agrees_with(other)
 
     def __hash__(self):
-        return hash((self.order, self._m))
+        # == compares through the shorter order: equal values share only m_1
+        return hash(self._m[0])
 
     def __repr__(self):
         return f"<MomentFunctional order={self.order}: {list(self._m)}>"
@@ -256,7 +258,7 @@ def _strip_once(mf, beta, gamma):
     """
     n = mf.order
     d, (m,) = _scale_in(_moment_table(mf))
-    eta = _scale_out(d, _fill(n, lambda k, e: m[k] - _split_sum(e, m, k)))
+    eta = _scale_out(d, _fill(n, lambda k, e, _: m[k] - _split_sum(e, m, k)))
     # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
     out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
     if not (out[0] == 1):
@@ -295,8 +297,9 @@ def jacobi_from_moments(mf, levels):
 # -- triangular-solve kernels (coefficient lists indexed by degree) -------------
 #
 # The kernels are ring-neutral: each sum starts from its first term (or is the
-# int 0 when it has none) and each power-table row from the table's own 1, so
-# they run unchanged on Fraction, TPoly or plain int coefficients.
+# int 0 when it has none) and each power-table row from the int 1, which only
+# multiplies nonzero coefficients, so they run unchanged on Fraction, TPoly or
+# plain int coefficients.
 
 
 def _moment_table(mf):
@@ -379,16 +382,7 @@ def _add_diagonal(p, m):
             if m[i]:
                 c = c + m[i] * prev[j - i]
         p[k].append(c)
-    p.append([p[0][0]])
-
-
-def _power_table(m, n):
-    """p[k][j] = [z^j](1+M)^k for k + j <= n, from m = [1, m_1, ..., m_n];
-    row 0 is just [1]."""
-    p = [[m[0]]]
-    for _ in range(n):
-        _add_diagonal(p, m)
-    return p
+    p.append([1])
 
 
 def _substitute_at(a, p, n):
@@ -411,12 +405,22 @@ def _split_sum(left, right, n):
     return s
 
 
-def _fill(n, coeff):
-    """[0, c_1, ..., c_n] with c_k = coeff(k, out), filled by degree; out[k]
-    reads as zero until coeff returns, so a solve's own unknown drops out."""
+def _fill(n, coeff, subst=None):
+    """[0, c_1, ..., c_n] with c_k = coeff(k, out, s), filled by degree; out[k]
+    reads as zero until coeff returns, so a solve's own unknown drops out.
+    Without ``subst``, s = 0.  With ``subst`` = (a, m), s = [z^k] A(W) for the
+    lists a of A and m of 1 + M, W = z(1+M), read from a power table grown by
+    one anti-diagonal per k; None in place of a or m stands for ``out``."""
     out = [0] * (n + 1)
+    if subst is None:
+        for k in range(1, n + 1):
+            out[k] = coeff(k, out, 0)
+        return out
+    a, m = (out if f is None else f for f in subst)
+    p = [[1]]
     for k in range(1, n + 1):
-        out[k] = coeff(k, out)
+        _add_diagonal(p, m)
+        out[k] = coeff(k, out, _substitute_at(a, p, k))
     return out
 
 

@@ -2,10 +2,11 @@
 
 Functionals are maps from words over {1..d} (length <= N) to coefficients,
 with the empty word at 1.  The transform equations are the same as in one
-variable, with W_i = z_i(1+M), and every site is one rule over sparse word
-dicts (a missing word is zero): _fill_words fills a word dict in length
-order, handing the rule s = [x_w] A(W_1, ..., W_d) for the word dicts of A
-and M it is given; _split_sum(left, right, w), the sum over w = uv of
+variable, with W_i = z_i(1+M), and every site is one rule (w, out, s) over
+sparse word dicts (a missing word is zero), the shape of functionals._fill's
+(k, out, s): _fill_words fills a word dict in length order, handing the rule
+s = [x_w] A(W_1, ..., W_d) for the substitution (a, m) it is given, None
+standing for ``out``; _split_sum(left, right, w), the sum over w = uv of
 left[u] right[v], multiplies or divides by (1+M).
 
     R(W) = M                      nc_r (solve), nc_moments_from_r (forward)

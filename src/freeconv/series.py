@@ -239,7 +239,8 @@ class TruncSeries:
         return all(self._c[k] == other._c[k] for k in range(n + 1))
 
     def __hash__(self):
-        return hash((self.order, self._c))
+        # == compares through the shorter order: equal values share only c_0
+        return hash(self._c[0])
 
     def __repr__(self):
         parts = []

@@ -1,17 +1,17 @@
 """The transform dictionary: M, eta, R, F, phi and the two-state R-transform.
 
-The primary path is combinatorial: with W = z(1+M) and the power table
-p = _power_table(m, n), p[k][j] = [z^j](1+M)^k, so [z^n] W^k = p[k][n-k],
-every solve is one ``functionals._fill`` rule for [z^n] beside its nc_ twin
-in ``multivariate`` (``functionals`` pairs them up), with
-S(a) = _substitute_at(a, p, n) and P(l, r) = _split_sum(l, r, n):
+The primary path is combinatorial: with W = z(1+M), every solve is one
+``functionals._fill`` rule (n, out, s) for [z^n] beside its nc_ twin in
+``multivariate`` (``functionals`` pairs them up).  A substitution (a, m),
+None standing for ``out``, hands the rule s = S(a) = [z^n] A(W); P(l, r) =
+_split_sum(l, r, n):
 
-    R(W) = M                 r_from_moments: m_n - S(kappa)
-                             moments_from_r: S(kappa), after _add_diagonal(p, m)
+    R(W) = M                 r_from_moments: m_n - S(kappa), (None, m)
+                             moments_from_r: S(kappa), (kappa, None)
     eta = M (1+M)^{-1}       eta_from_moments: m_n - P(eta, m)
                              moments_from_eta: eta_n + P(eta, m)
-    eta~ = R2(W) (1+M)^{-1}  two_state_r: [z^n] eta~ (1+M) - S(R2)
-                             tilde_from_two_state_r: S(R2) - P(eta~, m)
+    eta~ = R2(W) (1+M)^{-1}  two_state_r: [z^n] eta~ (1+M) - S(R2), (None, m)
+                             tilde_from_two_state_r: S(R2) - P(eta~, m), (r2, m)
 
 Over Q each solve runs on integers graded by z -> Dz (``functionals._scale_in``
 and ``_scale_out``): the leading term [z^k] W^k = 1 keeps it integral, and
@@ -31,14 +31,11 @@ from __future__ import annotations
 from .coeffs import ZERO, ONE
 from .functionals import (
     MomentFunctional,
-    _add_diagonal,
     _fill,
     _moment_table,
-    _power_table,
     _scale_in,
     _scale_out,
     _split_sum,
-    _substitute_at,
 )
 from .series import LaurentAtInfinity, TruncSeries
 
@@ -52,9 +49,8 @@ def r_from_moments(mf):
     """Free cumulants kappa_1..kappa_N as the coefficients of R(z)."""
     n = mf.order
     d, (m,) = _scale_in(_moment_table(mf))
-    p = _power_table(m, n)
-    return TruncSeries(n, _scale_out(d, _fill(n, lambda k, kappa: (
-        m[k] - _substitute_at(kappa, p, k)))))
+    return TruncSeries(n, _scale_out(d, _fill(
+        n, lambda k, _, s: m[k] - s, (None, m))))
 
 
 def moments_from_r(r, order):
@@ -62,20 +58,15 @@ def moments_from_r(r, order):
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
     d, (kappa,) = _scale_in(r.coeffs()[:order + 1])
-    p = [[ONE if d is None else 1]]
-
-    def moment(k, m):
-        _add_diagonal(p, m)
-        return _substitute_at(kappa, p, k)
-
-    return MomentFunctional(order, _scale_out(d, _fill(order, moment))[1:])
+    return MomentFunctional(order, _scale_out(d, _fill(
+        order, lambda k, _, s: s, (kappa, None)))[1:])
 
 
 def eta_from_moments(mf):
     """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}."""
     d, (m,) = _scale_in(_moment_table(mf))
-    return TruncSeries(mf.order, _scale_out(d, _fill(mf.order, lambda k, eta: (
-        m[k] - _split_sum(eta, m, k)))))
+    return TruncSeries(mf.order, _scale_out(d, _fill(
+        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k))))
 
 
 def moments_from_eta(eta, order):
@@ -83,8 +74,8 @@ def moments_from_eta(eta, order):
     if order > eta.order:
         raise ValueError(f"eta known to order {eta.order} < {order}")
     d, (e,) = _scale_in(eta.coeffs()[:order + 1])
-    return MomentFunctional(order, _scale_out(d, _fill(order, lambda k, m: (
-        e[k] + _split_sum(e, m, k))))[1:])
+    return MomentFunctional(order, _scale_out(d, _fill(
+        order, lambda k, m, _: e[k] + _split_sum(e, m, k)))[1:])
 
 
 def f_at_infinity(mf):
@@ -147,21 +138,21 @@ def voiculescu_phi_by_reversion(mf):
 def two_state_r(pair):
     """Solve eta^tilde = R2(z(1+M)) (1+M)^{-1} for the two-state R-transform."""
     n = pair.order
+    # A series product: the nc twin's rule, eta~_n + P(eta~, m) - s, would
+    # turn some Fraction outputs into constant TPolys on Q[t] inputs.
     e = (eta_from_moments(pair.tilde) * (
         TruncSeries.one(n) + m_series(pair.base))).coeffs()
     d, (e, m) = _scale_in(e, _moment_table(pair.base))
-    p = _power_table(m, n)
-    return TruncSeries(n, _scale_out(d, _fill(n, lambda k, r2: (
-        e[k] - _substitute_at(r2, p, k)))))
+    return TruncSeries(n, _scale_out(d, _fill(
+        n, lambda k, _, s: e[k] - s, (None, m))))
 
 
 def tilde_from_two_state_r(r2, base):
     """The functional mu_tilde with two_state_r((mu_tilde, base)) = r2."""
     n = min(base.order, r2.order)
     d, (m, a) = _scale_in(_moment_table(base)[:n + 1], r2.coeffs()[:n + 1])
-    p = _power_table(m, n)
-    eta = _scale_out(d, _fill(n, lambda k, eta: (
-        _substitute_at(a, p, k) - _split_sum(eta, m, k))))
+    eta = _scale_out(d, _fill(n, lambda k, eta, s: (
+        s - _split_sum(eta, m, k)), (a, m)))
     return moments_from_eta(TruncSeries(n, eta), n)
 
 

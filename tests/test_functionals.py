@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from freeconv.coeffs import TPoly
 from freeconv.functionals import (
     CanonicalTriple,
     ConsistencyError,
@@ -157,3 +158,13 @@ def test_strip_once_non_unital_is_consistency_error():
     assert _strip_once(mu, 0, 1) == semicircular(0, 1, 4)
     with pytest.raises(ConsistencyError):
         _strip_once(mu, 0, 2)  # a wrong variance leaves m_0 = 1/2
+
+
+def test_equal_functionals_hash_alike():
+    """== compares through the shorter order and across the rings, and so
+    the hash must agree on every pair of equal functionals."""
+    mf = semicircular(1, 2, 8)
+    const = MomentFunctional(8, [TPoly.constant(c) for c in mf.moments()])
+    for other in (mf.truncate(3), mf.truncate(1), const, const.truncate(5)):
+        assert other == mf and hash(other) == hash(mf)
+    assert len({mf, mf.truncate(3), const}) == 1

@@ -1,8 +1,11 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import freeconv
+from freeconv import cli
 
 PACKAGE = Path(freeconv.__file__).parent
 
@@ -22,3 +25,18 @@ def test_runtime_imports_only_the_standard_library():
                 top = name.split(".")[0]
                 assert top == "freeconv" or top in sys.stdlib_module_names, \
                     (path.name, name)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m freeconv`` exits as ``cli.run`` returns and prints the
+    same standard output."""
+    argv = ["verify", "counterexample-r"]
+    code = cli.run(argv)
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "freeconv", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert code == 0
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -263,3 +263,13 @@ def test_laurent_monic_reciprocal():
     assert [g.coeff(k) for k in range(1, 6)] == [F(1), F(0), F(1), F(0), F(1)]
     assert (f * g).coeff(0) == 1
     assert all((f * g).coeff(k) == 0 for k in range(1, (f * g).tail_order + 1))
+
+
+@given(series(6), st.integers(0, 6))
+def test_equal_series_hash_alike(s, n):
+    """== compares through the shorter order and across the rings, and so
+    the hash must agree on every pair of equal series."""
+    const = TruncSeries(6, [TPoly.constant(c) for c in s.coeffs()])
+    for other in (s.truncate(n), const, const.truncate(n)):
+        assert other == s and hash(other) == hash(s)
+    assert len({s, s.truncate(n), const}) == 1

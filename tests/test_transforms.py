@@ -191,8 +191,8 @@ def test_two_state_r_of_phi_sigma_pair():
     assert two_state_r_by_reversion(pair) == r2
 
 
-SOLVE_KERNELS = ("_power_table", "_add_diagonal", "_fill", "_substitute_at",
-                 "_split_sum", "_scale_in", "_scale_out")
+SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
+                 "_scale_in", "_scale_out")
 
 
 def _patch_kernel(mp, name, fn):
@@ -270,8 +270,8 @@ def test_graded_int_solves_match_generic_path(seed, order, denominators):
     r = TruncSeries(order, [0] + draw())
     kernel, filled = functionals._fill, []
 
-    def spy(n, coeff):
-        out = kernel(n, coeff)
+    def spy(n, coeff, subst=None):
+        out = kernel(n, coeff, subst)
         filled.append(all(type(x) is int for x in out))
         return out
 
@@ -288,3 +288,49 @@ def test_graded_int_solves_match_generic_path(seed, order, denominators):
                                        + list(r.coeffs()[2:])))
     assert any(isinstance(c, TPoly) for cs in generic for c in cs)
     assert [list(cs) for cs in graded] == [list(cs) for cs in generic]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.booleans())
+def test_fill_substitution_matches_series_composition(seed, order, formal):
+    """Each ``subst`` form of ``functionals._fill`` hands its rule
+    s = [z^k] A(W), W = z(1+M), as the series engine's Horner composition,
+    which shares no solve kernel, finds it: (a, m) for given lists;
+    (None, m) with A the fill's own output, whose coefficient k is stored
+    after the rule returns, so s misses a_k [z^k] W^k = a_k; and (a, None)
+    with M the output, read only below degree k.  Over Q the lists are the
+    graded integers of ``_scale_in``; over Q[t] they are TPolys."""
+    rng = random.Random(seed)
+    t = formal_t()
+
+    def draw():
+        cs = [F(rng.choice((-3, -1, 0, 0, 1, 2)), rng.choice((1, 2, 3, 5)))
+              for _ in range(order)]
+        return [F(0)] + [c + rng.choice((0, 1, -2)) * t if formal else c
+                         for c in cs]
+
+    a, c = draw(), draw()
+    m = [F(1)] + c[1:]  # 1 + C
+    if not formal:
+        d, (a, c, m) = functionals._scale_in(a, c, m)
+        assert d is not None
+    expected = TruncSeries(order, a).compose(
+        TruncSeries(order, [0] + m[:order])).coeffs()
+
+    def handed(subst, given):
+        seen = [None]
+
+        def rule(k, out, s):
+            seen.append(s)
+            return given[k]
+
+        functionals._fill(order, rule, subst)
+        return seen
+
+    for subst, given, missing in (((a, m), c, [0] * (order + 1)),
+                                  ((None, m), a, a),
+                                  ((a, None), c, [0] * (order + 1))):
+        seen = handed(subst, given)
+        assert all(formal or type(s) is int for s in seen[1:])
+        assert [seen[k] + missing[k] for k in range(1, order + 1)] \
+            == list(expected[1:])

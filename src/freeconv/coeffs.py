@@ -12,10 +12,14 @@ positive common denominator.  The kernel scales rationals to a common
 denominator (``_common``), multiplies numerator sequences by one integer
 convolution that can stop at a truncation order (``_convolve``), and
 reduces a result once, with one gcd, rather than once per coefficient
-(``_canonical``).  ``TPoly`` stores this layout; the series layer converts a
-series whose coefficients are all ``Fraction`` to it for a product,
-reciprocal or composition and back to ``Fraction`` on the way out (see
-``series``).
+(``_canonical``).  A sum of products start + x_1 y_1 + ... with a ``TPoly``
+among its operands (``_dot``) scales every product to the lcm of the product
+denominators and convolves them all into one accumulator, reduced once; the
+triangular-solve kernels of ``functionals`` and the generic loops of the
+series product and reciprocal accumulate through it.  ``TPoly`` stores this
+layout; the series layer converts a series whose coefficients are all
+``Fraction`` to it for a product, reciprocal or composition and back to
+``Fraction`` on the way out (see ``series``).
 
 A ``TPoly`` keeps ``nums``, a tuple of ``int`` without trailing zeros, over
 ``den``, a positive ``int``, in canonical form gcd(den, *nums) = 1, with
@@ -103,6 +107,47 @@ def _canonical(nums, den, bound):
     p.nums = tuple(nums)
     p.den = den
     return p
+
+
+def _dot(start, xs, ys):
+    """start + x_1 y_1 + x_2 y_2 + ..., the left fold of ``+`` and ``*`` over
+    the pairs of xs and ys from start, or from the first product when start
+    is None (the int 0 when there is nothing to add).
+
+    When an operand is a TPoly, so is the fold; then every product is scaled
+    to the lcm of the product denominators and convolved into one int
+    accumulator, which ``_canonical`` reduces once, instead of reducing each
+    product and each partial sum by a gcd.  Otherwise the fold runs on the
+    operators, so another ring plugs in.
+    """
+    if not (type(start) is TPoly or TPoly in map(type, xs)
+            or TPoly in map(type, ys)):
+        acc = start
+        for x, y in zip(xs, ys):
+            p = x * y
+            acc = p if acc is None else acc + p
+        return 0 if acc is None else acc
+    parts = TPoly._parts
+    terms, dens, size = [], [], 0
+    for x, y in zip(xs, ys):
+        (a, da), (b, db) = parts(x), parts(y)
+        if a and b:
+            if len(a) > len(b):
+                a, b = b, a
+            terms.append((a, b, da * db))
+            dens.append(da * db)
+            size = max(size, len(a) + len(b) - 1)
+    s, ds = ((), 1) if start is None else parts(start)
+    den = lcm(ds, *dens)
+    acc = [x * (den // ds) for x in s] + [0] * (size - len(s))
+    for a, b, d in terms:
+        scale = den // d
+        for i, x in enumerate(a):
+            if x:
+                x *= scale
+                for j, y in enumerate(b, i):
+                    acc[j] += x * y
+    return _canonical(acc, den, den)
 
 
 class TPoly:

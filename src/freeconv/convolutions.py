@@ -1,7 +1,8 @@
 """The four convolutions and their (fractional or formal-t) powers.
 
 Free convolution adds free cumulants, Boolean convolution adds eta
-coefficients, monotone convolution composes F-transforms, and two-state free
+coefficients, monotone convolution composes F-transforms (one substitution
+through the triangular-solve kernels of ``functionals``), and two-state free
 convolution adds two-state R-transforms on pairs.  In the algebraic setting
 every power t is defined, including a formal parameter.
 """
@@ -9,12 +10,16 @@ every power t is defined, including a formal parameter.
 from __future__ import annotations
 
 from .coeffs import as_coeff
-from .functionals import TwoStatePair
-from .series import LaurentAtInfinity
+from .functionals import (
+    MomentFunctional,
+    TwoStatePair,
+    _fill,
+    _moment_table,
+    _scale_in,
+    _scale_out,
+)
 from .transforms import (
     eta_from_moments,
-    f_at_infinity,
-    functional_from_f,
     moments_from_eta,
     moments_from_r,
     r_from_moments,
@@ -50,14 +55,19 @@ def boolean_power(a, t):
 
 
 def monotone_convolve(a, b):
-    """F-composition F_{a |> b} = F_a o F_b (the definition; normative path)."""
+    """The functional a |> b, whose F-transform is F_a o F_b.
+
+    With W = z(1 + M^b) that is 1 + M^{a |> b} = (1 + M^b)(1 + M^a(W)) =
+    B_a(W)/z for B_a(z) = z(1 + M^a(z)): the moment k of a |> b is
+    [z^{k+1}] B_a(W), one substitution through b's power table.
+    """
     n = min(a.order, b.order)
-    fa = f_at_infinity(a.truncate(n))
-    fb = f_at_infinity(b.truncate(n))
-    # F_a(F_b) = F_b + (F_a - z)(F_b); the second factor is descending.
-    desc = fa - LaurentAtInfinity.ident_z(fa.tail_order)
-    composed = fb + desc.compose_descending(fb)
-    return functional_from_f(composed)
+    d, (ma, mb) = _scale_in(_moment_table(a)[:n + 1],
+                            _moment_table(b)[:n + 1])
+    # ma[k] = [z^{k+1}] B_a, which _scale_in graded by k: so is
+    # [z^{k+1}] B_a(W), the moment k of a |> b.
+    out = _fill(n + 1, lambda k, _, s: s, ([0] + ma, mb))
+    return MomentFunctional(n, _scale_out(d, out[1:])[1:])
 
 
 def two_state_convolve(p, q):

@@ -170,18 +170,11 @@ def subordination_inverse(lam, nu):
     """The unique mu with subordination(mu, nu) = lam.
 
     Recovers mu boxplus nu from
-    1 + M^{mu boxplus nu} = (1 + M^lam) * (1 + M^nu(W)) = B(W)/z,
-    with W = z(1+M^lam) and B(z) = z(1 + M^nu(z)), and removes nu by free
+    1 + M^{mu boxplus nu} = (1 + M^lam) * (1 + M^nu(W)), W = z(1+M^lam),
+    which is the monotone convolution nu |> lam, and removes nu by free
     cumulant subtraction.
     """
-    n = min(lam.order, nu.order)
-    lam, nu = lam.truncate(n), nu.truncate(n)
-    d, (m, b) = _scale_in(_moment_table(lam), _moment_table(nu))
-    # b[k] = [z^k] B is m^nu_{k-1}, which _scale_in graded by k - 1: so is
-    # [z^k] B(W), the moment m_{k-1} of mu boxplus nu.
-    b_of_w = _fill(n + 1, lambda k, _, s: s, ([0] + b, m))
-    return free_deconvolve(
-        MomentFunctional(n, _scale_out(d, b_of_w[1:])[1:]), nu)
+    return free_deconvolve(monotone_convolve(nu, lam), nu)
 
 
 def phi_two(mu, nu):

@@ -18,7 +18,7 @@ beside its word-layer twin in ``multivariate``, a _fill_words rule
     two_state_r                         nc_two_state_r
     tilde_from_two_state_r              nc_tilde_from_two_state_r
     evolution.subordination             nc_subordination
-    evolution.subordination_inverse     _composition_product
+    convolutions.monotone_convolve      _composition_product
 
 Over Q the solves run on plain ``int``: ``_scale_in`` picks an integer D
 with c_k D^k integral for every input coefficient c_k and scales the inputs
@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .coeffs import ZERO, ONE, as_coeff, exact_div
+from .coeffs import ZERO, ONE, _dot, as_coeff, exact_div
 
 
 class JacobiDepthError(ValueError):
@@ -299,7 +299,9 @@ def jacobi_from_moments(mf, levels):
 # The kernels are ring-neutral: each sum starts from its first term (or is the
 # int 0 when it has none) and each power-table row from the int 1, which only
 # multiplies nonzero coefficients, so they run unchanged on Fraction, TPoly or
-# plain int coefficients.
+# plain int coefficients.  An int operand in hand marks the graded integer
+# path, which folds each sum term by term; any other sum, over the same terms,
+# goes to ``coeffs._dot``, which reduces it once when a TPoly is among them.
 
 
 def _moment_table(mf):
@@ -374,35 +376,50 @@ def _add_diagonal(p, m):
     s = len(p)
     if s > 1:
         p[1].append(m[s - 1])  # row 1 is 1 + M itself
-    for k in range(2, s):
-        prev = p[k - 1]
-        j = s - k
-        c = prev[j]
-        for i in range(1, j + 1):
-            if m[i]:
-                c = c + m[i] * prev[j - i]
-        p[k].append(c)
+    if type(m[s - 1]) is int:
+        for k in range(2, s):
+            prev = p[k - 1]
+            j = s - k
+            c = prev[j]
+            for i in range(1, j + 1):
+                if m[i]:
+                    c = c + m[i] * prev[j - i]
+            p[k].append(c)
+    else:
+        nz = [i for i in range(1, s - 1) if m[i]]
+        for k in range(2, s):
+            prev = p[k - 1]
+            j = s - k
+            while nz and nz[-1] > j:
+                nz.pop()
+            p[k].append(_dot(prev[j], [m[i] for i in nz],
+                             [prev[j - i] for i in nz]))
     p.append([1])
 
 
 def _substitute_at(a, p, n):
     """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
-    s = None
-    for k in range(1, n + 1):
-        if a[k]:
-            t = a[k] * p[k][n - k]
-            s = t if s is None else s + t
-    return 0 if s is None else s
+    if type(p[1][-1]) is int:
+        s = None
+        for k in range(1, n + 1):
+            if a[k]:
+                t = a[k] * p[k][n - k]
+                s = t if s is None else s + t
+        return 0 if s is None else s
+    ks = [k for k in range(1, n + 1) if a[k]]
+    return _dot(None, [a[k] for k in ks], [p[k][n - k] for k in ks])
 
 
 def _split_sum(left, right, n):
     """The sum of left[j] * right[n-j] over 0 < j < n."""
     if n < 2:
         return 0
-    s = left[1] * right[n - 1]
-    for j in range(2, n):
-        s = s + left[j] * right[n - j]
-    return s
+    if type(left[1]) is int and type(right[1]) is int:
+        s = left[1] * right[n - 1]
+        for j in range(2, n):
+            s = s + left[j] * right[n - j]
+        return s
+    return _dot(None, left[1:n], right[n - 1:0:-1])
 
 
 def _fill(n, coeff, subst=None):

@@ -15,7 +15,8 @@ truncation order: those three operations convert it once to ``int``
 numerators over one denominator, run on the integer kernel of ``coeffs``
 that ``TPoly`` uses, and convert back to ``Fraction`` once.  A series over
 Q[t], or one that mixes the two rings, keeps one ``TPoly`` per coefficient
-and runs the generic coefficient loops.
+and runs the generic coefficient loops; each output coefficient of a product
+or reciprocal there is one fused sum of products (``coeffs._dot``).
 
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
@@ -34,6 +35,7 @@ from .coeffs import (
     _canonical,
     _common,
     _convolve,
+    _dot,
     as_coeff,
     t_derivative,
 )
@@ -129,15 +131,11 @@ class TruncSeries:
         if _rational(f, g):
             (a, da), (b, db) = _common(f), _common(g)
             return _from_ints(n, _convolve(a, b, n + 1), da * db)
-        out = [ZERO] * (n + 1)
-        for i in range(n + 1):
-            a = self._c[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other._c[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        fi, gnz = [i for i, c in enumerate(f) if c], [bool(c) for c in g]
+        out = []
+        for k in range(n + 1):
+            ks = [i for i in fi if i <= k and gnz[k - i]]
+            out.append(_dot(ZERO, [f[i] for i in ks], [g[k - i] for i in ks]))
         return TruncSeries(n, out)
 
     def _promote(self, other):
@@ -179,10 +177,7 @@ class TruncSeries:
         inv0 = ONE / self._c[0]
         out = [inv0]
         for k in range(1, self.order + 1):
-            s = ZERO
-            for j in range(1, k + 1):
-                s = s + self._c[j] * out[k - j]
-            out.append(-inv0 * s)
+            out.append(-inv0 * _dot(ZERO, self._c[1:k + 1], out[::-1]))
         return TruncSeries(self.order, out)
 
     def compose(self, inner):

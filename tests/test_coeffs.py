@@ -9,6 +9,7 @@ from freeconv.coeffs import (
     ONE,
     ExactDivisionError,
     TPoly,
+    _dot,
     exact_div,
     formal_t,
     t_derivative,
@@ -250,3 +251,39 @@ def test_ring_constants_promote_on_both_sides(seed, da):
             assert _canonical(const / pa, ())
             with pytest.raises(ZeroDivisionError):
                 pa / const
+
+
+def _operand(rng, formal):
+    """An int 0 or 1, a Fraction, or, when formal, a constant or
+    non-constant (possibly zero) TPoly, over unequal denominators."""
+    kind = rng.randrange(5 if formal else 3)
+    if kind == 0:
+        return rng.choice((0, 1))
+    if kind == 1:
+        return F(rng.randint(-5, 5), rng.choice((1, 2, 3, 7)))
+    if kind == 2:
+        return TPoly.constant(F(rng.randint(-5, 5), rng.choice((1, 4, 9))))
+    return TPoly([F(rng.randint(-4, 4), rng.choice((1, 2, 5, 6)))
+                  for _ in range(rng.randint(0, 5))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 6), st.booleans(),
+       st.booleans())
+def test_dot_is_the_left_fold(seed, n, with_start, formal):
+    """The fused sum of products equals the fold of ``+`` and ``*`` it
+    replaces in value and in type, with and without a start term; over Q
+    alone it is that fold."""
+    rng = random.Random(seed)
+    xs = [_operand(rng, formal) for _ in range(n)]
+    ys = [_operand(rng, formal) for _ in range(n)]
+    start = _operand(rng, formal) if with_start else None
+    want = start
+    for x, y in zip(xs, ys):
+        want = x * y if want is None else want + x * y
+    if want is None:
+        want = 0
+    got = _dot(start, xs, ys)
+    assert got == want and type(got) is type(want)
+    if type(want) is TPoly:
+        assert _canonical(got, want.coeffs)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from freeconv.coeffs import formal_t
 from freeconv.convolutions import (
     boolean_convolve,
@@ -21,7 +23,13 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
-from freeconv.transforms import eta_from_moments, r_from_moments
+from freeconv.series import LaurentAtInfinity
+from freeconv.transforms import (
+    eta_from_moments,
+    f_at_infinity,
+    functional_from_f,
+    r_from_moments,
+)
 
 
 def rand_functional(rng, order, span=3):
@@ -138,6 +146,42 @@ def test_monotone_eta_level_formula_agrees_with_f_path():
         inner = TruncSeries.identity(10) * one_minus.reciprocal()
         eta = eb + one_minus * ea.compose(inner)
         assert moments_from_eta(eta, 10) == monotone_convolve(a, b)
+
+
+def _f_composition(a, b):
+    """a |> b by its definition, F_a o F_b = F_b + (F_a - z) o F_b, composed
+    on Laurent series; it calls none of the triangular-solve kernels."""
+    n = min(a.order, b.order)
+    fa, fb = f_at_infinity(a.truncate(n)), f_at_infinity(b.truncate(n))
+    desc = fa - LaurentAtInfinity.ident_z(fa.tail_order)
+    return functional_from_f(fb + desc.compose_descending(fb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.integers(1, 14),
+       st.booleans())
+def test_monotone_convolve_matches_f_composition(seed, order_a, order_b,
+                                                 formal):
+    """The substitution through b's power table gives the moments of the
+    F-composition, value for value and type for type, over Q and over Q[t]
+    (where some coefficients stay rational), at unequal orders."""
+    rng = random.Random(seed)
+    t = formal_t()
+
+    def draw(order):
+        cs = []
+        for _ in range(order):
+            c = F(rng.choice((-3, -1, 0, 0, 1, 2)), rng.choice((1, 2, 3, 5)))
+            k = rng.choice((0, 1, -2)) if formal else 0
+            cs.append(c + k * t if k else c)
+        return MomentFunctional(order, cs)
+
+    a, b = draw(order_a), draw(order_b)
+    got, want = monotone_convolve(a, b), _f_composition(a, b)
+    assert got.order == want.order == min(order_a, order_b)
+    assert list(got.moments()) == list(want.moments())
+    assert [type(c) for c in got.moments()] == \
+        [type(c) for c in want.moments()]
 
 
 def test_meixner_monotone_identity():

@@ -9,7 +9,7 @@ every power t is defined, including a formal parameter.
 
 from __future__ import annotations
 
-from .coeffs import as_coeff
+from .coeffs import TPoly, as_coeff
 from .functionals import (
     MomentFunctional,
     TwoStatePair,
@@ -67,7 +67,17 @@ def monotone_convolve(a, b):
     # ma[k] = [z^{k+1}] B_a, which _scale_in graded by k: so is
     # [z^{k+1}] B_a(W), the moment k of a |> b.
     out = _fill(n + 1, lambda k, _, s: s, ([0] + ma, mb))
-    return MomentFunctional(n, _scale_out(d, out[1:])[1:])
+    out = _scale_out(d, out[1:])[1:]
+    if d is None:
+        # Moment k is in Q[t] once a TPoly is among m_1..m_k of a or b, as
+        # the F-composition gives it; a zero skip in the kernel can drop the
+        # only TPoly term of its sum.
+        ring = False
+        for k in range(n):
+            ring = ring or TPoly in (type(ma[k + 1]), type(mb[k + 1]))
+            if ring and type(out[k]) is not TPoly:
+                out[k] = TPoly.constant(out[k])
+    return MomentFunctional(n, out)
 
 
 def two_state_convolve(p, q):

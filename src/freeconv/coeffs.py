@@ -111,21 +111,22 @@ def _canonical(nums, den, bound):
 
 def _dot(start, xs, ys):
     """start + x_1 y_1 + x_2 y_2 + ..., the left fold of ``+`` and ``*`` over
-    the pairs of xs and ys from start, or from the first product when start
-    is None (the int 0 when there is nothing to add).
+    the pairs with a nonzero x, from start, or from the first such product
+    when start is None (the int 0 when there is nothing to add).
 
-    When an operand is a TPoly, so is the fold; then every product is scaled
-    to the lcm of the product denominators and convolved into one int
-    accumulator, which ``_canonical`` reduces once, instead of reducing each
-    product and each partial sum by a gcd.  Otherwise the fold runs on the
-    operators, so another ring plugs in.
+    The sum is a TPoly exactly when start or any x or y is one, zero or not.
+    Then every product is scaled to the lcm of the product denominators and
+    convolved into one int accumulator, which ``_canonical`` reduces once,
+    instead of reducing each product and each partial sum by a gcd.
+    Otherwise the fold runs on the operators, so another ring plugs in.
     """
     if not (type(start) is TPoly or TPoly in map(type, xs)
             or TPoly in map(type, ys)):
         acc = start
         for x, y in zip(xs, ys):
-            p = x * y
-            acc = p if acc is None else acc + p
+            if x:
+                p = x * y
+                acc = p if acc is None else acc + p
         return 0 if acc is None else acc
     parts = TPoly._parts
     terms, dens, size = [], [], 0

@@ -9,7 +9,7 @@ every power t is defined, including a formal parameter.
 
 from __future__ import annotations
 
-from .coeffs import TPoly, as_coeff
+from .coeffs import as_coeff
 from .functionals import (
     MomentFunctional,
     TwoStatePair,
@@ -59,7 +59,8 @@ def monotone_convolve(a, b):
 
     With W = z(1 + M^b) that is 1 + M^{a |> b} = (1 + M^b)(1 + M^a(W)) =
     B_a(W)/z for B_a(z) = z(1 + M^a(z)): the moment k of a |> b is
-    [z^{k+1}] B_a(W), one substitution through b's power table.
+    [z^{k+1}] B_a(W), one substitution through b's power table.  Moment k
+    is a TPoly exactly when one is among m_1..m_k of a or b (``coeffs._dot``).
     """
     n = min(a.order, b.order)
     d, (ma, mb) = _scale_in(_moment_table(a)[:n + 1],
@@ -67,17 +68,7 @@ def monotone_convolve(a, b):
     # ma[k] = [z^{k+1}] B_a, which _scale_in graded by k: so is
     # [z^{k+1}] B_a(W), the moment k of a |> b.
     out = _fill(n + 1, lambda k, _, s: s, ([0] + ma, mb))
-    out = _scale_out(d, out[1:])[1:]
-    if d is None:
-        # Moment k is in Q[t] once a TPoly is among m_1..m_k of a or b, as
-        # the F-composition gives it; a zero skip in the kernel can drop the
-        # only TPoly term of its sum.
-        ring = False
-        for k in range(n):
-            ring = ring or TPoly in (type(ma[k + 1]), type(mb[k + 1]))
-            if ring and type(out[k]) is not TPoly:
-                out[k] = TPoly.constant(out[k])
-    return MomentFunctional(n, out)
+    return MomentFunctional(n, _scale_out(d, out[1:])[1:])
 
 
 def two_state_convolve(p, q):

@@ -17,6 +17,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import get_args
 
 from .coeffs import (
@@ -115,6 +116,8 @@ def strip(mu):
     Jacobi left-shift cross-check when the input admits Jacobi parameters.
     The output order is mu.order - 2.
     """
+    if mu.order < 3:
+        raise ValueError(f"strip needs order >= 3, got {mu.order}")
     beta, gamma = mu.mean_var()
     if not gamma:
         raise ZeroVarianceError("cannot strip a zero-variance functional")
@@ -235,13 +238,13 @@ def _tilde_by_monotone(rel, base_t, t):
     """mu_tilde_t = delta_{beta~ t} uplus Phi[rho~ |> mu_t]^{uplus gamma~ t}."""
     order = base_t.order
     eta = [ZERO, rel.beta * t] + [ZERO] * (order - 1)
-    if rel.rho is not None:
-        sub = monotone_convolve(rel.rho.truncate(order - 2),
-                                base_t.truncate(order - 2))
+    if rel.rho is not None and order > 1:
         gt = rel.gamma * t
         eta[2] = gt
-        for k in range(1, order - 1):
-            eta[k + 2] = gt * sub.m(k)
+        if order > 2:  # rho~ enters from eta_3 on
+            sub = monotone_convolve(rel.rho.truncate(order - 2),
+                                    base_t.truncate(order - 2))
+            eta[3:] = [gt * c for c in sub.moments()]
     return moments_from_eta(TruncSeries(order, eta), order)
 
 
@@ -547,6 +550,7 @@ def _verify_thm_b(order, rng, omega: Functional = None,
     checks, notes = [], []
     mu = free_power(subordination(omega, rho_t), ONE / p)
 
+    @cache  # one pair per s within this call
     def make_pair(s):
         return TwoStatePair(
             _thm_b_tilde(rho_t, omega, p, beta_t, gamma_t, s, order),

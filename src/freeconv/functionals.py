@@ -13,7 +13,7 @@ beside its word-layer twin in ``multivariate``, a _fill_words rule
 (w, out, s); both drivers own the table of their substitution (a, m):
 
     r_from_moments, moments_from_r      nc_r, nc_moments_from_r
-    eta_from_moments, _strip_once       nc_eta
+    _eta                                nc_eta
     moments_from_eta                    nc_moments_from_eta
     two_state_r                         nc_two_state_r
     tilde_from_two_state_r              nc_tilde_from_two_state_r
@@ -251,14 +251,13 @@ def moments_from_jacobi(j, order):
 def _strip_once(mf, beta, gamma):
     """Moments of the once-stripped functional, via (eta - beta*w)/(gamma*w^2).
 
-    The eta coefficients come from the division-free eta_from_moments rule;
-    only the final division by gamma must be exact (it always is over Q;
-    over Q[t] it validates that the functional really strips within the
+    The eta coefficients come from the division-free ``_eta`` solve; only
+    the final division by gamma must be exact (it always is over Q; over
+    Q[t] it validates that the functional really strips within the
     polynomial ring).
     """
     n = mf.order
-    d, (m,) = _scale_in(_moment_table(mf))
-    eta = _scale_out(d, _fill(n, lambda k, e, _: m[k] - _split_sum(e, m, k)))
+    eta = _eta(mf)
     # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
     out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
     if not (out[0] == 1):
@@ -274,6 +273,8 @@ def jacobi_from_moments(mf, levels):
     remaining moments are consistent with the closed fraction; otherwise a
     gamma_j = 0 raises NoJacobiRepresentationError.
     """
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     if mf.order < 2 * levels:
         raise JacobiDepthError(
             f"order {mf.order} supports at most {mf.order // 2} levels")
@@ -296,12 +297,12 @@ def jacobi_from_moments(mf, levels):
 
 # -- triangular-solve kernels (coefficient lists indexed by degree) -------------
 #
-# The kernels are ring-neutral: each sum starts from its first term (or is the
-# int 0 when it has none) and each power-table row from the int 1, which only
-# multiplies nonzero coefficients, so they run unchanged on Fraction, TPoly or
-# plain int coefficients.  An int operand in hand marks the graded integer
-# path, which folds each sum term by term; any other sum, over the same terms,
-# goes to ``coeffs._dot``, which reduces it once when a TPoly is among them.
+# The kernels run unchanged on Fraction, TPoly or plain int coefficients: each
+# power-table row starts from the int 1, which only multiplies nonzero
+# coefficients.  An int operand in hand marks the graded integer path, which
+# folds each sum term by term, skipping zero terms.  Any other sum goes to
+# ``coeffs._dot`` as whole slices, and its ring follows the operands it reads,
+# not which of them vanish (see ``_dot``).
 
 
 def _moment_table(mf):
@@ -386,14 +387,10 @@ def _add_diagonal(p, m):
                     c = c + m[i] * prev[j - i]
             p[k].append(c)
     else:
-        nz = [i for i in range(1, s - 1) if m[i]]
         for k in range(2, s):
             prev = p[k - 1]
             j = s - k
-            while nz and nz[-1] > j:
-                nz.pop()
-            p[k].append(_dot(prev[j], [m[i] for i in nz],
-                             [prev[j - i] for i in nz]))
+            p[k].append(_dot(prev[j], m[1:j + 1], prev[j - 1::-1]))
     p.append([1])
 
 
@@ -406,8 +403,7 @@ def _substitute_at(a, p, n):
                 t = a[k] * p[k][n - k]
                 s = t if s is None else s + t
         return 0 if s is None else s
-    ks = [k for k in range(1, n + 1) if a[k]]
-    return _dot(None, [a[k] for k in ks], [p[k][n - k] for k in ks])
+    return _dot(None, a[1:n + 1], [p[k][n - k] for k in range(1, n + 1)])
 
 
 def _split_sum(left, right, n):
@@ -420,6 +416,14 @@ def _split_sum(left, right, n):
             s = s + left[j] * right[n - j]
         return s
     return _dot(None, left[1:n], right[n - 1:0:-1])
+
+
+def _eta(mf):
+    """[0, eta_1, ..., eta_N] by eta_n = m_n - sum_{0<j<n} eta_j m_{n-j}: the
+    one eta solve, behind ``_strip_once`` and ``eta_from_moments``."""
+    d, (m,) = _scale_in(_moment_table(mf))
+    return _scale_out(d, _fill(
+        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k)))
 
 
 def _fill(n, coeff, subst=None):

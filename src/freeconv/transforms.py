@@ -10,7 +10,7 @@ _split_sum(l, r, n):
                              moments_from_r: S(kappa), (kappa, None)
     eta = M (1+M)^{-1}       eta_from_moments: m_n - P(eta, m)
                              moments_from_eta: eta_n + P(eta, m)
-    eta~ = R2(W) (1+M)^{-1}  two_state_r: [z^n] eta~ (1+M) - S(R2), (None, m)
+    eta~ = R2(W) (1+M)^{-1}  two_state_r: eta~_n + P(eta~, m) - S(R2), (None, m)
                              tilde_from_two_state_r: S(R2) - P(eta~, m), (r2, m)
 
 Over Q each solve runs on integers graded by z -> Dz (``functionals._scale_in``
@@ -31,6 +31,7 @@ from __future__ import annotations
 from .coeffs import ZERO, ONE
 from .functionals import (
     MomentFunctional,
+    _eta,
     _fill,
     _moment_table,
     _scale_in,
@@ -64,9 +65,7 @@ def moments_from_r(r, order):
 
 def eta_from_moments(mf):
     """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}."""
-    d, (m,) = _scale_in(_moment_table(mf))
-    return TruncSeries(mf.order, _scale_out(d, _fill(
-        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k))))
+    return TruncSeries(mf.order, _eta(mf))
 
 
 def moments_from_eta(eta, order):
@@ -138,13 +137,10 @@ def voiculescu_phi_by_reversion(mf):
 def two_state_r(pair):
     """Solve eta^tilde = R2(z(1+M)) (1+M)^{-1} for the two-state R-transform."""
     n = pair.order
-    # A series product: the nc twin's rule, eta~_n + P(eta~, m) - s, would
-    # turn some Fraction outputs into constant TPolys on Q[t] inputs.
-    e = (eta_from_moments(pair.tilde) * (
-        TruncSeries.one(n) + m_series(pair.base))).coeffs()
-    d, (e, m) = _scale_in(e, _moment_table(pair.base))
+    d, (e, m) = _scale_in(eta_from_moments(pair.tilde).coeffs(),
+                          _moment_table(pair.base))
     return TruncSeries(n, _scale_out(d, _fill(
-        n, lambda k, _, s: e[k] - s, (None, m))))
+        n, lambda k, _, s: e[k] + _split_sum(e, m, k) - s, (None, m))))
 
 
 def tilde_from_two_state_r(r2, base):

@@ -271,18 +271,22 @@ def _operand(rng, formal):
 @given(st.integers(0, 2 ** 32), st.integers(0, 6), st.booleans(),
        st.booleans())
 def test_dot_is_the_left_fold(seed, n, with_start, formal):
-    """The fused sum of products equals the fold of ``+`` and ``*`` it
-    replaces in value and in type, with and without a start term; over Q
-    alone it is that fold."""
+    """The fused sum of products equals the fold of ``+`` and ``*`` over the
+    terms with a nonzero x, with and without a start term, in value and in
+    ring: a TPoly exactly when start, an x or a y is one, zero or not.  Over
+    Q alone it is that fold."""
     rng = random.Random(seed)
     xs = [_operand(rng, formal) for _ in range(n)]
     ys = [_operand(rng, formal) for _ in range(n)]
     start = _operand(rng, formal) if with_start else None
     want = start
     for x, y in zip(xs, ys):
-        want = x * y if want is None else want + x * y
+        if x:
+            want = x * y if want is None else want + x * y
     if want is None:
         want = 0
+    if TPoly in map(type, [start, *xs, *ys]) and type(want) is not TPoly:
+        want = TPoly.constant(want)
     got = _dot(start, xs, ys)
     assert got == want and type(got) is type(want)
     if type(want) is TPoly:

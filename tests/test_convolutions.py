@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from freeconv.coeffs import formal_t
+from freeconv.coeffs import TPoly, formal_t
 from freeconv.convolutions import (
     boolean_convolve,
     boolean_power,
@@ -157,31 +157,45 @@ def _f_composition(a, b):
     return functional_from_f(fb + desc.compose_descending(fb))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.integers(1, 14),
-       st.booleans())
+       st.booleans(), st.sampled_from(("plain", "zeros", "constants")))
 def test_monotone_convolve_matches_f_composition(seed, order_a, order_b,
-                                                 formal):
+                                                 formal, kind):
     """The substitution through b's power table gives the moments of the
-    F-composition, value for value and type for type, over Q and over Q[t]
-    (where some coefficients stay rational), at unequal orders."""
+    F-composition value for value, over Q and over Q[t] (where some
+    coefficients stay rational), at unequal orders, on draws that are mostly
+    zero ("zeros") or hold constant TPoly moments ("constants").  Moment k
+    is a TPoly exactly when one is among m_1..m_k of a or b; off constant
+    TPoly inputs, that is type for type the ring the F-composition gives."""
     rng = random.Random(seed)
     t = formal_t()
 
     def draw(order):
         cs = []
         for _ in range(order):
+            if kind == "zeros" and rng.random() < 0.6:
+                cs.append(F(0))
+                continue
             c = F(rng.choice((-3, -1, 0, 0, 1, 2)), rng.choice((1, 2, 3, 5)))
             k = rng.choice((0, 1, -2)) if formal else 0
-            cs.append(c + k * t if k else c)
+            if formal and kind == "constants" and not k and rng.random() < 0.5:
+                cs.append(TPoly.constant(c))
+            else:
+                cs.append(c + k * t if k else c)
         return MomentFunctional(order, cs)
 
     a, b = draw(order_a), draw(order_b)
     got, want = monotone_convolve(a, b), _f_composition(a, b)
     assert got.order == want.order == min(order_a, order_b)
     assert list(got.moments()) == list(want.moments())
-    assert [type(c) for c in got.moments()] == \
-        [type(c) for c in want.moments()]
+    ring = False
+    for k in range(1, got.order + 1):
+        ring = ring or TPoly in (type(a.m(k)), type(b.m(k)))
+        assert (type(got.m(k)) is TPoly) == ring
+    if kind != "constants":
+        assert [type(c) for c in got.moments()] == \
+            [type(c) for c in want.moments()]
 
 
 def test_meixner_monotone_identity():

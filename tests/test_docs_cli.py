@@ -189,6 +189,39 @@ def test_cli_strip_zero_variance_is_domain_error(tmp_path, capsys):
     assert run(["map", "--op", "strip", d0]) == 3
 
 
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_cli_strip_names_its_order_floor(tmp_path, capsys, order):
+    b = write(tmp_path, "b.json", bernoulli_doc())
+    assert run(["map", "--op", "strip", "--order", order, b]) == 2
+    assert "strip needs order >= 3" in capsys.readouterr().err
+
+
+def test_cli_jacobi_rejects_negative_levels(tmp_path, capsys):
+    b = write(tmp_path, "b.json", bernoulli_doc())
+    assert run(["convert", "--to", "jacobi", "--levels", "-1", b]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "levels must be >= 0" in out.err
+
+
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_cli_two_state_semigroup_at_low_orders(tmp_path, capsys, order):
+    """Below order 3 the relative rho does not enter the pair yet; the
+    command still prints the pair, the order-10 one truncated."""
+    rel = write(tmp_path, "rel.json",
+                {"type": "triple", "beta": "1/2", "gamma": "2",
+                 "rho": semicircle_doc(8)})
+    base = write(tmp_path, "base.json",
+                 {"type": "triple", "beta": "0", "gamma": "1",
+                  "rho": bernoulli_doc(8)})
+    argv = ["semigroup", "--t", "formal", "--rel", rel, "--base", base]
+    assert run(argv + ["--order", "10"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert run(argv + ["--order", order]) == 0
+    low = json.loads(capsys.readouterr().out)
+    for part in ("tilde", "base"):
+        assert low[part]["moments"] == full[part]["moments"][:int(order)]
+
+
 def test_cli_verify_exit_codes(capsys):
     assert run(["verify", "free-evolution", "--param", "beta=1/2",
                 "--param", "gamma=1", "--param", "rho=bernoulli",

@@ -254,6 +254,19 @@ def test_two_state_semigroup_diagonal_case():
     assert pair.tilde == pair.base
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_two_state_semigroup_at_low_orders(order):
+    """rho~ enters the tilde family from m_3 on: at orders 1 and 2 both
+    paths still build the pair, the order-10 pair truncated."""
+    rng = random.Random(19)
+    rel, base = rand_triple(rng, 8), rand_triple(rng, 8)
+    t = formal_t()
+    pair = two_state_semigroup(rel, base, t, order)
+    full = two_state_semigroup(rel, base, t, 10)
+    assert pair.order == order
+    assert pair.tilde == full.tilde and pair.base == full.base
+
+
 def test_two_state_strip_is_monotone():
     from freeconv.convolutions import monotone_convolve
     rng = random.Random(12)

@@ -14,9 +14,8 @@ from .functionals import (
     MomentFunctional,
     TwoStatePair,
     _fill,
+    _graded,
     _moment_table,
-    _scale_in,
-    _scale_out,
 )
 from .transforms import (
     eta_from_moments,
@@ -63,12 +62,11 @@ def monotone_convolve(a, b):
     is a TPoly exactly when one is among m_1..m_k of a or b (``coeffs._dot``).
     """
     n = min(a.order, b.order)
-    d, (ma, mb) = _scale_in(_moment_table(a)[:n + 1],
-                            _moment_table(b)[:n + 1])
-    # ma[k] = [z^{k+1}] B_a, which _scale_in graded by k: so is
-    # [z^{k+1}] B_a(W), the moment k of a |> b.
-    out = _fill(n + 1, lambda k, _, s: s, ([0] + ma, mb))
-    return MomentFunctional(n, _scale_out(d, out[1:])[1:])
+    # ma[k] = [z^{k+1}] B_a, which _graded grades by k: so the solve hands
+    # back [z^{k+1}] B_a(W), the moment k of a |> b, at index k.
+    return MomentFunctional(n, _graded(lambda ma, mb: _fill(
+        n + 1, lambda k, _, s: s, ([0] + ma, mb))[1:],
+        _moment_table(a)[:n + 1], _moment_table(b)[:n + 1])[1:])
 
 
 def two_state_convolve(p, q):

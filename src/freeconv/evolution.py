@@ -39,9 +39,8 @@ from .functionals import (
     TwoStatePair,
     ZeroVarianceError,
     _fill,
+    _graded,
     _moment_table,
-    _scale_in,
-    _scale_out,
     _split_sum,
     _strip_once,
     arcsine,
@@ -162,10 +161,9 @@ def subordination(mu, nu):
     Solved through R^{mu |> nu} = R^mu(z(1+M^nu)) * (1+M^nu)^{-1}.
     """
     n = min(mu.order, nu.order)
-    d, (kap, m) = _scale_in(r_from_moments(mu.truncate(n)).coeffs(),
-                            _moment_table(nu)[:n + 1])
-    ksub = _scale_out(d, _fill(n, lambda k, ksub, s: (
-        s - _split_sum(ksub, m, k)), (kap, m)))
+    ksub = _graded(lambda kap, m: _fill(n, lambda k, ksub, s: (
+        s - _split_sum(ksub, m, k)), (kap, m)),
+        r_from_moments(mu.truncate(n)).coeffs(), _moment_table(nu)[:n + 1])
     return moments_from_r(TruncSeries(n, ksub), n)
 
 
@@ -218,6 +216,8 @@ def maassen_semigroup(triple, t, order=None):
 def triple_from_semigroup(mu):
     """Invert the Maassen parametrization: beta = kappa_1, gamma = kappa_2,
     m_n(rho) = kappa_{n+2}/gamma."""
+    if mu.order < 2:
+        raise ValueError("need order >= 2 to read gamma = kappa_2")
     r = r_from_moments(mu)
     beta, gamma = r.coeff(1), r.coeff(2)
     if not gamma:

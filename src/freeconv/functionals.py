@@ -20,13 +20,15 @@ beside its word-layer twin in ``multivariate``, a _fill_words rule
     evolution.subordination             nc_subordination
     convolutions.monotone_convolve      _composition_product
 
-Over Q the solves run on plain ``int``: ``_scale_in`` picks an integer D
-with c_k D^k integral for every input coefficient c_k and scales the inputs
-so, which is the same solve for the series at Dz.  There W = z(1+M) still
-has [z^k] W^k = 1, so every unknown is an integer combination of integers
-and the unchanged kernels keep the whole recursion in Z; ``_scale_out``
-returns output k as the reduced Fraction x_k / D^k.  Inputs over Q[t], or
-mixing the rings, take the same kernels on their coefficients as they are.
+Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades
+a single-variable solve over Q (``multivariate._graded_words`` is the word
+layer's).  It picks an integer D with c_k D^k integral for every input
+coefficient c_k and runs the solve on the inputs scaled so, which is the same
+solve for the series at Dz.  There W = z(1+M) still has [z^k] W^k = 1, so
+every unknown is an integer combination of integers and the unchanged kernels
+keep the whole recursion in Z; output k comes back as the reduced Fraction
+x_k / D^k.  Inputs over Q[t], or mixing the rings, take the same kernels on
+their coefficients as they are.
 """
 
 from __future__ import annotations
@@ -329,23 +331,24 @@ def _grade(pairs, d=1):
     return d
 
 
-def _scale_in(*seqs):
-    """(D, seqs as ints): the graded integer inputs of one solve over Q.
+def _graded(solve, *seqs):
+    """solve(*seqs), run over Q on graded integers.
 
     When every coefficient is a ``Fraction`` and every constant term an
     integer, D comes from ``_grade`` over the coefficients c_k = a/q in
-    degree order, so that q divides D^k; the k-th entry of each sequence
-    becomes the int c_k D^k.  Under z -> Dz every solve is a
+    degree order, so that q divides D^k, and ``solve`` gets each sequence
+    with its k-th entry the int c_k D^k.  Under z -> Dz every solve is a
     weight-homogeneous recursion with integer coefficients and
-    [z^k] W^k = 1, so the kernels keep the entries integral, and
-    ``_scale_out`` divides output k by D^k.  Otherwise D is None and the
-    sequences come back as they are, for the generic path.
+    [z^k] W^k = 1, so the kernels keep the entries integral, and output k
+    comes back as the reduced Fraction x_k / D^k.  Otherwise ``solve``
+    gets the sequences as they are, for the generic path, and its output
+    is returned unchanged.
     """
     d = 1
     for cs in seqs:
         d = _grade(enumerate(cs), d)
         if d is None:
-            return None, seqs
+            return solve(*seqs)
     scaled = []
     for cs in seqs:
         row, dk = [], 1
@@ -353,16 +356,8 @@ def _scale_in(*seqs):
             row.append(c.numerator * (dk // c.denominator))
             dk *= d
         scaled.append(row)
-    return d, scaled
-
-
-def _scale_out(d, xs):
-    """[x_k / D^k] as Fractions, the inverse of ``_scale_in``; xs itself when
-    D is None."""
-    if d is None:
-        return xs
     out, dk = [], 1
-    for x in xs:
+    for x in solve(*scaled):
         out.append(Fraction(x, dk))
         dk *= d
     return out
@@ -421,9 +416,9 @@ def _split_sum(left, right, n):
 def _eta(mf):
     """[0, eta_1, ..., eta_N] by eta_n = m_n - sum_{0<j<n} eta_j m_{n-j}: the
     one eta solve, behind ``_strip_once`` and ``eta_from_moments``."""
-    d, (m,) = _scale_in(_moment_table(mf))
-    return _scale_out(d, _fill(
-        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k)))
+    return _graded(lambda m: _fill(
+        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k)),
+        _moment_table(mf))
 
 
 def _fill(n, coeff, subst=None):

@@ -26,9 +26,10 @@ right of each letter, following the displayed order of the defining
 equations.  _fill_words extracts the coefficient by a recursion over the
 prefixes of the letters of A that a word's letters carry, one state table
 per fill; _apply_w_substitution reads [x_w] A(W) from it, once per word.
-Over Q every fill runs on ints graded by word length (_grade_words, the
-rule of functionals._scale_in), and Q[t] or mixed inputs take the same
-kernels on their coefficients as they are.
+Every site runs its fills inside _graded_words, the one place that grades
+a word solve: over Q the fills run on ints graded by word length (the rule of
+functionals._graded), and Q[t] or mixed inputs take the same kernels on
+their coefficients as they are.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.
@@ -177,29 +178,24 @@ def nc_to_univariate(ncf):
                             [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
 
 
-def _grade_words(*dicts):
-    """(D, dicts as ints): ``functionals._scale_in`` for word dicts.
+def _graded_words(solve, *dicts):
+    """solve(*dicts), run over Q on ints graded by word length: the word-dict
+    form of ``functionals._graded``.
 
-    Graded by word length: when every coefficient is a ``Fraction``, c_w
-    becomes the int c_w D^|w|, with D grown by ``functionals._grade``.  Every
-    word transform is weight-homogeneous in |w| and divides by nothing, so a
-    fill on graded inputs stays in Z, and ``_ungrade_words`` divides output w
-    by D^|w|.  Otherwise D is None and the dicts come back as they are.
+    When every coefficient is a ``Fraction``, ``solve`` gets c_w as the int
+    c_w D^|w|, with D grown by ``functionals._grade``.  Every word transform
+    is weight-homogeneous in |w| and divides by nothing, so a fill on graded
+    inputs stays in Z, and output w comes back as x_w / D^|w|.  Otherwise
+    ``solve`` gets the dicts as they are and its output is returned
+    unchanged.
     """
     scale = 1
     for dct in dicts:
         scale = _grade(zip(map(len, dct), dct.values()), scale)
         if scale is None:
-            return None, dicts
-    return scale, [{w: c.numerator * (scale ** len(w) // c.denominator)
-                    for w, c in dct.items()} for dct in dicts]
-
-
-def _ungrade_words(scale, out):
-    """{w: x_w / D^|w|} as Fractions for D = ``scale``, the inverse of
-    ``_grade_words``; out itself when D is None."""
-    if scale is None:
-        return out
+            return solve(*dicts)
+    out = solve(*[{w: c.numerator * (scale ** len(w) // c.denominator)
+                   for w, c in dct.items()} for dct in dicts])
     return {w: Fraction(x, scale ** len(w)) for w, x in out.items()}
 
 
@@ -305,45 +301,42 @@ def _fill_words(d, order, coeff, subst=None):
 
 def nc_r(mu):
     """Word-indexed free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    scale, (m,) = _grade_words(mu._m)
-    return _ungrade_words(scale, _fill_words(
-        mu.d, mu.order, lambda w, kappa, s: m.get(w, 0) - s, (None, m)))
+    return _graded_words(lambda m: _fill_words(
+        mu.d, mu.order, lambda w, kappa, s: m.get(w, 0) - s, (None, m)), mu._m)
 
 
 def nc_moments_from_r(kappa, d, order):
     """Forward solve of R(z_i(1+M)) = M."""
-    scale, (kappa,) = _grade_words(kappa)
-    return NCFunctional(d, order, _ungrade_words(scale, _fill_words(
-        d, order, lambda w, m, s: s, (kappa, None))))
+    return NCFunctional(d, order, _graded_words(lambda kappa: _fill_words(
+        d, order, lambda w, m, s: s, (kappa, None)), kappa))
 
 
 def nc_eta(mu):
     """Boolean word cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v (u,v nonempty)."""
-    scale, (m,) = _grade_words(mu._m)
-    return _ungrade_words(scale, _fill_words(
-        mu.d, mu.order, lambda w, eta, _: m.get(w, 0) - _split_sum(eta, m, w)))
+    return _graded_words(lambda m: _fill_words(
+        mu.d, mu.order, lambda w, eta, _: m.get(w, 0) - _split_sum(eta, m, w)),
+        mu._m)
 
 
 def nc_moments_from_eta(eta, d, order):
-    scale, (eta,) = _grade_words(eta)
-    return NCFunctional(d, order, _ungrade_words(scale, _fill_words(
-        d, order, lambda w, m, _: eta.get(w, 0) + _split_sum(eta, m, w))))
+    return NCFunctional(d, order, _graded_words(lambda eta: _fill_words(
+        d, order, lambda w, m, _: eta.get(w, 0) + _split_sum(eta, m, w)), eta))
 
 
 def nc_two_state_r(pair):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for the word two-state R-transform."""
-    scale, (eta_t, m) = _grade_words(nc_eta(pair.tilde), pair.base._m)
-    return _ungrade_words(scale, _fill_words(
+    return _graded_words(lambda eta_t, m: _fill_words(
         pair.d, pair.order, lambda w, _, s: (
-            eta_t.get(w, 0) + _split_sum(eta_t, m, w) - s), (None, m)))
+            eta_t.get(w, 0) + _split_sum(eta_t, m, w) - s), (None, m)),
+        nc_eta(pair.tilde), pair.base._m)
 
 
 def nc_tilde_from_two_state_r(r2, base):
     """Invert: eta~ = R2(z_i(1+M)) (1+M)^{-1}, then moments."""
-    scale, (r2, m) = _grade_words(r2, base._m)
-    eta = _fill_words(base.d, base.order, lambda w, e, s: (
-        s - _split_sum(e, m, w)), (r2, m))
-    return nc_moments_from_eta(_ungrade_words(scale, eta), base.d, base.order)
+    eta = _graded_words(lambda r2, m: _fill_words(
+        base.d, base.order, lambda w, e, s: s - _split_sum(e, m, w), (r2, m)),
+        r2, base._m)
+    return nc_moments_from_eta(eta, base.d, base.order)
 
 
 def _combine_cumulants(a, b, cumulants, op, moments):
@@ -403,21 +396,23 @@ def nc_subordination(mu, nu):
     """R^{mu |> nu} (1+M^nu) = R^mu(z_i(1+M^nu)), solved triangularly."""
     order = min(mu.order, nu.order)
     mu, nu = mu.truncate(order), nu.truncate(order)
-    scale, (kmu, m) = _grade_words(nc_r(mu), nu._m)
-    ksub = _fill_words(mu.d, order, lambda w, k, s: (
-        s - _split_sum(k, m, w)), (kmu, m))
-    return nc_moments_from_r(_ungrade_words(scale, ksub), mu.d, order)
+    ksub = _graded_words(lambda kmu, m: _fill_words(
+        mu.d, order, lambda w, k, s: s - _split_sum(k, m, w), (kmu, m)),
+        nc_r(mu), nu._m)
+    return nc_moments_from_r(ksub, mu.d, order)
 
 
 def _composition_product(lam, nu):
     """(1 + M^lam)(1 + M^nu(z_i(1+M^lam))) - 1, as a word functional."""
     d, order = lam.d, min(lam.order, nu.order)
     lam, nu = lam.truncate(order), nu.truncate(order)
-    scale, (m, b) = _grade_words(lam._m, nu._m)
-    sub = _fill_words(d, order, lambda w, _, s: s, (b, m))  # M^nu(W_lam)
-    return NCFunctional(d, order, _ungrade_words(scale, _fill_words(
-        d, order, lambda w, _, s: sub.get(w, 0) + m.get(w, 0)
-        + _split_sum(m, sub, w))))
+
+    def solve(m, b):
+        sub = _fill_words(d, order, lambda w, _, s: s, (b, m))  # M^nu(W_lam)
+        return _fill_words(d, order, lambda w, _, s: (
+            sub.get(w, 0) + m.get(w, 0) + _split_sum(m, sub, w)))
+
+    return NCFunctional(d, order, _graded_words(solve, lam._m, nu._m))
 
 
 def nc_subordination_inverse(lam, nu):

@@ -13,9 +13,9 @@ _split_sum(l, r, n):
     eta~ = R2(W) (1+M)^{-1}  two_state_r: eta~_n + P(eta~, m) - S(R2), (None, m)
                              tilde_from_two_state_r: S(R2) - P(eta~, m), (r2, m)
 
-Over Q each solve runs on integers graded by z -> Dz (``functionals._scale_in``
-and ``_scale_out``): the leading term [z^k] W^k = 1 keeps it integral, and
-output k comes back as a Fraction over D^k.
+Each solve runs inside ``functionals._graded``, which over Q grades its
+inputs by z -> Dz: the leading term [z^k] W^k = 1 keeps the solve integral,
+and output k comes back as a Fraction over D^k.
 
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
@@ -33,9 +33,8 @@ from .functionals import (
     MomentFunctional,
     _eta,
     _fill,
+    _graded,
     _moment_table,
-    _scale_in,
-    _scale_out,
     _split_sum,
 )
 from .series import LaurentAtInfinity, TruncSeries
@@ -49,18 +48,16 @@ def m_series(mf):
 def r_from_moments(mf):
     """Free cumulants kappa_1..kappa_N as the coefficients of R(z)."""
     n = mf.order
-    d, (m,) = _scale_in(_moment_table(mf))
-    return TruncSeries(n, _scale_out(d, _fill(
-        n, lambda k, _, s: m[k] - s, (None, m))))
+    return TruncSeries(n, _graded(lambda m: _fill(
+        n, lambda k, _, s: m[k] - s, (None, m)), _moment_table(mf)))
 
 
 def moments_from_r(r, order):
     """Solve R(z(1+M)) = M forward for the moments."""
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
-    d, (kappa,) = _scale_in(r.coeffs()[:order + 1])
-    return MomentFunctional(order, _scale_out(d, _fill(
-        order, lambda k, _, s: s, (kappa, None)))[1:])
+    return MomentFunctional(order, _graded(lambda kappa: _fill(
+        order, lambda k, _, s: s, (kappa, None)), r.coeffs()[:order + 1])[1:])
 
 
 def eta_from_moments(mf):
@@ -72,9 +69,9 @@ def moments_from_eta(eta, order):
     """Solve M = eta + eta*M forward for the moments."""
     if order > eta.order:
         raise ValueError(f"eta known to order {eta.order} < {order}")
-    d, (e,) = _scale_in(eta.coeffs()[:order + 1])
-    return MomentFunctional(order, _scale_out(d, _fill(
-        order, lambda k, m, _: e[k] + _split_sum(e, m, k)))[1:])
+    return MomentFunctional(order, _graded(lambda e: _fill(
+        order, lambda k, m, _: e[k] + _split_sum(e, m, k)),
+        eta.coeffs()[:order + 1])[1:])
 
 
 def f_at_infinity(mf):
@@ -85,13 +82,6 @@ def f_at_infinity(mf):
     """
     return LaurentAtInfinity.from_chart(
         ONE, -eta_from_moments(mf).shift_down(1))
-
-
-def functional_from_f(f):
-    """Inverse of f_at_infinity: moments of the functional with this F-expansion."""
-    order = f.tail_order + 1
-    return moments_from_eta(TruncSeries(order, (ZERO,) + (-f.d).coeffs()),
-                            order)
 
 
 def cauchy_g(mf):
@@ -137,18 +127,17 @@ def voiculescu_phi_by_reversion(mf):
 def two_state_r(pair):
     """Solve eta^tilde = R2(z(1+M)) (1+M)^{-1} for the two-state R-transform."""
     n = pair.order
-    d, (e, m) = _scale_in(eta_from_moments(pair.tilde).coeffs(),
-                          _moment_table(pair.base))
-    return TruncSeries(n, _scale_out(d, _fill(
-        n, lambda k, _, s: e[k] + _split_sum(e, m, k) - s, (None, m))))
+    return TruncSeries(n, _graded(lambda e, m: _fill(
+        n, lambda k, _, s: e[k] + _split_sum(e, m, k) - s, (None, m)),
+        eta_from_moments(pair.tilde).coeffs(), _moment_table(pair.base)))
 
 
 def tilde_from_two_state_r(r2, base):
     """The functional mu_tilde with two_state_r((mu_tilde, base)) = r2."""
     n = min(base.order, r2.order)
-    d, (m, a) = _scale_in(_moment_table(base)[:n + 1], r2.coeffs()[:n + 1])
-    eta = _scale_out(d, _fill(n, lambda k, eta, s: (
-        s - _split_sum(eta, m, k)), (a, m)))
+    eta = _graded(lambda m, a: _fill(n, lambda k, eta, s: (
+        s - _split_sum(eta, m, k)), (a, m)),
+        _moment_table(base)[:n + 1], r2.coeffs()[:n + 1])
     return moments_from_eta(TruncSeries(n, eta), n)
 
 

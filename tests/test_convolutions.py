@@ -23,11 +23,11 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
-from freeconv.series import LaurentAtInfinity
+from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
     eta_from_moments,
     f_at_infinity,
-    functional_from_f,
+    moments_from_eta,
     r_from_moments,
 )
 
@@ -136,8 +136,6 @@ def test_bernoulli_monotone_semicircle_is_arcsine():
 
 def test_monotone_eta_level_formula_agrees_with_f_path():
     """eta_{a |> b} = eta_b + (1 - eta_b) * eta_a(w / (1 - eta_b))."""
-    from freeconv.series import TruncSeries
-    from freeconv.transforms import eta_from_moments, moments_from_eta
     rng = random.Random(29)
     for _ in range(5):
         a, b = rand_functional(rng, 10), rand_functional(rng, 10)
@@ -148,13 +146,23 @@ def test_monotone_eta_level_formula_agrees_with_f_path():
         assert moments_from_eta(eta, 10) == monotone_convolve(a, b)
 
 
+def _functional_from_f(f):
+    """Inverse of f_at_infinity: moments of the functional with this
+    F-expansion, F(z) = z - eta_1 - eta_2/z - ..."""
+    order = f.tail_order + 1
+    return moments_from_eta(TruncSeries(order, (F(0),) + (-f.d).coeffs()),
+                            order)
+
+
 def _f_composition(a, b):
     """a |> b by its definition, F_a o F_b = F_b + (F_a - z) o F_b, composed
-    on Laurent series; it calls none of the triangular-solve kernels."""
+    on Laurent series.  It shares no substitution with monotone_convolve:
+    the triangular solves it calls are the Boolean cumulant ones that read
+    F off a functional and back."""
     n = min(a.order, b.order)
     fa, fb = f_at_infinity(a.truncate(n)), f_at_infinity(b.truncate(n))
     desc = fa - LaurentAtInfinity.ident_z(fa.tail_order)
-    return functional_from_f(fb + desc.compose_descending(fb))
+    return _functional_from_f(fb + desc.compose_descending(fb))
 
 
 @settings(max_examples=90, deadline=None)

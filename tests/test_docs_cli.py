@@ -196,6 +196,15 @@ def test_cli_strip_names_its_order_floor(tmp_path, capsys, order):
     assert "strip needs order >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order, floor", [("1", 2), ("2", 4), ("3", 4)])
+def test_cli_triple_names_its_order_floor(tmp_path, capsys, order, floor):
+    """Order 1 cannot see gamma = kappa_2; orders 2 and 3 cannot see rho."""
+    b = write(tmp_path, "b.json", bernoulli_doc())
+    assert run(["map", "--op", "triple", "--order", order, b]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"need order >= {floor}" in out.err
+
+
 def test_cli_jacobi_rejects_negative_levels(tmp_path, capsys):
     b = write(tmp_path, "b.json", bernoulli_doc())
     assert run(["convert", "--to", "jacobi", "--levels", "-1", b]) == 2

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv import multivariate
+from freeconv import functionals, multivariate
 from freeconv.coeffs import TPoly, formal_t
 from freeconv.evolution import (
     bercovici_pata,
@@ -47,7 +47,9 @@ from freeconv.transforms import (
     two_state_r,
 )
 from freeconv.functionals import TwoStatePair
+from freeconv.series import TruncSeries
 from ncseries import NCSeries, nc_m_series, nc_series_from_cumulants
+from test_transforms import _nine_solves, _patch_kernel
 
 
 def rand_nc(rng, d, order, span=2):
@@ -454,3 +456,53 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
         assert any(isinstance(c, TPoly)
                    for out in generic.values() for c in out.values())
     assert generic == graded
+
+
+@pytest.mark.parametrize("formal", [False, True])
+def test_every_fill_runs_inside_the_graded_seam(formal):
+    """Each fill of the single-variable solves runs inside
+    ``functionals._graded``, and each of the word solves inside
+    ``multivariate._graded_words``: no site grades, or skips grading, on its
+    own.  Checked on Q inputs and on inputs with one constant TPoly
+    coefficient, which take the generic path."""
+    rng = random.Random(41)
+    depth, fills = [0], []
+
+    def seam(helper):
+        def spy(solve, *inputs):
+            depth[0] += 1
+            try:
+                return helper(solve, *inputs)
+            finally:
+                depth[0] -= 1
+        return spy
+
+    def fill(kernel):
+        def spy(*args):
+            fills.append((kernel.__name__, depth[0] > 0))
+            return kernel(*args)
+        return spy
+
+    def draw(n):
+        cs = [F(rng.choice((-3, -1, 0, 1, 2)), rng.choice((1, 2, 3)))
+              for _ in range(n)]
+        return [TPoly.constant(cs[0])] + cs[1:] if formal else cs
+
+    def draw_words():
+        cs = _sparse_nc(rng, 2, 4, (1, 2, 3))
+        return _wrap_first(cs) if formal else cs
+
+    mu, nu = (MomentFunctional(6, draw(6)) for _ in range(2))
+    r = TruncSeries(6, [0] + draw(6))
+    mu_w, nu_w = (NCFunctional(2, 4, draw_words()) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_kernel(mp, "_graded", seam(functionals._graded))
+        _patch_kernel(mp, "_fill", fill(functionals._fill))
+        mp.setattr(multivariate, "_graded_words",
+                   seam(multivariate._graded_words))
+        mp.setattr(multivariate, "_fill_words",
+                   fill(multivariate._fill_words))
+        _nine_solves(mu, nu, r)
+        _six_word_solves(mu_w, nu_w, draw_words())
+    assert {name for name, _ in fills} == {"_fill", "_fill_words"}
+    assert all(inside for _, inside in fills)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -192,7 +193,7 @@ def test_two_state_r_of_phi_sigma_pair():
 
 
 SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
-                 "_scale_in", "_scale_out")
+                 "_graded")
 
 
 def _patch_kernel(mp, name, fn):
@@ -299,7 +300,7 @@ def test_fill_substitution_matches_series_composition(seed, order, formal):
     (None, m) with A the fill's own output, whose coefficient k is stored
     after the rule returns, so s misses a_k [z^k] W^k = a_k; and (a, None)
     with M the output, read only below degree k.  Over Q the lists are the
-    graded integers of ``_scale_in``; over Q[t] they are TPolys."""
+    graded integers c_k D^k, D from ``_grade``; over Q[t] they are TPolys."""
     rng = random.Random(seed)
     t = formal_t()
 
@@ -312,8 +313,11 @@ def test_fill_substitution_matches_series_composition(seed, order, formal):
     a, c = draw(), draw()
     m = [F(1)] + c[1:]  # 1 + C
     if not formal:
-        d, (a, c, m) = functionals._scale_in(a, c, m)
+        d = functionals._grade(
+            itertools.chain(enumerate(a), enumerate(c), enumerate(m)))
         assert d is not None
+        a, c, m = ([x.numerator * (d ** k // x.denominator)
+                    for k, x in enumerate(cs)] for cs in (a, c, m))
     expected = TruncSeries(order, a).compose(
         TruncSeries(order, [0] + m[:order])).coeffs()
 

@@ -240,7 +240,10 @@ def _parse_param(text):
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
     key, value = text.split("=", 1)
     if value.endswith(".json") or value.startswith("@"):
-        value = docs.decode(docs.load(value.removeprefix("@")))
+        try:
+            value = docs.decode(docs.load(value.removeprefix("@")))
+        except DocumentError as e:
+            raise argparse.ArgumentTypeError(f"{text}: {e}") from None
     else:
         try:
             value = Fraction(value)
@@ -448,7 +451,7 @@ def run(argv=None):
     except ConsistencyError as e:
         sys.stderr.write(f"internal error: {e}\n")
         return EXIT_INTERNAL
-    except (ValueError, FileNotFoundError) as e:
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
 

@@ -1,16 +1,18 @@
 """Lossless JSON documents for functionals, pairs, Jacobi rows and triples.
 
-Rationals are strings "p/q" in lowest terms ("/q" omitted when q = 1);
-polynomial-in-t coefficients are arrays of such strings by ascending
-t-degree.  Each document prints in one ring: if any of its coefficients is
-a polynomial in t, every coefficient prints as an array (a rational as a
-constant one), otherwise every coefficient prints as a rational.  Unknown
-fields are rejected.
+Rationals are strings "p/q" in lowest terms ("/q" omitted when q = 1), and
+only that form is read back: an optional "-", ASCII digits, and optionally
+"/" and ASCII digits.  Polynomial-in-t coefficients are arrays of such
+strings by ascending t-degree.  Each document prints in one ring: if any of
+its coefficients is a polynomial in t, every coefficient prints as an array
+(a rational as a constant one), otherwise every coefficient prints as a
+rational.  Unknown fields, and fields of the wrong JSON type, are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .coeffs import TPoly
@@ -48,6 +50,23 @@ def _order(doc, required=True):
     return n
 
 
+# The only rational form a document may use.  Fraction() alone would also
+# take decimals and exponents, and parsing "1e99999999" runs for minutes.
+# Left to re's cache, so that importing the CLI compiles no pattern.
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+
+_JSON_TYPES = {list: "an array", dict: "an object", str: "a string",
+               bool: "a boolean"}
+
+
+def _typed(doc, key, kind):
+    """``doc[key]``, which must have decoded to the Python type ``kind``."""
+    v = doc[key]
+    if not isinstance(v, kind):
+        raise DocumentError(f"{key} must be {_JSON_TYPES[kind]}, got {v!r}")
+    return v
+
+
 def encode_rational(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -56,11 +75,12 @@ def encode_rational(x):
 def decode_rational(s):
     if not isinstance(s, str):
         raise DocumentError(f"rational must be a string, got {s!r}")
+    if not re.fullmatch(_RATIONAL, s):
+        raise DocumentError(f"bad rational {s!r}: want an integer or p/q")
     try:
-        x = Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
         raise DocumentError(f"bad rational {s!r}: {e}") from None
-    return x
 
 
 def encode_coeff(c, poly=None):
@@ -150,8 +170,8 @@ def decode(doc):
     if kind == "moments":
         _expect_fields(doc, ("type", "order", "moments"))
         n = _order(doc)
-        ms = doc["moments"]
-        if not isinstance(ms, list) or len(ms) != n:
+        ms = _typed(doc, "moments", list)
+        if len(ms) != n:
             raise DocumentError(f"expected {n} moments")
         return MomentFunctional(n, [decode_coeff(m) for m in ms])
     if kind == "jacobi":
@@ -160,23 +180,24 @@ def decode(doc):
         _order(doc, required=False)
         repeat = None
         if "repeat" in doc:
-            _expect_fields(doc["repeat"], ("beta", "gamma"))
-            repeat = (decode_coeff(doc["repeat"]["beta"]),
-                      decode_coeff(doc["repeat"]["gamma"]))
+            tail = _typed(doc, "repeat", dict)
+            _expect_fields(tail, ("beta", "gamma"))
+            repeat = (decode_coeff(tail["beta"]), decode_coeff(tail["gamma"]))
         try:
-            return JacobiParams([decode_coeff(b) for b in doc["betas"]],
-                                [decode_coeff(g) for g in doc["gammas"]],
-                                terminated=doc["terminated"], repeat=repeat)
+            return JacobiParams(
+                [decode_coeff(b) for b in _typed(doc, "betas", list)],
+                [decode_coeff(g) for g in _typed(doc, "gammas", list)],
+                terminated=_typed(doc, "terminated", bool), repeat=repeat)
         except ValueError as e:
             raise DocumentError(str(e)) from None
     if kind == "family":
         _expect_fields(doc, ("type", "name", "order"), ("params",))
         n = _order(doc)
-        name = doc["name"]
+        name = _typed(doc, "name", str)
         if name not in FAMILIES:
             raise DocumentError(f"unknown family {name!r}")
-        params = {k: decode_rational(v)
-                  for k, v in doc.get("params", {}).items()}
+        params = _typed(doc, "params", dict) if "params" in doc else {}
+        params = {k: decode_rational(v) for k, v in params.items()}
         try:
             return family(name, params, n)
         except ValueError as e:
@@ -219,16 +240,25 @@ def as_functional(value, order):
 
 
 def load(path_or_fp):
-    if hasattr(path_or_fp, "read"):
-        raw = path_or_fp.read()
-    else:
-        with open(path_or_fp, "r", encoding="utf-8") as fp:
-            raw = fp.read()
+    """The JSON value in a file, given by path or as an open file.
+
+    Raises DocumentError when the file cannot be read or is not JSON.
+    """
     try:
-        doc = json.loads(raw)
+        if hasattr(path_or_fp, "read"):
+            raw = path_or_fp.read()
+        else:
+            with open(path_or_fp, "r", encoding="utf-8") as fp:
+                raw = fp.read()
+    except OSError as e:
+        raise DocumentError(
+            f"cannot read {path_or_fp}: {e.strerror or e}") from None
+    try:
+        return json.loads(raw)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON: {e}") from None
-    return doc
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
 
 
 def dumps(doc):

@@ -174,6 +174,74 @@ def semicircle_doc(order=10):
             "params": {"beta": "0", "gamma": "1"}, "order": order}
 
 
+@pytest.mark.parametrize("text", (
+    "1e5", "2.5", "1E+3", " 1", "1\n", "1_0", "+1", "\u0661"))
+def test_rationals_take_only_integers_and_fractions(tmp_path, capsys, text):
+    """A rational is an optional '-', ASCII digits and optionally '/' and
+    ASCII digits: Fraction() alone also parses exponents, and spends minutes
+    on one like "1e99999999"."""
+    with pytest.raises(DocumentError):
+        docs.decode_rational(text)
+    doc = write(tmp_path, "m.json",
+                {"type": "moments", "order": 1, "moments": [text]})
+    assert run(["convert", "--to", "moments", doc]) == 2
+    assert capsys.readouterr().out == ""
+
+
+_JACOBI = {"type": "jacobi", "betas": ["0", "0"], "gammas": ["1", "1"],
+           "terminated": False, "repeat": {"beta": "0", "gamma": "1"},
+           "order": 4}
+_FAMILY = {"type": "family", "name": "semicircular", "order": 4}
+
+
+@pytest.mark.parametrize("doc", (
+    {**_JACOBI, "betas": 5},
+    {**_JACOBI, "betas": None},
+    {**_JACOBI, "betas": "12"},
+    {**_JACOBI, "gammas": "11"},
+    {**_JACOBI, "repeat": 5},
+    {"type": "jacobi", "betas": ["0", "0"], "gammas": ["1", "0"],
+     "terminated": 1},
+    {**_FAMILY, "name": ["x"]},
+    {**_FAMILY, "params": []},
+    {**_FAMILY, "params": "gamma"},
+), ids=("betas-int", "betas-null", "betas-string", "gammas-string",
+        "repeat-int", "terminated-int", "name-array",
+        "params-array", "params-string"))
+def test_cli_rejects_a_field_of_the_wrong_json_type(tmp_path, capsys, doc):
+    """Rows are arrays, repeat and params objects, name a string and
+    terminated a boolean; anything else is a usage error, not a crash or a
+    silent reading."""
+    path = write(tmp_path, "d.json", doc)
+    assert run(["convert", "--to", "moments", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as e:  # argparse rejects a --param it cannot read
+        return e.code
+
+
+@pytest.mark.parametrize("case", ("directory", "nested", "param"))
+def test_cli_unreadable_input_is_usage_error(tmp_path, capsys, case):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    argv, reason = {
+        "directory": (["convert", "--to", "moments", str(tmp_path)],
+                      "Is a directory"),
+        "nested": (["convert", "--to", "moments", str(deep)],
+                   "nested too deeply"),
+        "param": (["verify", "thm-b", "--param", "omega=missing.json"],
+                  "No such file"),
+    }[case]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
+
+
 def test_cli_monotone_conv(tmp_path, capsys):
     a = write(tmp_path, "b.json", bernoulli_doc())
     b = write(tmp_path, "s.json", semicircle_doc())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv.functionals import MomentFunctional, bernoulli_sym, point_mass
 from freeconv.coeffs import TPoly, formal_t
+from freeconv import oracle
 from freeconv.oracle import (
     MAX_ORACLE_ORDER,
     SetPartition,
@@ -62,10 +64,36 @@ def test_enumerations_are_duplicate_free_and_valid():
 
 
 def test_order_cap():
-    with pytest.raises(ValueError):
-        enumerate_nc(MAX_ORACLE_ORDER + 1)
-    with pytest.raises(ValueError):
-        enumerate_nc(0)
+    for fn in (enumerate_nc, enumerate_interval,
+               lambda n: moments_from_free_cumulants([F(1)] * 13, 1, n)):
+        for n in (0, MAX_ORACLE_ORDER + 1):
+            with pytest.raises(ValueError):
+                fn(n)
+
+
+def _digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+# sha256 of the repr of each enumeration, n = 1..12 for the raw tuples and
+# 1..10 for the SetPartitions, recorded from the per-gap generator that the
+# cached recursions replaced: the order of the partitions, not only the set,
+# is pinned.
+@pytest.mark.parametrize("fn, top, digest", (
+    (oracle._nc_raw, 12,
+     "450503010fa0a72cd6f90fa75cc9d1ea4b86a127cfee0a01b85cc51374bb8b22"),
+    (oracle._nc_block_sizes, 12,
+     "b23db029f5b14c3c8dbe1ea004a456552d5f27042dacc9f263835a50bc40c985"),
+    (oracle._interval_size_tuples, 12,
+     "5b06922f126ba58a7bbccc75d039981d50c3e2507ce19ec6a2354f46ef52d564"),
+    (lambda n: [p.blocks for p in enumerate_nc(n)], 10,
+     "aa8e634af3c0b869d1381dc85cb04bc7928f4347bf5eec0c9f7ae30dde31b83d"),
+    (lambda n: [p.blocks for p in enumerate_interval(n)], 10,
+     "42546331adb01b77027ce30ba27b79bf28c6082b842b9a24ef87fa85a0966504"),
+), ids=("nc_raw", "nc_block_sizes", "interval_size_tuples", "enumerate_nc",
+        "enumerate_interval"))
+def test_enumeration_order_is_pinned(fn, top, digest):
+    assert _digest([fn(n) for n in range(1, top + 1)]) == digest
 
 
 def test_singleton_base_case():

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import docs
 from .coeffs import ExactDivisionError, formal_t
@@ -82,9 +81,10 @@ def _parse_t(text):
     if text == "formal":
         return formal_t()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"bad --t value {text!r} (want p/q or 'formal')")
+        return docs.decode_rational(text)
+    except DocumentError:
+        raise DocumentError(
+            f"bad --t value {text!r} (want p/q or 'formal')") from None
 
 
 DEFAULT_ORDER = 10
@@ -246,8 +246,8 @@ def _parse_param(text):
             raise argparse.ArgumentTypeError(f"{text}: {e}") from None
     else:
         try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            value = docs.decode_rational(value)
+        except DocumentError:
             value = FAMILY_ALIASES.get(value, value)  # family name
     return key.replace("-", "_"), value
 

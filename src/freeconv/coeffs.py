@@ -48,6 +48,8 @@ the program, and ``t_derivative`` and ``evaluate`` act on the parameter.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -56,6 +58,12 @@ _new = object.__new__
 
 class ExactDivisionError(ArithmeticError):
     """Division in Q[t] did not come out exact."""
+
+
+def _not_divisible(a, b):
+    """The ExactDivisionError for a / b, its operands printed in full."""
+    with all_digits():
+        return ExactDivisionError(f"({a}) not divisible by ({b})")
 
 
 # -- the integer kernel -------------------------------------------------------
@@ -277,7 +285,7 @@ class TPoly:
             return _canonical([], 1, 1)
         dn, lead = len(b) - 1, b[-1]
         if len(a) - 1 < dn:
-            raise ExactDivisionError(f"({self}) not divisible by ({other})")
+            raise _not_divisible(self, other)
         # Long division of the numerators, scaling the remainder (and the
         # quotient so far) whenever the leading coefficient does not divide
         # it: then b * q = a * scale in Z[t].
@@ -297,7 +305,7 @@ class TPoly:
             for j, y in enumerate(b, k - dn):
                 rem[j] -= c * y
         if any(rem):
-            raise ExactDivisionError(f"({self}) not divisible by ({other})")
+            raise _not_divisible(self, other)
         den = da * scale
         return _canonical([x * db for x in q], den, den)
 
@@ -390,3 +398,19 @@ def evaluate(c, value):
 def formal_t():
     """The parameter t."""
     return TPoly((0, 1))
+
+
+@contextmanager
+def all_digits():
+    """Convert ints of any length to str inside the block, so that exact
+    results print in full.  CPython 3.10.7+ limits conversion both ways to
+    4300 digits; documents are parsed outside the block, under that limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

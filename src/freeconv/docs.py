@@ -15,7 +15,7 @@ import json
 import re
 from fractions import Fraction
 
-from .coeffs import TPoly
+from .coeffs import TPoly, all_digits
 from .functionals import (
     CanonicalTriple,
     FAMILIES,
@@ -69,7 +69,9 @@ def _typed(doc, key, kind):
 
 def encode_rational(x):
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    with all_digits():
+        return (str(x.numerator) if x.denominator == 1
+                else f"{x.numerator}/{x.denominator}")
 
 
 def decode_rational(s):

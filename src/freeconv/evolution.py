@@ -25,6 +25,7 @@ from .coeffs import (
     ZERO,
     ONE,
     TPoly,
+    all_digits,
     as_coeff,
     exact_div,
     formal_t,
@@ -370,13 +371,17 @@ def _first_difference(lhs, rhs):
 
 def check_eq(label, lhs, rhs):
     """A Check comparing two values exactly, with the residual on failure."""
-    ok = lhs == rhs
-    return Check(label, ok, "" if ok else _first_difference(lhs, rhs))
+    if lhs == rhs:
+        return Check(label, True)
+    with all_digits():
+        return Check(label, False, _first_difference(lhs, rhs))
 
 
 def check_zero(label, series):
-    ok = series.is_zero()
-    return Check(label, ok, "" if ok else f"residual = {series!r}")
+    if series.is_zero():
+        return Check(label, True)
+    with all_digits():
+        return Check(label, False, f"residual = {series!r}")
 
 
 @dataclass

@@ -50,6 +50,15 @@ class SetPartition:
         self.blocks = blocks
         self.n = n
 
+    @classmethod
+    def _of_sorted_blocks(cls, blocks, n):
+        """``blocks``, each sorted as the enumerators yield them, put in
+        order by one sort, without ``__init__``'s per-block sort and check."""
+        out = cls.__new__(cls)
+        out.blocks = tuple(sorted(blocks))
+        out.n = n
+        return out
+
     def is_non_crossing(self):
         """No a < b < c < d with a,c in one block and b,d in another."""
         owner = {}
@@ -114,7 +123,7 @@ def _nc_raw(n, a=0):
 def enumerate_nc(n):
     """All non-crossing partitions of {1..n}, each exactly once."""
     _check_order(n)
-    return [SetPartition(bs) for bs in _nc_raw(n)]
+    return [SetPartition._of_sorted_blocks(bs, n) for bs in _nc_raw(n)]
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +135,9 @@ def _nc_block_sizes(n):
 def enumerate_interval(n):
     """All interval partitions of {1..n} (one per composition of n)."""
     _check_order(n)
-    return [SetPartition(tuple(range(end - size + 1, end + 1))
-                         for size, end in zip(sizes, accumulate(sizes)))
+    return [SetPartition._of_sorted_blocks(
+                [tuple(range(end - size + 1, end + 1))
+                 for size, end in zip(sizes, accumulate(sizes))], n)
             for sizes in _interval_size_tuples(n)]
 
 

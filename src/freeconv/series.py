@@ -210,19 +210,21 @@ class TruncSeries:
         return acc
 
     def reversion(self):
-        """Compositional inverse; requires c_0 = 0 and c_1 invertible."""
+        """Compositional inverse; requires c_0 = 0 and c_1 invertible.
+
+        Lagrange inversion (Stanley, EC2, Thm 5.4.2): [z^k] self^{<-1>} =
+        [z^(k-1)] v^k / k for v = z/self, so one reciprocal and n products
+        give every coefficient, about n^3 ring operations."""
         if self._c[0]:
             raise CompositionDomainError("reversion needs zero constant term")
         if not self.coeff(1):
             raise NotInvertibleError("linear coefficient is zero")
-        n = self.order
-        inv1 = ONE / self.coeff(1)
-        out = [ZERO, inv1] + [ZERO] * (n - 1)
-        for k in range(2, n + 1):
-            partial = TruncSeries(k, out[: k + 1])
-            val = self.truncate(k).compose(partial).coeff(k)
-            out[k] = -inv1 * val
-        return TruncSeries(n, out)
+        v = self.shift_down(1).reciprocal()
+        p, out = v, [ZERO, v.coeff(0)]
+        for k in range(2, self.order + 1):
+            p = p * v
+            out.append(p.coeff(k - 1) / k)
+        return TruncSeries(self.order, out)
 
     def t_derivative(self):
         return TruncSeries(self.order, [t_derivative(c) for c in self._c])

@@ -21,9 +21,10 @@ Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
 and phi(1/w) = R(w)/w.
 
-A second, reversion-based path through the Laurent expansions at infinity
-(F^{<-1>}(z) - z) is provided purely as a cross-check; it calls none of the
-kernels, so the two paths share no solve.
+A second path is provided purely as a cross-check: phi = F^{<-1>}(z) - z and
+phi_{tilde,base} = (z - F_tilde) o F_base^{<-1>}, through the reversion h of
+G's chart w(1 + M(w)), which ``TruncSeries.reversion`` takes by Lagrange
+inversion.  It calls none of the kernels, so the two paths share no solve.
 """
 
 from __future__ import annotations
@@ -100,11 +101,6 @@ def phi_from_r_series(r):
     return LaurentAtInfinity.from_chart(ZERO, r.shift_down(1))
 
 
-def r_series_from_phi(phi):
-    """Convert a descending phi-expansion back to the R-series."""
-    return TruncSeries(phi.tail_order + 1, (ZERO,) + phi.d.coeffs())
-
-
 def f_inverse_at_infinity(mf):
     """The compositional inverse F^{<-1>}(z) = z + d_0 + d_1/z + ...
 
@@ -141,19 +137,15 @@ def tilde_from_two_state_r(r2, base):
     return moments_from_eta(TruncSeries(n, eta), n)
 
 
-def two_state_phi_by_reversion(pair):
-    """phi_{tilde,base}(z) = (z - F_tilde) o F_base^{<-1>}; cross-check path.
+def two_state_r_by_reversion(pair):
+    """R2(w) = w phi_{tilde,base}(1/w); cross-check path for two_state_r.
 
-    z - F_tilde(z) = eta_tilde(1/z) z with 1 - eta = (1 + M)^{-1}, taken as a
-    series reciprocal rather than from the Boolean cumulant solve.
+    phi's chart is the chart eta_tilde(w)/w of z - F_tilde, with 1 - eta =
+    (1 + M)^{-1} taken as a series reciprocal, composed with the reversion h
+    of G_base's chart, since F_base^{<-1>}(1/w) = 1/h(w).
     """
     n = pair.order
-    h = f_inverse_at_infinity(pair.base)
     inv = (TruncSeries.one(n) + m_series(pair.tilde)).reciprocal()
-    d = LaurentAtInfinity.from_chart(
-        ZERO, -TruncSeries(n - 1, inv.coeffs()[1:]))
-    return d.compose_descending(h)
-
-
-def two_state_r_by_reversion(pair):
-    return r_series_from_phi(two_state_phi_by_reversion(pair))
+    phi = (-TruncSeries(n - 1, inv.coeffs()[1:])).compose(
+        cauchy_g(pair.base).d.reversion())
+    return TruncSeries(n, (ZERO,) + phi.coeffs())

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from freeconv.functionals import (
 from freeconv.multivariate import (MAX_NC_D, MAX_NC_ORDER, NC_CATALOG,
                                    NC_MIN_ORDER, nc_verify_all, nc_verify_d)
 from freeconv.oracle import MAX_ORACLE_ORDER
+from freeconv.series import TruncSeries
 
 
 def test_rational_encoding():
@@ -186,6 +188,86 @@ def test_rationals_take_only_integers_and_fractions(tmp_path, capsys, text):
                 {"type": "moments", "order": 1, "moments": [text]})
     assert run(["convert", "--to", "moments", doc]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("t", ("2.5e0", "1e1", "2.5", "1E+1", " 2", "2_0"))
+def test_cli_t_takes_only_integers_and_fractions(tmp_path, capsys, t):
+    """--t is read by the document rule, so an exponent cannot ask for
+    unbounded work: this would spend minutes on "1e99999999"."""
+    b = write(tmp_path, "b.json", bernoulli_doc(8))
+    assert run(["power", "--op", "free", "--t", t, b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad --t value" in captured.err
+    assert run(["power", "--op", "free", "--t=-5/2", b]) == 0
+
+
+@pytest.mark.parametrize("value", ("1e3", "2.5", "1E+1"))
+def test_cli_param_takes_only_integers_and_fractions(capsys, value):
+    """A --param value that is no integer or p/q is read as a family name,
+    which no Coeff parameter takes."""
+    assert _exit_code(["verify", "free-evolution",
+                       "--param", f"beta={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter beta:" in captured.err
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", None)
+
+
+def test_cli_prints_results_past_the_int_digit_limit(tmp_path, capsys):
+    """Results are printed in full however many digits they have, and the
+    interpreter's limit, which guards parsing, is restored afterwards."""
+    before = _LIMIT and _LIMIT()
+    big = 10 ** 3999 + 7  # 4000 digits: decodes, but m_2 of a + a has 8000
+    a = write(tmp_path, "a.json", {"type": "moments", "order": 2,
+                                   "moments": [str(big), str(big)]})
+    assert run(["conv", "--op", "free", a, a]) == 0
+    m1, m2 = json.loads(capsys.readouterr().out)["moments"]
+    assert (_LIMIT and _LIMIT()) == before
+    assert m1 == str(2 * big)
+    assert len(m2) == 7999 and m2[:2] == "20" and m2[-3:] == "112"
+
+
+@pytest.mark.skipif(_LIMIT is None, reason="no int digit limit before 3.10.7")
+def test_cli_keeps_the_int_digit_limit_on_input(tmp_path, capsys):
+    c = write(tmp_path, "c.json",
+              {"type": "moments", "order": 1, "moments": ["1" * 5000]})
+    assert run(["convert", "--to", "moments", c]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad rational" in captured.err
+
+
+def test_cli_domain_error_with_a_long_coefficient_exits_3(tmp_path, capsys):
+    """A domain error names its operands in full: the strip divides by the
+    variance B t - B^2, whose 5000-digit coefficient is no usage error."""
+    big = "7" * 2500
+    doc = write(tmp_path, "m.json", {"type": "moments", "order": 4, "moments":
+                                     [[big], ["0", big], ["1"], [big, "1"]]})
+    assert run(["map", "--op", "strip", doc]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not divisible" in captured.err and len(captured.err) > 5000
+
+
+def test_cli_violation_with_a_long_residual_exits_1(monkeypatch, capsys):
+    """A residual is printed in full, so a violated identity still exits 1
+    (not 2, the usage-error code) when a coefficient has 5000 digits."""
+    big = F(10 ** 5000)
+
+    def violated(order, rng):
+        return [evolution.check_eq("big", MomentFunctional(1, (big,)),
+                                   MomentFunctional(1, (big + 1,))),
+                evolution.check_zero("zero", TruncSeries(0, (big,)))], []
+
+    monkeypatch.setitem(evolution.CATALOG, "pde", (violated, 8))
+    before = _LIMIT and _LIMIT()
+    assert run(["verify", "pde"]) == 1
+    assert (_LIMIT and _LIMIT()) == before
+    out = capsys.readouterr().out
+    assert "FAIL [pde] big" in out and "FAIL [pde] zero" in out
+    assert "m_1: Fraction(1" + "0" * 5000 + ", 1) != " in out
 
 
 _JACOBI = {"type": "jacobi", "betas": ["0", "0"], "gammas": ["1", "1"],

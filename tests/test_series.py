@@ -124,7 +124,8 @@ def test_t_specialization_commutes(a, b, q):
 # one denominator; any TPoly coefficient sends it down the generic loops.
 # The model below works coefficient by coefficient in Fraction and shares no
 # algorithm with the library: composition sums powers of the inner series,
-# and reversion uses Lagrange inversion.
+# and reversion solves g(f(z)) = z over the powers of f, where the library
+# uses Lagrange inversion.
 
 
 def _model_mul(a, b, n):
@@ -150,12 +151,16 @@ def _model_compose(f, g, n):
 
 
 def _model_reversion(f, n):
-    """[z^k] f^{<-1>} = (1/k) [z^(k-1)] (z/f)^k."""
-    h = _model_reciprocal(f[1:], n - 1)
-    out, power = [F(0)], [F(1)] + [F(0)] * (n - 1)
+    """The left inverse g, g(f(z)) = z: [z^k] sum_j g_j f^j = [k = 1] is
+    triangular, since f^j starts at f_1^j z^j, so g_k follows from the
+    powers of f and g_1..g_(k-1)."""
+    powers = [[F(1)] + [F(0)] * n]
+    for _ in range(n):
+        powers.append(_model_mul(powers[-1], f, n))
+    out = [F(0)]
     for k in range(1, n + 1):
-        power = _model_mul(power, h, n - 1)
-        out.append(power[k - 1] / k)
+        s = sum((out[j] * powers[j][k] for j in range(1, k)), F(0))
+        out.append((int(k == 1) - s) / powers[k][k])
     return out
 
 

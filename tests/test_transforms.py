@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -137,6 +138,40 @@ def test_f_inverse_composes_to_identity():
     desc = h - LaurentAtInfinity.ident_z(h.tail_order)
     lhs = desc.compose_descending(f) + f
     assert lhs == LaurentAtInfinity.ident_z(lhs.tail_order)
+
+
+def _reversion_path_outputs():
+    """(type name, value) of every coefficient the reversion path returns,
+    at orders 1..12: seeded Q functionals, their formal free powers
+    mu^{boxplus t} and mu^{boxplus (1+t)}, and pairs that mix the rings."""
+    t = formal_t()
+
+    def typed(cs):
+        return [(type(c).__name__, str(c)) for c in cs]
+
+    out = []
+    for order in range(1, 13):
+        rng = random.Random(order)
+        mu, nu = rand_functional(rng, order), rand_functional(rng, order)
+        mu_t, mu_1t = free_power(mu, t), free_power(mu, 1 + t)
+        for mf in (mu, mu_t, mu_1t):
+            for lau in (voiculescu_phi_by_reversion(mf),
+                        f_inverse_at_infinity(mf)):
+                out.append(typed((lau.top,) + lau.d.coeffs()))
+            out.append(typed(cauchy_g(mf).d.reversion().coeffs()))
+        for pair in ((nu, mu), (mu_t, nu), (nu, mu_1t), (mu_1t, mu_t)):
+            out.append(typed(two_state_r_by_reversion(
+                TwoStatePair(*pair)).coeffs()))
+    return out
+
+
+def test_reversion_path_outputs_are_pinned():
+    """The values and coefficient types of the reversion path, as recorded
+    from the prefix-recomposition reversion that Lagrange inversion
+    replaced."""
+    digest = hashlib.sha256(repr(_reversion_path_outputs()).encode())
+    assert digest.hexdigest() == (
+        "168f55f4bec0d742a00611774fb37273d5c813beb466e73cbb7b4ec6e7c987f7")
 
 
 def test_two_state_r_trivializations():

@@ -235,7 +235,8 @@ FAMILY_ALIASES = {"bernoulli": "bernoulli_sym", "semicircle": "semicircular"}
 
 
 def _parse_param(text):
-    """KEY=VALUE: a JSON document path, a rational or a family name."""
+    """KEY=VALUE: a JSON document path, a rational (an integer or p/q) or a
+    family name; a number in any other form is refused."""
     if "=" not in text:
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
     key, value = text.split("=", 1)
@@ -247,8 +248,14 @@ def _parse_param(text):
     else:
         try:
             value = docs.decode_rational(value)
-        except DocumentError:
-            value = FAMILY_ALIASES.get(value, value)  # family name
+        except DocumentError as e:
+            try:
+                float(value)
+            except ValueError:
+                value = FAMILY_ALIASES.get(value, value)  # family name
+            else:  # a number, in a form such as 2.5 or 1e3 that is refused
+                raise argparse.ArgumentTypeError(
+                    f"parameter {key}: {e}") from None
     return key.replace("-", "_"), value
 
 

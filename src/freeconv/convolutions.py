@@ -5,6 +5,13 @@ coefficients, monotone convolution composes F-transforms (one substitution
 through the triangular-solve kernels of ``functionals``), and two-state free
 convolution adds two-state R-transforms on pairs.  In the algebraic setting
 every power t is defined, including a formal parameter.
+
+The free and two-state powers multiply the R-transforms by t and expand in t
+by Lagrange-Burmann over the powers of R_mu (Stanley, *EC2*, Thm 5.4.2):
+m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i, the NC(n) sum of
+t^{|pi|} prod kappa_{|V|} (Nica-Speicher), and its twin for eta~ (see
+``transforms.two_state_from_scaled_r``).  Over Q[t] that is about n^3 integer
+operations where a forward solve runs a power table of polynomials in t.
 """
 
 from __future__ import annotations
@@ -21,8 +28,10 @@ from .transforms import (
     eta_from_moments,
     moments_from_eta,
     moments_from_r,
+    moments_from_scaled_r,
     r_from_moments,
     tilde_from_two_state_r,
+    two_state_from_scaled_r,
     two_state_r,
 )
 
@@ -33,8 +42,9 @@ def free_convolve(a, b):
 
 
 def free_power(a, t):
-    t = as_coeff(t)
-    return moments_from_r(r_from_moments(a).scale(t), a.order)
+    """a^{boxplus t}: R_a times t, expanded in t over the powers of R_a
+    (``transforms.moments_from_scaled_r``)."""
+    return moments_from_scaled_r(r_from_moments(a), t, a.order)
 
 
 def free_deconvolve(a, b):
@@ -80,7 +90,9 @@ def two_state_convolve(p, q):
 
 
 def two_state_power(p, t):
-    t = as_coeff(t)
-    base = free_power(p.base, t)
-    r2 = two_state_r(p).scale(t)
-    return TwoStatePair(tilde_from_two_state_r(r2, base), base)
+    """p^{boxplus_c t}: both R-transforms times t, expanded in t over the
+    powers of R_base by Lagrange-Burmann, m_n = sum_i C(n+1, i)/(n+1) t^i
+    [w^n] R^i and eta~_n = [w^n] t (wR2' - R2) (1 + tR)^{n-1} / (n-1) for
+    n >= 2 (``transforms.two_state_from_scaled_r``)."""
+    return two_state_from_scaled_r(two_state_r(p), r_from_moments(p.base), t,
+                                   p.order)

@@ -60,9 +60,11 @@ from .transforms import (
     f_at_infinity,
     moments_from_eta,
     moments_from_r,
+    moments_from_scaled_r,
     phi_from_r_series,
     r_from_moments,
     tilde_from_two_state_r,
+    two_state_from_scaled_r,
     voiculescu_phi,
 )
 from .convolutions import (
@@ -200,7 +202,11 @@ def _triple_r_series(triple, t, order):
 
 def maassen_semigroup(triple, t, order=None):
     """mu_t with phi_{mu_t} = beta t + gamma t G_rho: kappa_1 = t beta,
-    kappa_{n+2} = t gamma m_n(rho)."""
+    kappa_{n+2} = t gamma m_n(rho).
+
+    R_{mu_t} is t times the R-transform R at t = 1, so the moments expand in
+    t over the powers of R, m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i
+    (Lagrange-Burmann, ``transforms.moments_from_scaled_r``)."""
     t = as_coeff(t)
     if triple.rho is None:
         if order is None:
@@ -211,7 +217,7 @@ def maassen_semigroup(triple, t, order=None):
         elif triple.rho.order < order - 2:
             raise ValueError(
                 f"rho needs order >= {order - 2}, has {triple.rho.order}")
-    return moments_from_r(_triple_r_series(triple, t, order), order)
+    return moments_from_scaled_r(_triple_r_series(triple, ONE, order), t, order)
 
 
 def triple_from_semigroup(mu):
@@ -252,7 +258,10 @@ def _tilde_by_monotone(rel, base_t, t):
 def two_state_semigroup(rel, base, t, order=None):
     """The pair (mu_tilde_t, mu_t) from relative and base canonical triples.
 
-    The tilde component is built from the two-state R-transform and
+    Both R-transforms are t times those at t = 1, and the pair expands in t
+    over the powers of the base's R: eta~_n = [w^n] t (wR2' - R2)
+    (1 + tR)^{n-1} / (n-1) for n >= 2 (Lagrange-Burmann,
+    ``transforms.two_state_from_scaled_r``).  The tilde component is then
     re-derived through the Boolean/monotone formula; the two must agree.
     """
     t = as_coeff(t)
@@ -264,13 +273,12 @@ def two_state_semigroup(rel, base, t, order=None):
     for tr, name in ((rel, "rel"), (base, "base")):
         if tr.rho is not None and tr.rho.order < order - 2:
             raise ValueError(f"{name}.rho needs order >= {order - 2}")
-    base_t = maassen_semigroup(base, t, order)
-    tilde = tilde_from_two_state_r(_triple_r_series(rel, t, order), base_t)
-    tilde_alt = _tilde_by_monotone(rel, base_t, t)
-    if tilde != tilde_alt:
+    pair = two_state_from_scaled_r(_triple_r_series(rel, ONE, order),
+                                   _triple_r_series(base, ONE, order), t, order)
+    if pair.tilde != _tilde_by_monotone(rel, pair.base, t):
         raise ConsistencyError(
             "two-state semigroup: R-transform and monotone paths disagree")
-    return TwoStatePair(tilde, base_t)
+    return pair
 
 
 # -- evolution-equation residuals ----------------------------------------------

@@ -17,6 +17,20 @@ Each solve runs inside ``functionals._graded``, which over Q grades its
 inputs by z -> Dz: the leading term [z^k] W^k = 1 keeps the solve integral,
 and output k comes back as a Fraction over D^k.
 
+Where the R-transforms are s times known series, as in the semigroups
+mu^{boxplus s} and their two-state twins, W = z(1 + sR(W)) and
+Lagrange-Burmann (Stanley, *EC2*, Thm 5.4.2) expands the outputs in s over
+the powers of R, in place of a solve over Q[t]:
+
+    R-transform s R          moments_from_scaled_r:
+                             m_n = [w^n] (1 + sR)^{n+1} / (n+1)
+    eta~ = s R2(W)/(1+M)     two_state_from_scaled_r, for n >= 2:
+                             eta~_n = [w^n] s (wR2' - R2) (1 + sR)^{n-1} / (n-1)
+
+The first is the moment-cumulant sum over NC(n) of s^{|pi|} prod
+kappa_{|V|} (Nica-Speicher).  Over Q the powers of R run on ints graded by
+the same D, and each output is reduced once.
+
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
 and phi(1/w) = R(w)/w.
@@ -29,11 +43,16 @@ inversion.  It calls none of the kernels, so the two paths share no solve.
 
 from __future__ import annotations
 
-from .coeffs import ZERO, ONE
+from fractions import Fraction
+from math import comb
+
+from .coeffs import ZERO, ONE, TPoly, _canonical, _convolve, _dot, as_coeff
 from .functionals import (
     MomentFunctional,
+    TwoStatePair,
     _eta,
     _fill,
+    _grade,
     _graded,
     _moment_table,
     _split_sum,
@@ -149,3 +168,165 @@ def two_state_r_by_reversion(pair):
     phi = (-TruncSeries(n - 1, inv.coeffs()[1:])).compose(
         cauchy_g(pair.base).d.reversion())
     return TruncSeries(n, (ZERO,) + phi.coeffs())
+
+
+# -- the semigroups by their expansion in s -------------------------------------
+#
+# R_{mu^{boxplus s}} = s R_mu, so W = z(1 + sR(W)), and Lagrange-Burmann
+# (Stanley, EC2, Thm 5.4.2) moves all of s into binomial weights over the
+# powers of R: about n^3 operations on R's coefficients, where a solve over
+# Q[t] runs its power table on polynomials in t.
+
+
+def _expansion(s, seqs, n):
+    """(seqs, rows, weigh) for an expansion in s to order n, R = seqs[0].
+
+    Over Q, that is when every coefficient is a ``Fraction``, the sequences
+    come back graded as ``functionals._graded`` grades them, entry k the int
+    c_k D^k, and rows[i][k] = [w^k] R^i D^k; otherwise the sequences are as
+    given, D = 1 and rows[i][k] = [w^k] R^i.  weigh(ys, c, k) is
+    sum_{e >= 1} ys[e] s^e / (c D^k) for an int c > 0: over Q one integer
+    polynomial over one denominator, reduced once, and a ``TPoly`` exactly
+    when s is one; otherwise a fold of the ring's operators.
+    """
+    d = 1
+    for cs in seqs:
+        d = _grade(enumerate(cs), d)
+        if d is None:
+            break
+    else:
+        scaled = []
+        for cs in seqs:
+            row, dk = [], 1
+            for c in cs:
+                row.append(c.numerator * (dk // c.denominator))
+                dk *= d
+            scaled.append(row)
+        seqs = scaled
+    r = seqs[0]
+    rows = [[1] + [0] * n]
+    for i in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([0] * i + [_dot(None, r[1:k - i + 2], prev[i - 1:k][::-1])
+                               for k in range(i, n + 1)])
+    if d is None:
+        sp = [ONE]
+        for _ in range(n):
+            sp.append(sp[-1] * s)
+
+        def weigh(ys, c, k):
+            return _dot(None, ys[1:], sp[1:len(ys)]) * Fraction(1, c)
+        return seqs, rows, weigh
+    # s = S / den for an int polynomial S (a constant when s is rational)
+    nums, den = TPoly._parts(s)
+    pows, dens = [(1,)], [1]
+    for _ in range(n):
+        prev = pows[-1]
+        pows.append(tuple(_convolve(prev, nums, len(prev) + len(nums) - 1))
+                    if nums else ())
+        dens.append(dens[-1] * den)
+    poly = type(s) is TPoly
+
+    def weigh(ys, c, k):
+        top = len(ys) - 1
+        acc = [0] * len(pows[top])
+        for e in range(1, top + 1):
+            y = ys[e]
+            if y:
+                y *= dens[top - e]
+                for j, x in enumerate(pows[e]):
+                    acc[j] += y * x
+        c *= dens[top] * d ** k
+        if poly:
+            return _canonical(acc, c, c)
+        return Fraction(acc[0] if acc else 0, c)
+    return seqs, rows, weigh
+
+
+def _as_ring(c, poly):
+    """c as a ``TPoly`` when poly, else as a ``Fraction``; c is rational
+    whenever poly is false."""
+    if poly:
+        return c if type(c) is TPoly else TPoly.constant(c)
+    return c.constant_term() if type(c) is TPoly else c
+
+
+def _free_moments(s, r, rows, weigh):
+    """m_1..m_n with R-transform s R, from ``_expansion`` on r = [0, r_1..r_n]:
+
+        m_n = [w^n] (1 + sR)^{n+1} / (n+1)
+            = sum_{i=1..n} C(n+1, i)/(n+1) s^i [w^n] R^i.
+
+    Each comes in the ring that ``moments_from_r`` gives it on the R-transform
+    s R: the moments before the first nonzero s r_k are ``Fraction(0)``, that
+    one is a ``TPoly`` exactly when s or r_k is, and each later m_k exactly
+    when one is among s and r_1..r_k.
+    """
+    spoly = type(s) is TPoly
+    poly, lead, out = spoly, False, []
+    for k in range(1, len(rows)):
+        m = weigh([comb(k + 1, i) * rows[i][k] for i in range(k + 1)],
+                  k + 1, k)
+        poly = poly or type(r[k]) is TPoly
+        if lead:
+            out.append(_as_ring(m, poly))
+        elif s and r[k]:
+            lead = True
+            out.append(_as_ring(m, spoly or type(r[k]) is TPoly))
+        else:
+            out.append(ZERO)
+    return out
+
+
+def moments_from_scaled_r(r, s, order):
+    """The moments with R-transform s R, such as mu^{boxplus s} from R_mu:
+    m_n = sum_{i=1..n} C(n+1, i)/(n+1) s^i [w^n] R^i (Lagrange-Burmann for
+    W = z(1 + sR(W))), which is the sum over NC(n) of
+    s^{|pi|} prod kappa_{|V|} (Nica-Speicher, *Lectures on the Combinatorics
+    of Free Probability*).
+
+    Equal, value and ring, to ``moments_from_r(r.scale(s), order)``.
+    """
+    if order > r.order:
+        raise ValueError(f"cumulants known to order {r.order} < {order}")
+    s = as_coeff(s)
+    cs = r.coeffs()[:order + 1]
+    _, rows, weigh = _expansion(s, [cs], order)
+    return MomentFunctional(order, _free_moments(s, cs, rows, weigh))
+
+
+def two_state_from_scaled_r(r2, r, s, order):
+    """The pair (mu~, mu) with R-transform s R and two-state R-transform s R2.
+
+    mu is ``moments_from_scaled_r(r, s, order)``.  With phi = 1 + sR,
+    eta~ = s R2(W) / phi(W), and Lagrange-Burmann in the form
+    [z^n] H(W) = [w^n] H phi^{n-1} (phi - w phi') gives eta~_1 = s R2_1 and
+
+        eta~_n = [w^n] s R2 (1 + sR)^{n-2} (1 + s(R - wR'))
+               = sum_{i=0..n-2} C(n-1, i)/(n-1) s^{i+1} [w^n] (wR2' - R2) R^i
+
+    for n >= 2, on the powers of R that mu reads; ``moments_from_eta`` then
+    gives mu~.  Equal, value and ring, to
+    ``tilde_from_two_state_r(r2.scale(s), mu)``.
+    """
+    if order > min(r.order, r2.order):
+        raise ValueError(
+            f"R-transforms known to order {min(r.order, r2.order)} < {order}")
+    s = as_coeff(s)
+    rc, r2c = r.coeffs()[:order + 1], r2.coeffs()[:order + 1]
+    (_, g2), rows, weigh = _expansion(s, [rc, r2c], order)
+    base = MomentFunctional(order, _free_moments(s, rc, rows, weigh))
+    # the solve's ring: eta~_1 is a TPoly only when it is nonzero, and a
+    # later eta~_k exactly when one is among s, R2_1..R2_k and m_1..m_(k-1)
+    poly = type(s) is TPoly or type(r2c[1]) is TPoly
+    eta = [ZERO, _as_ring(weigh([0, g2[1]], 1, 1),
+                          poly and bool(s and r2c[1]))]
+    r2o = [(l - 1) * c for l, c in enumerate(g2)]  # wR2' - R2
+    for n in range(2, order + 1):
+        ys = [0] + [comb(n - 1, i) * _dot(None, r2o[2:n - i + 1],
+                                          rows[i][i:n - 1][::-1])
+                    for i in range(n - 1)]
+        poly = (poly or type(r2c[n]) is TPoly
+                or type(base.m(n - 1)) is TPoly)
+        eta.append(_as_ring(weigh(ys, n - 1, n), poly))
+    return TwoStatePair(moments_from_eta(TruncSeries(order, eta), order), base)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from freeconv.coeffs import TPoly, formal_t
+from freeconv.coeffs import TPoly, evaluate, formal_t
 from freeconv.convolutions import (
     boolean_convolve,
     boolean_power,
@@ -23,12 +23,16 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
+from freeconv.oracle import moments_from_free_cumulants
 from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
     eta_from_moments,
     f_at_infinity,
     moments_from_eta,
+    moments_from_r,
     r_from_moments,
+    tilde_from_two_state_r,
+    two_state_r,
 )
 
 
@@ -165,6 +169,25 @@ def _f_composition(a, b):
     return _functional_from_f(fb + desc.compose_descending(fb))
 
 
+def _draw(rng, order, formal, kind):
+    """A functional over Q, or over Q[t] when ``formal`` (where some moments
+    stay rational); "zeros" makes most moments zero, "zero-polys" makes them
+    the zero TPoly when formal, and "constants" makes some constant TPolys."""
+    t = formal_t()
+    cs = []
+    for _ in range(order):
+        if kind in ("zeros", "zero-polys") and rng.random() < 0.6:
+            cs.append(TPoly(()) if formal and kind == "zero-polys" else F(0))
+            continue
+        c = F(rng.choice((-3, -1, 0, 0, 1, 2)), rng.choice((1, 2, 3, 5)))
+        k = rng.choice((0, 1, -2)) if formal else 0
+        if formal and kind == "constants" and not k and rng.random() < 0.5:
+            cs.append(TPoly.constant(c))
+        else:
+            cs.append(c + k * t if k else c)
+    return MomentFunctional(order, cs)
+
+
 @settings(max_examples=90, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.integers(1, 14),
        st.booleans(), st.sampled_from(("plain", "zeros", "constants")))
@@ -177,23 +200,8 @@ def test_monotone_convolve_matches_f_composition(seed, order_a, order_b,
     is a TPoly exactly when one is among m_1..m_k of a or b; off constant
     TPoly inputs, that is type for type the ring the F-composition gives."""
     rng = random.Random(seed)
-    t = formal_t()
-
-    def draw(order):
-        cs = []
-        for _ in range(order):
-            if kind == "zeros" and rng.random() < 0.6:
-                cs.append(F(0))
-                continue
-            c = F(rng.choice((-3, -1, 0, 0, 1, 2)), rng.choice((1, 2, 3, 5)))
-            k = rng.choice((0, 1, -2)) if formal else 0
-            if formal and kind == "constants" and not k and rng.random() < 0.5:
-                cs.append(TPoly.constant(c))
-            else:
-                cs.append(c + k * t if k else c)
-        return MomentFunctional(order, cs)
-
-    a, b = draw(order_a), draw(order_b)
+    a, b = (_draw(rng, order_a, formal, kind),
+            _draw(rng, order_b, formal, kind))
     got, want = monotone_convolve(a, b), _f_composition(a, b)
     assert got.order == want.order == min(order_a, order_b)
     assert list(got.moments()) == list(want.moments())
@@ -244,3 +252,63 @@ def test_two_state_power_consistency():
     doubled = two_state_power(p, 2)
     assert doubled == two_state_convolve(p, p)
     assert two_state_power(p, 1) == p
+
+
+DRAW_KINDS = ("plain", "zeros", "zero-polys", "constants")
+EXPONENTS = ("t", "1 + t", "t/p", "rational", "zero", "constant",
+             "zero TPoly", "t^2 - 3")
+
+
+def _exponent(rng, kind):
+    t = formal_t()
+    if kind == "t/p":
+        return t / rng.choice((2, 3, 7))
+    if kind == "rational":
+        return F(rng.randint(-4, 4), rng.randint(1, 4))
+    if kind == "constant":
+        return TPoly.constant(F(rng.choice((-2, 1, 3)), rng.randint(1, 3)))
+    return {"t": t, "1 + t": 1 + t, "zero": F(0), "zero TPoly": TPoly(()),
+            "t^2 - 3": t * t - 3}[kind]
+
+
+def _typed(mf):
+    return [(type(c), c) for c in mf.moments()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.booleans(),
+       st.sampled_from(DRAW_KINDS), st.sampled_from(EXPONENTS))
+def test_powers_by_expansion_match_the_solves(seed, order, formal, kind,
+                                              exponent):
+    """free_power and two_state_power expand in s over the powers of R; the
+    forward solves they replace, on R and R2 scaled by s, give the same
+    moments, value for value and ring for ring: a Fraction(0) for the leading
+    zero moments of the free power and for a zero eta~_1."""
+    rng = random.Random(seed)
+    s = _exponent(rng, exponent)
+    p = TwoStatePair(_draw(rng, order, formal, kind),
+                     _draw(rng, order, formal, kind))
+    base = moments_from_r(r_from_moments(p.base).scale(s), order)
+    tilde = tilde_from_two_state_r(two_state_r(p).scale(s), base)
+    assert _typed(free_power(p.base, s)) == _typed(base)
+    pair = two_state_power(p, s)
+    assert _typed(pair.base) == _typed(base)
+    assert _typed(pair.tilde) == _typed(tilde)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.booleans(),
+       st.sampled_from(DRAW_KINDS), st.sampled_from(EXPONENTS),
+       st.sampled_from((F(-2), F(-1, 3), F(1, 2), F(3))))
+def test_free_power_matches_the_partition_sum(seed, order, formal, kind,
+                                              exponent, t0):
+    """The free power against the sum over NC(n) of s^|pi| prod kappa_|V|,
+    which shares no code with it, at t = t0 on the rational path of the
+    oracle."""
+    rng = random.Random(seed)
+    s = _exponent(rng, exponent)
+    a = _draw(rng, order, formal, kind)
+    kappa = [evaluate(c, t0) for c in r_from_moments(a).coeffs()[1:]]
+    want = moments_from_free_cumulants(kappa, evaluate(s, t0), order)
+    got = [evaluate(c, t0) for c in free_power(a, s).moments()]
+    assert got == list(want.moments())

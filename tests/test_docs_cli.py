@@ -204,13 +204,25 @@ def test_cli_t_takes_only_integers_and_fractions(tmp_path, capsys, t):
 
 @pytest.mark.parametrize("value", ("1e3", "2.5", "1E+1"))
 def test_cli_param_takes_only_integers_and_fractions(capsys, value):
-    """A --param value that is no integer or p/q is read as a family name,
-    which no Coeff parameter takes."""
+    """A --param number that is no integer or p/q is refused."""
     assert _exit_code(["verify", "free-evolution",
                        "--param", f"beta={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "parameter beta:" in captured.err
+
+
+@pytest.mark.parametrize("value", ("2.5", "1e3", "-0.5", "inf"))
+def test_cli_param_says_how_a_rational_is_written(capsys, value):
+    """The refusal of a number in another form names the forms it takes,
+    instead of reading the number as a family name that no coefficient
+    parameter takes."""
+    assert _exit_code(["verify", "free-evolution",
+                       "--param", f"beta={value}"]) == 2
+    err = capsys.readouterr().err
+    assert f"parameter beta: bad rational {value!r}: want an integer or p/q" \
+        in err
+    assert "want int or Fraction" not in err
 
 
 _LIMIT = getattr(sys, "get_int_max_str_digits", None)

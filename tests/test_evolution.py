@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv import evolution
-from freeconv.coeffs import evaluate, formal_t
+from freeconv.coeffs import TPoly, evaluate, formal_t
 from freeconv.convolutions import free_convolve, free_power
 from freeconv.evolution import (
     CATALOG,
     MIN_ORDER,
+    _triple_r_series,
     belinschi_nica,
     bercovici_pata,
     bercovici_pata_inverse,
@@ -40,6 +41,8 @@ from freeconv.transforms import (
     cauchy_g,
     eta_from_moments,
     f_at_infinity,
+    moments_from_r,
+    tilde_from_two_state_r,
     voiculescu_phi,
 )
 
@@ -265,6 +268,43 @@ def test_two_state_semigroup_at_low_orders(order):
     full = two_state_semigroup(rel, base, t, 10)
     assert pair.order == order
     assert pair.tilde == full.tilde and pair.base == full.base
+
+
+def _typed(mf):
+    return [(type(c), c) for c in mf.moments()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+       st.sampled_from(("t", "1 + t", "rational", "zero TPoly")))
+def test_semigroups_by_expansion_match_the_solves(seed, order, exponent):
+    """maassen_semigroup and two_state_semigroup expand in t over the powers
+    of the triple's R at t = 1; the solves they replace, on the R-transforms
+    built at t, give the same moments, value for value and ring for ring.
+    The triples take zero or formal beta and zero gamma, where the R-transform
+    at t pads its tail with rational zeros."""
+    rng = random.Random(seed)
+    t = formal_t()
+    s = {"t": t, "1 + t": 1 + t, "rational": F(rng.randint(-3, 3), 2),
+         "zero TPoly": TPoly(())}[exponent]
+
+    def triple():
+        beta = rng.choice((F(0), F(rng.randint(-3, 3), 3), t - 1,
+                           TPoly.constant(2)))
+        if rng.random() < 0.3:
+            return CanonicalTriple(beta, 0, None)
+        rho = [rng.choice((F(0), F(rng.randint(-2, 2), rng.randint(1, 3)),
+                           2 * t)) for _ in range(max(order - 2, 1))]
+        return CanonicalTriple(beta, rng.choice((F(1, 2), F(-3), 1 + t)),
+                               MomentFunctional(max(order - 2, 1), rho))
+
+    rel, base = triple(), triple()
+    want = moments_from_r(_triple_r_series(base, s, order), order)
+    assert _typed(maassen_semigroup(base, s, order)) == _typed(want)
+    tilde = tilde_from_two_state_r(_triple_r_series(rel, s, order), want)
+    pair = two_state_semigroup(rel, base, s, order)
+    assert _typed(pair.base) == _typed(want)
+    assert _typed(pair.tilde) == _typed(tilde)
 
 
 def test_two_state_strip_is_monotone():

@@ -41,9 +41,10 @@ only ``Fraction`` coefficients).  ``/`` is exact or raises:
 ``ExactDivisionError`` when the quotient is not a polynomial,
 ``ZeroDivisionError`` for a zero divisor.  A reciprocal is ``ONE / c``, so
 only nonzero constants have one in Q[t]: no operation of the package needs
-a power series in t (``belinschi_nica`` divides by 1 + t exactly, see its
-docstring).  Beyond the operators, ``as_coeff`` admits a value from outside
-the program, and ``t_derivative`` and ``evaluate`` act on the parameter.
+a power series in t (``belinschi_nica`` expands in 1 + t rather than divide
+by it, see its docstring).  Beyond the operators, ``as_coeff`` admits a
+value from outside the program, and ``t_derivative`` and ``evaluate`` act on
+the parameter.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i, the NC(n) sum of
 t^{|pi|} prod kappa_{|V|} (Nica-Speicher), and its twin for eta~ (see
 ``transforms.two_state_from_scaled_r``).  Over Q[t] that is about n^3 integer
 operations where a forward solve runs a power table of polynomials in t.
+Each result carries its R-transform (see ``functionals.MomentFunctional``),
+so a free power handed to free convolution is not solved back.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ from .transforms import (
 
 
 def free_convolve(a, b):
+    """a boxplus b: the R-transforms add.
+
+    An operand built from an R-transform, such as a free power, hands it
+    over without a solve, and where the sum is affine in t, as in
+    rho boxplus sigma^{boxplus t} for rational rho and sigma,
+    ``moments_from_r`` expands it in t over Q instead of solving over Q[t].
+    """
     return moments_from_r(r_from_moments(a) + r_from_moments(b),
                           min(a.order, b.order))
 

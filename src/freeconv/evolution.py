@@ -55,6 +55,7 @@ from .functionals import (
 )
 from .series import LaurentAtInfinity, TruncSeries
 from .transforms import (
+    belinschi_nica_eta,
     cauchy_g,
     eta_from_moments,
     f_at_infinity,
@@ -141,18 +142,21 @@ def bercovici_pata_inverse(mu):
 def belinschi_nica(mu, t):
     """B_t[mu] = (mu^{boxplus s})^{uplus 1/s} with s = 1 + t.
 
-    Boolean powers scale eta, so eta^{B_t[mu]} = eta^{mu^{boxplus s}} / s,
-    and for formal t this division is exact in Q[t]: the n-th Boolean
-    cumulant of mu^{boxplus s} is a sum over the irreducible non-crossing
-    partitions pi of {1..n} of prod_{V in pi} s kappa_{|V|}(mu), each term
-    s^{#blocks(pi)} times free cumulants of mu, with at least one block.
+    Boolean powers scale eta, so eta^{B_t[mu]} = eta^{mu^{boxplus s}} / s.
+    Lagrange-Burmann for W = z(1 + sR(W)) gives that quotient on the powers
+    of R = R_mu as eta_1 = kappa_1 and, for n >= 2,
+
+        eta_n = sum_{i=1..n-1} C(n-2, i-1)/i s^{i-1} [w^n] R^i
+
+    (``transforms.belinschi_nica_eta``), a polynomial in s: for formal t it
+    is in Q[t] as it stands, with nothing left to divide.  t = -1 is refused,
+    since B_t is defined through the division by 1 + t.
     """
     s = 1 + as_coeff(t)
     if not s:
         raise ZeroDivisionError("B_t divides by 1 + t, which is 0 at t = -1")
-    eta = eta_from_moments(free_power(mu, s))
     return moments_from_eta(
-        TruncSeries(mu.order, [c / s for c in eta.coeffs()]), mu.order)
+        belinschi_nica_eta(r_from_moments(mu), s, mu.order), mu.order)
 
 
 # -- subordination ------------------------------------------------------------

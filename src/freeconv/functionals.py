@@ -34,7 +34,7 @@ their coefficients as they are.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .coeffs import ZERO, ONE, _dot, as_coeff, exact_div
 
@@ -56,7 +56,19 @@ class ConsistencyError(RuntimeError):
 
 
 class MomentFunctional:
-    __slots__ = ("order", "_m")
+    """The moments m_1..m_order of a unital functional.
+
+    A functional built from an R-transform, by ``transforms.moments_from_r``
+    or ``moments_from_scaled_r``, keeps it as ``_r``, a pair (R, s) that
+    stands for the series s R through z^order; ``transforms.r_from_moments``
+    hands it back, in the ring its solve would give, instead of solving for
+    it.  It records how this object was made, not what it equals: ``==`` and
+    ``hash`` ignore it, ``truncate`` truncates it, and a functional built from
+    moments (a family, a decoded document, any caller's list) has none, so it
+    is no cache across calls.
+    """
+
+    __slots__ = ("order", "_m", "_r")
 
     def __init__(self, order, moments):
         if order < 1:
@@ -67,6 +79,7 @@ class MomentFunctional:
         ms += [ZERO] * (order - len(ms))
         self.order = order
         self._m = tuple(ms)
+        self._r = None
 
     def m(self, k):
         """The k-th moment; m(0) = 1."""
@@ -82,7 +95,11 @@ class MomentFunctional:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return MomentFunctional(order, self._m[:order])
+        out = MomentFunctional(order, self._m[:order])
+        if self._r is not None:
+            r, s = self._r
+            out._r = (r.truncate(order), s)
+        return out
 
     def mean_var(self):
         if self.order < 2:
@@ -223,6 +240,16 @@ def moments_from_jacobi(j, order):
     tridiagonal matrix): up-steps weight 1, flat at level i weight beta_i,
     down onto level i weight gamma_i.  Division-free, so it works verbatim
     over Q[t].
+
+    Rows over Q with a repeating tail, as every named family has, run on
+    ints: with D the lcm of the row denominators, flat steps weigh beta_i D
+    and down steps gamma_i D^2, so a path of length n carries D^n and m_n is
+    v_0 / D^n.  Such rows repeat one pair, so D stays small at any depth.
+    Other rows stay on ``Fraction``: the rows that ``jacobi_from_moments``
+    reads off a functional, which the Jacobi-shift cross-checks expand, have
+    a new denominator at nearly every level, so one lcm over them, and every
+    int with it, grows with the depth.  D here is not the D of ``_grade``,
+    so that this cross-check shares nothing with the solves it checks.
     """
     levels_needed = (order + 1) // 2
     if j.terminated:
@@ -232,9 +259,16 @@ def moments_from_jacobi(j, order):
     gammas = [r[1] for r in rows]
     size = levels_needed + 1
     v = [ONE] + [ZERO] * (levels_needed)
+    zero, d = ZERO, None
+    if j.repeat is not None and all(
+            type(c) is Fraction for c in betas + gammas):
+        d = lcm(*[c.denominator for c in betas + gammas])
+        betas = [b.numerator * (d // b.denominator) for b in betas]
+        gammas = [g.numerator * (d // g.denominator) * d for g in gammas]
+        v, zero = [1] + [0] * levels_needed, 0
     out = []
     for _ in range(order):
-        nv = [ZERO] * size
+        nv = [zero] * size
         for i in range(size):
             c = v[i]
             if not c:
@@ -247,6 +281,8 @@ def moments_from_jacobi(j, order):
                 nv[i - 1] = nv[i - 1] + c * gammas[i - 1]  # down-step
         v = nv
         out.append(v[0])
+    if d is not None:
+        out = [Fraction(x, d ** n) for n, x in enumerate(out, 1)]
     return MomentFunctional(order, out)
 
 

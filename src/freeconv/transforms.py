@@ -28,8 +28,19 @@ the powers of R, in place of a solve over Q[t]:
                              eta~_n = [w^n] s (wR2' - R2) (1 + sR)^{n-1} / (n-1)
 
 The first is the moment-cumulant sum over NC(n) of s^{|pi|} prod
-kappa_{|V|} (Nica-Speicher).  Over Q the powers of R run on ints graded by
-the same D, and each output is reduced once.
+kappa_{|V|} (Nica-Speicher).  The same expansion takes two more cases:
+
+    R-transform A + tB       moments_from_r, when A and B are over Q:
+                             m_n = sum_{i=0..n} C(n+1, i)/(n+1) t^i
+                                   [w^n] B^i (1 + A)^{n+1-i}
+    eta of B_t[mu], s = 1+t  belinschi_nica_eta: eta_1 = kappa_1 and
+                             eta_n = sum_{i=1..n-1} C(n-2, i-1)/i s^{i-1}
+                                     [w^n] R^i for n >= 2
+
+Over Q the powers run on ints graded by the same D, built by one row
+builder (``_power_rows``), and each output is reduced once.  Every
+functional built from an R-transform keeps it, and ``r_from_moments``
+returns it instead of solving (see ``functionals.MomentFunctional``).
 
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
@@ -45,6 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .coeffs import ZERO, ONE, TPoly, _canonical, _convolve, _dot, as_coeff
 from .functionals import (
@@ -66,18 +78,54 @@ def m_series(mf):
 
 
 def r_from_moments(mf):
-    """Free cumulants kappa_1..kappa_N as the coefficients of R(z)."""
+    """Free cumulants kappa_1..kappa_N as the coefficients of R(z).
+
+    A functional that carries the R-transform s R it was built from (see
+    ``MomentFunctional``) gives s R back without a solve, each kappa_k in the
+    ring the solve gives it: a ``TPoly`` exactly when one of m_1..m_k is.
+    """
     n = mf.order
+    if mf._r is not None:
+        r, s = mf._r
+        poly, out = False, [ZERO]
+        for m, c in zip(mf.moments(), r.coeffs()[1:]):
+            poly = poly or type(m) is TPoly
+            out.append(_as_ring(s * c, poly))
+        return TruncSeries(n, out)
     return TruncSeries(n, _graded(lambda m: _fill(
         n, lambda k, _, s: m[k] - s, (None, m)), _moment_table(mf)))
 
 
-def moments_from_r(r, order):
-    """Solve R(z(1+M)) = M forward for the moments."""
-    if order > r.order:
-        raise ValueError(f"cumulants known to order {r.order} < {order}")
+def _carrying(mf, r, s):
+    """mf, keeping the R-transform s r it was built from."""
+    mf._r = (r.truncate(mf.order), s)
+    return mf
+
+
+def _solve_moments(r, order):
+    """The forward solve of R(z(1+M)) = M for m_1..m_order; the functional
+    carries no R."""
     return MomentFunctional(order, _graded(lambda kappa: _fill(
         order, lambda k, _, s: s, (kappa, None)), r.coeffs()[:order + 1])[1:])
+
+
+def moments_from_r(r, order):
+    """The moments whose R-transform is r, through m_order.
+
+    When r_1..r_order are rationals and ``TPoly``s of t-degree at most 1, with
+    at least one ``TPoly``, R = A + tB expands in t over Q
+    (``_affine_moments``); otherwise R(z(1+M)) = M is solved forward.  Both
+    give each moment the same value and ring.
+    """
+    if order > r.order:
+        raise ValueError(f"cumulants known to order {r.order} < {order}")
+    cs = r.coeffs()[:order + 1]
+    parts = _affine_parts(cs)
+    if parts is None:
+        mf = _solve_moments(r, order)
+    else:
+        mf = MomentFunctional(order, _affine_moments(cs, *parts))
+    return _carrying(mf, r, ONE)
 
 
 def eta_from_moments(mf):
@@ -178,6 +226,36 @@ def two_state_r_by_reversion(pair):
 # Q[t] runs its power table on polynomials in t.
 
 
+def _scaled(cs, d):
+    """The ints c_k D^k, for Fractions c_k that D^k clears (see ``_grade``)."""
+    row, dk = [], 1
+    for c in cs:
+        row.append(c.numerator * (dk // c.denominator))
+        dk *= d
+    return row
+
+
+def _power_rows(r, top, n, unit=False):
+    """rows[i][k] = [w^k] (u + R)^i for 0 <= i <= top and 0 <= k <= n, with
+    R = sum_{k >= 1} r_k w^k (r[0] is not read) and u = 1 when ``unit``, else
+    0, when (u + R)^i starts at w^i.  The one builder of the expansions'
+    power rows: on graded ints each entry is one ``sum(map(mul))``, on any
+    other ring one ``coeffs._dot``."""
+    ints = type(r[1]) is int
+    rows = [[1] + [0] * n]
+    for i in range(1, top + 1):
+        prev = rows[-1]
+        lo = 0 if unit else i - 1  # prev[j] = 0 for j < lo
+        row = [1] if unit else [0] * i
+        for k in range(len(row), n + 1):
+            xs, ys = r[1:k - lo + 1], prev[lo:k][::-1]
+            start = prev[k] if unit else None
+            row.append(sum(map(mul, xs, ys), start or 0) if ints
+                       else _dot(start, xs, ys))
+        rows.append(row)
+    return rows
+
+
 def _expansion(s, seqs, n):
     """(seqs, rows, weigh) for an expansion in s to order n, R = seqs[0].
 
@@ -185,7 +263,7 @@ def _expansion(s, seqs, n):
     come back graded as ``functionals._graded`` grades them, entry k the int
     c_k D^k, and rows[i][k] = [w^k] R^i D^k; otherwise the sequences are as
     given, D = 1 and rows[i][k] = [w^k] R^i.  weigh(ys, c, k) is
-    sum_{e >= 1} ys[e] s^e / (c D^k) for an int c > 0: over Q one integer
+    sum_{e >= 0} ys[e] s^e / (c D^k) for an int c > 0: over Q one integer
     polynomial over one denominator, reduced once, and a ``TPoly`` exactly
     when s is one; otherwise a fold of the ring's operators.
     """
@@ -195,27 +273,15 @@ def _expansion(s, seqs, n):
         if d is None:
             break
     else:
-        scaled = []
-        for cs in seqs:
-            row, dk = [], 1
-            for c in cs:
-                row.append(c.numerator * (dk // c.denominator))
-                dk *= d
-            scaled.append(row)
-        seqs = scaled
-    r = seqs[0]
-    rows = [[1] + [0] * n]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([0] * i + [_dot(None, r[1:k - i + 2], prev[i - 1:k][::-1])
-                               for k in range(i, n + 1)])
+        seqs = [_scaled(cs, d) for cs in seqs]
+    rows = _power_rows(seqs[0], n, n)
     if d is None:
         sp = [ONE]
         for _ in range(n):
             sp.append(sp[-1] * s)
 
         def weigh(ys, c, k):
-            return _dot(None, ys[1:], sp[1:len(ys)]) * Fraction(1, c)
+            return _dot(None, ys, sp[:len(ys)]) * Fraction(1, c)
         return seqs, rows, weigh
     # s = S / den for an int polynomial S (a constant when s is rational)
     nums, den = TPoly._parts(s)
@@ -230,7 +296,7 @@ def _expansion(s, seqs, n):
     def weigh(ys, c, k):
         top = len(ys) - 1
         acc = [0] * len(pows[top])
-        for e in range(1, top + 1):
+        for e in range(top + 1):
             y = ys[e]
             if y:
                 y *= dens[top - e]
@@ -251,30 +317,85 @@ def _as_ring(c, poly):
     return c.constant_term() if type(c) is TPoly else c
 
 
+def _rings(s, r, n):
+    """For k = 1..n, the ring that the forward solve gives m_k on the
+    R-transform s R, r = [r_0, r_1..r_n]: None for the ``Fraction(0)``s
+    before the first nonzero s r_k, then whether m_k is a ``TPoly``.  That
+    first one is a ``TPoly`` exactly when s or r_k is, and each later m_k
+    exactly when one is among s and r_1..r_k (a zero ``TPoly`` counts: the
+    solve's ``_dot`` reads rings, not values)."""
+    spoly = type(s) is TPoly
+    poly, lead, out = spoly, False, []
+    for k in range(1, n + 1):
+        poly = poly or type(r[k]) is TPoly
+        if lead:
+            out.append(poly)
+        elif s and r[k]:
+            lead = True
+            out.append(spoly or type(r[k]) is TPoly)
+        else:
+            out.append(None)
+    return out
+
+
 def _free_moments(s, r, rows, weigh):
     """m_1..m_n with R-transform s R, from ``_expansion`` on r = [0, r_1..r_n]:
 
         m_n = [w^n] (1 + sR)^{n+1} / (n+1)
-            = sum_{i=1..n} C(n+1, i)/(n+1) s^i [w^n] R^i.
+            = sum_{i=1..n} C(n+1, i)/(n+1) s^i [w^n] R^i,
 
-    Each comes in the ring that ``moments_from_r`` gives it on the R-transform
-    s R: the moments before the first nonzero s r_k are ``Fraction(0)``, that
-    one is a ``TPoly`` exactly when s or r_k is, and each later m_k exactly
-    when one is among s and r_1..r_k.
+    each in the ring that ``moments_from_r`` gives it (``_rings``).
     """
-    spoly = type(s) is TPoly
-    poly, lead, out = spoly, False, []
-    for k in range(1, len(rows)):
-        m = weigh([comb(k + 1, i) * rows[i][k] for i in range(k + 1)],
-                  k + 1, k)
-        poly = poly or type(r[k]) is TPoly
-        if lead:
-            out.append(_as_ring(m, poly))
-        elif s and r[k]:
-            lead = True
-            out.append(_as_ring(m, spoly or type(r[k]) is TPoly))
+    return [ZERO if poly is None else _as_ring(
+        weigh([comb(k + 1, i) * rows[i][k] for i in range(k + 1)], k + 1, k),
+        poly) for k, poly in enumerate(_rings(s, r, len(rows) - 1), 1)]
+
+
+def _affine_parts(cs):
+    """(A, B), lists of Fractions with cs[k] = A_k + t B_k for k >= 1 and
+    A_0 = B_0 = 0, when one of cs[1:] is a ``TPoly`` and none has t-degree
+    above 1; else None."""
+    a, b, poly = [ZERO], [ZERO], False
+    for c in cs[1:]:
+        if type(c) is TPoly:
+            if len(c.nums) > 2:
+                return None
+            poly = True
+            a.append(c.coeff(0))
+            b.append(c.coeff(1))
         else:
+            a.append(c)
+            b.append(ZERO)
+    return (a, b) if poly else None
+
+
+def _affine_moments(cs, a, b):
+    """m_1..m_n with R-transform cs = A + tB, A and B over Q (``_affine_parts``).
+
+    Lagrange-Burmann for W = z(1 + A(W) + tB(W)) gives
+    m_n = [w^n] (1 + A + tB)^{n+1} / (n+1), that is
+
+        m_n = sum_{i=0..n} C(n+1, i)/(n+1) t^i [w^n] B^i (1 + A)^{n+1-i},
+
+    on the power rows of B and of 1 + A, graded by one D from ``_grade`` so
+    that every sum runs on ints, with one reduction per output.  Each m_n is
+    in the ring that the forward solve gives it (``_rings`` with s = 1).
+    """
+    n = len(cs) - 1
+    d = _grade(enumerate(b), _grade(enumerate(a)))
+    rb = _power_rows(_scaled(b, d), n, n)
+    ra = _power_rows(_scaled(a, d), n + 1, n, unit=True)
+    out, dk = [], 1
+    for k, poly in enumerate(_rings(ONE, cs, n), 1):
+        dk *= d
+        if poly is None:
             out.append(ZERO)
+            continue
+        ys = [comb(k + 1, i) * sum(map(mul, rb[i][i:k + 1],
+                                       ra[k + 1 - i][k - i::-1]))
+              for i in range(k + 1)]
+        c = (k + 1) * dk
+        out.append(_canonical(ys, c, c) if poly else Fraction(ys[0], c))
     return out
 
 
@@ -292,7 +413,8 @@ def moments_from_scaled_r(r, s, order):
     s = as_coeff(s)
     cs = r.coeffs()[:order + 1]
     _, rows, weigh = _expansion(s, [cs], order)
-    return MomentFunctional(order, _free_moments(s, cs, rows, weigh))
+    return _carrying(MomentFunctional(order, _free_moments(s, cs, rows, weigh)),
+                     r, s)
 
 
 def two_state_from_scaled_r(r2, r, s, order):
@@ -315,7 +437,8 @@ def two_state_from_scaled_r(r2, r, s, order):
     s = as_coeff(s)
     rc, r2c = r.coeffs()[:order + 1], r2.coeffs()[:order + 1]
     (_, g2), rows, weigh = _expansion(s, [rc, r2c], order)
-    base = MomentFunctional(order, _free_moments(s, rc, rows, weigh))
+    base = _carrying(MomentFunctional(order, _free_moments(s, rc, rows, weigh)),
+                     r, s)
     # the solve's ring: eta~_1 is a TPoly only when it is nonzero, and a
     # later eta~_k exactly when one is among s, R2_1..R2_k and m_1..m_(k-1)
     poly = type(s) is TPoly or type(r2c[1]) is TPoly
@@ -330,3 +453,31 @@ def two_state_from_scaled_r(r2, r, s, order):
                 or type(base.m(n - 1)) is TPoly)
         eta.append(_as_ring(weigh(ys, n - 1, n), poly))
     return TwoStatePair(moments_from_eta(TruncSeries(order, eta), order), base)
+
+
+def belinschi_nica_eta(r, s, order):
+    """eta_1..eta_order of B_t[mu] for s = 1 + t, from r = R_mu.
+
+    B_t[mu] = (mu^{boxplus s})^{uplus 1/s} has eta = eta^{mu^{boxplus s}} / s.
+    With phi = 1 + sR, eta^{mu^{boxplus s}} = 1 - 1/phi(W), and
+    Lagrange-Burmann gives [z^n] of it as [w^n] phi^{n-1} / (n-1) for n >= 2,
+    so that
+
+        eta_1 = kappa_1,
+        eta_n = sum_{i=1..n-1} C(n-2, i-1)/i s^{i-1} [w^n] R^i   (n >= 2),
+
+    on ``_expansion``'s power rows of R, with no division by s.  Each eta_k
+    is in the ring that the Boolean cumulants of ``free_power(mu, s)``,
+    divided by s, have: a ``TPoly`` when s is one, or when k is at or past
+    the first nonzero kappa and kappa_k is one.
+    """
+    cs = r.coeffs()[:order + 1]
+    _, rows, weigh = _expansion(s, [cs], order)
+    spoly = type(s) is TPoly
+    eta = [ZERO]
+    for k, poly in enumerate(_rings(s, cs, order), 1):
+        c = cs[1] if k == 1 else weigh(
+            [comb(k - 1, e + 1) * rows[e + 1][k] for e in range(k - 1)],
+            k - 1, k)
+        eta.append(_as_ring(c, spoly if poly is None else poly))
+    return TruncSeries(order, eta)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_convolutions import _draw
 
 from freeconv import evolution
 from freeconv.coeffs import TPoly, evaluate, formal_t
@@ -37,11 +38,13 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
+from freeconv.series import TruncSeries
 from freeconv.transforms import (
+    _solve_moments,
     cauchy_g,
     eta_from_moments,
     f_at_infinity,
-    moments_from_r,
+    moments_from_eta,
     tilde_from_two_state_r,
     voiculescu_phi,
 )
@@ -145,6 +148,40 @@ def test_belinschi_nica_exact_over_q_t(seed, order, formal):
     if not formal:
         assert all(c.degree <= max(k - 2, 0)
                    for k, c in enumerate(bt.moments(), start=1))
+
+
+def _bt_by_composition(mu, t):
+    """B_t as the composition that belinschi_nica replaced: the Boolean
+    cumulants of the free power mu^{boxplus(1+t)}, divided by 1 + t."""
+    s = 1 + t
+    eta = eta_from_moments(free_power(mu, s))
+    return moments_from_eta(
+        TruncSeries(mu.order, [c / s for c in eta.coeffs()]), mu.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.booleans(),
+       st.sampled_from(("plain", "zeros", "zero-polys", "constants")),
+       st.sampled_from(("formal", "rational", "zero", "zero TPoly", "t/p")),
+       st.booleans())
+def test_belinschi_nica_matches_the_composition_it_replaces(
+        seed, order, formal, kind, t_kind, powered):
+    """B_t by its expansion in s = 1 + t over the powers of R_mu gives the
+    moments of (mu^{boxplus s})^{uplus 1/s}, value for value and ring for
+    ring, over Q and Q[t], for formal, rational and zero t, and on a mu that
+    carries its R-transform; t = -1 is refused by name."""
+    rng = random.Random(seed)
+    t = {"formal": formal_t(),
+         "rational": F(rng.choice((-7, -4, -2, -1, 1, 2, 5)), 3),
+         "zero": F(0), "zero TPoly": TPoly(()),
+         "t/p": formal_t() / rng.choice((2, 3))}[t_kind]
+    mu = _draw(rng, order, formal, kind)
+    if powered:
+        mu = free_power(mu, rng.choice((F(1, 2), formal_t(), 2)))
+    assert _typed(belinschi_nica(mu, t)) == _typed(_bt_by_composition(mu, t))
+    for minus_one in (F(-1), TPoly.constant(-1)):
+        with pytest.raises(ZeroDivisionError, match=r"1 \+ t"):
+            belinschi_nica(mu, minus_one)
 
 
 def test_subordination_examples():
@@ -299,7 +336,7 @@ def test_semigroups_by_expansion_match_the_solves(seed, order, exponent):
                                MomentFunctional(max(order - 2, 1), rho))
 
     rel, base = triple(), triple()
-    want = moments_from_r(_triple_r_series(base, s, order), order)
+    want = _solve_moments(_triple_r_series(base, s, order), order)
     assert _typed(maassen_semigroup(base, s, order)) == _typed(want)
     tilde = tilde_from_two_state_r(_triple_r_series(rel, s, order), want)
     pair = two_state_semigroup(rel, base, s, order)

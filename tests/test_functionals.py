@@ -2,9 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_convolutions import _typed
 
+from freeconv import functionals
 from freeconv.coeffs import TPoly
 from freeconv.functionals import (
+    FAMILIES,
     CanonicalTriple,
     ConsistencyError,
     JacobiDepthError,
@@ -168,3 +172,50 @@ def test_equal_functionals_hash_alike():
     for other in (mf.truncate(3), mf.truncate(1), const, const.truncate(5)):
         assert other == mf and hash(other) == hash(mf)
     assert len({mf, mf.truncate(3), const}) == 1
+
+
+def _by_fractions(j, order):
+    """moments_from_jacobi on the rows of j written out without a tail, so
+    that they stay on Fraction."""
+    rows = j.levels((order + 1) // 2)
+    return moments_from_jacobi(
+        JacobiParams([b for b, _ in rows], [g for _, g in rows]), order)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_jacobi_on_ints_matches_fractions(name):
+    """Every named family, at every order 1-40, expands its rows with a
+    repeating tail on ints over their lcm D, m_n = v_0 / D^n; the same rows
+    without the tail stay on Fraction and give the same moments, all
+    Fractions."""
+    rng = random.Random(name)
+    fn, argnames = FAMILIES[name]
+    for order in range(1, 41):
+        params = [F(rng.choice((-3, -1, 0, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+                  for _ in argnames]
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(functionals, "moments_from_jacobi",
+                       lambda j, n: seen.append(j) or moments_from_jacobi(j, n))
+            got = fn(*params, order)
+        (j,) = seen
+        want = moments_from_jacobi(j, order) if j.terminated \
+            else _by_fractions(j, order)
+        assert all(type(c) is F for c in got.moments())
+        assert _typed(got) == _typed(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(0, 5))
+def test_jacobi_rows_with_a_tail_on_ints_match_fractions(seed, order, depth):
+    """Random rows over Q with a repeating tail, zeros and a zero gamma
+    mid-row included, expand on ints to the moments of the Fraction path."""
+    rng = random.Random(seed)
+
+    def q():
+        return F(rng.choice((-3, -1, 0, 0, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+
+    j = JacobiParams([q() for _ in range(depth)], [q() for _ in range(depth)],
+                     repeat=(q(), q()))
+    assert _typed(moments_from_jacobi(j, order)) == \
+        _typed(_by_fractions(j, order))

@@ -6,15 +6,22 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_convolutions import EXPONENTS, _draw, _exponent, _typed
 
-from freeconv import functionals
+from freeconv import docs, functionals
 from freeconv.coeffs import TPoly, formal_t
-from freeconv.convolutions import free_power, monotone_convolve
-from freeconv.evolution import subordination, subordination_inverse
+from freeconv.convolutions import free_convolve, free_power, monotone_convolve
+from freeconv.evolution import (
+    maassen_semigroup,
+    subordination,
+    subordination_inverse,
+)
 from freeconv.functionals import (
+    CanonicalTriple,
     MomentFunctional,
     TwoStatePair,
     bernoulli_sym,
+    free_meixner,
     jacobi_from_moments,
     moments_from_jacobi,
     point_mass,
@@ -23,6 +30,7 @@ from freeconv.functionals import (
 from freeconv.oracle import free_cumulants_oracle
 from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
+    _solve_moments,
     cauchy_g,
     eta_from_moments,
     f_at_infinity,
@@ -275,7 +283,7 @@ def _nine_solves(mu, nu, r):
     n = mu.order
     out = [
         r_from_moments(mu).coeffs(),
-        moments_from_r(r, n).moments(),
+        _solve_moments(r, n).moments(),
         eta_from_moments(mu).coeffs(),
         moments_from_eta(r, n).moments(),
         two_state_r(TwoStatePair(mu, nu)).coeffs(),
@@ -373,3 +381,131 @@ def test_fill_substitution_matches_series_composition(seed, order, formal):
         assert all(formal or type(s) is int for s in seen[1:])
         assert [seen[k] + missing[k] for k in range(1, order + 1)] \
             == list(expected[1:])
+
+
+AFFINE_KINDS = ("plain", "A = 0", "B = 0", "zeros", "constants")
+
+
+def _affine_r(rng, order, kind):
+    """An R-transform A + tB through z^order with at least one TPoly among
+    r_1..r_order: "A = 0" and "B = 0" drop a part, "zeros" makes most
+    coefficients a rational or TPoly zero, and "constants" makes some
+    constant TPolys beside rationals."""
+    t = formal_t()
+
+    def q():
+        return F(rng.choice((-3, -1, 0, 0, 1, 2)), rng.choice((1, 2, 3, 5)))
+
+    cs = [F(0)]
+    for _ in range(order):
+        if kind == "zeros" and rng.random() < 0.7:
+            cs.append(rng.choice((F(0), TPoly(()))))
+        elif kind == "constants":
+            cs.append(rng.choice((q(), TPoly.constant(q()))))
+        else:
+            a = F(0) if kind == "A = 0" else q()
+            b = F(0) if kind == "B = 0" else q()
+            cs.append(rng.choice((a + b * t, TPoly((a, b)))))
+    if TPoly not in map(type, cs):
+        k = rng.randint(1, order)
+        cs[k] = TPoly.constant(cs[k])
+    return TruncSeries(order + rng.randint(0, 2), cs)
+
+
+def _spy_fill(mp):
+    """Patch ``_fill`` everywhere with a wrapper; returns the list it appends
+    one entry to per call."""
+    kernel, calls = functionals._fill, []
+
+    def spy(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    _patch_kernel(mp, "_fill", spy)
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24),
+       st.sampled_from(AFFINE_KINDS))
+def test_affine_r_expansion_matches_the_solve(seed, order, kind):
+    """moments_from_r on an R affine in t expands R = A + tB over Q without a
+    solve, and gives every moment the value and the ring of the forward
+    solve: Fraction(0) before the first nonzero r_k, and a TPoly from there
+    on exactly when one of r_1..r_k is, a zero or constant TPoly included."""
+    r = _affine_r(random.Random(seed), order, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_fill(mp)
+        got = moments_from_r(r, order)
+    assert calls == []
+    assert _typed(got) == _typed(_solve_moments(r, order))
+
+
+SOURCES = ("moments_from_r affine", "moments_from_r solve", "free_power",
+           "maassen_semigroup", "free_convolve")
+
+
+def _built_from_r(rng, order, source, exponent):
+    """A functional of the given order built from an R-transform."""
+    t = formal_t()
+    formal = rng.random() < 0.5
+    kind = rng.choice(("plain", "zeros", "zero-polys", "constants"))
+    if source == "moments_from_r affine":
+        return moments_from_r(
+            _affine_r(rng, order, rng.choice(AFFINE_KINDS)), order)
+    if source == "moments_from_r solve":
+        return moments_from_r(
+            r_from_moments(_draw(rng, order, formal, kind)).scale(
+                rng.choice((F(1), t * t, 1 + t * t))), order)
+    if source == "free_power":
+        return free_power(_draw(rng, order, formal, kind),
+                          _exponent(rng, exponent))
+    if source == "maassen_semigroup":
+        rho = _draw(rng, max(order - 2, 1), formal, kind)
+        beta = rng.choice((F(0), F(rng.randint(-3, 3), 2), t - 1))
+        gamma = rng.choice((F(0), F(1, 2), 1 + t))
+        triple = (CanonicalTriple(beta, gamma, rho) if gamma
+                  else CanonicalTriple(beta, 0, None))
+        return maassen_semigroup(triple, _exponent(rng, exponent), order)
+    return free_convolve(_draw(rng, order, formal, kind),
+                         free_power(_draw(rng, order, formal, kind),
+                                    _exponent(rng, exponent)))
+
+
+def _typed_series(series):
+    return series.order, [(type(c), c) for c in series.coeffs()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14),
+       st.sampled_from(SOURCES), st.sampled_from(EXPONENTS), st.booleans())
+def test_carried_r_matches_the_solve(seed, order, source, exponent, cut):
+    """A functional built from an R-transform carries it, also through
+    truncate, and r_from_moments hands it back without a solve, value for
+    value and ring for ring as the solve on a copy built from its moments
+    alone: kappa_k is a TPoly exactly when one of m_1..m_k is."""
+    rng = random.Random(seed)
+    mf = _built_from_r(rng, order, source, exponent)
+    if cut:
+        mf = mf.truncate(rng.randint(1, order))
+    assert mf._r is not None and mf._r[0].order == mf.order
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_fill(mp)
+        got = r_from_moments(mf)
+    assert calls == []
+    want = r_from_moments(MomentFunctional(mf.order, mf.moments()))
+    assert _typed_series(got) == _typed_series(want)
+
+
+def test_r_from_moments_solves_without_a_carried_r():
+    """A family, a decoded document and a functional built from a list carry
+    no R-transform, so r_from_moments solves for it."""
+    mf = MomentFunctional(6, [F(1, 2), 1, F(-1, 3), 2, 0, 5])
+    for given_mf in (free_meixner(F(1, 2), F(-1, 3), 1, 2, 8),
+                     docs.decode(docs.encode_functional(free_power(mf, 2))),
+                     mf):
+        assert given_mf._r is None
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_fill(mp)
+            r_from_moments(given_mf)
+        assert calls == [given_mf.order]

@@ -84,16 +84,16 @@ from .convolutions import (
 
 def _check_shift(label, mf, out, shift):
     """Raise ConsistencyError unless the Jacobi rows of ``mf``, where it has
-    them, moved by ``shift`` to (betas, gammas), give the moments ``out``."""
+    them, moved by ``shift`` to (betas, gammas), are the rows of ``out``."""
     try:
         jp = jacobi_from_moments(mf, mf.order // 2)
     except (NoJacobiRepresentationError, ExactDivisionError):
         return
-    shifted = JacobiParams(*shift(jp), terminated=jp.terminated)
-    check_order = out.order if jp.terminated \
-        else min(out.order, 2 * shifted.depth())
-    if check_order >= 1 and not moments_from_jacobi(
-            shifted, check_order).agrees_with(out, check_order):
+    try:
+        got = jacobi_from_moments(out, out.order // 2)
+    except (NoJacobiRepresentationError, ExactDivisionError):
+        got = None
+    if got != JacobiParams(*shift(jp), terminated=jp.terminated):
         raise ConsistencyError(f"{label}: transform and Jacobi paths disagree")
 
 
@@ -101,8 +101,9 @@ def phi_map(nu):
     """The mean-0 variance-1 lift: eta_{Phi[nu]}(w) = w^2 (1 + M^nu(w)).
 
     Equivalently the right shift on Jacobi parameters, inserting the row
-    (0; 1); both implementations run and must agree whenever the input has a
-    Jacobi representation.  The output order is nu.order + 2.
+    (0; 1): where the input has Jacobi rows, the output's rows, both read by
+    ``jacobi_from_moments``, which shares no solve kernel with this path,
+    must be them shifted.  The output order is nu.order + 2.
     """
     n = nu.order + 2
     eta = TruncSeries(n, (ZERO, ZERO, ONE) + nu.moments())
@@ -115,9 +116,10 @@ def phi_map(nu):
 def strip(mu):
     """Coefficient stripping J: F_mu(z) = z - beta - gamma G_{J[mu]}(z).
 
-    Transform-level computation (eta_mu(w) - beta w)/(gamma w^2), with a
-    Jacobi left-shift cross-check when the input admits Jacobi parameters.
-    The output order is mu.order - 2.
+    Transform-level computation (eta_mu(w) - beta w)/(gamma w^2), checked,
+    where the input has Jacobi rows, against them shifted left, both rows
+    read by ``jacobi_from_moments``, which shares no solve kernel with this
+    path.  The output order is mu.order - 2.
     """
     if mu.order < 3:
         raise ValueError(f"strip needs order >= 3, got {mu.order}")

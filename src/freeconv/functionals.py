@@ -34,6 +34,7 @@ their coefficients as they are.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .coeffs import ZERO, ONE, _dot, as_coeff, exact_div
@@ -245,11 +246,8 @@ def moments_from_jacobi(j, order):
     ints: with D the lcm of the row denominators, flat steps weigh beta_i D
     and down steps gamma_i D^2, so a path of length n carries D^n and m_n is
     v_0 / D^n.  Such rows repeat one pair, so D stays small at any depth.
-    Other rows stay on ``Fraction``: the rows that ``jacobi_from_moments``
-    reads off a functional, which the Jacobi-shift cross-checks expand, have
-    a new denominator at nearly every level, so one lcm over them, and every
-    int with it, grows with the depth.  D here is not the D of ``_grade``,
-    so that this cross-check shares nothing with the solves it checks.
+    Other rows stay on ``Fraction``: read off a functional, they have a new
+    denominator at nearly every level, and an lcm over them grows with depth.
     """
     levels_needed = (order + 1) // 2
     if j.terminated:
@@ -304,22 +302,36 @@ def _strip_once(mf, beta, gamma):
 
 
 def jacobi_from_moments(mf, levels):
-    """Extract (beta_j, gamma_j) rows by successive coefficient stripping.
+    """The rows (beta_j, gamma_j), j < levels, from m_1..m_{2 levels} by the
+    Chebyshev algorithm (W. Gautschi, *Orthogonal Polynomials*, 2004,
+    Sec. 2.1.7), from sigma_{0,l} = m_l:
 
-    ``levels`` is the number of rows requested; requires order >= 2*levels.
-    Terminates early (with ``terminated=True``) when some gamma_j = 0 and the
-    remaining moments are consistent with the closed fraction; otherwise a
-    gamma_j = 0 raises NoJacobiRepresentationError.
+        sigma_{k+1,l} = sigma_{k,l+1} - beta_k sigma_{k,l} - gamma_{k-1} sigma_{k-1,l},
+        beta_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1},
+        gamma_k = sigma_{k+1,k+1}/sigma_{k,k},
+
+    by ring operations and exact divisions, with none of the solve kernels.
+    beta_j is a ``TPoly`` exactly when one of m_1..m_{2j+1} is, gamma_j when
+    one of m_1..m_{2j+2} is.  Requires order >= 2*levels.  A gamma_j = 0 ends
+    the rows (``terminated=True``) if the closed fraction gives every moment
+    through the order, and raises NoJacobiRepresentationError if not.
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
     if mf.order < 2 * levels:
         raise JacobiDepthError(
             f"order {mf.order} supports at most {mf.order // 2} levels")
-    betas, gammas = [], []
-    work = mf
-    for j in range(levels):
-        b, g = work.mean_var()
+    betas, gammas, n = [], [], 2 * levels
+    # sigma_{k-1,l} and sigma_{k,l} at index l (none is read below l = k),
+    # sigma_{k-1,k}/sigma_{k-1,k-1} and gamma_{k-1}, all 0 at k = 0
+    prev, cur = [ZERO] * (n + 1), (ONE,) + mf.moments()[:n]
+    ratio = g = ZERO
+    for k in range(levels):
+        r = exact_div(cur[k + 1], cur[k])
+        b = r - ratio
+        nxt = [ZERO] * (k + 1) + [cur[l + 1] - b * cur[l] - g * prev[l]
+                                  for l in range(k + 1, n - k)]
+        g = exact_div(nxt[k + 1], cur[k])
         betas.append(b)
         gammas.append(g)
         if not g:
@@ -328,8 +340,7 @@ def jacobi_from_moments(mf, levels):
                 return candidate
             raise NoJacobiRepresentationError(
                 "gamma = 0 but deeper moments are inconsistent with termination")
-        if j + 1 < levels:
-            work = _strip_once(work, b, g)
+        prev, cur, ratio = cur, nxt, r
     return JacobiParams(betas, gammas)
 
 
@@ -348,13 +359,14 @@ def _moment_table(mf):
     return [ONE] + list(mf.moments())
 
 
-def _grade(pairs, d=1):
-    """D grown from ``d`` so that q divides D^k for every (k, a/q) in
-    ``pairs``: D <- D q / gcd(q, D^k), in their order.  None when some
-    coefficient is not a ``Fraction``, or one with k = 0 is not an integer.
-    The graded integer paths of the single- and multi-variate solves share
-    this rule."""
-    for k, c in pairs:
+def _grade(*groups):
+    """The one D of a set of inputs, each a group of pairs (k, c_k): grown
+    from 1 so that q divides D^k for every (k, a/q), D <- D q / gcd(q, D^k),
+    in their order.  None when some coefficient is not a ``Fraction``, or
+    one with k = 0 is not an integer.  Every graded integer path of the
+    single- and multi-variate solves takes D from here."""
+    d = 1
+    for k, c in chain.from_iterable(groups):
         if type(c) is not Fraction:
             return None
         q = c.denominator
@@ -365,6 +377,15 @@ def _grade(pairs, d=1):
             if dk % q:
                 d *= q // gcd(q, dk)
     return d
+
+
+def _scaled(cs, d):
+    """The ints c_k D^k, for Fractions c_k that D^k clears (see ``_grade``)."""
+    row, dk = [], 1
+    for c in cs:
+        row.append(c.numerator * (dk // c.denominator))
+        dk *= d
+    return row
 
 
 def _graded(solve, *seqs):
@@ -380,20 +401,11 @@ def _graded(solve, *seqs):
     gets the sequences as they are, for the generic path, and its output
     is returned unchanged.
     """
-    d = 1
-    for cs in seqs:
-        d = _grade(enumerate(cs), d)
-        if d is None:
-            return solve(*seqs)
-    scaled = []
-    for cs in seqs:
-        row, dk = [], 1
-        for c in cs:
-            row.append(c.numerator * (dk // c.denominator))
-            dk *= d
-        scaled.append(row)
+    d = _grade(*map(enumerate, seqs))
+    if d is None:
+        return solve(*seqs)
     out, dk = [], 1
-    for x in solve(*scaled):
+    for x in solve(*[_scaled(cs, d) for cs in seqs]):
         out.append(Fraction(x, dk))
         dk *= d
     return out

@@ -183,17 +183,15 @@ def _graded_words(solve, *dicts):
     form of ``functionals._graded``.
 
     When every coefficient is a ``Fraction``, ``solve`` gets c_w as the int
-    c_w D^|w|, with D grown by ``functionals._grade``.  Every word transform
+    c_w D^|w|, with D from ``functionals._grade``.  Every word transform
     is weight-homogeneous in |w| and divides by nothing, so a fill on graded
     inputs stays in Z, and output w comes back as x_w / D^|w|.  Otherwise
     ``solve`` gets the dicts as they are and its output is returned
     unchanged.
     """
-    scale = 1
-    for dct in dicts:
-        scale = _grade(zip(map(len, dct), dct.values()), scale)
-        if scale is None:
-            return solve(*dicts)
+    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts))
+    if scale is None:
+        return solve(*dicts)
     out = solve(*[{w: c.numerator * (scale ** len(w) // c.denominator)
                    for w, c in dct.items()} for dct in dicts])
     return {w: Fraction(x, scale ** len(w)) for w, x in out.items()}

@@ -67,6 +67,7 @@ from .functionals import (
     _grade,
     _graded,
     _moment_table,
+    _scaled,
     _split_sum,
 )
 from .series import LaurentAtInfinity, TruncSeries
@@ -226,15 +227,6 @@ def two_state_r_by_reversion(pair):
 # Q[t] runs its power table on polynomials in t.
 
 
-def _scaled(cs, d):
-    """The ints c_k D^k, for Fractions c_k that D^k clears (see ``_grade``)."""
-    row, dk = [], 1
-    for c in cs:
-        row.append(c.numerator * (dk // c.denominator))
-        dk *= d
-    return row
-
-
 def _power_rows(r, top, n, unit=False):
     """rows[i][k] = [w^k] (u + R)^i for 0 <= i <= top and 0 <= k <= n, with
     R = sum_{k >= 1} r_k w^k (r[0] is not read) and u = 1 when ``unit``, else
@@ -267,12 +259,8 @@ def _expansion(s, seqs, n):
     polynomial over one denominator, reduced once, and a ``TPoly`` exactly
     when s is one; otherwise a fold of the ring's operators.
     """
-    d = 1
-    for cs in seqs:
-        d = _grade(enumerate(cs), d)
-        if d is None:
-            break
-    else:
+    d = _grade(*map(enumerate, seqs))
+    if d is not None:
         seqs = [_scaled(cs, d) for cs in seqs]
     rows = _power_rows(seqs[0], n, n)
     if d is None:
@@ -382,7 +370,7 @@ def _affine_moments(cs, a, b):
     in the ring that the forward solve gives it (``_rings`` with s = 1).
     """
     n = len(cs) - 1
-    d = _grade(enumerate(b), _grade(enumerate(a)))
+    d = _grade(enumerate(a), enumerate(b))
     rb = _power_rows(_scaled(b, d), n, n)
     ra = _power_rows(_scaled(a, d), n + 1, n, unit=True)
     out, dk = [], 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_convolutions import _draw
 
 from freeconv import evolution
-from freeconv.coeffs import TPoly, evaluate, formal_t
+from freeconv.coeffs import ExactDivisionError, TPoly, evaluate, formal_t
 from freeconv.convolutions import free_convolve, free_power
 from freeconv.evolution import (
     CATALOG,
@@ -31,6 +31,7 @@ from freeconv.functionals import (
     CanonicalTriple,
     ConsistencyError,
     MomentFunctional,
+    NoJacobiRepresentationError,
     ZeroVarianceError,
     bernoulli_sym,
     free_meixner,
@@ -478,6 +479,30 @@ def test_jacobi_shift_cross_check_rejects_a_wrong_transform_path(
         return MomentFunctional(out.order, [m + 1 for m in out.moments()])
 
     monkeypatch.setattr(evolution, target, off_by_one)
+    with pytest.raises(ConsistencyError,
+                       match=f"^{label}: transform and Jacobi paths disagree$"):
+        op(mf)
+
+
+@pytest.mark.parametrize("moments", (
+    (0, 0, 1),  # gamma_0 = 0, but m_3 is not that of the point mass at 0
+    (0, formal_t(), 1),  # beta_1 = m_3 / gamma_0 = 1/t is not in Q[t]
+), ids=("gamma-0-inconsistent", "rows-not-polynomial"))
+@pytest.mark.parametrize("target,op,label", (
+    ("moments_from_eta", phi_map, "Phi"),
+    ("_strip_once", strip, "J"),
+))
+def test_jacobi_shift_cross_check_rejects_an_output_without_rows(
+        monkeypatch, moments, target, op, label):
+    """When the input has Jacobi rows and the transform path returns a
+    functional that has none, the two paths disagree: the check must raise,
+    not skip as it does for an input without rows."""
+    mf = semicircular(0, 1, 8)
+    order = op(mf).order
+    rowless = MomentFunctional(order, moments)
+    with pytest.raises((NoJacobiRepresentationError, ExactDivisionError)):
+        jacobi_from_moments(rowless, order // 2)
+    monkeypatch.setattr(evolution, target, lambda *args: rowless)
     with pytest.raises(ConsistencyError,
                        match=f"^{label}: transform and Jacobi paths disagree$"):
         op(mf)

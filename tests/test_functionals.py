@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,8 @@ from test_convolutions import _typed
 
 from freeconv import functionals
 from freeconv.coeffs import TPoly
+from freeconv.convolutions import free_power
+from freeconv.evolution import phi_map, strip
 from freeconv.functionals import (
     FAMILIES,
     CanonicalTriple,
@@ -25,6 +28,8 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
+from freeconv.series import TruncSeries
+from freeconv.transforms import moments_from_eta
 
 
 def test_point_mass_moments():
@@ -69,6 +74,14 @@ def test_extraction_rejects_inconsistent_termination():
 def test_extraction_needs_order():
     with pytest.raises(JacobiDepthError):
         jacobi_from_moments(MomentFunctional(4, (0, 1, 0, 2)), 3)
+
+
+def test_extraction_reads_only_the_moments_its_rows_need():
+    """Two rows come from m_1..m_4 alone: m_5 = 1, which makes the deeper
+    row beta_2 = 1/t leave Q[t], does not stop them."""
+    t = TPoly((0, 1))
+    mf = MomentFunctional(5, (0, t, 0, t + t * t, 1))
+    assert jacobi_from_moments(mf, 2) == JacobiParams((0, 0), (t, 1))
 
 
 def test_roundtrip_random_including_negative_gammas():
@@ -219,3 +232,93 @@ def test_jacobi_rows_with_a_tail_on_ints_match_fractions(seed, order, depth):
                      repeat=(q(), q()))
     assert _typed(moments_from_jacobi(j, order)) == \
         _typed(_by_fractions(j, order))
+
+
+def _digest_inputs(order):
+    """(label, functional) pairs at one order: seeded functionals over Q,
+    over Q with constant ``TPoly`` moments among the ``Fraction``s, and with
+    moments affine in t; each family, and its free powers at formal t and
+    at 3/2; then the strip and the Phi map of each of those.  A derivation
+    that raises gives the class it raised in place of the functional."""
+    rng = random.Random(f"jacobi digest {order}")
+    t = TPoly((0, 1))
+
+    def q():
+        return F(rng.choice((-3, -1, 0, 0, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+
+    def mixed(affine):
+        kinds = (0, 1, 2) if affine else (0, 1)
+        out = []
+        for _ in range(order):
+            kind, c = rng.choice(kinds), q()
+            out.append(c if kind == 0 else TPoly.constant(c) if kind == 1
+                       else c + rng.choice((-1, 1, 2)) * t)
+        return MomentFunctional(order, out)
+
+    base = [(f"q{i}", MomentFunctional(order, [q() for _ in range(order)]))
+            for i in range(6)]
+    base += [(f"const{i}", mixed(False)) for i in range(4)]
+    base += [(f"affine{i}", mixed(True)) for i in range(4)]
+    for name in sorted(FAMILIES):
+        fn, argnames = FAMILIES[name]
+        mf = fn(*[q() for _ in argnames], order)
+        base += [(name, mf), (f"{name}^t", free_power(mf, t)),
+                 (f"{name}^3/2", free_power(mf, F(3, 2)))]
+    if order == 8:
+        # eta = t w^2 (1 + w + w^2) + w^5: rows (0, 1; t, 0), while the
+        # stripped functional goes on with m_3 = 1/t, which no closed
+        # fraction has
+        eta = TruncSeries(order, (0, 0, t, t, t, 1))
+        base.append(("gamma1=0", moments_from_eta(eta, order)))
+    for label, mf in base:
+        yield f"{order} {label}", mf
+        for op_name, op in (("J", strip), ("Phi", phi_map)):
+            try:
+                yield f"{order} {op_name}[{label}]", op(mf)
+            except (ArithmeticError, ValueError) as exc:
+                yield f"{order} {op_name}[{label}]", type(exc).__name__
+
+
+def _jacobi_digest_lines(class_changed=()):
+    """One line per input of ``_digest_inputs`` at orders 1-20: the rows that
+    ``jacobi_from_moments(mf, mf.order // 2)`` reads, each beta and gamma as
+    ``type:repr``, and whether they terminate, or the class it raised.  For a
+    label in ``class_changed`` a NoJacobiRepresentationError is written as
+    the ExactDivisionError it replaced."""
+    lines = []
+    for order in range(1, 21):
+        for label, mf in _digest_inputs(order):
+            if isinstance(mf, str):
+                lines.append(f"{label}: {mf} deriving it")
+                continue
+            try:
+                j = jacobi_from_moments(mf, mf.order // 2)
+            except (ArithmeticError, ValueError) as exc:
+                name = type(exc).__name__
+                if label in class_changed:
+                    assert name == "NoJacobiRepresentationError", label
+                    name = "ExactDivisionError"
+                lines.append(f"{label}: raises {name}")
+                continue
+            assert label not in class_changed, label
+            rows = [f"{type(c).__name__}:{c!r}" for c in j.betas + j.gammas]
+            lines.append(f"{label}: {' '.join(rows)} terminated={j.terminated}")
+    return lines
+
+
+# The two inputs on which a zero gamma comes before a division that is not
+# exact: the extraction by coefficient stripping divided all the deeper
+# moments before it read that gamma, and raised ExactDivisionError.
+CLASS_CHANGED = ("8 gamma1=0", "8 Phi[gamma1=0]")
+
+
+def test_jacobi_rows_match_the_strip_extraction_type_for_type():
+    """jacobi_from_moments gives every row, type for type, and every error
+    class that the extraction by coefficient stripping gave on the inputs
+    of ``_digest_inputs``, recorded from that extraction, but on
+    CLASS_CHANGED."""
+    lines = _jacobi_digest_lines(CLASS_CHANGED)
+    assert len(lines) == 1923
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == \
+        "26a40a9fcc222be67b7758d422fba298ade0a0f4efe80b7761adb53e7c4615b3"

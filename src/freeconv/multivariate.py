@@ -26,10 +26,13 @@ right of each letter, following the displayed order of the defining
 equations.  _fill_words extracts the coefficient by a recursion over the
 prefixes of the letters of A that a word's letters carry, one state table
 per fill; _apply_w_substitution reads [x_w] A(W) from it, once per word.
-Every site runs its fills inside _graded_words, the one place that grades
-a word solve: over Q the fills run on ints graded by word length (the rule of
-functionals._graded), and Q[t] or mixed inputs take the same kernels on
-their coefficients as they are.
+
+Each equation is one raw kernel (_r, _moments_from_r, _eta, ...), a fill on
+whatever ring it is handed.  Each public operation chains its kernels inside
+one _graded_words call over all of its inputs, the one place that grades a
+word solve: over Q the fills run on ints graded by word length (the rule of
+functionals._graded) from the operation's input to its output, and Q[t] or
+mixed inputs take the same kernels on their coefficients as they are.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.
@@ -40,6 +43,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from functools import partial
 
 from .coeffs import ZERO, ONE, as_coeff, formal_t
 from .convolutions import free_convolve, free_power
@@ -54,11 +58,12 @@ MAX_NC_ORDER = 8
 
 # The largest alphabet a word-layer verify entry may run at: the largest d
 # at which every entry runs within about 40 s at order MAX_NC_ORDER.  The
-# number of words grows as d^order.  At order 8, composition takes 1.3 s at
-# d = 3 and 11 s at d = 4; final-prop, the slowest entry because its formal
-# t keeps its fills on Q[t] arithmetic, takes 6 s at d = 3 but 42 s and
-# 270 MB at d = 4 (CPython 3.11, one core of a 2-core x86 host).  It is a
-# constant, not a flag; nc_verify rejects a larger d before any entry runs.
+# number of words grows as d^order.  At order 8, composition takes 0.65 s at
+# d = 3 and 5.9 s at d = 4; final-prop, the slowest entry because its formal
+# t keeps its fills on Q[t] arithmetic, takes 6.0 s at d = 3 but 49 s and
+# 270 MB at d = 4 (CPython 3.11.7, one core of a 2-core x86 host, one run
+# each at seed 0).  It is a constant, not a flag; nc_verify rejects a larger
+# d before any entry runs.
 MAX_NC_D = 3
 
 
@@ -94,6 +99,18 @@ class NCFunctional:
                 clean[w] = c
         self._m = clean
 
+    @classmethod
+    def _filled(cls, d, order, moments):
+        """The functional of a fill's output: nonzero values at words over
+        1..d of length 1..order, so only the order and the ring are checked."""
+        if not 1 <= order <= MAX_NC_ORDER:
+            raise ValueError(f"order must be in 1..{MAX_NC_ORDER}")
+        self = object.__new__(cls)
+        self.d = d
+        self.order = order
+        self._m = {w: as_coeff(c) for w, c in moments.items()}
+        return self
+
     def m(self, w):
         w = tuple(w)
         if not w:
@@ -117,10 +134,13 @@ class NCFunctional:
         if self.d != other.d:
             return False
         n = min(self.order, other.order)
-        for w in words(self.d, n):
-            if not (self.m(w) == other.m(w)):
-                return False
-        return True
+        return self._upto(n) == other._upto(n)
+
+    def _upto(self, n):
+        """The stored words of length <= n; a missing word is zero."""
+        if n >= self.order:
+            return self._m
+        return {w: c for w, c in self._m.items() if len(w) <= n}
 
     def __repr__(self):
         return f"<NCFunctional d={self.d} order={self.order} ({len(self._m)} words)>"
@@ -178,30 +198,51 @@ def nc_to_univariate(ncf):
                             [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
 
 
+def _word_powers(scale, *dicts):
+    """[scale^k for k in 0..L], L the longest word in ``dicts``."""
+    pw = [1]
+    for _ in range(max(map(len, itertools.chain(*dicts)), default=0)):
+        pw.append(pw[-1] * scale)
+    return pw
+
+
 def _graded_words(solve, *dicts):
     """solve(*dicts), run over Q on ints graded by word length: the word-dict
     form of ``functionals._graded``.
 
     When every coefficient is a ``Fraction``, ``solve`` gets c_w as the int
     c_w D^|w|, with D from ``functionals._grade``.  Every word transform
-    is weight-homogeneous in |w| and divides by nothing, so a fill on graded
-    inputs stays in Z, and output w comes back as x_w / D^|w|.  Otherwise
-    ``solve`` gets the dicts as they are and its output is returned
-    unchanged.
+    is weight-homogeneous in |w| and divides by nothing, and a sum or
+    difference of two dicts graded by one D is graded by it, so a solve
+    that chains fills on graded inputs stays in Z, and output w comes back
+    as x_w / D^|w|.  Otherwise ``solve`` gets the dicts as they are and its
+    output is returned unchanged.
     """
     scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts))
     if scale is None:
         return solve(*dicts)
-    out = solve(*[{w: c.numerator * (scale ** len(w) // c.denominator)
+    pw = _word_powers(scale, *dicts)
+    out = solve(*[{w: c.numerator * (pw[len(w)] // c.denominator)
                    for w, c in dct.items()} for dct in dicts])
-    return {w: Fraction(x, scale ** len(w)) for w, x in out.items()}
+    pw = _word_powers(scale, out)
+    return {w: Fraction(x, pw[len(w)]) for w, x in out.items()}
 
 
 def _add_products(row, x, y, n_p, n_g, n_i):
     """row[(p n_g + g) n_i + i] += x[g] y[p n_i + i] for p < n_p, g < n_g and
     i < n_i.  None marks an absent entry: a product with an absent factor is
-    no term, and an entry that gets no term stays None."""
+    no term, and an entry that gets no term stays None.  Each comprehension
+    runs along the longer of the g and i axes."""
     span = n_g * n_i
+    if n_g > n_i:
+        for p in range(n_p):
+            for i, c in enumerate(y[p * n_i:(p + 1) * n_i]):
+                if c is not None:
+                    lo = p * span + i
+                    row[lo:lo + span:n_i] = [
+                        s if v is None else v * c if s is None else s + v * c
+                        for s, v in zip(row[lo:lo + span:n_i], x)]
+        return
     for p in range(n_p):
         ys = y[p * n_i:(p + 1) * n_i]
         for g, c in enumerate(x):
@@ -297,71 +338,125 @@ def _fill_words(d, order, coeff, subst=None):
     return out
 
 
+# -- raw kernels ------------------------------------------------------------------
+
+
+def _r(d, order, m):
+    """Free cumulants: solve R(z_i(1+M)) = M triangularly."""
+    return _fill_words(d, order, lambda w, kappa, s: m.get(w, 0) - s,
+                       (None, m))
+
+
+def _moments_from_r(d, order, kappa):
+    """Forward solve of R(z_i(1+M)) = M."""
+    return _fill_words(d, order, lambda w, m, s: s, (kappa, None))
+
+
+def _eta(d, order, m):
+    """Boolean cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v."""
+    return _fill_words(d, order, lambda w, eta, _: (
+        m.get(w, 0) - _split_sum(eta, m, w)))
+
+
+def _moments_from_eta(d, order, eta):
+    return _fill_words(d, order, lambda w, m, _: (
+        eta.get(w, 0) + _split_sum(eta, m, w)))
+
+
+def _two_state_r(d, order, eta_t, m):
+    """Solve eta~ (1+M) = R2(z_i(1+M)) for R2."""
+    return _fill_words(d, order, lambda w, _, s: (
+        eta_t.get(w, 0) + _split_sum(eta_t, m, w) - s), (None, m))
+
+
+def _substitute_divide(d, order, a, m):
+    """A(z_i(1+M)) (1+M)^{-1}: eta~ from R2, and R^{mu |> nu} from R^mu with
+    M = M^nu."""
+    return _fill_words(d, order, lambda w, e, s: s - _split_sum(e, m, w),
+                       (a, m))
+
+
+def _composition(d, order, m, b):
+    """(1+M)(1 + B(z_i(1+M))) - 1."""
+    sub = _fill_words(d, order, lambda w, _, s: s, (b, m))
+    return _fill_words(d, order, lambda w, _, s: (
+        sub.get(w, 0) + m.get(w, 0) + _split_sum(m, sub, w)))
+
+
+def _merge(x, y, op):
+    """x with op(x[w], y[w]) at every word of y, a missing x[w] read as 0."""
+    for w, c in y.items():
+        x[w] = op(x.get(w, 0), c)
+    return x
+
+
+# -- public operations ------------------------------------------------------------
+
+
 def nc_r(mu):
     """Word-indexed free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    return _graded_words(lambda m: _fill_words(
-        mu.d, mu.order, lambda w, kappa, s: m.get(w, 0) - s, (None, m)), mu._m)
+    return _graded_words(partial(_r, mu.d, mu.order), mu._m)
 
 
 def nc_moments_from_r(kappa, d, order):
     """Forward solve of R(z_i(1+M)) = M."""
-    return NCFunctional(d, order, _graded_words(lambda kappa: _fill_words(
-        d, order, lambda w, m, s: s, (kappa, None)), kappa))
+    return NCFunctional._filled(d, order, _graded_words(
+        partial(_moments_from_r, d, order), kappa))
 
 
 def nc_eta(mu):
     """Boolean word cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v (u,v nonempty)."""
-    return _graded_words(lambda m: _fill_words(
-        mu.d, mu.order, lambda w, eta, _: m.get(w, 0) - _split_sum(eta, m, w)),
-        mu._m)
+    return _graded_words(partial(_eta, mu.d, mu.order), mu._m)
 
 
 def nc_moments_from_eta(eta, d, order):
-    return NCFunctional(d, order, _graded_words(lambda eta: _fill_words(
-        d, order, lambda w, m, _: eta.get(w, 0) + _split_sum(eta, m, w)), eta))
+    return NCFunctional._filled(d, order, _graded_words(
+        partial(_moments_from_eta, d, order), eta))
 
 
 def nc_two_state_r(pair):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for the word two-state R-transform."""
-    return _graded_words(lambda eta_t, m: _fill_words(
-        pair.d, pair.order, lambda w, _, s: (
-            eta_t.get(w, 0) + _split_sum(eta_t, m, w) - s), (None, m)),
-        nc_eta(pair.tilde), pair.base._m)
+    d, order = pair.d, pair.order
+    return _graded_words(lambda tilde, m: _two_state_r(
+        d, order, _eta(d, order, tilde), m), pair.tilde._m, pair.base._m)
 
 
 def nc_tilde_from_two_state_r(r2, base):
     """Invert: eta~ = R2(z_i(1+M)) (1+M)^{-1}, then moments."""
-    eta = _graded_words(lambda r2, m: _fill_words(
-        base.d, base.order, lambda w, e, s: s - _split_sum(e, m, w), (r2, m)),
-        r2, base._m)
-    return nc_moments_from_eta(eta, base.d, base.order)
+    d, order = base.d, base.order
+    return NCFunctional._filled(d, order, _graded_words(
+        lambda r2, m: _moments_from_eta(
+            d, order, _substitute_divide(d, order, r2, m)),
+        r2, base._m))
 
 
 def _combine_cumulants(a, b, cumulants, op, moments):
-    """moments(op(cumulants(a), cumulants(b))) word by word, at one order."""
-    order = min(a.order, b.order)
-    out = dict(cumulants(a.truncate(order)))
-    for w, c in cumulants(b.truncate(order)).items():
-        out[w] = op(out.get(w, ZERO), c)
-    return moments(out, a.d, order)
+    """moments(op(cumulants(a), cumulants(b))) word by word, at one order,
+    for the raw kernels ``cumulants`` and ``moments``."""
+    d, order = a.d, min(a.order, b.order)
+    return NCFunctional._filled(d, order, _graded_words(
+        lambda x, y: moments(d, order, _merge(
+            cumulants(d, order, x), cumulants(d, order, y), op)),
+        a.truncate(order)._m, b.truncate(order)._m))
 
 
 def nc_free_convolve(a, b):
-    return _combine_cumulants(a, b, nc_r, operator.add, nc_moments_from_r)
+    return _combine_cumulants(a, b, _r, operator.add, _moments_from_r)
 
 
 def nc_free_power(a, t):
+    # Two graded calls: t times a graded int is not an int for every t.
     t = as_coeff(t)
     return nc_moments_from_r({w: t * c for w, c in nc_r(a).items()},
                              a.d, a.order)
 
 
 def nc_free_deconvolve(a, b):
-    return _combine_cumulants(a, b, nc_r, operator.sub, nc_moments_from_r)
+    return _combine_cumulants(a, b, _r, operator.sub, _moments_from_r)
 
 
 def nc_boolean_convolve(a, b):
-    return _combine_cumulants(a, b, nc_eta, operator.add, nc_moments_from_eta)
+    return _combine_cumulants(a, b, _eta, operator.add, _moments_from_eta)
 
 
 def nc_boolean_power(a, t):
@@ -383,42 +478,47 @@ def nc_phi(nu):
 
 def nc_bp(mu):
     """R^{B[mu]} = eta^mu."""
-    return nc_moments_from_r(nc_eta(mu), mu.d, mu.order)
+    d, order = mu.d, mu.order
+    return NCFunctional._filled(d, order, _graded_words(
+        lambda m: _moments_from_r(d, order, _eta(d, order, m)), mu._m))
 
 
 def nc_bp_inverse(mu):
-    return nc_moments_from_eta(nc_r(mu), mu.d, mu.order)
+    d, order = mu.d, mu.order
+    return NCFunctional._filled(d, order, _graded_words(
+        lambda m: _moments_from_eta(d, order, _r(d, order, m)), mu._m))
 
 
 def nc_subordination(mu, nu):
     """R^{mu |> nu} (1+M^nu) = R^mu(z_i(1+M^nu)), solved triangularly."""
-    order = min(mu.order, nu.order)
-    mu, nu = mu.truncate(order), nu.truncate(order)
-    ksub = _graded_words(lambda kmu, m: _fill_words(
-        mu.d, order, lambda w, k, s: s - _split_sum(k, m, w), (kmu, m)),
-        nc_r(mu), nu._m)
-    return nc_moments_from_r(ksub, mu.d, order)
+    d, order = mu.d, min(mu.order, nu.order)
+    return NCFunctional._filled(d, order, _graded_words(
+        lambda a, m: _moments_from_r(d, order, _substitute_divide(
+            d, order, _r(d, order, a), m)),
+        mu.truncate(order)._m, nu.truncate(order)._m))
 
 
 def _composition_product(lam, nu):
     """(1 + M^lam)(1 + M^nu(z_i(1+M^lam))) - 1, as a word functional."""
     d, order = lam.d, min(lam.order, nu.order)
-    lam, nu = lam.truncate(order), nu.truncate(order)
-
-    def solve(m, b):
-        sub = _fill_words(d, order, lambda w, _, s: s, (b, m))  # M^nu(W_lam)
-        return _fill_words(d, order, lambda w, _, s: (
-            sub.get(w, 0) + m.get(w, 0) + _split_sum(m, sub, w)))
-
-    return NCFunctional(d, order, _graded_words(solve, lam._m, nu._m))
+    return NCFunctional._filled(d, order, _graded_words(
+        partial(_composition, d, order),
+        lam.truncate(order)._m, nu.truncate(order)._m))
 
 
 def nc_subordination_inverse(lam, nu):
     """The unique mu with mu |> nu = lam, via the composition identity
 
-    1 + M^{mu boxplus nu} = (1 + M^lam)(1 + M^nu(z_i(1+M^lam))).
+    1 + M^{mu boxplus nu} = (1 + M^lam)(1 + M^nu(z_i(1+M^lam))),
+
+    and the free deconvolution of mu boxplus nu by nu.
     """
-    return nc_free_deconvolve(_composition_product(lam, nu), nu)
+    d, order = lam.d, min(lam.order, nu.order)
+    return NCFunctional._filled(d, order, _graded_words(
+        lambda x, m: _moments_from_r(d, order, _merge(
+            _r(d, order, _composition(d, order, x, m)), _r(d, order, m),
+            operator.sub)),
+        lam.truncate(order)._m, nu.truncate(order)._m))
 
 
 # -- verification ---------------------------------------------------------------

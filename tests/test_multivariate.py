@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv import functionals, multivariate
-from freeconv.coeffs import TPoly, formal_t
+from freeconv.coeffs import ZERO, TPoly, formal_t
 from freeconv.evolution import (
     bercovici_pata,
     phi_map,
@@ -25,6 +26,7 @@ from freeconv.multivariate import (
     nc_boolean_convolve,
     nc_eta,
     nc_free_convolve,
+    nc_free_deconvolve,
     nc_free_power,
     nc_from_univariate,
     nc_moments_from_eta,
@@ -380,6 +382,49 @@ def _six_word_solves(mu, nu, kappa):
     }
 
 
+def _composite_word_ops(mu, nu):
+    """The operations that chain several fills, as word dicts."""
+    return {
+        "nc_free_convolve": nc_free_convolve(mu, nu),
+        "nc_free_deconvolve": nc_free_deconvolve(mu, nu),
+        "nc_boolean_convolve": nc_boolean_convolve(mu, nu),
+        "nc_bp": nc_bp(mu),
+        "nc_bp_inverse": nc_bp_inverse(mu),
+        "nc_subordination_inverse": nc_subordination_inverse(mu, nu),
+    }
+
+
+def _composite_by_single_solves(mu, nu):
+    """``_composite_word_ops`` by chaining the one-fill operations, each
+    graded on its own, with the cumulants merged over ``Fraction`` zero."""
+    d, n = mu.d, mu.order
+
+    def merged(x, y, op):
+        out = dict(x)
+        for w, c in y.items():
+            out[w] = op(out.get(w, ZERO), c)
+        return out
+
+    lam = _composition_product(mu, nu)
+    return {
+        "nc_free_convolve": nc_moments_from_r(
+            merged(nc_r(mu), nc_r(nu), operator.add), d, n),
+        "nc_free_deconvolve": nc_moments_from_r(
+            merged(nc_r(mu), nc_r(nu), operator.sub), d, n),
+        "nc_boolean_convolve": nc_moments_from_eta(
+            merged(nc_eta(mu), nc_eta(nu), operator.add), d, n),
+        "nc_bp": nc_moments_from_r(nc_eta(mu), d, n),
+        "nc_bp_inverse": nc_moments_from_eta(nc_r(mu), d, n),
+        "nc_subordination_inverse": nc_moments_from_r(
+            merged(nc_r(lam), nc_r(nu), operator.sub), d, n),
+    }
+
+
+def _typed(pairs):
+    """Each value with its type, so that == compares rings as well."""
+    return {w: (type(c), c) for w, c in pairs}
+
+
 def _check_with_series(mu, nu, kappa, out):
     """Each solve against its defining equation in NCSeries operations."""
     d, n = mu.d, mu.order
@@ -428,8 +473,10 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
     NCSeries operations, which share no code with the prefix recursion, on
     sparse draws; over Q every fill runs on ints, and the result equals the
     generic path's, which one constant TPoly coefficient in each input
-    selects.  d and the order stop where the NCSeries reference takes
-    seconds per example."""
+    selects.  The operations that chain fills in one graded call match the
+    same chain of one-fill operations, type for type, on both paths, and
+    subordination_inverse undoes subordination.  d and the order stop where
+    the NCSeries reference takes seconds per example."""
     d, n = shape
     rng = random.Random(seed)
     mu, nu, kappa = (_sparse_nc(rng, d, n, denominators) for _ in range(3))
@@ -444,18 +491,29 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multivariate, "_fill_words", spy)
         graded = _six_word_solves(mu, nu, kappa)
+        composite = _composite_word_ops(mu, nu)
     assert filled and all(filled)
     for out in graded.values():
         assert all(type(c) is F for c in out.values())
     _check_with_series(mu, nu, kappa, graded)
+    assert nc_subordination_inverse(nc_subordination(mu, nu), nu) == mu
 
-    generic = _six_word_solves(NCFunctional(d, n, _wrap_first(mu.items())),
-                               NCFunctional(d, n, _wrap_first(nu.items())),
-                               _wrap_first(kappa))
+    mu_g = NCFunctional(d, n, _wrap_first(mu.items()))
+    nu_g = NCFunctional(d, n, _wrap_first(nu.items()))
+    generic = _six_word_solves(mu_g, nu_g, _wrap_first(kappa))
     if mu.items():  # nc_r keeps mu's first word as it is
         assert any(isinstance(c, TPoly)
                    for out in generic.values() for c in out.values())
     assert generic == graded
+
+    generic = _composite_word_ops(mu_g, nu_g)
+    for ins, outs in (((mu, nu), composite), ((mu_g, nu_g), generic)):
+        chained = _composite_by_single_solves(*ins)
+        for name, out in outs.items():
+            assert _typed(out.items()) == _typed(chained[name].items()), name
+    for name, out in composite.items():
+        assert all(type(c) is F for _, c in out.items()), name
+        assert generic[name] == out, name
 
 
 @pytest.mark.parametrize("formal", [False, True])
@@ -506,3 +564,103 @@ def test_every_fill_runs_inside_the_graded_seam(formal):
         _six_word_solves(mu_w, nu_w, draw_words())
     assert {name for name, _ in fills} == {"_fill", "_fill_words"}
     assert all(inside for _, inside in fills)
+
+
+def test_generic_word_outputs_keep_their_rings():
+    """A plain int in an input dict selects the generic path, and every
+    output value is still a Fraction or a TPoly: the int comes back as a
+    Fraction, and a value that a TPoly reaches stays a TPoly."""
+    one = TPoly.constant(1)
+    got = nc_moments_from_r({(1,): 2, (1, 1): one}, 1, 3)
+    assert [type(got.m((1,) * k)) for k in (1, 2, 3)] == [F, TPoly, TPoly]
+    assert [got.m((1,) * k) for k in (1, 2, 3)] == [2, 5, 14]
+    got = nc_moments_from_eta({(1,): 2, (1, 1): one}, 1, 3)
+    assert [type(got.m((1,) * k)) for k in (1, 2, 3)] == [F, TPoly, TPoly]
+    base = NCFunctional(2, 3, {(1,): F(1, 2), (2, 1): F(-1)})
+    got = nc_tilde_from_two_state_r({(1,): 1, (2,): one}, base)
+    assert got.items() and all(type(c) in (F, TPoly) for _, c in got.items())
+    assert type(got.m((1,))) is F and type(got.m((2,))) is TPoly
+
+
+_SEAM_OPS = {
+    "nc_r": lambda mu, nu: nc_r(mu),
+    "nc_eta": lambda mu, nu: nc_eta(mu),
+    "nc_moments_from_r": lambda mu, nu: nc_moments_from_r(
+        dict(mu.items()), mu.d, mu.order),
+    "nc_moments_from_eta": lambda mu, nu: nc_moments_from_eta(
+        dict(mu.items()), mu.d, mu.order),
+    "nc_two_state_r": lambda mu, nu: nc_two_state_r(NCPair(mu, nu)),
+    "nc_tilde_from_two_state_r": lambda mu, nu: nc_tilde_from_two_state_r(
+        dict(mu.items()), nu),
+    "nc_subordination": nc_subordination,
+    "_composition_product": _composition_product,
+    "nc_subordination_inverse": nc_subordination_inverse,
+    "nc_free_convolve": nc_free_convolve,
+    "nc_free_deconvolve": nc_free_deconvolve,
+    "nc_boolean_convolve": nc_boolean_convolve,
+    "nc_bp": lambda mu, nu: nc_bp(mu),
+    "nc_bp_inverse": lambda mu, nu: nc_bp_inverse(mu),
+    "nc_phi": lambda mu, nu: nc_phi(nu.truncate(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEAM_OPS))
+def test_each_word_op_grades_once(name):
+    """On Q inputs each public word operation runs all of its fills inside a
+    single ``_graded_words`` call: intermediate results stay graded ints and
+    are never converted back to Fractions between fills."""
+    rng = random.Random(43)
+    mu, nu = (NCFunctional(2, 4, _sparse_nc(rng, 2, 4, (1, 2, 3)))
+              for _ in range(2))
+    seam, calls = multivariate._graded_words, []
+
+    def spy(solve, *dicts):
+        calls.append(len(dicts))
+        return seam(solve, *dicts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multivariate, "_graded_words", spy)
+        _SEAM_OPS[name](mu, nu)
+    assert len(calls) == 1, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["<", "=", ">"]),
+       st.integers(1, 3))
+def test_add_products_matches_a_triple_loop(seed, shape, n_p):
+    """The fill kernel against the plain loop over (p, g, i), along either
+    axis, with None marks in row, x and y: an entry that gets no term keeps
+    its None."""
+    rng = random.Random(seed)
+    n_g = rng.randint(1, 9)
+    n_i = {"<": rng.randint(n_g + 1, 10), "=": n_g,
+           ">": rng.randint(1, n_g - 1) if n_g > 1 else None}[shape]
+    if n_i is None:
+        n_g, n_i = n_g + 1, n_g
+
+    def draw(n):
+        return [None if rng.random() < 0.4 else rng.randint(-5, 5)
+                for _ in range(n)]
+
+    row, x, y = draw(n_p * n_g * n_i), draw(n_g), draw(n_p * n_i)
+    want = row[:]
+    for p in range(n_p):
+        for g in range(n_g):
+            for i in range(n_i):
+                c, v = x[g], y[p * n_i + i]
+                if c is not None and v is not None:
+                    k = (p * n_g + g) * n_i + i
+                    want[k] = c * v if want[k] is None else want[k] + c * v
+    multivariate._add_products(row, x, y, n_p, n_g, n_i)
+    assert row == want
+
+
+def test_equality_reads_words_up_to_the_lower_order():
+    a = NCFunctional(2, 4, {(1,): F(1), (2, 1): F(1, 2), (1, 1, 2, 2): F(3)})
+    b = NCFunctional(2, 3, {(1,): F(1), (2, 1): F(1, 2), (2, 2, 2): F(0)})
+    assert a == b and b == a
+    assert a != NCFunctional(2, 4, {(1,): F(1), (2, 1): F(1, 2)})
+    assert a != NCFunctional(2, 3, {(1,): F(1)})
+    assert a != NCFunctional(3, 3, {(1,): F(1), (2, 1): F(1, 2)})
+    assert NCFunctional(1, 2, {(1,): TPoly.constant(2)}) == \
+        NCFunctional(1, 2, {(1,): F(2)})

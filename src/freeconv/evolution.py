@@ -39,10 +39,6 @@ from .functionals import (
     NoJacobiRepresentationError,
     TwoStatePair,
     ZeroVarianceError,
-    _fill,
-    _graded,
-    _moment_table,
-    _split_sum,
     _strip_once,
     arcsine,
     bernoulli_sym,
@@ -64,6 +60,7 @@ from .transforms import (
     moments_from_scaled_r,
     phi_from_r_series,
     r_from_moments,
+    _substitute_divide,
     tilde_from_two_state_r,
     two_state_from_scaled_r,
     voiculescu_phi,
@@ -170,10 +167,8 @@ def subordination(mu, nu):
     Solved through R^{mu |> nu} = R^mu(z(1+M^nu)) * (1+M^nu)^{-1}.
     """
     n = min(mu.order, nu.order)
-    ksub = _graded(lambda kap, m: _fill(n, lambda k, ksub, s: (
-        s - _split_sum(ksub, m, k)), (kap, m)),
-        r_from_moments(mu.truncate(n)).coeffs(), _moment_table(nu)[:n + 1])
-    return moments_from_r(TruncSeries(n, ksub), n)
+    return moments_from_r(
+        _substitute_divide(r_from_moments(mu.truncate(n)), nu, n), n)
 
 
 def subordination_inverse(lam, nu):
@@ -302,8 +297,7 @@ def pde_residual(rel, base, order):
     t = formal_t()
     work = order + 2
     pair_t = two_state_semigroup(rel, base, t, work)
-    mu1 = maassen_semigroup(base, 1, work)
-    phi_mu = voiculescu_phi(mu1)
+    phi_mu = phi_from_r_series(_triple_r_series(base, ONE, work))
     phi_two_state = phi_from_r_series(_triple_r_series(rel, ONE, work))
     f_t = f_at_infinity(pair_t.base)
     f_tilde = f_at_infinity(pair_t.tilde)
@@ -314,36 +308,34 @@ def pde_residual(rel, base, order):
     return res1.truncate(order), res2.truncate(order)
 
 
-def cauchy_evolution_residual(rel, base, order, printed_sign=False):
-    """Residual of the d_t G_{mu~_t} equation from the generator analysis.
+def cauchy_evolution_residual(rel, base, order):
+    """Residuals of the d_t G_{mu~_t} equation from the generator analysis.
 
     With nu_t = J[mu_t], nu~_t = J[mu~_t]:
 
         d_t G~ + (beta + gamma G_{nu_t} - beta~ - gamma~ G_{nu~_t}) G~^2
               + (beta + gamma G_{nu_t}) d_z G~  =  0.
 
-    ``printed_sign=True`` flips the relative-triple part of the bracket to
-    "- beta~ + gamma~ G_{nu~_t}" as printed in the source display; that
-    variant does not vanish (see the verify report).
+    Returns (corrected, printed) to the requested tail order: the residual
+    of this equation, identically zero, and that of the variant with
+    "- beta~ + gamma~ G_{nu~_t}" in the bracket as printed in the source
+    display, which does not vanish (see the verify report).
     """
     if base.rho is None or rel.rho is None:
         raise ZeroVarianceError("residual needs gamma, gamma~ != 0")
     t = formal_t()
     work = order + 4
     pair_t = two_state_semigroup(rel, base, t, work)
-    nu_t = strip(pair_t.base)
-    nu_tilde_t = strip(pair_t.tilde)
     g_tilde = cauchy_g(pair_t.tilde)
-    g_nu = cauchy_g(nu_t)
-    g_nu_tilde = cauchy_g(nu_tilde_t)
+    g_nu = cauchy_g(strip(pair_t.base))  # G_{nu_t}
+    g_nu_tilde = cauchy_g(strip(pair_t.tilde))  # G_{nu~_t}
     drift = g_nu.scale(base.gamma) + base.beta  # beta + gamma G_{nu_t}
-    if printed_sign:
-        bracket = drift - rel.beta + g_nu_tilde.scale(rel.gamma)
-    else:
-        bracket = drift - rel.beta - g_nu_tilde.scale(rel.gamma)
-    res = (g_tilde.t_derivative() + bracket * (g_tilde * g_tilde)
-           + drift * g_tilde.derivative())
-    return res.truncate(order)
+    g_sq = g_tilde * g_tilde
+    rest = g_tilde.t_derivative() + drift * g_tilde.derivative()
+    rel_part = g_nu_tilde.scale(rel.gamma)
+    corrected = rest + (drift - rel.beta - rel_part) * g_sq
+    printed = rest + (drift - rel.beta + rel_part) * g_sq
+    return corrected.truncate(order), printed.truncate(order)
 
 
 # -- verification catalog -------------------------------------------------------
@@ -576,12 +568,10 @@ def _verify_thm_b(order, rng, omega: Functional = None,
             free_power(mu, s))
 
     pair_t = make_pair(t)
-    stripped = free_convolve(rho_t.truncate(order - 2),
-                             free_power(omega.truncate(order - 2), t / p))
-    checks.append(check_eq("J[mu~_t] = rho~ boxplus omega^{boxplus t/p}",
-                        strip(pair_t.tilde), stripped))
-    chain = monotone_convolve(rho_t, free_power(mu, t))
     full = free_convolve(rho_t, free_power(omega, t / p))
+    checks.append(check_eq("J[mu~_t] = rho~ boxplus omega^{boxplus t/p}",
+                        strip(pair_t.tilde), full.truncate(order - 2)))
+    chain = monotone_convolve(rho_t, pair_t.base)
     checks.append(check_eq("rho~ boxplus omega^{t/p} = rho~ |> mu_t",
                         full, chain))
     lhs_phi = voiculescu_phi(rho_t) + voiculescu_phi(omega).scale(
@@ -688,6 +678,7 @@ def _verify_bt_semigroup(order, rng, mu: Functional = None):
     mu = _functional(mu, order, rng)
     t = formal_t()
     s, u = Fraction(1, 2), Fraction(1, 3)
+    bt = belinschi_nica(mu, t)
     checks = [
         check_eq("B_1 = B", belinschi_nica(mu, 1), bercovici_pata(mu)),
         check_eq("B_0 = id", belinschi_nica(mu, 0), mu),
@@ -695,10 +686,10 @@ def _verify_bt_semigroup(order, rng, mu: Functional = None):
                  belinschi_nica(belinschi_nica(mu, u), s),
                  belinschi_nica(mu, s + u)),
         check_eq("B_t o B_t = B_2t (formal t)",
-                 belinschi_nica(belinschi_nica(mu, t), t),
+                 belinschi_nica(bt, t),
                  belinschi_nica(mu, t + t)),
         check_eq("B_s o B_t = B_(s+t) (s rational, t formal)",
-                 belinschi_nica(belinschi_nica(mu, t), s),
+                 belinschi_nica(bt, s),
                  belinschi_nica(mu, t + s)),
     ]
     return checks, []
@@ -718,8 +709,8 @@ def _verify_prop_equiv_b(order, rng, rho_t: Functional = None,
         "theta_t = F_{(tau |> rho~)^{boxplus t}}", lhs, rhs)], []
 
 
-def _verify_general_b(order, rng, b_t: Coeff = None, c_t: Coeff = None,
-                      beta: Coeff = None, gamma: Coeff = None,
+def _verify_general_b(order, rng, b_t: Coeff = None, c_t: NonzeroCoeff = None,
+                      beta: Coeff = None, gamma: NonzeroCoeff = None,
                       rho: Functional = None):
     b_t = _q(b_t, _rand_q(rng))
     c_t = _q(c_t, _rand_q(rng, nonzero=True))
@@ -728,7 +719,7 @@ def _verify_general_b(order, rng, b_t: Coeff = None, c_t: Coeff = None,
     rho = _functional(rho, order - 2, rng)
     rho_t = _delta_bool_phi(b_t, rho, c_t, order)
     p = exact_div(c_t, gamma)
-    u = b_t - beta * exact_div(c_t, gamma)
+    u = b_t - beta * p
     mu = maassen_semigroup(CanonicalTriple(beta, gamma, rho), 1, order)
     lhs = free_power(
         subordination(free_convolve(point_mass(-u, order), rho_t), rho_t),
@@ -738,7 +729,8 @@ def _verify_general_b(order, rng, b_t: Coeff = None, c_t: Coeff = None,
 
 
 def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
-                              beta_t: Coeff = None, gamma_t: Coeff = None,
+                              beta_t: Coeff = None,
+                              gamma_t: NonzeroCoeff = None,
                               beta: Coeff = None, c_t: Coeff = None,
                               c: Coeff = None, gamma: Coeff = None,
                               t: Coeff = None):
@@ -748,12 +740,13 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
     gamma_t = _q(gamma_t, _rand_q(rng, nonzero=True))
     beta = _q(beta, _rand_q(rng))
     while True:
-        # redraw until the displays' Jacobi rows are nonzero for extraction
+        # redraw until every gamma row of the displays is nonzero
         ct, cc, g, tt = (_q(c_t, _rand_q(rng, nonzero=True)),
                          _q(c, _rand_q(rng, nonzero=True)),
                          _q(gamma, _rand_q(rng, nonzero=True)),
                          _q(t, Fraction(rng.randint(1, 4), rng.randint(1, 3))))
-        if ct + g * tt != 0 and cc + g * tt != 0 and g + cc - ct != 0:
+        if all((gamma_t * tt, g * tt, ct, cc, ct + g * tt, cc + g * tt,
+                g + cc - ct)):
             break
         if any(v is not None for v in (c_t, c, gamma, t)):
             raise ValueError("supplied parameters give degenerate Jacobi rows")
@@ -779,18 +772,18 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
     checks.append(check_eq(
         "J(mu_t) rows",
         j_base, jrows(beta * t, gamma * t, b + beta * t, c + gamma * t)))
-    j_stripped = jacobi_from_moments(strip(pair.tilde), (order - 2) // 2)
+    stripped = strip(pair.tilde)
+    j_stripped = jacobi_from_moments(stripped, (order - 2) // 2)
     checks.append(check_eq(
         "J(J[mu~_t]) rows",
         j_stripped, jrows(b_t + beta * t, c_t + gamma * t,
                           b + beta * t, c + gamma * t)))
-    u = b_t - beta * exact_div(c_t, gamma)
+    shift = beta * exact_div(c_t, gamma)
+    u = b_t - shift
     omega = free_convolve(point_mass(-u, order), rho_t)
     checks.append(check_eq(
-        "J(omega) rows",
-        jacobi_from_moments(omega, depth),
-        jrows(beta * exact_div(c_t, gamma),
-              c_t, beta * exact_div(c_t, gamma) + b - b_t, c)))
+        "J(omega) rows", jacobi_from_moments(omega, depth),
+        jrows(shift, c_t, shift + b - b_t, c)))
     tau = free_power(omega, exact_div(gamma, c_t))
     checks.append(check_eq(
         "J(tau) rows",
@@ -798,7 +791,7 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
         jrows(beta, gamma, beta + b - b_t, gamma + c - c_t)))
     checks.append(check_eq(
         "J[mu~_t] = rho~ boxplus omega^{boxplus (gamma/c~) t}",
-        strip(pair.tilde),
+        stripped,
         free_convolve(rho_t, free_power(omega, exact_div(gamma, c_t) * t))
         .truncate(order - 2)))
     return checks, notes
@@ -843,8 +836,7 @@ def _verify_generator(order, rng, beta_t: Coeff = None, gamma_t: Coeff = None,
                       gamma: Coeff = None, rho: Functional = None):
     rel, base = _triples(rng, order + 4, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
-    res = cauchy_evolution_residual(rel, base, order)
-    res_printed = cauchy_evolution_residual(rel, base, order, printed_sign=True)
+    res, res_printed = cauchy_evolution_residual(rel, base, order)
     notes = [
         "d_t G~ bracket resolved as (beta + gamma G_nu - beta~ - gamma~ G_nu~):"
         " residual vanishes identically;",

@@ -16,8 +16,9 @@ beside its word-layer twin in ``multivariate``, a _fill_words rule
     _eta                                nc_eta
     moments_from_eta                    nc_moments_from_eta
     two_state_r                         nc_two_state_r
-    tilde_from_two_state_r              nc_tilde_from_two_state_r
-    evolution.subordination             nc_subordination
+    transforms._substitute_divide       _substitute_divide
+      (tilde_from_two_state_r,            (nc_tilde_from_two_state_r,
+       evolution.subordination)            nc_subordination)
     convolutions.monotone_convolve      _composition_product
 
 Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades

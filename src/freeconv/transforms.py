@@ -11,7 +11,7 @@ _split_sum(l, r, n):
     eta = M (1+M)^{-1}       eta_from_moments: m_n - P(eta, m)
                              moments_from_eta: eta_n + P(eta, m)
     eta~ = R2(W) (1+M)^{-1}  two_state_r: eta~_n + P(eta~, m) - S(R2), (None, m)
-                             tilde_from_two_state_r: S(R2) - P(eta~, m), (r2, m)
+                             _substitute_divide: S(R2) - P(eta~, m), (r2, m)
 
 Each solve runs inside ``functionals._graded``, which over Q grades its
 inputs by z -> Dz: the leading term [z^k] W^k = 1 keeps the solve integral,
@@ -196,13 +196,18 @@ def two_state_r(pair):
         eta_from_moments(pair.tilde).coeffs(), _moment_table(pair.base)))
 
 
+def _substitute_divide(a, mf, n):
+    """A(z(1+M)) (1+M)^{-1} through z^n, for the series a and M = M^mf:
+    eta~ from R2, and R^{mu |> nu} from R^mu with mf = nu."""
+    return TruncSeries(n, _graded(lambda x, m: _fill(n, lambda k, out, s: (
+        s - _split_sum(out, m, k)), (x, m)),
+        a.coeffs()[:n + 1], _moment_table(mf)[:n + 1]))
+
+
 def tilde_from_two_state_r(r2, base):
     """The functional mu_tilde with two_state_r((mu_tilde, base)) = r2."""
     n = min(base.order, r2.order)
-    eta = _graded(lambda m, a: _fill(n, lambda k, eta, s: (
-        s - _split_sum(eta, m, k)), (a, m)),
-        _moment_table(base)[:n + 1], r2.coeffs()[:n + 1])
-    return moments_from_eta(TruncSeries(n, eta), n)
+    return moments_from_eta(_substitute_divide(r2, base, n), n)
 
 
 def two_state_r_by_reversion(pair):

@@ -765,6 +765,27 @@ def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv,message", (
+    (["verify", "general-b", "--param", "gamma=0"],
+     "parameter gamma: want NonzeroCoeff"),
+    (["verify", "general-b", "--param", "c_t=0"],
+     "parameter c_t: want NonzeroCoeff"),
+    (["verify", "two-state-meixner", "--param", "c=0"],
+     "supplied parameters give degenerate Jacobi rows"),
+    (["verify", "two-state-meixner", "--param", "t=0"],
+     "supplied parameters give degenerate Jacobi rows"),
+))
+def test_cli_verify_refuses_parameters_that_break_the_entry(
+        argv, message, capsys):
+    """general-b divides by c~ and gamma, and two-state-meixner's displays
+    need every gamma row nonzero: a zero there is a usage error, not a
+    domain error or a reported violation."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_bt_power_at_t_minus_one_names_the_zero_divisor(tmp_path, capsys):
     b = write(tmp_path, "b.json", bernoulli_doc(8))
     assert run(["power", "--op", "bt", "--t", "-1", b]) == 3

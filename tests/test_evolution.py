@@ -397,8 +397,9 @@ def test_cauchy_residual_and_sign():
     rng = random.Random(14)
     rel = rand_triple(rng, 12)
     base = rand_triple(rng, 12)
-    assert cauchy_evolution_residual(rel, base, 8).is_zero()
-    assert not cauchy_evolution_residual(rel, base, 8, printed_sign=True).is_zero()
+    corrected, printed = cauchy_evolution_residual(rel, base, 8)
+    assert corrected.is_zero()
+    assert not printed.is_zero()
 
 
 def test_cauchy_residual_consistent_with_pde():
@@ -407,7 +408,8 @@ def test_cauchy_residual_consistent_with_pde():
     rel = rand_triple(rng, 12)
     base = rand_triple(rng, 12)
     order = 6
-    res_g = cauchy_evolution_residual(rel, base, order)
+    res_g, res_printed = cauchy_evolution_residual(rel, base, order)
+    assert not res_printed.is_zero()
     t = formal_t()
     work = order + 4
     pair_t = two_state_semigroup(rel, base, t, work)
@@ -415,6 +417,34 @@ def test_cauchy_residual_consistent_with_pde():
     g_tilde = cauchy_g(pair_t.tilde)
     product = (g_tilde * g_tilde) * res_f
     assert res_g == -product
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named ``evolution`` function with a counter; returns the
+    dict of counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(evolution, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("entry,want", (
+    ("generator", {"two_state_semigroup": 1, "strip": 2}),
+    ("two-state-meixner", {"two_state_semigroup": 1, "strip": 1}),
+))
+def test_evolution_entries_build_each_value_once(monkeypatch, entry, want):
+    """generator takes both d_t G~ residuals from one two-state pair and its
+    two strips, and two-state-meixner strips mu~_t once for both checks
+    that read J[mu~_t]."""
+    counts = _count_calls(monkeypatch, *want)
+    assert verify(entry).verified
+    assert counts == want
 
 
 def test_verify_unknown_name():

@@ -184,6 +184,11 @@ class TPoly:
         return tuple([Fraction(x, self.den) for x in self.nums])
 
     @property
+    def denominator(self):
+        """The common denominator of the coefficients, ``den``."""
+        return self.den
+
+    @property
     def degree(self):
         return len(self.nums) - 1
 

@@ -243,9 +243,12 @@ def triple_from_semigroup(mu):
 
 
 def _tilde_by_monotone(rel, base_t, t):
-    """mu_tilde_t = delta_{beta~ t} uplus Phi[rho~ |> mu_t]^{uplus gamma~ t}."""
+    """(mu~_t, sub): mu~_t = delta_{beta~ t} uplus Phi[rho~ |> mu_t]^{uplus
+    gamma~ t}, and sub = rho~ |> mu_t at order - 2 (None without rho~ or
+    below order 3)."""
     order = base_t.order
     eta = [ZERO, rel.beta * t] + [ZERO] * (order - 1)
+    sub = None
     if rel.rho is not None and order > 1:
         gt = rel.gamma * t
         eta[2] = gt
@@ -253,7 +256,7 @@ def _tilde_by_monotone(rel, base_t, t):
             sub = monotone_convolve(rel.rho.truncate(order - 2),
                                     base_t.truncate(order - 2))
             eta[3:] = [gt * c for c in sub.moments()]
-    return moments_from_eta(TruncSeries(order, eta), order)
+    return moments_from_eta(TruncSeries(order, eta), order), sub
 
 
 def two_state_semigroup(rel, base, t, order=None):
@@ -276,7 +279,7 @@ def two_state_semigroup(rel, base, t, order=None):
             raise ValueError(f"{name}.rho needs order >= {order - 2}")
     pair = two_state_from_scaled_r(_triple_r_series(rel, ONE, order),
                                    _triple_r_series(base, ONE, order), t, order)
-    if pair.tilde != _tilde_by_monotone(rel, pair.base, t):
+    if pair.tilde != _tilde_by_monotone(rel, pair.base, t)[0]:
         raise ConsistencyError(
             "two-state semigroup: R-transform and monotone paths disagree")
     return pair
@@ -531,12 +534,10 @@ def _verify_monotone_lemma(order, rng, beta_t: Coeff = None,
     checks, notes = [], []
     base_t = maassen_semigroup(base, t, order)
     tilde_r = tilde_from_two_state_r(_triple_r_series(rel, t, order), base_t)
-    tilde_mono = _tilde_by_monotone(rel, base_t, t)
+    tilde_mono, sub = _tilde_by_monotone(rel, base_t, t)
     checks.append(check_eq(
         "mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}",
         tilde_r, tilde_mono))
-    sub = monotone_convolve(rel.rho.truncate(order - 2),
-                            base_t.truncate(order - 2))
     checks.append(check_eq("J[mu~_t] = rho~ |> mu_t (gamma~ != 0)",
                         strip(tilde_r), sub))
     return checks, notes

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .coeffs import ZERO, ONE, _dot, as_coeff, exact_div
+from .coeffs import ZERO, ONE, TPoly, _dot, as_coeff, exact_div
 
 
 class JacobiDepthError(ValueError):
@@ -360,15 +360,18 @@ def _moment_table(mf):
     return [ONE] + list(mf.moments())
 
 
-def _grade(*groups):
+def _grade(*groups, polys=False):
     """The one D of a set of inputs, each a group of pairs (k, c_k): grown
     from 1 so that q divides D^k for every (k, a/q), D <- D q / gcd(q, D^k),
-    in their order.  None when some coefficient is not a ``Fraction``, or
-    one with k = 0 is not an integer.  Every graded integer path of the
-    single- and multi-variate solves takes D from here."""
+    in their order.  None when some coefficient is not a ``Fraction`` (nor,
+    with ``polys``, a ``TPoly``), or one with k = 0 is not an integer.  A
+    ``TPoly`` (for the word layer's packed path) counts by its common
+    denominator, so D^k clears every one of its t-coefficients.  Every
+    graded integer path of the single- and multi-variate solves takes D
+    from here."""
     d = 1
     for k, c in chain.from_iterable(groups):
-        if type(c) is not Fraction:
+        if type(c) is not Fraction and not (polys and type(c) is TPoly):
             return None
         q = c.denominator
         if q != 1:

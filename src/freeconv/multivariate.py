@@ -28,11 +28,17 @@ prefixes of the letters of A that a word's letters carry, one state table
 per fill; _apply_w_substitution reads [x_w] A(W) from it, once per word.
 
 Each equation is one raw kernel (_r, _moments_from_r, _eta, ...), a fill on
-whatever ring it is handed.  Each public operation chains its kernels inside
-one _graded_words call over all of its inputs, the one place that grades a
-word solve: over Q the fills run on ints graded by word length (the rule of
-functionals._graded) from the operation's input to its output, and Q[t] or
-mixed inputs take the same kernels on their coefficients as they are.
+whatever ring it is handed.  Each public operation, powers and point masses
+included, chains its kernels inside one _graded_words call over all of its
+inputs, the one place that grades a word solve: over Q the fills run on ints
+graded by word length (the rule of functionals._graded) from the operation's
+input to its output.  Over Q[t] they run on the same graded ints packed at
+t = 2^B (Kronecker substitution), with B from one run of the solve at d = 1
+on l1 norms, where - acts as +: the l1 norm is subadditive and
+submultiplicative and the kernels divide by nothing, so that run bounds every
+t-digit.  Each output keeps the ring Q[t] arithmetic gives it.  Inputs
+holding any other value take the same kernels on their coefficients as they
+are.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.
@@ -43,9 +49,8 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import partial
 
-from .coeffs import ZERO, ONE, as_coeff, formal_t
+from .coeffs import ZERO, ONE, TPoly, _canonical, as_coeff, formal_t
 from .convolutions import free_convolve, free_power
 from .evolution import (Coeff, VerifyReport, _BadParameter, _entry_order, _q,
                         _run_entry, check_eq, maassen_semigroup, strip,
@@ -59,12 +64,14 @@ MAX_NC_ORDER = 8
 # The largest alphabet a word-layer verify entry may run at: the largest d
 # at which every entry runs within about 40 s at order MAX_NC_ORDER.  The
 # number of words grows as d^order.  At order 8, composition takes 0.65 s at
-# d = 3 and 5.9 s at d = 4; final-prop, the slowest entry because its formal
-# t keeps its fills on Q[t] arithmetic, takes 6.0 s at d = 3 but 49 s and
-# 270 MB at d = 4 (CPython 3.11.7, one core of a 2-core x86 host, one run
-# each at seed 0).  It is a constant, not a flag; nc_verify rejects a larger
-# d before any entry runs.
-MAX_NC_D = 3
+# d = 3 and 6.6 s and 160 MB at d = 4; final-prop, the slowest entry, whose
+# formal t runs its solves on packed ints, takes 1.4 s at d = 3 and 11 s and
+# 190-220 MB at d = 4 (CPython 3.11.7, one core of a 2-core x86 host, seeds
+# 0-2).  d = 5 has 6x the words of d = 4, so final-prop would take about a
+# minute there (an estimate; not run).
+# It is a constant, not a flag; nc_verify rejects a larger d before any
+# entry runs.
+MAX_NC_D = 4
 
 
 def words(d, order):
@@ -172,13 +179,8 @@ def nc_point_mass(beta, d, order):
     beta = [as_coeff(x) for x in beta]
     if len(beta) != d:
         raise ValueError("need one coordinate per letter")
-    ms = {}
-    for w in words(d, order):
-        prod = ONE
-        for x in w:
-            prod = prod * beta[x - 1]
-        ms[w] = prod
-    return NCFunctional(d, order, ms)
+    return NCFunctional._filled(d, order, _graded_words(
+        _products, d, order, {(i,): b for i, b in enumerate(beta, 1) if b}))
 
 
 def nc_zero(d, order):
@@ -206,26 +208,185 @@ def _word_powers(scale, *dicts):
     return pw
 
 
-def _graded_words(solve, *dicts):
-    """solve(*dicts), run over Q on ints graded by word length: the word-dict
-    form of ``functionals._graded``.
+class _Majorant(int):
+    """An int of the majorant run of ``_graded_words``: a bound on the l1
+    norm of a graded Q[t] value, in a ring where - acts as +."""
 
-    When every coefficient is a ``Fraction``, ``solve`` gets c_w as the int
-    c_w D^|w|, with D from ``functionals._grade``.  Every word transform
-    is weight-homogeneous in |w| and divides by nothing, and a sum or
-    difference of two dicts graded by one D is graded by it, so a solve
-    that chains fills on graded inputs stays in Z, and output w comes back
-    as x_w / D^|w|.  Otherwise ``solve`` gets the dicts as they are and its
-    output is returned unchanged.
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Majorant(int.__add__(self, other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Majorant(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __floordiv__(self, other):
+        return _Majorant(int.__floordiv__(self, other))
+
+
+class _Tagged(int):
+    """A packed value that a TPoly reached, in a packed solve that also
+    holds values no TPoly reaches (plain ints): whatever it meets stays
+    tagged, as a TPoly operand makes a TPoly."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Tagged(int.__add__(self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Tagged(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        return _Tagged(int.__sub__(other, self))
+
+    def __mul__(self, other):
+        return _Tagged(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Tagged(int.__neg__(self))
+
+    def __floordiv__(self, other):
+        return _Tagged(int.__floordiv__(self, other))
+
+
+def _pack(nums, b):
+    """The int polynomial sum_i nums[i] t^i at t = 2^b."""
+    x = 0
+    for a in reversed(nums):
+        x = (x << b) + a
+    return x
+
+
+def _unpack(x, b, den):
+    """The TPoly (sum_i a_i t^i) / den for x = sum_i a_i 2^(b i), read as
+    balanced base-2^b digits, |a_i| < 2^(b-1)."""
+    nums, mask, half = [], (1 << b) - 1, 1 << (b - 1)
+    x = int(x)
+    while x:
+        a = x & mask
+        if a >= half:
+            a -= mask + 1
+        nums.append(a)
+        x = (x - a) >> b
+    return _canonical(nums, den, den)
+
+
+def _times(p, q):
+    """dct -> t dct on graded values, for t = p/q and a grading by D q:
+    (t c)_w (Dq)^|w| = p (c_w (Dq)^|w| / q), exact for |w| >= 1."""
+    return lambda dct: {w: p * (c // q) for w, c in dct.items()}
+
+
+def _graded_words(solve, d, order, *dicts, t=None):
+    """solve(d, order, *dicts), or solve(d, order, times_t, *dicts) with a
+    scalar t, run on ints graded by word length: the word-dict form of
+    ``functionals._graded``.
+
+    ``times_t`` maps a word dict to t times it, in the ring ``solve`` is
+    handed, and ``solve`` builds its output from values it has scaled.
+
+    Over Q (every value and t a ``Fraction``), ``solve`` gets c_w as the
+    int c_w D^|w|, with D from ``functionals._grade`` times the denominator
+    of t.  Every word transform is weight-homogeneous in |w| and divides by
+    nothing, and a sum or difference of two dicts graded by one D is graded
+    by it, so a solve that chains fills on graded inputs stays in Z, and
+    output w comes back as x_w / D^|w|.
+
+    Over Q[t] (every value a ``Fraction`` or a ``TPoly``, at least one a
+    ``TPoly``) the same solve runs on Kronecker-packed ints.  D grades every
+    t-coefficient (a ``TPoly`` counts by its common denominator), and:
+
+    1. ``solve`` runs once at d = 1 in ``_Majorant``, a ring where - acts
+       as +, on the largest l1 norm sum_i |[t^i] c_w| D^|w| of each input
+       at each length.  The l1 norm is subadditive and submultiplicative,
+       the kernels divide by nothing, and with - as + no term cancels, so a
+       run on larger inputs with more words present bounds the l1 norm, and
+       so every t-digit, of each value of the exact run.  The kernels read
+       positions, not letters, so the run on every word at its length's
+       largest norm gives every word of a length the value of the d = 1 run
+       at that length.  M is its largest output; B = bits(M) + 2.
+    2. ``solve`` runs once on the graded values at t = 2^B.  Evaluation is
+       a ring map, so each output is its graded polynomial at 2^B, and
+       output w comes back as balanced base-2^B digits over D^|w|.
+
+    Each output keeps the ring the ``TPoly`` path gives it: a ``TPoly``
+    where a ``TPoly`` operand reaches it, a ``Fraction`` elsewhere.  With a
+    ``TPoly`` t, or no ``Fraction`` input value, that is every output.
+    Otherwise the values a ``TPoly`` reaches are ``_Tagged`` ints, and which
+    terms exist follows the exact run's zero pattern, which is the ``TPoly``
+    path's: each fill a solve chains feeds its value at w into the output at
+    w with coefficient +-1, so M bounds the digits of every value a fill
+    drops as zero too.
+
+    Any other value (a plain int, another ring) selects the generic path:
+    ``solve`` gets the dicts, and t, as they are, and its output is
+    returned unchanged.
     """
-    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts))
+    if t is None or type(t) is Fraction:
+        scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts))
+        if scale is not None:  # over Q
+            if t is not None:
+                scale *= t.denominator
+            pw = _word_powers(scale, *dicts)
+            ins = [{w: c.numerator * (pw[len(w)] // c.denominator)
+                    for w, c in dct.items()} for dct in dicts]
+            if t is not None:
+                ins.insert(0, _times(t.numerator, t.denominator))
+            out = solve(d, order, *ins)
+            pw = _word_powers(scale, out)
+            return {w: Fraction(x, pw[len(w)]) for w, x in out.items()}
+    scale = None
+    if t is None or type(t) in (Fraction, TPoly):
+        scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts),
+                       polys=True)
     if scale is None:
-        return solve(*dicts)
+        if t is not None:
+            dicts = (lambda dct: {w: t * c for w, c in dct.items()},) + dicts
+        return solve(d, order, *dicts)
+    tn, tq = ((), 1) if t is None else TPoly._parts(t)
+    scale *= tq
     pw = _word_powers(scale, *dicts)
-    out = solve(*[{w: c.numerator * (pw[len(w)] // c.denominator)
-                   for w, c in dct.items()} for dct in dicts])
+
+    def run(d, ins, p):
+        if t is not None:
+            ins.insert(0, _times(p, tq))
+        return solve(d, order, *ins)
+
+    tops = []
+    for dct in dicts:
+        top = {}
+        for w, c in dct.items():
+            nums, den = TPoly._parts(c)
+            x, k = sum(map(abs, nums)) * (pw[len(w)] // den), (1,) * len(w)
+            top[k] = max(top.get(k, 0), x)
+        tops.append({w: _Majorant(x) for w, x in top.items()})
+    bound = run(1, tops, sum(map(abs, tn)))
+    b = max(bound.values(), default=0).bit_length() + 2
+    all_tagged = type(t) is TPoly or all(
+        type(c) is TPoly for dct in dicts for c in dct.values())
+
+    def packed(c, g):
+        nums, den = TPoly._parts(c)
+        x = _pack(nums, b) * (g // den)
+        return x if all_tagged or type(c) is Fraction else _Tagged(x)
+
+    out = run(d, [{w: packed(c, pw[len(w)]) for w, c in dct.items()}
+                  for dct in dicts], _pack(tn, b))
     pw = _word_powers(scale, out)
-    return {w: Fraction(x, pw[len(w)]) for w, x in out.items()}
+    return {w: _unpack(x, b, pw[len(w)]) if all_tagged or type(x) is _Tagged
+            else Fraction(x, pw[len(w)]) for w, x in out.items()}
 
 
 def _add_products(row, x, y, n_p, n_g, n_i):
@@ -383,6 +544,17 @@ def _composition(d, order, m, b):
         sub.get(w, 0) + m.get(w, 0) + _split_sum(m, sub, w)))
 
 
+def _products(d, order, beta):
+    """The point-mass moments prod_j beta_{w_j}, each its prefix's times
+    the last letter's; a word with a letter missing from ``beta`` is zero."""
+    def coeff(w, m, _):
+        if len(w) == 1:
+            return beta.get(w)
+        u, v = m.get(w[:-1]), beta.get(w[-1:])
+        return None if u is None or v is None else u * v
+    return _fill_words(d, order, coeff)
+
+
 def _merge(x, y, op):
     """x with op(x[w], y[w]) at every word of y, a missing x[w] read as 0."""
     for w, c in y.items():
@@ -395,39 +567,39 @@ def _merge(x, y, op):
 
 def nc_r(mu):
     """Word-indexed free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    return _graded_words(partial(_r, mu.d, mu.order), mu._m)
+    return _graded_words(_r, mu.d, mu.order, mu._m)
 
 
 def nc_moments_from_r(kappa, d, order):
     """Forward solve of R(z_i(1+M)) = M."""
     return NCFunctional._filled(d, order, _graded_words(
-        partial(_moments_from_r, d, order), kappa))
+        _moments_from_r, d, order, kappa))
 
 
 def nc_eta(mu):
     """Boolean word cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v (u,v nonempty)."""
-    return _graded_words(partial(_eta, mu.d, mu.order), mu._m)
+    return _graded_words(_eta, mu.d, mu.order, mu._m)
 
 
 def nc_moments_from_eta(eta, d, order):
     return NCFunctional._filled(d, order, _graded_words(
-        partial(_moments_from_eta, d, order), eta))
+        _moments_from_eta, d, order, eta))
 
 
 def nc_two_state_r(pair):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for the word two-state R-transform."""
-    d, order = pair.d, pair.order
-    return _graded_words(lambda tilde, m: _two_state_r(
-        d, order, _eta(d, order, tilde), m), pair.tilde._m, pair.base._m)
+    return _graded_words(lambda d, order, tilde, m: _two_state_r(
+        d, order, _eta(d, order, tilde), m),
+        pair.d, pair.order, pair.tilde._m, pair.base._m)
 
 
 def nc_tilde_from_two_state_r(r2, base):
     """Invert: eta~ = R2(z_i(1+M)) (1+M)^{-1}, then moments."""
     d, order = base.d, base.order
     return NCFunctional._filled(d, order, _graded_words(
-        lambda r2, m: _moments_from_eta(
+        lambda d, order, r2, m: _moments_from_eta(
             d, order, _substitute_divide(d, order, r2, m)),
-        r2, base._m))
+        d, order, r2, base._m))
 
 
 def _combine_cumulants(a, b, cumulants, op, moments):
@@ -435,9 +607,18 @@ def _combine_cumulants(a, b, cumulants, op, moments):
     for the raw kernels ``cumulants`` and ``moments``."""
     d, order = a.d, min(a.order, b.order)
     return NCFunctional._filled(d, order, _graded_words(
-        lambda x, y: moments(d, order, _merge(
+        lambda d, order, x, y: moments(d, order, _merge(
             cumulants(d, order, x), cumulants(d, order, y), op)),
-        a.truncate(order)._m, b.truncate(order)._m))
+        d, order, a.truncate(order)._m, b.truncate(order)._m))
+
+
+def _power(a, t, cumulants, moments):
+    """moments(t cumulants(a)) word by word, for the raw kernels
+    ``cumulants`` and ``moments``."""
+    return NCFunctional._filled(a.d, a.order, _graded_words(
+        lambda d, order, times_t, m: moments(
+            d, order, times_t(cumulants(d, order, m))),
+        a.d, a.order, a._m, t=as_coeff(t)))
 
 
 def nc_free_convolve(a, b):
@@ -445,10 +626,7 @@ def nc_free_convolve(a, b):
 
 
 def nc_free_power(a, t):
-    # Two graded calls: t times a graded int is not an int for every t.
-    t = as_coeff(t)
-    return nc_moments_from_r({w: t * c for w, c in nc_r(a).items()},
-                             a.d, a.order)
+    return _power(a, t, _r, _moments_from_r)
 
 
 def nc_free_deconvolve(a, b):
@@ -460,9 +638,7 @@ def nc_boolean_convolve(a, b):
 
 
 def nc_boolean_power(a, t):
-    t = as_coeff(t)
-    return nc_moments_from_eta({w: t * c for w, c in nc_eta(a).items()},
-                               a.d, a.order)
+    return _power(a, t, _eta, _moments_from_eta)
 
 
 def nc_phi(nu):
@@ -478,32 +654,31 @@ def nc_phi(nu):
 
 def nc_bp(mu):
     """R^{B[mu]} = eta^mu."""
-    d, order = mu.d, mu.order
-    return NCFunctional._filled(d, order, _graded_words(
-        lambda m: _moments_from_r(d, order, _eta(d, order, m)), mu._m))
+    return NCFunctional._filled(mu.d, mu.order, _graded_words(
+        lambda d, order, m: _moments_from_r(d, order, _eta(d, order, m)),
+        mu.d, mu.order, mu._m))
 
 
 def nc_bp_inverse(mu):
-    d, order = mu.d, mu.order
-    return NCFunctional._filled(d, order, _graded_words(
-        lambda m: _moments_from_eta(d, order, _r(d, order, m)), mu._m))
+    return NCFunctional._filled(mu.d, mu.order, _graded_words(
+        lambda d, order, m: _moments_from_eta(d, order, _r(d, order, m)),
+        mu.d, mu.order, mu._m))
 
 
 def nc_subordination(mu, nu):
     """R^{mu |> nu} (1+M^nu) = R^mu(z_i(1+M^nu)), solved triangularly."""
     d, order = mu.d, min(mu.order, nu.order)
     return NCFunctional._filled(d, order, _graded_words(
-        lambda a, m: _moments_from_r(d, order, _substitute_divide(
+        lambda d, order, a, m: _moments_from_r(d, order, _substitute_divide(
             d, order, _r(d, order, a), m)),
-        mu.truncate(order)._m, nu.truncate(order)._m))
+        d, order, mu.truncate(order)._m, nu.truncate(order)._m))
 
 
 def _composition_product(lam, nu):
     """(1 + M^lam)(1 + M^nu(z_i(1+M^lam))) - 1, as a word functional."""
     d, order = lam.d, min(lam.order, nu.order)
     return NCFunctional._filled(d, order, _graded_words(
-        partial(_composition, d, order),
-        lam.truncate(order)._m, nu.truncate(order)._m))
+        _composition, d, order, lam.truncate(order)._m, nu.truncate(order)._m))
 
 
 def nc_subordination_inverse(lam, nu):
@@ -515,10 +690,10 @@ def nc_subordination_inverse(lam, nu):
     """
     d, order = lam.d, min(lam.order, nu.order)
     return NCFunctional._filled(d, order, _graded_words(
-        lambda x, m: _moments_from_r(d, order, _merge(
+        lambda d, order, x, m: _moments_from_r(d, order, _merge(
             _r(d, order, _composition(d, order, x, m)), _r(d, order, m),
             operator.sub)),
-        lam.truncate(order)._m, nu.truncate(order)._m))
+        d, order, lam.truncate(order)._m, nu.truncate(order)._m))
 
 
 # -- verification ---------------------------------------------------------------
@@ -564,19 +739,19 @@ def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
     mu = nc_subordination(tau, rho_t)
     mu_t = nc_free_power(mu, t)
     # two-state R: R~ = t beta~.z + t gamma~ sum_i z_i (1+M^{rho~}) z_i
-    r2 = {}
+    r2, gt = {}, gamma_t * t
     for i in range(1, d + 1):
         r2[(i,)] = as_coeff(beta_t[i - 1]) * t
-        r2[(i, i)] = gamma_t * t
+        r2[(i, i)] = gt
         for w, c in rho_t.items():
             if len(w) + 2 <= order:
-                r2[(i,) + w + (i,)] = gamma_t * t * c
+                r2[(i,) + w + (i,)] = gt * c
     tilde = nc_tilde_from_two_state_r(r2, mu_t)
     inner = nc_free_convolve(rho_t.truncate(order - 2),
                              nc_free_power(tau, t).truncate(order - 2))
     rhs = nc_boolean_convolve(
         nc_point_mass([as_coeff(x) * t for x in beta_t], d, order),
-        nc_boolean_power(nc_phi(inner).truncate(order), gamma_t * t))
+        nc_boolean_power(nc_phi(inner).truncate(order), gt))
     checks = [check_eq(
         "mu~_t = delta_{t beta~} uplus "
         "Phi[rho~ boxplus tau^{boxplus t}]^{uplus gamma~ t}", tilde, rhs)]

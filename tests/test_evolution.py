@@ -437,11 +437,13 @@ def _count_calls(monkeypatch, *names):
 @pytest.mark.parametrize("entry,want", (
     ("generator", {"two_state_semigroup": 1, "strip": 2}),
     ("two-state-meixner", {"two_state_semigroup": 1, "strip": 1}),
+    ("monotone-lemma", {"monotone_convolve": 1}),
 ))
 def test_evolution_entries_build_each_value_once(monkeypatch, entry, want):
     """generator takes both d_t G~ residuals from one two-state pair and its
-    two strips, and two-state-meixner strips mu~_t once for both checks
-    that read J[mu~_t]."""
+    two strips, two-state-meixner strips mu~_t once for both checks that
+    read J[mu~_t], and monotone-lemma builds rho~ |> mu_t once for its
+    display and its J check."""
     counts = _count_calls(monkeypatch, *want)
     assert verify(entry).verified
     assert counts == want

@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from freeconv.multivariate import (
     nc_bp,
     nc_bp_inverse,
     nc_boolean_convolve,
+    nc_boolean_power,
     nc_eta,
     nc_free_convolve,
     nc_free_deconvolve,
@@ -463,6 +465,23 @@ def _wrap_first(coeffs):
     return coeffs
 
 
+def _int_first(coeffs):
+    """The coefficients with the first one its numerator, a plain int."""
+    coeffs = dict(coeffs)
+    for w in coeffs:
+        coeffs[w] = coeffs[w].numerator
+        break
+    return coeffs
+
+
+def _nc_as_is(d, order, coeffs):
+    """A word functional holding nonzero ``coeffs`` as they are, a plain int
+    included, which the constructor would make a Fraction."""
+    ncf = NCFunctional(d, order, {})
+    ncf._m = dict(coeffs)
+    return ncf
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from([(d, n) for d in (1, 2, 3) for n in range(1, 8)
@@ -472,15 +491,16 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
     """The six substituting word solves satisfy their defining equations in
     NCSeries operations, which share no code with the prefix recursion, on
     sparse draws; over Q every fill runs on ints, and the result equals the
-    generic path's, which one constant TPoly coefficient in each input
-    selects.  The operations that chain fills in one graded call match the
-    same chain of one-fill operations, type for type, on both paths, and
-    subordination_inverse undoes subordination.  d and the order stop where
-    the NCSeries reference takes seconds per example."""
+    generic path's, which the first coefficient of each input selects when
+    it is held as a plain int.  The operations that chain fills in one
+    graded call match the same chain of one-fill operations, type for type,
+    on both paths, and subordination_inverse undoes subordination.  d and
+    the order stop where the NCSeries reference takes seconds per example."""
     d, n = shape
     rng = random.Random(seed)
-    mu, nu, kappa = (_sparse_nc(rng, d, n, denominators) for _ in range(3))
-    mu, nu = NCFunctional(d, n, mu), NCFunctional(d, n, nu)
+    ints = [_int_first(_sparse_nc(rng, d, n, denominators)) for _ in range(3)]
+    mu, nu = (NCFunctional(d, n, cs) for cs in ints[:2])
+    kappa = {w: F(c) for w, c in ints[2].items()}
     kernel, filled = multivariate._fill_words, []
 
     def spy(*args):
@@ -498,11 +518,10 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
     _check_with_series(mu, nu, kappa, graded)
     assert nc_subordination_inverse(nc_subordination(mu, nu), nu) == mu
 
-    mu_g = NCFunctional(d, n, _wrap_first(mu.items()))
-    nu_g = NCFunctional(d, n, _wrap_first(nu.items()))
-    generic = _six_word_solves(mu_g, nu_g, _wrap_first(kappa))
+    mu_g, nu_g = (_nc_as_is(d, n, cs) for cs in ints[:2])
+    generic = _six_word_solves(mu_g, nu_g, ints[2])
     if mu.items():  # nc_r keeps mu's first word as it is
-        assert any(isinstance(c, TPoly)
+        assert any(type(c) is int
                    for out in generic.values() for c in out.values())
     assert generic == graded
 
@@ -522,7 +541,7 @@ def test_every_fill_runs_inside_the_graded_seam(formal):
     ``functionals._graded``, and each of the word solves inside
     ``multivariate._graded_words``: no site grades, or skips grading, on its
     own.  Checked on Q inputs and on inputs with one constant TPoly
-    coefficient, which take the generic path."""
+    coefficient, which take the packed path."""
     rng = random.Random(41)
     depth, fills = [0], []
 
@@ -582,6 +601,120 @@ def test_generic_word_outputs_keep_their_rings():
     assert type(got.m((1,))) is F and type(got.m((2,))) is TPoly
 
 
+def _tpoly_path(solve, d, order, *dicts, t=None):
+    """``_graded_words`` without grading or packing: the kernels on the
+    coefficients as they are, which over Q[t] is TPoly arithmetic."""
+    if t is not None:
+        dicts = (lambda dct: {w: t * c for w, c in dct.items()},) + dicts
+    return solve(d, order, *dicts)
+
+
+# Weights of (absent, zero, rational, constant TPoly, TPoly) per draw mode.
+_SWEEP_MODES = {
+    "zero-heavy": (6, 3, 1, 1, 1),
+    "constant": (1, 1, 1, 5, 1),
+    "mixed": (1, 0, 2, 1, 2),
+    "large": (1, 0, 1, 0, 4),
+}
+
+
+def _sweep_value(rng, mode):
+    """One coefficient for the packed-path sweep, or None for no word.  The
+    "large" mode draws numerators of about 80 bits and t-degree up to 7."""
+    kind = rng.choices(range(5), _SWEEP_MODES[mode])[0]
+    big = mode == "large"
+
+    def q():
+        top = 2 ** 80 if big else 3
+        return F(rng.randint(-top, top), rng.choice((1, 2, 3, 6)))
+
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.choice((F(0), TPoly()))
+    if kind == 2:
+        return q()
+    if kind == 3:
+        return TPoly.constant(q())
+    return TPoly([q() for _ in range(rng.randint(1, 8 if big else 4))])
+
+
+def _sweep_ops(mu, nu, raw, t, beta):
+    """Every public word operation on the sweep's draws, by name, with the
+    cancellations of a deconvolution by itself, a free convolution undone
+    and the cumulants of a point mass, which vanish past length 1."""
+    d, n = mu.d, mu.order
+    ops = {name: partial(op, mu, nu) for name, op in _SEAM_OPS.items()
+           if name not in ("nc_phi", "nc_point_mass")}
+    delta = nc_point_mass(beta, d, n)
+    ops.update({
+        "nc_moments_from_r(raw)": partial(nc_moments_from_r, raw, d, n),
+        "nc_moments_from_eta(raw)": partial(nc_moments_from_eta, raw, d, n),
+        "nc_tilde_from_two_state_r(raw)": partial(
+            nc_tilde_from_two_state_r, raw, nu),
+        "nc_free_power(t)": partial(nc_free_power, mu, t),
+        "nc_boolean_power(t)": partial(nc_boolean_power, nu, t),
+        "nc_point_mass": partial(nc_point_mass, beta, d, n),
+        "mu boxminus mu": partial(nc_free_deconvolve, mu, mu),
+        "(mu boxplus nu) boxminus nu": lambda: nc_free_deconvolve(
+            nc_free_convolve(mu, nu), nu),
+        "nc_r(delta)": partial(nc_r, delta),
+        "delta boxplus nu": partial(nc_free_convolve, delta, nu),
+        "delta uplus nu^{uplus t}": lambda: nc_boolean_convolve(
+            delta, nc_boolean_power(nu, t)),
+    })
+    if n > 2:
+        ops["nc_phi"] = partial(nc_phi, nu.truncate(n - 2))
+    return ops
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(d, n) for d in (1, 2, 3) for n in range(1, 6)
+                        if d ** n <= 2 ** 5]),
+       st.sampled_from(sorted(_SWEEP_MODES)))
+def test_packed_word_solves_match_the_tpoly_path_type_for_type(seed, shape,
+                                                               mode):
+    """Every public word operation on Fraction and TPoly inputs (the packed
+    path) gives what the same kernels give on TPoly arithmetic, value for
+    value and ring for ring: a TPoly where a TPoly operand reaches the
+    output, a Fraction elsewhere.  The draws hold absent words and explicit
+    zeros, constant TPolys, large numerators and high t-degree, and the ops
+    include exact cancellations; every TPoly of the packed outputs is read
+    from a packed int."""
+    d, n = shape
+    rng = random.Random(seed)
+
+    def draw(keep_zeros):
+        cs = {w: _sweep_value(rng, mode) for w in words(d, n)}
+        return {w: c for w, c in cs.items()
+                if c is not None and (keep_zeros or c)}
+
+    mu, nu = NCFunctional(d, n, draw(False)), NCFunctional(d, n, draw(False))
+    raw = draw(True)
+    t = rng.choice((formal_t(), F(0), TPoly(), F(rng.randint(-5, 5), 3),
+                    _sweep_value(rng, "large") or formal_t(),
+                    TPoly.constant(F(rng.randint(-5, 5), 2))))
+    beta = [_sweep_value(rng, mode) or F(0) for _ in range(d)]
+    unpack, unpacked = multivariate._unpack, {}
+
+    def spy(*args):
+        out = unpack(*args)
+        unpacked[id(out)] = out
+        return out
+
+    for name, op in _sweep_ops(mu, nu, raw, t, beta).items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multivariate, "_unpack", spy)
+            got = _typed(op().items())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multivariate, "_graded_words", _tpoly_path)
+            want = _typed(op().items())
+        assert got == want, (name, t)
+        assert all(id(c) in unpacked
+                   for r, c in got.values() if r is TPoly), name
+
+
 _SEAM_OPS = {
     "nc_r": lambda mu, nu: nc_r(mu),
     "nc_eta": lambda mu, nu: nc_eta(mu),
@@ -601,6 +734,9 @@ _SEAM_OPS = {
     "nc_bp": lambda mu, nu: nc_bp(mu),
     "nc_bp_inverse": lambda mu, nu: nc_bp_inverse(mu),
     "nc_phi": lambda mu, nu: nc_phi(nu.truncate(2)),
+    "nc_free_power": lambda mu, nu: nc_free_power(mu, F(3, 2)),
+    "nc_boolean_power": lambda mu, nu: nc_boolean_power(mu, F(-2, 3)),
+    "nc_point_mass": lambda mu, nu: nc_point_mass([F(1, 2), F(-3)], 2, 4),
 }
 
 
@@ -608,15 +744,16 @@ _SEAM_OPS = {
 def test_each_word_op_grades_once(name):
     """On Q inputs each public word operation runs all of its fills inside a
     single ``_graded_words`` call: intermediate results stay graded ints and
-    are never converted back to Fractions between fills."""
+    are never converted back to Fractions between fills.  A power by a
+    rational t = p/q is graded by D q, so t times a graded int stays one."""
     rng = random.Random(43)
     mu, nu = (NCFunctional(2, 4, _sparse_nc(rng, 2, 4, (1, 2, 3)))
               for _ in range(2))
     seam, calls = multivariate._graded_words, []
 
-    def spy(solve, *dicts):
-        calls.append(len(dicts))
-        return seam(solve, *dicts)
+    def spy(solve, *args, **kwargs):
+        calls.append(len(args))
+        return seam(solve, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multivariate, "_graded_words", spy)

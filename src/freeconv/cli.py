@@ -111,6 +111,21 @@ def _load_functional(path, order):
     return _coerce_functional(value, own if order is None else order)
 
 
+def _load_pair(path, order):
+    """The pair document at ``path``, both parts truncated to ``order``
+    (None keeps the pair's own); a higher order is refused, as
+    ``docs.as_functional`` refuses one for a functional."""
+    pair, _ = _load_raw(path)
+    if not isinstance(pair, TwoStatePair):
+        raise DocumentError(f"{path}: expected a pair document")
+    if order is None:
+        return pair
+    if pair.order < order:
+        raise DocumentError(
+            f"pair of order {pair.order} cannot serve order {order}")
+    return TwoStatePair(pair.tilde.truncate(order), pair.base.truncate(order))
+
+
 def _emit(doc):
     sys.stdout.write(docs.dumps(doc))
 
@@ -134,9 +149,7 @@ def _cmd_convert(args):
 
 def _cmd_conv(args):
     if args.op == "two-state":
-        (a, _), (b, _) = _load_raw(args.a), _load_raw(args.b)
-        if not (isinstance(a, TwoStatePair) and isinstance(b, TwoStatePair)):
-            raise DocumentError("two-state convolution needs pair documents")
+        a, b = _load_pair(args.a, args.order), _load_pair(args.b, args.order)
         _emit(docs.encode_pair(two_state_convolve(a, b)))
         return EXIT_OK
     a = _load_functional(args.a, args.order)
@@ -150,9 +163,7 @@ def _cmd_conv(args):
 def _cmd_power(args):
     t = _parse_t(args.t)
     if args.op == "two-state":
-        pair, _ = _load_raw(args.file)
-        if not isinstance(pair, TwoStatePair):
-            raise DocumentError("two-state power needs a pair document")
+        pair = _load_pair(args.file, args.order)
         _emit(docs.encode_pair(two_state_power(pair, t)))
         return EXIT_OK
     mf = _load_functional(args.file, args.order)

@@ -209,15 +209,15 @@ def maassen_semigroup(triple, t, order=None):
     t over the powers of R, m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i
     (Lagrange-Burmann, ``transforms.moments_from_scaled_r``)."""
     t = as_coeff(t)
-    if triple.rho is None:
-        if order is None:
+    if order is None:
+        if triple.rho is None:
             raise ValueError("order required for a zero-variance triple")
-    else:
-        if order is None:
-            order = triple.rho.order + 2
-        elif triple.rho.order < order - 2:
-            raise ValueError(
-                f"rho needs order >= {order - 2}, has {triple.rho.order}")
+        order = triple.rho.order + 2
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if triple.rho is not None and triple.rho.order < order - 2:
+        raise ValueError(
+            f"rho needs order >= {order - 2}, has {triple.rho.order}")
     return moments_from_scaled_r(_triple_r_series(triple, ONE, order), t, order)
 
 
@@ -274,6 +274,8 @@ def two_state_semigroup(rel, base, t, order=None):
         if not candidates:
             raise ValueError("order required when both triples have gamma = 0")
         order = min(candidates)
+    if order < 1:
+        raise ValueError("order must be >= 1")
     for tr, name in ((rel, "rel"), (base, "base")):
         if tr.rho is not None and tr.rho.order < order - 2:
             raise ValueError(f"{name}.rho needs order >= {order - 2}")

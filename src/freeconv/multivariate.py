@@ -30,13 +30,13 @@ per fill; _apply_w_substitution reads [x_w] A(W) from it, once per word.
 Each equation is one raw kernel (_r, _moments_from_r, _eta, ...), a fill on
 whatever ring it is handed.  Each public operation, powers and point masses
 included, chains its kernels inside one _graded_words call over all of its
-inputs, the one place that grades a word solve: over Q the fills run on ints
-graded by word length (the rule of functionals._graded) from the operation's
-input to its output.  Over Q[t] they run on the same graded ints packed at
-t = 2^B (Kronecker substitution), with B from one run of the solve at d = 1
-on l1 norms, where - acts as +: the l1 norm is subadditive and
-submultiplicative and the kernels divide by nothing, so that run bounds every
-t-digit.  Each output keeps the ring Q[t] arithmetic gives it.  Inputs
+inputs, the one place that grades a word solve: over Q and Q[t] the fills
+run on ints graded by word length (the rule of functionals._graded) and
+packed at t = 2^B (Kronecker substitution), from the operation's input to
+its output.  B comes from one run of the solve at d = 1 on l1 norms, where -
+acts as +: the l1 norm is subadditive and submultiplicative and the kernels
+divide by nothing, so that run bounds every t-digit.  Every output is a
+Fraction when every input value and t is one, and a TPoly otherwise.  Inputs
 holding any other value take the same kernels on their coefficients as they
 are.
 
@@ -65,10 +65,10 @@ MAX_NC_ORDER = 8
 # at which every entry runs within about 40 s at order MAX_NC_ORDER.  The
 # number of words grows as d^order.  At order 8, composition takes 0.65 s at
 # d = 3 and 6.6 s and 160 MB at d = 4; final-prop, the slowest entry, whose
-# formal t runs its solves on packed ints, takes 1.4 s at d = 3 and 11 s and
-# 190-220 MB at d = 4 (CPython 3.11.7, one core of a 2-core x86 host, seeds
-# 0-2).  d = 5 has 6x the words of d = 4, so final-prop would take about a
-# minute there (an estimate; not run).
+# formal t runs its solves on packed ints, takes 1.2-1.5 s at d = 3 and
+# 10-14 s and 190-220 MB at d = 4 (CPython 3.11.7, one core of a 2-core x86
+# host whose speed drifts, seeds 0-2).  d = 5 has 6x the words of d = 4, so
+# final-prop would take about a minute there (an estimate; not run).
 # It is a constant, not a flag; nc_verify rejects a larger d before any
 # entry runs.
 MAX_NC_D = 4
@@ -109,13 +109,16 @@ class NCFunctional:
     @classmethod
     def _filled(cls, d, order, moments):
         """The functional of a fill's output: nonzero values at words over
-        1..d of length 1..order, so only the order and the ring are checked."""
+        1..d of length 1..order, so only the order and the ring are checked,
+        the ring only of a value the generic path left neither a
+        ``Fraction`` nor a ``TPoly``."""
         if not 1 <= order <= MAX_NC_ORDER:
             raise ValueError(f"order must be in 1..{MAX_NC_ORDER}")
         self = object.__new__(cls)
         self.d = d
         self.order = order
-        self._m = {w: as_coeff(c) for w, c in moments.items()}
+        self._m = {w: c if type(c) in (Fraction, TPoly) else as_coeff(c)
+                   for w, c in moments.items()}
         return self
 
     def m(self, w):
@@ -231,36 +234,6 @@ class _Majorant(int):
         return _Majorant(int.__floordiv__(self, other))
 
 
-class _Tagged(int):
-    """A packed value that a TPoly reached, in a packed solve that also
-    holds values no TPoly reaches (plain ints): whatever it meets stays
-    tagged, as a TPoly operand makes a TPoly."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Tagged(int.__add__(self, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _Tagged(int.__sub__(self, other))
-
-    def __rsub__(self, other):
-        return _Tagged(int.__sub__(other, self))
-
-    def __mul__(self, other):
-        return _Tagged(int.__mul__(self, other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _Tagged(int.__neg__(self))
-
-    def __floordiv__(self, other):
-        return _Tagged(int.__floordiv__(self, other))
-
-
 def _pack(nums, b):
     """The int polynomial sum_i nums[i] t^i at t = 2^b."""
     x = 0
@@ -297,56 +270,34 @@ def _graded_words(solve, d, order, *dicts, t=None):
     ``times_t`` maps a word dict to t times it, in the ring ``solve`` is
     handed, and ``solve`` builds its output from values it has scaled.
 
-    Over Q (every value and t a ``Fraction``), ``solve`` gets c_w as the
-    int c_w D^|w|, with D from ``functionals._grade`` times the denominator
-    of t.  Every word transform is weight-homogeneous in |w| and divides by
-    nothing, and a sum or difference of two dicts graded by one D is graded
-    by it, so a solve that chains fills on graded inputs stays in Z, and
-    output w comes back as x_w / D^|w|.
+    When every value and t is a ``Fraction`` or a ``TPoly``, ``solve`` gets
+    c_w as the int c_w D^|w| packed at t = 2^B (Kronecker substitution).  D
+    comes from ``functionals._grade`` (a ``TPoly`` counts by its common
+    denominator) times the denominator of t.  Every word transform is
+    weight-homogeneous in |w| and divides by nothing, and a sum or
+    difference of two dicts graded by one D is graded by it, so a solve
+    that chains fills on graded inputs stays in Z.  Evaluation at 2^B is a
+    ring map, so each output is its graded polynomial at 2^B.  B is needed
+    only when some value or t is a ``TPoly``; then ``solve`` runs once more
+    first, at d = 1 in ``_Majorant``, a ring where - acts as +, on the
+    largest l1 norm sum_i |[t^i] c_w| D^|w| of each input at each length.
+    The l1 norm is subadditive and submultiplicative, the kernels divide by
+    nothing, and with - as + no term cancels, so a run on larger inputs
+    with more words present bounds the l1 norm, and so every t-digit, of
+    each value of the exact run.  The kernels read positions, not letters,
+    so the run on every word at its length's largest norm gives every word
+    of a length the value of the d = 1 run at that length.  M is its
+    largest output; B = bits(M) + 2.  A rational value packs to its own
+    graded numerator, and without a ``TPoly`` nothing is packed.
 
-    Over Q[t] (every value a ``Fraction`` or a ``TPoly``, at least one a
-    ``TPoly``) the same solve runs on Kronecker-packed ints.  D grades every
-    t-coefficient (a ``TPoly`` counts by its common denominator), and:
-
-    1. ``solve`` runs once at d = 1 in ``_Majorant``, a ring where - acts
-       as +, on the largest l1 norm sum_i |[t^i] c_w| D^|w| of each input
-       at each length.  The l1 norm is subadditive and submultiplicative,
-       the kernels divide by nothing, and with - as + no term cancels, so a
-       run on larger inputs with more words present bounds the l1 norm, and
-       so every t-digit, of each value of the exact run.  The kernels read
-       positions, not letters, so the run on every word at its length's
-       largest norm gives every word of a length the value of the d = 1 run
-       at that length.  M is its largest output; B = bits(M) + 2.
-    2. ``solve`` runs once on the graded values at t = 2^B.  Evaluation is
-       a ring map, so each output is its graded polynomial at 2^B, and
-       output w comes back as balanced base-2^B digits over D^|w|.
-
-    Each output keeps the ring the ``TPoly`` path gives it: a ``TPoly``
-    where a ``TPoly`` operand reaches it, a ``Fraction`` elsewhere.  With a
-    ``TPoly`` t, or no ``Fraction`` input value, that is every output.
-    Otherwise the values a ``TPoly`` reaches are ``_Tagged`` ints, and which
-    terms exist follows the exact run's zero pattern, which is the ``TPoly``
-    path's: each fill a solve chains feeds its value at w into the output at
-    w with coefficient +-1, so M bounds the digits of every value a fill
-    drops as zero too.
+    The output is over Q when every value and t is: output w comes back as
+    the ``Fraction`` x_w / D^|w|.  Otherwise every output w is a ``TPoly``,
+    read as balanced base-2^B digits over D^|w|.
 
     Any other value (a plain int, another ring) selects the generic path:
     ``solve`` gets the dicts, and t, as they are, and its output is
     returned unchanged.
     """
-    if t is None or type(t) is Fraction:
-        scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts))
-        if scale is not None:  # over Q
-            if t is not None:
-                scale *= t.denominator
-            pw = _word_powers(scale, *dicts)
-            ins = [{w: c.numerator * (pw[len(w)] // c.denominator)
-                    for w, c in dct.items()} for dct in dicts]
-            if t is not None:
-                ins.insert(0, _times(t.numerator, t.denominator))
-            out = solve(d, order, *ins)
-            pw = _word_powers(scale, out)
-            return {w: Fraction(x, pw[len(w)]) for w, x in out.items()}
     scale = None
     if t is None or type(t) in (Fraction, TPoly):
         scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts),
@@ -364,29 +315,28 @@ def _graded_words(solve, d, order, *dicts, t=None):
             ins.insert(0, _times(p, tq))
         return solve(d, order, *ins)
 
-    tops = []
-    for dct in dicts:
-        top = {}
-        for w, c in dct.items():
-            nums, den = TPoly._parts(c)
-            x, k = sum(map(abs, nums)) * (pw[len(w)] // den), (1,) * len(w)
-            top[k] = max(top.get(k, 0), x)
-        tops.append({w: _Majorant(x) for w, x in top.items()})
-    bound = run(1, tops, sum(map(abs, tn)))
-    b = max(bound.values(), default=0).bit_length() + 2
-    all_tagged = type(t) is TPoly or all(
+    b = 0  # without a TPoly, _pack(tn, 0) is the numerator of t
+    polys = type(t) is TPoly or any(
         type(c) is TPoly for dct in dicts for c in dct.values())
-
-    def packed(c, g):
-        nums, den = TPoly._parts(c)
-        x = _pack(nums, b) * (g // den)
-        return x if all_tagged or type(c) is Fraction else _Tagged(x)
-
-    out = run(d, [{w: packed(c, pw[len(w)]) for w, c in dct.items()}
-                  for dct in dicts], _pack(tn, b))
+    if polys:
+        tops = []
+        for dct in dicts:
+            top = {}
+            for w, c in dct.items():
+                nums, den = TPoly._parts(c)
+                x, k = sum(map(abs, nums)) * (pw[len(w)] // den), (1,) * len(w)
+                top[k] = max(top.get(k, 0), x)
+            tops.append({w: _Majorant(x) for w, x in top.items()})
+        bound = run(1, tops, sum(map(abs, tn)))
+        b = max(bound.values(), default=0).bit_length() + 2
+    out = run(d, [{w: c.numerator * (pw[len(w)] // c.denominator)
+                   if type(c) is Fraction
+                   else _pack(c.nums, b) * (pw[len(w)] // c.den)
+                   for w, c in dct.items()} for dct in dicts], _pack(tn, b))
     pw = _word_powers(scale, out)
-    return {w: _unpack(x, b, pw[len(w)]) if all_tagged or type(x) is _Tagged
-            else Fraction(x, pw[len(w)]) for w, x in out.items()}
+    if polys:
+        return {w: _unpack(x, b, pw[len(w)]) for w, x in out.items()}
+    return {w: Fraction(x, pw[len(w)]) for w, x in out.items()}
 
 
 def _add_products(row, x, y, n_p, n_g, n_i):

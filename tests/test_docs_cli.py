@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +394,21 @@ def test_cli_two_state_semigroup_at_low_orders(tmp_path, capsys, order):
         assert low[part]["moments"] == full[part]["moments"][:int(order)]
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("form", ["triple", "rel-base"])
+def test_cli_semigroup_rejects_orders_below_one(tmp_path, capsys, form, order):
+    """Both forms refuse an order with no moment as a usage error, not
+    with the exit code for "identity violated"."""
+    triple = write(tmp_path, "tr.json",
+                   {"type": "triple", "beta": "1/2", "gamma": "2",
+                    "rho": semicircle_doc(8)})
+    files = (["--triple", triple] if form == "triple"
+             else ["--rel", triple, "--base", triple])
+    assert run(["semigroup", "--t", "formal", *files, "--order", order]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "order must be >= 1" in out.err
+
+
 def test_cli_verify_exit_codes(capsys):
     assert run(["verify", "free-evolution", "--param", "beta=1/2",
                 "--param", "gamma=1", "--param", "rho=bernoulli",
@@ -440,6 +456,30 @@ def test_cli_two_state_conv(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["base"]["moments"][:4] == ["0", "2", "0", "6"]
     assert out["tilde"]["moments"] == out["base"]["moments"]
+
+
+PAIR = str(Path(__file__).parent / "data" / "pair.json")  # order 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["power", "--op", "two-state", "--t", "2", PAIR],
+    ["power", "--op", "two-state", "--t", "formal", PAIR],
+    ["conv", "--op", "two-state", PAIR, PAIR],
+])
+def test_cli_two_state_ops_take_the_order(capsys, argv):
+    """--order truncates both parts of a pair document, and an order above
+    the pair's own is refused."""
+    assert run(argv) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert full["order"] == 5
+    assert run(argv + ["--order", "2"]) == 0
+    low = json.loads(capsys.readouterr().out)
+    assert low["order"] == 2
+    for part in ("tilde", "base"):
+        assert low[part]["moments"] == full[part]["moments"][:2]
+    assert run(argv + ["--order", "9"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "cannot serve order 9" in out.err
 
 
 def test_cli_subord(tmp_path, capsys):

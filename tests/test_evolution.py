@@ -308,6 +308,18 @@ def test_two_state_semigroup_at_low_orders(order):
     assert pair.tilde == full.tilde and pair.base == full.base
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_semigroups_reject_orders_below_one(order):
+    rng = random.Random(19)
+    rel, base = rand_triple(rng, 8), rand_triple(rng, 8)
+    t = formal_t()
+    for build in (lambda: maassen_semigroup(base, t, order),
+                  lambda: maassen_semigroup(CanonicalTriple(1, 0), t, order),
+                  lambda: two_state_semigroup(rel, base, t, order)):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            build()
+
+
 def _typed(mf):
     return [(type(c), c) for c in mf.moments()]
 

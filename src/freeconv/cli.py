@@ -52,9 +52,9 @@ from .functionals import (
     jacobi_from_moments,
 )
 from .multivariate import (
-    MAX_NC_D,
-    MAX_NC_ORDER,
     NC_CATALOG,
+    nc_entry_d,
+    nc_max_order,
     nc_verify,
     nc_verify_order,
 )
@@ -300,8 +300,9 @@ def _verify_entries(args, runs, params):
     for fn, name, order, own in planned:
         rep = fn(name, params=own, order=order, seed=args.seed)
         if args.order is not None and rep.order != args.order:
-            rep.notes.append(f"run at order {rep.order}, the word layer's cap "
-                             f"MAX_NC_ORDER, not at {args.order}")
+            rep.notes.append(f"run at order {rep.order}, the largest the word "
+                             f"layer's size rule nc_max_order admits at d = "
+                             f"{nc_entry_d(name, own)}, not at {args.order}")
         skipped = [k for k in params if k not in own]
         if skipped:
             rep.notes.append(f"run without {', '.join(skipped)}, which this "
@@ -324,11 +325,13 @@ def _cmd_verify(args):
     params = dict(args.param or [])
     if args.name != "all":
         return _verify_entries(args, [(args.name, args.order)], params)
-    # `verify all` runs the word-layer entries at most at their cap
-    nc_order = None if args.order is None else min(args.order, MAX_NC_ORDER)
+    # `verify all` runs each word-layer entry at most at the largest order
+    # the size rule admits at its d
+    nc_runs = [(f"nc:{name}", args.order if args.order is None else
+                min(args.order, nc_max_order(nc_entry_d(name, params))))
+               for name in NC_CATALOG]
     return _verify_entries(
-        args, [(name, args.order) for name in CATALOG]
-        + [(f"nc:{name}", nc_order) for name in NC_CATALOG], params)
+        args, [(name, args.order) for name in CATALOG] + nc_runs, params)
 
 
 def _cmd_nc(args):
@@ -437,7 +440,9 @@ def build_parser():
     q = ncsub.add_parser("verify")
     q.add_argument("name", choices=sorted(NC_CATALOG) + ["all"])
     q.add_argument("--d", type=int, default=None,
-                   help=f"alphabet size, 1..{MAX_NC_D} (default 2)")
+                   help="alphabet size (default 2); with the order, at most "
+                        "the words and n^2 d^n work of d = 4 at order 8 "
+                        "(multivariate.nc_max_order)")
     run_options(q, _cmd_nc)
 
     p = sub.add_parser("oracle", help="partition-enumeration cross-checks")

@@ -902,10 +902,10 @@ def class_names(cls):
     return " or ".join(c.__name__ for c in get_args(cls) or (cls,))
 
 
-def _entry_order(kind, catalog, min_order, name, order, high=None, params=()):
+def _entry_order(kind, catalog, min_order, name, order, params=()):
     """The order a catalog entry runs at: its default when ``order`` is None.
     Raises ValueError for an unknown entry, a parameter it does not take or
-    not of the class it needs, or an order outside min_order[name]..high."""
+    not of the class it needs, or an order below min_order[name]."""
     try:
         (fn, default_order), low = catalog[name], min_order[name]
     except KeyError:
@@ -921,9 +921,8 @@ def _entry_order(kind, catalog, min_order, name, order, high=None, params=()):
                              f"{class_names(takes[key])}")
     if order is None:
         return default_order
-    if order < low or (high is not None and order > high):
-        span = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{kind} entry {name!r} needs an order {span}, "
+    if order < low:
+        raise ValueError(f"{kind} entry {name!r} needs an order >= {low}, "
                          f"got {order}")
     return order
 

@@ -46,33 +46,20 @@ test suite asserts this.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import operator
 from fractions import Fraction
 
 from .coeffs import ZERO, ONE, TPoly, _canonical, as_coeff, formal_t
 from .convolutions import free_convolve, free_power
+from .docs import MAX_ORDER
 from .evolution import (Coeff, VerifyReport, _BadParameter, _entry_order, _q,
                         _run_entry, check_eq, maassen_semigroup, strip,
                         subordination_inverse, two_state_semigroup)
 from .functionals import (CanonicalTriple, JacobiParams, MomentFunctional,
                           _grade, free_meixner, jacobi_from_moments,
                           semicircular)
-
-MAX_NC_ORDER = 8
-
-# The largest alphabet a word-layer verify entry may run at: the largest d
-# at which every entry runs within about 40 s at order MAX_NC_ORDER.  The
-# number of words grows as d^order.  At order 8, composition takes 0.65 s at
-# d = 3 and 6.6 s and 160 MB at d = 4; final-prop, the slowest entry, whose
-# formal t runs its solves on packed ints, takes 1.2-1.5 s at d = 3 and
-# 10-14 s and 190-220 MB at d = 4 (CPython 3.11.7, one core of a 2-core x86
-# host whose speed drifts, seeds 0-2).  d = 5 has 6x the words of d = 4, so
-# final-prop would take about a minute there (an estimate; not run).
-# It is a constant, not a flag; nc_verify rejects a larger d before any
-# entry runs.
-MAX_NC_D = 4
-
 
 def words(d, order):
     """All words over {1..d} of length 1..order, shortest first."""
@@ -86,8 +73,8 @@ class NCFunctional:
     __slots__ = ("d", "order", "_m")
 
     def __init__(self, d, order, moments):
-        if not 1 <= order <= MAX_NC_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_NC_ORDER}")
+        if order < 1:
+            raise ValueError("order must be >= 1")
         self.d = d
         self.order = order
         clean = {}
@@ -112,8 +99,8 @@ class NCFunctional:
         1..d of length 1..order, so only the order and the ring are checked,
         the ring only of a value the generic path left neither a
         ``Fraction`` nor a ``TPoly``."""
-        if not 1 <= order <= MAX_NC_ORDER:
-            raise ValueError(f"order must be in 1..{MAX_NC_ORDER}")
+        if order < 1:
+            raise ValueError("order must be >= 1")
         self = object.__new__(cls)
         self.d = d
         self.order = order
@@ -650,12 +637,17 @@ def nc_subordination_inverse(lam, nu):
 
 
 def _nc_functional(value, rng, d, order):
-    """A supplied word functional, or one drawn from ``rng`` when None."""
-    if value is not None:
-        return value
-    return NCFunctional(d, order, {
-        w: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-        for w in words(d, order)})
+    """A supplied word functional over 1..d of order >= ``order``, truncated
+    to it, or one drawn from ``rng`` when None."""
+    if value is None:
+        return NCFunctional(d, order, {
+            w: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            for w in words(d, order)})
+    if value.d != d or value.order < order:
+        raise _BadParameter(value, f"want a word functional over 1..{d} of "
+                                   f"order >= {order}, got d = {value.d} and "
+                                   f"order {value.order}")
+    return value.truncate(order)
 
 
 def _nc_verify_composition(order, rng, d=2, mu: NCFunctional = None,
@@ -747,27 +739,68 @@ NC_CATALOG = {
     "recover-tau": (_nc_verify_recover_tau, 8),
 }
 
-# As evolution.MIN_ORDER; MAX_NC_ORDER caps every entry.
+# As evolution.MIN_ORDER; nc_max_order caps every entry.
 NC_MIN_ORDER = {"composition": 3, "final-prop": 3, "recover-tau": 4}
+
+# The word layer's size rule, set by one measured corner: final-prop, the
+# slowest entry, at d = 4 and order 8.  The number of words grows as d^n and
+# the fill's work as n^2 d^n, so nc_max_order admits no more words than
+# (4, 8) up to order 8, and no more n^2 d^n past it.  final-prop, in-process
+# at seed 0 (CPython 3.11.7, a 2-core x86 host whose speed drifts), at
+# corners the rule admits: (4, 8) 9.9-12.0 s and 192 MB (10 runs), (2, 14)
+# 9.8-12.5 s and 161 MB (8 runs), (1, 64) 11.2 s and 20 MB, (3, 9) 5.0 s and
+# 85 MB, (6, 6) 5.6 s and 117 MB, (16, 4) 5.2 s and 107 MB, (40, 3) 4.2 s
+# and 96 MB.  Bare n^2 d^n would admit corners past (4, 8): (5, 7) took
+# 12.5 s and 224 MB, (20, 4) 13.4 s and 250 MB and (75, 3) 29.9 s and
+# 537 MB; and at d = 1 it would admit every order up to 2048, so
+# docs.MAX_ORDER bounds n as it bounds a document's order.
+_NC_WORK = 4 ** 8 * 8 ** 2
+
+
+def nc_max_order(d):
+    """The largest order a word-layer verify entry runs at over an alphabet
+    of size d >= 1: the largest n <= docs.MAX_ORDER with
+    d^n max(n, 8)^2 <= 4^8 8^2, or 0 if there is none."""
+    n = 0
+    while n < MAX_ORDER and d ** (n + 1) * max(n + 1, 8) ** 2 <= _NC_WORK:
+        n += 1
+    return n
+
+
+def nc_entry_d(name, params=()):
+    """The alphabet size the word-layer entry ``name`` runs at: ``params``'
+    d (see nc_verify_d), else the entry's default; 1 for an entry that takes
+    no d (recover-tau, a d = 1 reduction)."""
+    takes = inspect.signature(NC_CATALOG[name][0]).parameters.get("d")
+    if takes is None:
+        return 1
+    return nc_verify_d(params["d"]) if "d" in params else takes.default
 
 
 def nc_verify_order(name, order=None, params=()):
-    """The order ``nc_verify(name, params, order)`` runs at; makes d an int."""
+    """The order ``nc_verify(name, params, order)`` runs at; makes d an int.
+    Raises ValueError as evolution.verify_order does, and for an order past
+    nc_max_order of the entry's d."""
     order = _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER, name, order,
-                         MAX_NC_ORDER, params)
+                         params)
+    d = nc_entry_d(name, params)
     if "d" in params:
-        params["d"] = nc_verify_d(params["d"])
+        params["d"] = d
+    high = nc_max_order(d)
+    if order > high:
+        raise ValueError(f"nc verify entry {name!r} at d = {d} needs an order "
+                         f"<= {high} (nc_max_order), got {order}")
     return order
 
 
 def nc_verify_d(d):
     """The alphabet size ``d`` as an int, or ValueError unless it is an
-    integer in 1..MAX_NC_D (a bool is not; an integral Fraction, as the CLI
-    parses ``--param d=3``, is)."""
+    integer >= 1 (a bool is not; an integral Fraction, as the CLI parses
+    ``--param d=3``, is)."""
     if isinstance(d, Fraction) and d.denominator == 1:
         d = d.numerator
-    if isinstance(d, bool) or not isinstance(d, int) or not 1 <= d <= MAX_NC_D:
-        raise ValueError(f"d must be an integer in 1..{MAX_NC_D}, got {d}")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d}")
     return d
 
 

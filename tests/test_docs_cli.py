@@ -20,8 +20,9 @@ from freeconv.functionals import (
     bernoulli_sym,
     semicircular,
 )
-from freeconv.multivariate import (MAX_NC_D, MAX_NC_ORDER, NC_CATALOG,
-                                   NC_MIN_ORDER, nc_verify_all, nc_verify_d)
+from freeconv.multivariate import (NC_CATALOG, NC_MIN_ORDER, nc_entry_d,
+                                   nc_max_order, nc_verify_all, nc_verify_d,
+                                   nc_verify_order)
 from freeconv.oracle import MAX_ORACLE_ORDER
 from freeconv.series import TruncSeries
 
@@ -631,34 +632,97 @@ def test_cli_nc_verify(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("d", ["3/2", "0", str(MAX_NC_D + 1), "true"])
-def test_cli_word_layer_d_is_checked_before_any_entry_runs(
-        d, monkeypatch, capsys):
-    def ran(order, rng, d=2):
-        raise AssertionError("an entry ran")
+def _record_entries(monkeypatch):
+    """Replace every catalog entry, of both layers, by one that checks
+    nothing and records (name, order, d); a word-layer entry that takes d
+    keeps the signature, and so the default d, of the one it replaces."""
+    ran = []
 
-    for name in NC_CATALOG:
-        monkeypatch.setitem(NC_CATALOG, name, (ran, 6))
-    assert run(["verify", "nc:composition", "--param", f"d={d}"]) == 2
+    def recorder(name, takes_d):
+        if takes_d:
+            def entry(order, rng, d=2):
+                ran.append((name, order, d))
+                return [], []
+        else:
+            def entry(order, rng):
+                ran.append((name, order, None))
+                return [], []
+        return entry
+
+    for catalog, prefix in ((evolution.CATALOG, ""), (NC_CATALOG, "nc:")):
+        for name, (fn, default) in catalog.items():
+            takes_d = "d" in evolution.entry_params(fn)
+            monkeypatch.setitem(catalog, name,
+                                (recorder(prefix + name, takes_d), default))
+    return ran
+
+
+# d = 5 is an integer, refused at order 7 by the size rule
+@pytest.mark.parametrize("d,order", [("3/2", None), ("0", None), ("5", "7"),
+                                     ("true", None)],
+                         ids=["3/2", "0", "5", "true"])
+def test_cli_word_layer_d_is_checked_before_any_entry_runs(
+        d, order, monkeypatch, capsys):
+    ran = _record_entries(monkeypatch)
+    at = [] if order is None else ["--order", order]
+    assert run(["verify", "nc:composition", "--param", f"d={d}", *at]) == 2
     assert capsys.readouterr().out == ""
     for name in ("composition", "all"):
         try:
-            code = run(["nc", "verify", name, "--d", d])
+            code = run(["nc", "verify", name, "--d", d, *at])
         except SystemExit as e:  # argparse rejects a --d that is no int
             code = e.code
         assert code == 2
         assert capsys.readouterr().out == ""
+    assert not ran
 
 
-def test_word_layer_d_range(capsys):
-    assert nc_verify_d(F(3)) == 3 and nc_verify_d(MAX_NC_D) == MAX_NC_D
-    for bad in (True, 0, MAX_NC_D + 1, F(3, 2), "2", 2.0):
+def test_word_layer_d_range(monkeypatch, capsys):
+    """d is any integer >= 1, and nc_max_order(d) is the largest order an
+    entry runs at there."""
+    assert nc_verify_d(F(3)) == 3 and nc_verify_d(41) == 41
+    for bad in (True, 0, -1, F(3, 2), "2", 2.0):
         with pytest.raises(ValueError):
             nc_verify_d(bad)
     assert run(["verify", "nc:composition", "--param", "d=1",
                 "--order", "3"]) == 0
     assert run(["nc", "verify", "final-prop", "--d", "1", "--order", "3"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+    ran = _record_entries(monkeypatch)
+    for d in (1, 2, 3, 4, 6, 9, 16, 40):
+        high = nc_max_order(d)
+        assert run(["nc", "verify", "final-prop", "--d", str(d),
+                    "--order", str(high)]) == 0
+        assert run(["verify", "nc:composition", "--param", f"d={d}",
+                    "--order", str(high + 1)]) == 2
+        assert ran.pop() == ("nc:final-prop", high, d) and not ran
+
+
+def test_word_layer_size_rule(monkeypatch, capsys):
+    """Every (d, n) admitted with d <= 4 and n <= 8 is admitted; each request
+    past the rule exits 2 before any entry runs."""
+    expected = {1: 64, 2: 14, 3: 9, 4: 8, 5: 6, 6: 6, 7: 5, 8: 5, 9: 5,
+                10: 4, 16: 4, 17: 3, 40: 3, 41: 2}
+    assert {d: nc_max_order(d) for d in expected} == expected
+    for name, low in NC_MIN_ORDER.items():
+        for d in (1, 2, 3, 4) if name != "recover-tau" else (1,):
+            params = {} if name == "recover-tau" else {"d": d}
+            for n in range(low, 9):
+                assert nc_verify_order(name, n, params) == n
+    ran = _record_entries(monkeypatch)
+    for d, n in ((1, 65), (2, 15), (3, 10), (5, 7), (41, 3)):
+        argvs = [["verify", "nc:composition", "--param", f"d={d}",
+                  "--order", str(n)],
+                 ["nc", "verify", "final-prop", "--d", str(d), "--order",
+                  str(n)],
+                 ["nc", "verify", "all", "--d", str(d), "--order", str(n)]]
+        if d == 1:
+            argvs.append(["verify", "nc:recover-tau", "--order", str(n)])
+        for argv in argvs:
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "nc_max_order" in captured.err
+    assert not ran
 
 
 def test_cli_bad_json_is_usage_error(tmp_path, capsys):
@@ -689,17 +753,20 @@ def test_min_orders_cover_the_catalogs():
     for name, (_, default) in evolution.CATALOG.items():
         assert evolution.MIN_ORDER[name] <= default
     for name, (_, default) in NC_CATALOG.items():
-        assert NC_MIN_ORDER[name] <= default <= MAX_NC_ORDER
+        assert NC_MIN_ORDER[name] <= default <= nc_max_order(nc_entry_d(name))
 
 
 @pytest.mark.parametrize("name,low", ENTRY_MIN_ORDERS)
-def test_cli_verify_order_range(name, low, capsys):
+def test_cli_verify_order_range(name, low, monkeypatch, capsys):
     assert run(["verify", name, "--order", str(low - 1)]) == 2
     assert capsys.readouterr().out == ""
     assert run(["verify", name, "--order", str(low)]) == 0
     assert "FAIL" not in capsys.readouterr().out
     if name.startswith("nc:"):
-        assert run(["verify", name, "--order", str(MAX_NC_ORDER + 1)]) == 2
+        high = nc_max_order(nc_entry_d(name.removeprefix("nc:")))
+        ran = _record_entries(monkeypatch)
+        assert run(["verify", name, "--order", str(high + 1)]) == 2
+        assert capsys.readouterr().out == "" and not ran
 
 
 def test_cli_verify_all_rejects_order_before_running(capsys):
@@ -714,22 +781,37 @@ def test_cli_verify_all_rejects_order_before_running(capsys):
     with pytest.raises(ValueError):
         evolution.verify_all(order=2)
     with pytest.raises(ValueError):
-        nc_verify_all(order=MAX_NC_ORDER + 1)
+        nc_verify_all(order=nc_max_order(2) + 1)
 
 
-def test_cli_verify_all_caps_word_layer_order(capsys):
-    order = MAX_NC_ORDER + 1
-    assert run(["verify", "all", "--order", str(order), "--format", "json"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["verified"]
-    orders = {r["name"]: r["order"] for r in out["reports"]}
-    assert orders == {**{name: order for name in evolution.CATALOG},
-                      **{f"nc:{name}": MAX_NC_ORDER for name in NC_CATALOG}}
-    for r in out["reports"]:
-        capped = any("MAX_NC_ORDER" in note for note in r["notes"])
-        assert capped == r["name"].startswith("nc:")
-    # one named word-layer entry is still held to its range
-    assert run(["verify", "nc:composition", "--order", str(order)]) == 2
+def test_cli_verify_all_caps_word_layer_order(monkeypatch, capsys):
+    """`verify all --order N` runs each word-layer entry at min(N, the
+    largest order the size rule admits at its d) and notes where that is
+    not N; recover-tau runs at d = 1."""
+    ran = _record_entries(monkeypatch)
+    for order, d, capped in ((20, None, (14, 14, 20)), (20, "3", (9, 9, 20)),
+                             (70, None, (14, 14, 64)), (8, "4", (8, 8, 8))):
+        at = [] if d is None else ["--param", f"d={d}"]
+        assert run(["verify", "all", "--order", str(order), "--format",
+                    "json", *at]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verified"]
+        nc_orders = dict(zip((f"nc:{name}" for name in NC_CATALOG), capped))
+        orders = {r["name"]: r["order"] for r in out["reports"]}
+        assert orders == {**{name: order for name in evolution.CATALOG},
+                          **nc_orders}
+        for r in out["reports"]:
+            noted = any("nc_max_order" in note for note in r["notes"])
+            assert noted == (r["order"] != order)
+        want_d = 2 if d is None else int(d)
+        assert sorted(r for r in ran if r[0].startswith("nc:")) == sorted(
+            (name, n, None if name == "nc:recover-tau" else want_d)
+            for name, n in nc_orders.items())
+        ran.clear()
+    # one named word-layer entry is still held to the rule
+    assert run(["verify", "nc:composition", "--order", "15"]) == 2
+    assert run(["verify", "nc:composition", "--order", "14"]) == 0
+    assert ran == [("nc:composition", 14, 2)]
 
 
 def test_cli_consistency_error_exits_4(monkeypatch, capsys):

@@ -17,7 +17,6 @@ from freeconv.evolution import (
 )
 from freeconv.functionals import MomentFunctional
 from freeconv.multivariate import (
-    MAX_NC_ORDER,
     NC_CATALOG,
     NC_MIN_ORDER,
     NCFunctional,
@@ -289,12 +288,9 @@ def test_phi_map_zero_example():
     assert phi0.m((1, 2, 2, 1)) == 0
 
 
-def test_phi_map_output_order_is_two_more_or_rejected():
-    for order in range(1, MAX_NC_ORDER - 1):
+def test_phi_map_output_order_is_two_more():
+    for order in range(1, 11):
         assert nc_phi(nc_zero(2, order)).order == order + 2
-    for order in (MAX_NC_ORDER - 1, MAX_NC_ORDER):
-        with pytest.raises(ValueError, match="order must be in"):
-            nc_phi(nc_zero(1, order))
 
 
 def test_bp_bijection():
@@ -369,6 +365,37 @@ def test_nc_verify_sweep_seeds_and_low_orders(name, d, seed, extra):
 def test_nc_verify_rejects_a_parameter_the_entry_does_not_take():
     with pytest.raises(ValueError, match="takes no parameter d"):
         nc_verify("recover-tau", params={"d": 2})
+
+
+def test_nc_verify_checks_a_supplied_word_functional(monkeypatch):
+    """A supplied functional over another alphabet or of a lower order is
+    refused, as evolution's entries refuse a moment functional; a longer one
+    is truncated to the order the report gives, so no word solve runs past
+    it."""
+    rng = random.Random(8)
+    for name, key in (("composition", "mu"), ("composition", "nu"),
+                      ("final-prop", "rho_t"), ("final-prop", "tau")):
+        for d, order in ((2, 3), (3, 6), (1, 6)):
+            with pytest.raises(ValueError, match=f"parameter {key}: want a "
+                               "word functional over 1..2 of order >= 6"):
+                nc_verify(name, params={key: rand_nc(rng, d, order)}, order=6)
+    orders = []
+    graded_words = multivariate._graded_words
+
+    def spy(solve, d, order, *dicts, **kw):
+        orders.append(order)
+        return graded_words(solve, d, order, *dicts, **kw)
+
+    monkeypatch.setattr(multivariate, "_graded_words", spy)
+    mu = rand_nc(rng, 2, 8)
+    rep = nc_verify("composition", params={"mu": mu}, order=5, seed=3)
+    assert rep.verified and rep.order == 5
+    assert rep == nc_verify("composition", params={"mu": mu.truncate(5)},
+                            order=5, seed=3)
+    rep = nc_verify("final-prop", params={"d": 3, "tau": rand_nc(rng, 3, 7)},
+                    order=4)
+    assert rep.verified and rep.order == 4
+    assert max(orders) == 5
 
 
 def test_composition_identity_d3():

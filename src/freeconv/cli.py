@@ -53,8 +53,8 @@ from .functionals import (
 )
 from .multivariate import (
     NC_CATALOG,
+    nc_capped_order,
     nc_entry_d,
-    nc_max_order,
     nc_verify,
     nc_verify_order,
 )
@@ -290,19 +290,22 @@ def _verify_entries(args, runs, params):
                 refused.setdefault(
                     k, f" as given: {run_name} wants {class_names(takes[k])}")
         order_of(name, order, own)
-        planned.append((fn, name, order, own))
+        planned.append((fn, catalog, name, order, own))
     unused = set(params).difference(*(own for *_, own in planned))
     if unused:
         raise ValueError("; ".join(f"no entry takes parameter {k}"
                                    f"{refused.get(k, '')}"
                                    for k in sorted(unused)))
     reports = []
-    for fn, name, order, own in planned:
+    for fn, catalog, name, order, own in planned:
         rep = fn(name, params=own, order=order, seed=args.seed)
-        if args.order is not None and rep.order != args.order:
+        asked = catalog[name][1] if args.order is None else args.order
+        if rep.order != asked:
             rep.notes.append(f"run at order {rep.order}, the largest the word "
                              f"layer's size rule nc_max_order admits at d = "
-                             f"{nc_entry_d(name, own)}, not at {args.order}")
+                             f"{nc_entry_d(name, own)}, not at "
+                             f"{'the default ' if args.order is None else ''}"
+                             f"{asked}")
         skipped = [k for k in params if k not in own]
         if skipped:
             rep.notes.append(f"run without {', '.join(skipped)}, which this "
@@ -321,23 +324,29 @@ def _verify_entries(args, runs, params):
     return EXIT_OK if all(r.verified for r in reports) else EXIT_VIOLATED
 
 
+def _nc_runs(order, params):
+    """The word-layer runs of `verify all` and `nc verify all`: each entry
+    at ``order`` capped by the size rule at its d (nc_capped_order), as its
+    default order is, or at its default when ``order`` is None."""
+    return [(f"nc:{name}", order if order is None else
+             nc_capped_order(name, order, params)) for name in NC_CATALOG]
+
+
 def _cmd_verify(args):
     params = dict(args.param or [])
     if args.name != "all":
         return _verify_entries(args, [(args.name, args.order)], params)
-    # `verify all` runs each word-layer entry at most at the largest order
-    # the size rule admits at its d
-    nc_runs = [(f"nc:{name}", args.order if args.order is None else
-                min(args.order, nc_max_order(nc_entry_d(name, params))))
-               for name in NC_CATALOG]
     return _verify_entries(
-        args, [(name, args.order) for name in CATALOG] + nc_runs, params)
+        args, [(name, args.order) for name in CATALOG]
+        + _nc_runs(args.order, params), params)
 
 
 def _cmd_nc(args):
-    names = list(NC_CATALOG) if args.name == "all" else [args.name]
-    return _verify_entries(args, [(f"nc:{name}", args.order) for name in names],
-                           {} if args.d is None else {"d": args.d})
+    params = {} if args.d is None else {"d": args.d}
+    if args.name != "all":
+        return _verify_entries(args, [(f"nc:{args.name}", args.order)],
+                               params)
+    return _verify_entries(args, _nc_runs(args.order, params), params)
 
 
 def _cmd_oracle(args):
@@ -442,7 +451,8 @@ def build_parser():
     q.add_argument("--d", type=int, default=None,
                    help="alphabet size (default 2); with the order, at most "
                         "the words and n^2 d^n work of d = 4 at order 8 "
-                        "(multivariate.nc_max_order)")
+                        "(multivariate.nc_max_order), to which a default "
+                        "order, or the --order of 'all', is lowered")
     run_options(q, _cmd_nc)
 
     p = sub.add_parser("oracle", help="partition-enumeration cross-checks")

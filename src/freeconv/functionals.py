@@ -10,7 +10,8 @@ too, so that coefficient stripping shares them.  With W = z(1+M), the power
 table p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and [z^k] W^k = 1
 makes every solve through W triangular.  Each is one _fill rule (k, out, s)
 beside its word-layer twin in ``multivariate``, a _fill_words rule
-(w, out, s); both drivers own the table of their substitution (a, m):
+(n, out, s) that builds the row of the words of length n; both drivers own
+the table of their substitution (a, m):
 
     r_from_moments, moments_from_r      nc_r, nc_moments_from_r
     _eta                                nc_eta

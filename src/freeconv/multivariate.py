@@ -2,12 +2,15 @@
 
 Functionals are maps from words over {1..d} (length <= N) to coefficients,
 with the empty word at 1.  The transform equations are the same as in one
-variable, with W_i = z_i(1+M), and every site is one rule (w, out, s) over
-sparse word dicts (a missing word is zero), the shape of functionals._fill's
-(k, out, s): _fill_words fills a word dict in length order, handing the rule
-s = [x_w] A(W_1, ..., W_d) for the substitution (a, m) it is given, None
-standing for ``out``; _split_sum(left, right, w), the sum over w = uv of
-left[u] right[v], multiplies or divides by (1+M).
+variable, with W_i = z_i(1+M).  The solves run on tables of dense rows: row
+n lists the d^n words of length n by rank (the order of itertools.product),
+None at a zero word, so that rank(uv) = rank(u) d^|v| + rank(v).  Every site
+is one rule (n, out, s) that builds row n in one comprehension, the shape of
+functionals._fill's (k, out, s): _fill_words fills a table in length order,
+handing the rule the row s of [x_w] A(W_1, ..., W_d) for the substitution
+(a, m) it is given, None standing for ``out``; _split_row(left, right, n, d),
+the sum over w = uv of left[u] right[v], is n - 1 outer products of rows and
+multiplies or divides by (1+M).
 
     R(W) = M                      nc_r (solve), nc_moments_from_r (forward)
     eta = M (1+M)^{-1}            nc_eta (divide), nc_moments_from_eta
@@ -20,17 +23,20 @@ left[u] right[v], multiplies or divides by (1+M).
                                   _composition_product (substitute, then
                                   multiply)
 
-A solve stores a[w] only after solving for it, so the substitution skips the
-term that carries a[w].  Substituting z_i -> z_i(1+M) places (1+M) to the
-right of each letter, following the displayed order of the defining
+A solve stores row n of a only after solving for it, so the substitution
+skips the term that carries a[w].  Substituting z_i -> z_i(1+M) places (1+M)
+to the right of each letter, following the displayed order of the defining
 equations.  _fill_words extracts the coefficient by a recursion over the
 prefixes of the letters of A that a word's letters carry, one state table
-per fill; _apply_w_substitution reads [x_w] A(W) from it, once per word.
+per fill; _apply_w_substitution reads the row of [x_w] A(W) from it, once
+per length.
 
 Each equation is one raw kernel (_r, _moments_from_r, _eta, ...), a fill on
 whatever ring it is handed.  Each public operation, powers and point masses
 included, chains its kernels inside one _graded_words call over all of its
-inputs, the one place that grades a word solve: over Q and Q[t] the fills
+inputs, the one place that grades a word solve and turns word dicts into
+tables: it packs each input once and reads the output's nonzero values back
+once, and the kernels hand tables to each other.  Over Q and Q[t] the fills
 run on ints graded by word length (the rule of functionals._graded) and
 packed at t = 2^B (Kronecker substitution), from the operation's input to
 its output.  B comes from one run of the solve at d = 1 on l1 norms, where -
@@ -48,7 +54,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import operator
 from fractions import Fraction
 
 from .coeffs import ZERO, ONE, TPoly, _canonical, as_coeff, formal_t
@@ -190,14 +195,6 @@ def nc_to_univariate(ncf):
                             [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
 
 
-def _word_powers(scale, *dicts):
-    """[scale^k for k in 0..L], L the longest word in ``dicts``."""
-    pw = [1]
-    for _ in range(max(map(len, itertools.chain(*dicts)), default=0)):
-        pw.append(pw[-1] * scale)
-    return pw
-
-
 class _Majorant(int):
     """An int of the majorant run of ``_graded_words``: a bound on the l1
     norm of a graded Q[t] value, in a ring where - acts as +."""
@@ -243,26 +240,46 @@ def _unpack(x, b, den):
     return _canonical(nums, den, den)
 
 
+def _table(dct, ws):
+    """The rows of a word dict, one per length of ``ws`` (the words of each
+    length by rank), None at a missing or zero word."""
+    return [None] + [[c or None for c in map(dct.get, row)] for row in ws[1:]]
+
+
+def _graded_table(dct, ws, pw, b):
+    """``_table`` of a word dict of Fractions and TPolys, each value c_w as
+    the int c_w D^|w| packed at t = 2^b, for pw[n] = D^n."""
+    return [None] + [[
+        None if c is None else (c.numerator * (p // c.denominator)
+                                if type(c) is Fraction
+                                else _pack(c.nums, b) * (p // c.den)) or None
+        for c in map(dct.get, row)] for row, p in zip(ws[1:], pw[1:])]
+
+
 def _times(p, q):
-    """dct -> t dct on graded values, for t = p/q and a grading by D q:
+    """tab -> t tab on graded rows, for t = p/q and a grading by D q:
     (t c)_w (Dq)^|w| = p (c_w (Dq)^|w| / q), exact for |w| >= 1."""
-    return lambda dct: {w: p * (c // q) for w, c in dct.items()}
+    return lambda tab: [None] + [[None if c is None else p * (c // q)
+                                  for c in row] for row in tab[1:]]
 
 
 def _graded_words(solve, d, order, *dicts, t=None):
-    """solve(d, order, *dicts), or solve(d, order, times_t, *dicts) with a
+    """solve(d, order, *tables), or solve(d, order, times_t, *tables) with a
     scalar t, run on ints graded by word length: the word-dict form of
     ``functionals._graded``.
 
-    ``times_t`` maps a word dict to t times it, in the ring ``solve`` is
-    handed, and ``solve`` builds its output from values it has scaled.
+    Each input dict is packed once into a table of rows, one per length
+    (see ``_fill_words``), and the output table is read back once into a
+    dict of its nonzero values.  ``times_t`` maps a table to t times it, in
+    the ring ``solve`` is handed, and ``solve`` builds its output from
+    values it has scaled.
 
     When every value and t is a ``Fraction`` or a ``TPoly``, ``solve`` gets
     c_w as the int c_w D^|w| packed at t = 2^B (Kronecker substitution).  D
     comes from ``functionals._grade`` (a ``TPoly`` counts by its common
     denominator) times the denominator of t.  Every word transform is
     weight-homogeneous in |w| and divides by nothing, and a sum or
-    difference of two dicts graded by one D is graded by it, so a solve
+    difference of two tables graded by one D is graded by it, so a solve
     that chains fills on graded inputs stays in Z.  Evaluation at 2^B is a
     ring map, so each output is its graded polynomial at 2^B.  B is needed
     only when some value or t is a ``TPoly``; then ``solve`` runs once more
@@ -282,20 +299,30 @@ def _graded_words(solve, d, order, *dicts, t=None):
     read as balanced base-2^B digits over D^|w|.
 
     Any other value (a plain int, another ring) selects the generic path:
-    ``solve`` gets the dicts, and t, as they are, and its output is
-    returned unchanged.
+    ``solve`` gets the tables of the values, and t, as they are, and the
+    output keeps its values as they are.
     """
+    ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
+                   for n in range(1, order + 1)]
     scale = None
     if t is None or type(t) in (Fraction, TPoly):
         scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts),
                        polys=True)
     if scale is None:
+        ins = [_table(dct, ws) for dct in dicts]
         if t is not None:
-            dicts = (lambda dct: {w: t * c for w, c in dct.items()},) + dicts
-        return solve(d, order, *dicts)
+            ins.insert(0, lambda tab: [None] + [
+                [None if c is None else t * c for c in row]
+                for row in tab[1:]])
+        out = solve(d, order, *ins)
+        return {w: c for row_w, row in zip(ws[1:], out[1:])
+                for w, c in zip(row_w, row) if c is not None}
     tn, tq = ((), 1) if t is None else TPoly._parts(t)
     scale *= tq
-    pw = _word_powers(scale, *dicts)
+    pw = [1]  # to the longest input word, which may pass the order
+    for _ in range(max(order, max(map(len, itertools.chain(*dicts)),
+                                  default=0))):
+        pw.append(pw[-1] * scale)
 
     def run(d, ins, p):
         if t is not None:
@@ -308,22 +335,24 @@ def _graded_words(solve, d, order, *dicts, t=None):
     if polys:
         tops = []
         for dct in dicts:
-            top = {}
+            top = [0] * len(pw)
             for w, c in dct.items():
                 nums, den = TPoly._parts(c)
-                x, k = sum(map(abs, nums)) * (pw[len(w)] // den), (1,) * len(w)
-                top[k] = max(top.get(k, 0), x)
-            tops.append({w: _Majorant(x) for w, x in top.items()})
+                k = len(w)
+                top[k] = max(top[k], sum(map(abs, nums)) * (pw[k] // den))
+            tops.append([None] + [[_Majorant(x) or None]
+                                  for x in top[1:order + 1]])
         bound = run(1, tops, sum(map(abs, tn)))
-        b = max(bound.values(), default=0).bit_length() + 2
-    out = run(d, [{w: c.numerator * (pw[len(w)] // c.denominator)
-                   if type(c) is Fraction
-                   else _pack(c.nums, b) * (pw[len(w)] // c.den)
-                   for w, c in dct.items()} for dct in dicts], _pack(tn, b))
-    pw = _word_powers(scale, out)
+        b = max((x for row in bound[1:] for x in row if x is not None),
+                default=0).bit_length() + 2
+    out = run(d, [_graded_table(dct, ws, pw, b) for dct in dicts],
+              _pack(tn, b))
+    rows = zip(ws[1:], out[1:], pw[1:])
     if polys:
-        return {w: _unpack(x, b, pw[len(w)]) for w, x in out.items()}
-    return {w: Fraction(x, pw[len(w)]) for w, x in out.items()}
+        return {w: _unpack(x, b, p) for row_w, row, p in rows
+                for w, x in zip(row_w, row) if x is not None}
+    return {w: Fraction(x, p) for row_w, row, p in rows
+            for w, x in zip(row_w, row) if x is not None}
 
 
 def _add_products(row, x, y, n_p, n_g, n_i):
@@ -351,36 +380,55 @@ def _add_products(row, x, y, n_p, n_g, n_i):
                     for s, v in zip(row[lo:lo + n_i], ys)]
 
 
-def _apply_w_substitution(row, rank, a, w):
-    """[x_w] A(z_1(1+M), ..., z_d(1+M)) for the word w of that rank: the
-    terms with a gap, row[rank] of ``_fill_words``'s state table, plus a[w]
-    (0 when there is no term).  A solve for a[w] calls this before it stores
-    a[w], so its own unknown drops out."""
-    s, c = row[rank], a.get(w)
-    if c is None:
-        return 0 if s is None else s
-    return c if s is None else s + c
+def _apply_w_substitution(row, a):
+    """[x_w] A(z_1(1+M), ..., z_d(1+M)) at every word w of one length, by
+    rank: the terms with a gap, row n of ``_fill_words``'s state table, plus
+    a's own row (None where there is no term).  A solve for A passes
+    a = None, as its row is not stored yet, so its own unknown drops out."""
+    if a is None:
+        return row
+    return [s if c is None else c if s is None else s + c
+            for s, c in zip(row, a)]
 
 
-def _split_sum(left, right, w):
-    """The sum of left[u] * right[v] over the splits w = uv into nonempty words."""
-    s = 0
-    for k in range(1, len(w)):
-        u = left.get(w[:k])
-        if u is not None:
-            v = right.get(w[k:])
-            if v is not None:
-                s = s + u * v
-    return s
+def _split_row(left, right, n, d, row=None):
+    """``row`` (default: no term) plus the sum of left[u] right[v] over the
+    splits w = uv into nonempty words, at every word w of length n by rank.
+    rank(uv) = rank(u) d^|v| + rank(v), so the splits with |u| = k are one
+    outer product of left's row k and right's row n - k."""
+    row = [None] * d ** n if row is None else row[:]
+    for k in range(1, n):
+        _add_products(row, left[k], right[n - k], 1, d ** k, d ** (n - k))
+    return row
+
+
+def _nonzero(x):
+    """The row x with None at every zero."""
+    return [c or None for c in x]
+
+
+def _plus(x, y):
+    """x + y word by word: None reads as 0, and a zero sum is None."""
+    return [(a if b is None else b if a is None else a + b) or None
+            for a, b in zip(x, y)]
+
+
+def _minus(x, y):
+    """x - y word by word: None reads as 0, and a zero difference is None."""
+    return [(a if b is None else -b if a is None else a - b) or None
+            for a, b in zip(x, y)]
 
 
 def _fill_words(d, order, coeff, subst=None):
-    """The sparse dict {w: coeff(w, out, s)} over words of length 1..order.
+    """The table [None, row_1, ..., row_order] with row_n = coeff(n, out, s),
+    a list over the words of length n by rank (the order of
+    itertools.product), None at a zero word.
 
-    Filled in length order; ``coeff`` may read ``out`` at shorter words, and
-    w itself is stored only after ``coeff`` returns.  Without ``subst``,
-    s = 0.  With ``subst`` = (a, m), s = [x_w] A(W) for the word dicts a of A
-    and m of M, W_i = z_i(1+M); None in place of a or m stands for ``out``.
+    Filled in length order; ``coeff`` may read ``out`` at shorter lengths,
+    and row n is stored only after ``coeff`` returns.  Without ``subst``,
+    s = None.  With ``subst`` = (a, m), s is the row of [x_w] A(W), None at
+    a word with no term, for the tables a of A and m of M, W_i = z_i(1+M);
+    None in place of a or m stands for ``out``.
 
     The substitution runs by a recursion over prefixes.  With
     T(v, x) = [x_x] sum over u != () of a_{vu} W_u, so that s = T((), w),
@@ -393,110 +441,101 @@ def _fill_words(d, order, coeff, subst=None):
     g = () has the same length and the same word vx, and every other term
     reads shorter states; the only term with a coefficient as long as the
     state is a_{vx}, the one without gaps.  So each length L runs in three
-    steps: the states of length L without a_{vx}, longest v first; the words
-    of length L, where a solve finds a_w; and then a_{vx} for every state.
-    A state table is one list per (L, |v|) indexed by the rank of vx among
+    steps: the states of length L without a_{vx}, longest v first; the row
+    of length L, where a solve finds a; and then a_{vx} for every state.
+    A state table is one row per (L, |v|) indexed by the rank of vx among
     the words of length L, None for a state with no term: about
     order * d^order states at O(order) work each, local to one fill.
     """
-    out = {}
-    letters = range(1, d + 1)
+    out = [None]
     size = [d ** k for k in range(order + 1)]
     if subst is not None:
         a, m = (out if f is None else f for f in subst)
-        dense_a, dense_m, states = [None], [None], [None]
+        states = [None]
     for n in range(1, order + 1):
-        ws = list(itertools.product(letters, repeat=n))  # by rank
+        s = None
         if subst is not None:
             rows = [None] * n
             rows[n - 1] = [None] * size[n]
             for j in range(n - 2, -1, -1):  # j = |v|, y = |x| - 1
                 y = n - j - 1
                 row = rows[j + 1][:]
-                _add_products(row, dense_a[j + 1], dense_m[y],
-                              1, size[j + 1], size[y])
+                _add_products(row, a[j + 1], m[y], 1, size[j + 1], size[y])
                 for k in range(1, y):
-                    _add_products(row, dense_m[k], states[n - k][j + 1],
+                    _add_products(row, m[k], states[n - k][j + 1],
                                   size[j + 1], size[k], size[y - k])
                 rows[j] = row
-        for rank, w in enumerate(ws):
-            s = 0 if subst is None else _apply_w_substitution(
-                rows[0], rank, a, w)
-            c = coeff(w, out, s)
-            if c:
-                out[w] = c
+            s = _apply_w_substitution(rows[0], None if a is out else a[n])
+        out.append(coeff(n, out, s))
         if subst is not None and n < order:
-            dense_a.append([a.get(w) for w in ws])
-            dense_m.append([m.get(w) for w in ws])
             rows[0] = None
             for j in range(1, n):
-                rows[j] = [s if c is None else c if s is None else s + c
-                           for s, c in zip(rows[j], dense_a[n])]
+                rows[j] = [x if c is None else c if x is None else x + c
+                           for x, c in zip(rows[j], a[n])]
             states.append(rows)
     return out
 
 
 # -- raw kernels ------------------------------------------------------------------
+#
+# Each takes and returns tables (see _fill_words); every rule builds its row
+# in one comprehension.
 
 
 def _r(d, order, m):
     """Free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    return _fill_words(d, order, lambda w, kappa, s: m.get(w, 0) - s,
+    return _fill_words(d, order, lambda n, kappa, s: _minus(m[n], s),
                        (None, m))
 
 
 def _moments_from_r(d, order, kappa):
     """Forward solve of R(z_i(1+M)) = M."""
-    return _fill_words(d, order, lambda w, m, s: s, (kappa, None))
+    return _fill_words(d, order, lambda n, m, s: _nonzero(s), (kappa, None))
 
 
 def _eta(d, order, m):
     """Boolean cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v."""
-    return _fill_words(d, order, lambda w, eta, _: (
-        m.get(w, 0) - _split_sum(eta, m, w)))
+    return _fill_words(d, order, lambda n, eta, _: _minus(
+        m[n], _split_row(eta, m, n, d)))
 
 
 def _moments_from_eta(d, order, eta):
-    return _fill_words(d, order, lambda w, m, _: (
-        eta.get(w, 0) + _split_sum(eta, m, w)))
+    return _fill_words(d, order, lambda n, m, _: _nonzero(
+        _split_row(eta, m, n, d, eta[n])))
 
 
 def _two_state_r(d, order, eta_t, m):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for R2."""
-    return _fill_words(d, order, lambda w, _, s: (
-        eta_t.get(w, 0) + _split_sum(eta_t, m, w) - s), (None, m))
+    return _fill_words(d, order, lambda n, _, s: _minus(
+        _split_row(eta_t, m, n, d, eta_t[n]), s), (None, m))
 
 
 def _substitute_divide(d, order, a, m):
     """A(z_i(1+M)) (1+M)^{-1}: eta~ from R2, and R^{mu |> nu} from R^mu with
     M = M^nu."""
-    return _fill_words(d, order, lambda w, e, s: s - _split_sum(e, m, w),
-                       (a, m))
+    return _fill_words(d, order, lambda n, e, s: _minus(
+        s, _split_row(e, m, n, d)), (a, m))
 
 
 def _composition(d, order, m, b):
     """(1+M)(1 + B(z_i(1+M))) - 1."""
-    sub = _fill_words(d, order, lambda w, _, s: s, (b, m))
-    return _fill_words(d, order, lambda w, _, s: (
-        sub.get(w, 0) + m.get(w, 0) + _split_sum(m, sub, w)))
+    sub = _fill_words(d, order, lambda n, _, s: _nonzero(s), (b, m))
+    return _fill_words(d, order, lambda n, _, s: _plus(
+        _split_row(m, sub, n, d, sub[n]), m[n]))
 
 
 def _products(d, order, beta):
     """The point-mass moments prod_j beta_{w_j}, each its prefix's times
     the last letter's; a word with a letter missing from ``beta`` is zero."""
-    def coeff(w, m, _):
-        if len(w) == 1:
-            return beta.get(w)
-        u, v = m.get(w[:-1]), beta.get(w[-1:])
-        return None if u is None or v is None else u * v
-    return _fill_words(d, order, coeff)
+    return _fill_words(d, order, lambda n, m, _: beta[1] if n == 1 else [
+        None if u is None or v is None else u * v
+        for u in m[n - 1] for v in beta[1]])
 
 
 def _merge(x, y, op):
-    """x with op(x[w], y[w]) at every word of y, a missing x[w] read as 0."""
-    for w, c in y.items():
-        x[w] = op(x.get(w, 0), c)
-    return x
+    """The table of op(x[n], y[n]) row by row, for the row ops _plus and
+    _minus."""
+    return [None] + [op(a, b) for a, b in zip(x[1:], y[1:])]
 
 
 # -- public operations ------------------------------------------------------------
@@ -559,7 +598,7 @@ def _power(a, t, cumulants, moments):
 
 
 def nc_free_convolve(a, b):
-    return _combine_cumulants(a, b, _r, operator.add, _moments_from_r)
+    return _combine_cumulants(a, b, _r, _plus, _moments_from_r)
 
 
 def nc_free_power(a, t):
@@ -567,11 +606,11 @@ def nc_free_power(a, t):
 
 
 def nc_free_deconvolve(a, b):
-    return _combine_cumulants(a, b, _r, operator.sub, _moments_from_r)
+    return _combine_cumulants(a, b, _r, _minus, _moments_from_r)
 
 
 def nc_boolean_convolve(a, b):
-    return _combine_cumulants(a, b, _eta, operator.add, _moments_from_eta)
+    return _combine_cumulants(a, b, _eta, _plus, _moments_from_eta)
 
 
 def nc_boolean_power(a, t):
@@ -629,7 +668,7 @@ def nc_subordination_inverse(lam, nu):
     return NCFunctional._filled(d, order, _graded_words(
         lambda d, order, x, m: _moments_from_r(d, order, _merge(
             _r(d, order, _composition(d, order, x, m)), _r(d, order, m),
-            operator.sub)),
+            _minus)),
         d, order, lam.truncate(order)._m, nu.truncate(order)._m))
 
 
@@ -746,14 +785,16 @@ NC_MIN_ORDER = {"composition": 3, "final-prop": 3, "recover-tau": 4}
 # slowest entry, at d = 4 and order 8.  The number of words grows as d^n and
 # the fill's work as n^2 d^n, so nc_max_order admits no more words than
 # (4, 8) up to order 8, and no more n^2 d^n past it.  final-prop, in-process
-# at seed 0 (CPython 3.11.7, a 2-core x86 host whose speed drifts), at
-# corners the rule admits: (4, 8) 9.9-12.0 s and 192 MB (10 runs), (2, 14)
-# 9.8-12.5 s and 161 MB (8 runs), (1, 64) 11.2 s and 20 MB, (3, 9) 5.0 s and
-# 85 MB, (6, 6) 5.6 s and 117 MB, (16, 4) 5.2 s and 107 MB, (40, 3) 4.2 s
-# and 96 MB.  Bare n^2 d^n would admit corners past (4, 8): (5, 7) took
-# 12.5 s and 224 MB, (20, 4) 13.4 s and 250 MB and (75, 3) 29.9 s and
-# 537 MB; and at d = 1 it would admit every order up to 2048, so
-# docs.MAX_ORDER bounds n as it bounds a document's order.
+# at seed 0 (CPython 3.11.7, a 2-core x86 host whose speed drifts by up to
+# 2x between sessions), on the dense-row fill, at corners the rule admits:
+# (4, 8) 4.5-9.8 s and 183 MB (6 runs in two sessions), (2, 14) 5.3-9.0 s
+# and 161 MB (6 runs), (1, 64) 5.6-8.6 s and 20 MB (16 runs), (3, 9) 2.0 s
+# and 83 MB, (6, 6) 2.2 s and 108 MB, (16, 4) 1.8 s and 99 MB, (40, 3)
+# 1.6 s and 91 MB.  Bare n^2 d^n would admit corners past (4, 8), which on
+# the earlier per-word fill took 12.5 s and 224 MB at (5, 7), 13.4 s and
+# 250 MB at (20, 4) and 29.9 s and 537 MB at (75, 3); and at d = 1 it would
+# admit every order up to 2048, so docs.MAX_ORDER bounds n as it bounds a
+# document's order.
 _NC_WORK = 4 ** 8 * 8 ** 2
 
 
@@ -777,16 +818,33 @@ def nc_entry_d(name, params=()):
     return nc_verify_d(params["d"]) if "d" in params else takes.default
 
 
+def nc_capped_order(name, order, params=()):
+    """``order`` lowered to nc_max_order at the d the word-layer entry
+    ``name`` runs at, but not below the entry's minimum order: an order the
+    rule refuses there stays refused."""
+    high = nc_max_order(nc_entry_d(name, params))
+    return min(order, max(high, NC_MIN_ORDER[name]))
+
+
 def nc_verify_order(name, order=None, params=()):
     """The order ``nc_verify(name, params, order)`` runs at; makes d an int.
-    Raises ValueError as evolution.verify_order does, and for an order past
-    nc_max_order of the entry's d."""
+    None is the entry's default order, capped by nc_capped_order.  Raises
+    ValueError as evolution.verify_order does, for an order past
+    nc_max_order of the entry's d, and where that is below the entry's
+    minimum order."""
+    asked = order
     order = _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER, name, order,
                          params)
+    if asked is None:
+        order = nc_capped_order(name, order, params)
     d = nc_entry_d(name, params)
     if "d" in params:
         params["d"] = d
-    high = nc_max_order(d)
+    high, low = nc_max_order(d), NC_MIN_ORDER[name]
+    if high < low:
+        raise ValueError(f"nc verify entry {name!r} runs at no order at d = "
+                         f"{d}: nc_max_order admits at most {high}, below its "
+                         f"minimum order {low}")
     if order > high:
         raise ValueError(f"nc verify entry {name!r} at d = {d} needs an order "
                          f"<= {high} (nc_max_order), got {order}")

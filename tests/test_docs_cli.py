@@ -657,10 +657,11 @@ def _record_entries(monkeypatch):
     return ran
 
 
-# d = 5 is an integer, refused at order 7 by the size rule
-@pytest.mark.parametrize("d,order", [("3/2", None), ("0", None), ("5", "7"),
+# d = 41 is an integer, refused at order 3 by the size rule, which `nc
+# verify all` cannot lower below composition's minimum order 3
+@pytest.mark.parametrize("d,order", [("3/2", None), ("0", None), ("41", "3"),
                                      ("true", None)],
-                         ids=["3/2", "0", "5", "true"])
+                         ids=["3/2", "0", "41", "true"])
 def test_cli_word_layer_d_is_checked_before_any_entry_runs(
         d, order, monkeypatch, capsys):
     ran = _record_entries(monkeypatch)
@@ -700,7 +701,8 @@ def test_word_layer_d_range(monkeypatch, capsys):
 
 def test_word_layer_size_rule(monkeypatch, capsys):
     """Every (d, n) admitted with d <= 4 and n <= 8 is admitted; each request
-    past the rule exits 2 before any entry runs."""
+    past the rule for one entry exits 2 before any entry runs, and so does
+    `nc verify all` where the rule is below an entry's minimum order."""
     expected = {1: 64, 2: 14, 3: 9, 4: 8, 5: 6, 6: 6, 7: 5, 8: 5, 9: 5,
                 10: 4, 16: 4, 17: 3, 40: 3, 41: 2}
     assert {d: nc_max_order(d) for d in expected} == expected
@@ -714,14 +716,100 @@ def test_word_layer_size_rule(monkeypatch, capsys):
         argvs = [["verify", "nc:composition", "--param", f"d={d}",
                   "--order", str(n)],
                  ["nc", "verify", "final-prop", "--d", str(d), "--order",
-                  str(n)],
-                 ["nc", "verify", "all", "--d", str(d), "--order", str(n)]]
+                  str(n)]]
+        if d == 41:
+            argvs.append(["nc", "verify", "all", "--d", str(d), "--order",
+                          str(n)])
         if d == 1:
             argvs.append(["verify", "nc:recover-tau", "--order", str(n)])
         for argv in argvs:
             assert run(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "" and "nc_max_order" in captured.err
+    assert not ran
+
+
+def _nc_reports(argv, capsys):
+    """{name: (order, notes)} of the JSON reports of a run that exits 0."""
+    assert run([*argv, "--format", "json"]) == 0, argv
+    return {r["name"]: (r["order"], r["notes"])
+            for r in json.loads(capsys.readouterr().out)["reports"]}
+
+
+def _capped(reports, name):
+    """Whether the report of ``name`` notes that the size rule lowered its
+    order."""
+    return any("nc_max_order" in note for note in reports[name][1])
+
+
+def test_cli_nc_verify_all_caps_order_entry_by_entry(monkeypatch, capsys):
+    """`nc verify all --d D --order N` runs each entry at N lowered to the
+    size rule at its d, with a note where it was lowered, as `verify all`
+    does; recover-tau runs at d = 1.  An order below an entry's minimum, or
+    a d where the rule is below composition's minimum, exits 2 before any
+    entry runs."""
+    ran = _record_entries(monkeypatch)
+    for d, n, orders in ((40, 4, (3, 3, 4)), (17, 5, (3, 3, 5)),
+                         (16, 4, (4, 4, 4)), (5, 7, (6, 6, 7)),
+                         (2, 15, (14, 14, 15)), (1, 65, (64, 64, 64))):
+        reports = _nc_reports(["nc", "verify", "all", "--d", str(d),
+                               "--order", str(n)], capsys)
+        want = dict(zip((f"nc:{name}" for name in NC_CATALOG), orders))
+        assert {name: r[0] for name, r in reports.items()} == want
+        for name, order in want.items():
+            assert _capped(reports, name) == (order != n), (d, n, name)
+        assert sorted(ran) == sorted(
+            (name, order, None if name == "nc:recover-tau" else d)
+            for name, order in want.items())
+        ran.clear()
+    for d, n, err in ((40, 3, "'recover-tau' needs an order >= 4, got 3"),
+                      (41, 3, "'composition' runs at no order at d = 41"),
+                      (41, 5, "nc_max_order admits at most 2"),
+                      (2, 2, "'composition' needs an order >= 3, got 2")):
+        assert run(["nc", "verify", "all", "--d", str(d), "--order",
+                    str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and err in captured.err, (d, n)
+    assert not ran
+
+
+def test_cli_default_word_layer_order_is_capped(monkeypatch, capsys):
+    """Without --order a word-layer entry runs at its default order lowered
+    to the size rule at its d, with a note; an explicit order past the rule
+    for one entry still exits 2."""
+    assert nc_verify_order("final-prop", None, {"d": 7}) == 5
+    assert nc_verify_order("final-prop", None, {"d": 4}) == 6
+    ran = _record_entries(monkeypatch)
+    reports = _nc_reports(["nc", "verify", "final-prop", "--d", "7"], capsys)
+    assert reports["nc:final-prop"][0] == 5
+    assert any("not at the default 6" in note
+               for note in reports["nc:final-prop"][1])
+    assert ran == [("nc:final-prop", 5, 7)]
+    ran.clear()
+    for argv in (["nc", "verify", "all", "--d", "7"],
+                 ["verify", "all", "--param", "d=7"]):
+        reports = _nc_reports(argv, capsys)
+        assert reports["nc:composition"][0] == reports["nc:final-prop"][0] \
+            == 5 and reports["nc:recover-tau"][0] == 8
+        assert _capped(reports, "nc:composition") and \
+            _capped(reports, "nc:final-prop")
+        assert not any(_capped(reports, name) for name in reports
+                       if name not in ("nc:composition", "nc:final-prop"))
+        assert sorted(r for r in ran if r[0].startswith("nc:")) == [
+            ("nc:composition", 5, 7), ("nc:final-prop", 5, 7),
+            ("nc:recover-tau", 8, None)]
+        ran.clear()
+    reports = _nc_reports(["nc", "verify", "all", "--d", "4"], capsys)
+    assert not any(_capped(reports, name) for name in reports)
+    ran.clear()
+    for argv in (["nc", "verify", "final-prop", "--d", "7", "--order", "6"],
+                 ["verify", "nc:composition", "--param", "d=7", "--order",
+                  "6"],
+                 ["nc", "verify", "composition", "--d", "41"],
+                 ["nc", "verify", "all", "--d", "41"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nc_max_order" in captured.err
     assert not ran
 
 

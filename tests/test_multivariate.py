@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import operator
 import random
 from fractions import Fraction as F
@@ -544,7 +546,8 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
 
     def spy(*args):
         out = kernel(*args)
-        filled.append(all(type(c) is int for c in out.values()))
+        filled.append(all(type(c) is int
+                          for row in out[1:] for c in row if c is not None))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -642,10 +645,18 @@ def test_generic_word_outputs_keep_their_rings():
 
 def _tpoly_path(solve, d, order, *dicts, t=None):
     """``_graded_words`` without grading or packing: the kernels on the
-    coefficients as they are, which over Q[t] is TPoly arithmetic."""
+    coefficients as they are, which over Q[t] is TPoly arithmetic, on one
+    row per word length, None at a missing or zero word."""
+    ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
+                   for n in range(1, order + 1)]
+    tables = [[None] + [[dct.get(w) or None for w in row] for row in ws[1:]]
+              for dct in dicts]
     if t is not None:
-        dicts = (lambda dct: {w: t * c for w, c in dct.items()},) + dicts
-    return solve(d, order, *dicts)
+        tables.insert(0, lambda tab: [None] + [
+            [None if c is None else t * c for c in row] for row in tab[1:]])
+    out = solve(d, order, *tables)
+    return {w: c for row_w, row in zip(ws[1:], out[1:])
+            for w, c in zip(row_w, row) if c is not None}
 
 
 # Weights of (absent, zero, rational, constant TPoly, TPoly) per draw mode.
@@ -813,6 +824,108 @@ def test_each_word_op_grades_once(name):
         mp.setattr(multivariate, "_graded_words", spy)
         _SEAM_OPS[name](mu, nu)
     assert len(calls) == 1, calls
+
+
+# Each raw word kernel's defining equation in NCSeries operations, as
+# check(one, subs, *inputs, output); subs(m) is [z_i (1+M)].
+_KERNEL_EQUATIONS = {
+    "_r": lambda one, subs, m, k: k.substitute(subs(m)) == m,
+    "_moments_from_r": lambda one, subs, k, m: k.substitute(subs(m)) == m,
+    "_eta": lambda one, subs, m, e: e * (one + m) == m,
+    "_moments_from_eta": lambda one, subs, e, m: e * (one + m) == m,
+    "_two_state_r": lambda one, subs, e, m, r:
+        r.substitute(subs(m)) == e * (one + m),
+    "_substitute_divide": lambda one, subs, a, m, e:
+        e * (one + m) == a.substitute(subs(m)),
+    "_composition": lambda one, subs, m, b, c:
+        one + c == (one + m) * (one + b.substitute(subs(m))),
+    "_products": lambda one, subs, b, m: m == b * (one + m),
+}
+
+# The kernel whose output, fed back as the first input, makes a kernel
+# return the sparse draw it came from, through exact cancellations.
+_KERNEL_INVERSES = {
+    "_r": "_moments_from_r", "_moments_from_r": "_r",
+    "_eta": "_moments_from_eta", "_moments_from_eta": "_eta",
+    "_two_state_r": "_substitute_divide", "_substitute_divide": "_two_state_r",
+}
+
+
+def _kernel_draw(rng, d, n, mode):
+    """A raw word dict: "sparse" keeps a quarter of the words, "zero-heavy"
+    stores explicit zeros (int and Fraction) beside absent words, "dense"
+    keeps every word."""
+    out = {}
+    for w in words(d, n):
+        r = rng.random()
+        if mode == "zero-heavy" and r < 2 / 3:
+            if r < 1 / 3:
+                out[w] = rng.choice((0, F(0)))
+            continue
+        if mode == "sparse" and r < 3 / 4:
+            continue
+        out[w] = F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(d, n) for d in (1, 2, 3, 4) for n in range(1, 7)
+                        if d ** n <= 64]),
+       st.sampled_from(["sparse", "zero-heavy", "dense", "cancel"]))
+def test_each_word_kernel_satisfies_its_equation(seed, shape, mode):
+    """Every raw word kernel, run on rows through ``_graded_words``, gives a
+    dict that satisfies the kernel's defining equation in NCSeries
+    operations and stores no zero; the generic path, which a plain int in
+    an input selects, gives the same values, and both give Fractions as
+    word functionals.  In "cancel" mode a kernel's first input is its
+    inverse kernel's output on a sparse draw, so the kernel must return
+    that draw through exact cancellations; mu boxminus mu must be zero and
+    (mu boxplus nu) boxminus nu must be mu."""
+    d, n = shape
+    rng = random.Random(seed)
+    one = NCSeries.one(d, n)
+
+    def subs(m):
+        return [NCSeries.letter(i, d, n) * (one + m) for i in range(1, d + 1)]
+
+    def graded(name, *dicts):
+        return multivariate._graded_words(getattr(multivariate, name), d, n,
+                                          *dicts)
+
+    for name, check in _KERNEL_EQUATIONS.items():
+        arity = len(inspect.signature(getattr(multivariate, name)).parameters)
+        ins = [_kernel_draw(rng, d, n, "sparse" if mode == "cancel" else mode)
+               for _ in range(arity - 2)]
+        if name == "_products":  # the kernel reads the letters only
+            ins = [{w: c for w, c in ins[0].items() if len(w) == 1}]
+        want = None
+        if mode == "cancel" and name in _KERNEL_INVERSES:
+            want = {w: c for w, c in ins[0].items() if c}
+            ins[0] = graded(_KERNEL_INVERSES[name], *ins)
+        out = graded(name, *ins)
+        assert all(type(c) is F and c for c in out.values()), name
+        if want is not None:
+            assert out == want, name
+        assert check(one, subs, *(NCSeries(d, n, x) for x in ins + [out])), \
+            name
+        if not any(ins[0].values()):
+            continue
+        w = next(w for w, c in ins[0].items() if c)
+        ints = [dict(ins[0])] + ins[1:]
+        ints[0][w] = F(ints[0][w]).numerator
+        fracs = [{w: F(c) for w, c in x.items()} for x in ints]
+        generic = graded(name, *ints)
+        assert all(type(c) in (int, F) and c for c in generic.values()), name
+        assert generic == graded(name, *fracs), name
+        assert _typed(NCFunctional._filled(d, n, generic).items()) == \
+            _typed(NCFunctional._filled(d, n, graded(name, *fracs)).items())
+    if mode == "cancel":
+        mu, nu = (NCFunctional(d, n, _kernel_draw(rng, d, n, "dense"))
+                  for _ in range(2))
+        assert dict(nc_free_deconvolve(mu, mu).items()) == {}
+        assert dict(nc_free_deconvolve(nc_free_convolve(mu, nu), nu)
+                    .items()) == dict(mu.items())
 
 
 @settings(max_examples=60, deadline=None)

@@ -77,8 +77,8 @@ def monotone_convolve(a, b):
 
     With W = z(1 + M^b) that is 1 + M^{a |> b} = (1 + M^b)(1 + M^a(W)) =
     B_a(W)/z for B_a(z) = z(1 + M^a(z)): the moment k of a |> b is
-    [z^{k+1}] B_a(W), one substitution through b's power table.  Moment k
-    is a TPoly exactly when one is among m_1..m_k of a or b (``coeffs._dot``).
+    [z^{k+1}] B_a(W), one substitution through b's power table.  Every
+    moment is a TPoly when one of m_1..m_n of a or b is (``_graded``).
     """
     n = min(a.order, b.order)
     # ma[k] = [z^{k+1}] B_a, which _graded grades by k: so the solve hands

@@ -30,7 +30,9 @@ solve for the series at Dz.  There W = z(1+M) still has [z^k] W^k = 1, so
 every unknown is an integer combination of integers and the unchanged kernels
 keep the whole recursion in Z; output k comes back as the reduced Fraction
 x_k / D^k.  Inputs over Q[t], or mixing the rings, take the same kernels on
-their coefficients as they are.
+their coefficients as they are, and every output k >= 1 comes back a
+``TPoly``: each operation gives all its outputs one ring, all ``TPoly`` when
+some input coefficient is one and all ``Fraction`` otherwise.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ class MomentFunctional:
     A functional built from an R-transform, by ``transforms.moments_from_r``
     or ``moments_from_scaled_r``, keeps it as ``_r``, a pair (R, s) that
     stands for the series s R through z^order; ``transforms.r_from_moments``
-    hands it back, in the ring its solve would give, instead of solving for
-    it.  It records how this object was made, not what it equals: ``==`` and
-    ``hash`` ignore it, ``truncate`` truncates it, and a functional built from
-    moments (a family, a decoded document, any caller's list) has none, so it
-    is no cache across calls.
+    hands it back, in the ring of the operation rule (all ``TPoly`` when a
+    moment is one), instead of solving for it.  It records how this object
+    was made, not what it equals: ``==`` and ``hash`` ignore it,
+    ``truncate`` truncates it, and a functional built from moments (a
+    family, a decoded document, any caller's list) has none, so it is no
+    cache across calls.
     """
 
     __slots__ = ("order", "_m", "_r")
@@ -352,8 +355,9 @@ def jacobi_from_moments(mf, levels):
 # power-table row starts from the int 1, which only multiplies nonzero
 # coefficients.  An int operand in hand marks the graded integer path, which
 # folds each sum term by term, skipping zero terms.  Any other sum goes to
-# ``coeffs._dot`` as whole slices, and its ring follows the operands it reads,
-# not which of them vanish (see ``_dot``).
+# ``coeffs._dot`` as whole slices, and its ring follows the operands it reads
+# (see ``_dot``); ``_graded`` then gives every output of the operation one
+# ring.
 
 
 def _moment_table(mf):
@@ -403,17 +407,33 @@ def _graded(solve, *seqs):
     weight-homogeneous recursion with integer coefficients and
     [z^k] W^k = 1, so the kernels keep the entries integral, and output k
     comes back as the reduced Fraction x_k / D^k.  Otherwise ``solve``
-    gets the sequences as they are, for the generic path, and its output
-    is returned unchanged.
+    gets the sequences as they are, for the generic path, and each output
+    k >= 1 comes back a ``TPoly`` when some input coefficient is one, and
+    as it is when none is: one ring per operation, as in the word layer.
     """
     d = _grade(*map(enumerate, seqs))
     if d is None:
-        return solve(*seqs)
+        out = solve(*seqs)
+        return out[:1] + _as_ring(out[1:], _polys(*seqs))
     out, dk = [], 1
     for x in solve(*[_scaled(cs, d) for cs in seqs]):
         out.append(Fraction(x, dk))
         dk *= d
     return out
+
+
+def _polys(*seqs):
+    """Whether a coefficient of seqs is a ``TPoly``.  Then every output of an
+    operation on seqs is one; else every output is a ``Fraction``."""
+    return TPoly in map(type, chain.from_iterable(seqs))
+
+
+def _as_ring(cs, poly):
+    """The outputs cs of an operation, each a ``TPoly`` when poly, else as
+    they are."""
+    if not poly:
+        return cs
+    return [c if type(c) is TPoly else TPoly.constant(c) for c in cs]
 
 
 def _add_diagonal(p, m):

@@ -15,7 +15,11 @@ _split_sum(l, r, n):
 
 Each solve runs inside ``functionals._graded``, which over Q grades its
 inputs by z -> Dz: the leading term [z^k] W^k = 1 keeps the solve integral,
-and output k comes back as a Fraction over D^k.
+and output k comes back as a Fraction over D^k.  Every operation, solve or
+expansion, gives its outputs one ring, as the word layer does: all ``TPoly``
+when an input coefficient (or the s of an expansion) is one, else all
+``Fraction``.  ``_graded`` applies that rule to each solve, and each
+expansion reads its outputs through ``functionals._as_ring``.
 
 Where the R-transforms are s times known series, as in the semigroups
 mu^{boxplus s} and their two-state twins, W = z(1 + sR(W)) and
@@ -62,11 +66,13 @@ from .coeffs import ZERO, ONE, TPoly, _canonical, _convolve, _dot, as_coeff
 from .functionals import (
     MomentFunctional,
     TwoStatePair,
+    _as_ring,
     _eta,
     _fill,
     _grade,
     _graded,
     _moment_table,
+    _polys,
     _scaled,
     _split_sum,
 )
@@ -82,17 +88,14 @@ def r_from_moments(mf):
     """Free cumulants kappa_1..kappa_N as the coefficients of R(z).
 
     A functional that carries the R-transform s R it was built from (see
-    ``MomentFunctional``) gives s R back without a solve, each kappa_k in the
-    ring the solve gives it: a ``TPoly`` exactly when one of m_1..m_k is.
+    ``MomentFunctional``) gives s R back without a solve, in the ring the
+    solve gives: all ``TPoly`` when one of m_1..m_N is, else all ``Fraction``.
     """
     n = mf.order
     if mf._r is not None:
         r, s = mf._r
-        poly, out = False, [ZERO]
-        for m, c in zip(mf.moments(), r.coeffs()[1:]):
-            poly = poly or type(m) is TPoly
-            out.append(_as_ring(s * c, poly))
-        return TruncSeries(n, out)
+        return TruncSeries(n, [ZERO] + _as_ring(
+            [s * c for c in r.coeffs()[1:]], _polys(mf.moments())))
     return TruncSeries(n, _graded(lambda m: _fill(
         n, lambda k, _, s: m[k] - s, (None, m)), _moment_table(mf)))
 
@@ -116,7 +119,8 @@ def moments_from_r(r, order):
     When r_1..r_order are rationals and ``TPoly``s of t-degree at most 1, with
     at least one ``TPoly``, R = A + tB expands in t over Q
     (``_affine_moments``); otherwise R(z(1+M)) = M is solved forward.  Both
-    give each moment the same value and ring.
+    give each moment the same value, and every moment is a ``TPoly`` when
+    one of r_0..r_order is.
     """
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
@@ -302,46 +306,15 @@ def _expansion(s, seqs, n):
     return seqs, rows, weigh
 
 
-def _as_ring(c, poly):
-    """c as a ``TPoly`` when poly, else as a ``Fraction``; c is rational
-    whenever poly is false."""
-    if poly:
-        return c if type(c) is TPoly else TPoly.constant(c)
-    return c.constant_term() if type(c) is TPoly else c
-
-
-def _rings(s, r, n):
-    """For k = 1..n, the ring that the forward solve gives m_k on the
-    R-transform s R, r = [r_0, r_1..r_n]: None for the ``Fraction(0)``s
-    before the first nonzero s r_k, then whether m_k is a ``TPoly``.  That
-    first one is a ``TPoly`` exactly when s or r_k is, and each later m_k
-    exactly when one is among s and r_1..r_k (a zero ``TPoly`` counts: the
-    solve's ``_dot`` reads rings, not values)."""
-    spoly = type(s) is TPoly
-    poly, lead, out = spoly, False, []
-    for k in range(1, n + 1):
-        poly = poly or type(r[k]) is TPoly
-        if lead:
-            out.append(poly)
-        elif s and r[k]:
-            lead = True
-            out.append(spoly or type(r[k]) is TPoly)
-        else:
-            out.append(None)
-    return out
-
-
-def _free_moments(s, r, rows, weigh):
-    """m_1..m_n with R-transform s R, from ``_expansion`` on r = [0, r_1..r_n]:
+def _free_moments(rows, weigh, poly):
+    """m_1..m_n with R-transform s R, from ``_expansion`` in s on R, each a
+    ``TPoly`` when poly:
 
         m_n = [w^n] (1 + sR)^{n+1} / (n+1)
-            = sum_{i=1..n} C(n+1, i)/(n+1) s^i [w^n] R^i,
-
-    each in the ring that ``moments_from_r`` gives it (``_rings``).
+            = sum_{i=1..n} C(n+1, i)/(n+1) s^i [w^n] R^i.
     """
-    return [ZERO if poly is None else _as_ring(
-        weigh([comb(k + 1, i) * rows[i][k] for i in range(k + 1)], k + 1, k),
-        poly) for k, poly in enumerate(_rings(s, r, len(rows) - 1), 1)]
+    return _as_ring([weigh([comb(k + 1, i) * rows[i][k] for i in range(k + 1)],
+                           k + 1, k) for k in range(1, len(rows))], poly)
 
 
 def _affine_parts(cs):
@@ -371,24 +344,21 @@ def _affine_moments(cs, a, b):
         m_n = sum_{i=0..n} C(n+1, i)/(n+1) t^i [w^n] B^i (1 + A)^{n+1-i},
 
     on the power rows of B and of 1 + A, graded by one D from ``_grade`` so
-    that every sum runs on ints, with one reduction per output.  Each m_n is
-    in the ring that the forward solve gives it (``_rings`` with s = 1).
+    that every sum runs on ints, with one reduction per output.  R holds a
+    ``TPoly``, so every m_n is one, as the forward solve gives it.
     """
     n = len(cs) - 1
     d = _grade(enumerate(a), enumerate(b))
     rb = _power_rows(_scaled(b, d), n, n)
     ra = _power_rows(_scaled(a, d), n + 1, n, unit=True)
     out, dk = [], 1
-    for k, poly in enumerate(_rings(ONE, cs, n), 1):
+    for k in range(1, n + 1):
         dk *= d
-        if poly is None:
-            out.append(ZERO)
-            continue
         ys = [comb(k + 1, i) * sum(map(mul, rb[i][i:k + 1],
                                        ra[k + 1 - i][k - i::-1]))
               for i in range(k + 1)]
         c = (k + 1) * dk
-        out.append(_canonical(ys, c, c) if poly else Fraction(ys[0], c))
+        out.append(_canonical(ys, c, c))
     return out
 
 
@@ -406,8 +376,8 @@ def moments_from_scaled_r(r, s, order):
     s = as_coeff(s)
     cs = r.coeffs()[:order + 1]
     _, rows, weigh = _expansion(s, [cs], order)
-    return _carrying(MomentFunctional(order, _free_moments(s, cs, rows, weigh)),
-                     r, s)
+    return _carrying(MomentFunctional(
+        order, _free_moments(rows, weigh, _polys((s,), cs))), r, s)
 
 
 def two_state_from_scaled_r(r2, r, s, order):
@@ -430,21 +400,16 @@ def two_state_from_scaled_r(r2, r, s, order):
     s = as_coeff(s)
     rc, r2c = r.coeffs()[:order + 1], r2.coeffs()[:order + 1]
     (_, g2), rows, weigh = _expansion(s, [rc, r2c], order)
-    base = _carrying(MomentFunctional(order, _free_moments(s, rc, rows, weigh)),
-                     r, s)
-    # the solve's ring: eta~_1 is a TPoly only when it is nonzero, and a
-    # later eta~_k exactly when one is among s, R2_1..R2_k and m_1..m_(k-1)
-    poly = type(s) is TPoly or type(r2c[1]) is TPoly
-    eta = [ZERO, _as_ring(weigh([0, g2[1]], 1, 1),
-                          poly and bool(s and r2c[1]))]
+    base = _carrying(MomentFunctional(
+        order, _free_moments(rows, weigh, _polys((s,), rc))), r, s)
+    eta = [weigh([0, g2[1]], 1, 1)]
     r2o = [(l - 1) * c for l, c in enumerate(g2)]  # wR2' - R2
     for n in range(2, order + 1):
         ys = [0] + [comb(n - 1, i) * _dot(None, r2o[2:n - i + 1],
                                           rows[i][i:n - 1][::-1])
                     for i in range(n - 1)]
-        poly = (poly or type(r2c[n]) is TPoly
-                or type(base.m(n - 1)) is TPoly)
-        eta.append(_as_ring(weigh(ys, n - 1, n), poly))
+        eta.append(weigh(ys, n - 1, n))
+    eta = [ZERO] + _as_ring(eta, _polys((s,), rc, r2c))
     return TwoStatePair(moments_from_eta(TruncSeries(order, eta), order), base)
 
 
@@ -459,18 +424,13 @@ def belinschi_nica_eta(r, s, order):
         eta_1 = kappa_1,
         eta_n = sum_{i=1..n-1} C(n-2, i-1)/i s^{i-1} [w^n] R^i   (n >= 2),
 
-    on ``_expansion``'s power rows of R, with no division by s.  Each eta_k
-    is in the ring that the Boolean cumulants of ``free_power(mu, s)``,
-    divided by s, have: a ``TPoly`` when s is one, or when k is at or past
-    the first nonzero kappa and kappa_k is one.
+    on ``_expansion``'s power rows of R, with no division by s.  Every eta_k
+    is a ``TPoly`` when s or a kappa is one, as the Boolean cumulants of
+    ``free_power(mu, s)``, divided by s, are.
     """
     cs = r.coeffs()[:order + 1]
     _, rows, weigh = _expansion(s, [cs], order)
-    spoly = type(s) is TPoly
-    eta = [ZERO]
-    for k, poly in enumerate(_rings(s, cs, order), 1):
-        c = cs[1] if k == 1 else weigh(
-            [comb(k - 1, e + 1) * rows[e + 1][k] for e in range(k - 1)],
-            k - 1, k)
-        eta.append(_as_ring(c, spoly if poly is None else poly))
-    return TruncSeries(order, eta)
+    eta = [cs[1]] + [weigh([comb(k - 1, e + 1) * rows[e + 1][k]
+                            for e in range(k - 1)], k - 1, k)
+                     for k in range(2, order + 1)]
+    return TruncSeries(order, [ZERO] + _as_ring(eta, _polys((s,), cs)))

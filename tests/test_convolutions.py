@@ -196,20 +196,21 @@ def test_monotone_convolve_matches_f_composition(seed, order_a, order_b,
     """The substitution through b's power table gives the moments of the
     F-composition value for value, over Q and over Q[t] (where some
     coefficients stay rational), at unequal orders, on draws that are mostly
-    zero ("zeros") or hold constant TPoly moments ("constants").  Moment k
-    is a TPoly exactly when one is among m_1..m_k of a or b; off constant
-    TPoly inputs, that is type for type the ring the F-composition gives."""
+    zero ("zeros") or hold constant TPoly moments ("constants").  Every
+    moment is a TPoly when one of m_1..m_n of a or b is, n the output order,
+    and a Fraction otherwise.  Where the rule by prefix that this one
+    replaced gives the same rings (no TPoly input, or one at m_1), that is
+    type for type the ring the F-composition gives."""
     rng = random.Random(seed)
     a, b = (_draw(rng, order_a, formal, kind),
             _draw(rng, order_b, formal, kind))
     got, want = monotone_convolve(a, b), _f_composition(a, b)
-    assert got.order == want.order == min(order_a, order_b)
+    n = min(order_a, order_b)
+    assert got.order == want.order == n
     assert list(got.moments()) == list(want.moments())
-    ring = False
-    for k in range(1, got.order + 1):
-        ring = ring or TPoly in (type(a.m(k)), type(b.m(k)))
-        assert (type(got.m(k)) is TPoly) == ring
-    if kind != "constants":
+    ring = TPoly in map(type, a.moments()[:n] + b.moments()[:n])
+    assert [type(c) is TPoly for c in got.moments()] == [ring] * n
+    if not ring or TPoly in (type(a.m(1)), type(b.m(1))):
         assert [type(c) for c in got.moments()] == \
             [type(c) for c in want.moments()]
 
@@ -282,8 +283,9 @@ def test_powers_by_expansion_match_the_solves(seed, order, formal, kind,
                                               exponent):
     """free_power and two_state_power expand in s over the powers of R; the
     forward solves they replace, on R and R2 scaled by s, give the same
-    moments, value for value and ring for ring: a Fraction(0) for the leading
-    zero moments of the free power and for a zero eta~_1."""
+    moments, value for value and ring for ring: all TPolys when s or a
+    coefficient that the solve reads is one, zero or constant, else all
+    Fractions."""
     rng = random.Random(seed)
     s = _exponent(rng, exponent)
     p = TwoStatePair(_draw(rng, order, formal, kind),

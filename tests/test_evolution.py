@@ -169,7 +169,8 @@ def test_belinschi_nica_matches_the_composition_it_replaces(
         seed, order, formal, kind, t_kind, powered):
     """B_t by its expansion in s = 1 + t over the powers of R_mu gives the
     moments of (mu^{boxplus s})^{uplus 1/s}, value for value and ring for
-    ring, over Q and Q[t], for formal, rational and zero t, and on a mu that
+    ring (all TPolys when t or a moment of mu is one, else all Fractions),
+    over Q and Q[t], for formal, rational and zero t, and on a mu that
     carries its R-transform; t = -1 is refused by name."""
     rng = random.Random(seed)
     t = {"formal": formal_t(),
@@ -330,9 +331,10 @@ def _typed(mf):
 def test_semigroups_by_expansion_match_the_solves(seed, order, exponent):
     """maassen_semigroup and two_state_semigroup expand in t over the powers
     of the triple's R at t = 1; the solves they replace, on the R-transforms
-    built at t, give the same moments, value for value and ring for ring.
-    The triples take zero or formal beta and zero gamma, where the R-transform
-    at t pads its tail with rational zeros."""
+    built at t, give the same moments, value for value and ring for ring:
+    all TPolys when t or a coefficient of the triples is one, else all
+    Fractions.  The triples take zero or formal beta and zero gamma, where
+    the R-transform at t pads its tail with rational zeros."""
     rng = random.Random(seed)
     t = formal_t()
     s = {"t": t, "1 + t": 1 + t, "rational": F(rng.randint(-3, 3), 2),

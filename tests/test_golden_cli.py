@@ -31,6 +31,8 @@ COMMANDS = (
     ("semigroup", "--t", "formal", "--triple", "triple12.json"),
     ("semigroup", "--t", "formal", "--rel", "rel12.json",
      "--base", "triple12.json"),
+    # a Q[t] operation on rational values: every moment prints as an array
+    ("power", "--op", "free", "--t", "formal", "zero.json"),
 )
 
 

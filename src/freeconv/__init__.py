@@ -37,7 +37,6 @@ from .evolution import (
     triple_from_semigroup,
     two_state_semigroup,
     verify,
-    verify_all,
 )
 from .functionals import (
     CanonicalTriple,
@@ -81,7 +80,6 @@ from .multivariate import (
     nc_to_univariate,
     nc_two_state_r,
     nc_verify,
-    nc_verify_all,
 )
 from .oracle import (
     SetPartition,

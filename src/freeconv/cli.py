@@ -333,7 +333,11 @@ def _nc_runs(order, params):
 
 
 def _cmd_verify(args):
-    params = dict(args.param or [])
+    params = {}
+    for key, value in args.param or []:
+        if key in params:
+            raise ValueError(f"parameter {key} given more than once")
+        params[key] = value
     if args.name != "all":
         return _verify_entries(args, [(args.name, args.order)], params)
     return _verify_entries(

@@ -950,10 +950,3 @@ def verify(name, params=None, order=None, seed=0):
     order = verify_order(name, order, params)
     return VerifyReport(name, order, *_run_entry("verify", CATALOG, name,
                                                  order, params, seed))
-
-
-def verify_all(order=None, seed=0):
-    """Run every catalog entry, after checking the order against each one."""
-    for name in CATALOG:
-        verify_order(name, order)
-    return [verify(name, order=order, seed=seed) for name in CATALOG]

@@ -44,7 +44,8 @@ acts as +: the l1 norm is subadditive and submultiplicative and the kernels
 divide by nothing, so that run bounds every t-digit.  Every output is a
 Fraction when every input value and t is one, and a TPoly otherwise.  Inputs
 holding any other value take the same kernels on their coefficients as they
-are.
+are.  A power's t is a Fraction or a TPoly and scales an NCFunctional's
+values, so every power takes the graded path.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.
@@ -270,11 +271,10 @@ def _graded_words(solve, d, order, *dicts, t=None):
 
     Each input dict is packed once into a table of rows, one per length
     (see ``_fill_words``), and the output table is read back once into a
-    dict of its nonzero values.  ``times_t`` maps a table to t times it, in
-    the ring ``solve`` is handed, and ``solve`` builds its output from
-    values it has scaled.
+    dict of its nonzero values.  ``times_t`` maps a graded table to t times
+    it, and ``solve`` builds its output from values it has scaled.
 
-    When every value and t is a ``Fraction`` or a ``TPoly``, ``solve`` gets
+    When every value is a ``Fraction`` or a ``TPoly``, ``solve`` gets
     c_w as the int c_w D^|w| packed at t = 2^B (Kronecker substitution).  D
     comes from ``functionals._grade`` (a ``TPoly`` counts by its common
     denominator) times the denominator of t.  Every word transform is
@@ -298,23 +298,19 @@ def _graded_words(solve, d, order, *dicts, t=None):
     the ``Fraction`` x_w / D^|w|.  Otherwise every output w is a ``TPoly``,
     read as balanced base-2^B digits over D^|w|.
 
-    Any other value (a plain int, another ring) selects the generic path:
-    ``solve`` gets the tables of the values, and t, as they are, and the
-    output keeps its values as they are.
+    A scalar t, a ``Fraction`` or a ``TPoly``, always takes this graded
+    path: its one caller, ``_power``, scales an ``NCFunctional``'s values,
+    which are one or the other.  A raw word dict holding any other value (a
+    plain int, another ring) and no t selects the generic path: ``solve``
+    gets the tables of the values as they are, and the output keeps its
+    values as they are.
     """
     ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
                    for n in range(1, order + 1)]
-    scale = None
-    if t is None or type(t) in (Fraction, TPoly):
-        scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts),
-                       polys=True)
+    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts),
+                   polys=True)
     if scale is None:
-        ins = [_table(dct, ws) for dct in dicts]
-        if t is not None:
-            ins.insert(0, lambda tab: [None] + [
-                [None if c is None else t * c for c in row]
-                for row in tab[1:]])
-        out = solve(d, order, *ins)
+        out = solve(d, order, *[_table(dct, ws) for dct in dicts])
         return {w: c for row_w, row in zip(ws[1:], out[1:])
                 for w, c in zip(row_w, row) if c is not None}
     tn, tq = ((), 1) if t is None else TPoly._parts(t)
@@ -867,9 +863,3 @@ def nc_verify(name, params=None, order=None, seed=0):
     order = nc_verify_order(name, order, params)
     return VerifyReport(f"nc:{name}", order, *_run_entry(
         "nc verify", NC_CATALOG, name, order, params, seed))
-
-
-def nc_verify_all(order=None, seed=0):
-    for name in NC_CATALOG:
-        nc_verify_order(name, order)
-    return [nc_verify(name, order=order, seed=seed) for name in NC_CATALOG]

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import random
 import sys
@@ -18,10 +20,11 @@ from freeconv.functionals import (
     MomentFunctional,
     TwoStatePair,
     bernoulli_sym,
+    moments_from_jacobi,
     semicircular,
 )
 from freeconv.multivariate import (NC_CATALOG, NC_MIN_ORDER, nc_entry_d,
-                                   nc_max_order, nc_verify_all, nc_verify_d,
+                                   nc_max_order, nc_verify_d,
                                    nc_verify_order)
 from freeconv.oracle import MAX_ORACLE_ORDER
 from freeconv.series import TruncSeries
@@ -634,26 +637,25 @@ def test_cli_nc_verify(capsys):
 
 def _record_entries(monkeypatch):
     """Replace every catalog entry, of both layers, by one that checks
-    nothing and records (name, order, d); a word-layer entry that takes d
-    keeps the signature, and so the default d, of the one it replaces."""
+    nothing and records (name, order, d), d None for an entry that takes
+    none; each keeps the signature, and so the parameters and the default
+    d, of the one it replaces."""
     ran = []
 
-    def recorder(name, takes_d):
-        if takes_d:
-            def entry(order, rng, d=2):
-                ran.append((name, order, d))
-                return [], []
-        else:
-            def entry(order, rng):
-                ran.append((name, order, None))
-                return [], []
+    def recorder(name, fn):
+        d = inspect.signature(fn).parameters.get("d")
+
+        @functools.wraps(fn)
+        def entry(order, rng, **params):
+            ran.append((name, order,
+                        None if d is None else params.get("d", d.default)))
+            return [], []
         return entry
 
     for catalog, prefix in ((evolution.CATALOG, ""), (NC_CATALOG, "nc:")):
         for name, (fn, default) in catalog.items():
-            takes_d = "d" in evolution.entry_params(fn)
             monkeypatch.setitem(catalog, name,
-                                (recorder(prefix + name, takes_d), default))
+                                (recorder(prefix + name, fn), default))
     return ran
 
 
@@ -866,10 +868,6 @@ def test_cli_verify_all_rejects_order_before_running(capsys):
         in captured.err
     assert run(["nc", "verify", "all", "--order", "2"]) == 2
     assert capsys.readouterr().out == ""
-    with pytest.raises(ValueError):
-        evolution.verify_all(order=2)
-    with pytest.raises(ValueError):
-        nc_verify_all(order=nc_max_order(2) + 1)
 
 
 def test_cli_verify_all_caps_word_layer_order(monkeypatch, capsys):
@@ -1031,6 +1029,51 @@ def test_cli_verify_all_rejects_a_wrong_kind_parameter_before_any_entry_runs(
     captured = capsys.readouterr()
     assert ran == [] and captured.out == ""
     assert f"no entry takes parameter {param.split('=')[0]}" in captured.err
+
+
+@pytest.mark.parametrize("argv,key", (
+    (["verify", "nc:final-prop", "--param", "d=2", "--param", "d=3",
+      "--order", "3"], "d"),
+    (["verify", "free-evolution", "--param", "rho=bernoulli", "--param",
+      "rho=semicircle"], "rho"),
+    (["verify", "thm-b", "--param", "rho-t=bernoulli", "--param",
+      "rho_t=semicircle"], "rho_t"),
+    (["verify", "all", "--param", "d=2", "--param", "d=3"], "d"),
+    (["verify", "all", "--param", "rho_t=bernoulli", "--param",
+      "rho-t=semicircle"], "rho_t"),
+), ids=("named-word-entry", "named-entry", "named-entry-dash", "all",
+        "all-dash"))
+def test_cli_verify_refuses_a_repeated_parameter(argv, key, monkeypatch,
+                                                 capsys):
+    """A key given twice (after - reads as _) exits 2, naming the key,
+    before any entry runs: neither value silently wins."""
+    ran = _record_entries(monkeypatch)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert captured.err == f"error: parameter {key} given more than once\n"
+
+
+def test_cli_verify_takes_a_jacobi_document_as_a_functional(monkeypatch,
+                                                           tmp_path, capsys):
+    """A Jacobi document for rho runs as the moments of its rows: the
+    semicircle's rows give free-evolution the report of the family name."""
+    rows = JacobiParams((), (), repeat=(F(0), F(1)))
+    path = write(tmp_path, "semicircle.json", docs.encode_jacobi(rows))
+    seen = []
+
+    def spy(jp, order):
+        seen.append(jp.repeat)
+        return moments_from_jacobi(jp, order)
+
+    monkeypatch.setattr(evolution, "moments_from_jacobi", spy)
+    outs = []
+    for rho in (path, "semicircle"):
+        assert run(["verify", "free-evolution", "--param", f"rho={rho}",
+                    "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert seen == [(F(0), F(1))]
+    assert outs[0] == outs[1] and json.loads(outs[0])["verified"]
 
 
 def test_every_entry_parameter_is_annotated_with_what_it_accepts():

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_convolutions import _draw
 
 from freeconv import evolution
+from freeconv.cli import run
 from freeconv.coeffs import ExactDivisionError, TPoly, evaluate, formal_t
 from freeconv.convolutions import free_convolve, free_power
 from freeconv.evolution import (
@@ -16,6 +18,8 @@ from freeconv.evolution import (
     bercovici_pata,
     bercovici_pata_inverse,
     cauchy_evolution_residual,
+    check_eq,
+    check_zero,
     maassen_semigroup,
     pde_residual,
     phi_map,
@@ -32,6 +36,7 @@ from freeconv.functionals import (
     ConsistencyError,
     MomentFunctional,
     NoJacobiRepresentationError,
+    TwoStatePair,
     ZeroVarianceError,
     bernoulli_sym,
     free_meixner,
@@ -46,6 +51,7 @@ from freeconv.transforms import (
     eta_from_moments,
     f_at_infinity,
     moments_from_eta,
+    r_from_moments,
     tilde_from_two_state_r,
     voiculescu_phi,
 )
@@ -498,12 +504,97 @@ def test_verify_accepts_explicit_params():
 
 
 def test_check_eq_reports_residual():
-    from freeconv.evolution import check_eq
     chk = check_eq("label", point_mass(1, 4), point_mass(2, 4))
     assert not chk.ok
     assert "m_1" in chk.detail and "1" in chk.detail
     chk = check_eq("label", point_mass(1, 4), point_mass(1, 4))
     assert chk.ok and chk.detail == ""
+
+
+def test_check_eq_locates_the_residual_on_every_value_kind():
+    """The residual names the first coefficient that differs: m_k of a
+    functional, the component of a pair, [z^k] of a Laurent series at
+    infinity or of a power series, or both values when their kinds differ."""
+    sigma, sigma2 = semicircular(0, 1, 6), semicircular(0, 2, 6)
+    m2 = "m_2: Fraction(1, 1) != Fraction(2, 1)"
+    cases = (
+        (TwoStatePair(sigma, sigma), TwoStatePair(sigma2, sigma),
+         f"tilde: {m2}"),
+        (TwoStatePair(sigma, sigma), TwoStatePair(sigma, sigma2),
+         f"base: {m2}"),
+        (voiculescu_phi(sigma), voiculescu_phi(sigma2),
+         "[z^-1]: Fraction(1, 1) != Fraction(2, 1)"),
+        (f_at_infinity(sigma), voiculescu_phi(sigma),
+         "[z^1]: Fraction(1, 1) != Fraction(0, 1)"),
+        (r_from_moments(sigma), r_from_moments(sigma2),
+         "[z^2]: Fraction(1, 1) != Fraction(2, 1)"),
+        (sigma, r_from_moments(sigma),
+         f"{sigma!r} != {r_from_moments(sigma)!r}"),
+    )
+    for lhs, rhs, detail in cases:
+        assert check_eq("label", lhs, rhs) == evolution.Check(
+            "label", False, detail)
+    assert check_zero("label", voiculescu_phi(sigma2) - voiculescu_phi(
+        sigma)) == evolution.Check(
+            "label", False, "residual = <Laurent tail_order=5: (1)/z^1>")
+
+
+def test_cli_prints_the_residual_of_a_failed_semigroup_law(monkeypatch,
+                                                           capsys):
+    """A two-state convolution that is off by one in every tilde moment
+    fails thm-b's semigroup law: exit 1, with the pair's residual."""
+    convolve = evolution.two_state_convolve
+
+    def off_by_one(a, b):
+        pair = convolve(a, b)
+        return TwoStatePair(MomentFunctional(
+            pair.order, [m + 1 for m in pair.tilde.moments()]), pair.base)
+
+    monkeypatch.setattr(evolution, "two_state_convolve", off_by_one)
+    assert run(["verify", "thm-b", "--order", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL [thm-b] semigroup law at rational (s,t) = (1,1)" in out
+    assert "     residual: tilde: m_1: " in out
+
+
+@pytest.mark.parametrize("target", ("two_state_from_scaled_r",
+                                    "_tilde_by_monotone"))
+def test_two_state_semigroup_cross_check_rejects_a_wrong_path(
+        monkeypatch, capsys, target):
+    """two_state_semigroup re-derives the tilde by the Boolean/monotone
+    formula; a tilde off by one in every moment on either path must not get
+    past that check, and the CLI must report it as an internal error."""
+    rel = CanonicalTriple(F(1, 2), F(1), bernoulli_sym(6))
+    base = CanonicalTriple(F(-1), F(2), semicircular(0, 1, 6))
+    two_state_semigroup(rel, base, formal_t(), 8)
+    path = getattr(evolution, target)
+
+    def off_by_one(tilde):
+        return MomentFunctional(tilde.order, [m + 1 for m in tilde.moments()])
+
+    if target == "two_state_from_scaled_r":
+        def wrong(*args):
+            pair = path(*args)
+            return TwoStatePair(off_by_one(pair.tilde), pair.base)
+    else:
+        def wrong(*args):
+            tilde, sub = path(*args)
+            return off_by_one(tilde), sub
+
+    monkeypatch.setattr(evolution, target, wrong)
+    with pytest.raises(ConsistencyError, match="^two-state semigroup: "
+                       "R-transform and monotone paths disagree$"):
+        two_state_semigroup(rel, base, formal_t(), 8)
+    data = Path(__file__).parent / "data"
+    for argv in (["verify", "generator"],
+                 ["semigroup", "--t", "formal", "--rel",
+                  str(data / "rel12.json"), "--base",
+                  str(data / "triple12.json")]):
+        assert run(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == ("internal error: two-state semigroup: "
+                                "R-transform and monotone paths disagree\n")
 
 
 @pytest.mark.parametrize("mf", (semicircular(0, 1, 8), bernoulli_sym(8)),

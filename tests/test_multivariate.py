@@ -369,6 +369,12 @@ def test_nc_verify_rejects_a_parameter_the_entry_does_not_take():
         nc_verify("recover-tau", params={"d": 2})
 
 
+def test_nc_verify_rejects_a_beta_t_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^nc verify entry 'final-prop': "
+                       r"parameter beta_t: want a list of 2 rationals$"):
+        nc_verify("final-prop", params={"beta_t": [F(1)]}, order=4)
+
+
 def test_nc_verify_checks_a_supplied_word_functional(monkeypatch):
     """A supplied functional over another alphabet or of a lower order is
     refused, as evolution's entries refuse a moment functional; a longer one

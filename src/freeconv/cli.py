@@ -44,7 +44,6 @@ from .evolution import (
 from .functionals import (
     CanonicalTriple,
     ConsistencyError,
-    JacobiDepthError,
     MomentFunctional,
     NoJacobiRepresentationError,
     TwoStatePair,
@@ -67,7 +66,7 @@ from .oracle import (
 from .series import CompositionDomainError, NotInvertibleError
 
 DOMAIN_ERRORS = (ZeroVarianceError, NoJacobiRepresentationError,
-                 JacobiDepthError, NotInvertibleError, CompositionDomainError,
+                 NotInvertibleError, CompositionDomainError,
                  ExactDivisionError, ZeroDivisionError)
 
 EXIT_OK = 0
@@ -332,12 +331,19 @@ def _nc_runs(order, params):
              nc_capped_order(name, order, params)) for name in NC_CATALOG]
 
 
-def _cmd_verify(args):
+def _params(pairs):
+    """The dict of the (key, value) pairs; a key given twice is refused, so
+    that neither value silently wins."""
     params = {}
-    for key, value in args.param or []:
+    for key, value in pairs:
         if key in params:
             raise ValueError(f"parameter {key} given more than once")
         params[key] = value
+    return params
+
+
+def _cmd_verify(args):
+    params = _params(args.param or [])
     if args.name != "all":
         return _verify_entries(args, [(args.name, args.order)], params)
     return _verify_entries(
@@ -346,7 +352,7 @@ def _cmd_verify(args):
 
 
 def _cmd_nc(args):
-    params = {} if args.d is None else {"d": args.d}
+    params = _params(("d", d) for d in args.d or [])
     if args.name != "all":
         return _verify_entries(args, [(f"nc:{args.name}", args.order)],
                                params)
@@ -452,7 +458,7 @@ def build_parser():
     ncsub = p.add_subparsers(dest="nc_command", required=True)
     q = ncsub.add_parser("verify")
     q.add_argument("name", choices=sorted(NC_CATALOG) + ["all"])
-    q.add_argument("--d", type=int, default=None,
+    q.add_argument("--d", type=int, action="append",
                    help="alphabet size (default 2); with the order, at most "
                         "the words and n^2 d^n work of d = 4 at order 8 "
                         "(multivariate.nc_max_order), to which a default "

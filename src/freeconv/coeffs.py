@@ -15,7 +15,7 @@ reduces a result once, with one gcd, rather than once per coefficient
 (``_canonical``).  A sum of products start + x_1 y_1 + ... with a ``TPoly``
 among its operands (``_dot``) scales every product to the lcm of the product
 denominators and convolves them all into one accumulator, reduced once; the
-triangular-solve kernels of ``functionals`` and the generic loops of the
+triangular-solve kernels of ``transforms`` and the generic loops of the
 series product and reciprocal accumulate through it.  ``TPoly`` stores this
 layout; the series layer converts a series whose coefficients are all
 ``Fraction`` to it for a product, reciprocal or composition and back to

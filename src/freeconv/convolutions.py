@@ -1,10 +1,10 @@
 """The four convolutions and their (fractional or formal-t) powers.
 
 Free convolution adds free cumulants, Boolean convolution adds eta
-coefficients, monotone convolution composes F-transforms (one substitution
-through the triangular-solve kernels of ``functionals``), and two-state free
-convolution adds two-state R-transforms on pairs.  In the algebraic setting
-every power t is defined, including a formal parameter.
+coefficients, monotone convolution composes F-transforms (one substitution,
+``transforms._composition``), and two-state free convolution adds two-state
+R-transforms on pairs.  In the algebraic setting every power t is defined,
+including a formal parameter.
 
 The free and two-state powers multiply the R-transforms by t and expand in t
 by Lagrange-Burmann over the powers of R_mu (Stanley, *EC2*, Thm 5.4.2):
@@ -19,14 +19,9 @@ so a free power handed to free convolution is not solved back.
 from __future__ import annotations
 
 from .coeffs import as_coeff
-from .functionals import (
-    MomentFunctional,
-    TwoStatePair,
-    _fill,
-    _graded,
-    _moment_table,
-)
+from .functionals import MomentFunctional, TwoStatePair
 from .transforms import (
+    _composition,
     eta_from_moments,
     moments_from_eta,
     moments_from_r,
@@ -75,17 +70,12 @@ def boolean_power(a, t):
 def monotone_convolve(a, b):
     """The functional a |> b, whose F-transform is F_a o F_b.
 
-    With W = z(1 + M^b) that is 1 + M^{a |> b} = (1 + M^b)(1 + M^a(W)) =
-    B_a(W)/z for B_a(z) = z(1 + M^a(z)): the moment k of a |> b is
-    [z^{k+1}] B_a(W), one substitution through b's power table.  Every
-    moment is a TPoly when one of m_1..m_n of a or b is (``_graded``).
+    With W = z(1 + M^b) that is 1 + M^{a |> b} = (1 + M^b)(1 + M^a(W))
+    (``transforms._composition``).  Every moment is a TPoly when one of
+    m_1..m_n of a or b is.
     """
     n = min(a.order, b.order)
-    # ma[k] = [z^{k+1}] B_a, which _graded grades by k: so the solve hands
-    # back [z^{k+1}] B_a(W), the moment k of a |> b, at index k.
-    return MomentFunctional(n, _graded(lambda ma, mb: _fill(
-        n + 1, lambda k, _, s: s, ([0] + ma, mb))[1:],
-        _moment_table(a)[:n + 1], _moment_table(b)[:n + 1])[1:])
+    return MomentFunctional(n, _composition(a, b, n)[1:])
 
 
 def two_state_convolve(p, q):

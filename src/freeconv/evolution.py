@@ -39,7 +39,6 @@ from .functionals import (
     NoJacobiRepresentationError,
     TwoStatePair,
     ZeroVarianceError,
-    _strip_once,
     arcsine,
     bernoulli_sym,
     family,
@@ -60,6 +59,7 @@ from .transforms import (
     moments_from_scaled_r,
     phi_from_r_series,
     r_from_moments,
+    _strip_once,
     _substitute_divide,
     tilde_from_two_state_r,
     two_state_from_scaled_r,

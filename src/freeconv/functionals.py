@@ -5,43 +5,20 @@ functional on polynomials (m_0 = 1 implicit); positivity is never assumed.
 :class:`JacobiParams` holds the rows (beta_0..; gamma_0..) of the continued
 fraction of the Cauchy transform, with optional early termination
 (gamma_k = 0) and an optional repeating tail for the eventually-constant
-families.  The private triangular-solve kernels of ``transforms`` live here
-too, so that coefficient stripping shares them.  With W = z(1+M), the power
-table p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and [z^k] W^k = 1
-makes every solve through W triangular.  Each is one _fill rule (k, out, s)
-beside its word-layer twin in ``multivariate``, a _fill_words rule
-(n, out, s) that builds the row of the words of length n; both drivers own
-the table of their substitution (a, m):
-
-    r_from_moments, moments_from_r      nc_r, nc_moments_from_r
-    _eta                                nc_eta
-    moments_from_eta                    nc_moments_from_eta
-    two_state_r                         nc_two_state_r
-    transforms._substitute_divide       _substitute_divide
-      (tilde_from_two_state_r,            (nc_tilde_from_two_state_r,
-       evolution.subordination)            nc_subordination)
-    convolutions.monotone_convolve      _composition_product
-
-Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades
-a single-variable solve over Q (``multivariate._graded_words`` is the word
-layer's).  It picks an integer D with c_k D^k integral for every input
-coefficient c_k and runs the solve on the inputs scaled so, which is the same
-solve for the series at Dz.  There W = z(1+M) still has [z^k] W^k = 1, so
-every unknown is an integer combination of integers and the unchanged kernels
-keep the whole recursion in Z; output k comes back as the reduced Fraction
-x_k / D^k.  Inputs over Q[t], or mixing the rings, take the same kernels on
-their coefficients as they are, and every output k >= 1 comes back a
-``TPoly``: each operation gives all its outputs one ring, all ``TPoly`` when
-some input coefficient is one and all ``Fraction`` otherwise.
+families.  Rows and moments convert both ways with none of the triangular
+solves, which all live in ``transforms``: ``moments_from_jacobi`` by
+weighted Motzkin paths, ``jacobi_from_moments`` by the Chebyshev
+algorithm, so that the Jacobi cross-checks of ``evolution`` share no solve
+with the path they check.  The named families are Jacobi rows expanded to
+moments.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
-from .coeffs import ZERO, ONE, TPoly, _dot, as_coeff, exact_div
+from .coeffs import ZERO, ONE, as_coeff, exact_div
 
 
 class JacobiDepthError(ValueError):
@@ -289,23 +266,6 @@ def moments_from_jacobi(j, order):
     return MomentFunctional(order, out)
 
 
-def _strip_once(mf, beta, gamma):
-    """Moments of the once-stripped functional, via (eta - beta*w)/(gamma*w^2).
-
-    The eta coefficients come from the division-free ``_eta`` solve; only
-    the final division by gamma must be exact (it always is over Q; over
-    Q[t] it validates that the functional really strips within the
-    polynomial ring).
-    """
-    n = mf.order
-    eta = _eta(mf)
-    # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
-    out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
-    if not (out[0] == 1):
-        raise ConsistencyError("stripped series must be unital")
-    return MomentFunctional(n - 2, out[1:])
-
-
 def jacobi_from_moments(mf, levels):
     """The rows (beta_j, gamma_j), j < levels, from m_1..m_{2 levels} by the
     Chebyshev algorithm (W. Gautschi, *Orthogonal Polynomials*, 2004,
@@ -347,170 +307,6 @@ def jacobi_from_moments(mf, levels):
                 "gamma = 0 but deeper moments are inconsistent with termination")
         prev, cur, ratio = cur, nxt, r
     return JacobiParams(betas, gammas)
-
-
-# -- triangular-solve kernels (coefficient lists indexed by degree) -------------
-#
-# The kernels run unchanged on Fraction, TPoly or plain int coefficients: each
-# power-table row starts from the int 1, which only multiplies nonzero
-# coefficients.  An int operand in hand marks the graded integer path, which
-# folds each sum term by term, skipping zero terms.  Any other sum goes to
-# ``coeffs._dot`` as whole slices, and its ring follows the operands it reads
-# (see ``_dot``); ``_graded`` then gives every output of the operation one
-# ring.
-
-
-def _moment_table(mf):
-    """[1, m_1, ..., m_N]: the coefficients of 1 + M."""
-    return [ONE] + list(mf.moments())
-
-
-def _grade(*groups, polys=False):
-    """The one D of a set of inputs, each a group of pairs (k, c_k): grown
-    from 1 so that q divides D^k for every (k, a/q), D <- D q / gcd(q, D^k),
-    in their order.  None when some coefficient is not a ``Fraction`` (nor,
-    with ``polys``, a ``TPoly``), or one with k = 0 is not an integer.  A
-    ``TPoly`` (for the word layer's packed path) counts by its common
-    denominator, so D^k clears every one of its t-coefficients.  Every
-    graded integer path of the single- and multi-variate solves takes D
-    from here."""
-    d = 1
-    for k, c in chain.from_iterable(groups):
-        if type(c) is not Fraction and not (polys and type(c) is TPoly):
-            return None
-        q = c.denominator
-        if q != 1:
-            if not k:
-                return None
-            dk = d ** k
-            if dk % q:
-                d *= q // gcd(q, dk)
-    return d
-
-
-def _scaled(cs, d):
-    """The ints c_k D^k, for Fractions c_k that D^k clears (see ``_grade``)."""
-    row, dk = [], 1
-    for c in cs:
-        row.append(c.numerator * (dk // c.denominator))
-        dk *= d
-    return row
-
-
-def _graded(solve, *seqs):
-    """solve(*seqs), run over Q on graded integers.
-
-    When every coefficient is a ``Fraction`` and every constant term an
-    integer, D comes from ``_grade`` over the coefficients c_k = a/q in
-    degree order, so that q divides D^k, and ``solve`` gets each sequence
-    with its k-th entry the int c_k D^k.  Under z -> Dz every solve is a
-    weight-homogeneous recursion with integer coefficients and
-    [z^k] W^k = 1, so the kernels keep the entries integral, and output k
-    comes back as the reduced Fraction x_k / D^k.  Otherwise ``solve``
-    gets the sequences as they are, for the generic path, and each output
-    k >= 1 comes back a ``TPoly`` when some input coefficient is one, and
-    as it is when none is: one ring per operation, as in the word layer.
-    """
-    d = _grade(*map(enumerate, seqs))
-    if d is None:
-        out = solve(*seqs)
-        return out[:1] + _as_ring(out[1:], _polys(*seqs))
-    out, dk = [], 1
-    for x in solve(*[_scaled(cs, d) for cs in seqs]):
-        out.append(Fraction(x, dk))
-        dk *= d
-    return out
-
-
-def _polys(*seqs):
-    """Whether a coefficient of seqs is a ``TPoly``.  Then every output of an
-    operation on seqs is one; else every output is a ``Fraction``."""
-    return TPoly in map(type, chain.from_iterable(seqs))
-
-
-def _as_ring(cs, poly):
-    """The outputs cs of an operation, each a ``TPoly`` when poly, else as
-    they are."""
-    if not poly:
-        return cs
-    return [c if type(c) is TPoly else TPoly.constant(c) for c in cs]
-
-
-def _add_diagonal(p, m):
-    """Extend the power table p by its anti-diagonal k + j = s, s = len(p).
-
-    Reads only m[1:s], so a forward solve can find m[s] after each call.
-    Row 0 stays [1]: no solve reads past it.
-    """
-    s = len(p)
-    if s > 1:
-        p[1].append(m[s - 1])  # row 1 is 1 + M itself
-    if type(m[s - 1]) is int:
-        for k in range(2, s):
-            prev = p[k - 1]
-            j = s - k
-            c = prev[j]
-            for i in range(1, j + 1):
-                if m[i]:
-                    c = c + m[i] * prev[j - i]
-            p[k].append(c)
-    else:
-        for k in range(2, s):
-            prev = p[k - 1]
-            j = s - k
-            p[k].append(_dot(prev[j], m[1:j + 1], prev[j - 1::-1]))
-    p.append([1])
-
-
-def _substitute_at(a, p, n):
-    """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
-    if type(p[1][-1]) is int:
-        s = None
-        for k in range(1, n + 1):
-            if a[k]:
-                t = a[k] * p[k][n - k]
-                s = t if s is None else s + t
-        return 0 if s is None else s
-    return _dot(None, a[1:n + 1], [p[k][n - k] for k in range(1, n + 1)])
-
-
-def _split_sum(left, right, n):
-    """The sum of left[j] * right[n-j] over 0 < j < n."""
-    if n < 2:
-        return 0
-    if type(left[1]) is int and type(right[1]) is int:
-        s = left[1] * right[n - 1]
-        for j in range(2, n):
-            s = s + left[j] * right[n - j]
-        return s
-    return _dot(None, left[1:n], right[n - 1:0:-1])
-
-
-def _eta(mf):
-    """[0, eta_1, ..., eta_N] by eta_n = m_n - sum_{0<j<n} eta_j m_{n-j}: the
-    one eta solve, behind ``_strip_once`` and ``eta_from_moments``."""
-    return _graded(lambda m: _fill(
-        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k)),
-        _moment_table(mf))
-
-
-def _fill(n, coeff, subst=None):
-    """[0, c_1, ..., c_n] with c_k = coeff(k, out, s), filled by degree; out[k]
-    reads as zero until coeff returns, so a solve's own unknown drops out.
-    Without ``subst``, s = 0.  With ``subst`` = (a, m), s = [z^k] A(W) for the
-    lists a of A and m of 1 + M, W = z(1+M), read from a power table grown by
-    one anti-diagonal per k; None in place of a or m stands for ``out``."""
-    out = [0] * (n + 1)
-    if subst is None:
-        for k in range(1, n + 1):
-            out[k] = coeff(k, out, 0)
-        return out
-    a, m = (out if f is None else f for f in subst)
-    p = [[1]]
-    for k in range(1, n + 1):
-        _add_diagonal(p, m)
-        out[k] = coeff(k, out, _substitute_at(a, p, k))
-    return out
 
 
 # -- named families -----------------------------------------------------------

@@ -6,22 +6,13 @@ variable, with W_i = z_i(1+M).  The solves run on tables of dense rows: row
 n lists the d^n words of length n by rank (the order of itertools.product),
 None at a zero word, so that rank(uv) = rank(u) d^|v| + rank(v).  Every site
 is one rule (n, out, s) that builds row n in one comprehension, the shape of
-functionals._fill's (k, out, s): _fill_words fills a table in length order,
-handing the rule the row s of [x_w] A(W_1, ..., W_d) for the substitution
-(a, m) it is given, None standing for ``out``; _split_row(left, right, n, d),
-the sum over w = uv of left[u] right[v], is n - 1 outer products of rows and
-multiplies or divides by (1+M).
-
-    R(W) = M                      nc_r (solve), nc_moments_from_r (forward)
-    eta = M (1+M)^{-1}            nc_eta (divide), nc_moments_from_eta
-    eta~ = R2(W) (1+M)^{-1}       nc_two_state_r (solve against eta~ (1+M)),
-                                  nc_tilde_from_two_state_r (substitute,
-                                  then divide)
-    R^{mu|>nu} = R^mu(W) (1+M)^{-1}, M = M^nu
-                                  nc_subordination (substitute, then divide)
-    1 + M^{mu boxplus nu} = (1 + M^lam)(1 + M^nu(W)), M = M^lam
-                                  _composition_product (substitute, then
-                                  multiply)
+transforms._fill's (k, out, s), and each is the word twin of the
+single-variable solve that ``transforms``' table of rules names beside it:
+_fill_words fills a table in length order, handing the rule the row s of
+[x_w] A(W_1, ..., W_d) for the substitution (a, m) it is given, None
+standing for ``out``; _split_row(left, right, n, d), the sum over w = uv of
+left[u] right[v], is n - 1 outer products of rows and multiplies or divides
+by (1+M).
 
 A solve stores row n of a only after solving for it, so the substitution
 skips the term that carries a[w].  Substituting z_i -> z_i(1+M) places (1+M)
@@ -37,7 +28,7 @@ included, chains its kernels inside one _graded_words call over all of its
 inputs, the one place that grades a word solve and turns word dicts into
 tables: it packs each input once and reads the output's nonzero values back
 once, and the kernels hand tables to each other.  Over Q and Q[t] the fills
-run on ints graded by word length (the rule of functionals._graded) and
+run on ints graded by word length (the rule of transforms._graded) and
 packed at t = 2^B (Kronecker substitution), from the operation's input to
 its output.  B comes from one run of the solve at d = 1 on l1 norms, where -
 acts as +: the l1 norm is subadditive and submultiplicative and the kernels
@@ -64,8 +55,9 @@ from .evolution import (Coeff, VerifyReport, _BadParameter, _entry_order, _q,
                         _run_entry, check_eq, maassen_semigroup, strip,
                         subordination_inverse, two_state_semigroup)
 from .functionals import (CanonicalTriple, JacobiParams, MomentFunctional,
-                          _grade, free_meixner, jacobi_from_moments,
-                          semicircular)
+                          free_meixner, jacobi_from_moments, semicircular)
+from .transforms import _grade
+
 
 def words(d, order):
     """All words over {1..d} of length 1..order, shortest first."""
@@ -267,7 +259,7 @@ def _times(p, q):
 def _graded_words(solve, d, order, *dicts, t=None):
     """solve(d, order, *tables), or solve(d, order, times_t, *tables) with a
     scalar t, run on ints graded by word length: the word-dict form of
-    ``functionals._graded``.
+    ``transforms._graded``.
 
     Each input dict is packed once into a table of rows, one per length
     (see ``_fill_words``), and the output table is read back once into a
@@ -276,7 +268,7 @@ def _graded_words(solve, d, order, *dicts, t=None):
 
     When every value is a ``Fraction`` or a ``TPoly``, ``solve`` gets
     c_w as the int c_w D^|w| packed at t = 2^B (Kronecker substitution).  D
-    comes from ``functionals._grade`` (a ``TPoly`` counts by its common
+    comes from ``transforms._grade`` (a ``TPoly`` counts by its common
     denominator) times the denominator of t.  Every word transform is
     weight-homogeneous in |w| and divides by nothing, and a sum or
     difference of two tables graded by one D is graded by it, so a solve
@@ -307,8 +299,7 @@ def _graded_words(solve, d, order, *dicts, t=None):
     """
     ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
                    for n in range(1, order + 1)]
-    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts),
-                   polys=True)
+    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts))
     if scale is None:
         out = solve(d, order, *[_table(dct, ws) for dct in dicts])
         return {w: c for row_w, row in zip(ws[1:], out[1:])

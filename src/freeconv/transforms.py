@@ -1,25 +1,48 @@
 """The transform dictionary: M, eta, R, F, phi and the two-state R-transform.
 
-The primary path is combinatorial: with W = z(1+M), every solve is one
-``functionals._fill`` rule (n, out, s) for [z^n] beside its nc_ twin in
-``multivariate`` (``functionals`` pairs them up).  A substitution (a, m),
-None standing for ``out``, hands the rule s = S(a) = [z^n] A(W); P(l, r) =
-_split_sum(l, r, n):
+This module owns every single-variable triangular solve and every expansion
+in t, as ``multivariate`` owns every word solve.  With W = z(1+M), the
+power table p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and
+[z^k] W^k = 1 makes every solve through W triangular.  Each solve is one
+``_fill`` rule (n, out, s) for [z^n] beside its word twin, a kernel of
+``multivariate`` whose ``_fill_words`` rule (n, out, s) builds the row of
+the words of length n.  Both drivers own the table of their substitution
+(a, m), None standing for ``out``, and hand the rule s = S(a) = [z^n] A(W);
+P(l, r) = _split_sum(l, r, n):
 
-    R(W) = M                 r_from_moments: m_n - S(kappa), (None, m)
-                             moments_from_r: S(kappa), (kappa, None)
-    eta = M (1+M)^{-1}       eta_from_moments: m_n - P(eta, m)
-                             moments_from_eta: eta_n + P(eta, m)
-    eta~ = R2(W) (1+M)^{-1}  two_state_r: eta~_n + P(eta~, m) - S(R2), (None, m)
-                             _substitute_divide: S(R2) - P(eta~, m), (r2, m)
+    equation and solve: rule, substitution               word twin
+    R(W) = M
+      r_from_moments: m_n - S(kappa), (None, m)          _r
+      moments_from_r: S(kappa), (kappa, None)            _moments_from_r
+    eta = M (1+M)^{-1}
+      _eta: m_n - P(eta, m)                              _eta
+      moments_from_eta: eta_n + P(eta, m)                _moments_from_eta
+    eta~ = R2(W) (1+M)^{-1}
+      two_state_r: eta~_n + P(eta~, m) - S(R2), (None, m)
+                                                         _two_state_r
+      _substitute_divide: S(R2) - P(eta~, m), (r2, m)    _substitute_divide
+    R^{mu |> nu} = R^mu(W) (1+M)^{-1}, M = M^nu
+      _substitute_divide, as above                       _substitute_divide
+    1 + M^{mu |> nu} = (1+M)(1 + M^mu(W)), M = M^nu
+      _composition: S(B), (b, m), B(z) = z(1 + M^mu(z))  _composition
 
-Each solve runs inside ``functionals._graded``, which over Q grades its
-inputs by z -> Dz: the leading term [z^k] W^k = 1 keeps the solve integral,
-and output k comes back as a Fraction over D^k.  Every operation, solve or
-expansion, gives its outputs one ring, as the word layer does: all ``TPoly``
-when an input coefficient (or the s of an expansion) is one, else all
-``Fraction``.  ``_graded`` applies that rule to each solve, and each
-expansion reads its outputs through ``functionals._as_ring``.
+``_eta`` is also the solve of ``_strip_once`` (``evolution.strip``),
+``_substitute_divide`` that of ``tilde_from_two_state_r`` and
+``evolution.subordination``, and ``_composition`` that of
+``convolutions.monotone_convolve``.
+
+Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades
+a single-variable solve over Q (``multivariate._graded_words`` is the word
+layer's).  It picks an integer D with c_k D^k integral for every input
+coefficient c_k and runs the solve on the inputs scaled so, which is the
+same solve for the series at Dz.  There W = z(1+M) still has
+[z^k] W^k = 1, so every unknown is an integer combination of integers and
+the unchanged kernels keep the whole recursion in Z; output k comes back as
+the reduced Fraction x_k / D^k.  Every operation, solve or expansion, gives
+its outputs one ring, as the word layer does: all ``TPoly`` when an input
+coefficient (or the s of an expansion) is one, else all ``Fraction``.
+``_graded`` applies that rule to each solve, and each expansion reads its
+outputs through ``_as_ring``.
 
 Where the R-transforms are s times known series, as in the semigroups
 mu^{boxplus s} and their two-state twins, W = z(1 + sR(W)) and
@@ -59,24 +82,171 @@ inversion.  It calls none of the kernels, so the two paths share no solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd
 from operator import mul
 
-from .coeffs import ZERO, ONE, TPoly, _canonical, _convolve, _dot, as_coeff
-from .functionals import (
-    MomentFunctional,
-    TwoStatePair,
-    _as_ring,
-    _eta,
-    _fill,
-    _grade,
-    _graded,
-    _moment_table,
-    _polys,
-    _scaled,
-    _split_sum,
-)
+from .coeffs import (ZERO, ONE, TPoly, _canonical, _convolve, _dot, as_coeff,
+                     exact_div)
+from .functionals import ConsistencyError, MomentFunctional, TwoStatePair
 from .series import LaurentAtInfinity, TruncSeries
+
+
+# -- triangular-solve kernels (coefficient lists indexed by degree) -------------
+#
+# The kernels run unchanged on Fraction, TPoly or plain int coefficients: each
+# power-table row starts from the int 1, which only multiplies nonzero
+# coefficients.  An int operand in hand marks the graded integer path, which
+# folds each sum term by term, skipping zero terms.  Any other sum goes to
+# ``coeffs._dot`` as whole slices, and its ring follows the operands it reads
+# (see ``_dot``); ``_graded`` then gives every output of the operation one
+# ring.
+
+
+def _moment_table(mf):
+    """[1, m_1, ..., m_N]: the coefficients of 1 + M."""
+    return [ONE] + list(mf.moments())
+
+
+def _grade(*groups):
+    """The one D of a set of inputs, each a group of pairs (k, c_k): grown
+    from 1 so that q divides D^k for every (k, a/q), D <- D q / gcd(q, D^k),
+    in their order.  None when some coefficient is neither a ``Fraction``
+    nor a ``TPoly``, or one with k = 0 is not an integer.  A ``TPoly``
+    counts by its common denominator, so D^k clears every one of its
+    t-coefficients; the word layer packs such values, while ``_graded`` and
+    ``_expansion`` take their generic path on them.  Every graded integer
+    path of the single- and multi-variate solves takes D from here."""
+    d = 1
+    for k, c in chain.from_iterable(groups):
+        if type(c) is not Fraction and type(c) is not TPoly:
+            return None
+        q = c.denominator
+        if q != 1:
+            if not k:
+                return None
+            dk = d ** k
+            if dk % q:
+                d *= q // gcd(q, dk)
+    return d
+
+
+def _scaled(cs, d):
+    """The ints c_k D^k, for Fractions c_k that D^k clears (see ``_grade``)."""
+    row, dk = [], 1
+    for c in cs:
+        row.append(c.numerator * (dk // c.denominator))
+        dk *= d
+    return row
+
+
+def _graded(solve, *seqs):
+    """solve(*seqs), run over Q on graded integers.
+
+    When every coefficient is a ``Fraction`` and every constant term an
+    integer, D comes from ``_grade`` over the coefficients c_k = a/q in
+    degree order, so that q divides D^k, and ``solve`` gets each sequence
+    with its k-th entry the int c_k D^k.  Under z -> Dz every solve is a
+    weight-homogeneous recursion with integer coefficients and
+    [z^k] W^k = 1, so the kernels keep the entries integral, and output k
+    comes back as the reduced Fraction x_k / D^k.  Otherwise ``solve``
+    gets the sequences as they are, for the generic path, and each output
+    k >= 1 comes back a ``TPoly`` when some input coefficient is one, and
+    as it is when none is: one ring per operation, as in the word layer.
+    """
+    poly = _polys(*seqs)
+    d = None if poly else _grade(*map(enumerate, seqs))
+    if d is None:
+        out = solve(*seqs)
+        return out[:1] + _as_ring(out[1:], poly)
+    out, dk = [], 1
+    for x in solve(*[_scaled(cs, d) for cs in seqs]):
+        out.append(Fraction(x, dk))
+        dk *= d
+    return out
+
+
+def _polys(*seqs):
+    """Whether a coefficient of seqs is a ``TPoly``.  Then every output of an
+    operation on seqs is one; else every output is a ``Fraction``."""
+    return TPoly in map(type, chain.from_iterable(seqs))
+
+
+def _as_ring(cs, poly):
+    """The outputs cs of an operation, each a ``TPoly`` when poly, else as
+    they are."""
+    if not poly:
+        return cs
+    return [c if type(c) is TPoly else TPoly.constant(c) for c in cs]
+
+
+def _add_diagonal(p, m):
+    """Extend the power table p by its anti-diagonal k + j = s, s = len(p).
+
+    Reads only m[1:s], so a forward solve can find m[s] after each call.
+    Row 0 stays [1]: no solve reads past it.
+    """
+    s = len(p)
+    if s > 1:
+        p[1].append(m[s - 1])  # row 1 is 1 + M itself
+    if type(m[s - 1]) is int:
+        for k in range(2, s):
+            prev = p[k - 1]
+            j = s - k
+            c = prev[j]
+            for i in range(1, j + 1):
+                if m[i]:
+                    c = c + m[i] * prev[j - i]
+            p[k].append(c)
+    else:
+        for k in range(2, s):
+            prev = p[k - 1]
+            j = s - k
+            p[k].append(_dot(prev[j], m[1:j + 1], prev[j - 1::-1]))
+    p.append([1])
+
+
+def _substitute_at(a, p, n):
+    """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
+    if type(p[1][-1]) is int:
+        s = None
+        for k in range(1, n + 1):
+            if a[k]:
+                t = a[k] * p[k][n - k]
+                s = t if s is None else s + t
+        return 0 if s is None else s
+    return _dot(None, a[1:n + 1], [p[k][n - k] for k in range(1, n + 1)])
+
+
+def _split_sum(left, right, n):
+    """The sum of left[j] * right[n-j] over 0 < j < n."""
+    if n < 2:
+        return 0
+    if type(left[1]) is int and type(right[1]) is int:
+        s = left[1] * right[n - 1]
+        for j in range(2, n):
+            s = s + left[j] * right[n - j]
+        return s
+    return _dot(None, left[1:n], right[n - 1:0:-1])
+
+
+def _fill(n, coeff, subst=None):
+    """[0, c_1, ..., c_n] with c_k = coeff(k, out, s), filled by degree; out[k]
+    reads as zero until coeff returns, so a solve's own unknown drops out.
+    Without ``subst``, s = 0.  With ``subst`` = (a, m), s = [z^k] A(W) for the
+    lists a of A and m of 1 + M, W = z(1+M), read from a power table grown by
+    one anti-diagonal per k; None in place of a or m stands for ``out``."""
+    out = [0] * (n + 1)
+    if subst is None:
+        for k in range(1, n + 1):
+            out[k] = coeff(k, out, 0)
+        return out
+    a, m = (out if f is None else f for f in subst)
+    p = [[1]]
+    for k in range(1, n + 1):
+        _add_diagonal(p, m)
+        out[k] = coeff(k, out, _substitute_at(a, p, k))
+    return out
 
 
 def m_series(mf):
@@ -133,6 +303,14 @@ def moments_from_r(r, order):
     return _carrying(mf, r, ONE)
 
 
+def _eta(mf):
+    """[0, eta_1, ..., eta_N] by eta_n = m_n - sum_{0<j<n} eta_j m_{n-j}: the
+    one eta solve, behind ``_strip_once`` and ``eta_from_moments``."""
+    return _graded(lambda m: _fill(
+        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k)),
+        _moment_table(mf))
+
+
 def eta_from_moments(mf):
     """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}."""
     return TruncSeries(mf.order, _eta(mf))
@@ -145,6 +323,23 @@ def moments_from_eta(eta, order):
     return MomentFunctional(order, _graded(lambda e: _fill(
         order, lambda k, m, _: e[k] + _split_sum(e, m, k)),
         eta.coeffs()[:order + 1])[1:])
+
+
+def _strip_once(mf, beta, gamma):
+    """Moments of the once-stripped functional, via (eta - beta*w)/(gamma*w^2).
+
+    The eta coefficients come from the division-free ``_eta`` solve; only
+    the final division by gamma must be exact (it always is over Q; over
+    Q[t] it validates that the functional really strips within the
+    polynomial ring).
+    """
+    n = mf.order
+    eta = _eta(mf)
+    # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
+    out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
+    if not (out[0] == 1):
+        raise ConsistencyError("stripped series must be unital")
+    return MomentFunctional(n - 2, out[1:])
 
 
 def f_at_infinity(mf):
@@ -208,6 +403,18 @@ def _substitute_divide(a, mf, n):
         a.coeffs()[:n + 1], _moment_table(mf)[:n + 1]))
 
 
+def _composition(a, mf, n):
+    """[1, c_1, ..., c_n], the coefficients of (1+M)(1 + M^a(W)) through z^n,
+    for the functionals a and mf, M = M^mf: 1 + M^{a |> mf}.  It is B(W)/z
+    for B(z) = z(1 + M^a(z)), so c_k = [z^{k+1}] B(W), one substitution
+    through mf's power table."""
+    # b[k] = [z^{k+1}] B, which _graded grades by k: so the solve hands
+    # back [z^{k+1}] B(W) at index k.
+    return _graded(lambda b, m: _fill(
+        n + 1, lambda k, _, s: s, ([0] + b, m))[1:],
+        _moment_table(a)[:n + 1], _moment_table(mf)[:n + 1])
+
+
 def tilde_from_two_state_r(r2, base):
     """The functional mu_tilde with two_state_r((mu_tilde, base)) = r2."""
     n = min(base.order, r2.order)
@@ -261,14 +468,14 @@ def _expansion(s, seqs, n):
     """(seqs, rows, weigh) for an expansion in s to order n, R = seqs[0].
 
     Over Q, that is when every coefficient is a ``Fraction``, the sequences
-    come back graded as ``functionals._graded`` grades them, entry k the int
+    come back graded as ``_graded`` grades them, entry k the int
     c_k D^k, and rows[i][k] = [w^k] R^i D^k; otherwise the sequences are as
     given, D = 1 and rows[i][k] = [w^k] R^i.  weigh(ys, c, k) is
     sum_{e >= 0} ys[e] s^e / (c D^k) for an int c > 0: over Q one integer
     polynomial over one denominator, reduced once, and a ``TPoly`` exactly
     when s is one; otherwise a fold of the ring's operators.
     """
-    d = _grade(*map(enumerate, seqs))
+    d = None if _polys(*seqs) else _grade(*map(enumerate, seqs))
     if d is not None:
         seqs = [_scaled(cs, d) for cs in seqs]
     rows = _power_rows(seqs[0], n, n)
@@ -404,10 +611,13 @@ def two_state_from_scaled_r(r2, r, s, order):
         order, _free_moments(rows, weigh, _polys((s,), rc))), r, s)
     eta = [weigh([0, g2[1]], 1, 1)]
     r2o = [(l - 1) * c for l, c in enumerate(g2)]  # wR2' - R2
+    ints = type(g2[1]) is int  # graded: one sum(map(mul)), as _power_rows
     for n in range(2, order + 1):
-        ys = [0] + [comb(n - 1, i) * _dot(None, r2o[2:n - i + 1],
-                                          rows[i][i:n - 1][::-1])
-                    for i in range(n - 1)]
+        ys = [0]
+        for i in range(n - 1):
+            xs, zs = r2o[2:n - i + 1], rows[i][i:n - 1][::-1]
+            ys.append(comb(n - 1, i) * (sum(map(mul, xs, zs)) if ints
+                                        else _dot(None, xs, zs)))
         eta.append(weigh(ys, n - 1, n))
     eta = [ZERO] + _as_ring(eta, _polys((s,), rc, r2c))
     return TwoStatePair(moments_from_eta(TruncSeries(order, eta), order), base)

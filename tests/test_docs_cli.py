@@ -1041,17 +1041,42 @@ def test_cli_verify_all_rejects_a_wrong_kind_parameter_before_any_entry_runs(
     (["verify", "all", "--param", "d=2", "--param", "d=3"], "d"),
     (["verify", "all", "--param", "rho_t=bernoulli", "--param",
       "rho-t=semicircle"], "rho_t"),
+    (["nc", "verify", "composition", "--d", "2", "--d", "40", "--order",
+      "3"], "d"),
+    (["nc", "verify", "all", "--d", "2", "--d", "3"], "d"),
 ), ids=("named-word-entry", "named-entry", "named-entry-dash", "all",
-        "all-dash"))
+        "all-dash", "nc-verify-d", "nc-verify-all-d"))
 def test_cli_verify_refuses_a_repeated_parameter(argv, key, monkeypatch,
                                                  capsys):
-    """A key given twice (after - reads as _) exits 2, naming the key,
-    before any entry runs: neither value silently wins."""
+    """A key given twice (after - reads as _), or a repeated --d, exits 2,
+    naming the key, before any entry runs: neither value silently wins."""
     ran = _record_entries(monkeypatch)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert ran == [] and captured.out == ""
     assert captured.err == f"error: parameter {key} given more than once\n"
+
+
+@pytest.mark.parametrize("argv,message", (
+    (["convert", "--to", "jacobi", "--levels", "100", "{mu}"],
+     "order 6 supports at most 3 levels"),
+    (["convert", "--to", "moments", "--order", "6", "{rows}"],
+     "Jacobi level 1 not available"),
+    (["verify", "free-evolution", "--param", "rho={rows}"],
+     "Jacobi level 1 not available"),
+), ids=("levels-past-moments", "order-past-rows", "verify-order-past-rows"))
+def test_cli_input_too_short_for_the_request_exits_2(argv, message, tmp_path,
+                                                     capsys):
+    """Moments too few for the Jacobi levels asked, or Jacobi rows too few
+    for the order asked, exit 2 with nothing on stdout, as a moments
+    document too short for its order does: the input does not serve the
+    request, and no operation left its domain."""
+    rows = write(tmp_path, "rows.json",
+                 docs.encode_jacobi(JacobiParams((F(0),), (F(1),))))
+    mu = str(Path(__file__).parent / "data" / "mu.json")  # order 6
+    assert run([a.format(mu=mu, rows=rows) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_cli_verify_takes_a_jacobi_document_as_a_functional(monkeypatch,

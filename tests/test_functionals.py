@@ -18,7 +18,6 @@ from freeconv.functionals import (
     JacobiParams,
     MomentFunctional,
     NoJacobiRepresentationError,
-    _strip_once,
     arcsine,
     bernoulli_sym,
     family,
@@ -29,7 +28,7 @@ from freeconv.functionals import (
     semicircular,
 )
 from freeconv.series import TruncSeries
-from freeconv.transforms import moments_from_eta
+from freeconv.transforms import _strip_once, moments_from_eta
 
 
 def test_point_mass_moments():

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeconv import functionals, multivariate
+from freeconv import multivariate, transforms
 from freeconv.coeffs import ZERO, TPoly, formal_t
 from freeconv.convolutions import boolean_power, free_convolve, free_power
 from freeconv.evolution import (
@@ -586,7 +586,7 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
 @pytest.mark.parametrize("formal", [False, True])
 def test_every_fill_runs_inside_the_graded_seam(formal):
     """Each fill of the single-variable solves runs inside
-    ``functionals._graded``, and each of the word solves inside
+    ``transforms._graded``, and each of the word solves inside
     ``multivariate._graded_words``: no site grades, or skips grading, on its
     own.  Checked on Q inputs and on inputs with one constant TPoly
     coefficient, which take the packed path."""
@@ -621,8 +621,8 @@ def test_every_fill_runs_inside_the_graded_seam(formal):
     r = TruncSeries(6, [0] + draw(6))
     mu_w, nu_w = (NCFunctional(2, 4, draw_words()) for _ in range(2))
     with pytest.MonkeyPatch.context() as mp:
-        _patch_kernel(mp, "_graded", seam(functionals._graded))
-        _patch_kernel(mp, "_fill", fill(functionals._fill))
+        _patch_kernel(mp, "_graded", seam(transforms._graded))
+        _patch_kernel(mp, "_fill", fill(transforms._fill))
         mp.setattr(multivariate, "_graded_words",
                    seam(multivariate._graded_words))
         mp.setattr(multivariate, "_fill_words",

@@ -1,14 +1,16 @@
 import hashlib
+import importlib
 import itertools
+import pkgutil
 import random
-import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from test_convolutions import DRAW_KINDS, EXPONENTS, _draw, _exponent, _typed
 
-from freeconv import docs, functionals
+import freeconv
+from freeconv import docs, transforms
 from freeconv.coeffs import TPoly, formal_t
 from freeconv.convolutions import (
     free_convolve,
@@ -251,21 +253,38 @@ SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
                  "_graded")
 
 
+def test_only_transforms_holds_the_solve_kernels():
+    """``transforms`` owns the single-variable solves: no other freeconv
+    module holds one of its kernel objects, checked by identity, so that
+    ``oracle._graded``, the oracle's own grading, is another object.  Only
+    ``multivariate`` also holds ``_grade``, and only ``evolution``
+    ``_strip_once``, where the Jacobi wrong-path tests patch it."""
+    owners = {name: {"transforms"} for name in (
+        "_fill", "_graded", "_add_diagonal", "_substitute_at", "_split_sum",
+        "_scaled", "_moment_table", "_polys", "_as_ring", "_eta")}
+    owners["_grade"] = {"transforms", "multivariate"}
+    owners["_strip_once"] = {"transforms", "evolution"}
+    kernels = {id(getattr(transforms, name)): name for name in owners}
+    modules = [freeconv] + [
+        importlib.import_module(f"freeconv.{info.name}")
+        for info in pkgutil.iter_modules(freeconv.__path__)]
+    held = {(module.__name__.removeprefix("freeconv."), kernels[id(obj)])
+            for module in modules for obj in vars(module).values()
+            if id(obj) in kernels}
+    assert held <= {(owner, name) for name, names in owners.items()
+                    for owner in names}
+
+
 def _patch_kernel(mp, name, fn):
-    """Replace the ``functionals`` kernel ``name`` by fn, in that module and
-    wherever it was imported."""
-    kernel = getattr(functionals, name)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("freeconv"):
-            if getattr(module, name, None) is kernel:
-                mp.setattr(module, name, fn)
+    """Replace the ``transforms`` kernel ``name`` by fn: no other module
+    holds it (``test_only_transforms_holds_the_solve_kernels``)."""
+    mp.setattr(transforms, name, fn)
 
 
 def test_cross_checks_share_no_solve_kernel(monkeypatch):
     """The reversion path, the partition oracle, the Jacobi rows read by the
     Chebyshev algorithm and their expansion still run, and agree with the
-    primary path, when every solve kernel of ``functionals`` raises, in that
-    module and wherever it was imported."""
+    primary path, when every solve kernel of ``transforms`` raises."""
     rng = random.Random(33)
     mf = rand_functional(rng, 8)
     pair = TwoStatePair(rand_functional(rng, 8), rand_functional(rng, 8))
@@ -304,7 +323,7 @@ def _nine_solves(mu, nu, r):
         subordination_inverse(mu, nu).moments(),
     ]
     if n >= 3 and mu.mean_var()[1] != 0:  # the stripped order n - 2 >= 1
-        out.append(functionals._strip_once(mu, *mu.mean_var()).moments())
+        out.append(transforms._strip_once(mu, *mu.mean_var()).moments())
     return out
 
 
@@ -324,7 +343,7 @@ def test_graded_int_solves_match_generic_path(seed, order, denominators):
 
     mu, nu = MomentFunctional(order, draw()), MomentFunctional(order, draw())
     r = TruncSeries(order, [0] + draw())
-    kernel, filled = functionals._fill, []
+    kernel, filled = transforms._fill, []
 
     def spy(n, coeff, subst=None):
         out = kernel(n, coeff, subst)
@@ -349,7 +368,7 @@ def test_graded_int_solves_match_generic_path(seed, order, denominators):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14), st.booleans())
 def test_fill_substitution_matches_series_composition(seed, order, formal):
-    """Each ``subst`` form of ``functionals._fill`` hands its rule
+    """Each ``subst`` form of ``transforms._fill`` hands its rule
     s = [z^k] A(W), W = z(1+M), as the series engine's Horner composition,
     which shares no solve kernel, finds it: (a, m) for given lists;
     (None, m) with A the fill's own output, whose coefficient k is stored
@@ -368,7 +387,7 @@ def test_fill_substitution_matches_series_composition(seed, order, formal):
     a, c = draw(), draw()
     m = [F(1)] + c[1:]  # 1 + C
     if not formal:
-        d = functionals._grade(
+        d = transforms._grade(
             itertools.chain(enumerate(a), enumerate(c), enumerate(m)))
         assert d is not None
         a, c, m = ([x.numerator * (d ** k // x.denominator)
@@ -383,7 +402,7 @@ def test_fill_substitution_matches_series_composition(seed, order, formal):
             seen.append(s)
             return given[k]
 
-        functionals._fill(order, rule, subst)
+        transforms._fill(order, rule, subst)
         return seen
 
     for subst, given, missing in (((a, m), c, [0] * (order + 1)),
@@ -427,7 +446,7 @@ def _affine_r(rng, order, kind):
 def _spy_fill(mp):
     """Patch ``_fill`` everywhere with a wrapper; returns the list it appends
     one entry to per call."""
-    kernel, calls = functionals._fill, []
+    kernel, calls = transforms._fill, []
 
     def spy(*args):
         calls.append(args[0])

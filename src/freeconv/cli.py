@@ -373,6 +373,16 @@ def _cmd_oracle(args):
     return EXIT_OK
 
 
+class _Once(argparse.Action):
+    """Store an option's value, and refuse a second one, so that neither
+    value silently wins."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="freeconv",
@@ -387,7 +397,7 @@ def build_parser():
                             "10 where one is required)")
 
     def run_options(p, fn):  # verify and nc verify
-        p.add_argument("--order", type=int, default=None)
+        p.add_argument("--order", type=int, default=None, action=_Once)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(fn=fn)

@@ -37,14 +37,14 @@ Python's operators are the whole ring protocol.  The generic paths of the
 series engine and of the solve kernels use ``+``, ``-`` (binary and unary),
 ``*``, ``/``, ``==`` against an int, and truthiness as the zero test, so
 another exact ring plugs in by defining those (the integer fast paths take
-only ``Fraction`` coefficients).  ``/`` is exact or raises:
-``ExactDivisionError`` when the quotient is not a polynomial,
-``ZeroDivisionError`` for a zero divisor.  A reciprocal is ``ONE / c``, so
-only nonzero constants have one in Q[t]: no operation of the package needs
-a power series in t (``belinschi_nica`` expands in 1 + t rather than divide
-by it, see its docstring).  Beyond the operators, ``as_coeff`` admits a
-value from outside the program, and ``t_derivative`` and ``evaluate`` act on
-the parameter.
+only ``Fraction`` and ``TPoly`` coefficients, a ``TPoly`` packed into an
+int).  ``/`` is exact or raises: ``ExactDivisionError`` when the quotient
+is not a polynomial, ``ZeroDivisionError`` for a zero divisor.  A
+reciprocal is ``ONE / c``, so only nonzero constants have one in Q[t]: no
+operation of the package needs a power series in t (``belinschi_nica``
+expands in 1 + t rather than divide by it, see its docstring).  Beyond the
+operators, ``as_coeff`` admits a value from outside the program, and
+``t_derivative`` and ``evaluate`` act on the parameter.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ from .evolution import (Coeff, VerifyReport, _BadParameter, _entry_order, _q,
                         subordination_inverse, two_state_semigroup)
 from .functionals import (CanonicalTriple, JacobiParams, MomentFunctional,
                           free_meixner, jacobi_from_moments, semicircular)
-from .transforms import _grade
+from .transforms import _Majorant, _grade, _pack, _unpack
 
 
 def words(d, order):
@@ -186,51 +186,6 @@ def nc_to_univariate(ncf):
         raise ValueError("only d = 1 converts to a moment sequence")
     return MomentFunctional(ncf.order,
                             [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
-
-
-class _Majorant(int):
-    """An int of the majorant run of ``_graded_words``: a bound on the l1
-    norm of a graded Q[t] value, in a ring where - acts as +."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Majorant(int.__add__(self, other))
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __mul__(self, other):
-        return _Majorant(int.__mul__(self, other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self
-
-    def __floordiv__(self, other):
-        return _Majorant(int.__floordiv__(self, other))
-
-
-def _pack(nums, b):
-    """The int polynomial sum_i nums[i] t^i at t = 2^b."""
-    x = 0
-    for a in reversed(nums):
-        x = (x << b) + a
-    return x
-
-
-def _unpack(x, b, den):
-    """The TPoly (sum_i a_i t^i) / den for x = sum_i a_i 2^(b i), read as
-    balanced base-2^b digits, |a_i| < 2^(b-1)."""
-    nums, mask, half = [], (1 << b) - 1, 1 << (b - 1)
-    x = int(x)
-    while x:
-        a = x & mask
-        if a >= half:
-            a -= mask + 1
-        nums.append(a)
-        x = (x - a) >> b
-    return _canonical(nums, den, den)
 
 
 def _table(dct, ws):

@@ -32,17 +32,28 @@ P(l, r) = _split_sum(l, r, n):
 ``convolutions.monotone_convolve``.
 
 Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades
-a single-variable solve over Q (``multivariate._graded_words`` is the word
+a single-variable solve (``multivariate._graded_words`` is the word
 layer's).  It picks an integer D with c_k D^k integral for every input
-coefficient c_k and runs the solve on the inputs scaled so, which is the
-same solve for the series at Dz.  There W = z(1+M) still has
-[z^k] W^k = 1, so every unknown is an integer combination of integers and
-the unchanged kernels keep the whole recursion in Z; output k comes back as
-the reduced Fraction x_k / D^k.  Every operation, solve or expansion, gives
-its outputs one ring, as the word layer does: all ``TPoly`` when an input
-coefficient (or the s of an expansion) is one, else all ``Fraction``.
-``_graded`` applies that rule to each solve, and each expansion reads its
-outputs through ``_as_ring``.
+coefficient c_k, a ``TPoly`` by its common denominator, and runs the solve
+on the inputs scaled so, which is the same solve for the series at Dz.
+There W = z(1+M) still has [z^k] W^k = 1, so every unknown is an integer
+combination of integers and the unchanged kernels keep the whole recursion
+in Z.  Over Q output k comes back as the reduced Fraction x_k / D^k.  Over
+Q[t] the graded int polynomials are packed at t = 2^B (Kronecker
+substitution), the word layer's scheme at d = 1 through the same
+``_Majorant``, ``_pack`` and ``_unpack``: one run of the solve on the
+inputs' l1 norms, in a ring where - acts as +, bounds every t-digit of
+every output and gives B, and a second run on the packed ints gives output
+k as its balanced base-2^B digits over D^k.  The packed ints carry B bits
+in every t-digit, so a solve whose outputs cancel far below its majorant,
+B passing the largest input norm by more than ``_SLACK`` bits (the inverse
+solves ``r_from_moments`` and ``two_state_r`` at high order), runs on
+``TPoly`` arithmetic instead, as does an input that ``_grade`` cannot
+grade.  Every operation, solve or expansion, gives its outputs one ring,
+as the word layer does: all ``TPoly`` when an input coefficient (or the s
+of an expansion) is one, else all ``Fraction``.  ``_graded`` applies that
+rule to each solve, and each expansion reads its outputs through
+``_as_ring``.
 
 Where the R-transforms are s times known series, as in the semigroups
 mu^{boxplus s} and their two-state twins, W = z(1 + sR(W)) and
@@ -96,8 +107,9 @@ from .series import LaurentAtInfinity, TruncSeries
 #
 # The kernels run unchanged on Fraction, TPoly or plain int coefficients: each
 # power-table row starts from the int 1, which only multiplies nonzero
-# coefficients.  An int operand in hand marks the graded integer path, which
-# folds each sum term by term, skipping zero terms.  Any other sum goes to
+# coefficients.  An int operand in hand (``_INTS``: a graded int, packed or
+# not, or a ``_Majorant``) marks the graded integer path, which folds each
+# sum term by term, skipping zero terms.  Any other sum goes to
 # ``coeffs._dot`` as whole slices, and its ring follows the operands it reads
 # (see ``_dot``); ``_graded`` then gives every output of the operation one
 # ring.
@@ -114,8 +126,8 @@ def _grade(*groups):
     in their order.  None when some coefficient is neither a ``Fraction``
     nor a ``TPoly``, or one with k = 0 is not an integer.  A ``TPoly``
     counts by its common denominator, so D^k clears every one of its
-    t-coefficients; the word layer packs such values, while ``_graded`` and
-    ``_expansion`` take their generic path on them.  Every graded integer
+    t-coefficients; the solves of both layers pack such values, while
+    ``_expansion`` takes its generic path on them.  Every graded integer
     path of the single- and multi-variate solves takes D from here."""
     d = 1
     for k, c in chain.from_iterable(groups):
@@ -131,39 +143,154 @@ def _grade(*groups):
     return d
 
 
-def _scaled(cs, d):
-    """The ints c_k D^k, for Fractions c_k that D^k clears (see ``_grade``)."""
+def _scaled(cs, d, b=0):
+    """The ints c_k D^k, for coefficients c_k that D^k clears (see
+    ``_grade``), each ``TPoly`` packed at t = 2^b."""
     row, dk = [], 1
     for c in cs:
-        row.append(c.numerator * (dk // c.denominator))
+        if type(c) is TPoly:
+            row.append(_pack(c.nums, b) * (dk // c.den))
+        else:
+            row.append(c.numerator * (dk // c.denominator))
         dk *= d
     return row
 
 
 def _graded(solve, *seqs):
-    """solve(*seqs), run over Q on graded integers.
+    """solve(*seqs), run on graded integers: over Q, and over Q[t] packed.
 
-    When every coefficient is a ``Fraction`` and every constant term an
-    integer, D comes from ``_grade`` over the coefficients c_k = a/q in
-    degree order, so that q divides D^k, and ``solve`` gets each sequence
-    with its k-th entry the int c_k D^k.  Under z -> Dz every solve is a
+    When ``_grade`` finds D for the coefficients c_k in degree order, so
+    that D^k clears every c_k (a ``TPoly`` by its common denominator), the
+    solve runs on the inputs scaled by z -> Dz.  Every solve is a
     weight-homogeneous recursion with integer coefficients and
-    [z^k] W^k = 1, so the kernels keep the entries integral, and output k
-    comes back as the reduced Fraction x_k / D^k.  Otherwise ``solve``
-    gets the sequences as they are, for the generic path, and each output
-    k >= 1 comes back a ``TPoly`` when some input coefficient is one, and
-    as it is when none is: one ring per operation, as in the word layer.
+    [z^k] W^k = 1, so the kernels keep the entries integral.  Over Q, input
+    k is the int c_k D^k and output k comes back as the reduced Fraction
+    x_k / D^k.
+
+    Over Q[t] (some input coefficient a ``TPoly``) input k is the int
+    polynomial c_k D^k packed at t = 2^B, Kronecker substitution as in
+    ``multivariate._graded_words`` at d = 1: evaluation at 2^B is a ring
+    map, so output k is its graded polynomial at 2^B, read back as balanced
+    base-2^B digits over D^k (``_unpack``).  B comes from a first run of the
+    solve in ``_Majorant``, a ring where - acts as +, on the l1 norms
+    sum_i |[t^i] c_k| D^k of the inputs (``_width``): the l1 norm is
+    subadditive and submultiplicative, the kernels divide by nothing, and
+    with - as + no term cancels, so that run bounds every t-digit of every
+    output, and B = bits(M) + 2 for its largest output M.  When B passes the
+    bits of the largest input norm, a bound on every packed input digit, by
+    more than ``_SLACK``, the outputs cancel far below their majorant, and
+    the solve takes the generic path.
+
+    Otherwise (an input ``_grade`` cannot grade, or past the slack)
+    ``solve`` gets the sequences as they are, and runs on the ring's
+    operators.  Either way output 0 is as the solve gives it, and every
+    output k >= 1 is a ``TPoly`` when some input coefficient is one, else a
+    ``Fraction``: one ring per operation, as in the word layer.
     """
     poly = _polys(*seqs)
-    d = None if poly else _grade(*map(enumerate, seqs))
-    if d is None:
+    d = _grade(*map(enumerate, seqs))
+    if d is not None and not poly:
+        out, dk = [], 1
+        for x in solve(*[_scaled(cs, d) for cs in seqs]):
+            out.append(Fraction(x, dk))
+            dk *= d
+        return out
+    b = None if d is None else _width(solve, seqs, d)
+    if b is None:
         out = solve(*seqs)
         return out[:1] + _as_ring(out[1:], poly)
-    out, dk = [], 1
-    for x in solve(*[_scaled(cs, d) for cs in seqs]):
-        out.append(Fraction(x, dk))
+    xs = solve(*[_scaled(cs, d, b) for cs in seqs])
+    out, dk = xs[:1], 1
+    for x in xs[1:]:
         dk *= d
+        out.append(_unpack(x, b, dk))
     return out
+
+
+# The packed path's limit on the bits that a solve's majorant adds to its
+# inputs.  An inverse solve whose outputs cancel (r_from_moments and
+# two_state_r at high order) reads a majorant far above its true digits, and
+# its packed ints carry that width in every t-digit, where the generic path
+# carries only the digits the outputs have.  Measured per solve on the
+# inputs of in-process verify (CPython 3.11, 2-core x86): r_from_moments in
+# bt-semigroup at order 48 reads 126 bits and runs 1.10x faster packed;
+# thm-b's two_state_r and r_from_moments at 48 read 136-137 bits and run
+# 0.83-0.91x; past 190 bits (bn-mean at 48, bt-semigroup and thm-b at 64)
+# 0.35-0.68x.  thm-b at order 64 takes 4.09 s under this rule, 5.20 s with
+# every solve packed and 4.71 s with none (medians of 3).
+_SLACK = 128
+
+
+def _width(solve, seqs, d):
+    """B for the packed run of solve on seqs graded by D = d, from a run in
+    ``_Majorant`` on the inputs' graded l1 norms; None when B passes the
+    largest of those norms, which bounds every packed input digit, by more
+    than ``_SLACK`` bits."""
+    norms = []
+    for cs in seqs:
+        row, dk = [], 1
+        for c in cs:
+            if type(c) is TPoly:
+                row.append(_Majorant(sum(map(abs, c.nums)) * (dk // c.den)))
+            else:
+                row.append(_Majorant(abs(c.numerator)
+                                     * (dk // c.denominator)))
+            dk *= d
+        norms.append(row)
+    b = max(solve(*norms)).bit_length() + 2
+    top = max(map(max, norms)).bit_length()
+    return None if b > top + _SLACK else b
+
+
+class _Majorant(int):
+    """An int of a majorant run (``_graded``, ``multivariate._graded_words``):
+    a bound on the l1 norm of a graded Q[t] value, in a ring where - acts
+    as +."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Majorant(int.__add__(self, other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Majorant(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __floordiv__(self, other):
+        return _Majorant(int.__floordiv__(self, other))
+
+
+# The operand types of the kernels' integer branches: graded ints, packed or
+# not, and the majorant run's bounds.
+_INTS = (int, _Majorant)
+
+
+def _pack(nums, b):
+    """The int polynomial sum_i nums[i] t^i at t = 2^b."""
+    x = 0
+    for a in reversed(nums):
+        x = (x << b) + a
+    return x
+
+
+def _unpack(x, b, den):
+    """The TPoly (sum_i a_i t^i) / den for x = sum_i a_i 2^(b i), read as
+    balanced base-2^b digits, |a_i| < 2^(b-1)."""
+    nums, mask, half = [], (1 << b) - 1, 1 << (b - 1)
+    x = int(x)
+    while x:
+        a = x & mask
+        if a >= half:
+            a -= mask + 1
+        nums.append(a)
+        x = (x - a) >> b
+    return _canonical(nums, den, den)
 
 
 def _polys(*seqs):
@@ -189,7 +316,7 @@ def _add_diagonal(p, m):
     s = len(p)
     if s > 1:
         p[1].append(m[s - 1])  # row 1 is 1 + M itself
-    if type(m[s - 1]) is int:
+    if type(m[s - 1]) in _INTS:
         for k in range(2, s):
             prev = p[k - 1]
             j = s - k
@@ -208,7 +335,7 @@ def _add_diagonal(p, m):
 
 def _substitute_at(a, p, n):
     """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
-    if type(p[1][-1]) is int:
+    if type(p[1][-1]) in _INTS:
         s = None
         for k in range(1, n + 1):
             if a[k]:
@@ -222,7 +349,7 @@ def _split_sum(left, right, n):
     """The sum of left[j] * right[n-j] over 0 < j < n."""
     if n < 2:
         return 0
-    if type(left[1]) is int and type(right[1]) is int:
+    if type(left[1]) in _INTS and type(right[1]) in _INTS:
         s = left[1] * right[n - 1]
         for j in range(2, n):
             s = s + left[j] * right[n - j]
@@ -495,6 +622,7 @@ def _expansion(s, seqs, n):
         pows.append(tuple(_convolve(prev, nums, len(prev) + len(nums) - 1))
                     if nums else ())
         dens.append(dens[-1] * den)
+    terms = [[(j, x) for j, x in enumerate(p) if x] for p in pows]
     poly = type(s) is TPoly
 
     def weigh(ys, c, k):
@@ -504,7 +632,7 @@ def _expansion(s, seqs, n):
             y = ys[e]
             if y:
                 y *= dens[top - e]
-                for j, x in enumerate(pows[e]):
+                for j, x in terms[e]:
                     acc[j] += y * x
         c *= dens[top] * d ** k
         if poly:

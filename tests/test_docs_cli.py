@@ -1057,6 +1057,24 @@ def test_cli_verify_refuses_a_repeated_parameter(argv, key, monkeypatch,
     assert captured.err == f"error: parameter {key} given more than once\n"
 
 
+@pytest.mark.parametrize("argv", (
+    ["verify", "thm-b", "--order", "8", "--order", "10"],
+    ["verify", "all", "--order", "6", "--order", "6"],
+    ["nc", "verify", "composition", "--order", "3", "--order", "5"],
+    ["nc", "verify", "all", "--order", "4", "--d", "2", "--order", "3"],
+), ids=("verify", "verify-all", "nc-verify", "nc-verify-all"))
+def test_cli_verify_refuses_a_repeated_order(argv, monkeypatch, capsys):
+    """A repeated --order, equal values included, exits 2 before any entry
+    runs, as a repeated --d or --param does: neither value silently wins."""
+    ran = _record_entries(monkeypatch)
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert "argument --order: given more than once" in captured.err
+
+
 @pytest.mark.parametrize("argv,message", (
     (["convert", "--to", "jacobi", "--levels", "100", "{mu}"],
      "order 6 supports at most 3 levels"),

@@ -257,12 +257,15 @@ def test_only_transforms_holds_the_solve_kernels():
     """``transforms`` owns the single-variable solves: no other freeconv
     module holds one of its kernel objects, checked by identity, so that
     ``oracle._graded``, the oracle's own grading, is another object.  Only
-    ``multivariate`` also holds ``_grade``, and only ``evolution``
-    ``_strip_once``, where the Jacobi wrong-path tests patch it."""
+    ``multivariate`` also holds ``_grade`` and the packing of Q[t] values,
+    ``_Majorant``, ``_pack`` and ``_unpack``, which both layers share, and
+    only ``evolution`` ``_strip_once``, where the Jacobi wrong-path tests
+    patch it."""
     owners = {name: {"transforms"} for name in (
         "_fill", "_graded", "_add_diagonal", "_substitute_at", "_split_sum",
-        "_scaled", "_moment_table", "_polys", "_as_ring", "_eta")}
-    owners["_grade"] = {"transforms", "multivariate"}
+        "_scaled", "_moment_table", "_polys", "_as_ring", "_eta", "_width")}
+    for name in ("_grade", "_Majorant", "_pack", "_unpack"):
+        owners[name] = {"transforms", "multivariate"}
     owners["_strip_once"] = {"transforms", "evolution"}
     kernels = {id(getattr(transforms, name)): name for name in owners}
     modules = [freeconv] + [
@@ -273,6 +276,8 @@ def test_only_transforms_holds_the_solve_kernels():
             if id(obj) in kernels}
     assert held <= {(owner, name) for name, names in owners.items()
                     for owner in names}
+    assert {("multivariate", name) for name in (
+        "_grade", "_Majorant", "_pack", "_unpack")} <= held
 
 
 def _patch_kernel(mp, name, fn):
@@ -640,3 +645,131 @@ def test_r_from_moments_solves_without_a_carried_r():
             calls = _spy_fill(mp)
             r_from_moments(given_mf)
         assert calls == [given_mf.order]
+
+
+# name: (number of inputs, run), where run(ins, n), each input a list
+# c_1..c_n, gives the outputs k >= 1 of one single-variable solve
+PACKED_SOLVES = {
+    "r_from_moments": (1, lambda ins, n: r_from_moments(
+        _mf(ins[0])).coeffs()[1:]),
+    "_solve_moments": (1, lambda ins, n: _solve_moments(
+        _series(ins[0]), n).moments()),
+    "_eta": (1, lambda ins, n: transforms._eta(_mf(ins[0]))[1:]),
+    "moments_from_eta": (1, lambda ins, n: moments_from_eta(
+        _series(ins[0]), n).moments()),
+    "two_state_r": (2, lambda ins, n: two_state_r(
+        TwoStatePair(*map(_mf, ins))).coeffs()[1:]),
+    "_substitute_divide": (2, lambda ins, n: transforms._substitute_divide(
+        _series(ins[0]), _mf(ins[1]), n).coeffs()[1:]),
+    "_composition": (2, lambda ins, n: transforms._composition(
+        *map(_mf, ins), n)[1:]),
+}
+
+
+def _run_path(mp, path, run, ins, n):
+    """The typed outputs of run on ins with ``_graded`` held to one path:
+    "packed" for every gradable Q[t] solve, "tpoly" for none, and "chosen"
+    by the slack rule; and how many outputs were read from a packed int."""
+    unpack, unpacked = transforms._unpack, []
+
+    def spy(*args):
+        unpacked.append(args)
+        return unpack(*args)
+
+    mp.setattr(transforms, "_unpack", spy)
+    if path != "chosen":
+        mp.setattr(transforms, "_SLACK",
+                   float("inf") if path == "packed" else float("-inf"))
+    out = [(type(c), c) for c in run(ins, n)]
+    mp.undo()
+    return out, len(unpacked)
+
+
+def _free_poisson(n):
+    """m_1..m_n of the free Poisson law of rate t and jump 1: its free
+    cumulants are all t, so r_from_moments cancels every sum down to t."""
+    return list(moments_from_r(
+        TruncSeries(n, [F(0)] + [formal_t()] * n), n).moments())
+
+
+def _order_48_inputs():
+    """(solve, inputs, packs) at order 48 on each side of the slack rule: a
+    forward solve, whose majorant passes its input digits by a few bits, and
+    the inverse solve of the free Poisson law, whose majorant passes them by
+    more than ``_SLACK`` bits, so that it runs on TPoly arithmetic."""
+    rng = random.Random(48)
+    plain = [list(_draw(rng, 48, True, "plain").moments()) for _ in range(2)]
+    return [("_composition", plain, True),
+            ("r_from_moments", [_free_poisson(48)], False)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24),
+       st.sampled_from(DRAW_KINDS), st.sampled_from(sorted(PACKED_SOLVES)))
+def test_packed_solves_match_the_tpoly_path_type_for_type(seed, order, kind,
+                                                          name):
+    """Every single-variable solve on Q[t] inputs gives, read back from ints
+    packed at t = 2^B, the outputs of the same kernels on TPoly arithmetic,
+    value for value and ring for ring.  The draws are formal ones of every
+    kind: mostly zero, zero TPolys and constant TPolys among rationals.
+    The outputs k >= 1 are read by ``_unpack`` exactly when an input holds
+    a TPoly."""
+    rng = random.Random(seed)
+    count, run = PACKED_SOLVES[name]
+    ins = [list(_draw(rng, order, True, kind).moments())
+           for _ in range(count)]
+    poly = TPoly in map(type, itertools.chain.from_iterable(ins))
+    with pytest.MonkeyPatch.context() as mp:
+        packed, unpacked = _run_path(mp, "packed", run, ins, order)
+        generic, none = _run_path(mp, "tpoly", run, ins, order)
+    assert packed == generic
+    assert (unpacked >= len(packed)) == poly and none == 0
+
+
+@pytest.mark.parametrize("name,ins,packs", _order_48_inputs(),
+                         ids=("packs", "past-the-slack"))
+def test_the_slack_rule_at_order_48(name, ins, packs):
+    """At order 48 the slack rule sends a random _composition to the packed
+    path and the cancelling r_from_moments of a free Poisson law of rate t
+    to the TPoly path; each gives what the other path gives, type for
+    type."""
+    _, run = PACKED_SOLVES[name]
+    with pytest.MonkeyPatch.context() as mp:
+        chosen, unpacked = _run_path(mp, "chosen", run, ins, 48)
+        other, _ = _run_path(mp, "tpoly" if packs else "packed", run, ins, 48)
+    assert unpacked == (48 if packs else 0)
+    assert chosen == other
+
+
+def test_packed_solve_one_bit_short_misreads_an_output():
+    """The packed path reads each output through B-bit balanced digits, so
+    B must pass the largest graded t-digit of every output.  The majorant
+    run's B does; with B at the least width that holds every digit the
+    outputs equal the TPoly path's, and one bit short some output differs,
+    so the sweep above would see a B too small."""
+    ins = [list(_draw(random.Random(7), 16, True, "plain").moments())]
+    _, run = PACKED_SOLVES["r_from_moments"]
+    d = transforms._grade(enumerate([F(1)] + ins[0]))
+    width, widths = transforms._width, []
+
+    def run_at(b):
+        """The outputs packed at B = b, or at the majorant's B, which is
+        recorded in widths, when b is None."""
+        def forced(*args):
+            if b is None:
+                widths.append(width(*args))
+                return widths[-1]
+            return b
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transforms, "_width", forced)
+            return _run_path(mp, "chosen", run, ins, 16)[0]
+
+    want = run_at(None)
+    with pytest.MonkeyPatch.context() as mp:
+        assert want == _run_path(mp, "tpoly", run, ins, 16)[0]
+    need = max((max(map(abs, c.nums)) * (d ** k // c.den)).bit_length() + 1
+               for k, (_, c) in enumerate(want, 1) if c)
+    assert widths[-1] >= need
+    assert run_at(need) == want
+    assert run_at(need - 1) != want

@@ -276,6 +276,10 @@ def jacobi_from_moments(mf, levels):
         gamma_k = sigma_{k+1,k+1}/sigma_{k,k},
 
     by ring operations and exact divisions, with none of the solve kernels.
+    The sigma table grows level by level: level k extends each row j <= k
+    by the entries sigma_{k+1,k+1} and sigma_{k+1,k+2} need, to l <= 2k+3-j,
+    so a division that fails at level k (rows that leave Q[t]) has cost
+    O(k^2) ring operations, not O(k n).
     beta_j is a ``TPoly`` exactly when one of m_1..m_{2j+1} is, gamma_j when
     one of m_1..m_{2j+2} is.  Requires order >= 2*levels.  A gamma_j = 0 ends
     the rows (``terminated=True``) if the closed fraction gives every moment
@@ -287,17 +291,29 @@ def jacobi_from_moments(mf, levels):
         raise JacobiDepthError(
             f"order {mf.order} supports at most {mf.order // 2} levels")
     betas, gammas, n = [], [], 2 * levels
-    # sigma_{k-1,l} and sigma_{k,l} at index l (none is read below l = k),
-    # sigma_{k-1,k}/sigma_{k-1,k-1} and gamma_{k-1}, all 0 at k = 0
-    prev, cur = [ZERO] * (n + 1), (ONE,) + mf.moments()[:n]
-    ratio = g = ZERO
+    # rows[j] holds sigma_{j,l} at index l (none is read below l = j);
+    # ratio is sigma_{k-1,k}/sigma_{k-1,k-1}, 0 at k = 0
+    rows = [(ONE,) + mf.moments()[:n]]
+    ratio = ZERO
     for k in range(levels):
+        cur = rows[k]
         r = exact_div(cur[k + 1], cur[k])
         b = r - ratio
-        nxt = [ZERO] * (k + 1) + [cur[l + 1] - b * cur[l] - g * prev[l]
-                                  for l in range(k + 1, n - k)]
-        g = exact_div(nxt[k + 1], cur[k])
         betas.append(b)
+        # rows 1..k+1 to l <= min(2k + 3 - j, n - j); row 1 has no
+        # gamma_{-1} term
+        rows.append([ZERO] * (k + 1))
+        for j in range(1, k + 2):
+            row, up, bj = rows[j], rows[j - 1], betas[j - 1]
+            top = min(2 * k + 4 - j, n - j + 1)
+            if j == 1:
+                for l in range(len(row), top):
+                    row.append(up[l + 1] - bj * up[l])
+            else:
+                down, gj = rows[j - 2], gammas[j - 2]
+                for l in range(len(row), top):
+                    row.append(up[l + 1] - bj * up[l] - gj * down[l])
+        g = exact_div(rows[k + 1][k + 1], cur[k])
         gammas.append(g)
         if not g:
             candidate = JacobiParams(betas, gammas, terminated=True)
@@ -305,7 +321,7 @@ def jacobi_from_moments(mf, levels):
                 return candidate
             raise NoJacobiRepresentationError(
                 "gamma = 0 but deeper moments are inconsistent with termination")
-        prev, cur, ratio = cur, nxt, r
+        ratio = r
     return JacobiParams(betas, gammas)
 
 

@@ -301,8 +301,19 @@ def _add_products(row, x, y, n_p, n_g, n_i):
     """row[(p n_g + g) n_i + i] += x[g] y[p n_i + i] for p < n_p, g < n_g and
     i < n_i.  None marks an absent entry: a product with an absent factor is
     no term, and an entry that gets no term stays None.  Each comprehension
-    runs along the longer of the g and i axes."""
+    runs along the longest axis: along p, one per (g, i), when n_p is longer
+    than both others, else along the longer of g and i."""
     span = n_g * n_i
+    if n_p > max(n_g, n_i):
+        hi = n_p * span
+        for g, c in enumerate(x):
+            if c is not None:
+                for i in range(n_i):
+                    lo = g * n_i + i
+                    row[lo:hi:span] = [
+                        s if v is None else c * v if s is None else s + c * v
+                        for s, v in zip(row[lo:hi:span], y[i::n_i])]
+        return
     if n_g > n_i:
         for p in range(n_p):
             for i, c in enumerate(y[p * n_i:(p + 1) * n_i]):

@@ -214,17 +214,35 @@ class TruncSeries:
 
         Lagrange inversion (Stanley, EC2, Thm 5.4.2): [z^k] self^{<-1>} =
         [z^(k-1)] v^k / k for v = z/self, so one reciprocal and n products
-        give every coefficient, about n^3 ring operations."""
+        give every coefficient, about n^3 ring operations.
+
+        When every coefficient of v is a ``Fraction``, the powers stay on
+        ints: v = A/d once, v^k = P_k/d_k by one convolution each, reduced by
+        one gcd as ``compose``'s Horner step is, and each output is one
+        Fraction(P_k[k-1], d_k k)."""
         if self._c[0]:
             raise CompositionDomainError("reversion needs zero constant term")
         if not self.coeff(1):
             raise NotInvertibleError("linear coefficient is zero")
+        n = self.order
         v = self.shift_down(1).reciprocal()
-        p, out = v, [ZERO, v.coeff(0)]
-        for k in range(2, self.order + 1):
+        out = [ZERO, v._c[0]]
+        if _rational(v._c):
+            a, da = _common(v._c)
+            p, d = a, da
+            for k in range(2, n + 1):
+                p, d = _convolve(p, a, n), d * da
+                g = gcd(d, *p)
+                if g != 1:
+                    p = [x // g for x in p]
+                    d //= g
+                out.append(Fraction(p[k - 1], d * k))
+            return _series(n, out)
+        p = v
+        for k in range(2, n + 1):
             p = p * v
             out.append(p.coeff(k - 1) / k)
-        return TruncSeries(self.order, out)
+        return TruncSeries(n, out)
 
     def t_derivative(self):
         return TruncSeries(self.order, [t_derivative(c) for c in self._c])

@@ -1,15 +1,18 @@
+import contextlib
 import hashlib
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from chebyshev import jacobi_rows_full
 from hypothesis import given, settings, strategies as st
 from test_convolutions import _typed
 
 from freeconv import functionals
-from freeconv.coeffs import TPoly
+from freeconv.coeffs import ExactDivisionError, TPoly, exact_div
 from freeconv.convolutions import free_power
-from freeconv.evolution import phi_map, strip
+from freeconv.evolution import belinschi_nica, maassen_semigroup, phi_map, strip
 from freeconv.functionals import (
     FAMILIES,
     CanonicalTriple,
@@ -323,3 +326,123 @@ def test_jacobi_rows_match_the_strip_extraction_type_for_type():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == \
         "51eaefa7eb9a7925b147b6651e1f8d534a9f774a145877e71f9dc5b7066dce6a"
+
+
+# -- the level-by-level sigma table against the full-row loop ------------------
+
+JACOBI_DRAWS = ("q", "terminated", "inconsistent", "formal", "zero-variance")
+
+
+def _jacobi_draw(rng, kind, order):
+    """A functional of the given order for the sweep below: over Q with
+    many zero moments; the moments of closed rows (gamma = 0 last), or
+    those with one deeper moment changed, so that termination is
+    inconsistent; a formal free power or semigroup, whose rows leave Q[t]
+    after a level or two; or m_2 = m_1^2, over Q or Q[t]."""
+    t = TPoly((0, 1))
+
+    def q():
+        return F(rng.choice((-3, -1, 0, 0, 0, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+
+    def nonzero():
+        return q() or F(rng.choice((-2, 1, 3)), rng.choice((1, 5)))
+
+    if kind == "q":
+        return MomentFunctional(order, [q() for _ in range(order)])
+    if kind in ("terminated", "inconsistent"):
+        depth = rng.randint(1, max(1, order // 2))
+        gammas = [nonzero() for _ in range(depth - 1)] + [0]
+        mf = moments_from_jacobi(
+            JacobiParams([q() for _ in range(depth)], gammas, terminated=True),
+            order)
+        if kind == "inconsistent" and order > 2 * depth:
+            ms = list(mf.moments())
+            k = rng.randrange(2 * depth, order)
+            ms[k] += nonzero()
+            mf = MomentFunctional(order, ms)
+        return mf
+    if kind == "formal":
+        mu = MomentFunctional(order, [q() for _ in range(order)])
+        make = rng.choice((
+            lambda: free_power(mu, t),
+            lambda: free_power(mu, 1 + t),
+            lambda: belinschi_nica(mu, t),
+            lambda: maassen_semigroup(CanonicalTriple(q(), nonzero(), mu), t,
+                                      order)))
+        return make()
+    m1 = rng.choice((q(), q() + t, TPoly.constant(q())))
+    return MomentFunctional(order, [m1, m1 * m1]
+                            + [rng.choice((q(), q() * t)) for _ in range(order - 2)])
+
+
+def _rows_or_error(run):
+    """The rows that ``run()`` returns, each coefficient with its type, or
+    the class and message of what it raised."""
+    try:
+        j = run()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return ([(type(c), c) for c in j.betas + j.gammas], j.terminated,
+            j.repeat)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(JACOBI_DRAWS),
+       st.integers(1, 14))
+def test_jacobi_rows_match_the_full_row_loop(seed, kind, order):
+    """jacobi_from_moments grows its sigma table level by level; it gives
+    the rows of the full-row loop type for type, or the same error class
+    and message, after the same exact divisions on the same operands."""
+    mf = _jacobi_draw(random.Random(seed), kind, order)
+    levels = mf.order // 2
+    calls = {"new": [], "full": []}
+
+    def spy(side):
+        def div(a, b):
+            calls[side].append(((type(a), a), (type(b), b)))
+            return exact_div(a, b)
+        return div
+
+    with mock.patch.object(functionals, "exact_div", spy("new")):
+        got = _rows_or_error(lambda: jacobi_from_moments(mf, levels))
+    want = _rows_or_error(lambda: jacobi_rows_full(mf, levels, spy("full")))
+    assert got == want
+    assert calls["new"] == calls["full"]
+
+
+def _tpoly_ops(run):
+    """The number of TPoly operator calls that ``run()`` makes."""
+    count = [0]
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+             "__rmul__", "__neg__", "__truediv__", "__rtruediv__")
+
+    def counted(op):
+        def wrapper(*args):
+            count[0] += 1
+            return op(*args)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(
+                TPoly, name, counted(getattr(TPoly, name))))
+        run()
+    return count[0]
+
+
+def test_a_failing_jacobi_run_costs_the_same_at_any_order():
+    """The rows of a formal free power leave Q[t] at an early level; the
+    division that fails there costs as many TPoly operations at order 64
+    as at order 32, not a full sigma row more per level."""
+    t = TPoly((0, 1))
+    rng = random.Random(32)
+    moments = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(64)]
+    ops = []
+    for order in (32, 64):
+        mu_t = free_power(MomentFunctional(order, moments), t)
+
+        def run():
+            with pytest.raises(ExactDivisionError):
+                jacobi_from_moments(mu_t, order // 2)
+        ops.append(_tpoly_ops(run))
+    assert ops[0] == ops[1] > 0

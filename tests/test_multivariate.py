@@ -934,22 +934,29 @@ def test_each_word_kernel_satisfies_its_equation(seed, shape, mode):
                     .items()) == dict(mu.items())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["<", "=", ">"]),
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["<", "=", ">", "p"]),
        st.integers(1, 3))
 def test_add_products_matches_a_triple_loop(seed, shape, n_p):
-    """The fill kernel against the plain loop over (p, g, i), along either
+    """The fill kernel against the plain loop over (p, g, i), along each
     axis, with None marks in row, x and y: an entry that gets no term keeps
-    its None."""
+    its None.  Shape "p" draws n_g, n_i <= 3 and n_p up to 9, longer than
+    both, with mostly None entries."""
     rng = random.Random(seed)
-    n_g = rng.randint(1, 9)
-    n_i = {"<": rng.randint(n_g + 1, 10), "=": n_g,
-           ">": rng.randint(1, n_g - 1) if n_g > 1 else None}[shape]
-    if n_i is None:
-        n_g, n_i = n_g + 1, n_g
+    none_rate = 0.4
+    if shape == "p":
+        n_g, n_i = rng.randint(1, 3), rng.randint(1, 3)
+        n_p = rng.randint(max(n_g, n_i) + 1, 9)
+        none_rate = rng.choice((0.4, 0.7, 0.9))
+    else:
+        n_g = rng.randint(1, 9)
+        n_i = {"<": rng.randint(n_g + 1, 10), "=": n_g,
+               ">": rng.randint(1, n_g - 1) if n_g > 1 else None}[shape]
+        if n_i is None:
+            n_g, n_i = n_g + 1, n_g
 
     def draw(n):
-        return [None if rng.random() < 0.4 else rng.randint(-5, 5)
+        return [None if rng.random() < none_rate else rng.randint(-5, 5)
                 for _ in range(n)]
 
     row, x, y = draw(n_p * n_g * n_i), draw(n_g), draw(n_p * n_i)

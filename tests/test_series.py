@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction, Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeconv import series as engine
 from freeconv.coeffs import TPoly, formal_t
 from freeconv.series import (
     CompositionDomainError,
@@ -212,6 +214,59 @@ def test_generic_path_matches_fraction_model(seed, order):
     coeffs = _check_against_model(seed, order, poly=True)
     assert any(isinstance(c, TPoly) for c in coeffs)
 
+
+
+def _reversion_by_series_products(f):
+    """Lagrange inversion with v^k as whole series: one TruncSeries product
+    per power, one coefficient read off each, [z^k] = [z^(k-1)] v^k / k."""
+    v = f.shift_down(1).reciprocal()
+    p, out = v, [F(0), v.coeff(0)]
+    for k in range(2, f.order + 1):
+        p = p * v
+        out.append(p.coeff(k - 1) / k)
+    return TruncSeries(f.order, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=40),
+       st.sampled_from(["q", "poly", "mixed"]))
+def test_reversion_matches_the_series_product_loop(seed, order, ring):
+    """Reversion over Q runs its powers on ints, one convolution each; it
+    gives the coefficients of the loop on whole series, type for type, on
+    zero-heavy series whose linear coefficient is not +-1.  A series with a
+    TPoly among c_1..c_n keeps the generic loop, with no convolution; it is
+    drawn at orders up to 12, where that loop stays fast."""
+    rng = random.Random(seed)
+    if ring != "q":
+        order = min(order, 12)
+    t = formal_t()
+
+    def q():
+        return F(rng.choice((0, 0, 0, 0, 1, -1, 2, -3, 7)),
+                 rng.choice((1, 1, 2, 3, 5, 9)))
+
+    cs = [F(0), F(rng.choice((-7, -3, -2, 2, 3, 5)), rng.choice((1, 2, 3, 4)))]
+    cs += [q() for _ in range(order - 1)]
+    if ring == "poly":
+        cs = [TPoly.constant(c) for c in cs[:2]] + [c + q() * t for c in cs[2:]]
+    elif ring == "mixed":
+        for k in rng.sample(range(1, order + 1), rng.randint(1, order)):
+            cs[k] = TPoly.constant(cs[k]) if k == 1 else cs[k] + q() * t
+    f = TruncSeries(order, cs)
+    convolutions, kernel = [], engine._convolve
+
+    def convolve(*args):
+        convolutions.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(engine, "_convolve", convolve):
+        got = f.reversion()
+    want = _reversion_by_series_products(f)
+    assert got.order == want.order == order
+    assert [(type(c), c) for c in got.coeffs()] == \
+        [(type(c), c) for c in want.coeffs()]
+    assert len(convolutions) == (order - 1 if ring == "q" else 0)
 
 def test_t_derivative():
     t = formal_t()

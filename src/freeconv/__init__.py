@@ -2,12 +2,13 @@
 
 Truncated power series over Q and Q[t] drive an exact implementation of the
 free, Boolean, monotone and two-state free convolutions, Jacobi-parameter
-conversions, the evolution operators (Phi, coefficient stripping, the
-Bercovici-Pata and Belinschi-Nica maps, subordination distributions) and a
-catalog of machine-verified identities, in one and several non-commuting
-variables.
+conversions and the evolution operators (Phi, coefficient stripping, the
+Bercovici-Pata and Belinschi-Nica maps, subordination distributions), in one
+and several non-commuting variables; ``catalog`` checks the paper's
+identities on them exactly.
 """
 
+from .catalog import CATALOG, NC_CATALOG, Check, VerifyReport, nc_verify, verify
 from .coeffs import ExactDivisionError, TPoly, formal_t
 from .convolutions import (
     boolean_convolve,
@@ -20,9 +21,6 @@ from .convolutions import (
     two_state_power,
 )
 from .evolution import (
-    CATALOG,
-    Check,
-    VerifyReport,
     belinschi_nica,
     bercovici_pata,
     bercovici_pata_inverse,
@@ -36,7 +34,6 @@ from .evolution import (
     subordination_inverse,
     triple_from_semigroup,
     two_state_semigroup,
-    verify,
 )
 from .functionals import (
     CanonicalTriple,
@@ -58,7 +55,6 @@ from .functionals import (
     semicircular,
 )
 from .multivariate import (
-    NC_CATALOG,
     NCFunctional,
     NCPair,
     nc_bp,
@@ -79,7 +75,6 @@ from .multivariate import (
     nc_tilde_from_two_state_r,
     nc_to_univariate,
     nc_two_state_r,
-    nc_verify,
 )
 from .oracle import (
     SetPartition,

@@ -12,6 +12,8 @@ import argparse
 import sys
 
 from . import docs
+from .catalog import (CATALOG, NC_CATALOG, class_names, entry, entry_params,
+                      nc_capped_order, nc_entry_d, verify, verify_order)
 from .coeffs import ExactDivisionError, formal_t
 from .convolutions import (
     boolean_convolve,
@@ -24,12 +26,9 @@ from .convolutions import (
 )
 from .docs import DocumentError
 from .evolution import (
-    CATALOG,
     belinschi_nica,
     bercovici_pata,
     bercovici_pata_inverse,
-    class_names,
-    entry_params,
     phi_map,
     phi_two,
     strip,
@@ -38,8 +37,6 @@ from .evolution import (
     triple_from_semigroup,
     two_state_semigroup,
     maassen_semigroup,
-    verify,
-    verify_order,
 )
 from .functionals import (
     CanonicalTriple,
@@ -49,13 +46,6 @@ from .functionals import (
     TwoStatePair,
     ZeroVarianceError,
     jacobi_from_moments,
-)
-from .multivariate import (
-    NC_CATALOG,
-    nc_capped_order,
-    nc_entry_d,
-    nc_verify,
-    nc_verify_order,
 )
 from .oracle import (
     boolean_cumulants_oracle,
@@ -275,34 +265,31 @@ def _verify_entries(args, runs, params):
     gets those it takes, by name and class, and each must go to some entry."""
     planned = []
     refused = {}  # parameter -> the first entry to refuse its class, and why
-    for run_name, order in runs:
-        fn, order_of, catalog = ((nc_verify, nc_verify_order, NC_CATALOG)
-                                 if run_name.startswith("nc:")
-                                 else (verify, verify_order, CATALOG))
-        name = run_name.removeprefix("nc:")
+    for name, order in runs:
         own = params
         if len(runs) > 1:  # the names of several come from the catalogs
-            takes = entry_params(catalog[name][0])
+            takes = entry_params(entry(name)[0])
             own = {k: v for k, v in params.items()
                    if k in takes and isinstance(v, takes[k])}
             for k in takes.keys() & params.keys() - own.keys():
                 refused.setdefault(
-                    k, f" as given: {run_name} wants {class_names(takes[k])}")
-        order_of(name, order, own)
-        planned.append((fn, catalog, name, order, own))
+                    k, f" as given: {name} wants {class_names(takes[k])}")
+        verify_order(name, order, own)
+        planned.append((name, order, own))
     unused = set(params).difference(*(own for *_, own in planned))
     if unused:
         raise ValueError("; ".join(f"no entry takes parameter {k}"
                                    f"{refused.get(k, '')}"
                                    for k in sorted(unused)))
     reports = []
-    for fn, catalog, name, order, own in planned:
-        rep = fn(name, params=own, order=order, seed=args.seed)
-        asked = catalog[name][1] if args.order is None else args.order
+    for name, order, own in planned:
+        rep = verify(name, params=own, order=order, seed=args.seed)
+        asked = entry(name)[1] if args.order is None else args.order
         if rep.order != asked:
             rep.notes.append(f"run at order {rep.order}, the largest the word "
                              f"layer's size rule nc_max_order admits at d = "
-                             f"{nc_entry_d(name, own)}, not at "
+                             f"{nc_entry_d(name.removeprefix('nc:'), own)}, "
+                             f"not at "
                              f"{'the default ' if args.order is None else ''}"
                              f"{asked}")
         skipped = [k for k in params if k not in own]
@@ -471,7 +458,7 @@ def build_parser():
     q.add_argument("--d", type=int, action="append",
                    help="alphabet size (default 2); with the order, at most "
                         "the words and n^2 d^n work of d = 4 at order 8 "
-                        "(multivariate.nc_max_order), to which a default "
+                        "(catalog.nc_max_order), to which a default "
                         "order, or the --order of 'all', is lowered")
     run_options(q, _cmd_nc)
 

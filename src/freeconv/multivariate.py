@@ -39,24 +39,26 @@ are.  A power's t is a Fraction or a TPoly and scales an NCFunctional's
 values, so every power takes the graded path.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
-test suite asserts this.
+test suite asserts this.  The word layer's verify entries are in ``catalog``.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from fractions import Fraction
 
-from .coeffs import ZERO, ONE, TPoly, _canonical, as_coeff, formal_t
-from .convolutions import free_convolve, free_power
-from .docs import MAX_ORDER
-from .evolution import (Coeff, VerifyReport, _BadParameter, _entry_order, _q,
-                        _run_entry, check_eq, maassen_semigroup, strip,
-                        subordination_inverse, two_state_semigroup)
-from .functionals import (CanonicalTriple, JacobiParams, MomentFunctional,
-                          free_meixner, jacobi_from_moments, semicircular)
+from .coeffs import ZERO, ONE, TPoly, as_coeff
+from .functionals import MomentFunctional
 from .transforms import _Majorant, _grade, _pack, _unpack
+
+
+def __getattr__(name):
+    # perfbench/workloads.py reads multivariate.NC_CATALOG, served on first
+    # use from ``catalog``, which imports this module
+    if name == "NC_CATALOG":
+        from .catalog import NC_CATALOG
+        return NC_CATALOG
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def words(d, order):
@@ -623,200 +625,3 @@ def nc_subordination_inverse(lam, nu):
             _r(d, order, _composition(d, order, x, m)), _r(d, order, m),
             _minus)),
         d, order, lam.truncate(order)._m, nu.truncate(order)._m))
-
-
-# -- verification ---------------------------------------------------------------
-
-
-def _nc_functional(value, rng, d, order):
-    """A supplied word functional over 1..d of order >= ``order``, truncated
-    to it, or one drawn from ``rng`` when None."""
-    if value is None:
-        return NCFunctional(d, order, {
-            w: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            for w in words(d, order)})
-    if value.d != d or value.order < order:
-        raise _BadParameter(value, f"want a word functional over 1..{d} of "
-                                   f"order >= {order}, got d = {value.d} and "
-                                   f"order {value.order}")
-    return value.truncate(order)
-
-
-def _nc_verify_composition(order, rng, d=2, mu: NCFunctional = None,
-                           nu: NCFunctional = None):
-    mu = _nc_functional(mu, rng, d, order)
-    nu = _nc_functional(nu, rng, d, order)
-    lam = nc_subordination(mu, nu)
-    lhs = nc_free_convolve(mu, nu)
-    rhs = _composition_product(lam, nu)
-    checks = [
-        check_eq("1 + M^{mu boxplus nu} = "
-                 "(1 + M^{mu|>nu})(1 + M^nu(z_i(1+M^{mu|>nu})))", lhs, rhs),
-        check_eq("mu |> nu inverts: subordination_inverse recovers mu",
-                 nc_subordination_inverse(lam, nu), mu),
-    ]
-    return checks, []
-
-
-def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
-                          tau: NCFunctional = None, beta_t: list = None,
-                          gamma_t: Coeff = None):
-    rho_t = _nc_functional(rho_t, rng, d, order)
-    tau = _nc_functional(tau, rng, d, order)
-    if beta_t is None:
-        beta_t = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                  for _ in range(d)]
-    elif len(beta_t) != d:
-        raise _BadParameter(beta_t, f"want a list of {d} rationals")
-    gamma_t = _q(gamma_t, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
-    t = formal_t()
-    mu = nc_subordination(tau, rho_t)
-    mu_t = nc_free_power(mu, t)
-    # two-state R: R~ = t beta~.z + t gamma~ sum_i z_i (1+M^{rho~}) z_i
-    r2, gt = {}, gamma_t * t
-    for i in range(1, d + 1):
-        r2[(i,)] = as_coeff(beta_t[i - 1]) * t
-        r2[(i, i)] = gt
-        for w, c in rho_t.items():
-            if len(w) + 2 <= order:
-                r2[(i,) + w + (i,)] = gt * c
-    tilde = nc_tilde_from_two_state_r(r2, mu_t)
-    inner = nc_free_convolve(rho_t.truncate(order - 2),
-                             nc_free_power(tau, t).truncate(order - 2))
-    rhs = nc_boolean_convolve(
-        nc_point_mass([as_coeff(x) * t for x in beta_t], d, order),
-        nc_boolean_power(nc_phi(inner).truncate(order), gt))
-    checks = [check_eq(
-        "mu~_t = delta_{t beta~} uplus "
-        "Phi[rho~ boxplus tau^{boxplus t}]^{uplus gamma~ t}", tilde, rhs)]
-    return checks, []
-
-
-def _nc_verify_recover_tau(order, rng, b_t: Coeff = Fraction(1, 2),
-                           c_t: Coeff = Fraction(2), b: Coeff = Fraction(-1),
-                           c: Coeff = Fraction(1), beta_t: Coeff = Fraction(1),
-                           gamma_t: Coeff = Fraction(3, 2),
-                           beta: Coeff = Fraction(1, 3),
-                           gamma: Coeff = Fraction(2), t: Coeff = Fraction(1)):
-    # d = 1 reduction: recover tau from a two-state free Meixner semigroup and
-    # reproduce its Jacobi display, cross-checked against the single-variable path.
-    b_t, c_t, b, c, beta_t, gamma_t, beta, gamma, t = (
-        _q(v, None) for v in (b_t, c_t, b, c, beta_t, gamma_t, beta, gamma, t))
-    rho = semicircular(b, c, order - 2)
-    rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
-    rel = CanonicalTriple(beta_t, gamma_t, rho_t.truncate(order - 2))
-    base = CanonicalTriple(beta, gamma, rho)
-    pair = two_state_semigroup(rel, base, t, order)
-    mu = maassen_semigroup(base, 1, order)
-    tau_nc = nc_subordination_inverse(nc_from_univariate(mu),
-                                      nc_from_univariate(rho_t))
-    tau = nc_to_univariate(tau_nc)
-    tau_sv = subordination_inverse(mu, rho_t)
-    expect = JacobiParams((beta,), (gamma,),
-                          repeat=(beta + b - b_t, gamma + c - c_t))
-    checks = [
-        check_eq("d=1 reduction: nc path matches single-variable inverse",
-                 tau, tau_sv),
-        check_eq("J(tau) = (beta, beta+b-b~, ...; gamma, gamma+c-c~, ...)",
-                 jacobi_from_moments(tau, order // 2), expect),
-        check_eq("J[mu~_t] = rho~ boxplus tau^{boxplus t} (J-level display)",
-                 strip(pair.tilde), free_convolve(rho_t, free_power(tau, t))),
-    ]
-    return checks, []
-
-
-NC_CATALOG = {
-    "composition": (_nc_verify_composition, 6),
-    "final-prop": (_nc_verify_final_prop, 6),
-    "recover-tau": (_nc_verify_recover_tau, 8),
-}
-
-# As evolution.MIN_ORDER; nc_max_order caps every entry.
-NC_MIN_ORDER = {"composition": 3, "final-prop": 3, "recover-tau": 4}
-
-# The word layer's size rule, set by one measured corner: final-prop, the
-# slowest entry, at d = 4 and order 8.  The number of words grows as d^n and
-# the fill's work as n^2 d^n, so nc_max_order admits no more words than
-# (4, 8) up to order 8, and no more n^2 d^n past it.  final-prop, in-process
-# at seed 0 (CPython 3.11.7, a 2-core x86 host whose speed drifts by up to
-# 2x between sessions), on the dense-row fill, at corners the rule admits:
-# (4, 8) 4.5-9.8 s and 183 MB (6 runs in two sessions), (2, 14) 5.3-9.0 s
-# and 161 MB (6 runs), (1, 64) 5.6-8.6 s and 20 MB (16 runs), (3, 9) 2.0 s
-# and 83 MB, (6, 6) 2.2 s and 108 MB, (16, 4) 1.8 s and 99 MB, (40, 3)
-# 1.6 s and 91 MB.  Bare n^2 d^n would admit corners past (4, 8), which on
-# the earlier per-word fill took 12.5 s and 224 MB at (5, 7), 13.4 s and
-# 250 MB at (20, 4) and 29.9 s and 537 MB at (75, 3); and at d = 1 it would
-# admit every order up to 2048, so docs.MAX_ORDER bounds n as it bounds a
-# document's order.
-_NC_WORK = 4 ** 8 * 8 ** 2
-
-
-def nc_max_order(d):
-    """The largest order a word-layer verify entry runs at over an alphabet
-    of size d >= 1: the largest n <= docs.MAX_ORDER with
-    d^n max(n, 8)^2 <= 4^8 8^2, or 0 if there is none."""
-    n = 0
-    while n < MAX_ORDER and d ** (n + 1) * max(n + 1, 8) ** 2 <= _NC_WORK:
-        n += 1
-    return n
-
-
-def nc_entry_d(name, params=()):
-    """The alphabet size the word-layer entry ``name`` runs at: ``params``'
-    d (see nc_verify_d), else the entry's default; 1 for an entry that takes
-    no d (recover-tau, a d = 1 reduction)."""
-    takes = inspect.signature(NC_CATALOG[name][0]).parameters.get("d")
-    if takes is None:
-        return 1
-    return nc_verify_d(params["d"]) if "d" in params else takes.default
-
-
-def nc_capped_order(name, order, params=()):
-    """``order`` lowered to nc_max_order at the d the word-layer entry
-    ``name`` runs at, but not below the entry's minimum order: an order the
-    rule refuses there stays refused."""
-    high = nc_max_order(nc_entry_d(name, params))
-    return min(order, max(high, NC_MIN_ORDER[name]))
-
-
-def nc_verify_order(name, order=None, params=()):
-    """The order ``nc_verify(name, params, order)`` runs at; makes d an int.
-    None is the entry's default order, capped by nc_capped_order.  Raises
-    ValueError as evolution.verify_order does, for an order past
-    nc_max_order of the entry's d, and where that is below the entry's
-    minimum order."""
-    asked = order
-    order = _entry_order("nc verify", NC_CATALOG, NC_MIN_ORDER, name, order,
-                         params)
-    if asked is None:
-        order = nc_capped_order(name, order, params)
-    d = nc_entry_d(name, params)
-    if "d" in params:
-        params["d"] = d
-    high, low = nc_max_order(d), NC_MIN_ORDER[name]
-    if high < low:
-        raise ValueError(f"nc verify entry {name!r} runs at no order at d = "
-                         f"{d}: nc_max_order admits at most {high}, below its "
-                         f"minimum order {low}")
-    if order > high:
-        raise ValueError(f"nc verify entry {name!r} at d = {d} needs an order "
-                         f"<= {high} (nc_max_order), got {order}")
-    return order
-
-
-def nc_verify_d(d):
-    """The alphabet size ``d`` as an int, or ValueError unless it is an
-    integer >= 1 (a bool is not; an integral Fraction, as the CLI parses
-    ``--param d=3``, is)."""
-    if isinstance(d, Fraction) and d.denominator == 1:
-        d = d.numerator
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d}")
-    return d
-
-
-def nc_verify(name, params=None, order=None, seed=0):
-    params = dict(params or {})
-    order = nc_verify_order(name, order, params)
-    return VerifyReport(f"nc:{name}", order, *_run_entry(
-        "nc verify", NC_CATALOG, name, order, params, seed))

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 
+from freeconv.catalog import nc_verify, verify
 from freeconv.cli import run as cli_run
 from freeconv.coeffs import formal_t
 from freeconv.convolutions import (
@@ -26,7 +27,6 @@ from freeconv.evolution import (
     strip,
     subordination,
     two_state_semigroup,
-    verify,
 )
 from freeconv.functionals import (
     JacobiParams,
@@ -40,7 +40,6 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
-from freeconv.multivariate import nc_verify
 from freeconv.oracle import boolean_cumulants_oracle, free_cumulants_oracle
 from freeconv.transforms import eta_from_moments, r_from_moments
 

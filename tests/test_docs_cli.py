@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import freeconv
-from freeconv import cli, docs, evolution, oracle
+from freeconv import catalog, cli, docs, evolution, oracle
+from freeconv.catalog import (NC_CATALOG, NC_MIN_ORDER, nc_entry_d,
+                              nc_max_order, nc_verify_d, verify_order)
 from freeconv.cli import build_parser, run
 from freeconv.coeffs import formal_t
 from freeconv.docs import DocumentError
@@ -23,9 +25,6 @@ from freeconv.functionals import (
     moments_from_jacobi,
     semicircular,
 )
-from freeconv.multivariate import (NC_CATALOG, NC_MIN_ORDER, nc_entry_d,
-                                   nc_max_order, nc_verify_d,
-                                   nc_verify_order)
 from freeconv.oracle import MAX_ORACLE_ORDER
 from freeconv.series import TruncSeries
 
@@ -274,11 +273,11 @@ def test_cli_violation_with_a_long_residual_exits_1(monkeypatch, capsys):
     big = F(10 ** 5000)
 
     def violated(order, rng):
-        return [evolution.check_eq("big", MomentFunctional(1, (big,)),
-                                   MomentFunctional(1, (big + 1,))),
-                evolution.check_zero("zero", TruncSeries(0, (big,)))], []
+        return [catalog.check_eq("big", MomentFunctional(1, (big,)),
+                                 MomentFunctional(1, (big + 1,))),
+                catalog.check_zero("zero", TruncSeries(0, (big,)))], []
 
-    monkeypatch.setitem(evolution.CATALOG, "pde", (violated, 8))
+    monkeypatch.setitem(catalog.CATALOG, "pde", (violated, 8))
     before = _LIMIT and _LIMIT()
     assert run(["verify", "pde"]) == 1
     assert (_LIMIT and _LIMIT()) == before
@@ -652,9 +651,9 @@ def _record_entries(monkeypatch):
             return [], []
         return entry
 
-    for catalog, prefix in ((evolution.CATALOG, ""), (NC_CATALOG, "nc:")):
-        for name, (fn, default) in catalog.items():
-            monkeypatch.setitem(catalog, name,
+    for entries, prefix in ((catalog.CATALOG, ""), (NC_CATALOG, "nc:")):
+        for name, (fn, default) in entries.items():
+            monkeypatch.setitem(entries, name,
                                 (recorder(prefix + name, fn), default))
     return ran
 
@@ -712,7 +711,7 @@ def test_word_layer_size_rule(monkeypatch, capsys):
         for d in (1, 2, 3, 4) if name != "recover-tau" else (1,):
             params = {} if name == "recover-tau" else {"d": d}
             for n in range(low, 9):
-                assert nc_verify_order(name, n, params) == n
+                assert verify_order(f"nc:{name}", n, params) == n
     ran = _record_entries(monkeypatch)
     for d, n in ((1, 65), (2, 15), (3, 10), (5, 7), (41, 3)):
         argvs = [["verify", "nc:composition", "--param", f"d={d}",
@@ -779,8 +778,8 @@ def test_cli_default_word_layer_order_is_capped(monkeypatch, capsys):
     """Without --order a word-layer entry runs at its default order lowered
     to the size rule at its d, with a note; an explicit order past the rule
     for one entry still exits 2."""
-    assert nc_verify_order("final-prop", None, {"d": 7}) == 5
-    assert nc_verify_order("final-prop", None, {"d": 4}) == 6
+    assert verify_order("nc:final-prop", None, {"d": 7}) == 5
+    assert verify_order("nc:final-prop", None, {"d": 4}) == 6
     ran = _record_entries(monkeypatch)
     reports = _nc_reports(["nc", "verify", "final-prop", "--d", "7"], capsys)
     assert reports["nc:final-prop"][0] == 5
@@ -833,15 +832,15 @@ def test_cli_deterministic_output(tmp_path, capsys):
 
 
 ENTRY_MIN_ORDERS = (
-    [(name, low) for name, low in evolution.MIN_ORDER.items()]
+    [(name, low) for name, low in catalog.MIN_ORDER.items()]
     + [(f"nc:{name}", low) for name, low in NC_MIN_ORDER.items()])
 
 
 def test_min_orders_cover_the_catalogs():
-    assert set(evolution.MIN_ORDER) == set(evolution.CATALOG)
+    assert set(catalog.MIN_ORDER) == set(catalog.CATALOG)
     assert set(NC_MIN_ORDER) == set(NC_CATALOG)
-    for name, (_, default) in evolution.CATALOG.items():
-        assert evolution.MIN_ORDER[name] <= default
+    for name, (_, default) in catalog.CATALOG.items():
+        assert catalog.MIN_ORDER[name] <= default
     for name, (_, default) in NC_CATALOG.items():
         assert NC_MIN_ORDER[name] <= default <= nc_max_order(nc_entry_d(name))
 
@@ -884,7 +883,7 @@ def test_cli_verify_all_caps_word_layer_order(monkeypatch, capsys):
         assert out["verified"]
         nc_orders = dict(zip((f"nc:{name}" for name in NC_CATALOG), capped))
         orders = {r["name"]: r["order"] for r in out["reports"]}
-        assert orders == {**{name: order for name in evolution.CATALOG},
+        assert orders == {**{name: order for name in catalog.CATALOG},
                           **nc_orders}
         for r in out["reports"]:
             noted = any("nc_max_order" in note for note in r["notes"])
@@ -904,7 +903,7 @@ def test_cli_consistency_error_exits_4(monkeypatch, capsys):
     def broken(order, rng):
         raise ConsistencyError("paths disagree")
 
-    monkeypatch.setitem(evolution.CATALOG, "pde", (broken, 8))
+    monkeypatch.setitem(catalog.CATALOG, "pde", (broken, 8))
     assert run(["verify", "pde"]) == 4
     assert "internal error: paths disagree" in capsys.readouterr().err
     assert not issubclass(ConsistencyError, AssertionError)
@@ -966,7 +965,6 @@ def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
     takes p and the class it wants."""
     ran = []
     monkeypatch.setattr(cli, "verify", lambda name, **kw: ran.append(name))
-    monkeypatch.setattr(cli, "nc_verify", lambda name, **kw: ran.append(name))
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert ran == [] and captured.out == ""
@@ -982,12 +980,15 @@ def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
      "supplied parameters give degenerate Jacobi rows"),
     (["verify", "two-state-meixner", "--param", "t=0"],
      "supplied parameters give degenerate Jacobi rows"),
+    (["verify", "two-state-meixner", "--param", "c_t=1", "--param",
+      "gamma=-1", "--param", "t=1"],
+     "supplied parameters give degenerate Jacobi rows"),
 ))
 def test_cli_verify_refuses_parameters_that_break_the_entry(
         argv, message, capsys):
     """general-b divides by c~ and gamma, and two-state-meixner's displays
-    need every gamma row nonzero: a zero there is a usage error, not a
-    domain error or a reported violation."""
+    need every gamma row nonzero: a zero there, from supplied values alone,
+    is a usage error, not a domain error or a reported violation."""
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1007,13 +1008,13 @@ def test_a_wrong_kind_parameter_shared_by_two_keys_is_named_by_value(
     value = object()
 
     def entry(order, rng, a=None, b=None):
-        evolution._functional(a, order, rng)
+        catalog._functional(a, order, rng)
 
-    monkeypatch.setitem(evolution.CATALOG, "pde", (entry, 4))
+    monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 4))
     with pytest.raises(ValueError, match="parameter a: want a moment functional"):
-        evolution.verify("pde", params={"a": value, "b": 1})
+        catalog.verify("pde", params={"a": value, "b": 1})
     with pytest.raises(ValueError, match="parameter value <object"):
-        evolution.verify("pde", params={"a": value, "b": value})
+        catalog.verify("pde", params={"a": value, "b": value})
 
 
 @pytest.mark.parametrize("param", ("mu=1/2", "beta=bernoulli", "gamma_t=DOC"))
@@ -1023,7 +1024,6 @@ def test_cli_verify_all_rejects_a_wrong_kind_parameter_before_any_entry_runs(
     rejects a parameter no entry takes in that class up front."""
     ran = []
     monkeypatch.setattr(cli, "verify", lambda name, **kw: ran.append(name))
-    monkeypatch.setattr(cli, "nc_verify", lambda name, **kw: ran.append(name))
     param = param.replace("DOC", write(tmp_path, "mu.json", bernoulli_doc(8)))
     assert run(["verify", "all", "--order", "16", "--param", param]) == 2
     captured = capsys.readouterr()
@@ -1109,7 +1109,7 @@ def test_cli_verify_takes_a_jacobi_document_as_a_functional(monkeypatch,
         seen.append(jp.repeat)
         return moments_from_jacobi(jp, order)
 
-    monkeypatch.setattr(evolution, "moments_from_jacobi", spy)
+    monkeypatch.setattr(catalog, "moments_from_jacobi", spy)
     outs = []
     for rho in (path, "semicircle"):
         assert run(["verify", "free-evolution", "--param", f"rho={rho}",
@@ -1120,9 +1120,9 @@ def test_cli_verify_takes_a_jacobi_document_as_a_functional(monkeypatch,
 
 
 def test_every_entry_parameter_is_annotated_with_what_it_accepts():
-    for catalog in (evolution.CATALOG, NC_CATALOG):
-        for name, (fn, _) in catalog.items():
-            for key, cls in evolution.entry_params(fn).items():
+    for entries in (catalog.CATALOG, NC_CATALOG):
+        for name, (fn, _) in entries.items():
+            for key, cls in catalog.entry_params(fn).items():
                 assert cls is not object or key == "d", (name, key)
 
 

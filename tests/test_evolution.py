@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_convolutions import _draw
 
-from freeconv import evolution
+from freeconv import catalog, evolution
+from freeconv.catalog import CATALOG, MIN_ORDER, check_eq, check_zero, verify
 from freeconv.cli import run
 from freeconv.coeffs import ExactDivisionError, TPoly, evaluate, formal_t
 from freeconv.convolutions import free_convolve, free_power
 from freeconv.evolution import (
-    CATALOG,
-    MIN_ORDER,
     _triple_r_series,
     belinschi_nica,
     bercovici_pata,
     bercovici_pata_inverse,
     cauchy_evolution_residual,
-    check_eq,
-    check_zero,
     maassen_semigroup,
     pde_residual,
     phi_map,
@@ -29,7 +26,6 @@ from freeconv.evolution import (
     subordination_inverse,
     triple_from_semigroup,
     two_state_semigroup,
-    verify,
 )
 from freeconv.functionals import (
     CanonicalTriple,
@@ -44,6 +40,7 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
+from freeconv.multivariate import NCFunctional
 from freeconv.series import TruncSeries
 from freeconv.transforms import (
     _solve_moments,
@@ -439,18 +436,18 @@ def test_cauchy_residual_consistent_with_pde():
     assert res_g == -product
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap each named ``evolution`` function with a counter; returns the
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each named function of ``module`` with a counter; returns the
     dict of counts."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        fn = getattr(evolution, name)
+        fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(evolution, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -463,8 +460,12 @@ def test_evolution_entries_build_each_value_once(monkeypatch, entry, want):
     """generator takes both d_t G~ residuals from one two-state pair and its
     two strips, two-state-meixner strips mu~_t once for both checks that
     read J[mu~_t], and monotone-lemma builds rho~ |> mu_t once for its
-    display and its J check."""
-    counts = _count_calls(monkeypatch, *want)
+    display and its J check.  Each function is counted where it is looked
+    up: by the entry in ``catalog``, or by the operator that generator and
+    monotone-lemma call in ``evolution`` (cauchy_evolution_residual,
+    _tilde_by_monotone)."""
+    module = catalog if entry == "two-state-meixner" else evolution
+    counts = _count_calls(monkeypatch, module, *want)
     assert verify(entry).verified
     assert counts == want
 
@@ -491,6 +492,21 @@ def test_verify_sweep_seeds_and_low_orders(name, seed, extra):
                                        for c in rep.checks if not c.ok])
 
 
+def test_two_state_meixner_redraws_what_was_not_supplied():
+    """With t = 1 supplied, a draw that zeroes a gamma row (such as c~ = 1
+    and gamma = -1, at seed 0) is drawn again, not blamed on t; only
+    supplied values that zero a row alone are refused."""
+    for seed in range(200):
+        rep = verify("two-state-meixner", params={"t": F(1)}, order=6,
+                     seed=seed)
+        assert rep.verified, seed
+    for params in ({"t": F(0)}, {"c_t": F(1), "gamma": F(-1), "t": F(1)},
+                   {"gamma": F(1), "c": F(1), "c_t": F(2)}):
+        with pytest.raises(ValueError, match="^supplied parameters give "
+                           "degenerate Jacobi rows$"):
+            verify("two-state-meixner", params=params, order=6)
+
+
 def test_verify_accepts_explicit_params():
     rep = verify("meixner-subord", params={"b": F(1), "c": F(1), "beta": F(0),
                                            "gamma": F(1), "beta2": F(0),
@@ -514,10 +530,19 @@ def test_check_eq_reports_residual():
 def test_check_eq_locates_the_residual_on_every_value_kind():
     """The residual names the first coefficient that differs: m_k of a
     functional, the component of a pair, [z^k] of a Laurent series at
-    infinity or of a power series, or both values when their kinds differ."""
+    infinity or of a power series, m_w of a word functional, shortest word
+    first and then by rank, or its d, or both values when their kinds
+    differ."""
     sigma, sigma2 = semicircular(0, 1, 6), semicircular(0, 2, 6)
     m2 = "m_2: Fraction(1, 1) != Fraction(2, 1)"
+    words = NCFunctional(2, 3, {(2,): 1, (1, 1): 1, (2, 1): 1})
     cases = (
+        (words, NCFunctional(2, 3, {(2,): 2, (1, 1): 1}),
+         "m_(2,): Fraction(1, 1) != Fraction(2, 1)"),
+        (words, NCFunctional(2, 2, {(2,): 1, (1, 1): 1, (1, 2): 4}),
+         "m_(1, 2): Fraction(0, 1) != Fraction(4, 1)"),
+        (words, NCFunctional(3, 3, {(2,): 1, (1, 1): 1, (2, 1): 1}),
+         "d: 2 != 3"),
         (TwoStatePair(sigma, sigma), TwoStatePair(sigma2, sigma),
          f"tilde: {m2}"),
         (TwoStatePair(sigma, sigma), TwoStatePair(sigma, sigma2),
@@ -532,10 +557,10 @@ def test_check_eq_locates_the_residual_on_every_value_kind():
          f"{sigma!r} != {r_from_moments(sigma)!r}"),
     )
     for lhs, rhs, detail in cases:
-        assert check_eq("label", lhs, rhs) == evolution.Check(
+        assert check_eq("label", lhs, rhs) == catalog.Check(
             "label", False, detail)
     assert check_zero("label", voiculescu_phi(sigma2) - voiculescu_phi(
-        sigma)) == evolution.Check(
+        sigma)) == catalog.Check(
             "label", False, "residual = <Laurent tail_order=5: (1)/z^1>")
 
 
@@ -543,14 +568,14 @@ def test_cli_prints_the_residual_of_a_failed_semigroup_law(monkeypatch,
                                                            capsys):
     """A two-state convolution that is off by one in every tilde moment
     fails thm-b's semigroup law: exit 1, with the pair's residual."""
-    convolve = evolution.two_state_convolve
+    convolve = catalog.two_state_convolve
 
     def off_by_one(a, b):
         pair = convolve(a, b)
         return TwoStatePair(MomentFunctional(
             pair.order, [m + 1 for m in pair.tilde.moments()]), pair.base)
 
-    monkeypatch.setattr(evolution, "two_state_convolve", off_by_one)
+    monkeypatch.setattr(catalog, "two_state_convolve", off_by_one)
     assert run(["verify", "thm-b", "--order", "6"]) == 1
     out = capsys.readouterr().out
     assert "FAIL [thm-b] semigroup law at rational (s,t) = (1,1)" in out

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeconv import multivariate, transforms
+from freeconv.catalog import NC_CATALOG, NC_MIN_ORDER, nc_verify
 from freeconv.coeffs import ZERO, TPoly, formal_t
 from freeconv.convolutions import boolean_power, free_convolve, free_power
 from freeconv.evolution import (
@@ -19,8 +20,6 @@ from freeconv.evolution import (
 )
 from freeconv.functionals import MomentFunctional
 from freeconv.multivariate import (
-    NC_CATALOG,
-    NC_MIN_ORDER,
     NCFunctional,
     NCPair,
     _composition_product,
@@ -43,7 +42,6 @@ from freeconv.multivariate import (
     nc_tilde_from_two_state_r,
     nc_to_univariate,
     nc_two_state_r,
-    nc_verify,
     nc_zero,
     words,
 )
@@ -377,9 +375,9 @@ def test_nc_verify_rejects_a_beta_t_of_the_wrong_length():
 
 def test_nc_verify_checks_a_supplied_word_functional(monkeypatch):
     """A supplied functional over another alphabet or of a lower order is
-    refused, as evolution's entries refuse a moment functional; a longer one
-    is truncated to the order the report gives, so no word solve runs past
-    it."""
+    refused, as the single-variable entries refuse a moment functional; a
+    longer one is truncated to the order the report gives, so no word solve
+    runs past it."""
     rng = random.Random(8)
     for name, key in (("composition", "mu"), ("composition", "nu"),
                       ("final-prop", "rho_t"), ("final-prop", "tau")):

@@ -457,7 +457,7 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
                          _q(gamma, _rand_q(rng, nonzero=True)),
                          _q(t, Fraction(rng.randint(1, 4), rng.randint(1, 3))))
         zero = [given for row, given in (
-            (gamma_t * tt, (t,)), (g * tt, (gamma, t)), (ct, (c_t,)),
+            (gamma_t * tt, (t,)), (g, (gamma,)), (ct, (c_t,)),
             (cc, (c,)), (ct + g * tt, (c_t, gamma, t)),
             (cc + g * tt, (c, gamma, t)), (g + cc - ct, (gamma, c, c_t)))
             if not row]
@@ -833,7 +833,7 @@ def verify_order(name, order=None, params=()):
         if order is not None and order > high:
             raise ValueError(f"{kind} entry {key!r} at d = {d} needs an order "
                              f"<= {high} (nc_max_order), got {order}")
-        default_order = min(default_order, high)
+        default_order = nc_capped_order(key, default_order, params)
     return default_order if order is None else order
 
 

@@ -980,6 +980,8 @@ def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
      "supplied parameters give degenerate Jacobi rows"),
     (["verify", "two-state-meixner", "--param", "t=0"],
      "supplied parameters give degenerate Jacobi rows"),
+    (["verify", "two-state-meixner", "--param", "gamma=0"],
+     "supplied parameters give degenerate Jacobi rows"),
     (["verify", "two-state-meixner", "--param", "c_t=1", "--param",
       "gamma=-1", "--param", "t=1"],
      "supplied parameters give degenerate Jacobi rows"),

@@ -500,7 +500,8 @@ def test_two_state_meixner_redraws_what_was_not_supplied():
         rep = verify("two-state-meixner", params={"t": F(1)}, order=6,
                      seed=seed)
         assert rep.verified, seed
-    for params in ({"t": F(0)}, {"c_t": F(1), "gamma": F(-1), "t": F(1)},
+    for params in ({"t": F(0)}, {"gamma": F(0)},
+                   {"c_t": F(1), "gamma": F(-1), "t": F(1)},
                    {"gamma": F(1), "c": F(1), "c_t": F(2)}):
         with pytest.raises(ValueError, match="^supplied parameters give "
                            "degenerate Jacobi rows$"):

@@ -33,17 +33,17 @@ other formal symbol a caller reads into it (``counterexample-r`` calls it
 eps).  Ints and Fractions promote into Q[t] on either side of an operator,
 and a constant ``TPoly`` equals and hashes like its ``Fraction``.
 
-Python's operators are the whole ring protocol.  The generic paths of the
-series engine and of the solve kernels use ``+``, ``-`` (binary and unary),
-``*``, ``/``, ``==`` against an int, and truthiness as the zero test, so
-another exact ring plugs in by defining those (the integer fast paths take
-only ``Fraction`` and ``TPoly`` coefficients, a ``TPoly`` packed into an
-int).  ``/`` is exact or raises: ``ExactDivisionError`` when the quotient
-is not a polynomial, ``ZeroDivisionError`` for a zero divisor.  A
-reciprocal is ``ONE / c``, so only nonzero constants have one in Q[t]: no
-operation of the package needs a power series in t (``belinschi_nica``
-expands in 1 + t rather than divide by it, see its docstring).  Beyond the
-operators, ``as_coeff`` admits a value from outside the program, and
+The generic paths of the series engine and of the solve kernels use only
+Python's operators: ``+``, ``-`` (binary and unary), ``*``, ``/``, ``==``
+against an int, and truthiness as the zero test.  The solves run on ints,
+a ``TPoly`` packed into one, and on the operators only past the packed
+path's slack (see ``transforms``).  ``/`` is exact or raises:
+``ExactDivisionError`` when the quotient is not a polynomial,
+``ZeroDivisionError`` for a zero divisor.  A reciprocal is ``ONE / c``, so
+only nonzero constants have one in Q[t]: no operation of the package needs
+a power series in t (``belinschi_nica`` expands in 1 + t rather than divide
+by it, see its docstring).  Beyond the operators, ``as_coeff`` admits a
+value from outside the program, a ``Fraction``, a ``TPoly`` or an int, and
 ``t_derivative`` and ``evaluate`` act on the parameter.
 """
 
@@ -127,7 +127,7 @@ def _dot(start, xs, ys):
     Then every product is scaled to the lcm of the product denominators and
     convolved into one int accumulator, which ``_canonical`` reduces once,
     instead of reducing each product and each partial sum by a gcd.
-    Otherwise the fold runs on the operators, so another ring plugs in.
+    Otherwise the fold runs on the operators.
     """
     if not (type(start) is TPoly or TPoly in map(type, xs)
             or TPoly in map(type, ys)):

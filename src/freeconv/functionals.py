@@ -192,13 +192,23 @@ class JacobiParams:
     def levels(self, n):
         return [self.level(j) for j in range(n)]
 
+    def _ended(self):
+        """(betas, gammas) through the first zero gamma, in the rows or the
+        repeating tail, or None: no path steps down past a zero gamma, so
+        the rows end there, as terminated rows do."""
+        for j, g in enumerate(self.gammas):
+            if not g:
+                return self.betas[:j + 1], self.gammas[:j + 1]
+        if self.repeat is not None and not self.repeat[1]:
+            return self.betas + self.repeat[:1], self.gammas + self.repeat[1:]
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, JacobiParams):
             return NotImplemented
-        if self.terminated != other.terminated:
-            return False
-        if self.terminated:
-            return self.betas == other.betas and self.gammas == other.gammas
+        ends = self._ended(), other._ended()
+        if ends != (None, None):
+            return ends[0] == ends[1]
         n = max(self.depth(), other.depth())
         try:
             return self.levels(n) == other.levels(n)

@@ -33,10 +33,9 @@ packed at t = 2^B (Kronecker substitution), from the operation's input to
 its output.  B comes from one run of the solve at d = 1 on l1 norms, where -
 acts as +: the l1 norm is subadditive and submultiplicative and the kernels
 divide by nothing, so that run bounds every t-digit.  Every output is a
-Fraction when every input value and t is one, and a TPoly otherwise.  Inputs
-holding any other value take the same kernels on their coefficients as they
-are.  A power's t is a Fraction or a TPoly and scales an NCFunctional's
-values, so every power takes the graded path.
+Fraction when no input value and no t is a TPoly, and a TPoly otherwise; a
+plain int grades as its Fraction, and any other value raises TypeError
+before any fill runs.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.  The word layer's verify entries are in ``catalog``.
@@ -95,17 +94,14 @@ class NCFunctional:
 
     @classmethod
     def _filled(cls, d, order, moments):
-        """The functional of a fill's output: nonzero values at words over
-        1..d of length 1..order, so only the order and the ring are checked,
-        the ring only of a value the generic path left neither a
-        ``Fraction`` nor a ``TPoly``."""
+        """The functional of a fill's output: nonzero Fractions or TPolys at
+        words over 1..d of length 1..order, so only the order is checked."""
         if order < 1:
             raise ValueError("order must be >= 1")
         self = object.__new__(cls)
         self.d = d
         self.order = order
-        self._m = {w: c if type(c) in (Fraction, TPoly) else as_coeff(c)
-                   for w, c in moments.items()}
+        self._m = moments
         return self
 
     def m(self, w):
@@ -190,19 +186,14 @@ def nc_to_univariate(ncf):
                             [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
 
 
-def _table(dct, ws):
-    """The rows of a word dict, one per length of ``ws`` (the words of each
-    length by rank), None at a missing or zero word."""
-    return [None] + [[c or None for c in map(dct.get, row)] for row in ws[1:]]
-
-
 def _graded_table(dct, ws, pw, b):
-    """``_table`` of a word dict of Fractions and TPolys, each value c_w as
-    the int c_w D^|w| packed at t = 2^b, for pw[n] = D^n."""
+    """The rows of a word dict, one per length of ``ws`` (the words of each
+    length by rank), each value c_w as the int c_w D^|w| packed at t = 2^b,
+    for pw[n] = D^n, and None at a missing or zero word."""
     return [None] + [[
-        None if c is None else (c.numerator * (p // c.denominator)
-                                if type(c) is Fraction
-                                else _pack(c.nums, b) * (p // c.den)) or None
+        None if c is None
+        else (_pack(c.nums, b) * (p // c.den) if type(c) is TPoly
+              else c.numerator * (p // c.denominator)) or None
         for c in map(dct.get, row)] for row, p in zip(ws[1:], pw[1:])]
 
 
@@ -223,46 +214,35 @@ def _graded_words(solve, d, order, *dicts, t=None):
     dict of its nonzero values.  ``times_t`` maps a graded table to t times
     it, and ``solve`` builds its output from values it has scaled.
 
-    When every value is a ``Fraction`` or a ``TPoly``, ``solve`` gets
-    c_w as the int c_w D^|w| packed at t = 2^B (Kronecker substitution).  D
-    comes from ``transforms._grade`` (a ``TPoly`` counts by its common
-    denominator) times the denominator of t.  Every word transform is
-    weight-homogeneous in |w| and divides by nothing, and a sum or
-    difference of two tables graded by one D is graded by it, so a solve
-    that chains fills on graded inputs stays in Z.  Evaluation at 2^B is a
-    ring map, so each output is its graded polynomial at 2^B.  B is needed
-    only when some value or t is a ``TPoly``; then ``solve`` runs once more
-    first, at d = 1 in ``_Majorant``, a ring where - acts as +, on the
-    largest l1 norm sum_i |[t^i] c_w| D^|w| of each input at each length.
-    The l1 norm is subadditive and submultiplicative, the kernels divide by
-    nothing, and with - as + no term cancels, so a run on larger inputs
-    with more words present bounds the l1 norm, and so every t-digit, of
-    each value of the exact run.  The kernels read positions, not letters,
-    so the run on every word at its length's largest norm gives every word
-    of a length the value of the d = 1 run at that length.  M is its
-    largest output; B = bits(M) + 2.  A rational value packs to its own
-    graded numerator, and without a ``TPoly`` nothing is packed.
+    ``solve`` gets c_w as the int c_w D^|w| packed at t = 2^B (Kronecker
+    substitution).  D comes from ``transforms._grade`` (a ``TPoly`` counts
+    by its common denominator) times the denominator of t.  Every word
+    transform is weight-homogeneous in |w| and divides by nothing, and a
+    sum or difference of two tables graded by one D is graded by it, so a
+    solve that chains fills on graded inputs stays in Z.  Evaluation at 2^B
+    is a ring map, so each output is its graded polynomial at 2^B.  B is
+    needed only when some value or t is a ``TPoly``; then ``solve`` runs
+    once more first, at d = 1 in ``_Majorant``, a ring where - acts as +, on
+    the largest l1 norm sum_i |[t^i] c_w| D^|w| of each input at each
+    length.  The l1 norm is subadditive and submultiplicative, the kernels
+    divide by nothing, and with - as + no term cancels, so a run on larger
+    inputs with more words present bounds the l1 norm, and so every
+    t-digit, of each value of the exact run.  The kernels read positions,
+    not letters, so the run on every word at its length's largest norm
+    gives every word of a length the value of the d = 1 run at that length.
+    M is its largest output; B = bits(M) + 2.  A rational value packs to its
+    own graded numerator, and without a ``TPoly`` nothing is packed.
 
-    The output is over Q when every value and t is: output w comes back as
-    the ``Fraction`` x_w / D^|w|.  Otherwise every output w is a ``TPoly``,
-    read as balanced base-2^B digits over D^|w|.
-
-    A scalar t, a ``Fraction`` or a ``TPoly``, always takes this graded
-    path: its one caller, ``_power``, scales an ``NCFunctional``'s values,
-    which are one or the other.  A raw word dict holding any other value (a
-    plain int, another ring) and no t selects the generic path: ``solve``
-    gets the tables of the values as they are, and the output keeps its
-    values as they are.
+    The output is over Q when no value and no t is a ``TPoly``: output w
+    comes back as the ``Fraction`` x_w / D^|w|.  Otherwise every output w
+    is a ``TPoly``, read as balanced base-2^B digits over D^|w|.  A plain
+    int in a raw word dict grades as its ``Fraction``, and ``_grade``
+    refuses any other value before ``solve`` runs.
     """
     ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
                    for n in range(1, order + 1)]
-    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts))
-    if scale is None:
-        out = solve(d, order, *[_table(dct, ws) for dct in dicts])
-        return {w: c for row_w, row in zip(ws[1:], out[1:])
-                for w, c in zip(row_w, row) if c is not None}
     tn, tq = ((), 1) if t is None else TPoly._parts(t)
-    scale *= tq
+    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts)) * tq
     pw = [1]  # to the longest input word, which may pass the order
     for _ in range(max(order, max(map(len, itertools.chain(*dicts)),
                                   default=0))):

@@ -34,8 +34,9 @@ P(l, r) = _split_sum(l, r, n):
 Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades
 a single-variable solve (``multivariate._graded_words`` is the word
 layer's).  It picks an integer D with c_k D^k integral for every input
-coefficient c_k, a ``TPoly`` by its common denominator, and runs the solve
-on the inputs scaled so, which is the same solve for the series at Dz.
+coefficient c_k, k >= 1, a ``TPoly`` by its common denominator, and runs
+the solve on the inputs scaled so, which is the same solve for the series
+at Dz.
 There W = z(1+M) still has [z^k] W^k = 1, so every unknown is an integer
 combination of integers and the unchanged kernels keep the whole recursion
 in Z.  Over Q output k comes back as the reduced Fraction x_k / D^k.  Over
@@ -48,12 +49,12 @@ k as its balanced base-2^B digits over D^k.  The packed ints carry B bits
 in every t-digit, so a solve whose outputs cancel far below its majorant,
 B passing the largest input norm by more than ``_SLACK`` bits (the inverse
 solves ``r_from_moments`` and ``two_state_r`` at high order), runs on
-``TPoly`` arithmetic instead, as does an input that ``_grade`` cannot
-grade.  Every operation, solve or expansion, gives its outputs one ring,
-as the word layer does: all ``TPoly`` when an input coefficient (or the s
-of an expansion) is one, else all ``Fraction``.  ``_graded`` applies that
-rule to each solve, and each expansion reads its outputs through
-``_as_ring``.
+``TPoly`` arithmetic instead.  ``_grade`` grades every coefficient and
+refuses any other value.  Every operation, solve or expansion, gives its
+outputs one ring, as the word layer does: all ``TPoly`` when an input
+coefficient (or the s of an expansion) is one, else all ``Fraction``.
+``_graded`` applies that rule to each solve, and each expansion reads its
+outputs through ``_as_ring``.
 
 Where the R-transforms are s times known series, as in the semigroups
 mu^{boxplus s} and their two-state twins, W = z(1 + sR(W)) and
@@ -105,14 +106,13 @@ from .series import LaurentAtInfinity, TruncSeries
 
 # -- triangular-solve kernels (coefficient lists indexed by degree) -------------
 #
-# The kernels run unchanged on Fraction, TPoly or plain int coefficients: each
-# power-table row starts from the int 1, which only multiplies nonzero
-# coefficients.  An int operand in hand (``_INTS``: a graded int, packed or
-# not, or a ``_Majorant``) marks the graded integer path, which folds each
-# sum term by term, skipping zero terms.  Any other sum goes to
-# ``coeffs._dot`` as whole slices, and its ring follows the operands it reads
-# (see ``_dot``); ``_graded`` then gives every output of the operation one
-# ring.
+# The kernels run unchanged on graded ints and, past the packed path's slack,
+# on Fraction and TPoly coefficients: each power-table row starts from the
+# int 1, which only multiplies nonzero coefficients.  An int operand in hand
+# (``_INTS``: a graded int, packed or not, or a ``_Majorant``) marks the
+# graded integer path, which folds each sum term by term, skipping zero
+# terms.  Any other sum goes to ``coeffs._dot`` as whole slices;
+# ``_graded`` then gives every output of the operation one ring.
 
 
 def _moment_table(mf):
@@ -122,21 +122,21 @@ def _moment_table(mf):
 
 def _grade(*groups):
     """The one D of a set of inputs, each a group of pairs (k, c_k): grown
-    from 1 so that q divides D^k for every (k, a/q), D <- D q / gcd(q, D^k),
-    in their order.  None when some coefficient is neither a ``Fraction``
-    nor a ``TPoly``, or one with k = 0 is not an integer.  A ``TPoly``
-    counts by its common denominator, so D^k clears every one of its
-    t-coefficients; the solves of both layers pack such values, while
-    ``_expansion`` takes its generic path on them.  Every graded integer
-    path of the single- and multi-variate solves takes D from here."""
+    from 1 so that q divides D^k for every (k, a/q) with k >= 1,
+    D <- D q / gcd(q, D^k), in their order.  A constant term (k = 0) never
+    decides D: no kernel reads index 0 of an input but ``_composition``'s
+    integer leading 1.  A ``TPoly`` counts by its common denominator, so D^k
+    clears every one of its t-coefficients, and a plain int by its
+    denominator 1; any other value raises TypeError, before any fill runs.
+    Every graded integer path of the single- and multi-variate solves takes
+    D from here."""
     d = 1
     for k, c in chain.from_iterable(groups):
-        if type(c) is not Fraction and type(c) is not TPoly:
-            return None
+        if (type(c) is not Fraction and type(c) is not TPoly
+                and not isinstance(c, int)):
+            raise TypeError(f"not a coefficient: {c!r}")
         q = c.denominator
-        if q != 1:
-            if not k:
-                return None
+        if q != 1 and k:
             dk = d ** k
             if dk % q:
                 d *= q // gcd(q, dk)
@@ -145,7 +145,8 @@ def _grade(*groups):
 
 def _scaled(cs, d, b=0):
     """The ints c_k D^k, for coefficients c_k that D^k clears (see
-    ``_grade``), each ``TPoly`` packed at t = 2^b."""
+    ``_grade``), each ``TPoly`` packed at t = 2^b; a constant term that is
+    not an integer, which no kernel reads, comes out 0."""
     row, dk = [], 1
     for c in cs:
         if type(c) is TPoly:
@@ -159,8 +160,8 @@ def _scaled(cs, d, b=0):
 def _graded(solve, *seqs):
     """solve(*seqs), run on graded integers: over Q, and over Q[t] packed.
 
-    When ``_grade`` finds D for the coefficients c_k in degree order, so
-    that D^k clears every c_k (a ``TPoly`` by its common denominator), the
+    ``_grade`` finds D for the coefficients c_k in degree order, so that
+    D^k clears every c_k (a ``TPoly`` by its common denominator), and the
     solve runs on the inputs scaled by z -> Dz.  Every solve is a
     weight-homogeneous recursion with integer coefficients and
     [z^k] W^k = 1, so the kernels keep the entries integral.  Over Q, input
@@ -179,26 +180,22 @@ def _graded(solve, *seqs):
     output, and B = bits(M) + 2 for its largest output M.  When B passes the
     bits of the largest input norm, a bound on every packed input digit, by
     more than ``_SLACK``, the outputs cancel far below their majorant, and
-    the solve takes the generic path.
-
-    Otherwise (an input ``_grade`` cannot grade, or past the slack)
-    ``solve`` gets the sequences as they are, and runs on the ring's
-    operators.  Either way output 0 is as the solve gives it, and every
-    output k >= 1 is a ``TPoly`` when some input coefficient is one, else a
-    ``Fraction``: one ring per operation, as in the word layer.
+    ``solve`` gets the sequences as they are, to run on ``TPoly``
+    arithmetic.  Every output k >= 1 is a ``TPoly`` when some input
+    coefficient is one, else a ``Fraction``: one ring per operation, as in
+    the word layer.
     """
-    poly = _polys(*seqs)
     d = _grade(*map(enumerate, seqs))
-    if d is not None and not poly:
+    if not _polys(*seqs):
         out, dk = [], 1
         for x in solve(*[_scaled(cs, d) for cs in seqs]):
             out.append(Fraction(x, dk))
             dk *= d
         return out
-    b = None if d is None else _width(solve, seqs, d)
+    b = _width(solve, seqs, d)
     if b is None:
         out = solve(*seqs)
-        return out[:1] + _as_ring(out[1:], poly)
+        return out[:1] + _as_ring(out[1:], True)
     xs = solve(*[_scaled(cs, d, b) for cs in seqs])
     out, dk = xs[:1], 1
     for x in xs[1:]:
@@ -210,7 +207,7 @@ def _graded(solve, *seqs):
 # The packed path's limit on the bits that a solve's majorant adds to its
 # inputs.  An inverse solve whose outputs cancel (r_from_moments and
 # two_state_r at high order) reads a majorant far above its true digits, and
-# its packed ints carry that width in every t-digit, where the generic path
+# its packed ints carry that width in every t-digit, where the TPoly path
 # carries only the digits the outputs have.  Measured per solve on the
 # inputs of in-process verify (CPython 3.11, 2-core x86): r_from_moments in
 # bt-semigroup at order 48 reads 126 bits and runs 1.10x faster packed;

@@ -997,6 +997,36 @@ def test_cli_verify_refuses_parameters_that_break_the_entry(
     assert message in captured.err
 
 
+# two-state-meixner refuses a zero gamma row of its displays made of
+# supplied values alone, which a zero c~, c, gamma or t makes
+# (test_cli_verify_refuses_parameters_that_break_the_entry)
+_ZERO_ROWS = {("two-state-meixner", p) for p in ("c_t", "c", "gamma", "t")}
+
+
+@pytest.mark.parametrize("name", [*catalog.CATALOG,
+                                  *(f"nc:{k}" for k in NC_CATALOG)])
+def test_cli_verify_every_coefficient_parameter_at_zero(name, capsys):
+    """Every coefficient parameter of both catalogs, supplied as 0, verifies
+    or is a usage error that names it: exit 2 with "want NonzeroCoeff" and
+    nothing on standard output, for each parameter an entry strips or
+    divides by, before the entry runs.  Never a domain error or a reported
+    violation; nc:recover-tau at c = 0 ends its Jacobi rows at level 1, in
+    both spellings of its display."""
+    for p, cls in catalog.entry_params(catalog.entry(name)[0]).items():
+        if cls not in (catalog.Coeff, catalog.NonzeroCoeff):
+            continue
+        status = run(["verify", name, "--param", f"{p}=0"])
+        captured = capsys.readouterr()
+        if cls is catalog.NonzeroCoeff:
+            assert (status, captured.out) == (2, ""), p
+            assert f"parameter {p}: want NonzeroCoeff" in captured.err, p
+        elif (name, p) in _ZERO_ROWS:
+            assert (status, captured.out) == (2, ""), p
+            assert "degenerate Jacobi rows" in captured.err, p
+        else:
+            assert status == 0, (p, captured.out, captured.err)
+
+
 def test_cli_bt_power_at_t_minus_one_names_the_zero_divisor(tmp_path, capsys):
     b = write(tmp_path, "b.json", bernoulli_doc(8))
     assert run(["power", "--op", "bt", "--t", "-1", b]) == 3

@@ -533,11 +533,22 @@ def test_check_eq_locates_the_residual_on_every_value_kind():
     functional, the component of a pair, [z^k] of a Laurent series at
     infinity or of a power series, m_w of a word functional, shortest word
     first and then by rank, or its d, or both values when their kinds
-    differ."""
+    differ.  == reads only the coefficients both operands carry, so operands
+    that agree on all of them but differ in truncation order fail too, with
+    both orders."""
     sigma, sigma2 = semicircular(0, 1, 6), semicircular(0, 2, 6)
     m2 = "m_2: Fraction(1, 1) != Fraction(2, 1)"
     words = NCFunctional(2, 3, {(2,): 1, (1, 1): 1, (2, 1): 1})
+    longer = semicircular(0, 1, 8)
     cases = (
+        (longer, sigma, "orders differ: 8 != 6"),
+        (TwoStatePair(longer, longer), TwoStatePair(sigma, sigma),
+         "orders differ: 8 != 6"),
+        (voiculescu_phi(longer), voiculescu_phi(sigma),
+         "orders differ: 7 != 5"),
+        (r_from_moments(sigma), r_from_moments(longer),
+         "orders differ: 6 != 8"),
+        (words, words.truncate(2), "orders differ: 3 != 2"),
         (words, NCFunctional(2, 3, {(2,): 2, (1, 1): 1}),
          "m_(2,): Fraction(1, 1) != Fraction(2, 1)"),
         (words, NCFunctional(2, 2, {(2,): 1, (1, 1): 1, (1, 2): 4}),
@@ -563,6 +574,29 @@ def test_check_eq_locates_the_residual_on_every_value_kind():
     assert check_zero("label", voiculescu_phi(sigma2) - voiculescu_phi(
         sigma)) == catalog.Check(
             "label", False, "residual = <Laurent tail_order=5: (1)/z^1>")
+
+
+_BOTH_CATALOGS = {**{name: (MIN_ORDER[name], order)
+                     for name, (_, order) in CATALOG.items()},
+                  **{f"nc:{name}": (catalog.NC_MIN_ORDER[name], order)
+                     for name, (_, order) in catalog.NC_CATALOG.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(_BOTH_CATALOGS))
+def test_every_check_compares_operands_of_one_order(name, monkeypatch):
+    """Every check_eq of both catalogs, at the minimum and the default
+    order, compares operands of one truncation order, so none passes on the
+    prefix of a longer operand."""
+    seen = []
+
+    def spy(label, lhs, rhs):
+        seen.append((label, catalog._order(lhs), catalog._order(rhs)))
+        return check_eq(label, lhs, rhs)
+
+    monkeypatch.setattr(catalog, "check_eq", spy)
+    for order in _BOTH_CATALOGS[name]:
+        assert verify(name, order=order).verified
+    assert [x for x in seen if x[1] != x[2]] == []
 
 
 def test_cli_prints_the_residual_of_a_failed_semigroup_law(monkeypatch,

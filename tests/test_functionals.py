@@ -109,6 +109,30 @@ def test_moment_locality_in_jacobi_depth():
     assert moments_from_jacobi(j_short, 4) == moments_from_jacobi(j_long, 4)
 
 
+def test_a_zero_gamma_ends_the_rows_in_every_spelling():
+    """Rows end at their first zero gamma, since no path steps down past it:
+    a repeating tail whose gamma is zero, a zero gamma inside the rows and
+    terminated rows are one continued fraction when they agree through it,
+    whatever follows, and differ from rows that do not end there.  This is
+    nc:recover-tau's display at c = 0, read by the Chebyshev algorithm."""
+    ended = JacobiParams((F(1, 3), F(-7, 6)), (F(2), 0), terminated=True)
+    spellings = (JacobiParams((F(1, 3),), (F(2),), repeat=(F(-7, 6), 0)),
+                 JacobiParams((F(1, 3), F(-7, 6), 5), (F(2), 0, 1)),
+                 JacobiParams((F(1, 3), F(-7, 6)), (F(2), 0), repeat=(1, 1)))
+    for j in spellings:
+        assert j == ended and ended == j
+        assert moments_from_jacobi(j, 6) == moments_from_jacobi(ended, 6)
+        assert jacobi_from_moments(moments_from_jacobi(j, 6), 3) == j
+    for other in (JacobiParams((F(1, 3),), (F(2),), repeat=(F(-7, 6), 1)),
+                  JacobiParams((F(1, 3), F(-7, 6)), (F(2), 1)),
+                  JacobiParams((F(1, 3),), (F(2),)),
+                  JacobiParams((F(1, 3), 0), (F(2), 0), terminated=True)):
+        assert other != spellings[0] and spellings[0] != other
+    t = TPoly((0, 1))
+    assert JacobiParams((t,), (t,), repeat=(1, TPoly())) == JacobiParams(
+        (t, 1), (t, 0), terminated=True)
+
+
 def test_free_meixner_jacobi_display():
     rng = random.Random(7)
     for _ in range(10):

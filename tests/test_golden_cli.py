@@ -33,6 +33,12 @@ COMMANDS = (
      "--base", "triple12.json"),
     # a Q[t] operation on rational values: every moment prints as an array
     ("power", "--op", "free", "--t", "formal", "zero.json"),
+    # both catalogs at another seed, and the word layer at several d
+    ("verify", "all", "--format", "json", "--seed", "5"),
+    ("nc", "verify", "all", "--format", "json", "--d", "1"),
+    ("nc", "verify", "all", "--format", "json", "--d", "3"),
+    ("nc", "verify", "all", "--format", "json", "--d", "4"),
+    ("nc", "verify", "all", "--format", "json", "--d", "3", "--seed", "5"),
 )
 
 

@@ -532,20 +532,24 @@ def _nc_as_is(d, order, coeffs):
        st.sampled_from([(d, n) for d in (1, 2, 3) for n in range(1, 8)
                         if d ** n <= 3 ** 5]),
        st.sampled_from([(1,), (1, 2), (3, 5, 7), (1, 2, 3, 5)]))
-def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
+def test_word_solves_match_series_and_the_tpoly_path(seed, shape,
+                                                     denominators):
     """The six substituting word solves satisfy their defining equations in
     NCSeries operations, which share no code with the prefix recursion, on
-    sparse draws; over Q every fill runs on ints, and the result equals the
-    generic path's, which the first coefficient of each input selects when
-    it is held as a plain int.  The operations that chain fills in one
-    graded call match the same chain of one-fill operations, type for type,
-    on both paths, and subordination_inverse undoes subordination.  d and
-    the order stop where the NCSeries reference takes seconds per example."""
+    sparse draws.  Over Q every fill runs on ints and every output is a
+    Fraction, also when the first coefficient of each input is held as a
+    plain int, which grades as its Fraction; both give the values of the
+    same kernels on the coefficients as they are (``_tpoly_path``).  The
+    operations that chain fills in one graded call match the same chain of
+    one-fill operations, type for type, and subordination_inverse undoes
+    subordination.  d and the order stop where the NCSeries reference takes
+    seconds per example."""
     d, n = shape
     rng = random.Random(seed)
     ints = [_int_first(_sparse_nc(rng, d, n, denominators)) for _ in range(3)]
     mu, nu = (NCFunctional(d, n, cs) for cs in ints[:2])
     kappa = {w: F(c) for w, c in ints[2].items()}
+    mu_i, nu_i = (_nc_as_is(d, n, cs) for cs in ints[:2])
     kernel, filled = multivariate._fill_words, []
 
     def spy(*args):
@@ -558,27 +562,27 @@ def test_word_solves_match_series_and_generic_path(seed, shape, denominators):
         mp.setattr(multivariate, "_fill_words", spy)
         graded = _six_word_solves(mu, nu, kappa)
         composite = _composite_word_ops(mu, nu)
+        from_ints = _six_word_solves(mu_i, nu_i, ints[2])
+        composite_ints = _composite_word_ops(mu_i, nu_i)
     assert filled and all(filled)
-    for out in graded.values():
-        assert all(type(c) is F for c in out.values())
     _check_with_series(mu, nu, kappa, graded)
     assert nc_subordination_inverse(nc_subordination(mu, nu), nu) == mu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multivariate, "_graded_words", _tpoly_path)
+        want = {**_six_word_solves(mu, nu, kappa),
+                **_composite_word_ops(mu, nu)}
+    for outs in (graded, from_ints, composite, composite_ints):
+        for name, out in outs.items():
+            assert all(type(c) is F for _, c in out.items()), name
+            assert dict(out.items()) == dict(want[name].items()), name
+    for outs, fracs in ((from_ints, graded), (composite_ints, composite)):
+        for name, out in outs.items():
+            assert _typed(out.items()) == _typed(fracs[name].items()), name
 
-    mu_g, nu_g = (_nc_as_is(d, n, cs) for cs in ints[:2])
-    generic = _six_word_solves(mu_g, nu_g, ints[2])
-    if mu.items():  # nc_r keeps mu's first word as it is
-        assert any(type(c) is int
-                   for out in generic.values() for c in out.values())
-    assert generic == graded
-
-    generic = _composite_word_ops(mu_g, nu_g)
-    for ins, outs in (((mu, nu), composite), ((mu_g, nu_g), generic)):
+    for ins, outs in (((mu, nu), composite), ((mu_i, nu_i), composite_ints)):
         chained = _composite_by_single_solves(*ins)
         for name, out in outs.items():
             assert _typed(out.items()) == _typed(chained[name].items()), name
-    for name, out in composite.items():
-        assert all(type(c) is F for _, c in out.items()), name
-        assert generic[name] == out, name
 
 
 @pytest.mark.parametrize("formal", [False, True])
@@ -631,20 +635,51 @@ def test_every_fill_runs_inside_the_graded_seam(formal):
     assert all(inside for _, inside in fills)
 
 
-def test_generic_word_outputs_keep_their_rings():
-    """A plain int in an input dict selects the generic path, and every
-    output value is still a Fraction or a TPoly: the int comes back as a
-    Fraction, and a value that a TPoly reaches stays a TPoly."""
-    one = TPoly.constant(1)
-    got = nc_moments_from_r({(1,): 2, (1, 1): one}, 1, 3)
-    assert [type(got.m((1,) * k)) for k in (1, 2, 3)] == [F, TPoly, TPoly]
-    assert [got.m((1,) * k) for k in (1, 2, 3)] == [2, 5, 14]
-    got = nc_moments_from_eta({(1,): 2, (1, 1): one}, 1, 3)
-    assert [type(got.m((1,) * k)) for k in (1, 2, 3)] == [F, TPoly, TPoly]
+def test_plain_int_word_inputs_obey_the_one_ring_rule():
+    """A plain int in a raw word dict grades as its Fraction, so every output
+    obeys the one ring rule: all TPolys when an input value is one, else all
+    Fractions, with the values of the same kernels on the coefficients as
+    they are (``_tpoly_path``)."""
     base = NCFunctional(2, 3, {(1,): F(1, 2), (2, 1): F(-1)})
-    got = nc_tilde_from_two_state_r({(1,): 1, (2,): one}, base)
-    assert got.items() and all(type(c) in (F, TPoly) for _, c in got.items())
-    assert type(got.m((1,))) is F and type(got.m((2,))) is TPoly
+    for one, ring in ((1, F), (TPoly.constant(1), TPoly)):
+        ops = (partial(nc_moments_from_r, {(1,): 2, (1, 1): one}, 1, 3),
+               partial(nc_moments_from_eta, {(1,): 2, (1, 1): one}, 1, 3),
+               partial(nc_tilde_from_two_state_r, {(1,): 1, (2,): one}, base))
+        for op in ops:
+            got = dict(op().items())
+            assert got and all(type(c) is ring for c in got.values())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(multivariate, "_graded_words", _tpoly_path)
+                assert dict(op().items()) == got
+        got = ops[0]()
+        assert [got.m((1,) * k) for k in (1, 2, 3)] == [2, 5, 14]
+
+
+def test_a_value_that_is_no_coefficient_is_refused_before_any_fill(
+        monkeypatch):
+    """``transforms._grade`` grades every Fraction, TPoly and int, a
+    non-integer constant term included, and raises TypeError on any other
+    value: a raw word dict holding a float is refused before any fill runs,
+    in every raw-dict operation and in ``_graded_words`` itself, and so is a
+    float handed to a single-variable solve."""
+    def no_fill(*args):
+        raise AssertionError("a fill ran")
+
+    monkeypatch.setattr(multivariate, "_fill_words", no_fill)
+    _patch_kernel(monkeypatch, "_fill", no_fill)
+    base = NCFunctional(2, 3, {(1,): F(1, 2)})
+    for raw in ({(1,): 0.25, (1, 1): 0.5}, {(1,): F(1, 2), (2, 1): 0.25}):
+        for op in (partial(nc_moments_from_r, raw, 2, 3),
+                   partial(nc_moments_from_eta, raw, 2, 3),
+                   partial(nc_tilde_from_two_state_r, raw, base),
+                   partial(multivariate._graded_words, multivariate._r, 2, 3,
+                           raw)):
+            with pytest.raises(TypeError, match="not a coefficient: 0.25"):
+                op()
+    with pytest.raises(TypeError, match="not a coefficient: 0.5"):
+        transforms._graded(lambda m: transforms._fill(2, None), [F(1), 0.5])
+    assert transforms._grade(enumerate([F(1, 2), 1, F(1, 3), TPoly(
+        [F(1, 5)])])) == 15
 
 
 def _tpoly_path(solve, d, order, *dicts, t=None):
@@ -879,13 +914,13 @@ def _kernel_draw(rng, d, n, mode):
        st.sampled_from(["sparse", "zero-heavy", "dense", "cancel"]))
 def test_each_word_kernel_satisfies_its_equation(seed, shape, mode):
     """Every raw word kernel, run on rows through ``_graded_words``, gives a
-    dict that satisfies the kernel's defining equation in NCSeries
-    operations and stores no zero; the generic path, which a plain int in
-    an input selects, gives the same values, and both give Fractions as
-    word functionals.  In "cancel" mode a kernel's first input is its
-    inverse kernel's output on a sparse draw, so the kernel must return
-    that draw through exact cancellations; mu boxminus mu must be zero and
-    (mu boxplus nu) boxminus nu must be mu."""
+    dict of Fractions that satisfies the kernel's defining equation in
+    NCSeries operations, stores no zero and equals the kernel's output on
+    the coefficients as they are (``_tpoly_path``); a plain int in an input
+    grades as its Fraction, ring for ring.  In "cancel" mode a kernel's
+    first input is its inverse kernel's output on a sparse draw, so the
+    kernel must return that draw through exact cancellations; mu boxminus
+    mu must be zero and (mu boxplus nu) boxminus nu must be mu."""
     d, n = shape
     rng = random.Random(seed)
     one = NCSeries.one(d, n)
@@ -913,17 +948,16 @@ def test_each_word_kernel_satisfies_its_equation(seed, shape, mode):
             assert out == want, name
         assert check(one, subs, *(NCSeries(d, n, x) for x in ins + [out])), \
             name
+        assert out == _tpoly_path(getattr(multivariate, name), d, n, *ins), \
+            name
         if not any(ins[0].values()):
             continue
         w = next(w for w, c in ins[0].items() if c)
         ints = [dict(ins[0])] + ins[1:]
         ints[0][w] = F(ints[0][w]).numerator
         fracs = [{w: F(c) for w, c in x.items()} for x in ints]
-        generic = graded(name, *ints)
-        assert all(type(c) in (int, F) and c for c in generic.values()), name
-        assert generic == graded(name, *fracs), name
-        assert _typed(NCFunctional._filled(d, n, generic).items()) == \
-            _typed(NCFunctional._filled(d, n, graded(name, *fracs)).items())
+        assert _typed(graded(name, *ints).items()) == \
+            _typed(graded(name, *fracs).items()), name
     if mode == "cancel":
         mu, nu = (NCFunctional(d, n, _kernel_draw(rng, d, n, "dense"))
                   for _ in range(2))

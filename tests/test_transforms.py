@@ -337,9 +337,10 @@ def _nine_solves(mu, nu, r):
        st.sampled_from([(1,), (3, 5, 7, 11), (1, 3, 5, 7, 11), (2, 9)]))
 def test_graded_int_solves_match_generic_path(seed, order, denominators):
     """Over Q every solve runs on ints scaled by D^k and returns Fractions
-    equal to the generic path's, which one constant TPoly coefficient in mu
-    and in r selects.  The coprime denominators make D large; a third of the
-    draws are zero."""
+    equal to the packed path's, which one constant TPoly coefficient in mu
+    and in r selects.  r's constant term, which no solve reads, is not an
+    integer, and does not keep a solve off the ints.  The coprime
+    denominators make D large; a third of the draws are zero."""
     rng = random.Random(seed)
 
     def draw():
@@ -347,7 +348,7 @@ def test_graded_int_solves_match_generic_path(seed, order, denominators):
                 for _ in range(order)]
 
     mu, nu = MomentFunctional(order, draw()), MomentFunctional(order, draw())
-    r = TruncSeries(order, [0] + draw())
+    r = TruncSeries(order, [F(1, 2)] + draw())
     kernel, filled = transforms._fill, []
 
     def spy(n, coeff, subst=None):
@@ -364,7 +365,8 @@ def test_graded_int_solves_match_generic_path(seed, order, denominators):
 
     wrapped = [TPoly.constant(mu.m(1))] + list(mu.moments()[1:])
     generic = _nine_solves(MomentFunctional(order, wrapped), nu,
-                           TruncSeries(order, [0, TPoly.constant(r.coeff(1))]
+                           TruncSeries(order, [F(1, 2),
+                                               TPoly.constant(r.coeff(1))]
                                        + list(r.coeffs()[2:])))
     assert any(isinstance(c, TPoly) for cs in generic for c in cs)
     assert [list(cs) for cs in graded] == [list(cs) for cs in generic]

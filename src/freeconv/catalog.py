@@ -448,9 +448,10 @@ def _verify_general_b(order, rng, b_t: Coeff = None, c_t: NonzeroCoeff = None,
 def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
                               beta_t: Coeff = None,
                               gamma_t: NonzeroCoeff = None,
-                              beta: Coeff = None, c_t: Coeff = None,
-                              c: Coeff = None, gamma: Coeff = None,
-                              t: Coeff = None):
+                              beta: Coeff = None, c_t: NonzeroCoeff = None,
+                              c: NonzeroCoeff = None,
+                              gamma: NonzeroCoeff = None,
+                              t: NonzeroCoeff = None):
     b_t = _q(b_t, _rand_q(rng))
     b = _q(b, _rand_q(rng))
     beta_t = _q(beta_t, _rand_q(rng))
@@ -464,9 +465,8 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
                          _q(gamma, _rand_q(rng, nonzero=True)),
                          _q(t, Fraction(rng.randint(1, 4), rng.randint(1, 3))))
         zero = [given for row, given in (
-            (gamma_t * tt, (t,)), (g, (gamma,)), (ct, (c_t,)),
-            (cc, (c,)), (ct + g * tt, (c_t, gamma, t)),
-            (cc + g * tt, (c, gamma, t)), (g + cc - ct, (gamma, c, c_t)))
+            (ct + g * tt, (c_t, gamma, t)), (cc + g * tt, (c, gamma, t)),
+            (g + cc - ct, (gamma, c, c_t)))
             if not row]
         if not zero:
             break

@@ -15,11 +15,23 @@ reduces a result once, with one gcd, rather than once per coefficient
 (``_canonical``).  A sum of products start + x_1 y_1 + ... with a ``TPoly``
 among its operands (``_dot``) scales every product to the lcm of the product
 denominators and convolves them all into one accumulator, reduced once; the
-triangular-solve kernels of ``transforms`` and the generic loops of the
-series product and reciprocal accumulate through it.  ``TPoly`` stores this
+expansions in s of ``transforms`` over Q[t], and its triangular-solve kernels
+past the packed path's slack, accumulate through it.  ``TPoly`` stores this
 layout; the series layer converts a series whose coefficients are all
 ``Fraction`` to it for a product, reciprocal or composition and back to
 ``Fraction`` on the way out (see ``series``).
+
+The one integer scheme for Q[t] lives here too, below the series engine
+and both solve layers.  ``_grade`` finds D with c_k D^k integral for every
+input coefficient c_k, k >= 1, so that a computation on the series at Dz
+runs on ints; ``_scaled`` gives those ints, each ``TPoly`` packed at
+t = 2^B (Kronecker substitution: evaluation at 2^B is a ring map), and
+``_unpack`` reads an output back as balanced base-2^B digits.  B comes from
+a majorant run: the same integer kernel on the inputs' l1 norms
+(``_norms``), plain non-negative ints, with every - read as +.  The l1 norm
+is subadditive and submultiplicative and no kernel divides, so with no
+term cancelling that run bounds every t-digit of every output, and
+B = bits(M) + 2 for its largest output M (``_bits``).
 
 A ``TPoly`` keeps ``nums``, a tuple of ``int`` without trailing zeros, over
 ``den``, a positive ``int``, in canonical form gcd(den, *nums) = 1, with
@@ -33,12 +45,10 @@ other formal symbol a caller reads into it (``counterexample-r`` calls it
 eps).  Ints and Fractions promote into Q[t] on either side of an operator,
 and a constant ``TPoly`` equals and hashes like its ``Fraction``.
 
-The generic paths of the series engine and of the solve kernels use only
-Python's operators: ``+``, ``-`` (binary and unary), ``*``, ``/``, ``==``
-against an int, and truthiness as the zero test.  The solves run on ints,
-a ``TPoly`` packed into one, and on the operators only past the packed
-path's slack (see ``transforms``).  ``/`` is exact or raises:
-``ExactDivisionError`` when the quotient is not a polynomial,
+The solve kernels past the packed path's slack (see ``transforms``) use
+only Python's operators: ``+``, ``-`` (binary and unary), ``*``, ``/``,
+``==`` against an int, and truthiness as the zero test.  ``/`` is exact or
+raises: ``ExactDivisionError`` when the quotient is not a polynomial,
 ``ZeroDivisionError`` for a zero divisor.  A reciprocal is ``ONE / c``, so
 only nonzero constants have one in Q[t]: no operation of the package needs
 a power series in t (``belinschi_nica`` expands in 1 + t rather than divide
@@ -52,6 +62,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 _new = object.__new__
@@ -158,6 +169,86 @@ def _dot(start, xs, ys):
                 for j, y in enumerate(b, i):
                     acc[j] += x * y
     return _canonical(acc, den, den)
+
+
+# -- graded ints and Kronecker packing ----------------------------------------
+
+
+def _grade(*groups):
+    """The one D of a set of inputs, each a group of pairs (k, c_k): grown
+    from 1 so that q divides D^k for every (k, a/q) with k >= 1,
+    D <- D q / gcd(q, D^k), in their order.  A constant term (k = 0) never
+    decides D.  A ``TPoly`` counts by its common denominator, so D^k clears
+    every one of its t-coefficients, and a plain int by its denominator 1;
+    any other value raises TypeError, before any kernel runs.  Every graded
+    integer path of the series engine and of the single- and multi-variate
+    solves takes D from here."""
+    d = 1
+    for k, c in chain.from_iterable(groups):
+        if (type(c) is not Fraction and type(c) is not TPoly
+                and not isinstance(c, int)):
+            raise TypeError(f"not a coefficient: {c!r}")
+        q = c.denominator
+        if q != 1 and k:
+            dk = d ** k
+            if dk % q:
+                d *= q // gcd(q, dk)
+    return d
+
+
+def _scaled(cs, d, b=0, q=1):
+    """The ints c_k q D^k, for coefficients c_k that q D^k clears (see
+    ``_grade``), each ``TPoly`` packed at t = 2^b.  With q = 1 a constant
+    term that is not an integer, which no solve reads, comes out 0."""
+    row, s = [], q
+    for c in cs:
+        if type(c) is TPoly:
+            row.append(_pack(c.nums, b) * (s // c.den))
+        else:
+            row.append(c.numerator * (s // c.denominator))
+        s *= d
+    return row
+
+
+def _norms(cs, d, q=1):
+    """The l1 norms sum_i |[t^i] c_k| q D^k of the ints ``_scaled`` packs:
+    with - read as +, a kernel run on them bounds every t-digit of every
+    output of its run on the packed ints."""
+    row, s = [], abs(q)
+    for c in cs:
+        if type(c) is TPoly:
+            row.append(sum(map(abs, c.nums)) * (s // c.den))
+        else:
+            row.append(abs(c.numerator) * (s // c.denominator))
+        s *= d
+    return row
+
+
+def _bits(top):
+    """B for ints packed at t = 2^B whose outputs have every t-digit at most
+    ``top`` in absolute value, the largest output of a majorant run."""
+    return top.bit_length() + 2
+
+
+def _pack(nums, b):
+    """The int polynomial sum_i nums[i] t^i at t = 2^b."""
+    x = 0
+    for a in reversed(nums):
+        x = (x << b) + a
+    return x
+
+
+def _unpack(x, b, den):
+    """The TPoly (sum_i a_i t^i) / den for x = sum_i a_i 2^(b i), read as
+    balanced base-2^b digits, |a_i| < 2^(b-1)."""
+    nums, mask, half = [], (1 << b) - 1, 1 << (b - 1)
+    while x:
+        a = x & mask
+        if a >= half:
+            a -= mask + 1
+        nums.append(a)
+        x = (x - a) >> b
+    return _canonical(nums, den, den)
 
 
 class TPoly:

@@ -23,16 +23,19 @@ per fill; _apply_w_substitution reads the row of [x_w] A(W) from it, once
 per length.
 
 Each equation is one raw kernel (_r, _moments_from_r, _eta, ...), a fill on
-whatever ring it is handed.  Each public operation, powers and point masses
-included, chains its kernels inside one _graded_words call over all of its
-inputs, the one place that grades a word solve and turns word dicts into
-tables: it packs each input once and reads the output's nonzero values back
-once, and the kernels hand tables to each other.  Over Q and Q[t] the fills
-run on ints graded by word length (the rule of transforms._graded) and
-packed at t = 2^B (Kronecker substitution), from the operation's input to
-its output.  B comes from one run of the solve at d = 1 on l1 norms, where -
-acts as +: the l1 norm is subadditive and submultiplicative and the kernels
-divide by nothing, so that run bounds every t-digit.  Every output is a
+whatever ring it is handed, which takes its row difference as an explicit
+argument, (d, order, minus, *tables).  Each public operation, powers and
+point masses included, chains its kernels inside one _graded_words call
+over all of its inputs, the one place that grades a word solve and turns
+word dicts into tables: it packs each input once and reads the output's
+nonzero values back once, and the kernels hand tables to each other.  Over
+Q and Q[t] the fills run on ints graded by word length (the rule of
+transforms._graded) and packed at t = 2^B (Kronecker substitution, the one
+integer scheme of ``coeffs``), from the operation's input to its output.
+B comes from one run of the solve at d = 1 on l1 norms, plain non-negative
+ints, with _plus as its difference: the l1 norm is subadditive and
+submultiplicative and the kernels divide by nothing, so that run bounds
+every t-digit.  Every output is a
 Fraction when no input value and no t is a TPoly, and a TPoly otherwise; a
 plain int grades as its Fraction, and any other value raises TypeError
 before any fill runs.
@@ -46,9 +49,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coeffs import ZERO, ONE, TPoly, as_coeff
+from .coeffs import ZERO, ONE, TPoly, _bits, _grade, _pack, _unpack, as_coeff
 from .functionals import MomentFunctional
-from .transforms import _Majorant, _grade, _pack, _unpack
 
 
 def __getattr__(name):
@@ -205,33 +207,35 @@ def _times(p, q):
 
 
 def _graded_words(solve, d, order, *dicts, t=None):
-    """solve(d, order, *tables), or solve(d, order, times_t, *tables) with a
-    scalar t, run on ints graded by word length: the word-dict form of
-    ``transforms._graded``.
+    """solve(d, order, minus, *tables), or solve(d, order, minus, times_t,
+    *tables) with a scalar t, run on ints graded by word length: the
+    word-dict form of ``transforms._graded``.
 
     Each input dict is packed once into a table of rows, one per length
     (see ``_fill_words``), and the output table is read back once into a
-    dict of its nonzero values.  ``times_t`` maps a graded table to t times
+    dict of its nonzero values.  ``minus`` is the row difference,
+    ``_minus`` in the exact run.  ``times_t`` maps a graded table to t times
     it, and ``solve`` builds its output from values it has scaled.
 
     ``solve`` gets c_w as the int c_w D^|w| packed at t = 2^B (Kronecker
-    substitution).  D comes from ``transforms._grade`` (a ``TPoly`` counts
-    by its common denominator) times the denominator of t.  Every word
+    substitution).  D comes from ``coeffs._grade`` (a ``TPoly`` counts by
+    its common denominator) times the denominator of t.  Every word
     transform is weight-homogeneous in |w| and divides by nothing, and a
     sum or difference of two tables graded by one D is graded by it, so a
     solve that chains fills on graded inputs stays in Z.  Evaluation at 2^B
     is a ring map, so each output is its graded polynomial at 2^B.  B is
     needed only when some value or t is a ``TPoly``; then ``solve`` runs
-    once more first, at d = 1 in ``_Majorant``, a ring where - acts as +, on
-    the largest l1 norm sum_i |[t^i] c_w| D^|w| of each input at each
-    length.  The l1 norm is subadditive and submultiplicative, the kernels
-    divide by nothing, and with - as + no term cancels, so a run on larger
-    inputs with more words present bounds the l1 norm, and so every
-    t-digit, of each value of the exact run.  The kernels read positions,
-    not letters, so the run on every word at its length's largest norm
-    gives every word of a length the value of the d = 1 run at that length.
-    M is its largest output; B = bits(M) + 2.  A rational value packs to its
-    own graded numerator, and without a ``TPoly`` nothing is packed.
+    once more first, at d = 1 with ``_plus`` as its difference, on the
+    largest l1 norm sum_i |[t^i] c_w| D^|w| of each input at each length,
+    as plain ints.  The l1 norm is subadditive and submultiplicative, the
+    kernels divide by nothing, and with - read as + no term cancels, so a
+    run on larger inputs with more words present bounds the l1 norm, and so
+    every t-digit, of each value of the exact run.  The kernels read
+    positions, not letters, so the run on every word at its length's
+    largest norm gives every word of a length the value of the d = 1 run at
+    that length.  M is its largest output; B = bits(M) + 2.  A rational
+    value packs to its own graded numerator, and without a ``TPoly``
+    nothing is packed.
 
     The output is over Q when no value and no t is a ``TPoly``: output w
     comes back as the ``Fraction`` x_w / D^|w|.  Otherwise every output w
@@ -248,10 +252,10 @@ def _graded_words(solve, d, order, *dicts, t=None):
                                   default=0))):
         pw.append(pw[-1] * scale)
 
-    def run(d, ins, p):
+    def run(d, ins, p, minus):
         if t is not None:
             ins.insert(0, _times(p, tq))
-        return solve(d, order, *ins)
+        return solve(d, order, minus, *ins)
 
     b = 0  # without a TPoly, _pack(tn, 0) is the numerator of t
     polys = type(t) is TPoly or any(
@@ -264,13 +268,12 @@ def _graded_words(solve, d, order, *dicts, t=None):
                 nums, den = TPoly._parts(c)
                 k = len(w)
                 top[k] = max(top[k], sum(map(abs, nums)) * (pw[k] // den))
-            tops.append([None] + [[_Majorant(x) or None]
-                                  for x in top[1:order + 1]])
-        bound = run(1, tops, sum(map(abs, tn)))
-        b = max((x for row in bound[1:] for x in row if x is not None),
-                default=0).bit_length() + 2
+            tops.append([None] + [[x or None] for x in top[1:order + 1]])
+        bound = run(1, tops, sum(map(abs, tn)), _plus)
+        b = _bits(max((x for row in bound[1:] for x in row if x is not None),
+                      default=0))
     out = run(d, [_graded_table(dct, ws, pw, b) for dct in dicts],
-              _pack(tn, b))
+              _pack(tn, b), _minus)
     rows = zip(ws[1:], out[1:], pw[1:])
     if polys:
         return {w: _unpack(x, b, p) for row_w, row, p in rows
@@ -413,53 +416,54 @@ def _fill_words(d, order, coeff, subst=None):
 
 # -- raw kernels ------------------------------------------------------------------
 #
-# Each takes and returns tables (see _fill_words); every rule builds its row
-# in one comprehension.
+# Each takes and returns tables (see _fill_words), after its row difference
+# ``minus``: _minus, or _plus in a majorant run; every rule builds its row in
+# one comprehension.
 
 
-def _r(d, order, m):
+def _r(d, order, minus, m):
     """Free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    return _fill_words(d, order, lambda n, kappa, s: _minus(m[n], s),
+    return _fill_words(d, order, lambda n, kappa, s: minus(m[n], s),
                        (None, m))
 
 
-def _moments_from_r(d, order, kappa):
+def _moments_from_r(d, order, minus, kappa):
     """Forward solve of R(z_i(1+M)) = M."""
     return _fill_words(d, order, lambda n, m, s: _nonzero(s), (kappa, None))
 
 
-def _eta(d, order, m):
+def _eta(d, order, minus, m):
     """Boolean cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v."""
-    return _fill_words(d, order, lambda n, eta, _: _minus(
+    return _fill_words(d, order, lambda n, eta, _: minus(
         m[n], _split_row(eta, m, n, d)))
 
 
-def _moments_from_eta(d, order, eta):
+def _moments_from_eta(d, order, minus, eta):
     return _fill_words(d, order, lambda n, m, _: _nonzero(
         _split_row(eta, m, n, d, eta[n])))
 
 
-def _two_state_r(d, order, eta_t, m):
+def _two_state_r(d, order, minus, eta_t, m):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for R2."""
-    return _fill_words(d, order, lambda n, _, s: _minus(
+    return _fill_words(d, order, lambda n, _, s: minus(
         _split_row(eta_t, m, n, d, eta_t[n]), s), (None, m))
 
 
-def _substitute_divide(d, order, a, m):
+def _substitute_divide(d, order, minus, a, m):
     """A(z_i(1+M)) (1+M)^{-1}: eta~ from R2, and R^{mu |> nu} from R^mu with
     M = M^nu."""
-    return _fill_words(d, order, lambda n, e, s: _minus(
+    return _fill_words(d, order, lambda n, e, s: minus(
         s, _split_row(e, m, n, d)), (a, m))
 
 
-def _composition(d, order, m, b):
+def _composition(d, order, minus, m, b):
     """(1+M)(1 + B(z_i(1+M))) - 1."""
     sub = _fill_words(d, order, lambda n, _, s: _nonzero(s), (b, m))
     return _fill_words(d, order, lambda n, _, s: _plus(
         _split_row(m, sub, n, d, sub[n]), m[n]))
 
 
-def _products(d, order, beta):
+def _products(d, order, minus, beta):
     """The point-mass moments prod_j beta_{w_j}, each its prefix's times
     the last letter's; a word with a letter missing from ``beta`` is zero."""
     return _fill_words(d, order, lambda n, m, _: beta[1] if n == 1 else [
@@ -499,8 +503,8 @@ def nc_moments_from_eta(eta, d, order):
 
 def nc_two_state_r(pair):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for the word two-state R-transform."""
-    return _graded_words(lambda d, order, tilde, m: _two_state_r(
-        d, order, _eta(d, order, tilde), m),
+    return _graded_words(lambda d, order, minus, tilde, m: _two_state_r(
+        d, order, minus, _eta(d, order, minus, tilde), m),
         pair.d, pair.order, pair.tilde._m, pair.base._m)
 
 
@@ -508,18 +512,20 @@ def nc_tilde_from_two_state_r(r2, base):
     """Invert: eta~ = R2(z_i(1+M)) (1+M)^{-1}, then moments."""
     d, order = base.d, base.order
     return NCFunctional._filled(d, order, _graded_words(
-        lambda d, order, r2, m: _moments_from_eta(
-            d, order, _substitute_divide(d, order, r2, m)),
+        lambda d, order, minus, r2, m: _moments_from_eta(
+            d, order, minus, _substitute_divide(d, order, minus, r2, m)),
         d, order, r2, base._m))
 
 
-def _combine_cumulants(a, b, cumulants, op, moments):
-    """moments(op(cumulants(a), cumulants(b))) word by word, at one order,
-    for the raw kernels ``cumulants`` and ``moments``."""
+def _combine_cumulants(a, b, cumulants, moments, subtract=False):
+    """moments(cumulants(a) + cumulants(b)) word by word, or with - when
+    ``subtract``, at one order, for the raw kernels ``cumulants`` and
+    ``moments``."""
     d, order = a.d, min(a.order, b.order)
     return NCFunctional._filled(d, order, _graded_words(
-        lambda d, order, x, y: moments(d, order, _merge(
-            cumulants(d, order, x), cumulants(d, order, y), op)),
+        lambda d, order, minus, x, y: moments(d, order, minus, _merge(
+            cumulants(d, order, minus, x), cumulants(d, order, minus, y),
+            minus if subtract else _plus)),
         d, order, a.truncate(order)._m, b.truncate(order)._m))
 
 
@@ -527,13 +533,13 @@ def _power(a, t, cumulants, moments):
     """moments(t cumulants(a)) word by word, for the raw kernels
     ``cumulants`` and ``moments``."""
     return NCFunctional._filled(a.d, a.order, _graded_words(
-        lambda d, order, times_t, m: moments(
-            d, order, times_t(cumulants(d, order, m))),
+        lambda d, order, minus, times_t, m: moments(
+            d, order, minus, times_t(cumulants(d, order, minus, m))),
         a.d, a.order, a._m, t=as_coeff(t)))
 
 
 def nc_free_convolve(a, b):
-    return _combine_cumulants(a, b, _r, _plus, _moments_from_r)
+    return _combine_cumulants(a, b, _r, _moments_from_r)
 
 
 def nc_free_power(a, t):
@@ -541,11 +547,11 @@ def nc_free_power(a, t):
 
 
 def nc_free_deconvolve(a, b):
-    return _combine_cumulants(a, b, _r, _minus, _moments_from_r)
+    return _combine_cumulants(a, b, _r, _moments_from_r, subtract=True)
 
 
 def nc_boolean_convolve(a, b):
-    return _combine_cumulants(a, b, _eta, _plus, _moments_from_eta)
+    return _combine_cumulants(a, b, _eta, _moments_from_eta)
 
 
 def nc_boolean_power(a, t):
@@ -566,13 +572,15 @@ def nc_phi(nu):
 def nc_bp(mu):
     """R^{B[mu]} = eta^mu."""
     return NCFunctional._filled(mu.d, mu.order, _graded_words(
-        lambda d, order, m: _moments_from_r(d, order, _eta(d, order, m)),
+        lambda d, order, minus, m: _moments_from_r(
+            d, order, minus, _eta(d, order, minus, m)),
         mu.d, mu.order, mu._m))
 
 
 def nc_bp_inverse(mu):
     return NCFunctional._filled(mu.d, mu.order, _graded_words(
-        lambda d, order, m: _moments_from_eta(d, order, _r(d, order, m)),
+        lambda d, order, minus, m: _moments_from_eta(
+            d, order, minus, _r(d, order, minus, m)),
         mu.d, mu.order, mu._m))
 
 
@@ -580,8 +588,9 @@ def nc_subordination(mu, nu):
     """R^{mu |> nu} (1+M^nu) = R^mu(z_i(1+M^nu)), solved triangularly."""
     d, order = mu.d, min(mu.order, nu.order)
     return NCFunctional._filled(d, order, _graded_words(
-        lambda d, order, a, m: _moments_from_r(d, order, _substitute_divide(
-            d, order, _r(d, order, a), m)),
+        lambda d, order, minus, a, m: _moments_from_r(
+            d, order, minus, _substitute_divide(
+                d, order, minus, _r(d, order, minus, a), m)),
         d, order, mu.truncate(order)._m, nu.truncate(order)._m))
 
 
@@ -601,7 +610,7 @@ def nc_subordination_inverse(lam, nu):
     """
     d, order = lam.d, min(lam.order, nu.order)
     return NCFunctional._filled(d, order, _graded_words(
-        lambda d, order, x, m: _moments_from_r(d, order, _merge(
-            _r(d, order, _composition(d, order, x, m)), _r(d, order, m),
-            _minus)),
+        lambda d, order, minus, x, m: _moments_from_r(d, order, minus, _merge(
+            _r(d, order, minus, _composition(d, order, minus, x, m)),
+            _r(d, order, minus, m), minus)),
         d, order, lam.truncate(order)._m, nu.truncate(order)._m))

@@ -14,9 +14,15 @@ over Q (every coefficient a ``Fraction``) is a polynomial in z with a
 truncation order: those three operations convert it once to ``int``
 numerators over one denominator, run on the integer kernel of ``coeffs``
 that ``TPoly`` uses, and convert back to ``Fraction`` once.  A series over
-Q[t], or one that mixes the two rings, keeps one ``TPoly`` per coefficient
-and runs the generic coefficient loops; each output coefficient of a product
-or reciprocal there is one fused sum of products (``coeffs._dot``).
+Q[t], or one that mixes the two rings, runs the same integer kernels on the
+one integer scheme of ``coeffs``: the inputs are graded (z -> Dz, D from
+``_grade``, a product's and a reciprocal's factors times the denominator of
+their constant terms, a composition's outer series over one denominator),
+each t-polynomial is packed at t = 2^B, and each output is read back with
+``_unpack``; B comes from the same kernel run on the inputs' l1 norms with
+every - read as +.  Every output coefficient is then a ``TPoly``, as the
+solves of ``transforms`` give theirs.  Reversion runs on products and one
+reciprocal, so over Q[t] it is packed too.
 
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
@@ -26,16 +32,21 @@ Laurent product keeps the order its factors' leading terms determine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import gcd, lcm
+from operator import mul, neg, pos
 
 from .coeffs import (
     ZERO,
     ONE,
+    TPoly,
+    _bits,
     _canonical,
     _common,
     _convolve,
-    _dot,
+    _grade,
+    _norms,
+    _scaled,
+    _unpack,
     as_coeff,
     t_derivative,
 )
@@ -55,8 +66,8 @@ def _rational(*seqs):
 
 
 def _series(order, cs):
-    """A TruncSeries of a list of order + 1 or fewer Fractions, padded with
-    zeros, without the constructor's coercion."""
+    """A TruncSeries of a list of order + 1 or fewer coefficients, padded
+    with zeros, without the constructor's coercion."""
     out = TruncSeries.__new__(TruncSeries)
     out.order = order
     out._c = tuple(cs + [ZERO] * (order + 1 - len(cs)))
@@ -67,6 +78,44 @@ def _from_ints(order, nums, den):
     """The TruncSeries sum(nums[k] z^k) / den through z^order."""
     return _series(order,
                    [Fraction(x, den) if x else ZERO for x in nums[:order + 1]])
+
+
+def _from_packed(order, xs, b, q, d):
+    """The TruncSeries of the TPolys x_k / (q D^k), D = d, for the ints
+    x_0..x_order packed at t = 2^b."""
+    out = []
+    for x in xs:
+        out.append(_unpack(x, b, q))
+        q *= d
+    return _series(order, out)
+
+
+def _inverse_ints(a, n, negate, first=1):
+    """C_0..C_n for ints a_0..a_n, a_0 != 0, with C_0 = first and
+    C_k = -sum_{j=1..k} a_j a_0^(j-1) C_{k-j}, so that first / A has
+    coefficients C_k / a_0^(k+1) for A = sum a_k z^k: no division.
+    ``negate`` is the - of the recurrence, the identity in a majorant run."""
+    a0 = a[0]
+    w, p = [], 1
+    for x in a[1:n + 1]:
+        w.append(x * p)
+        p *= a0
+    cs = [first]
+    for k in range(1, n + 1):
+        cs.append(negate(sum(map(mul, w[:k], reversed(cs)))))
+    return cs
+
+
+def _horner(f, h, n):
+    """The ints [z^k] f(h(z)), k <= n, for int lists f_0..f_n and h with
+    h_0 = 0: Horner from the top coefficient down, acc <- acc h + f_k.
+    After f_k come k more products by h, each raising the valuation, so
+    acc keeps only its coefficients through z^(n-k)."""
+    acc = [f[n]]
+    for k in range(n - 1, -1, -1):
+        acc = _convolve(acc, h, n + 1 - k)
+        acc[0] += f[k]
+    return acc
 
 
 class TruncSeries:
@@ -131,12 +180,14 @@ class TruncSeries:
         if _rational(f, g):
             (a, da), (b, db) = _common(f), _common(g)
             return _from_ints(n, _convolve(a, b, n + 1), da * db)
-        fi, gnz = [i for i, c in enumerate(f) if c], [bool(c) for c in g]
-        out = []
-        for k in range(n + 1):
-            ks = [i for i in fi if i <= k and gnz[k - i]]
-            out.append(_dot(ZERO, [f[i] for i in ks], [g[k - i] for i in ks]))
-        return TruncSeries(n, out)
+        # over Q[t]: z -> Dz, each series times the denominator q of its
+        # constant term, packed at t = 2^B; output k is x_k / (q_f q_g D^k)
+        d = _grade(enumerate(f), enumerate(g))
+        qf, qg = f[0].denominator, g[0].denominator
+        b = _bits(max(_convolve(_norms(f, d, qf), _norms(g, d, qg), n + 1)))
+        return _from_packed(n, _convolve(_scaled(f, d, b, qf),
+                                         _scaled(g, d, b, qg), n + 1),
+                            b, qf * qg, d)
 
     def _promote(self, other):
         if isinstance(other, TruncSeries):
@@ -156,29 +207,25 @@ class TruncSeries:
     def reciprocal(self):
         if not self._c[0]:
             raise NotInvertibleError("constant term is zero")
-        if _rational(self._c):
+        n, cs = self.order, self._c
+        if _rational(cs):
             # self = A/d with A = a_0 + a_1 z + ... in Z[z], and 1/A has
-            # coefficients C_k / a_0^(k+1) with C_0 = 1 and
-            # C_k = -sum_{j=1..k} a_j a_0^(j-1) C_{k-j}: no division.
-            a, d = _common(self._c)
-            a0 = a[0]
-            w, p = [], 1
-            for x in a[1:]:
-                w.append(x * p)
-                p *= a0
-            cs = [1]
-            for k in range(1, self.order + 1):
-                cs.append(-sum(map(mul, w[:k], reversed(cs))))
-            out, p = [], a0
-            for x in cs:
+            # coefficients C_k / a_0^(k+1) (``_inverse_ints``).
+            a, d = _common(cs)
+            out, p = [], a[0]
+            for x in _inverse_ints(a, n, neg):
                 out.append(Fraction(d * x, p))
-                p *= a0
-            return _series(self.order, out)
-        inv0 = ONE / self._c[0]
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            out.append(-inv0 * _dot(ZERO, self._c[1:k + 1], out[::-1]))
-        return TruncSeries(self.order, out)
+                p *= a[0]
+            return _series(n, out)
+        # over Q[t] the constant term has an inverse u/v (else this raises
+        # ExactDivisionError), and f(z) = self(Dz) u has f_0 = v > 0 and
+        # int coefficients, packed at t = 2^B: output k is
+        # (u C_k) / (v^(k+1) D^k) for the C_k of f
+        (u,), v = TPoly._parts(ONE / cs[0])
+        d = _grade(enumerate(cs))
+        b = _bits(max(_inverse_ints(_norms(cs, d, u), n, pos, abs(u))))
+        return _from_packed(n, _inverse_ints(_scaled(cs, d, b, u), n, neg, u),
+                            b, v, v * d)
 
     def compose(self, inner):
         """self(inner(z)); inner must have zero constant term."""
@@ -203,11 +250,14 @@ class TruncSeries:
                 den *= s
                 acc = _canonical(nums, den, den)
             return _from_ints(n, acc.nums, acc.den)
-        # Horner evaluation from the top coefficient down.
-        acc = TruncSeries(n, (self.coeff(n),))
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner + TruncSeries(n, (self.coeff(k),))
-        return acc
+        # over Q[t]: inner(z) at Dz, self over one denominator q, packed at
+        # t = 2^B, so no Horner step multiplies by a power of D; output k is
+        # x_k / (q D^k)
+        d = _grade(enumerate(h))
+        q = lcm(*[c.denominator for c in f])
+        b = _bits(max(_horner(_norms(f, 1, q), _norms(h, d), n)))
+        return _from_packed(n, _horner(_scaled(f, 1, b, q), _scaled(h, d, b),
+                                       n), b, q, d)
 
     def reversion(self):
         """Compositional inverse; requires c_0 = 0 and c_1 invertible.
@@ -219,7 +269,8 @@ class TruncSeries:
         When every coefficient of v is a ``Fraction``, the powers stay on
         ints: v = A/d once, v^k = P_k/d_k by one convolution each, reduced by
         one gcd as ``compose``'s Horner step is, and each output is one
-        Fraction(P_k[k-1], d_k k)."""
+        Fraction(P_k[k-1], d_k k).  Otherwise each power is one series
+        product, packed over Q[t]."""
         if self._c[0]:
             raise CompositionDomainError("reversion needs zero constant term")
         if not self.coeff(1):

@@ -33,26 +33,27 @@ P(l, r) = _split_sum(l, r, n):
 
 Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades
 a single-variable solve (``multivariate._graded_words`` is the word
-layer's).  It picks an integer D with c_k D^k integral for every input
-coefficient c_k, k >= 1, a ``TPoly`` by its common denominator, and runs
-the solve on the inputs scaled so, which is the same solve for the series
-at Dz.
-There W = z(1+M) still has [z^k] W^k = 1, so every unknown is an integer
-combination of integers and the unchanged kernels keep the whole recursion
-in Z.  Over Q output k comes back as the reduced Fraction x_k / D^k.  Over
-Q[t] the graded int polynomials are packed at t = 2^B (Kronecker
-substitution), the word layer's scheme at d = 1 through the same
-``_Majorant``, ``_pack`` and ``_unpack``: one run of the solve on the
-inputs' l1 norms, in a ring where - acts as +, bounds every t-digit of
-every output and gives B, and a second run on the packed ints gives output
-k as its balanced base-2^B digits over D^k.  The packed ints carry B bits
-in every t-digit, so a solve whose outputs cancel far below its majorant,
-B passing the largest input norm by more than ``_SLACK`` bits (the inverse
-solves ``r_from_moments`` and ``two_state_r`` at high order), runs on
-``TPoly`` arithmetic instead.  ``_grade`` grades every coefficient and
-refuses any other value.  Every operation, solve or expansion, gives its
-outputs one ring, as the word layer does: all ``TPoly`` when an input
-coefficient (or the s of an expansion) is one, else all ``Fraction``.
+layer's), and takes its difference operation as an explicit argument,
+solve(sub, *seqs).  It picks an integer D with c_k D^k integral for every
+input coefficient c_k, k >= 1, a ``TPoly`` by its common denominator, and
+runs the solve on the inputs scaled so, which is the same solve for the
+series at Dz.  There W = z(1+M) still has [z^k] W^k = 1, so every unknown
+is an integer combination of integers and the unchanged kernels keep the
+whole recursion in Z.  Over Q output k comes back as the reduced Fraction
+x_k / D^k.  Over Q[t] the graded int polynomials are packed at t = 2^B
+(Kronecker substitution), the one integer scheme of ``coeffs`` that the
+series engine and the word layer use too: one run of the solve with
+``add`` as its difference, on the inputs' l1 norms as plain non-negative
+ints, bounds every t-digit of every output and gives B, and a second run
+with ``sub`` on the packed ints gives output k as its balanced base-2^B
+digits over D^k.  The packed ints carry B bits in every t-digit, so a
+solve whose outputs cancel far below its majorant, B passing the largest
+input norm by more than ``_SLACK`` bits (the inverse solves
+``r_from_moments`` and ``two_state_r`` at high order), runs on ``TPoly``
+arithmetic instead.  ``_grade`` grades every coefficient and refuses any
+other value.  Every operation, solve or expansion, gives its outputs one
+ring, as the word layer does: all ``TPoly`` when an input coefficient (or
+the s of an expansion) is one, else all ``Fraction``.
 ``_graded`` applies that rule to each solve, and each expansion reads its
 outputs through ``_as_ring``.
 
@@ -95,11 +96,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd
-from operator import mul
+from math import comb
+from operator import add, mul, sub
 
-from .coeffs import (ZERO, ONE, TPoly, _canonical, _convolve, _dot, as_coeff,
-                     exact_div)
+from .coeffs import (ZERO, ONE, TPoly, _bits, _canonical, _convolve, _dot,
+                     _grade, _norms, _scaled, _unpack, as_coeff, exact_div)
 from .functionals import ConsistencyError, MomentFunctional, TwoStatePair
 from .series import LaurentAtInfinity, TruncSeries
 
@@ -109,7 +110,7 @@ from .series import LaurentAtInfinity, TruncSeries
 # The kernels run unchanged on graded ints and, past the packed path's slack,
 # on Fraction and TPoly coefficients: each power-table row starts from the
 # int 1, which only multiplies nonzero coefficients.  An int operand in hand
-# (``_INTS``: a graded int, packed or not, or a ``_Majorant``) marks the
+# (a graded int, packed or not, or a bound of the majorant run) marks the
 # graded integer path, which folds each sum term by term, skipping zero
 # terms.  Any other sum goes to ``coeffs._dot`` as whole slices;
 # ``_graded`` then gives every output of the operation one ring.
@@ -120,45 +121,9 @@ def _moment_table(mf):
     return [ONE] + list(mf.moments())
 
 
-def _grade(*groups):
-    """The one D of a set of inputs, each a group of pairs (k, c_k): grown
-    from 1 so that q divides D^k for every (k, a/q) with k >= 1,
-    D <- D q / gcd(q, D^k), in their order.  A constant term (k = 0) never
-    decides D: no kernel reads index 0 of an input but ``_composition``'s
-    integer leading 1.  A ``TPoly`` counts by its common denominator, so D^k
-    clears every one of its t-coefficients, and a plain int by its
-    denominator 1; any other value raises TypeError, before any fill runs.
-    Every graded integer path of the single- and multi-variate solves takes
-    D from here."""
-    d = 1
-    for k, c in chain.from_iterable(groups):
-        if (type(c) is not Fraction and type(c) is not TPoly
-                and not isinstance(c, int)):
-            raise TypeError(f"not a coefficient: {c!r}")
-        q = c.denominator
-        if q != 1 and k:
-            dk = d ** k
-            if dk % q:
-                d *= q // gcd(q, dk)
-    return d
-
-
-def _scaled(cs, d, b=0):
-    """The ints c_k D^k, for coefficients c_k that D^k clears (see
-    ``_grade``), each ``TPoly`` packed at t = 2^b; a constant term that is
-    not an integer, which no kernel reads, comes out 0."""
-    row, dk = [], 1
-    for c in cs:
-        if type(c) is TPoly:
-            row.append(_pack(c.nums, b) * (dk // c.den))
-        else:
-            row.append(c.numerator * (dk // c.denominator))
-        dk *= d
-    return row
-
-
 def _graded(solve, *seqs):
-    """solve(*seqs), run on graded integers: over Q, and over Q[t] packed.
+    """solve(sub, *seqs), run on graded integers: over Q, and over Q[t]
+    packed.
 
     ``_grade`` finds D for the coefficients c_k in degree order, so that
     D^k clears every c_k (a ``TPoly`` by its common denominator), and the
@@ -173,11 +138,11 @@ def _graded(solve, *seqs):
     ``multivariate._graded_words`` at d = 1: evaluation at 2^B is a ring
     map, so output k is its graded polynomial at 2^B, read back as balanced
     base-2^B digits over D^k (``_unpack``).  B comes from a first run of the
-    solve in ``_Majorant``, a ring where - acts as +, on the l1 norms
-    sum_i |[t^i] c_k| D^k of the inputs (``_width``): the l1 norm is
-    subadditive and submultiplicative, the kernels divide by nothing, and
-    with - as + no term cancels, so that run bounds every t-digit of every
-    output, and B = bits(M) + 2 for its largest output M.  When B passes the
+    solve, solve(add, *norms), on the l1 norms sum_i |[t^i] c_k| D^k of the
+    inputs as plain ints (``_width``): the l1 norm is subadditive and
+    submultiplicative, the kernels divide by nothing, and with - read as +
+    no term cancels, so that run bounds every t-digit of every output, and
+    B = bits(M) + 2 for its largest output M.  When B passes the
     bits of the largest input norm, a bound on every packed input digit, by
     more than ``_SLACK``, the outputs cancel far below their majorant, and
     ``solve`` gets the sequences as they are, to run on ``TPoly``
@@ -188,15 +153,15 @@ def _graded(solve, *seqs):
     d = _grade(*map(enumerate, seqs))
     if not _polys(*seqs):
         out, dk = [], 1
-        for x in solve(*[_scaled(cs, d) for cs in seqs]):
+        for x in solve(sub, *[_scaled(cs, d) for cs in seqs]):
             out.append(Fraction(x, dk))
             dk *= d
         return out
     b = _width(solve, seqs, d)
     if b is None:
-        out = solve(*seqs)
+        out = solve(sub, *seqs)
         return out[:1] + _as_ring(out[1:], True)
-    xs = solve(*[_scaled(cs, d, b) for cs in seqs])
+    xs = solve(sub, *[_scaled(cs, d, b) for cs in seqs])
     out, dk = xs[:1], 1
     for x in xs[1:]:
         dk *= d
@@ -209,85 +174,28 @@ def _graded(solve, *seqs):
 # two_state_r at high order) reads a majorant far above its true digits, and
 # its packed ints carry that width in every t-digit, where the TPoly path
 # carries only the digits the outputs have.  Measured per solve on the
-# inputs of in-process verify (CPython 3.11, 2-core x86): r_from_moments in
-# bt-semigroup at order 48 reads 126 bits and runs 1.10x faster packed;
+# inputs of in-process verify, packed against TPoly time, best of 3, with the
+# majorant run on plain ints (CPython 3.11, 2-core x86): r_from_moments in
+# bt-semigroup at order 48 reads 126 bits and runs 1.10-1.18x faster packed;
 # thm-b's two_state_r and r_from_moments at 48 read 136-137 bits and run
-# 0.83-0.91x; past 190 bits (bn-mean at 48, bt-semigroup and thm-b at 64)
-# 0.35-0.68x.  thm-b at order 64 takes 4.09 s under this rule, 5.20 s with
-# every solve packed and 4.71 s with none (medians of 3).
+# 0.91-0.93x; past 190 bits (bn-mean at 48 and 64, bt-semigroup and thm-b at
+# 64) 0.40-0.71x.  The small solves gain too: thm-b's _eta at 64 with B = 66
+# runs 1.7x faster packed and bn-mean's moments_from_eta with B = 3 2.6x.
+# thm-b at order 64 takes 6.1 s under this rule, 8.2 s with every solve
+# packed and 9.0 s with none (medians of 5 on a host running about 1.5x
+# slower than the 4.09 s this rule read when it was set).
 _SLACK = 128
 
 
 def _width(solve, seqs, d):
-    """B for the packed run of solve on seqs graded by D = d, from a run in
-    ``_Majorant`` on the inputs' graded l1 norms; None when B passes the
-    largest of those norms, which bounds every packed input digit, by more
-    than ``_SLACK`` bits."""
-    norms = []
-    for cs in seqs:
-        row, dk = [], 1
-        for c in cs:
-            if type(c) is TPoly:
-                row.append(_Majorant(sum(map(abs, c.nums)) * (dk // c.den)))
-            else:
-                row.append(_Majorant(abs(c.numerator)
-                                     * (dk // c.denominator)))
-            dk *= d
-        norms.append(row)
-    b = max(solve(*norms)).bit_length() + 2
+    """B for the packed run of solve on seqs graded by D = d, from a run of
+    solve with ``add`` as its difference on the inputs' graded l1 norms,
+    plain non-negative ints; None when B passes the largest of those norms,
+    which bounds every packed input digit, by more than ``_SLACK`` bits."""
+    norms = [_norms(cs, d) for cs in seqs]
+    b = _bits(max(solve(add, *norms)))
     top = max(map(max, norms)).bit_length()
     return None if b > top + _SLACK else b
-
-
-class _Majorant(int):
-    """An int of a majorant run (``_graded``, ``multivariate._graded_words``):
-    a bound on the l1 norm of a graded Q[t] value, in a ring where - acts
-    as +."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Majorant(int.__add__(self, other))
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __mul__(self, other):
-        return _Majorant(int.__mul__(self, other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self
-
-    def __floordiv__(self, other):
-        return _Majorant(int.__floordiv__(self, other))
-
-
-# The operand types of the kernels' integer branches: graded ints, packed or
-# not, and the majorant run's bounds.
-_INTS = (int, _Majorant)
-
-
-def _pack(nums, b):
-    """The int polynomial sum_i nums[i] t^i at t = 2^b."""
-    x = 0
-    for a in reversed(nums):
-        x = (x << b) + a
-    return x
-
-
-def _unpack(x, b, den):
-    """The TPoly (sum_i a_i t^i) / den for x = sum_i a_i 2^(b i), read as
-    balanced base-2^b digits, |a_i| < 2^(b-1)."""
-    nums, mask, half = [], (1 << b) - 1, 1 << (b - 1)
-    x = int(x)
-    while x:
-        a = x & mask
-        if a >= half:
-            a -= mask + 1
-        nums.append(a)
-        x = (x - a) >> b
-    return _canonical(nums, den, den)
 
 
 def _polys(*seqs):
@@ -313,7 +221,7 @@ def _add_diagonal(p, m):
     s = len(p)
     if s > 1:
         p[1].append(m[s - 1])  # row 1 is 1 + M itself
-    if type(m[s - 1]) in _INTS:
+    if type(m[s - 1]) is int:
         for k in range(2, s):
             prev = p[k - 1]
             j = s - k
@@ -332,7 +240,7 @@ def _add_diagonal(p, m):
 
 def _substitute_at(a, p, n):
     """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
-    if type(p[1][-1]) in _INTS:
+    if type(p[1][-1]) is int:
         s = None
         for k in range(1, n + 1):
             if a[k]:
@@ -346,7 +254,7 @@ def _split_sum(left, right, n):
     """The sum of left[j] * right[n-j] over 0 < j < n."""
     if n < 2:
         return 0
-    if type(left[1]) in _INTS and type(right[1]) in _INTS:
+    if type(left[1]) is int and type(right[1]) is int:
         s = left[1] * right[n - 1]
         for j in range(2, n):
             s = s + left[j] * right[n - j]
@@ -390,8 +298,8 @@ def r_from_moments(mf):
         r, s = mf._r
         return TruncSeries(n, [ZERO] + _as_ring(
             [s * c for c in r.coeffs()[1:]], _polys(mf.moments())))
-    return TruncSeries(n, _graded(lambda m: _fill(
-        n, lambda k, _, s: m[k] - s, (None, m)), _moment_table(mf)))
+    return TruncSeries(n, _graded(lambda sub, m: _fill(
+        n, lambda k, _, s: sub(m[k], s), (None, m)), _moment_table(mf)))
 
 
 def _carrying(mf, r, s):
@@ -403,7 +311,7 @@ def _carrying(mf, r, s):
 def _solve_moments(r, order):
     """The forward solve of R(z(1+M)) = M for m_1..m_order; the functional
     carries no R."""
-    return MomentFunctional(order, _graded(lambda kappa: _fill(
+    return MomentFunctional(order, _graded(lambda _, kappa: _fill(
         order, lambda k, _, s: s, (kappa, None)), r.coeffs()[:order + 1])[1:])
 
 
@@ -430,8 +338,8 @@ def moments_from_r(r, order):
 def _eta(mf):
     """[0, eta_1, ..., eta_N] by eta_n = m_n - sum_{0<j<n} eta_j m_{n-j}: the
     one eta solve, behind ``_strip_once`` and ``eta_from_moments``."""
-    return _graded(lambda m: _fill(
-        mf.order, lambda k, eta, _: m[k] - _split_sum(eta, m, k)),
+    return _graded(lambda sub, m: _fill(
+        mf.order, lambda k, eta, _: sub(m[k], _split_sum(eta, m, k))),
         _moment_table(mf))
 
 
@@ -444,7 +352,7 @@ def moments_from_eta(eta, order):
     """Solve M = eta + eta*M forward for the moments."""
     if order > eta.order:
         raise ValueError(f"eta known to order {eta.order} < {order}")
-    return MomentFunctional(order, _graded(lambda e: _fill(
+    return MomentFunctional(order, _graded(lambda _, e: _fill(
         order, lambda k, m, _: e[k] + _split_sum(e, m, k)),
         eta.coeffs()[:order + 1])[1:])
 
@@ -514,16 +422,16 @@ def voiculescu_phi_by_reversion(mf):
 def two_state_r(pair):
     """Solve eta^tilde = R2(z(1+M)) (1+M)^{-1} for the two-state R-transform."""
     n = pair.order
-    return TruncSeries(n, _graded(lambda e, m: _fill(
-        n, lambda k, _, s: e[k] + _split_sum(e, m, k) - s, (None, m)),
+    return TruncSeries(n, _graded(lambda sub, e, m: _fill(
+        n, lambda k, _, s: sub(e[k] + _split_sum(e, m, k), s), (None, m)),
         eta_from_moments(pair.tilde).coeffs(), _moment_table(pair.base)))
 
 
 def _substitute_divide(a, mf, n):
     """A(z(1+M)) (1+M)^{-1} through z^n, for the series a and M = M^mf:
     eta~ from R2, and R^{mu |> nu} from R^mu with mf = nu."""
-    return TruncSeries(n, _graded(lambda x, m: _fill(n, lambda k, out, s: (
-        s - _split_sum(out, m, k)), (x, m)),
+    return TruncSeries(n, _graded(lambda sub, x, m: _fill(
+        n, lambda k, out, s: sub(s, _split_sum(out, m, k)), (x, m)),
         a.coeffs()[:n + 1], _moment_table(mf)[:n + 1]))
 
 
@@ -534,7 +442,7 @@ def _composition(a, mf, n):
     through mf's power table."""
     # b[k] = [z^{k+1}] B, which _graded grades by k: so the solve hands
     # back [z^{k+1}] B(W) at index k.
-    return _graded(lambda b, m: _fill(
+    return _graded(lambda _, b, m: _fill(
         n + 1, lambda k, _, s: s, ([0] + b, m))[1:],
         _moment_table(a)[:n + 1], _moment_table(mf)[:n + 1])
 

@@ -977,30 +977,31 @@ def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
     (["verify", "general-b", "--param", "c_t=0"],
      "parameter c_t: want NonzeroCoeff"),
     (["verify", "two-state-meixner", "--param", "c=0"],
-     "supplied parameters give degenerate Jacobi rows"),
+     "parameter c: want NonzeroCoeff"),
     (["verify", "two-state-meixner", "--param", "t=0"],
-     "supplied parameters give degenerate Jacobi rows"),
+     "parameter t: want NonzeroCoeff"),
     (["verify", "two-state-meixner", "--param", "gamma=0"],
-     "supplied parameters give degenerate Jacobi rows"),
+     "parameter gamma: want NonzeroCoeff"),
     (["verify", "two-state-meixner", "--param", "c_t=1", "--param",
       "gamma=-1", "--param", "t=1"],
+     "supplied parameters give degenerate Jacobi rows"),
+    (["verify", "two-state-meixner", "--param", "c=1", "--param",
+      "gamma=-1", "--param", "t=1"],
+     "supplied parameters give degenerate Jacobi rows"),
+    (["verify", "two-state-meixner", "--param", "gamma=1", "--param",
+      "c=1", "--param", "c_t=2"],
      "supplied parameters give degenerate Jacobi rows"),
 ))
 def test_cli_verify_refuses_parameters_that_break_the_entry(
         argv, message, capsys):
     """general-b divides by c~ and gamma, and two-state-meixner's displays
-    need every gamma row nonzero: a zero there, from supplied values alone,
-    is a usage error, not a domain error or a reported violation."""
+    need every gamma row nonzero: a zero c~, c, gamma or t is refused by
+    name, and a zero row of supplied values alone is a usage error too, not
+    a domain error or a reported violation."""
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
-
-
-# two-state-meixner refuses a zero gamma row of its displays made of
-# supplied values alone, which a zero c~, c, gamma or t makes
-# (test_cli_verify_refuses_parameters_that_break_the_entry)
-_ZERO_ROWS = {("two-state-meixner", p) for p in ("c_t", "c", "gamma", "t")}
 
 
 @pytest.mark.parametrize("name", [*catalog.CATALOG,
@@ -1020,9 +1021,6 @@ def test_cli_verify_every_coefficient_parameter_at_zero(name, capsys):
         if cls is catalog.NonzeroCoeff:
             assert (status, captured.out) == (2, ""), p
             assert f"parameter {p}: want NonzeroCoeff" in captured.err, p
-        elif (name, p) in _ZERO_ROWS:
-            assert (status, captured.out) == (2, ""), p
-            assert "degenerate Jacobi rows" in captured.err, p
         else:
             assert status == 0, (p, captured.out, captured.err)
 

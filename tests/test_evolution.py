@@ -495,13 +495,17 @@ def test_verify_sweep_seeds_and_low_orders(name, seed, extra):
 def test_two_state_meixner_redraws_what_was_not_supplied():
     """With t = 1 supplied, a draw that zeroes a gamma row (such as c~ = 1
     and gamma = -1, at seed 0) is drawn again, not blamed on t; only
-    supplied values that zero a row alone are refused."""
+    supplied values that zero a row alone are refused, and a zero t or
+    gamma is refused by name before the entry runs."""
     for seed in range(200):
         rep = verify("two-state-meixner", params={"t": F(1)}, order=6,
                      seed=seed)
         assert rep.verified, seed
-    for params in ({"t": F(0)}, {"gamma": F(0)},
-                   {"c_t": F(1), "gamma": F(-1), "t": F(1)},
+    for p in ("t", "gamma"):
+        with pytest.raises(ValueError, match=f"parameter {p}: want "
+                           "NonzeroCoeff$"):
+            verify("two-state-meixner", params={p: F(0)}, order=6)
+    for params in ({"c_t": F(1), "gamma": F(-1), "t": F(1)},
                    {"gamma": F(1), "c": F(1), "c_t": F(2)}):
         with pytest.raises(ValueError, match="^supplied parameters give "
                            "degenerate Jacobi rows$"):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import operator
@@ -53,7 +54,7 @@ from freeconv.transforms import (
 from freeconv.functionals import TwoStatePair
 from freeconv.series import TruncSeries
 from ncseries import NCSeries, nc_m_series, nc_series_from_cumulants
-from test_transforms import _nine_solves, _patch_kernel
+from test_transforms import _Majorant, _nine_solves, _patch_kernel
 
 
 def rand_nc(rng, d, order, span=2):
@@ -693,7 +694,7 @@ def _tpoly_path(solve, d, order, *dicts, t=None):
     if t is not None:
         tables.insert(0, lambda tab: [None] + [
             [None if c is None else t * c for c in row] for row in tab[1:]])
-    out = solve(d, order, *tables)
+    out = solve(d, order, multivariate._minus, *tables)
     return {w: c for row_w, row in zip(ws[1:], out[1:])
             for w, c in zip(row_w, row) if c is not None}
 
@@ -819,6 +820,90 @@ def test_packed_word_solves_match_the_tpoly_path_value_for_value(seed, shape,
         assert got == want, (name, t)
 
 
+def _majorant_top(solve, d, order, *dicts, t=None):
+    """The largest output of the majorant run of ``_graded_words`` as it ran
+    in ``_Majorant``: solve at d = 1 with the row difference ``_minus``, on
+    the largest graded l1 norm of each input at each length."""
+    tn, tq = ((), 1) if t is None else TPoly._parts(t)
+    scale = transforms._grade(
+        *(zip(map(len, dct), dct.values()) for dct in dicts)) * tq
+    pw = [1]
+    for _ in range(max(order, max(map(len, itertools.chain(*dicts)),
+                                  default=0))):
+        pw.append(pw[-1] * scale)
+    tops = []
+    for dct in dicts:
+        top = [0] * len(pw)
+        for w, c in dct.items():
+            nums, den = TPoly._parts(c)
+            k = len(w)
+            top[k] = max(top[k], sum(map(abs, nums)) * (pw[k] // den))
+        tops.append([None] + [[_Majorant(x) or None]
+                              for x in top[1:order + 1]])
+    if t is not None:
+        tops.insert(0, multivariate._times(_Majorant(sum(map(abs, tn))), tq))
+    bound = solve(1, order, multivariate._minus, *tops)
+    return max((x for row in bound[1:] for x in row if x is not None),
+               default=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(d, n) for d in (1, 2, 3) for n in range(1, 6)
+                        if d ** n <= 2 ** 5]),
+       st.sampled_from(sorted(_SWEEP_MODES)))
+def test_plain_int_majorant_matches_the_majorant_ring_per_word_op(seed, shape,
+                                                                  mode):
+    """Every public word operation, and every raw kernel through
+    ``_graded_words``, bounds its packed outputs, when it packs, by a run on
+    plain non-negative ints with ``_plus`` as its row difference; that run's
+    largest output, and so B, equals the run in ``_Majorant`` with
+    ``_minus``, bit for bit, on the sweep's draws, cancellations
+    included."""
+    d, n = shape
+    rng = random.Random(seed)
+
+    def draw(keep_zeros):
+        cs = {w: _sweep_value(rng, mode) for w in words(d, n)}
+        return {w: c for w, c in cs.items()
+                if c is not None and (keep_zeros or c)}
+
+    mu, nu = NCFunctional(d, n, draw(False)), NCFunctional(d, n, draw(False))
+    raw = draw(True)
+    t = rng.choice((formal_t(), F(0), TPoly(), F(rng.randint(-5, 5), 3),
+                    _sweep_value(rng, "large") or formal_t()))
+    beta = [_sweep_value(rng, mode) or F(0) for _ in range(d)]
+    seam, bits, seen = multivariate._graded_words, multivariate._bits, []
+
+    def spy_seam(solve, d, order, *dicts, t=None):
+        polys = type(t) is TPoly or any(
+            type(c) is TPoly for dct in dicts for c in dct.values())
+        seen.append([polys, _majorant_top(solve, d, order, *dicts, t=t)])
+        return seam(solve, d, order, *dicts, t=t)
+
+    def spy_bits(top):
+        seen[-1].append(top)
+        assert type(top) is int
+        return bits(top)
+
+    ops = list(_sweep_ops(mu, nu, raw, t, beta).values())
+    for name in _KERNEL_EQUATIONS:
+        kernel = getattr(multivariate, name)
+        arity = len(inspect.signature(kernel).parameters) - 3
+        ins = [dict(mu.items()), dict(nu.items()), raw][:arity]
+        if name == "_products":
+            ins = [{w: c for w, c in raw.items() if len(w) == 1}]
+        ops.append(partial(lambda *args: multivariate._graded_words(*args),
+                           kernel, d, n, *ins))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multivariate, "_graded_words", spy_seam)
+        mp.setattr(multivariate, "_bits", spy_bits)
+        for op in ops:
+            op()
+    for polys, want, *got in seen:
+        assert got == ([want] if polys else [])
+
+
 _SEAM_OPS = {
     "nc_r": lambda mu, nu: nc_r(mu),
     "nc_eta": lambda mu, nu: nc_eta(mu),
@@ -935,7 +1020,7 @@ def test_each_word_kernel_satisfies_its_equation(seed, shape, mode):
     for name, check in _KERNEL_EQUATIONS.items():
         arity = len(inspect.signature(getattr(multivariate, name)).parameters)
         ins = [_kernel_draw(rng, d, n, "sparse" if mode == "cancel" else mode)
-               for _ in range(arity - 2)]
+               for _ in range(arity - 3)]
         if name == "_products":  # the kernel reads the letters only
             ins = [{w: c for w, c in ins[0].items() if len(w) == 1}]
         want = None
@@ -1013,3 +1098,45 @@ def test_equality_reads_words_up_to_the_lower_order():
     assert a != NCFunctional(3, 3, {(1,): F(1), (2, 1): F(1, 2)})
     assert NCFunctional(1, 2, {(1,): TPoly.constant(2)}) == \
         NCFunctional(1, 2, {(1,): F(2)})
+
+
+def _pinned_word_values():
+    """(d, ring, op, word, type name, value) of every output word of five
+    word operations on seeded inputs at d = 1-4, over Q and over Q[t]."""
+    t = formal_t()
+    out = []
+    for d, n in ((1, 6), (2, 4), (3, 3), (4, 3)):
+        for formal in (False, True):
+            rng = random.Random(10 * d + formal)
+
+            def draw():
+                cs = {}
+                for w in words(d, n):
+                    c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                    if formal and rng.random() < 1 / 2:
+                        c += F(rng.randint(-2, 2), rng.randint(1, 2)) * t
+                    cs[w] = c
+                return NCFunctional(d, n, cs)
+
+            mu, nu = draw(), draw()
+            ops = (("nc_r", nc_r(mu)),
+                   ("nc_subordination", nc_subordination(mu, nu).items()),
+                   ("nc_subordination_inverse",
+                    nc_subordination_inverse(mu, nu).items()),
+                   ("nc_two_state_r", nc_two_state_r(NCPair(mu, nu))),
+                   ("nc_free_power", nc_free_power(mu, t).items()))
+            for name, got in ops:
+                for w, c in sorted(dict(got).items()):
+                    out.append((d, formal, name, w, type(c).__name__, str(c)))
+    return out
+
+
+def test_word_values_are_pinned_per_d():
+    """The type and value of every output of nc_r, nc_subordination,
+    nc_subordination_inverse, nc_two_state_r and nc_free_power(., t), at
+    each d = 1-4 over Q and over Q[t], as recorded before the majorant runs
+    moved to plain ints: a change in how B is found, or in any word kernel,
+    that alters an output at some d shows here."""
+    digest = hashlib.sha256(repr(_pinned_word_values()).encode())
+    assert digest.hexdigest() == (
+        "4837b0947f8b56d12b05dcddc038aeae71b02ac86485bcc9cc736c33713fa90c")

@@ -4,9 +4,10 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_convolutions import DRAW_KINDS, _draw
 
 from freeconv import series as engine
-from freeconv.coeffs import TPoly, formal_t
+from freeconv.coeffs import ONE, ExactDivisionError, TPoly, formal_t
 from freeconv.series import (
     CompositionDomainError,
     LaurentAtInfinity,
@@ -123,7 +124,7 @@ def test_t_specialization_commutes(a, b, q):
 # -- the rational path against a plain list-of-Fraction model -----------------
 #
 # A series over Q multiplies, inverts and composes on integer numerators over
-# one denominator; any TPoly coefficient sends it down the generic loops.
+# one denominator; any TPoly coefficient sends it to ints packed at t = 2^B.
 # The model below works coefficient by coefficient in Fraction and shares no
 # algorithm with the library: composition sums powers of the inner series,
 # and reversion solves g(f(z)) = z over the powers of f, where the library
@@ -210,7 +211,7 @@ def test_rational_path_matches_fraction_model(seed, order):
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.integers(min_value=0, max_value=10))
 def test_generic_path_matches_fraction_model(seed, order):
-    """One TPoly coefficient runs the generic loops, which agree too."""
+    """One TPoly coefficient runs the packed path, which agrees too."""
     coeffs = _check_against_model(seed, order, poly=True)
     assert any(isinstance(c, TPoly) for c in coeffs)
 
@@ -235,8 +236,9 @@ def test_reversion_matches_the_series_product_loop(seed, order, ring):
     """Reversion over Q runs its powers on ints, one convolution each; it
     gives the coefficients of the loop on whole series, type for type, on
     zero-heavy series whose linear coefficient is not +-1.  A series with a
-    TPoly among c_1..c_n keeps the generic loop, with no convolution; it is
-    drawn at orders up to 12, where that loop stays fast."""
+    TPoly among c_1..c_n keeps the loop of series products, each on ints
+    packed at t = 2^B with two convolutions, one on the l1 norms for B and
+    one on the packed ints; it is drawn at orders up to 12."""
     rng = random.Random(seed)
     if ring != "q":
         order = min(order, 12)
@@ -266,7 +268,7 @@ def test_reversion_matches_the_series_product_loop(seed, order, ring):
     assert got.order == want.order == order
     assert [(type(c), c) for c in got.coeffs()] == \
         [(type(c), c) for c in want.coeffs()]
-    assert len(convolutions) == (order - 1 if ring == "q" else 0)
+    assert len(convolutions) == (order - 1) * (1 if ring == "q" else 2)
 
 def test_t_derivative():
     t = formal_t()
@@ -333,3 +335,156 @@ def test_equal_series_hash_alike(s, n):
     for other in (s.truncate(n), const, const.truncate(n)):
         assert other == s and hash(other) == hash(s)
     assert len({s, s.truncate(n), const}) == 1
+
+
+# -- the packed Q[t] path against folds of the TPoly operators ----------------
+#
+# Over Q[t] the product, reciprocal and composition grade their inputs,
+# pack each coefficient at t = 2^B and run the integer kernels of the Q path.
+# The folds below run the textbook sums on TPoly + and * alone.
+
+
+def _fold_mul(f, g, n):
+    return [sum((f[i] * g[k - i] for i in range(k + 1)), TPoly())
+            for k in range(n + 1)]
+
+
+def _fold_reciprocal(f, n):
+    inv0 = TPoly.constant(1) / f[0]
+    out = [inv0]
+    for k in range(1, n + 1):
+        out.append(-sum((f[j] * out[k - j] for j in range(1, k + 1)),
+                        TPoly()) * inv0)
+    return out
+
+
+def _fold_compose(f, h, n):
+    out, power = [TPoly()] * (n + 1), [TPoly.constant(1)] + [TPoly()] * n
+    for k in range(n + 1):
+        out = [x + f[k] * y for x, y in zip(out, power)]
+        power = _fold_mul(power, h, n)
+    return out
+
+
+def _fold_reversion(f, n):
+    """g with g(f(z)) = z, over the powers of f as ``_model_reversion``."""
+    powers = [[TPoly.constant(1)] + [TPoly()] * n]
+    for _ in range(n):
+        powers.append(_fold_mul(powers[-1], f, n))
+    out = [TPoly()]
+    for k in range(1, n + 1):
+        s = sum((out[j] * powers[j][k] for j in range(1, k)), TPoly())
+        out.append((int(k == 1) - s) / powers[k][k])
+    return out
+
+
+def _coeffs(rng, count, kind):
+    """count coefficients: a ``_draw`` of that kind over Q[t], or for
+    "wide" TPolys of t-degree up to 5 with numerators of about 60 bits, a
+    quarter of them zero."""
+    if kind != "wide":
+        return list(_draw(rng, count, True, kind).moments()) if count else []
+    return [TPoly([F(rng.randint(-2 ** 60, 2 ** 60), rng.choice((1, 2, 3, 6)))
+                   for _ in range(rng.randint(1, 6))])
+            if rng.random() < 3 / 4 else rng.choice((F(0), TPoly()))
+            for _ in range(count)]
+
+
+def _unit(rng):
+    """A nonzero constant, a Fraction or a constant TPoly."""
+    c = F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+    return rng.choice((c, TPoly.constant(c)))
+
+
+def _packed_cases(rng, order, kind):
+    """(result, fold, coefficients read) for a product, a reciprocal, a
+    composition and a reversion of draws of the given kind at ``order``."""
+    f = [_unit(rng)] + _coeffs(rng, order, kind)
+    g = _coeffs(rng, order + 1 + rng.randint(0, 2), kind)
+    h = [rng.choice((F(0), TPoly()))] + g[1:]
+    n_g = len(g) - 1
+    cases = [
+        (TruncSeries(order, f) * TruncSeries(n_g, g), _fold_mul(f, g, order),
+         f + g[:order + 1]),
+        (TruncSeries(order, f).reciprocal(), _fold_reciprocal(f, order), f),
+        (TruncSeries(order, f).compose(TruncSeries(n_g, h)),
+         _fold_compose(f, h, order), f + h[:order + 1]),
+    ]
+    if order >= 1:
+        r = [rng.choice((F(0), TPoly())), _unit(rng)] + f[2:]
+        cases.append((TruncSeries(order, r).reversion(),
+                      _fold_reversion(r, order), r[1:]))
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=12),
+       st.sampled_from(DRAW_KINDS + ("wide",)))
+def test_packed_series_ops_match_a_tpoly_fold(seed, order, kind):
+    """Product, reciprocal, composition and reversion over Q[t] give the
+    folds' values, coefficient for coefficient, on draws that are mostly
+    zero, hold zero or constant TPolys, or wide ones.  Every coefficient of
+    a product, reciprocal or composition is a TPoly when a coefficient it
+    reads is one, and a Fraction otherwise; reversion reads c_1..c_n."""
+    rng = random.Random(seed)
+    for got, want, read in _packed_cases(rng, order, kind):
+        assert got.order == order
+        assert list(got.coeffs()) == want
+        ring = TPoly if TPoly in map(type, read) else F
+        assert all(type(c) is ring for c in got.coeffs()[1:])
+
+
+def test_reciprocal_refuses_a_nonconstant_constant_term_as_one_over_it():
+    """Over Q[t] only a nonzero constant c_0 has an inverse: a series whose
+    c_0 is a non-constant TPoly raises the ExactDivisionError of 1 / c_0,
+    before anything is packed."""
+    t = formal_t()
+    for c0 in (1 + t, 2 * t - F(1, 3), t * t):
+        for rest in ([], [F(1), t], [F(1, 2)]):
+            with pytest.raises(ExactDivisionError) as got:
+                TruncSeries(3, [c0] + rest).reciprocal()
+            with pytest.raises(ExactDivisionError) as want:
+                ONE / c0
+            assert str(got.value) == str(want.value)
+
+
+def _one_bit_short_cases():
+    rng = random.Random(11)
+    f = [_unit(rng)] + _coeffs(rng, 8, "wide")
+    g = _coeffs(rng, 9, "wide")
+    h = [F(0)] + g[1:]
+    return {
+        "mul": (lambda: TruncSeries(8, f) * TruncSeries(8, g),
+                _fold_mul(f, g, 8)),
+        "reciprocal": (lambda: TruncSeries(8, f).reciprocal(),
+                       _fold_reciprocal(f, 8)),
+        "compose": (lambda: TruncSeries(8, f).compose(TruncSeries(8, h)),
+                    _fold_compose(f, h, 8)),
+    }
+
+
+@pytest.mark.parametrize("op", ["mul", "reciprocal", "compose"])
+def test_packed_series_op_one_bit_short_misreads_an_output(op):
+    """Each packed series operation reads its outputs as B-bit balanced
+    digits, so B must pass the largest t-digit of every packed output.  The
+    majorant run's B does; at the least width that holds every digit the
+    outputs equal the fold's, and one bit short some output differs."""
+    run, want = _one_bit_short_cases()[op]
+    unpack, seen = engine._unpack, []
+
+    def spy(x, b, den):
+        p = unpack(x, b, den)
+        seen.append((b, max(map(abs, p.nums), default=0) * (den // p.den)))
+        return p
+
+    def run_at(b):
+        with mock.patch.object(engine, "_bits", lambda top: b):
+            return list(run().coeffs())
+
+    with mock.patch.object(engine, "_unpack", spy):
+        assert list(run().coeffs()) == want
+    need = max(digit for _, digit in seen).bit_length() + 1
+    assert seen[0][0] >= need
+    assert run_at(need) == want
+    assert run_at(need - 1) != want

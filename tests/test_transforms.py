@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import itertools
+import operator
 import pkgutil
 import random
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from test_convolutions import DRAW_KINDS, EXPONENTS, _draw, _exponent, _typed
 
 import freeconv
-from freeconv import docs, transforms
+from freeconv import coeffs, docs, transforms
 from freeconv.coeffs import TPoly, formal_t
 from freeconv.convolutions import (
     free_convolve,
@@ -190,10 +191,14 @@ def test_reversion_path_outputs_are_pinned():
     replaced.  Re-recorded when every operation came to give its outputs
     one ring: 6 of the 156 outputs changed, each only in a rational that
     became a constant TPoly of the same value, all read off a formal free
-    power."""
+    power.  Re-recorded when the series product, reciprocal and composition
+    over Q[t] moved to packed ints, which give every output coefficient a
+    TPoly when an input coefficient is one: 48 of the 156 outputs changed,
+    again each only in rationals that became constant TPolys of the same
+    values."""
     digest = hashlib.sha256(repr(_reversion_path_outputs()).encode())
     assert digest.hexdigest() == (
-        "bf8ecdca9709d20c6adbe7793b3b7f319fcfbe2dcb529fed28550399c46363e1")
+        "619df669fa694f64f90e2b62c1397815045722c15d963663dc8fdef13b6e2668")
 
 
 def test_two_state_r_trivializations():
@@ -253,21 +258,32 @@ SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
                  "_graded")
 
 
+# The grading and packing of Q[t] values, owned by ``coeffs``, and the
+# modules that use each one.
+PACKING = {"_grade": {"series", "transforms", "multivariate"},
+           "_scaled": {"series", "transforms"},
+           "_norms": {"series", "transforms"},
+           "_bits": {"series", "transforms", "multivariate"},
+           "_pack": {"multivariate"},
+           "_unpack": {"series", "transforms", "multivariate"}}
+
+
 def test_only_transforms_holds_the_solve_kernels():
     """``transforms`` owns the single-variable solves: no other freeconv
     module holds one of its kernel objects, checked by identity, so that
     ``oracle._graded``, the oracle's own grading, is another object.  Only
-    ``multivariate`` also holds ``_grade`` and the packing of Q[t] values,
-    ``_Majorant``, ``_pack`` and ``_unpack``, which both layers share, and
-    only ``evolution`` ``_strip_once``, where the Jacobi wrong-path tests
-    patch it."""
+    ``evolution`` also holds ``_strip_once``, where the Jacobi wrong-path
+    tests patch it.  The grading and packing of Q[t] values live in
+    ``coeffs``, below the series engine and both solve layers, and each of
+    those holds exactly the ones it uses (``PACKING``)."""
     owners = {name: {"transforms"} for name in (
         "_fill", "_graded", "_add_diagonal", "_substitute_at", "_split_sum",
-        "_scaled", "_moment_table", "_polys", "_as_ring", "_eta", "_width")}
-    for name in ("_grade", "_Majorant", "_pack", "_unpack"):
-        owners[name] = {"transforms", "multivariate"}
+        "_moment_table", "_polys", "_as_ring", "_eta", "_width")}
     owners["_strip_once"] = {"transforms", "evolution"}
     kernels = {id(getattr(transforms, name)): name for name in owners}
+    for name, users in PACKING.items():
+        owners[name] = {"coeffs"} | users
+        kernels[id(getattr(coeffs, name))] = name
     modules = [freeconv] + [
         importlib.import_module(f"freeconv.{info.name}")
         for info in pkgutil.iter_modules(freeconv.__path__)]
@@ -276,8 +292,8 @@ def test_only_transforms_holds_the_solve_kernels():
             if id(obj) in kernels}
     assert held <= {(owner, name) for name, names in owners.items()
                     for owner in names}
-    assert {("multivariate", name) for name in (
-        "_grade", "_Majorant", "_pack", "_unpack")} <= held
+    assert {(user, name) for name, users in PACKING.items()
+            for user in users} <= held
 
 
 def _patch_kernel(mp, name, fn):
@@ -775,3 +791,78 @@ def test_packed_solve_one_bit_short_misreads_an_output():
     assert widths[-1] >= need
     assert run_at(need) == want
     assert run_at(need - 1) != want
+
+
+class _Majorant(int):
+    """The ring the majorant runs used before they moved to plain ints: an
+    int whose - acts as +, and whose unary - is the identity, kept here as
+    the oracle of the plain-int runs."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Majorant(int.__add__(self, other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Majorant(int.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __floordiv__(self, other):
+        return _Majorant(int.__floordiv__(self, other))
+
+
+def _majorant_top(solve, seqs, d):
+    """The largest output of solve, run with its difference - in
+    ``_Majorant`` on the graded l1 norms of seqs, as ``_width`` ran it."""
+    norms = []
+    for cs in seqs:
+        row, dk = [], 1
+        for c in cs:
+            if type(c) is TPoly:
+                row.append(_Majorant(sum(map(abs, c.nums)) * (dk // c.den)))
+            else:
+                row.append(_Majorant(abs(c.numerator)
+                                     * (dk // c.denominator)))
+            dk *= d
+        norms.append(row)
+    return max(solve(operator.sub, *norms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24),
+       st.sampled_from(DRAW_KINDS), st.sampled_from(sorted(PACKED_SOLVES)))
+def test_plain_int_majorant_matches_the_majorant_ring(seed, order, kind,
+                                                      name):
+    """Each single-variable solve bounds its packed outputs by a run on
+    plain non-negative ints with ``add`` as its difference; that run's
+    largest output, and so B, equals the run in ``_Majorant``, where every
+    - acts as +, bit for bit, on every draw kind."""
+    rng = random.Random(seed)
+    count, run = PACKED_SOLVES[name]
+    ins = [list(_draw(rng, order, True, kind).moments())
+           for _ in range(count)]
+    bits, seen = transforms._bits, []
+
+    def spy_width(solve, seqs, d):
+        seen.append([_majorant_top(solve, seqs, d)])
+        return width(solve, seqs, d)
+
+    def spy_bits(top):
+        seen[-1].append(top)
+        assert type(top) is int
+        return bits(top)
+
+    width = transforms._width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_width", spy_width)
+        mp.setattr(transforms, "_bits", spy_bits)
+        run(ins, order)
+    poly = TPoly in map(type, itertools.chain.from_iterable(ins))
+    assert bool(seen) == poly
+    assert all(want == got for want, got in seen)

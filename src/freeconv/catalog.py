@@ -3,33 +3,36 @@
 An entry of CATALOG, or of the word layer's NC_CATALOG as ``nc:<entry>``,
 draws each parameter it is not given from a seeded rng and compares both
 sides of its identities coefficient by coefficient, over Q[t] for a
-statement "for all t >= 0".  One runner, ``verify``, serves both catalogs
-and holds a word-layer entry to the size rule ``nc_max_order``.
+statement "for all t >= 0".  An entry that calls strip, Phi or the
+two-state semigroup also runs their second paths (``_CrossChecks``) as
+checks marked ``cross_check``: the operators only compute.  One runner,
+``verify``, serves both catalogs and holds a word-layer entry to the size
+rule ``nc_max_order``.
 """
 
 from __future__ import annotations
 
 import inspect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import get_args
 
-from .coeffs import TPoly, ZERO, ONE, all_digits, as_coeff, exact_div, formal_t
+from .coeffs import (ExactDivisionError, TPoly, ZERO, ONE, all_digits,
+                     as_coeff, exact_div, formal_t)
 from .convolutions import (boolean_convolve, boolean_power, free_convolve,
                            free_power, monotone_convolve, two_state_convolve)
 from .docs import MAX_ORDER
-from .evolution import (_tilde_by_monotone, _triple_r_series, belinschi_nica,
-                        bercovici_pata, cauchy_evolution_residual,
-                        maassen_semigroup, pde_residual, phi_map, strip,
-                        subordination, subordination_inverse,
-                        two_state_semigroup)
+from .evolution import (_triple_r_series, belinschi_nica, bercovici_pata,
+                        cauchy_evolution_residual, maassen_semigroup,
+                        pde_residual, phi_map, strip, subordination,
+                        subordination_inverse, two_state_semigroup)
 from .functionals import (FAMILIES, CanonicalTriple, JacobiParams,
-                          MomentFunctional, TwoStatePair, arcsine,
-                          bernoulli_sym, family, free_meixner,
-                          jacobi_from_moments, moments_from_jacobi, point_mass,
-                          semicircular)
+                          MomentFunctional, NoJacobiRepresentationError,
+                          TwoStatePair, arcsine, bernoulli_sym, family,
+                          free_meixner, jacobi_from_moments,
+                          moments_from_jacobi, point_mass, semicircular)
 from .multivariate import (NCFunctional, _composition_product,
                            nc_boolean_convolve, nc_boolean_power,
                            nc_free_convolve, nc_free_power, nc_from_univariate,
@@ -37,8 +40,8 @@ from .multivariate import (NCFunctional, _composition_product,
                            nc_subordination_inverse, nc_tilde_from_two_state_r,
                            nc_to_univariate, words)
 from .series import LaurentAtInfinity, TruncSeries
-from .transforms import (f_at_infinity, r_from_moments, tilde_from_two_state_r,
-                         voiculescu_phi)
+from .transforms import (f_at_infinity, moments_from_eta, r_from_moments,
+                         tilde_from_two_state_r, voiculescu_phi)
 
 
 # -- checks and reports -------------------------------------------------------
@@ -49,6 +52,9 @@ class Check:
     label: str
     ok: bool
     detail: str = ""
+    # a comparison of two independent paths of one operator, whose failure
+    # is an internal inconsistency rather than a violated identity
+    cross_check: bool = False
 
 
 def _order(value):
@@ -186,9 +192,115 @@ def _meixner_params(rng, b, c, beta, gamma, beta2, gamma2):
             _q(beta2, _rand_q(rng)), _q(gamma2, _rand_q(rng, nonzero=True)))
 
 
-def _delta_bool_phi(beta_c, inner, gamma_c, order):
+# -- cross-checks: the operators' second paths --------------------------------
+
+
+def _jacobi_rows(mf):
+    """The Jacobi rows of ``mf`` at every level it decides, read by the
+    Chebyshev algorithm, which shares no solve kernel with the transform
+    paths; None where they are not over Q[t]."""
+    try:
+        return jacobi_from_moments(mf, mf.order // 2)
+    except (NoJacobiRepresentationError, ExactDivisionError):
+        return None
+
+
+# The Jacobi shift of each operator: Phi inserts the row (0; 1), J drops the
+# first row.
+_SHIFTS = {
+    "Phi": ("rows of Phi[nu] = (0; 1) then the rows of nu",
+            lambda jp: ((ZERO,) + jp.betas, (ONE,) + jp.gammas)),
+    "J": ("rows of J[mu] = the rows of mu after the first",
+          lambda jp: (jp.betas[1:], jp.gammas[1:])),
+}
+
+
+def _tilde_by_monotone(rel, base_t, t):
+    """(mu~_t, sub): mu~_t = delta_{beta~ t} uplus Phi[rho~ |> mu_t]^{uplus
+    gamma~ t}, and sub = rho~ |> mu_t at order - 2 (None without rho~ or
+    below order 3)."""
+    order = base_t.order
+    eta = [ZERO, rel.beta * t] + [ZERO] * (order - 1)
+    sub = None
+    if rel.rho is not None and order > 1:
+        gt = rel.gamma * t
+        eta[2] = gt
+        if order > 2:  # rho~ enters from eta_3 on
+            sub = monotone_convolve(rel.rho.truncate(order - 2),
+                                    base_t.truncate(order - 2))
+            eta[3:] = [gt * c for c in sub.moments()]
+    return moments_from_eta(TruncSeries(order, eta), order), sub
+
+
+def _monotone_check(rel, tilde, base_t, t):
+    """(check, sub): ``tilde`` against the Boolean/monotone formula on the
+    base mu_t = ``base_t``, and sub = rho~ |> mu_t (``_tilde_by_monotone``)."""
+    by_monotone, sub = _tilde_by_monotone(rel, base_t, t)
+    return check_eq("mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}",
+                    tilde, by_monotone), sub
+
+
+class _CrossChecks:
+    """The second paths of the operators one entry calls through it.
+
+    Each two-state semigroup is checked against the Boolean/monotone formula
+    when it is built.  Each strip and Phi is kept with its input, and
+    ``report`` checks them against the Jacobi shift: one check per operator
+    over the inputs whose rows are over Q[t], and a note counting the rest.
+    """
+
+    def __init__(self):
+        self.checks = []
+        self.seen = {op: [] for op in _SHIFTS}
+
+    def phi_map(self, nu):
+        out = phi_map(nu)
+        self.seen["Phi"].append((nu, out))
+        return out
+
+    def strip(self, mu):
+        out = strip(mu)
+        self.seen["J"].append((mu, out))
+        return out
+
+    def two_state_semigroup(self, rel, base, t, order):
+        pair = two_state_semigroup(rel, base, t, order)
+        check, _ = _monotone_check(rel, pair.tilde, pair.base, t)
+        self.checks.append(replace(check, cross_check=True))
+        return pair
+
+    def report(self, checks, notes=()):
+        """(checks, notes) of the entry: its own, then the cross-checks and
+        the notes of the Jacobi reads that could not run."""
+        checks, notes = checks + self.checks, list(notes)
+        for op, seen in self.seen.items():
+            label, shift = _SHIFTS[op]
+            ran, wrong = 0, []
+            for i, (mf, out) in enumerate(seen, 1):
+                jp = _jacobi_rows(mf)
+                if jp is None:
+                    continue
+                ran += 1
+                if _jacobi_rows(out) != JacobiParams(
+                        *shift(jp), terminated=jp.terminated):
+                    wrong.append(str(i))
+            n = len(seen)
+            if ran:
+                checks.append(Check(
+                    f"Jacobi shift: {label} ({ran} of {n} inputs)", not wrong,
+                    f"{op}: transform and Jacobi paths disagree on input "
+                    f"{', '.join(wrong)} of {n}" if wrong else "",
+                    cross_check=True))
+            if ran < n:
+                notes.append(f"{op}: Jacobi-shift cross-check skipped on "
+                             f"{n - ran} of {n} inputs, whose Jacobi rows "
+                             f"are not over Q[t]")
+        return checks, notes
+
+
+def _delta_bool_phi(cross, beta_c, inner, gamma_c, order):
     """delta_{beta_c} uplus Phi[inner]^{uplus gamma_c} at the given order."""
-    lifted = phi_map(inner)  # order inner.order + 2
+    lifted = cross.phi_map(inner)  # order inner.order + 2
     return boolean_convolve(point_mass(beta_c, order),
                             boolean_power(lifted.truncate(order), gamma_c))
 
@@ -200,21 +312,21 @@ def _verify_free_evolution(order, rng, beta: Coeff = None,
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
     t = formal_t()
-    checks, notes = [], []
+    checks, cross = [], _CrossChecks()
     triple = CanonicalTriple(beta, gamma, rho)
     mu_t = maassen_semigroup(triple, t, order)
     inner = free_convolve(rho, free_power(semicircular(beta, gamma, order - 2), t))
-    display = _delta_bool_phi(beta * t, inner, gamma * t, order)
+    display = _delta_bool_phi(cross, beta * t, inner, gamma * t, order)
     checks.append(check_eq(
         "mu_t = delta_{bt} uplus Phi[rho boxplus sigma_{b,g}^t]^{uplus gt}",
         mu_t, display))
     checks.append(check_eq("J[mu_t] = rho boxplus sigma_{b,g}^{boxplus t}",
-                        strip(mu_t), inner))
+                        cross.strip(mu_t), inner))
     beta0 = _q(beta0, _rand_q(rng))
     mu0_t = maassen_semigroup(CanonicalTriple(beta0, ZERO, None), t, order)
     checks.append(check_eq("gamma = 0 branch: mu_t = delta_{beta t}",
                         mu0_t, point_mass(beta0 * t, order)))
-    return checks, notes
+    return cross.report(checks)
 
 
 def _verify_bn_mean(order, rng, beta: Coeff = None, gamma: Coeff = None,
@@ -223,13 +335,13 @@ def _verify_bn_mean(order, rng, beta: Coeff = None, gamma: Coeff = None,
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
     t = formal_t()
-    checks, notes = [], []
-    start = _delta_bool_phi(beta, rho, gamma, order)
+    checks, cross = [], _CrossChecks()
+    start = _delta_bool_phi(cross, beta, rho, gamma, order)
     lhs = belinschi_nica(start, t)
     inner = free_convolve(
         free_convolve(rho, point_mass(beta * t, order - 2)),
         free_power(semicircular(0, 1, order - 2), gamma * t))
-    rhs = _delta_bool_phi(beta, inner, gamma, order)
+    rhs = _delta_bool_phi(cross, beta, inner, gamma, order)
     checks.append(check_eq(
         "B_t[delta_b uplus Phi[rho]^{uplus g}] = "
         "delta_b uplus Phi[rho boxplus delta_{bt} boxplus sigma^{gt}]^{uplus g}",
@@ -237,7 +349,7 @@ def _verify_bn_mean(order, rng, beta: Coeff = None, gamma: Coeff = None,
     checks.append(check_eq("gamma = 0 branch: B_t[delta_b] = delta_b",
                         belinschi_nica(point_mass(beta, order), t),
                         point_mass(beta, order)))
-    return checks, notes
+    return cross.report(checks)
 
 
 def _verify_monotone_lemma(order, rng, beta_t: Coeff = None,
@@ -247,23 +359,20 @@ def _verify_monotone_lemma(order, rng, beta_t: Coeff = None,
     rel, base = _triples(rng, order - 2, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
     t = formal_t()
-    checks, notes = [], []
+    cross = _CrossChecks()
     base_t = maassen_semigroup(base, t, order)
     tilde_r = tilde_from_two_state_r(_triple_r_series(rel, t, order), base_t)
-    tilde_mono, sub = _tilde_by_monotone(rel, base_t, t)
-    checks.append(check_eq(
-        "mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}",
-        tilde_r, tilde_mono))
-    checks.append(check_eq("J[mu~_t] = rho~ |> mu_t (gamma~ != 0)",
-                        strip(tilde_r), sub))
-    return checks, notes
+    lemma, sub = _monotone_check(rel, tilde_r, base_t, t)
+    checks = [lemma, check_eq("J[mu~_t] = rho~ |> mu_t (gamma~ != 0)",
+                              cross.strip(tilde_r), sub)]
+    return cross.report(checks)
 
 
-def _thm_b_tilde(rho_t, omega, p, beta_t, gamma_t, s, order):
+def _thm_b_tilde(cross, rho_t, omega, p, beta_t, gamma_t, s, order):
     """mu~_s = delta_{b~s} uplus Phi[rho~ boxplus omega^{boxplus s/p}]^{uplus g~s}."""
     inner = free_convolve(rho_t.truncate(order - 2),
                           free_power(omega.truncate(order - 2), s / p))
-    return _delta_bool_phi(beta_t * s, inner, gamma_t * s, order)
+    return _delta_bool_phi(cross, beta_t * s, inner, gamma_t * s, order)
 
 
 def _verify_thm_b(order, rng, omega: Functional = None,
@@ -275,19 +384,19 @@ def _verify_thm_b(order, rng, omega: Functional = None,
     beta_t = _q(beta_t, _rand_q(rng))
     gamma_t = _q(gamma_t, _rand_q(rng, nonzero=True))
     t = formal_t()
-    checks, notes = [], []
+    checks, cross = [], _CrossChecks()
     mu = free_power(subordination(omega, rho_t), ONE / p)
 
     @cache  # one pair per s within this call
     def make_pair(s):
         return TwoStatePair(
-            _thm_b_tilde(rho_t, omega, p, beta_t, gamma_t, s, order),
+            _thm_b_tilde(cross, rho_t, omega, p, beta_t, gamma_t, s, order),
             free_power(mu, s))
 
     pair_t = make_pair(t)
     full = free_convolve(rho_t, free_power(omega, t / p))
     checks.append(check_eq("J[mu~_t] = rho~ boxplus omega^{boxplus t/p}",
-                        strip(pair_t.tilde), full.truncate(order - 2)))
+                        cross.strip(pair_t.tilde), full.truncate(order - 2)))
     chain = monotone_convolve(rho_t, pair_t.base)
     checks.append(check_eq("rho~ boxplus omega^{t/p} = rho~ |> mu_t",
                         full, chain))
@@ -306,7 +415,7 @@ def _verify_thm_b(order, rng, omega: Functional = None,
     got = two_state_convolve(make_pair(s), pair_t)
     checks.append(check_eq("semigroup law at (s rational, t formal)",
                         got, make_pair(s + t)))
-    return checks, notes
+    return cross.report(checks)
 
 
 def _verify_subord_id_power(order, rng, mu: Functional = None,
@@ -337,6 +446,7 @@ def _verify_subord_linear(order, rng, mu: Functional = None,
     rho = _functional(rho, order, rng)
     a = _q(a, _rand_q(rng))
     sigma = semicircular(0, 1, order)
+    cross = _CrossChecks()
     checks = [
         check_eq("(mu boxplus nu) |> rho = (mu |> rho) boxplus (nu |> rho)",
                  subordination(free_convolve(mu, nu), rho),
@@ -344,7 +454,7 @@ def _verify_subord_linear(order, rng, mu: Functional = None,
                                subordination(nu, rho))),
         check_eq("sigma |> mu = B[Phi[mu]]",
                  subordination(sigma, mu),
-                 bercovici_pata(phi_map(mu.truncate(order - 2)))),
+                 bercovici_pata(cross.phi_map(mu.truncate(order - 2)))),
         check_eq("mu |> delta_0 = mu",
                  subordination(mu, MomentFunctional(order, ())), mu),
         check_eq("mu |> mu = B[mu]",
@@ -353,7 +463,7 @@ def _verify_subord_linear(order, rng, mu: Functional = None,
                  subordination(point_mass(a, order), mu),
                  point_mass(a, order)),
     ]
-    return checks, []
+    return cross.report(checks)
 
 
 def _verify_meixner_subord(order, rng, b: Coeff = None, c: Coeff = None,
@@ -434,15 +544,16 @@ def _verify_general_b(order, rng, b_t: Coeff = None, c_t: NonzeroCoeff = None,
     beta = _q(beta, _rand_q(rng))
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
-    rho_t = _delta_bool_phi(b_t, rho, c_t, order)
+    cross = _CrossChecks()
+    rho_t = _delta_bool_phi(cross, b_t, rho, c_t, order)
     p = exact_div(c_t, gamma)
     u = b_t - beta * p
     mu = maassen_semigroup(CanonicalTriple(beta, gamma, rho), 1, order)
     lhs = free_power(
         subordination(free_convolve(point_mass(-u, order), rho_t), rho_t),
         ONE / p)
-    return [check_eq(
-        "((delta_{-u} boxplus rho~) |> rho~)^{boxplus 1/p} = mu", lhs, mu)], []
+    return cross.report([check_eq(
+        "((delta_{-u} boxplus rho~) |> rho~)^{boxplus 1/p} = mu", lhs, mu)])
 
 
 def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
@@ -473,12 +584,12 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
         if any(all(v is not None for v in given) for given in zero):
             raise ValueError("supplied parameters give degenerate Jacobi rows")
     c_t, c, gamma, t = ct, cc, g, tt
-    checks, notes = [], []
+    checks, cross = [], _CrossChecks()
     rho = semicircular(b, c, order - 2)       # constant rows (b..; c..)
     rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
     rel = CanonicalTriple(beta_t, gamma_t, rho_t.truncate(order - 2))
     base = CanonicalTriple(beta, gamma, rho)
-    pair = two_state_semigroup(rel, base, t, order)
+    pair = cross.two_state_semigroup(rel, base, t, order)
     depth = order // 2
 
     def jrows(head_b, head_g, tail_b, tail_g, extra_b=None, extra_g=None):
@@ -494,7 +605,7 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
     checks.append(check_eq(
         "J(mu_t) rows",
         j_base, jrows(beta * t, gamma * t, b + beta * t, c + gamma * t)))
-    stripped = strip(pair.tilde)
+    stripped = cross.strip(pair.tilde)
     j_stripped = jacobi_from_moments(stripped, (order - 2) // 2)
     checks.append(check_eq(
         "J(J[mu~_t]) rows",
@@ -516,7 +627,7 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
         stripped,
         free_convolve(rho_t, free_power(omega, exact_div(gamma, c_t) * t))
         .truncate(order - 2)))
-    return checks, notes
+    return cross.report(checks)
 
 
 def _verify_counterexample_r(order, rng):
@@ -547,11 +658,13 @@ def _verify_pde(order, rng, beta_t: Coeff = None,
                 rho: Functional = None):
     rel, base = _triples(rng, order + 2, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
-    res1, res2 = pde_residual(rel, base, order)
-    return [
+    cross = _CrossChecks()
+    pair_t = cross.two_state_semigroup(rel, base, formal_t(), order + 2)
+    res1, res2 = pde_residual(rel, base, order, pair_t)
+    return cross.report([
         check_zero("d_t F~ equation residual = 0", res1),
         check_zero("d_t F equation residual = 0", res2),
-    ], []
+    ])
 
 
 def _verify_generator(order, rng, beta_t: Coeff = None,
@@ -560,18 +673,22 @@ def _verify_generator(order, rng, beta_t: Coeff = None,
                       rho: Functional = None):
     rel, base = _triples(rng, order + 4, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
-    res, res_printed = cauchy_evolution_residual(rel, base, order)
+    cross = _CrossChecks()
+    pair_t = cross.two_state_semigroup(rel, base, formal_t(), order + 4)
+    stripped = TwoStatePair(cross.strip(pair_t.tilde), cross.strip(pair_t.base))
+    res, res_printed = cauchy_evolution_residual(rel, base, order, pair_t,
+                                                 stripped)
     notes = [
         "d_t G~ bracket resolved as (beta + gamma G_nu - beta~ - gamma~ G_nu~):"
         " residual vanishes identically;",
         "the printed variant (beta + gamma G_nu - beta~ + gamma~ G_nu~) "
         "leaves a nonzero residual, as reported below.",
     ]
-    return [
+    return cross.report([
         check_zero("d_t G~ residual (corrected sign) = 0", res),
         Check("d_t G~ residual (printed sign) != 0",
               not res_printed.is_zero()),
-    ], notes
+    ], notes)
 
 
 CATALOG = {
@@ -705,7 +822,8 @@ def _nc_verify_recover_tau(order, rng, b_t: Coeff = Fraction(1, 2),
     rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
     rel = CanonicalTriple(beta_t, gamma_t, rho_t.truncate(order - 2))
     base = CanonicalTriple(beta, gamma, rho)
-    pair = two_state_semigroup(rel, base, t, order)
+    cross = _CrossChecks()
+    pair = cross.two_state_semigroup(rel, base, t, order)
     mu = maassen_semigroup(base, 1, order)
     tau_nc = nc_subordination_inverse(nc_from_univariate(mu),
                                       nc_from_univariate(rho_t))
@@ -719,10 +837,10 @@ def _nc_verify_recover_tau(order, rng, b_t: Coeff = Fraction(1, 2),
         check_eq("J(tau) = (beta, beta+b-b~, ...; gamma, gamma+c-c~, ...)",
                  jacobi_from_moments(tau, order // 2), expect),
         check_eq("J[mu~_t] = rho~ boxplus tau^{boxplus t} (J-level display)",
-                 strip(pair.tilde), free_convolve(rho_t, free_power(tau, t))
-                 .truncate(order - 2)),
+                 cross.strip(pair.tilde),
+                 free_convolve(rho_t, free_power(tau, t)).truncate(order - 2)),
     ]
-    return checks, []
+    return cross.report(checks)
 
 
 NC_CATALOG = {

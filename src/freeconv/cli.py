@@ -3,7 +3,8 @@
 Exit codes: 0 success / identity verified, 1 identity violated (residual
 printed), 2 usage or parse error (an order outside a verify entry's range
 included), 3 domain error (zero-variance strip, non-invertible series, and
-friends), 4 internal consistency failure (two independent paths disagreed).
+friends), 4 internal consistency failure (two independent paths disagreed:
+a verify cross-check failed, which outranks a violated identity).
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def _cmd_semigroup(args):
 
 def _print_report(rep):
     for c in rep.checks:
-        line = f"{'ok  ' if c.ok else 'FAIL'} [{rep.name}] {c.label}"
+        line = (f"{'ok  ' if c.ok else 'FAIL'} [{rep.name}] "
+                f"{'cross-check: ' if c.cross_check else ''}{c.label}")
         sys.stdout.write(line + "\n")
         if not c.ok and c.detail:
             sys.stdout.write(f"     residual: {c.detail}\n")
@@ -226,7 +228,8 @@ def _report_doc(rep):
             "verified": rep.verified,
             "checks": [{"label": c.label, "ok": c.ok,
                         **({"residual": c.detail} if not c.ok and c.detail
-                           else {})}
+                           else {}),
+                        **({"cross_check": True} if c.cross_check else {})}
                        for c in rep.checks],
             "notes": list(rep.notes)}
 
@@ -307,7 +310,10 @@ def _verify_entries(args, runs, params):
         ok = sum(c.ok for r in reports for c in r.checks)
         sys.stdout.write(f"{ok}/{total} checks verified across "
                          f"{len(reports)} identities\n")
-    return EXIT_OK if all(r.verified for r in reports) else EXIT_VIOLATED
+    failed = [c for r in reports for c in r.checks if not c.ok]
+    if any(c.cross_check for c in failed):
+        return EXIT_INTERNAL
+    return EXIT_VIOLATED if failed else EXIT_OK
 
 
 def _nc_runs(order, params):

@@ -4,7 +4,9 @@ Implements the Jacobi shift maps Phi and J (coefficient stripping), the
 Bercovici-Pata bijection B and the Belinschi-Nica maps B_t, subordination
 distributions and their inverse, the canonical-triple semigroup builders
 (single- and two-state) and exact residuals for the two evolution PDEs.
-The identities they satisfy are checked in ``catalog``.
+The operators only compute.  The identities they satisfy, and the second
+paths that cross-check them (the Jacobi shifts of Phi and J, the monotone
+formula of the two-state semigroup), are checked in ``catalog``.
 
 "For all t >= 0" statements are checked over the polynomial ring Q[t], where
 they become finite exact comparisons, with rational specializations available
@@ -13,11 +15,9 @@ through the same entry points.
 
 from __future__ import annotations
 
-from .coeffs import (ExactDivisionError, ZERO, ONE, as_coeff, exact_div,
-                     formal_t)
-from .functionals import (CanonicalTriple, ConsistencyError, JacobiParams,
-                          MomentFunctional, NoJacobiRepresentationError,
-                          ZeroVarianceError, jacobi_from_moments)
+from .coeffs import ZERO, ONE, as_coeff, exact_div, formal_t
+from .functionals import (CanonicalTriple, MomentFunctional, TwoStatePair,
+                          ZeroVarianceError)
 from .series import TruncSeries
 from .transforms import (
     belinschi_nica_eta, cauchy_g, eta_from_moments, f_at_infinity,
@@ -38,53 +38,32 @@ def __getattr__(name):
 # -- Phi and J (Jacobi right and left shifts) ---------------------------------
 
 
-def _check_shift(label, mf, out, shift):
-    """Raise ConsistencyError unless the Jacobi rows of ``mf``, where it has
-    them, moved by ``shift`` to (betas, gammas), are the rows of ``out``."""
-    try:
-        jp = jacobi_from_moments(mf, mf.order // 2)
-    except (NoJacobiRepresentationError, ExactDivisionError):
-        return
-    try:
-        got = jacobi_from_moments(out, out.order // 2)
-    except (NoJacobiRepresentationError, ExactDivisionError):
-        got = None
-    if got != JacobiParams(*shift(jp), terminated=jp.terminated):
-        raise ConsistencyError(f"{label}: transform and Jacobi paths disagree")
-
-
 def phi_map(nu):
     """The mean-0 variance-1 lift: eta_{Phi[nu]}(w) = w^2 (1 + M^nu(w)).
 
     Equivalently the right shift on Jacobi parameters, inserting the row
-    (0; 1): where the input has Jacobi rows, the output's rows, both read by
-    ``jacobi_from_moments``, which shares no solve kernel with this path,
-    must be them shifted.  The output order is nu.order + 2.
+    (0; 1); ``catalog`` checks that shift on the inputs its entries lift.
+    The output order is nu.order + 2.
     """
     n = nu.order + 2
     eta = TruncSeries(n, (ZERO, ZERO, ONE) + nu.moments())
-    out = moments_from_eta(eta, n)
-    _check_shift("Phi", nu, out,
-                 lambda jp: ((ZERO,) + jp.betas, (ONE,) + jp.gammas))
-    return out
+    return moments_from_eta(eta, n)
 
 
 def strip(mu):
     """Coefficient stripping J: F_mu(z) = z - beta - gamma G_{J[mu]}(z).
 
-    Transform-level computation (eta_mu(w) - beta w)/(gamma w^2), checked,
-    where the input has Jacobi rows, against them shifted left, both rows
-    read by ``jacobi_from_moments``, which shares no solve kernel with this
-    path.  The output order is mu.order - 2.
+    Transform-level computation (eta_mu(w) - beta w)/(gamma w^2): the left
+    shift on Jacobi parameters, dropping the first row, which ``catalog``
+    checks on the inputs its entries strip.  The output order is
+    mu.order - 2.
     """
     if mu.order < 3:
         raise ValueError(f"strip needs order >= 3, got {mu.order}")
     beta, gamma = mu.mean_var()
     if not gamma:
         raise ZeroVarianceError("cannot strip a zero-variance functional")
-    out = _strip_once(mu, beta, gamma)
-    _check_shift("J", mu, out, lambda jp: (jp.betas[1:], jp.gammas[1:]))
-    return out
+    return _strip_once(mu, beta, gamma)
 
 
 def bercovici_pata(mu):
@@ -201,31 +180,14 @@ def triple_from_semigroup(mu):
     return CanonicalTriple(beta, gamma, rho)
 
 
-def _tilde_by_monotone(rel, base_t, t):
-    """(mu~_t, sub): mu~_t = delta_{beta~ t} uplus Phi[rho~ |> mu_t]^{uplus
-    gamma~ t}, and sub = rho~ |> mu_t at order - 2 (None without rho~ or
-    below order 3)."""
-    order = base_t.order
-    eta = [ZERO, rel.beta * t] + [ZERO] * (order - 1)
-    sub = None
-    if rel.rho is not None and order > 1:
-        gt = rel.gamma * t
-        eta[2] = gt
-        if order > 2:  # rho~ enters from eta_3 on
-            sub = monotone_convolve(rel.rho.truncate(order - 2),
-                                    base_t.truncate(order - 2))
-            eta[3:] = [gt * c for c in sub.moments()]
-    return moments_from_eta(TruncSeries(order, eta), order), sub
-
-
 def two_state_semigroup(rel, base, t, order=None):
     """The pair (mu_tilde_t, mu_t) from relative and base canonical triples.
 
     Both R-transforms are t times those at t = 1, and the pair expands in t
     over the powers of the base's R: eta~_n = [w^n] t (wR2' - R2)
     (1 + tR)^{n-1} / (n-1) for n >= 2 (Lagrange-Burmann,
-    ``transforms.two_state_from_scaled_r``).  The tilde component is then
-    re-derived through the Boolean/monotone formula; the two must agree.
+    ``transforms.two_state_from_scaled_r``).  ``catalog`` checks the tilde
+    against the Boolean/monotone formula on the pairs its entries build.
     """
     t = as_coeff(t)
     if order is None:
@@ -238,29 +200,26 @@ def two_state_semigroup(rel, base, t, order=None):
     for tr, name in ((rel, "rel"), (base, "base")):
         if tr.rho is not None and tr.rho.order < order - 2:
             raise ValueError(f"{name}.rho needs order >= {order - 2}")
-    pair = two_state_from_scaled_r(_triple_r_series(rel, ONE, order),
+    return two_state_from_scaled_r(_triple_r_series(rel, ONE, order),
                                    _triple_r_series(base, ONE, order), t, order)
-    if pair.tilde != _tilde_by_monotone(rel, pair.base, t)[0]:
-        raise ConsistencyError(
-            "two-state semigroup: R-transform and monotone paths disagree")
-    return pair
 
 
 # -- evolution-equation residuals ----------------------------------------------
 
 
-def pde_residual(rel, base, order):
+def pde_residual(rel, base, order, pair_t=None):
     """LHS - RHS of the two F-transform evolution equations, over Q[t].
 
     First equation:  d_t F~ = phi_mu(F_t) - phi_{mu~,mu}(F_t)
                                 - phi_mu(F_t) d_z F~.
     Second equation: d_t F = -phi_mu(F_t) d_z F.
     Both residuals are identically zero; they are returned truncated to the
-    requested tail order.
+    requested tail order.  ``pair_t``, the pair (mu~_t, mu_t) at formal t
+    and order + 2, is built here unless given.
     """
-    t = formal_t()
     work = order + 2
-    pair_t = two_state_semigroup(rel, base, t, work)
+    if pair_t is None:
+        pair_t = two_state_semigroup(rel, base, formal_t(), work)
     phi_mu = phi_from_r_series(_triple_r_series(base, ONE, work))
     phi_two_state = phi_from_r_series(_triple_r_series(rel, ONE, work))
     f_t = f_at_infinity(pair_t.base)
@@ -272,7 +231,7 @@ def pde_residual(rel, base, order):
     return res1.truncate(order), res2.truncate(order)
 
 
-def cauchy_evolution_residual(rel, base, order):
+def cauchy_evolution_residual(rel, base, order, pair_t=None, stripped=None):
     """Residuals of the d_t G_{mu~_t} equation from the generator analysis.
 
     With nu_t = J[mu_t], nu~_t = J[mu~_t]:
@@ -283,16 +242,19 @@ def cauchy_evolution_residual(rel, base, order):
     Returns (corrected, printed) to the requested tail order: the residual
     of this equation, identically zero, and that of the variant with
     "- beta~ + gamma~ G_{nu~_t}" in the bracket as printed in the source
-    display, which does not vanish (see the verify report).
+    display, which does not vanish (see the verify report).  ``pair_t``,
+    the pair (mu~_t, mu_t) at formal t and order + 4, and ``stripped``, the
+    pair (nu~_t, nu_t), are built here unless given.
     """
     if base.rho is None or rel.rho is None:
         raise ZeroVarianceError("residual needs gamma, gamma~ != 0")
-    t = formal_t()
-    work = order + 4
-    pair_t = two_state_semigroup(rel, base, t, work)
+    if pair_t is None:
+        pair_t = two_state_semigroup(rel, base, formal_t(), order + 4)
+    if stripped is None:
+        stripped = TwoStatePair(strip(pair_t.tilde), strip(pair_t.base))
     g_tilde = cauchy_g(pair_t.tilde)
-    g_nu = cauchy_g(strip(pair_t.base))  # G_{nu_t}
-    g_nu_tilde = cauchy_g(strip(pair_t.tilde))  # G_{nu~_t}
+    g_nu = cauchy_g(stripped.base)  # G_{nu_t}
+    g_nu_tilde = cauchy_g(stripped.tilde)  # G_{nu~_t}
     drift = g_nu.scale(base.gamma) + base.beta  # beta + gamma G_{nu_t}
     g_sq = g_tilde * g_tilde
     rest = g_tilde.t_derivative() + drift * g_tilde.derivative()

@@ -12,17 +12,19 @@ A series stores a tuple of coefficients, ``Fraction`` or ``TPoly``, and the
 coefficient types choose how it multiplies, inverts and composes.  A series
 over Q (every coefficient a ``Fraction``) is a polynomial in z with a
 truncation order: those three operations convert it once to ``int``
-numerators over one denominator, run on the integer kernel of ``coeffs``
-that ``TPoly`` uses, and convert back to ``Fraction`` once.  A series over
-Q[t], or one that mixes the two rings, runs the same integer kernels on the
-one integer scheme of ``coeffs``: the inputs are graded (z -> Dz, D from
-``_grade``, a product's and a reciprocal's factors times the denominator of
-their constant terms, a composition's outer series over one denominator),
-each t-polynomial is packed at t = 2^B, and each output is read back with
-``_unpack``; B comes from the same kernel run on the inputs' l1 norms with
-every - read as +.  Every output coefficient is then a ``TPoly``, as the
-solves of ``transforms`` give theirs.  Reversion runs on products and one
-reciprocal, so over Q[t] it is packed too.
+numerators, run on the integer kernel of ``coeffs`` that ``TPoly`` uses,
+and convert back to ``Fraction`` once.  A product's and a reciprocal's
+factors go over one denominator each; a composition is graded as over Q[t]
+below, without the packing.  A series over Q[t], or one that mixes the two
+rings, runs the same integer kernels on the one integer scheme of
+``coeffs``: the inputs are graded (z -> Dz, D from ``_grade``, a product's
+and a reciprocal's factors times the denominator of their constant terms, a
+composition's outer series over one denominator), each t-polynomial is
+packed at t = 2^B, and each output is read back with ``_unpack``; B comes
+from the same kernel run on the inputs' l1 norms with every - read as +.
+Every output coefficient is then a ``TPoly``, as the solves of
+``transforms`` give theirs.  Reversion runs on products and one reciprocal,
+so over Q[t] it is packed too.
 
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
@@ -40,7 +42,6 @@ from .coeffs import (
     ONE,
     TPoly,
     _bits,
-    _canonical,
     _common,
     _convolve,
     _grade,
@@ -235,26 +236,18 @@ class TruncSeries:
             raise CompositionDomainError("inner constant term must vanish")
         n = min(self.order, inner.order)
         f, h = self._c[: n + 1], inner._c[: n + 1]
-        if _rational(f, h):
-            # Horner from the top coefficient down, on ints over one
-            # denominator: acc <- acc * inner + c_k, reduced once per step.
-            g, gd = _common(h)
-            acc = _canonical([f[n].numerator], f[n].denominator, 1)
-            for c in reversed(f[:n]):
-                den = acc.den * gd
-                nums = _convolve(acc.nums, g, n + 1)
-                s = c.denominator // gcd(den, c.denominator)
-                if s != 1:
-                    nums = [x * s for x in nums]
-                nums[0] += c.numerator * (den * s // c.denominator)
-                den *= s
-                acc = _canonical(nums, den, den)
-            return _from_ints(n, acc.nums, acc.den)
-        # over Q[t]: inner(z) at Dz, self over one denominator q, packed at
-        # t = 2^B, so no Horner step multiplies by a power of D; output k is
-        # x_k / (q D^k)
+        # inner(z) at Dz, self over one denominator q, so no Horner step
+        # multiplies by a power of D; output k is x_k / (q D^k), over Q read
+        # as one Fraction, over Q[t] packed at t = 2^B
         d = _grade(enumerate(h))
         q = lcm(*[c.denominator for c in f])
+        if _rational(f, h):
+            xs, den = _horner(_scaled(f, 1, 0, q), _scaled(h, d), n), q
+            out = []
+            for x in xs:
+                out.append(Fraction(x, den) if x else ZERO)
+                den *= d
+            return _series(n, out)
         b = _bits(max(_horner(_norms(f, 1, q), _norms(h, d), n)))
         return _from_packed(n, _horner(_scaled(f, 1, b, q), _scaled(h, d, b),
                                        n), b, q, d)
@@ -268,7 +261,7 @@ class TruncSeries:
 
         When every coefficient of v is a ``Fraction``, the powers stay on
         ints: v = A/d once, v^k = P_k/d_k by one convolution each, reduced by
-        one gcd as ``compose``'s Horner step is, and each output is one
+        one gcd of P_k and d_k, and each output is one
         Fraction(P_k[k-1], d_k k).  Otherwise each power is one series
         product, packed over Q[t]."""
         if self._c[0]:

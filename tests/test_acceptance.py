@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from freeconv.catalog import nc_verify, verify
+from freeconv.catalog import _tilde_by_monotone, nc_verify, verify
 from freeconv.cli import run as cli_run
 from freeconv.coeffs import formal_t
 from freeconv.convolutions import (
@@ -135,9 +135,10 @@ def test_criterion_04_bn_mean_monotone_two_state_maassen():
                               rand_functional(rng, 8))
         base = CanonicalTriple(rand_q(rng), rand_q(rng, nonzero=True),
                                rand_functional(rng, 8))
-        # constructor raises ConsistencyError if the two-state-R and the
-        # Boolean/monotone constructions of Eq. (two-state) disagree
-        two_state_semigroup(rel, base, t, 10)
+        # the two-state-R and the Boolean/monotone constructions of
+        # Eq. (two-state) give one tilde
+        pair = two_state_semigroup(rel, base, t, 10)
+        assert pair.tilde == _tilde_by_monotone(rel, pair.base, t)[0]
     _passed(4, "Belinschi-Nica mean shift, monotone lemma and two-state "
                "construction consistency: zero residual, formal t, 20 "
                "instances each", t0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import freeconv
-from freeconv import catalog, cli, docs, evolution, oracle
+from freeconv import catalog, cli, docs, functionals, oracle
 from freeconv.catalog import (NC_CATALOG, NC_MIN_ORDER, nc_entry_d,
                               nc_max_order, nc_verify_d, verify_order)
 from freeconv.cli import build_parser, run
@@ -907,8 +907,40 @@ def test_cli_consistency_error_exits_4(monkeypatch, capsys):
     assert run(["verify", "pde"]) == 4
     assert "internal error: paths disagree" in capsys.readouterr().err
     assert not issubclass(ConsistencyError, AssertionError)
-    assert freeconv.ConsistencyError is evolution.ConsistencyError \
+    assert freeconv.ConsistencyError is functionals.ConsistencyError \
         is ConsistencyError
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("failed,code", (
+    (("identity",), 1),
+    (("cross-check",), 4),
+    (("identity", "cross-check"), 4),
+    (("cross-check", "identity"), 4),
+))
+def test_cli_a_failed_cross_check_exits_4_over_a_failed_identity(
+        monkeypatch, capsys, fmt, failed, code):
+    """A failed cross-check exits 4, the code for two independent paths that
+    disagree, whether or not an identity failed too; a failed identity alone
+    exits 1.  The report names the cross-check as one."""
+    def entry(order, rng):
+        return [catalog.Check(kind, False, "residual",
+                              cross_check=kind == "cross-check")
+                for kind in failed], []
+
+    monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 8))
+    assert run(["verify", "pde", "--format", fmt]) == code
+    out = capsys.readouterr().out
+    if fmt == "json":
+        checks = json.loads(out)["reports"][0]["checks"]
+        assert checks == [{"label": kind, "ok": False, "residual": "residual",
+                           **({"cross_check": True}
+                              if kind == "cross-check" else {})}
+                          for kind in failed]
+    else:
+        for kind in failed:
+            marker = "cross-check: " if kind == "cross-check" else ""
+            assert f"FAIL [pde] {marker}{kind}\n" in out
 
 
 def test_verify_parser_has_one_parameter_path():

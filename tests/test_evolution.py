@@ -1,11 +1,13 @@
+import inspect
+import json
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_convolutions import _draw
 
+import freeconv
 from freeconv import catalog, evolution
 from freeconv.catalog import CATALOG, MIN_ORDER, check_eq, check_zero, verify
 from freeconv.cli import run
@@ -29,7 +31,6 @@ from freeconv.evolution import (
 )
 from freeconv.functionals import (
     CanonicalTriple,
-    ConsistencyError,
     MomentFunctional,
     NoJacobiRepresentationError,
     TwoStatePair,
@@ -452,22 +453,47 @@ def _count_calls(monkeypatch, module, *names):
 
 
 @pytest.mark.parametrize("entry,want", (
-    ("generator", {"two_state_semigroup": 1, "strip": 2}),
-    ("two-state-meixner", {"two_state_semigroup": 1, "strip": 1}),
+    ("generator", {"two_state_semigroup": 1, "strip": 2,
+                   "monotone_convolve": 1}),
+    ("two-state-meixner", {"two_state_semigroup": 1, "strip": 1,
+                           "monotone_convolve": 1}),
     ("monotone-lemma", {"monotone_convolve": 1}),
+    ("pde", {"two_state_semigroup": 1, "monotone_convolve": 1}),
 ))
 def test_evolution_entries_build_each_value_once(monkeypatch, entry, want):
     """generator takes both d_t G~ residuals from one two-state pair and its
-    two strips, two-state-meixner strips mu~_t once for both checks that
-    read J[mu~_t], and monotone-lemma builds rho~ |> mu_t once for its
-    display and its J check.  Each function is counted where it is looked
-    up: by the entry in ``catalog``, or by the operator that generator and
-    monotone-lemma call in ``evolution`` (cauchy_evolution_residual,
-    _tilde_by_monotone)."""
-    module = catalog if entry == "two-state-meixner" else evolution
-    counts = _count_calls(monkeypatch, module, *want)
+    two strips, pde both F residuals from one pair, two-state-meixner strips
+    mu~_t once for both checks that read J[mu~_t], and monotone-lemma builds
+    rho~ |> mu_t once for its display and its J check.  The cross-checks
+    read the same values: each pair's monotone path builds rho~ |> mu_t
+    once.  Each function is counted in ``catalog``, where the entries and
+    their cross-checks look it up, and hand the pair and its strips to the
+    residual."""
+    counts = _count_calls(monkeypatch, catalog, *want)
     assert verify(entry).verified
     assert counts == want
+
+
+def test_operators_run_no_cross_check(monkeypatch):
+    """The operators only compute: a library call of two_state_semigroup
+    runs no monotone convolution, and strip and phi_map read no Jacobi
+    rows.  The second paths run in ``catalog``."""
+    def ran(*args):
+        raise AssertionError("a cross-check path ran")
+
+    for module in vars(freeconv).values():
+        if inspect.ismodule(module):
+            for name in ("monotone_convolve", "jacobi_from_moments"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, ran)
+    rel = CanonicalTriple(F(1, 2), F(1), bernoulli_sym(6))
+    base = CanonicalTriple(F(-1), F(2), semicircular(0, 1, 6))
+    pair = two_state_semigroup(rel, base, formal_t(), 8)
+    strip(pair.tilde)
+    strip(semicircular(0, 1, 8))
+    phi_map(bernoulli_sym(8))
+    with pytest.raises(AssertionError, match="^a cross-check path ran$"):
+        catalog._monotone_check(rel, pair.tilde, pair.base, formal_t())
 
 
 def test_verify_unknown_name():
@@ -621,44 +647,58 @@ def test_cli_prints_the_residual_of_a_failed_semigroup_law(monkeypatch,
     assert "     residual: tilde: m_1: " in out
 
 
+def _off_by_one(mf):
+    """``mf`` with 1 added to every moment."""
+    return MomentFunctional(mf.order, [m + 1 for m in mf.moments()])
+
+
+def _failed_cross_checks(argv, capsys):
+    """The failed cross-checks of the JSON verify run ``argv``, which must
+    exit 4 and fail at least one."""
+    assert run(argv + ["--format", "json"]) == 4, argv
+    failed = [c for r in json.loads(capsys.readouterr().out)["reports"]
+              for c in r["checks"] if not c["ok"] and c.get("cross_check")]
+    assert failed
+    return failed
+
+
 @pytest.mark.parametrize("target", ("two_state_from_scaled_r",
                                     "_tilde_by_monotone"))
 def test_two_state_semigroup_cross_check_rejects_a_wrong_path(
         monkeypatch, capsys, target):
-    """two_state_semigroup re-derives the tilde by the Boolean/monotone
-    formula; a tilde off by one in every moment on either path must not get
-    past that check, and the CLI must report it as an internal error."""
-    rel = CanonicalTriple(F(1, 2), F(1), bernoulli_sym(6))
-    base = CanonicalTriple(F(-1), F(2), semicircular(0, 1, 6))
-    two_state_semigroup(rel, base, formal_t(), 8)
-    path = getattr(evolution, target)
-
-    def off_by_one(tilde):
-        return MomentFunctional(tilde.order, [m + 1 for m in tilde.moments()])
-
+    """The catalog checks each two-state semigroup against the tilde of the
+    Boolean/monotone formula; a tilde off by one in every moment on either
+    path fails that cross-check, and verify exits 4 naming it, also where a
+    residual identity fails with it."""
+    module = evolution if target == "two_state_from_scaled_r" else catalog
+    path = getattr(module, target)
     if target == "two_state_from_scaled_r":
         def wrong(*args):
             pair = path(*args)
-            return TwoStatePair(off_by_one(pair.tilde), pair.base)
+            return TwoStatePair(_off_by_one(pair.tilde), pair.base)
     else:
         def wrong(*args):
             tilde, sub = path(*args)
-            return off_by_one(tilde), sub
+            return _off_by_one(tilde), sub
 
-    monkeypatch.setattr(evolution, target, wrong)
-    with pytest.raises(ConsistencyError, match="^two-state semigroup: "
-                       "R-transform and monotone paths disagree$"):
-        two_state_semigroup(rel, base, formal_t(), 8)
-    data = Path(__file__).parent / "data"
-    for argv in (["verify", "generator"],
-                 ["semigroup", "--t", "formal", "--rel",
-                  str(data / "rel12.json"), "--base",
-                  str(data / "triple12.json")]):
-        assert run(argv) == 4, argv
-        captured = capsys.readouterr()
-        assert captured.out == "", argv
-        assert captured.err == ("internal error: two-state semigroup: "
-                                "R-transform and monotone paths disagree\n")
+    rel = CanonicalTriple(F(1, 2), F(1), bernoulli_sym(6))
+    base = CanonicalTriple(F(-1), F(2), semicircular(0, 1, 6))
+    cross = catalog._CrossChecks()
+    cross.two_state_semigroup(rel, base, formal_t(), 8)
+    assert [c.ok for c in cross.checks] == [True]
+    monkeypatch.setattr(module, target, wrong)
+    cross.two_state_semigroup(rel, base, formal_t(), 8)
+    label = "mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}"
+    assert [(c.label, c.ok, c.cross_check) for c in cross.report([])[0]] == [
+        (label, True, True), (label, False, True)]
+    assert [c["label"] for c in _failed_cross_checks(
+        ["verify", "generator"], capsys)] == [label]
+    assert run(["verify", "generator"]) == 4
+    assert f"FAIL [generator] cross-check: {label}\n" in capsys.readouterr().out
+
+
+# Where verify runs each operator's Jacobi-shift cross-check on rational rows.
+_SHIFT_ENTRY = {"Phi": "subord-linear", "J": "two-state-meixner"}
 
 
 @pytest.mark.parametrize("mf", (semicircular(0, 1, 8), bernoulli_sym(8)),
@@ -668,21 +708,22 @@ def test_two_state_semigroup_cross_check_rejects_a_wrong_path(
     ("_strip_once", strip, "J"),
 ))
 def test_jacobi_shift_cross_check_rejects_a_wrong_transform_path(
-        monkeypatch, mf, target, op, label):
-    """Phi and J each check their transform path against the shifted Jacobi
-    rows of a rational input; a transform path that is off by one in every
-    moment must not get past that check."""
-    op(mf)
+        monkeypatch, capsys, mf, target, op, label):
+    """The catalog checks each Phi and J against the shifted Jacobi rows of
+    a rational input; a transform path that is off by one in every moment
+    fails that cross-check, and verify exits 4 naming it."""
     transform = getattr(evolution, target)
-
-    def off_by_one(*args):
-        out = transform(*args)
-        return MomentFunctional(out.order, [m + 1 for m in out.moments()])
-
-    monkeypatch.setattr(evolution, target, off_by_one)
-    with pytest.raises(ConsistencyError,
-                       match=f"^{label}: transform and Jacobi paths disagree$"):
-        op(mf)
+    monkeypatch.setattr(evolution, target,
+                        lambda *args: _off_by_one(transform(*args)))
+    cross = catalog._CrossChecks()
+    getattr(cross, op.__name__)(mf)
+    (check,), notes = cross.report([])
+    assert (check.ok, check.cross_check, notes) == (False, True, [])
+    assert check.detail == (f"{label}: transform and Jacobi paths disagree "
+                            f"on input 1 of 1")
+    failed = _failed_cross_checks(["verify", _SHIFT_ENTRY[label]], capsys)
+    assert any(c["label"].startswith("Jacobi shift: ")
+               and c["residual"].startswith(f"{label}: ") for c in failed)
 
 
 @pytest.mark.parametrize("moments", (
@@ -696,14 +737,65 @@ def test_jacobi_shift_cross_check_rejects_a_wrong_transform_path(
 def test_jacobi_shift_cross_check_rejects_an_output_without_rows(
         monkeypatch, moments, target, op, label):
     """When the input has Jacobi rows and the transform path returns a
-    functional that has none, the two paths disagree: the check must raise,
-    not skip as it does for an input without rows."""
+    functional that has none, the two paths disagree: the cross-check must
+    fail, not skip as it does for an input without rows."""
     mf = semicircular(0, 1, 8)
     order = op(mf).order
     rowless = MomentFunctional(order, moments)
     with pytest.raises((NoJacobiRepresentationError, ExactDivisionError)):
         jacobi_from_moments(rowless, order // 2)
     monkeypatch.setattr(evolution, target, lambda *args: rowless)
-    with pytest.raises(ConsistencyError,
-                       match=f"^{label}: transform and Jacobi paths disagree$"):
-        op(mf)
+    cross = catalog._CrossChecks()
+    getattr(cross, op.__name__)(mf)
+    checks, notes = cross.report([])
+    assert [(c.label, c.ok, c.detail, c.cross_check) for c in checks] == [(
+        f"Jacobi shift: {catalog._SHIFTS[label][0]} (1 of 1 inputs)", False,
+        f"{label}: transform and Jacobi paths disagree on input 1 of 1",
+        True)]
+    assert notes == []
+
+
+def test_jacobi_shift_cross_check_notes_the_inputs_it_skips():
+    """An input whose Jacobi rows leave Q[t] is not checked, and the report
+    says so: one note per operator, with the count, and one check over the
+    inputs that were read.  At seed 0 and the default orders, verify all
+    reads 10 inputs' rows and notes 10 it could not read."""
+    cross = catalog._CrossChecks()
+    t = formal_t()
+    mu_t = maassen_semigroup(CanonicalTriple(F(1, 2), F(1), bernoulli_sym(4)),
+                             t, 6)
+    for mf in (mu_t, semicircular(0, 1, 6)):
+        cross.strip(mf)
+    cross.phi_map(MomentFunctional(4, (0, t, 1, 0)))  # beta_1 = 1/t
+    checks, notes = cross.report([catalog.Check("identity", True)], ["note"])
+    assert [(c.label, c.ok, c.cross_check) for c in checks] == [
+        ("identity", True, False),
+        (f"Jacobi shift: {catalog._SHIFTS['J'][0]} (1 of 2 inputs)", True,
+         True)]
+    assert notes == ["note"] + [
+        f"{op}: Jacobi-shift cross-check skipped on 1 of {n} inputs, whose "
+        f"Jacobi rows are not over Q[t]" for op, n in (("Phi", 1), ("J", 2))]
+    ran = skipped = 0
+    for name in [*CATALOG, *(f"nc:{k}" for k in catalog.NC_CATALOG)]:
+        rep = verify(name)
+        assert rep.verified, name
+        for c in rep.checks:
+            if c.label.startswith("Jacobi shift: "):
+                ran += int(c.label.split("(")[-1].split()[0])
+        for note in rep.notes:
+            if "Jacobi-shift cross-check skipped on " in note:
+                skipped += int(note.split(" skipped on ")[1].split()[0])
+    assert (ran, skipped) == (10, 10)
+
+
+@pytest.mark.parametrize("entry", ("two-state-meixner", "pde", "generator"))
+def test_a_wrong_monotone_convolution_exits_4(monkeypatch, capsys, entry):
+    """A monotone convolution off by one, patched where ``catalog`` looks it
+    up, is caught by the monotone cross-check of the entries that build a
+    two-state semigroup: exit 4, naming that cross-check."""
+    convolve = catalog.monotone_convolve
+    monkeypatch.setattr(catalog, "monotone_convolve",
+                        lambda *args: _off_by_one(convolve(*args)))
+    assert [c["label"] for c in _failed_cross_checks(
+        ["verify", entry], capsys)] == [
+        "mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}"]

@@ -8,17 +8,21 @@ fraction of the Cauchy transform, with optional early termination
 families.  Rows and moments convert both ways with none of the triangular
 solves, which all live in ``transforms``: ``moments_from_jacobi`` by
 weighted Motzkin paths, ``jacobi_from_moments`` by the Chebyshev
-algorithm, so that the Jacobi cross-checks of ``evolution`` share no solve
-with the path they check.  The named families are Jacobi rows expanded to
-moments.
+algorithm, so that the Jacobi-shift cross-checks (``catalog._CrossChecks``)
+share no solve with the path they check.  Over Q ``jacobi_from_moments``
+runs on ints, on moments graded by ``coeffs._grade``, as
+``moments_from_jacobi`` does on rows with a repeating tail.  The named
+families are Jacobi rows expanded to moments, but for ``point_mass``,
+whose one path of each length is all flat steps: its moments are the
+powers of beta.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .coeffs import ZERO, ONE, as_coeff, exact_div
+from .coeffs import ZERO, ONE, _grade, _scaled, as_coeff, exact_div
 
 
 class JacobiDepthError(ValueError):
@@ -285,11 +289,13 @@ def jacobi_from_moments(mf, levels):
         beta_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1},
         gamma_k = sigma_{k+1,k+1}/sigma_{k,k},
 
-    by ring operations and exact divisions, with none of the solve kernels.
-    The sigma table grows level by level: level k extends each row j <= k
-    by the entries sigma_{k+1,k+1} and sigma_{k+1,k+2} need, to l <= 2k+3-j,
-    so a division that fails at level k (rows that leave Q[t]) has cost
-    O(k^2) ring operations, not O(k n).
+    with none of the solve kernels.  Over Q (m_1..m_{2 levels} all
+    ``Fraction``) the recurrence runs on ints (``_jacobi_on_ints``) and
+    every output is a ``Fraction``.  Otherwise it runs by ring operations
+    and exact divisions, and the sigma table grows level by level: level k
+    extends each row j <= k by the entries sigma_{k+1,k+1} and
+    sigma_{k+1,k+2} need, to l <= 2k+3-j, so a division that fails at level
+    k (rows that leave Q[t]) has cost O(k^2) ring operations, not O(k n).
     beta_j is a ``TPoly`` exactly when one of m_1..m_{2j+1} is, gamma_j when
     one of m_1..m_{2j+2} is.  Requires order >= 2*levels.  A gamma_j = 0 ends
     the rows (``terminated=True``) if the closed fraction gives every moment
@@ -300,10 +306,14 @@ def jacobi_from_moments(mf, levels):
     if mf.order < 2 * levels:
         raise JacobiDepthError(
             f"order {mf.order} supports at most {mf.order // 2} levels")
-    betas, gammas, n = [], [], 2 * levels
+    n = 2 * levels
+    ms = mf.moments()[:n]
+    if all(type(c) is Fraction for c in ms):
+        return _jacobi_on_ints(mf, ms, levels)
+    betas, gammas = [], []
     # rows[j] holds sigma_{j,l} at index l (none is read below l = j);
     # ratio is sigma_{k-1,k}/sigma_{k-1,k-1}, 0 at k = 0
-    rows = [(ONE,) + mf.moments()[:n]]
+    rows = [(ONE,) + ms]
     ratio = ZERO
     for k in range(levels):
         cur = rows[k]
@@ -326,13 +336,61 @@ def jacobi_from_moments(mf, levels):
         g = exact_div(rows[k + 1][k + 1], cur[k])
         gammas.append(g)
         if not g:
-            candidate = JacobiParams(betas, gammas, terminated=True)
-            if moments_from_jacobi(candidate, mf.order) == mf:
-                return candidate
-            raise NoJacobiRepresentationError(
-                "gamma = 0 but deeper moments are inconsistent with termination")
+            return _terminated(mf, betas, gammas)
         ratio = r
     return JacobiParams(betas, gammas)
+
+
+def _jacobi_on_ints(mf, ms, levels):
+    """``jacobi_from_moments`` for moments ms = m_1..m_{2 levels}, all
+    ``Fraction``: the Chebyshev algorithm on the graded moments m_l D^l
+    (D from ``_grade``), the moments of x -> D x, whose rows are
+    (D beta_k; D^2 gamma_k).
+
+    Each sigma row k is held as a primitive int row S_k = c_k sigma_k, an
+    unknown nonzero scale c_k with the gcd of the entries divided out.  With
+    a = S_{k,k}, b = S_{k,k+1}, a' = S_{k-1,k-1}, b' = S_{k-1,k} (row -1 is
+    zero, with a' = 1) the recurrence times c_k a a' is
+
+        N_l = a a' S_{k,l+1} - (b a' - b' a) S_{k,l} - a^2 S_{k-1,l},
+
+    and S_{k+1} = N / gcd(N), while beta_k = (b a' - b' a) / (a a' D) and
+    gamma_k = N_{k+1} / (a^2 a' D^2) are the only ``Fraction``s built.  No
+    pivot a is 0: a zero gamma ends the rows first.  Each H_k sigma_{k,l},
+    H_k the k-th Hankel determinant of the graded moments, is an int, so
+    no entry of S_k is larger; a row not divided by its content keeps a
+    common factor that grows with every level.
+    """
+    row = (ONE,) + ms
+    d = _grade(enumerate(row))
+    # cur[i] = S_{k,k+i} for k + i <= 2 levels - k, prev[i] = S_{k-1,k-1+i}
+    cur, prev = _scaled(row, d), [0] * (len(row) + 2)
+    a1, b1, dd = 1, 0, d * d
+    betas, gammas = [], []
+    for k in range(levels):
+        a, b = cur[0], cur[1]
+        u, v, w = b * a1 - b1 * a, a * a1, a * a
+        betas.append(Fraction(u, v * d))
+        nxt = [v * x - u * y - w * z
+               for x, y, z in zip(cur[2:], cur[1:], prev[2:])]
+        gammas.append(Fraction(nxt[0], w * a1 * dd))
+        if not nxt[0]:
+            return _terminated(mf, betas, gammas)
+        c = gcd(*nxt)
+        if c != 1:
+            nxt = [x // c for x in nxt]
+        prev, cur, a1, b1 = cur, nxt, a, b
+    return JacobiParams(betas, gammas)
+
+
+def _terminated(mf, betas, gammas):
+    """The closed rows (betas; gammas), gamma = 0 last, if they give every
+    moment of mf, or NoJacobiRepresentationError."""
+    candidate = JacobiParams(betas, gammas, terminated=True)
+    if moments_from_jacobi(candidate, mf.order) == mf:
+        return candidate
+    raise NoJacobiRepresentationError(
+        "gamma = 0 but deeper moments are inconsistent with termination")
 
 
 # -- named families -----------------------------------------------------------
@@ -351,8 +409,14 @@ def semicircular(beta, gamma, order):
 
 
 def point_mass(beta, order):
-    j = JacobiParams((as_coeff(beta),), (ZERO,), terminated=True)
-    return moments_from_jacobi(j, order)
+    """The rows (beta; 0), terminated: the one Motzkin path of length n is n
+    flat steps, so m_n = beta^n."""
+    beta = as_coeff(beta)
+    out, m = [], ONE
+    for _ in range(order):
+        m = m * beta
+        out.append(m)
+    return MomentFunctional(order, out)
 
 
 def bernoulli_sym(order):

@@ -1,11 +1,15 @@
 """The Chebyshev algorithm on full rows, for the Jacobi-row tests.
 
-A reference for ``freeconv.functionals.jacobi_from_moments``, which grows
-its sigma table level by level.  This loop fills each row sigma_{k+1,l} to
-its full length before it divides, with the same recurrence, the same
-exact divisions on the same operands in the same order and the same
-termination check, so the two must give the same rows, or the same error,
-on every input.  The division is a parameter, so a test can count it.
+A reference for ``freeconv.functionals.jacobi_from_moments`` on both of its
+paths.  When a moment it reads is a ``TPoly``, that function grows its
+sigma table level by level; this loop fills each row sigma_{k+1,l} to its
+full length before it divides, with the same recurrence, the same exact
+divisions on the same operands in the same order and the same termination
+check.  Over Q that function runs on primitive int rows and divides
+nothing, and this loop, on ``Fraction``, is its reference in the ring of
+the outputs.  Either way the two must give the same rows, type for type,
+or the same error, on every input.  The division is a parameter, so a test
+can count it.
 """
 
 from __future__ import annotations

@@ -226,12 +226,23 @@ def test_family_jacobi_on_ints_matches_fractions(name):
     """Every named family, at every order 1-40, expands its rows with a
     repeating tail on ints over their lcm D, m_n = v_0 / D^n; the same rows
     without the tail stay on Fraction and give the same moments, all
-    Fractions."""
+    Fractions.  ``point_mass`` builds no rows: its moments beta^n equal the
+    expansion of its terminated rows (beta; 0), type for type, for beta
+    over Q, 0 included, and over Q[t]."""
     rng = random.Random(name)
     fn, argnames = FAMILIES[name]
+    t = TPoly((0, 1))
     for order in range(1, 41):
         params = [F(rng.choice((-3, -1, 0, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
                   for _ in argnames]
+        if name == "point_mass":
+            (beta,) = params
+            for b in (beta, F(0), TPoly.constant(beta or 1), beta + t,
+                      (beta or 1) * t * t):
+                rows = JacobiParams((b,), (0,), terminated=True)
+                assert _typed(point_mass(b, order)) == \
+                    _typed(moments_from_jacobi(rows, order))
+            continue
         seen = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(functionals, "moments_from_jacobi",
@@ -242,6 +253,17 @@ def test_family_jacobi_on_ints_matches_fractions(name):
             else _by_fractions(j, order)
         assert all(type(c) is F for c in got.moments())
         assert _typed(got) == _typed(want)
+
+
+def test_point_mass_of_a_zero_tpoly_keeps_one_ring():
+    """beta = 0 as a TPoly: every moment is the zero TPoly, where the path
+    expansion of the rows gives m_1 as a TPoly and skips the zero weights
+    after it, leaving Fraction zeros."""
+    zero = TPoly.constant(0)
+    got = point_mass(zero, 6).moments()
+    assert all(type(c) is TPoly and not c for c in got)
+    rows = JacobiParams((zero,), (0,), terminated=True)
+    assert point_mass(zero, 6) == moments_from_jacobi(rows, 6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,12 +379,13 @@ def test_jacobi_rows_match_the_strip_extraction_type_for_type():
 JACOBI_DRAWS = ("q", "terminated", "inconsistent", "formal", "zero-variance")
 
 
-def _jacobi_draw(rng, kind, order):
-    """A functional of the given order for the sweep below: over Q with
+def _jacobi_draw(rng, kind, order, rational=False):
+    """A functional of the given order for the sweeps below: over Q with
     many zero moments; the moments of closed rows (gamma = 0 last), or
     those with one deeper moment changed, so that termination is
     inconsistent; a formal free power or semigroup, whose rows leave Q[t]
-    after a level or two; or m_2 = m_1^2, over Q or Q[t]."""
+    after a level or two; or m_2 = m_1^2, over Q or Q[t], or only over Q
+    when ``rational``."""
     t = TPoly((0, 1))
 
     def q():
@@ -394,6 +417,10 @@ def _jacobi_draw(rng, kind, order):
             lambda: maassen_semigroup(CanonicalTriple(q(), nonzero(), mu), t,
                                       order)))
         return make()
+    if rational:
+        m1 = q()
+        return MomentFunctional(order, [m1, m1 * m1]
+                                + [q() for _ in range(order - 2)])
     m1 = rng.choice((q(), q() + t, TPoly.constant(q())))
     return MomentFunctional(order, [m1, m1 * m1]
                             + [rng.choice((q(), q() * t)) for _ in range(order - 2)])
@@ -414,9 +441,10 @@ def _rows_or_error(run):
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(JACOBI_DRAWS),
        st.integers(1, 14))
 def test_jacobi_rows_match_the_full_row_loop(seed, kind, order):
-    """jacobi_from_moments grows its sigma table level by level; it gives
-    the rows of the full-row loop type for type, or the same error class
-    and message, after the same exact divisions on the same operands."""
+    """jacobi_from_moments gives the rows of the full-row loop type for
+    type, or the same error class and message.  When a moment it reads is
+    a TPoly, it grows its sigma table level by level, after the same exact
+    divisions on the same operands; over Q it divides nothing."""
     mf = _jacobi_draw(random.Random(seed), kind, order)
     levels = mf.order // 2
     calls = {"new": [], "full": []}
@@ -431,7 +459,67 @@ def test_jacobi_rows_match_the_full_row_loop(seed, kind, order):
         got = _rows_or_error(lambda: jacobi_from_moments(mf, levels))
     want = _rows_or_error(lambda: jacobi_rows_full(mf, levels, spy("full")))
     assert got == want
-    assert calls["new"] == calls["full"]
+    if all(type(c) is F for c in mf.moments()[:2 * levels]):
+        # over Q the rows are read on ints, with no exact division
+        assert calls["new"] == []
+    else:
+        assert calls["new"] == calls["full"]
+
+
+Q_DRAWS = tuple(kind for kind in JACOBI_DRAWS if kind != "formal")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(Q_DRAWS),
+       st.integers(1, 40))
+def test_jacobi_rows_on_ints_match_the_fraction_reference(seed, kind, order):
+    """Over Q, jacobi_from_moments runs the Chebyshev algorithm on primitive
+    int rows; at any depth up to order // 2 it gives the rows of the full-row
+    loop on Fraction type for type, or the same error class and message."""
+    rng = random.Random(seed)
+    mf = _jacobi_draw(rng, kind, order, rational=True)
+    assert all(type(c) is F for c in mf.moments())
+    levels = rng.choice((order // 2, rng.randint(0, order // 2)))
+    got = _rows_or_error(lambda: jacobi_from_moments(mf, levels))
+    assert got == _rows_or_error(
+        lambda: jacobi_rows_full(mf, levels, exact_div))
+
+
+DEEP_FAMILIES = {
+    "free_meixner": ((F(3, 7), F(5, 11), F(1, 7), F(9, 11)),
+                     ((F(1, 7),), (F(9, 11),), (F(4, 7), F(14, 11)))),
+    "semicircular": ((0, 1), ((0,), (1,), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_FAMILIES))
+def test_deep_jacobi_reads_on_ints_give_the_family_rows(name):
+    """Read at depth 64 off 128 moments, a family gives back its own rows,
+    all Fractions."""
+    params, (betas, gammas, tail) = DEEP_FAMILIES[name]
+    j = jacobi_from_moments(FAMILIES[name][0](*params, 128), 64)
+    want = JacobiParams(betas, gammas, repeat=tail).levels(64)
+    assert [(type(b), b, type(g), g) for b, g in j.levels(64)] == \
+        [(F, b, F, g) for b, g in want]
+    assert j.depth() == 64 and not j.terminated
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 40, 77, 127, 128])
+def test_one_changed_moment_changes_the_jacobi_rows(k):
+    """m_k enters first beta_j at k = 2j+1 and gamma_j at k = 2j+2: adding 1
+    to it leaves every earlier row as it was and changes that one."""
+    mf = free_meixner(F(3, 7), F(5, 11), F(1, 7), F(9, 11), 128)
+    ms = list(mf.moments())
+    ms[k - 1] += 1
+    rows = jacobi_from_moments(mf, 64)
+    changed = jacobi_from_moments(MomentFunctional(128, ms), 64)
+    j, odd = divmod(k - 1, 2)
+    assert changed.levels(j) == rows.levels(j)
+    if odd:
+        assert changed.betas[j] == rows.betas[j]
+        assert changed.gammas[j] != rows.gammas[j]
+    else:
+        assert changed.betas[j] != rows.betas[j]
 
 
 def _tpoly_ops(run):

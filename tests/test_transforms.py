@@ -260,8 +260,8 @@ SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
 
 # The grading and packing of Q[t] values, owned by ``coeffs``, and the
 # modules that use each one.
-PACKING = {"_grade": {"series", "transforms", "multivariate"},
-           "_scaled": {"series", "transforms"},
+PACKING = {"_grade": {"series", "transforms", "multivariate", "functionals"},
+           "_scaled": {"series", "transforms", "functionals"},
            "_norms": {"series", "transforms"},
            "_bits": {"series", "transforms", "multivariate"},
            "_pack": {"multivariate"},
@@ -274,8 +274,9 @@ def test_only_transforms_holds_the_solve_kernels():
     ``oracle._graded``, the oracle's own grading, is another object.  Only
     ``evolution`` also holds ``_strip_once``, where the Jacobi wrong-path
     tests patch it.  The grading and packing of Q[t] values live in
-    ``coeffs``, below the series engine and both solve layers, and each of
-    those holds exactly the ones it uses (``PACKING``)."""
+    ``coeffs``, below the series engine, both solve layers and the Jacobi
+    reads of ``functionals``, and each of those holds exactly the ones it
+    uses (``PACKING``)."""
     owners = {name: {"transforms"} for name in (
         "_fill", "_graded", "_add_diagonal", "_substitute_at", "_split_sum",
         "_moment_table", "_polys", "_as_ring", "_eta", "_width")}

@@ -14,12 +14,12 @@ convolution that can stop at a truncation order (``_convolve``), and
 reduces a result once, with one gcd, rather than once per coefficient
 (``_canonical``).  A sum of products start + x_1 y_1 + ... with a ``TPoly``
 among its operands (``_dot``) scales every product to the lcm of the product
-denominators and convolves them all into one accumulator, reduced once; the
-expansions in s of ``transforms`` over Q[t], and its triangular-solve kernels
-past the packed path's slack, accumulate through it.  ``TPoly`` stores this
-layout; the series layer converts a series whose coefficients are all
-``Fraction`` to it for a product, reciprocal or composition and back to
-``Fraction`` on the way out (see ``series``).
+denominators and convolves them all into one accumulator, reduced once;
+only the triangular-solve kernels of ``transforms`` past the packed path's
+slack accumulate through it.  ``TPoly`` stores this layout; the series
+layer converts a series whose coefficients are all ``Fraction`` to it for
+a product, reciprocal or composition and back to ``Fraction`` on the way
+out (see ``series``).
 
 The one integer scheme for Q[t] lives here too, below the series engine
 and both solve layers.  ``_grade`` finds D with c_k D^k integral for every
@@ -138,7 +138,8 @@ def _dot(start, xs, ys):
     Then every product is scaled to the lcm of the product denominators and
     convolved into one int accumulator, which ``_canonical`` reduces once,
     instead of reducing each product and each partial sum by a gcd.
-    Otherwise the fold runs on the operators.
+    Otherwise the fold runs on the operators.  Only the solve kernels of
+    ``transforms`` past the packed path's slack call it.
     """
     if not (type(start) is TPoly or TPoly in map(type, xs)
             or TPoly in map(type, ys)):

@@ -6,14 +6,15 @@ coefficients, monotone convolution composes F-transforms (one substitution,
 R-transforms on pairs.  In the algebraic setting every power t is defined,
 including a formal parameter.
 
-The free and two-state powers multiply the R-transforms by t and expand in t
-by Lagrange-Burmann over the powers of R_mu (Stanley, *EC2*, Thm 5.4.2):
-m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i, the NC(n) sum of
+The free and two-state powers multiply the R-transforms by t and, over Q,
+expand in t by Lagrange-Burmann over the powers of R_mu (Stanley, *EC2*,
+Thm 5.4.2): m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i, the NC(n) sum of
 t^{|pi|} prod kappa_{|V|} (Nica-Speicher), and its twin for eta~ (see
-``transforms.two_state_from_scaled_r``).  Over Q[t] that is about n^3 integer
-operations where a forward solve runs a power table of polynomials in t.
-Each result carries its R-transform (see ``functionals.MomentFunctional``),
-so a free power handed to free convolution is not solved back.
+``transforms.two_state_from_scaled_r``).  For a formal t that is about n^3
+integer operations where a forward solve runs a power table of polynomials
+in t; R-transforms over Q[t] take that solve.  Each result carries its
+R-transform (see ``functionals.MomentFunctional``), so a free power handed
+to free convolution is not solved back.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ def free_convolve(a, b):
 
 
 def free_power(a, t):
-    """a^{boxplus t}: R_a times t, expanded in t over the powers of R_a
-    (``transforms.moments_from_scaled_r``)."""
+    """a^{boxplus t}: R_a times t, expanded in t over the powers of R_a when
+    R_a is over Q (``transforms.moments_from_scaled_r``)."""
     return moments_from_scaled_r(r_from_moments(a), t, a.order)
 
 
@@ -89,8 +90,8 @@ def two_state_convolve(p, q):
 
 
 def two_state_power(p, t):
-    """p^{boxplus_c t}: both R-transforms times t, expanded in t over the
-    powers of R_base by Lagrange-Burmann, m_n = sum_i C(n+1, i)/(n+1) t^i
+    """p^{boxplus_c t}: both R-transforms times t, over Q expanded in t over
+    the powers of R_base by Lagrange-Burmann, m_n = sum_i C(n+1, i)/(n+1) t^i
     [w^n] R^i and eta~_n = [w^n] t (wR2' - R2) (1 + tR)^{n-1} / (n-1) for
     n >= 2 (``transforms.two_state_from_scaled_r``)."""
     return two_state_from_scaled_r(two_state_r(p), r_from_moments(p.base), t,

@@ -80,14 +80,16 @@ def belinschi_nica(mu, t):
     """B_t[mu] = (mu^{boxplus s})^{uplus 1/s} with s = 1 + t.
 
     Boolean powers scale eta, so eta^{B_t[mu]} = eta^{mu^{boxplus s}} / s.
-    Lagrange-Burmann for W = z(1 + sR(W)) gives that quotient on the powers
-    of R = R_mu as eta_1 = kappa_1 and, for n >= 2,
+    For mu over Q, Lagrange-Burmann for W = z(1 + sR(W)) gives that quotient
+    on the powers of R = R_mu as eta_1 = kappa_1 and, for n >= 2,
 
         eta_n = sum_{i=1..n-1} C(n-2, i-1)/i s^{i-1} [w^n] R^i
 
     (``transforms.belinschi_nica_eta``), a polynomial in s: for formal t it
-    is in Q[t] as it stands, with nothing left to divide.  t = -1 is refused,
-    since B_t is defined through the division by 1 + t.
+    is in Q[t] as it stands, with nothing left to divide.  For mu over Q[t]
+    the forward solves give eta^{mu^{boxplus s}} = s R(W) (1+M)^{-1}, which
+    s divides exactly.  t = -1 is refused, since B_t is defined through the
+    division by 1 + t.
     """
     s = 1 + as_coeff(t)
     if not s:
@@ -143,9 +145,9 @@ def maassen_semigroup(triple, t, order=None):
     """mu_t with phi_{mu_t} = beta t + gamma t G_rho: kappa_1 = t beta,
     kappa_{n+2} = t gamma m_n(rho).
 
-    R_{mu_t} is t times the R-transform R at t = 1, so the moments expand in
-    t over the powers of R, m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i
-    (Lagrange-Burmann, ``transforms.moments_from_scaled_r``)."""
+    R_{mu_t} is t times the R-transform R at t = 1, so over Q the moments
+    expand in t over the powers of R, m_n = sum_i C(n+1, i)/(n+1) t^i
+    [w^n] R^i (Lagrange-Burmann, ``transforms.moments_from_scaled_r``)."""
     t = as_coeff(t)
     if order is None:
         if triple.rho is None:
@@ -183,8 +185,8 @@ def triple_from_semigroup(mu):
 def two_state_semigroup(rel, base, t, order=None):
     """The pair (mu_tilde_t, mu_t) from relative and base canonical triples.
 
-    Both R-transforms are t times those at t = 1, and the pair expands in t
-    over the powers of the base's R: eta~_n = [w^n] t (wR2' - R2)
+    Both R-transforms are t times those at t = 1, and over Q the pair
+    expands in t over the powers of the base's R: eta~_n = [w^n] t (wR2' - R2)
     (1 + tR)^{n-1} / (n-1) for n >= 2 (Lagrange-Burmann,
     ``transforms.two_state_from_scaled_r``).  ``catalog`` checks the tilde
     against the Boolean/monotone formula on the pairs its entries build.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .coeffs import ZERO, ONE, _grade, _scaled, as_coeff, exact_div
+from .coeffs import ZERO, ONE, TPoly, _grade, _scaled, as_coeff, exact_div
 
 
 class JacobiDepthError(ValueError):
@@ -236,7 +236,7 @@ def moments_from_jacobi(j, order):
     Computed as weighted Motzkin paths (equivalently <e_0, J^n e_0> for the
     tridiagonal matrix): up-steps weight 1, flat at level i weight beta_i,
     down onto level i weight gamma_i.  Division-free, so it works verbatim
-    over Q[t].
+    over Q[t]; every moment is a ``TPoly`` when one of the rows it reads is.
 
     Rows over Q with a repeating tail, as every named family has, run on
     ints: with D the lcm of the row denominators, flat steps weigh beta_i D
@@ -252,8 +252,9 @@ def moments_from_jacobi(j, order):
     betas = [r[0] for r in rows]
     gammas = [r[1] for r in rows]
     size = levels_needed + 1
-    v = [ONE] + [ZERO] * (levels_needed)
-    zero, d = ZERO, None
+    poly = TPoly in map(type, betas + gammas)
+    zero, one = (TPoly(()), TPoly((1,))) if poly else (ZERO, ONE)
+    v, d = [one] + [zero] * levels_needed, None
     if j.repeat is not None and all(
             type(c) is Fraction for c in betas + gammas):
         d = lcm(*[c.denominator for c in betas + gammas])

@@ -54,10 +54,10 @@ arithmetic instead.  ``_grade`` grades every coefficient and refuses any
 other value.  Every operation, solve or expansion, gives its outputs one
 ring, as the word layer does: all ``TPoly`` when an input coefficient (or
 the s of an expansion) is one, else all ``Fraction``.
-``_graded`` applies that rule to each solve, and each expansion reads its
-outputs through ``_as_ring``.
+``_graded`` applies that rule to each solve, and an expansion's weights
+give a ``TPoly`` exactly when s is one.
 
-Where the R-transforms are s times known series, as in the semigroups
+Where the R-transforms are s times series over Q, as in the semigroups
 mu^{boxplus s} and their two-state twins, W = z(1 + sR(W)) and
 Lagrange-Burmann (Stanley, *EC2*, Thm 5.4.2) expands the outputs in s over
 the powers of R, in place of a solve over Q[t]:
@@ -77,10 +77,12 @@ kappa_{|V|} (Nica-Speicher).  The same expansion takes two more cases:
                              eta_n = sum_{i=1..n-1} C(n-2, i-1)/i s^{i-1}
                                      [w^n] R^i for n >= 2
 
-Over Q the powers run on ints graded by the same D, built by one row
-builder (``_power_rows``), and each output is reduced once.  Every
-functional built from an R-transform keeps it, and ``r_from_moments``
-returns it instead of solving (see ``functionals.MomentFunctional``).
+All four are one ``_expansion`` over Q, on ints graded by one D, with one
+row builder (``_power_rows``) and one reduction per output.  An R or R2
+over Q[t] would put polynomials in t into every power, so the three
+public expansions return the forward solves they equal, on R scaled by s.
+Every functional built from an R-transform keeps it, and
+``r_from_moments`` returns it instead of solving (see ``MomentFunctional``).
 
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
@@ -100,7 +102,8 @@ from math import comb
 from operator import add, mul, sub
 
 from .coeffs import (ZERO, ONE, TPoly, _bits, _canonical, _convolve, _dot,
-                     _grade, _norms, _scaled, _unpack, as_coeff, exact_div)
+                     _grade, _norms, _scaled, _unpack, as_coeff, exact_div,
+                     formal_t)
 from .functionals import ConsistencyError, MomentFunctional, TwoStatePair
 from .series import LaurentAtInfinity, TruncSeries
 
@@ -471,54 +474,40 @@ def two_state_r_by_reversion(pair):
 #
 # R_{mu^{boxplus s}} = s R_mu, so W = z(1 + sR(W)), and Lagrange-Burmann
 # (Stanley, EC2, Thm 5.4.2) moves all of s into binomial weights over the
-# powers of R: about n^3 operations on R's coefficients, where a solve over
-# Q[t] runs its power table on polynomials in t.
+# powers of R: about n^3 integer operations on an R over Q, where a solve
+# over Q[t] runs its power table on polynomials in t.
 
 
 def _power_rows(r, top, n, unit=False):
     """rows[i][k] = [w^k] (u + R)^i for 0 <= i <= top and 0 <= k <= n, with
-    R = sum_{k >= 1} r_k w^k (r[0] is not read) and u = 1 when ``unit``, else
-    0, when (u + R)^i starts at w^i.  The one builder of the expansions'
-    power rows: on graded ints each entry is one ``sum(map(mul))``, on any
-    other ring one ``coeffs._dot``."""
-    ints = type(r[1]) is int
+    R = sum_{k >= 1} r_k w^k graded ints (r[0] is not read) and u = 1 when
+    ``unit``, else 0, when (u + R)^i starts at w^i.  The one builder of the
+    expansions' power rows, each entry one ``sum(map(mul))``."""
     rows = [[1] + [0] * n]
     for i in range(1, top + 1):
         prev = rows[-1]
         lo = 0 if unit else i - 1  # prev[j] = 0 for j < lo
         row = [1] if unit else [0] * i
         for k in range(len(row), n + 1):
-            xs, ys = r[1:k - lo + 1], prev[lo:k][::-1]
-            start = prev[k] if unit else None
-            row.append(sum(map(mul, xs, ys), start or 0) if ints
-                       else _dot(start, xs, ys))
+            row.append(sum(map(mul, r[1:k - lo + 1], prev[lo:k][::-1]),
+                           prev[k] if unit else 0))
         rows.append(row)
     return rows
 
 
 def _expansion(s, seqs, n):
-    """(seqs, rows, weigh) for an expansion in s to order n, R = seqs[0].
+    """(seqs, rows, weigh) for an expansion in s to order n, R = seqs[0],
+    every coefficient of seqs over Q.
 
-    Over Q, that is when every coefficient is a ``Fraction``, the sequences
-    come back graded as ``_graded`` grades them, entry k the int
-    c_k D^k, and rows[i][k] = [w^k] R^i D^k; otherwise the sequences are as
-    given, D = 1 and rows[i][k] = [w^k] R^i.  weigh(ys, c, k) is
-    sum_{e >= 0} ys[e] s^e / (c D^k) for an int c > 0: over Q one integer
+    The sequences come back graded as ``_graded`` grades them, entry k the
+    int c_k D^k, and rows[i][k] = [w^k] R^i D^k.  weigh(ys, c, k) is
+    sum_{e >= 0} ys[e] s^e / (c D^k) for an int c > 0: one integer
     polynomial over one denominator, reduced once, and a ``TPoly`` exactly
-    when s is one; otherwise a fold of the ring's operators.
+    when s is one, else a ``Fraction``.
     """
-    d = None if _polys(*seqs) else _grade(*map(enumerate, seqs))
-    if d is not None:
-        seqs = [_scaled(cs, d) for cs in seqs]
+    d = _grade(*map(enumerate, seqs))
+    seqs = [_scaled(cs, d) for cs in seqs]
     rows = _power_rows(seqs[0], n, n)
-    if d is None:
-        sp = [ONE]
-        for _ in range(n):
-            sp.append(sp[-1] * s)
-
-        def weigh(ys, c, k):
-            return _dot(None, ys, sp[:len(ys)]) * Fraction(1, c)
-        return seqs, rows, weigh
     # s = S / den for an int polynomial S (a constant when s is rational)
     nums, den = TPoly._parts(s)
     pows, dens = [(1,)], [1]
@@ -546,15 +535,14 @@ def _expansion(s, seqs, n):
     return seqs, rows, weigh
 
 
-def _free_moments(rows, weigh, poly):
-    """m_1..m_n with R-transform s R, from ``_expansion`` in s on R, each a
-    ``TPoly`` when poly:
+def _free_moments(rows, weigh):
+    """m_1..m_n with R-transform s R, from ``_expansion`` in s on R:
 
         m_n = [w^n] (1 + sR)^{n+1} / (n+1)
             = sum_{i=1..n} C(n+1, i)/(n+1) s^i [w^n] R^i.
     """
-    return _as_ring([weigh([comb(k + 1, i) * rows[i][k] for i in range(k + 1)],
-                           k + 1, k) for k in range(1, len(rows))], poly)
+    return [weigh([comb(k + 1, i) * rows[i][k] for i in range(k + 1)], k + 1, k)
+            for k in range(1, len(rows))]
 
 
 def _affine_parts(cs):
@@ -583,23 +571,17 @@ def _affine_moments(cs, a, b):
 
         m_n = sum_{i=0..n} C(n+1, i)/(n+1) t^i [w^n] B^i (1 + A)^{n+1-i},
 
-    on the power rows of B and of 1 + A, graded by one D from ``_grade`` so
-    that every sum runs on ints, with one reduction per output.  R holds a
-    ``TPoly``, so every m_n is one, as the forward solve gives it.
+    one ``_expansion`` in t on R = B, with A graded by the same D, and the
+    power rows of 1 + A.  s = t is a ``TPoly``, so every m_n is one, as the
+    forward solve gives it.
     """
     n = len(cs) - 1
-    d = _grade(enumerate(a), enumerate(b))
-    rb = _power_rows(_scaled(b, d), n, n)
-    ra = _power_rows(_scaled(a, d), n + 1, n, unit=True)
-    out, dk = [], 1
-    for k in range(1, n + 1):
-        dk *= d
-        ys = [comb(k + 1, i) * sum(map(mul, rb[i][i:k + 1],
-                                       ra[k + 1 - i][k - i::-1]))
-              for i in range(k + 1)]
-        c = (k + 1) * dk
-        out.append(_canonical(ys, c, c))
-    return out
+    (_, ga), rb, weigh = _expansion(formal_t(), [b, a], n)
+    ra = _power_rows(ga, n + 1, n, unit=True)
+    return [weigh([comb(k + 1, i) * sum(map(mul, rb[i][i:k + 1],
+                                             ra[k + 1 - i][k - i::-1]))
+                   for i in range(k + 1)], k + 1, k)
+            for k in range(1, n + 1)]
 
 
 def moments_from_scaled_r(r, s, order):
@@ -609,15 +591,17 @@ def moments_from_scaled_r(r, s, order):
     s^{|pi|} prod kappa_{|V|} (Nica-Speicher, *Lectures on the Combinatorics
     of Free Probability*).
 
-    Equal, value and ring, to ``moments_from_r(r.scale(s), order)``.
+    Equal, value and ring, to ``moments_from_r(r.scale(s), order)``, which
+    it returns when one of r_0..r_order is a ``TPoly``; over Q it expands.
     """
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
     s = as_coeff(s)
     cs = r.coeffs()[:order + 1]
+    if _polys(cs):
+        return moments_from_r(r.scale(s), order)
     _, rows, weigh = _expansion(s, [cs], order)
-    return _carrying(MomentFunctional(
-        order, _free_moments(rows, weigh, _polys((s,), cs))), r, s)
+    return _carrying(MomentFunctional(order, _free_moments(rows, weigh)), r, s)
 
 
 def two_state_from_scaled_r(r2, r, s, order):
@@ -632,28 +616,28 @@ def two_state_from_scaled_r(r2, r, s, order):
 
     for n >= 2, on the powers of R that mu reads; ``moments_from_eta`` then
     gives mu~.  Equal, value and ring, to
-    ``tilde_from_two_state_r(r2.scale(s), mu)``.
+    ``tilde_from_two_state_r(r2.scale(s), mu)``, which gives mu~ when R or
+    R2 holds a ``TPoly``.
     """
     if order > min(r.order, r2.order):
         raise ValueError(
             f"R-transforms known to order {min(r.order, r2.order)} < {order}")
     s = as_coeff(s)
     rc, r2c = r.coeffs()[:order + 1], r2.coeffs()[:order + 1]
+    if _polys(rc, r2c):
+        base = moments_from_scaled_r(r, s, order)
+        return TwoStatePair(tilde_from_two_state_r(r2.scale(s), base), base)
     (_, g2), rows, weigh = _expansion(s, [rc, r2c], order)
-    base = _carrying(MomentFunctional(
-        order, _free_moments(rows, weigh, _polys((s,), rc))), r, s)
+    base = _carrying(MomentFunctional(order, _free_moments(rows, weigh)), r, s)
     eta = [weigh([0, g2[1]], 1, 1)]
     r2o = [(l - 1) * c for l, c in enumerate(g2)]  # wR2' - R2
-    ints = type(g2[1]) is int  # graded: one sum(map(mul)), as _power_rows
     for n in range(2, order + 1):
-        ys = [0]
-        for i in range(n - 1):
-            xs, zs = r2o[2:n - i + 1], rows[i][i:n - 1][::-1]
-            ys.append(comb(n - 1, i) * (sum(map(mul, xs, zs)) if ints
-                                        else _dot(None, xs, zs)))
+        ys = [0] + [comb(n - 1, i) * sum(map(mul, r2o[2:n - i + 1],
+                                             rows[i][i:n - 1][::-1]))
+                    for i in range(n - 1)]
         eta.append(weigh(ys, n - 1, n))
-    eta = [ZERO] + _as_ring(eta, _polys((s,), rc, r2c))
-    return TwoStatePair(moments_from_eta(TruncSeries(order, eta), order), base)
+    return TwoStatePair(
+        moments_from_eta(TruncSeries(order, [ZERO] + eta), order), base)
 
 
 def belinschi_nica_eta(r, s, order):
@@ -662,18 +646,24 @@ def belinschi_nica_eta(r, s, order):
     B_t[mu] = (mu^{boxplus s})^{uplus 1/s} has eta = eta^{mu^{boxplus s}} / s.
     With phi = 1 + sR, eta^{mu^{boxplus s}} = 1 - 1/phi(W), and
     Lagrange-Burmann gives [z^n] of it as [w^n] phi^{n-1} / (n-1) for n >= 2,
-    so that
+    so that over Q
 
         eta_1 = kappa_1,
         eta_n = sum_{i=1..n-1} C(n-2, i-1)/i s^{i-1} [w^n] R^i   (n >= 2),
 
-    on ``_expansion``'s power rows of R, with no division by s.  Every eta_k
-    is a ``TPoly`` when s or a kappa is one, as the Boolean cumulants of
-    ``free_power(mu, s)``, divided by s, are.
+    on ``_expansion``'s power rows of R, with no division by s.  An R that
+    holds a ``TPoly`` takes ``_eta`` of ``moments_from_r(r.scale(s), order)``
+    divided by s, exactly, as eta^{mu^{boxplus s}} = s R(W) (1+M)^{-1}.
+    Every eta_k is a ``TPoly`` when s or a kappa is one, as the Boolean
+    cumulants of ``free_power(mu, s)``, divided by s, are.
     """
+    if order > r.order:
+        raise ValueError(f"cumulants known to order {r.order} < {order}")
     cs = r.coeffs()[:order + 1]
-    _, rows, weigh = _expansion(s, [cs], order)
-    eta = [cs[1]] + [weigh([comb(k - 1, e + 1) * rows[e + 1][k]
-                            for e in range(k - 1)], k - 1, k)
-                     for k in range(2, order + 1)]
-    return TruncSeries(order, [ZERO] + _as_ring(eta, _polys((s,), cs)))
+    if _polys(cs):
+        eta = _eta(moments_from_r(r.scale(s), order))[1:]
+        return TruncSeries(order, [ZERO] + [exact_div(c, s) for c in eta])
+    (g,), rows, weigh = _expansion(s, [cs], order)
+    return TruncSeries(order, [ZERO, weigh([g[1]], 1, 1)] + [
+        weigh([comb(k - 1, e + 1) * rows[e + 1][k] for e in range(k - 1)],
+              k - 1, k) for k in range(2, order + 1)])

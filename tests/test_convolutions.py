@@ -281,11 +281,14 @@ def _typed(mf):
        st.sampled_from(DRAW_KINDS), st.sampled_from(EXPONENTS))
 def test_powers_by_expansion_match_the_solves(seed, order, formal, kind,
                                               exponent):
-    """free_power and two_state_power expand in s over the powers of R; the
-    forward solves they replace, on R and R2 scaled by s, give the same
-    moments, value for value and ring for ring: all TPolys when s or a
-    coefficient that the solve reads is one, zero or constant, else all
-    Fractions."""
+    """free_power and two_state_power expand in s over the powers of R when
+    R and R2 are over Q, and otherwise take the forward solves on R and R2
+    scaled by s; those solves give the same moments, value for value and
+    ring for ring: all TPolys when s or a coefficient that the solve reads
+    is one, zero or constant, else all Fractions.  On draws over Q[t] both
+    sides run the solves, and
+    test_scaled_r_over_q_t_matches_the_expansion_at_rational_t checks that
+    route against the expansion at rational t."""
     rng = random.Random(seed)
     s = _exponent(rng, exponent)
     p = TwoStatePair(_draw(rng, order, formal, kind),

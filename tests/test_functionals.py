@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from test_convolutions import _typed
 
 from freeconv import functionals
-from freeconv.coeffs import ExactDivisionError, TPoly, exact_div
+from freeconv.coeffs import (ExactDivisionError, TPoly, evaluate, exact_div,
+                             formal_t)
 from freeconv.convolutions import free_power
 from freeconv.evolution import belinschi_nica, maassen_semigroup, phi_map, strip
 from freeconv.functionals import (
@@ -256,14 +257,54 @@ def test_family_jacobi_on_ints_matches_fractions(name):
 
 
 def test_point_mass_of_a_zero_tpoly_keeps_one_ring():
-    """beta = 0 as a TPoly: every moment is the zero TPoly, where the path
-    expansion of the rows gives m_1 as a TPoly and skips the zero weights
-    after it, leaving Fraction zeros."""
+    """beta = 0 as a TPoly: every moment is the zero TPoly, as the path
+    expansion of its terminated rows gives it."""
     zero = TPoly.constant(0)
     got = point_mass(zero, 6).moments()
     assert all(type(c) is TPoly and not c for c in got)
     rows = JacobiParams((zero,), (0,), terminated=True)
     assert point_mass(zero, 6) == moments_from_jacobi(rows, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+       st.sampled_from(("open", "terminated", "repeat")))
+def test_jacobi_moments_have_one_ring(seed, order, shape):
+    """moments_from_jacobi gives every moment a TPoly when one of the rows
+    that it reads is, a zero TPoly included, and a Fraction otherwise; the
+    rows specialised at a rational t give the moments specialised there.
+    The rows are open (deep enough for the order), terminated, or end in a
+    repeating tail, and take zero and nonzero values of both rings."""
+    rng = random.Random(seed)
+    t = formal_t()
+
+    def value():
+        return rng.choice((F(0), F(rng.randint(-3, 3), rng.randint(1, 3)),
+                           TPoly(()), TPoly.constant(2), 1 + t, t / 2))
+
+    depth = {"open": (order + 1) // 2 + rng.randint(0, 2),
+             "terminated": rng.randint(1, 5), "repeat": rng.randint(0, 3)}[shape]
+    betas = [value() for _ in range(depth)]
+    gammas = [value() for _ in range(depth)]
+    if shape == "terminated":
+        gammas[-1] = rng.choice((F(0), TPoly(())))
+    rows = JacobiParams(betas, gammas, terminated=shape == "terminated",
+                        repeat=(value(), value()) if shape == "repeat" else None)
+    got = moments_from_jacobi(rows, order).moments()
+    levels = (order + 1) // 2
+    if shape == "terminated":
+        levels = min(levels, depth)
+    read = [c for level in rows.levels(levels) for c in level]
+    ring = TPoly if TPoly in map(type, read) else F
+    assert [type(c) for c in got] == [ring] * order
+    t0 = F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+    at = JacobiParams([evaluate(c, t0) for c in betas],
+                      [evaluate(c, t0) for c in gammas],
+                      terminated=shape == "terminated",
+                      repeat=rows.repeat and tuple(
+                          evaluate(c, t0) for c in rows.repeat))
+    assert [evaluate(c, t0) for c in got] == list(
+        moments_from_jacobi(at, order).moments())
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from test_convolutions import DRAW_KINDS, EXPONENTS, _draw, _exponent, _typed
 
 import freeconv
 from freeconv import coeffs, docs, transforms
-from freeconv.coeffs import TPoly, formal_t
+from freeconv.coeffs import TPoly, evaluate, formal_t
 from freeconv.convolutions import (
     free_convolve,
     free_power,
@@ -43,6 +43,7 @@ from freeconv.oracle import free_cumulants_oracle
 from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
     _solve_moments,
+    belinschi_nica_eta,
     cauchy_g,
     eta_from_moments,
     f_at_infinity,
@@ -50,8 +51,10 @@ from freeconv.transforms import (
     m_series,
     moments_from_eta,
     moments_from_r,
+    moments_from_scaled_r,
     r_from_moments,
     tilde_from_two_state_r,
+    two_state_from_scaled_r,
     two_state_r,
     two_state_r_by_reversion,
     voiculescu_phi,
@@ -494,6 +497,74 @@ def test_affine_r_expansion_matches_the_solve(seed, order, kind):
         got = moments_from_r(r, order)
     assert calls == []
     assert _typed(got) == _typed(_solve_moments(r, order))
+
+
+def _formal_r(rng, order, kind):
+    """An R-transform over Q[t] through z^order or a little past it: the
+    coefficients of a formal ``_draw``, with a constant TPoly put in where
+    r_1..r_order hold none."""
+    top = order + rng.randint(0, 2)
+    cs = [F(0)] + list(_draw(rng, top, True, kind).moments())
+    if TPoly not in map(type, cs[:order + 1]):
+        k = rng.randint(1, order)
+        cs[k] = TPoly.constant(cs[k])
+    return TruncSeries(top, cs)
+
+
+def _values_at(cs, t0):
+    return [evaluate(c, t0) for c in cs]
+
+
+def _at(series, t0):
+    return TruncSeries(series.order, _values_at(series.coeffs(), t0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14),
+       st.sampled_from(DRAW_KINDS),
+       st.sampled_from(("t", "1 + t", "t/3 + 2", "rational")))
+def test_scaled_r_over_q_t_matches_the_expansion_at_rational_t(
+        seed, order, kind, exponent):
+    """An R (or R2) over Q[t] takes the forward solves of s R, and gives
+    every output as a TPoly.  Specialised at two rational t0 with
+    s(t0) != 0, each output equals the expansion over Q of the specialised
+    R, R2 and s, value for value; that expansion solves nothing for R or
+    R2."""
+    rng = random.Random(seed)
+    t = formal_t()
+    s = {"t": t, "1 + t": 1 + t, "t/3 + 2": t / 3 + 2,
+         "rational": F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))}[exponent]
+    r, r2 = _formal_r(rng, order, kind), _formal_r(rng, order, kind)
+    mu = moments_from_scaled_r(r, s, order)
+    pair = two_state_from_scaled_r(r2, r, s, order)
+    eta = belinschi_nica_eta(r, s, order).coeffs()[1:]
+    outs = (mu.moments(), pair.tilde.moments(), pair.base.moments(), eta)
+    assert all(type(c) is TPoly for cs in outs for c in cs)
+    t0s = [x for x in (F(-3), F(-1, 2), F(1, 3), F(2), F(5))
+           if evaluate(s, x)]
+    for t0 in rng.sample(t0s, 2):
+        s0, r0, r20 = evaluate(s, t0), _at(r, t0), _at(r2, t0)
+        want = two_state_from_scaled_r(r20, r0, s0, order)
+        assert _values_at(mu.moments(), t0) == list(
+            moments_from_scaled_r(r0, s0, order).moments())
+        assert _values_at(pair.base.moments(), t0) == list(want.base.moments())
+        assert _values_at(pair.tilde.moments(), t0) == list(
+            want.tilde.moments())
+        assert _values_at(eta, t0) == list(
+            belinschi_nica_eta(r0, s0, order).coeffs()[1:])
+
+
+@pytest.mark.parametrize("formal", (False, True))
+def test_belinschi_nica_eta_refuses_unknown_cumulants(formal):
+    """An R known to order 3 gives eta through order 3 and refuses order 6,
+    over Q and over Q[t], where zero padding would read the unknown
+    cumulants as 0."""
+    t = formal_t()
+    r = TruncSeries(3, [F(0), F(1, 2), t if formal else F(1), F(-1, 3)])
+    assert belinschi_nica_eta(r, 1 + t, 3).order == 3
+    for s in (F(2), 1 + t):
+        with pytest.raises(ValueError, match="cumulants known to order 3 < 6"):
+            belinschi_nica_eta(r, s, 6)
 
 
 SOURCES = ("moments_from_r affine", "moments_from_r solve", "free_power",

@@ -23,8 +23,10 @@ composition's outer series over one denominator), each t-polynomial is
 packed at t = 2^B, and each output is read back with ``_unpack``; B comes
 from the same kernel run on the inputs' l1 norms with every - read as +.
 Every output coefficient is then a ``TPoly``, as the solves of
-``transforms`` give theirs.  Reversion runs on products and one reciprocal,
-so over Q[t] it is packed too.
+``transforms`` give theirs.  Reversion takes one reciprocal and then one
+coefficient of each power v^k: over Q by Miller's power recurrence on one
+graded integer series, about n^3/6 terms and no gcd but each output's, and
+over Q[t] by one packed series product per power.
 
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
@@ -34,7 +36,7 @@ Laurent product keeps the order its factors' leading terms determine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul, neg, pos
 
 from .coeffs import (
@@ -256,14 +258,20 @@ class TruncSeries:
         """Compositional inverse; requires c_0 = 0 and c_1 invertible.
 
         Lagrange inversion (Stanley, EC2, Thm 5.4.2): [z^k] self^{<-1>} =
-        [z^(k-1)] v^k / k for v = z/self, so one reciprocal and n products
-        give every coefficient, about n^3 ring operations.
+        [z^(k-1)] v^k / k for v = z/self, one reciprocal and then one
+        coefficient of each power v^k.
 
-        When every coefficient of v is a ``Fraction``, the powers stay on
-        ints: v = A/d once, v^k = P_k/d_k by one convolution each, reduced by
-        one gcd of P_k and d_k, and each output is one
-        Fraction(P_k[k-1], d_k k).  Otherwise each power is one series
-        product, packed over Q[t]."""
+        When every coefficient of v is a ``Fraction``, v is graded as a
+        product's factor is over Q[t]: A(z) = q v(Dz), D from ``_grade`` and
+        q the denominator of v_0, is a series of ints with a_0 != 0.  J.C.P.
+        Miller's recurrence for the powers of a series (Knuth, TAOCP 2,
+        4.7), from A (A^k)' = k A' A^k, gives c_j = [z^j] A^k by
+        j a_0 c_j = sum_{i=1..j} ((k+1) i - j) a_i c_{j-i} from
+        c_0 = a_0^k, each division exact, so only c_0..c_{k-1} are built,
+        about n^3/6 terms in all (two products each: the sums of i a_i c_{j-i}
+        and of a_i c_{j-i}), and output k is the one Fraction
+        c_{k-1} / (q^k D^(k-1) k).  Otherwise each power is one series
+        product, packed over Q[t], about n^3/2 ring operations."""
         if self._c[0]:
             raise CompositionDomainError("reversion needs zero constant term")
         if not self.coeff(1):
@@ -272,15 +280,17 @@ class TruncSeries:
         v = self.shift_down(1).reciprocal()
         out = [ZERO, v._c[0]]
         if _rational(v._c):
-            a, da = _common(v._c)
-            p, d = a, da
+            d, q = _grade(enumerate(v._c)), v._c[0].denominator
+            a0, *a = _scaled(v._c, d, 0, q)
+            ia = [i * x for i, x in enumerate(a, 1)]
+            qk, dk = q, 1
             for k in range(2, n + 1):
-                p, d = _convolve(p, a, n), d * da
-                g = gcd(d, *p)
-                if g != 1:
-                    p = [x // g for x in p]
-                    d //= g
-                out.append(Fraction(p[k - 1], d * k))
+                c = [a0 ** k]
+                for j in range(1, k):
+                    c.append(((k + 1) * sum(map(mul, ia, reversed(c)))
+                              - j * sum(map(mul, a, reversed(c)))) // (j * a0))
+                qk, dk = qk * q, dk * d
+                out.append(Fraction(c[k - 1], qk * dk * k))
             return _series(n, out)
         p = v
         for k in range(2, n + 1):

@@ -3,12 +3,14 @@
 This module owns every single-variable triangular solve and every expansion
 in t, as ``multivariate`` owns every word solve.  With W = z(1+M), the
 power table p[k][j] = [z^j](1+M)^k gives [z^n] W^k = p[k][n-k], and
-[z^k] W^k = 1 makes every solve through W triangular.  Each solve is one
-``_fill`` rule (n, out, s) for [z^n] beside its word twin, a kernel of
-``multivariate`` whose ``_fill_words`` rule (n, out, s) builds the row of
-the words of length n.  Both drivers own the table of their substitution
-(a, m), None standing for ``out``, and hand the rule s = S(a) = [z^n] A(W);
-P(l, r) = _split_sum(l, r, n):
+[z^k] W^k = 1 makes every solve through W triangular.  The table holds
+row 1 and rows up to the last k with a_k != 0 read so far, no more, so
+substituting a two-term R, as a semicircle's, costs about n^2, not n^3.
+Each solve is one ``_fill`` rule (n, out, s) for [z^n] beside its word
+twin, a kernel of ``multivariate`` whose ``_fill_words`` rule (n, out, s)
+builds the row of the words of length n.  Both drivers own the table of
+their substitution (a, m), None standing for ``out``, and hand the rule
+s = S(a) = [z^n] A(W); P(l, r) = _split_sum(l, r, n):
 
     equation and solve: rule, substitution               word twin
     R(W) = M
@@ -215,17 +217,37 @@ def _as_ring(cs, poly):
     return [c if type(c) is TPoly else TPoly.constant(c) for c in cs]
 
 
-def _add_diagonal(p, m):
-    """Extend the power table p by its anti-diagonal k + j = s, s = len(p).
+def _add_diagonal(p, m, s, top):
+    """Bring rows 1..top of the power table p to the anti-diagonal k + j = s.
 
-    Reads only m[1:s], so a forward solve can find m[s] after each call.
-    Row 0 stays [1]: no solve reads past it.
+    A substitution reads row k only where a_k != 0, so ``_fill`` passes the
+    last such k as top and no row past it is built; row 1, 1 + M itself, is
+    kept in any case.  Rows first read now are built whole through the
+    anti-diagonal s - 1, each from the one before it (row s - 1 is [1]
+    there); then every row but row s gains its entry on the anti-diagonal
+    s, and row s, read when a known a_s != 0, starts as [1].  Reads only
+    m[1:s], so a forward solve can find m[s] after each call.  Row 0 stays
+    [1]: no solve reads past it.
     """
-    s = len(p)
+    ints = type(m[s - 1]) is int
     if s > 1:
-        p[1].append(m[s - 1])  # row 1 is 1 + M itself
-    if type(m[s - 1]) is int:
-        for k in range(2, s):
+        p[1].append(m[s - 1])
+    if len(p) < s and len(p) <= top:
+        for k in range(len(p), s - 1):
+            prev, row = p[k - 1], [1]
+            for j in range(1, s - k):
+                if ints:
+                    c = prev[j]
+                    for i in range(1, j + 1):
+                        if m[i]:
+                            c = c + m[i] * prev[j - i]
+                else:
+                    c = _dot(prev[j], m[1:j + 1], prev[j - 1::-1])
+                row.append(c)
+            p.append(row)
+        p.append([1])
+    if ints:
+        for k in range(2, len(p)):
             prev = p[k - 1]
             j = s - k
             c = prev[j]
@@ -234,23 +256,25 @@ def _add_diagonal(p, m):
                     c = c + m[i] * prev[j - i]
             p[k].append(c)
     else:
-        for k in range(2, s):
+        for k in range(2, len(p)):
             prev = p[k - 1]
             j = s - k
             p[k].append(_dot(prev[j], m[1:j + 1], prev[j - 1::-1]))
-    p.append([1])
+    if len(p) == top:
+        p.append([1])
 
 
 def _substitute_at(a, p, n):
-    """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p."""
+    """[z^n] A(W) for n >= 1, from a[j] = [z^j] A and the power table p,
+    whose rows run through the last nonzero a_k."""
     if type(p[1][-1]) is int:
         s = None
-        for k in range(1, n + 1):
+        for k in range(1, len(p)):
             if a[k]:
                 t = a[k] * p[k][n - k]
                 s = t if s is None else s + t
         return 0 if s is None else s
-    return _dot(None, a[1:n + 1], [p[k][n - k] for k in range(1, n + 1)])
+    return _dot(None, a[1:len(p)], [p[k][n - k] for k in range(1, len(p))])
 
 
 def _split_sum(left, right, n):
@@ -269,17 +293,23 @@ def _fill(n, coeff, subst=None):
     """[0, c_1, ..., c_n] with c_k = coeff(k, out, s), filled by degree; out[k]
     reads as zero until coeff returns, so a solve's own unknown drops out.
     Without ``subst``, s = 0.  With ``subst`` = (a, m), s = [z^k] A(W) for the
-    lists a of A and m of 1 + M, W = z(1+M), read from a power table grown by
-    one anti-diagonal per k; None in place of a or m stands for ``out``."""
+    lists a of A and m of 1 + M, W = z(1+M), read from a power table whose
+    rows run through the last nonzero a_j read so far, each grown to the
+    anti-diagonal k: for a known A from step j on, for A = out from the step
+    after a_j is found.  None in place of a or m stands for ``out``."""
     out = [0] * (n + 1)
     if subst is None:
         for k in range(1, n + 1):
             out[k] = coeff(k, out, 0)
         return out
     a, m = (out if f is None else f for f in subst)
-    p = [[1]]
+    p, top = [[1], [1]], 0
     for k in range(1, n + 1):
-        _add_diagonal(p, m)
+        if a[k]:
+            top = k
+        elif a[k - 1]:
+            top = k - 1
+        _add_diagonal(p, m, k, top)
         out[k] = coeff(k, out, _substitute_at(a, p, k))
     return out
 

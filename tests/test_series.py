@@ -233,9 +233,10 @@ def _reversion_by_series_products(f):
        st.integers(min_value=1, max_value=40),
        st.sampled_from(["q", "poly", "mixed"]))
 def test_reversion_matches_the_series_product_loop(seed, order, ring):
-    """Reversion over Q runs its powers on ints, one convolution each; it
-    gives the coefficients of the loop on whole series, type for type, on
-    zero-heavy series whose linear coefficient is not +-1.  A series with a
+    """Reversion over Q runs Miller's power recurrence on ints, with no
+    convolution; it gives the coefficients of the loop on whole series,
+    type for type, on zero-heavy series whose linear coefficient is not
+    +-1.  A series with a
     TPoly among c_1..c_n keeps the loop of series products, each on ints
     packed at t = 2^B with two convolutions, one on the l1 norms for B and
     one on the packed ints; it is drawn at orders up to 12."""
@@ -268,7 +269,7 @@ def test_reversion_matches_the_series_product_loop(seed, order, ring):
     assert got.order == want.order == order
     assert [(type(c), c) for c in got.coeffs()] == \
         [(type(c), c) for c in want.coeffs()]
-    assert len(convolutions) == (order - 1) * (1 if ring == "q" else 2)
+    assert len(convolutions) == (0 if ring == "q" else 2 * (order - 1))
 
 def test_t_derivative():
     t = formal_t()

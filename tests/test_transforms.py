@@ -39,7 +39,7 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
-from freeconv.oracle import free_cumulants_oracle
+from freeconv.oracle import MAX_ORACLE_ORDER, free_cumulants_oracle
 from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
     _solve_moments,
@@ -938,3 +938,127 @@ def test_plain_int_majorant_matches_the_majorant_ring(seed, order, kind,
     poly = TPoly in map(type, itertools.chain.from_iterable(ins))
     assert bool(seen) == poly
     assert all(want == got for want, got in seen)
+
+
+# -- solves on inputs of short support ----------------------------------------
+
+SUPPORTS = ("top", "head", "tail", "zero")
+
+
+def _short(rng, n, support, formal=False):
+    """c_1..c_n, zero outside a short support: one nonzero c_K ("top"),
+    c_1..c_K with K <= 3, as a semicircle's or a point mass's R ("head"),
+    c_K..c_n ("tail"), or none ("zero"), for a random K.  When formal the
+    nonzero c_k have t-degree 1 or 2 and the zeros are zero TPolys."""
+    t = formal_t()
+
+    def draw():
+        c = F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        if formal:
+            c += rng.choice((1, -2)) * t ** rng.randint(1, 2)
+        return c
+
+    k = rng.randint(1, n)
+    keep = {"top": {k}, "head": set(range(1, min(k, 3) + 1)),
+            "tail": set(range(k, n + 1)), "zero": set()}[support]
+    zero = TPoly(()) if formal else F(0)
+    return [draw() if i in keep else zero for i in range(1, n + 1)]
+
+
+def _by_reversion(mf):
+    """kappa_1..kappa_n of mf from the reversion path, phi = F^{<-1>} - z."""
+    phi = voiculescu_phi_by_reversion(mf)
+    return [phi.coeff(k) for k in range(mf.order)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40),
+       st.sampled_from(SUPPORTS))
+def test_short_support_solves_match_the_reversion_path_and_the_oracle(
+        seed, order, support):
+    """A substitution builds its power table only through the last nonzero
+    coefficient it reads: a known R of short support stops the rows early,
+    and an inverse solve adds rows as nonzero unknowns appear.  Over Q, on
+    an R, an R2 and a monotone factor of short support, every solve that
+    substitutes agrees with the reversion path or the series engine, which
+    share no solve kernel, and up to MAX_ORACLE_ORDER with the partition
+    oracle."""
+    rng = random.Random(seed)
+    n = order
+    kappa = _short(rng, n, support)
+    r = _series(kappa)
+    mu = _mf(list(moments_from_r(r, n).moments()))  # carries no R
+    nu = rand_functional(rng, n)
+    assert _typed_series(r_from_moments(mu)) == _typed_series(r)
+    assert _by_reversion(mu) == kappa
+
+    r2 = _series(_short(rng, n, support))
+    for base in (nu, mu):
+        pair = TwoStatePair(tilde_from_two_state_r(r2, base), base)
+        assert two_state_r(pair) == r2
+        assert two_state_r_by_reversion(pair) == r2
+
+    # W = z(1 + M^nu): R^{mu |> nu} = R^mu(W) (1 + M^nu)^{-1}, and
+    # 1 + M^{a |> nu} = (1 + M^nu)(1 + M^a(W)), by series composition
+    one = TruncSeries.one(n)
+    w = TruncSeries(n, (F(0), F(1)) + nu.moments()[:n - 1])
+    lam = subordination(mu, nu)
+    want = list((r.compose(w) * (one + m_series(nu)).reciprocal())
+                .coeffs()[1:])
+    assert _by_reversion(lam) == want
+    assert _by_reversion(monotone_convolve(nu, lam)) == [
+        a + b for a, b in zip(kappa, _by_reversion(nu))]
+    a = _mf(_short(rng, n, support))
+    product = (one + m_series(nu)) * (one + m_series(a).compose(w))
+    assert monotone_convolve(a, nu).moments() == product.coeffs()[1:]
+
+    if n <= MAX_ORACLE_ORDER:
+        assert free_cumulants_oracle(mu) == kappa
+        assert free_cumulants_oracle(lam) == want
+
+
+def _short_solves(rng, n, support):
+    """(name, run, ins, want) for each solve on Q[t] inputs of short support
+    beside a dense functional nu: run(ins, n) gives the outputs, and want
+    the values they must equal, or None."""
+    nu = list(_draw(rng, n, True, "plain").moments())
+    kappa, r2, a = (_short(rng, n, support, True) for _ in range(3))
+    mu = list(moments_from_r(_series(kappa), n).moments())
+    tilde = list(tilde_from_two_state_r(_series(r2), _mf(nu)).moments())
+    return [
+        ("moments_from_r", lambda ins, n: moments_from_r(
+            _series(ins[0]), n).moments(), [kappa], mu),
+        ("_solve_moments", lambda ins, n: _solve_moments(
+            _series(ins[0]), n).moments(), [kappa], mu),
+        ("r_from_moments", lambda ins, n: r_from_moments(
+            _mf(ins[0])).coeffs()[1:], [mu], kappa),
+        ("two_state_r", lambda ins, n: two_state_r(
+            TwoStatePair(*map(_mf, ins))).coeffs()[1:], [tilde, nu], r2),
+        ("tilde_from_two_state_r", lambda ins, n: tilde_from_two_state_r(
+            _series(ins[0]), _mf(ins[1])).moments(), [r2, nu], tilde),
+        ("subordination", lambda ins, n: subordination(
+            *map(_mf, ins)).moments(), [mu, nu], None),
+        ("monotone_convolve", lambda ins, n: monotone_convolve(
+            *map(_mf, ins)).moments(), [a, nu], None),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24),
+       st.sampled_from(SUPPORTS))
+def test_short_support_solves_match_across_the_packed_and_tpoly_paths(
+        seed, order, support):
+    """Over Q[t], on inputs of short support, each solve gives the same
+    outputs, value for value and ring for ring, packed at t = 2^B, on the
+    TPoly arithmetic that the inverse solves take past ``_SLACK``, and by
+    the slack rule; the inverse solves give back the short R and R2 they
+    were built from."""
+    rng = random.Random(seed)
+    for name, run, ins, want in _short_solves(rng, order, support):
+        with pytest.MonkeyPatch.context() as mp:
+            outs = [_run_path(mp, path, run, ins, order)[0]
+                    for path in ("packed", "tpoly", "chosen")]
+        assert outs[0] == outs[1] == outs[2], name
+        assert all(t is TPoly for t, _ in outs[0]), name
+        if want is not None:
+            assert [c for _, c in outs[0]] == list(want), name

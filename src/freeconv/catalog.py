@@ -789,12 +789,12 @@ def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
     mu_t = nc_free_power(mu, t)
     # two-state R: R~ = t beta~.z + t gamma~ sum_i z_i (1+M^{rho~}) z_i
     r2, gt = {}, gamma_t * t
+    inner_r2 = [(w, gt * c) for w, c in rho_t.truncate(order - 2).items()]
     for i in range(1, d + 1):
         r2[(i,)] = as_coeff(beta_t[i - 1]) * t
         r2[(i, i)] = gt
-        for w, c in rho_t.items():
-            if len(w) + 2 <= order:
-                r2[(i,) + w + (i,)] = gt * c
+        for w, c in inner_r2:
+            r2[(i,) + w + (i,)] = c
     tilde = nc_tilde_from_two_state_r(r2, mu_t)
     inner = nc_free_convolve(rho_t.truncate(order - 2),
                              nc_free_power(tau, t).truncate(order - 2))

@@ -368,11 +368,15 @@ def _cmd_oracle(args):
 
 class _Once(argparse.Action):
     """Store an option's value, and refuse a second one, so that neither
-    value silently wins."""
+    value silently wins.  The options seen so far are marked on the
+    namespace, since a default (--seed 0, --format text) is no sign that an
+    option is absent."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
+        seen = vars(namespace).setdefault("_given", set())
+        if self.dest in seen:
             raise argparse.ArgumentError(self, "given more than once")
+        seen.add(self.dest)
         setattr(namespace, self.dest, values)
 
 
@@ -385,19 +389,21 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--order", type=int, default=None,
+        p.add_argument("--order", type=int, default=None, action=_Once,
                        help="truncation order (default: the document's own; "
                             "10 where one is required)")
 
     def run_options(p, fn):  # verify and nc verify
         p.add_argument("--order", type=int, default=None, action=_Once)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--seed", type=int, default=0, action=_Once)
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       action=_Once)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("convert", help="convert between representations")
-    p.add_argument("--to", choices=("moments", "jacobi"), required=True)
-    p.add_argument("--levels", type=int, default=None,
+    p.add_argument("--to", choices=("moments", "jacobi"), required=True,
+                   action=_Once)
+    p.add_argument("--levels", type=int, default=None, action=_Once,
                    help="Jacobi rows to extract (default order//2)")
     common(p)
     p.add_argument("file")
@@ -405,7 +411,7 @@ def build_parser():
 
     p = sub.add_parser("conv", help="convolve two functionals")
     p.add_argument("--op", choices=("free", "boolean", "monotone", "two-state"),
-                   required=True)
+                   required=True, action=_Once)
     common(p)
     p.add_argument("a")
     p.add_argument("b")
@@ -413,15 +419,16 @@ def build_parser():
 
     p = sub.add_parser("power", help="convolution powers (rational or formal t)")
     p.add_argument("--op", choices=("free", "boolean", "two-state", "bt"),
-                   required=True)
-    p.add_argument("--t", required=True, help="p/q or 'formal'")
+                   required=True, action=_Once)
+    p.add_argument("--t", required=True, action=_Once,
+                   help="p/q or 'formal'")
     common(p)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_power)
 
     p = sub.add_parser("map", help="apply Phi, J, B, B^-1 or triple extraction")
     p.add_argument("--op", choices=("phi", "strip", "bp", "bp-inv", "triple"),
-                   required=True)
+                   required=True, action=_Once)
     common(p)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_map)
@@ -439,11 +446,15 @@ def build_parser():
 
     p = sub.add_parser("semigroup",
                        help="build semigroup elements from canonical triples")
-    p.add_argument("--t", required=True, help="p/q or 'formal'")
-    p.add_argument("--triple", help="triple document (single-state)")
-    p.add_argument("--rel", help="relative triple document (two-state)")
-    p.add_argument("--base", help="base triple document (two-state)")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--t", required=True, action=_Once,
+                   help="p/q or 'formal'")
+    p.add_argument("--triple", action=_Once,
+                   help="triple document (single-state)")
+    p.add_argument("--rel", action=_Once,
+                   help="relative triple document (two-state)")
+    p.add_argument("--base", action=_Once,
+                   help="base triple document (two-state)")
+    p.add_argument("--order", type=int, default=None, action=_Once)
     p.set_defaults(fn=_cmd_semigroup)
 
     p = sub.add_parser("verify", help="machine-check catalog identities")
@@ -475,7 +486,8 @@ def build_parser():
     q.add_argument("n", type=int)
     q.set_defaults(fn=_cmd_oracle)
     q = osub.add_parser("cumulants")
-    q.add_argument("--kind", choices=("free", "boolean"), required=True)
+    q.add_argument("--kind", choices=("free", "boolean"), required=True,
+                   action=_Once)
     common(q)
     q.add_argument("file")
     q.set_defaults(fn=_cmd_oracle)

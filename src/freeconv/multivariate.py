@@ -22,23 +22,29 @@ prefixes of the letters of A that a word's letters carry, one state table
 per fill; _apply_w_substitution reads the row of [x_w] A(W) from it, once
 per length.
 
+An NCFunctional holds such a table, graded: one scale D per functional,
+and row n's entry at w is c_w D^n, an int for a rational c_w and an
+integer-coefficient TPoly for a TPoly (the rule of transforms._graded, by
+word length), None at a zero word.  Its values are built on each read, as
+``TPoly.coeffs`` is, and its rows are never changed once stored: the
+kernels copy a row before they write to it, so functionals share rows.
+
 Each equation is one raw kernel (_r, _moments_from_r, _eta, ...), a fill on
 whatever ring it is handed, which takes its row difference as an explicit
 argument, (d, order, minus, *tables).  Each public operation, powers and
 point masses included, chains its kernels inside one _graded_words call
-over all of its inputs, the one place that grades a word solve and turns
-word dicts into tables: it packs each input once and reads the output's
-nonzero values back once, and the kernels hand tables to each other.  Over
-Q and Q[t] the fills run on ints graded by word length (the rule of
-transforms._graded) and packed at t = 2^B (Kronecker substitution, the one
-integer scheme of ``coeffs``), from the operation's input to its output.
-B comes from one run of the solve at d = 1 on l1 norms, plain non-negative
-ints, with _plus as its difference: the l1 norm is subadditive and
+over all of its inputs, the one place that grades a word solve: it takes a
+functional's rows as they are, grades a raw word dict into rows, and
+returns its output's rows as a new functional, so no value is built
+between operations.  Over Q and Q[t] the fills run on ints, from the
+operation's input to its output, each TPoly entry packed at t = 2^B
+(Kronecker substitution, the one integer scheme of ``coeffs``).  B comes
+from one run of the solve at d = 1 on l1 norms, plain non-negative ints,
+with _plus as its difference: the l1 norm is subadditive and
 submultiplicative and the kernels divide by nothing, so that run bounds
-every t-digit.  Every output is a
-Fraction when no input value and no t is a TPoly, and a TPoly otherwise; a
-plain int grades as its Fraction, and any other value raises TypeError
-before any fill runs.
+every t-digit.  Every output is a Fraction when no input value and no t is
+a TPoly, and a TPoly otherwise; a plain int grades as its Fraction, and any
+other value raises TypeError before any fill runs.
 
 Everything reduces bit-for-bit to the single-variable modules at d = 1; the
 test suite asserts this.  The word layer's verify entries are in ``catalog``.
@@ -48,8 +54,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from .coeffs import ZERO, ONE, TPoly, _bits, _grade, _pack, _unpack, as_coeff
+from .coeffs import (ZERO, ONE, TPoly, _bits, _canonical, _grade, _pack,
+                     _unpack, as_coeff)
 from .functionals import MomentFunctional
 
 
@@ -69,59 +77,80 @@ def words(d, order):
 
 
 class NCFunctional:
-    """Unital functional on words; stored sparsely, empty word -> 1."""
+    """Unital functional on words, empty word -> 1, held as graded rows.
 
-    __slots__ = ("d", "order", "_m")
+    Row n of ``_rows`` lists the d^n words of length n by rank, each entry
+    c_w D^n for the one scale D = ``_scale``: an int for a rational c_w, an
+    integer-coefficient ``TPoly`` for a ``TPoly``, and None at a zero word.
+    ``items``, ``m``, ``truncate``, ``==`` and ``_upto`` read the rows and
+    build each value on read; the rows are shared, and never changed."""
+
+    __slots__ = ("d", "order", "_rows", "_scale")
 
     def __init__(self, d, order, moments):
         if order < 1:
             raise ValueError("order must be >= 1")
+        kept = {tuple(w): c for w, c in moments.items() if len(w) <= order}
+        if not (as_coeff(kept.pop((), 1)) == 1):
+            raise ValueError("empty word must map to 1")
+        letters = set(range(1, d + 1))
+        if not letters.issuperset(itertools.chain.from_iterable(kept)):
+            w = next(w for w in kept if not letters.issuperset(w))
+            raise ValueError(f"word {w} outside alphabet 1..{d}")
         self.d = d
         self.order = order
-        clean = {}
-        for w, c in moments.items():
-            w = tuple(w)
-            if not w:
-                if not (as_coeff(c) == 1):
-                    raise ValueError("empty word must map to 1")
-                continue
-            if len(w) > order:
-                continue
-            if any(not 1 <= x <= d for x in w):
-                raise ValueError(f"word {w} outside alphabet 1..{d}")
-            c = as_coeff(c)
-            if c:
-                clean[w] = c
-        self._m = clean
+        self._scale = _grade(zip(map(len, kept), kept.values()))
+        self._rows = _graded_rows(kept, d, order, self._scale)
 
     @classmethod
-    def _filled(cls, d, order, moments):
-        """The functional of a fill's output: nonzero Fractions or TPolys at
-        words over 1..d of length 1..order, so only the order is checked."""
+    def _filled(cls, d, order, rows, scale):
+        """The functional of the graded rows [None, row_1, ..., row_order]
+        at the scale ``scale``, as ``_graded_words`` returns them; only the
+        order is checked."""
         if order < 1:
             raise ValueError("order must be >= 1")
         self = object.__new__(cls)
         self.d = d
         self.order = order
-        self._m = moments
+        self._rows = rows
+        self._scale = scale
         return self
 
     def m(self, w):
         w = tuple(w)
         if not w:
             return ONE
-        if len(w) > self.order:
+        n = len(w)
+        if n > self.order:
             raise IndexError(f"word {w} beyond order {self.order}")
-        return self._m.get(w, ZERO)
+        if min(w) < 1 or max(w) > self.d:
+            return ZERO
+        rank = 0
+        for x in w:
+            rank = rank * self.d + x - 1
+        c = self._rows[n][rank]
+        return ZERO if c is None else _value(c, self._scale ** n)
 
     def items(self):
-        return self._m.items()
+        """(word, value) for every nonzero word, shortest first and by rank
+        within a length, each value built on this read."""
+        return self._pairs(self.order)
+
+    def _pairs(self, n):
+        # an entry is None or nonzero, so the row selects its own words
+        out, p = [], 1
+        for k in range(1, n + 1):
+            p *= self._scale
+            row = self._rows[k]
+            out += [(w, _value(c, p)) for w, c in zip(
+                itertools.compress(_ranked(self.d, k), row), filter(None, row))]
+        return out
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return NCFunctional(
-            self.d, order, {w: c for w, c in self._m.items() if len(w) <= order})
+        return NCFunctional._filled(self.d, order, self._rows[:order + 1],
+                                    self._scale)
 
     def __eq__(self, other):
         if not isinstance(other, NCFunctional):
@@ -129,16 +158,20 @@ class NCFunctional:
         if self.d != other.d:
             return False
         n = min(self.order, other.order)
-        return self._upto(n) == other._upto(n)
+        a, b = self._rows[:n + 1], other._rows[:n + 1]
+        if self._scale != other._scale:
+            s = lcm(self._scale, other._scale)
+            a = _rescaled(a, s // self._scale)
+            b = _rescaled(b, s // other._scale)
+        return a == b
 
     def _upto(self, n):
-        """The stored words of length <= n; a missing word is zero."""
-        if n >= self.order:
-            return self._m
-        return {w: c for w, c in self._m.items() if len(w) <= n}
+        """The nonzero words of length <= n and their values, as a dict."""
+        return dict(self._pairs(min(n, self.order)))
 
     def __repr__(self):
-        return f"<NCFunctional d={self.d} order={self.order} ({len(self._m)} words)>"
+        count = sum(len(row) - row.count(None) for row in self._rows[1:])
+        return f"<NCFunctional d={self.d} order={self.order} ({count} words)>"
 
 
 class NCPair:
@@ -167,8 +200,8 @@ def nc_point_mass(beta, d, order):
     beta = [as_coeff(x) for x in beta]
     if len(beta) != d:
         raise ValueError("need one coordinate per letter")
-    return NCFunctional._filled(d, order, _graded_words(
-        _products, d, order, {(i,): b for i, b in enumerate(beta, 1) if b}))
+    return _graded_words(_products, d, order,
+                         {(i,): b for i, b in enumerate(beta, 1) if b})
 
 
 def nc_zero(d, order):
@@ -188,15 +221,60 @@ def nc_to_univariate(ncf):
                             [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
 
 
-def _graded_table(dct, ws, pw, b):
-    """The rows of a word dict, one per length of ``ws`` (the words of each
-    length by rank), each value c_w as the int c_w D^|w| packed at t = 2^b,
-    for pw[n] = D^n, and None at a missing or zero word."""
-    return [None] + [[
-        None if c is None
-        else (_pack(c.nums, b) * (p // c.den) if type(c) is TPoly
-              else c.numerator * (p // c.denominator)) or None
-        for c in map(dct.get, row)] for row, p in zip(ws[1:], pw[1:])]
+# -- graded rows --------------------------------------------------------------
+
+
+def _ranked(d, n):
+    """The words of length n over 1..d by rank."""
+    return itertools.product(range(1, d + 1), repeat=n)
+
+
+def _value(c, p):
+    """The value of the stored entry c at the grade p = D^n: c / p, a
+    Fraction for an int and a TPoly for an integer TPoly."""
+    if type(c) is int:
+        return Fraction(c, p)
+    return _canonical(list(c.nums), p, p)
+
+
+def _graded_rows(dct, d, order, scale):
+    """The graded rows of a word dict at the scale D: row n holds c_w D^n for
+    the words w of length n by rank, an int for a rational or int c_w and an
+    integer-coefficient TPoly for a TPoly, None at a missing or zero word.
+    No other key is read: not the empty word, a word past ``order`` or one
+    off the alphabet."""
+    rows, p = [None], 1
+    for n in range(1, order + 1):
+        p *= scale
+        rows.append([
+            None if c is None
+            else (_canonical([x * (p // c.den) for x in c.nums], 1, 1)
+                  if c else None) if type(c) is TPoly
+            else c.numerator * (p // c.denominator) or None
+            for c in map(dct.get, _ranked(d, n))])
+    return rows
+
+
+def _rescaled(rows, f):
+    """The graded rows at the scale D f: row n's entries times f^n."""
+    if f == 1:
+        return rows
+    out, g = [None], 1
+    for row in rows[1:]:
+        g *= f
+        out.append([None if c is None else c * g for c in row])
+    return out
+
+
+def _packed(rows, b):
+    """The graded rows with each TPoly entry packed at t = 2^b."""
+    return [None] + [[c if c is None or type(c) is int else _pack(c.nums, b)
+                      for c in row] for row in rows[1:]]
+
+
+def _norm(c):
+    """The l1 norm of a stored entry's t-coefficients; |c| for an int."""
+    return abs(c) if type(c) is int else sum(map(abs, c.nums))
 
 
 def _times(p, q):
@@ -206,80 +284,82 @@ def _times(p, q):
                                   for c in row] for row in tab[1:]]
 
 
-def _graded_words(solve, d, order, *dicts, t=None):
+def _graded_words(solve, d, order, *ins, t=None):
     """solve(d, order, minus, *tables), or solve(d, order, minus, times_t,
     *tables) with a scalar t, run on ints graded by word length: the
-    word-dict form of ``transforms._graded``.
+    word form of ``transforms._graded``.  Each input is an NCFunctional
+    over 1..d, whose rows are read as they are, or a raw word dict, graded
+    into rows at its own scale by ``coeffs._grade`` (a ``TPoly`` counts by
+    its common denominator, and any value that is no coefficient raises
+    TypeError before ``solve`` runs).  The output is the NCFunctional of
+    the rows ``solve`` returns, at the scale D they are graded by.
 
-    Each input dict is packed once into a table of rows, one per length
-    (see ``_fill_words``), and the output table is read back once into a
-    dict of its nonzero values.  ``minus`` is the row difference,
-    ``_minus`` in the exact run.  ``times_t`` maps a graded table to t times
-    it, and ``solve`` builds its output from values it has scaled.
+    ``minus`` is the row difference, ``_minus`` in the exact run.
+    ``times_t`` maps a graded table to t times it, and ``solve`` builds its
+    output from values it has scaled.  D is the lcm of the inputs' scales
+    times the denominator of t, and an input at the scale D_i is rescaled,
+    row n by (D/D_i)^n, only when D_i differs from D.  Every word transform
+    is weight-homogeneous in |w| and divides by nothing, and a sum or
+    difference of two tables graded by one D is graded by it, so a solve
+    that chains fills on graded inputs stays in Z.
 
-    ``solve`` gets c_w as the int c_w D^|w| packed at t = 2^B (Kronecker
-    substitution).  D comes from ``coeffs._grade`` (a ``TPoly`` counts by
-    its common denominator) times the denominator of t.  Every word
-    transform is weight-homogeneous in |w| and divides by nothing, and a
-    sum or difference of two tables graded by one D is graded by it, so a
-    solve that chains fills on graded inputs stays in Z.  Evaluation at 2^B
-    is a ring map, so each output is its graded polynomial at 2^B.  B is
-    needed only when some value or t is a ``TPoly``; then ``solve`` runs
-    once more first, at d = 1 with ``_plus`` as its difference, on the
-    largest l1 norm sum_i |[t^i] c_w| D^|w| of each input at each length,
-    as plain ints.  The l1 norm is subadditive and submultiplicative, the
-    kernels divide by nothing, and with - read as + no term cancels, so a
-    run on larger inputs with more words present bounds the l1 norm, and so
-    every t-digit, of each value of the exact run.  The kernels read
-    positions, not letters, so the run on every word at its length's
-    largest norm gives every word of a length the value of the d = 1 run at
-    that length.  M is its largest output; B = bits(M) + 2.  A rational
-    value packs to its own graded numerator, and without a ``TPoly``
-    nothing is packed.
+    Each ``TPoly`` entry is packed at t = 2^B (Kronecker substitution), and
+    evaluation at 2^B is a ring map, so each output is its graded
+    polynomial at 2^B.  B is needed only when some value or t is a
+    ``TPoly``; then ``solve`` runs once more first, at d = 1 with ``_plus``
+    as its difference, on the largest l1 norm sum_i |[t^i] c_w| D^|w| of
+    each input at each length, as plain ints.  The l1 norm is subadditive
+    and submultiplicative, the kernels divide by nothing, and with - read
+    as + no term cancels, so a run on larger inputs with more words present
+    bounds the l1 norm, and so every t-digit, of each value of the exact
+    run.  The kernels read positions, not letters, so the run on every word
+    at its length's largest norm gives every word of a length the value of
+    the d = 1 run at that length.  M is its largest output; B = bits(M) + 2.
+    An int entry packs to itself, and without a ``TPoly`` nothing is packed.
 
-    The output is over Q when no value and no t is a ``TPoly``: output w
-    comes back as the ``Fraction`` x_w / D^|w|.  Otherwise every output w
-    is a ``TPoly``, read as balanced base-2^B digits over D^|w|.  A plain
-    int in a raw word dict grades as its ``Fraction``, and ``_grade``
-    refuses any other value before ``solve`` runs.
+    The output's entries are ints when no value and no t is a ``TPoly``, so
+    its values are ``Fraction``s.  Otherwise every entry is an integer
+    ``TPoly``, read as balanced base-2^B digits, and every value a ``TPoly``.
     """
-    ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
-                   for n in range(1, order + 1)]
     tn, tq = ((), 1) if t is None else TPoly._parts(t)
-    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts)) * tq
-    pw = [1]  # to the longest input word, which may pass the order
-    for _ in range(max(order, max(map(len, itertools.chain(*dicts)),
-                                  default=0))):
-        pw.append(pw[-1] * scale)
+    tables, scales, polys = [], [], type(t) is TPoly
+    for x in ins:
+        if isinstance(x, NCFunctional):
+            if x.d != d:
+                raise ValueError("alphabet sizes differ")
+            rows = x._rows[:order + 1]
+            rows += [[None] * d ** n for n in range(len(rows), order + 1)]
+            scales.append(x._scale)
+            polys = polys or any(TPoly in map(type, row) for row in rows[1:])
+        else:
+            scales.append(_grade(zip(map(len, x), x.values())))
+            rows = _graded_rows(x, d, order, scales[-1])
+            polys = polys or any(type(c) is TPoly for c in x.values())
+        tables.append(rows)
+    scale = lcm(*scales) * tq
 
     def run(d, ins, p, minus):
         if t is not None:
             ins.insert(0, _times(p, tq))
         return solve(d, order, minus, *ins)
 
-    b = 0  # without a TPoly, _pack(tn, 0) is the numerator of t
-    polys = type(t) is TPoly or any(
-        type(c) is TPoly for dct in dicts for c in dct.values())
-    if polys:
-        tops = []
-        for dct in dicts:
-            top = [0] * len(pw)
-            for w, c in dct.items():
-                nums, den = TPoly._parts(c)
-                k = len(w)
-                top[k] = max(top[k], sum(map(abs, nums)) * (pw[k] // den))
-            tops.append([None] + [[x or None] for x in top[1:order + 1]])
-        bound = run(1, tops, sum(map(abs, tn)), _plus)
-        b = _bits(max((x for row in bound[1:] for x in row if x is not None),
-                      default=0))
-    out = run(d, [_graded_table(dct, ws, pw, b) for dct in dicts],
-              _pack(tn, b), _minus)
-    rows = zip(ws[1:], out[1:], pw[1:])
-    if polys:
-        return {w: _unpack(x, b, p) for row_w, row, p in rows
-                for w, x in zip(row_w, row) if x is not None}
-    return {w: Fraction(x, p) for row_w, row, p in rows
-            for w, x in zip(row_w, row) if x is not None}
+    fs = [scale // s for s in scales]
+    if not polys:
+        out = run(d, [_rescaled(rows, f) for rows, f in zip(tables, fs)],
+                  _pack(tn, 0), _minus)
+        return NCFunctional._filled(d, order, out, scale)
+    tops = [_rescaled([None] + [[max(map(_norm, filter(None, row)),
+                                     default=0) or None]
+                                for row in rows[1:]], f)
+            for rows, f in zip(tables, fs)]
+    bound = run(1, tops, sum(map(abs, tn)), _plus)
+    b = _bits(max((x for row in bound[1:] for x in row if x is not None),
+                  default=0))
+    out = run(d, [_rescaled(_packed(rows, b), f)
+                  for rows, f in zip(tables, fs)], _pack(tn, b), _minus)
+    return NCFunctional._filled(d, order, [None] + [
+        [None if x is None else _unpack(x, b, 1) for x in row]
+        for row in out[1:]], scale)
 
 
 def _add_products(row, x, y, n_p, n_g, n_i):
@@ -482,60 +562,57 @@ def _merge(x, y, op):
 
 def nc_r(mu):
     """Word-indexed free cumulants: solve R(z_i(1+M)) = M triangularly."""
-    return _graded_words(_r, mu.d, mu.order, mu._m)
+    return dict(_graded_words(_r, mu.d, mu.order, mu).items())
 
 
 def nc_moments_from_r(kappa, d, order):
     """Forward solve of R(z_i(1+M)) = M."""
-    return NCFunctional._filled(d, order, _graded_words(
-        _moments_from_r, d, order, kappa))
+    return _graded_words(_moments_from_r, d, order, kappa)
 
 
 def nc_eta(mu):
     """Boolean word cumulants: eta_w = m_w - sum_{w=uv} eta_u m_v (u,v nonempty)."""
-    return _graded_words(_eta, mu.d, mu.order, mu._m)
+    return dict(_graded_words(_eta, mu.d, mu.order, mu).items())
 
 
 def nc_moments_from_eta(eta, d, order):
-    return NCFunctional._filled(d, order, _graded_words(
-        _moments_from_eta, d, order, eta))
+    return _graded_words(_moments_from_eta, d, order, eta)
 
 
 def nc_two_state_r(pair):
     """Solve eta~ (1+M) = R2(z_i(1+M)) for the word two-state R-transform."""
-    return _graded_words(lambda d, order, minus, tilde, m: _two_state_r(
-        d, order, minus, _eta(d, order, minus, tilde), m),
-        pair.d, pair.order, pair.tilde._m, pair.base._m)
+    return dict(_graded_words(
+        lambda d, order, minus, tilde, m: _two_state_r(
+            d, order, minus, _eta(d, order, minus, tilde), m),
+        pair.d, pair.order, pair.tilde, pair.base).items())
 
 
 def nc_tilde_from_two_state_r(r2, base):
     """Invert: eta~ = R2(z_i(1+M)) (1+M)^{-1}, then moments."""
-    d, order = base.d, base.order
-    return NCFunctional._filled(d, order, _graded_words(
+    return _graded_words(
         lambda d, order, minus, r2, m: _moments_from_eta(
             d, order, minus, _substitute_divide(d, order, minus, r2, m)),
-        d, order, r2, base._m))
+        base.d, base.order, r2, base)
 
 
 def _combine_cumulants(a, b, cumulants, moments, subtract=False):
     """moments(cumulants(a) + cumulants(b)) word by word, or with - when
     ``subtract``, at one order, for the raw kernels ``cumulants`` and
     ``moments``."""
-    d, order = a.d, min(a.order, b.order)
-    return NCFunctional._filled(d, order, _graded_words(
+    return _graded_words(
         lambda d, order, minus, x, y: moments(d, order, minus, _merge(
             cumulants(d, order, minus, x), cumulants(d, order, minus, y),
             minus if subtract else _plus)),
-        d, order, a.truncate(order)._m, b.truncate(order)._m))
+        a.d, min(a.order, b.order), a, b)
 
 
 def _power(a, t, cumulants, moments):
     """moments(t cumulants(a)) word by word, for the raw kernels
     ``cumulants`` and ``moments``."""
-    return NCFunctional._filled(a.d, a.order, _graded_words(
+    return _graded_words(
         lambda d, order, minus, times_t, m: moments(
             d, order, minus, times_t(cumulants(d, order, minus, m))),
-        a.d, a.order, a._m, t=as_coeff(t)))
+        a.d, a.order, a, t=as_coeff(t))
 
 
 def nc_free_convolve(a, b):
@@ -559,46 +636,53 @@ def nc_boolean_power(a, t):
 
 
 def nc_phi(nu):
-    """eta^{Phi[nu]} = sum_i z_i (1 + M^nu) z_i; output order nu.order + 2."""
-    d, order = nu.d, nu.order + 2
-    eta = {}
-    for i in range(1, d + 1):
-        eta[(i, i)] = ONE
-        for w, c in nu.items():
-            eta[(i,) + w + (i,)] = c
-    return nc_moments_from_eta(eta, d, order)
+    """eta^{Phi[nu]} = sum_i z_i (1 + M^nu) z_i; output order nu.order + 2.
+
+    eta's rows come from nu's, at nu's scale D: eta_{ii} D^2 sits at rank
+    (i-1)(d+1) of row 2, and eta_{iwi} D^{|w|+2} = (nu_w D^|w|) D^2 at rank
+    (i-1) d^{|w|+1} + rank(w) d + (i-1) of row |w| + 2."""
+    d, order, s2 = nu.d, nu.order + 2, nu._scale ** 2
+    row = [None] * d * d
+    row[::d + 1] = [s2] * d
+    rows = [None, [None] * d, row]
+    for n in range(1, nu.order + 1):
+        inner = [None if c is None else c * s2 for c in nu._rows[n]]
+        row, span = [None] * d ** (n + 2), d ** (n + 1)
+        for i in range(d):
+            row[i * span + i:(i + 1) * span + i:d] = inner
+        rows.append(row)
+    return nc_moments_from_eta(NCFunctional._filled(d, order, rows, nu._scale),
+                               d, order)
 
 
 def nc_bp(mu):
     """R^{B[mu]} = eta^mu."""
-    return NCFunctional._filled(mu.d, mu.order, _graded_words(
+    return _graded_words(
         lambda d, order, minus, m: _moments_from_r(
             d, order, minus, _eta(d, order, minus, m)),
-        mu.d, mu.order, mu._m))
+        mu.d, mu.order, mu)
 
 
 def nc_bp_inverse(mu):
-    return NCFunctional._filled(mu.d, mu.order, _graded_words(
+    return _graded_words(
         lambda d, order, minus, m: _moments_from_eta(
             d, order, minus, _r(d, order, minus, m)),
-        mu.d, mu.order, mu._m))
+        mu.d, mu.order, mu)
 
 
 def nc_subordination(mu, nu):
     """R^{mu |> nu} (1+M^nu) = R^mu(z_i(1+M^nu)), solved triangularly."""
-    d, order = mu.d, min(mu.order, nu.order)
-    return NCFunctional._filled(d, order, _graded_words(
+    return _graded_words(
         lambda d, order, minus, a, m: _moments_from_r(
             d, order, minus, _substitute_divide(
                 d, order, minus, _r(d, order, minus, a), m)),
-        d, order, mu.truncate(order)._m, nu.truncate(order)._m))
+        mu.d, min(mu.order, nu.order), mu, nu)
 
 
 def _composition_product(lam, nu):
     """(1 + M^lam)(1 + M^nu(z_i(1+M^lam))) - 1, as a word functional."""
-    d, order = lam.d, min(lam.order, nu.order)
-    return NCFunctional._filled(d, order, _graded_words(
-        _composition, d, order, lam.truncate(order)._m, nu.truncate(order)._m))
+    return _graded_words(_composition, lam.d, min(lam.order, nu.order),
+                         lam, nu)
 
 
 def nc_subordination_inverse(lam, nu):
@@ -608,9 +692,8 @@ def nc_subordination_inverse(lam, nu):
 
     and the free deconvolution of mu boxplus nu by nu.
     """
-    d, order = lam.d, min(lam.order, nu.order)
-    return NCFunctional._filled(d, order, _graded_words(
+    return _graded_words(
         lambda d, order, minus, x, m: _moments_from_r(d, order, minus, _merge(
             _r(d, order, minus, _composition(d, order, minus, x, m)),
             _r(d, order, minus, m), minus)),
-        d, order, lam.truncate(order)._m, nu.truncate(order)._m))
+        lam.d, min(lam.order, nu.order), lam, nu)

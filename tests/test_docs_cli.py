@@ -1137,6 +1137,54 @@ def test_cli_verify_refuses_a_repeated_order(argv, monkeypatch, capsys):
     assert "argument --order: given more than once" in captured.err
 
 
+DATA = Path(__file__).parent / "data"
+MU, NU, TRIPLE = (str(DATA / f) for f in ("mu.json", "nu.json",
+                                          "triple12.json"))
+
+
+@pytest.mark.parametrize("argv", (
+    ["conv", "--op", "free", "--order", "3", "--order", "5", MU, NU],
+    ["conv", "--op", "free", "--op", "boolean", MU, NU],
+    ["power", "--op", "free", "--t", "1/2", "--t", "formal", MU],
+    ["power", "--op", "free", "--op", "bt", "--t", "1", MU],
+    ["power", "--op", "free", "--t", "1", "--order", "3", "--order", "3", MU],
+    ["verify", "counterexample-r", "--seed", "1", "--seed", "2"],
+    ["verify", "counterexample-r", "--seed", "0", "--seed", "0"],
+    ["verify", "counterexample-r", "--format", "text", "--format", "json"],
+    ["nc", "verify", "composition", "--seed", "1", "--seed", "2"],
+    ["nc", "verify", "all", "--format", "json", "--format", "json"],
+    ["convert", "--to", "moments", "--order", "3", "--order", "4", MU],
+    ["convert", "--to", "moments", "--to", "jacobi", MU],
+    ["convert", "--to", "jacobi", "--levels", "1", "--levels", "2", MU],
+    ["map", "--op", "phi", "--order", "3", "--order", "4", MU],
+    ["map", "--op", "phi", "--op", "strip", MU],
+    ["subord", "--order", "3", "--order", "4", MU, NU],
+    ["semigroup", "--t", "1", "--triple", TRIPLE, "--order", "3",
+     "--order", "4"],
+    ["semigroup", "--t", "1", "--t", "2", "--triple", TRIPLE],
+    ["semigroup", "--t", "1", "--triple", TRIPLE, "--triple", TRIPLE],
+    ["semigroup", "--t", "1", "--rel", TRIPLE, "--rel", TRIPLE, "--base",
+     TRIPLE],
+    ["semigroup", "--t", "1", "--rel", TRIPLE, "--base", TRIPLE, "--base",
+     TRIPLE],
+    ["oracle", "cumulants", "--kind", "free", "--order", "3", "--order",
+     "4", MU],
+    ["oracle", "cumulants", "--kind", "free", "--kind", "boolean", MU],
+), ids=lambda argv: "-".join(a for a in argv[:3] if a.isidentifier()))
+def test_cli_refuses_every_repeated_single_valued_option(argv, monkeypatch,
+                                                         capsys):
+    """Every single-valued option of every command exits 2 when given twice,
+    equal values and values equal to the default included, before anything
+    runs: neither value silently wins."""
+    ran = _record_entries(monkeypatch)
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert "given more than once" in captured.err
+
+
 @pytest.mark.parametrize("argv,message", (
     (["convert", "--to", "jacobi", "--levels", "100", "{mu}"],
      "order 6 supports at most 3 levels"),

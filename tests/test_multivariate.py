@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -53,6 +54,7 @@ from freeconv.transforms import (
 )
 from freeconv.functionals import TwoStatePair
 from freeconv.series import TruncSeries
+import ncdict
 from ncseries import NCSeries, nc_m_series, nc_series_from_cumulants
 from test_transforms import _Majorant, _nine_solves, _patch_kernel
 
@@ -389,9 +391,9 @@ def test_nc_verify_checks_a_supplied_word_functional(monkeypatch):
     orders = []
     graded_words = multivariate._graded_words
 
-    def spy(solve, d, order, *dicts, **kw):
+    def spy(solve, d, order, *ins, **kw):
         orders.append(order)
-        return graded_words(solve, d, order, *dicts, **kw)
+        return graded_words(solve, d, order, *ins, **kw)
 
     monkeypatch.setattr(multivariate, "_graded_words", spy)
     mu = rand_nc(rng, 2, 8)
@@ -520,14 +522,6 @@ def _int_first(coeffs):
     return coeffs
 
 
-def _nc_as_is(d, order, coeffs):
-    """A word functional holding nonzero ``coeffs`` as they are, a plain int
-    included, which the constructor would make a Fraction."""
-    ncf = NCFunctional(d, order, {})
-    ncf._m = dict(coeffs)
-    return ncf
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from([(d, n) for d in (1, 2, 3) for n in range(1, 8)
@@ -538,8 +532,9 @@ def test_word_solves_match_series_and_the_tpoly_path(seed, shape,
     """The six substituting word solves satisfy their defining equations in
     NCSeries operations, which share no code with the prefix recursion, on
     sparse draws.  Over Q every fill runs on ints and every output is a
-    Fraction, also when the first coefficient of each input is held as a
-    plain int, which grades as its Fraction; both give the values of the
+    Fraction, also when the first coefficient of each input is given as a
+    plain int, which grades as its Fraction (a functional built from such a
+    dict holds the rows of its Fraction twin); both give the values of the
     same kernels on the coefficients as they are (``_tpoly_path``).  The
     operations that chain fills in one graded call match the same chain of
     one-fill operations, type for type, and subordination_inverse undoes
@@ -548,9 +543,12 @@ def test_word_solves_match_series_and_the_tpoly_path(seed, shape,
     d, n = shape
     rng = random.Random(seed)
     ints = [_int_first(_sparse_nc(rng, d, n, denominators)) for _ in range(3)]
-    mu, nu = (NCFunctional(d, n, cs) for cs in ints[:2])
-    kappa = {w: F(c) for w, c in ints[2].items()}
-    mu_i, nu_i = (_nc_as_is(d, n, cs) for cs in ints[:2])
+    fracs = [{w: F(c) for w, c in cs.items()} for cs in ints]
+    mu, nu = (NCFunctional(d, n, cs) for cs in fracs[:2])
+    kappa = fracs[2]
+    mu_i, nu_i = (NCFunctional(d, n, cs) for cs in ints[:2])
+    assert [(mu._rows, mu._scale), (nu._rows, nu._scale)] == \
+        [(mu_i._rows, mu_i._scale), (nu_i._rows, nu_i._scale)]
     kernel, filled = multivariate._fill_words, []
 
     def spy(*args):
@@ -683,20 +681,37 @@ def test_a_value_that_is_no_coefficient_is_refused_before_any_fill(
         [F(1, 5)])])) == 15
 
 
-def _tpoly_path(solve, d, order, *dicts, t=None):
+def _as_dict(x):
+    """A ``_graded_words`` input, an NCFunctional or a raw word dict, as a
+    word dict of its values."""
+    return dict(x.items()) if isinstance(x, NCFunctional) else x
+
+
+def _holds_tpoly(x, order):
+    """Whether ``_graded_words`` reads a TPoly in the input x at ``order``:
+    a value of a functional's words up to the order, or any value of a raw
+    word dict, a zero TPoly included."""
+    if isinstance(x, NCFunctional):
+        return any(type(c) is TPoly for _, c in x.truncate(order).items())
+    return any(type(c) is TPoly for c in x.values())
+
+
+def _tpoly_path(solve, d, order, *ins, t=None):
     """``_graded_words`` without grading or packing: the kernels on the
     coefficients as they are, which over Q[t] is TPoly arithmetic, on one
-    row per word length, None at a missing or zero word."""
+    row per word length, None at a missing or zero word, for inputs that
+    are functionals or raw word dicts; the outputs as a functional."""
     ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
                    for n in range(1, order + 1)]
     tables = [[None] + [[dct.get(w) or None for w in row] for row in ws[1:]]
-              for dct in dicts]
+              for dct in map(_as_dict, ins)]
     if t is not None:
         tables.insert(0, lambda tab: [None] + [
             [None if c is None else t * c for c in row] for row in tab[1:]])
     out = solve(d, order, multivariate._minus, *tables)
-    return {w: c for row_w, row in zip(ws[1:], out[1:])
-            for w, c in zip(row_w, row) if c is not None}
+    return NCFunctional(d, order, {
+        w: c for row_w, row in zip(ws[1:], out[1:])
+        for w, c in zip(row_w, row) if c is not None})
 
 
 # Weights of (absent, zero, rational, constant TPoly, TPoly) per draw mode.
@@ -768,8 +783,9 @@ def test_packed_word_solves_match_the_tpoly_path_value_for_value(seed, shape,
     """Every public word operation on Fraction and TPoly inputs (the packed
     path) gives what the same kernels give on TPoly arithmetic, value for
     value, and every ``_graded_words`` call keeps one ring rule: all
-    Fractions when no input value and no t is a TPoly, otherwise all TPolys,
-    each read from a packed int by ``_unpack``.  Rings are not compared with
+    Fractions, stored as ints, when no input value and no t is a TPoly,
+    otherwise all TPolys, each stored as read from a packed int by
+    ``_unpack``.  Rings are not compared with
     the TPoly path's: no word value is printed, and == ignores the ring.
     The draws hold absent words and explicit zeros, constant TPolys, large
     numerators and high t-degree, and the ops include exact cancellations."""
@@ -795,16 +811,18 @@ def test_packed_word_solves_match_the_tpoly_path_value_for_value(seed, shape,
         unpacked[id(out)] = out
         return out
 
-    def spy_seam(solve, d, order, *dicts, t=None):
-        out = seam(solve, d, order, *dicts, t=t)
-        polys = type(t) is TPoly or any(
-            type(c) is TPoly for dct in dicts for c in dct.values())
+    def spy_seam(solve, d, order, *ins, t=None):
+        out = seam(solve, d, order, *ins, t=t)
+        polys = type(t) is TPoly or any(_holds_tpoly(x, order) for x in ins)
         calls.append(polys)
+        entries = [c for row in out._rows[1:] for c in row if c is not None]
         if polys:
             assert all(type(c) is TPoly and id(c) in unpacked
-                       for c in out.values())
+                       for c in entries)
+            assert all(type(c) is TPoly for _, c in out.items())
         else:
-            assert all(type(c) is F for c in out.values())
+            assert all(type(c) is int for c in entries)
+            assert all(type(c) is F for _, c in out.items())
         return out
 
     for name, op in _sweep_ops(mu, nu, raw, t, beta).items():
@@ -820,26 +838,25 @@ def test_packed_word_solves_match_the_tpoly_path_value_for_value(seed, shape,
         assert got == want, (name, t)
 
 
-def _majorant_top(solve, d, order, *dicts, t=None):
+def _majorant_top(solve, d, order, *ins, t=None):
     """The largest output of the majorant run of ``_graded_words`` as it ran
     in ``_Majorant``: solve at d = 1 with the row difference ``_minus``, on
-    the largest graded l1 norm of each input at each length."""
+    the largest graded l1 norm of each input at each length.  D is the lcm
+    of the inputs' scales, a functional's own and a raw dict's by
+    ``_grade``, times the denominator of t."""
     tn, tq = ((), 1) if t is None else TPoly._parts(t)
-    scale = transforms._grade(
-        *(zip(map(len, dct), dct.values()) for dct in dicts)) * tq
-    pw = [1]
-    for _ in range(max(order, max(map(len, itertools.chain(*dicts)),
-                                  default=0))):
-        pw.append(pw[-1] * scale)
+    scale = math.lcm(*(x._scale if isinstance(x, NCFunctional) else
+                       transforms._grade(zip(map(len, x), x.values()))
+                       for x in ins)) * tq
     tops = []
-    for dct in dicts:
-        top = [0] * len(pw)
-        for w, c in dct.items():
+    for x in map(_as_dict, ins):
+        top = [0] * (order + 1)
+        for w, c in x.items():
             nums, den = TPoly._parts(c)
             k = len(w)
-            top[k] = max(top[k], sum(map(abs, nums)) * (pw[k] // den))
-        tops.append([None] + [[_Majorant(x) or None]
-                              for x in top[1:order + 1]])
+            if 1 <= k <= order:
+                top[k] = max(top[k], sum(map(abs, nums)) * (scale ** k // den))
+        tops.append([None] + [[_Majorant(x) or None] for x in top[1:]])
     if t is not None:
         tops.insert(0, multivariate._times(_Majorant(sum(map(abs, tn))), tq))
     bound = solve(1, order, multivariate._minus, *tops)
@@ -875,11 +892,10 @@ def test_plain_int_majorant_matches_the_majorant_ring_per_word_op(seed, shape,
     beta = [_sweep_value(rng, mode) or F(0) for _ in range(d)]
     seam, bits, seen = multivariate._graded_words, multivariate._bits, []
 
-    def spy_seam(solve, d, order, *dicts, t=None):
-        polys = type(t) is TPoly or any(
-            type(c) is TPoly for dct in dicts for c in dct.values())
-        seen.append([polys, _majorant_top(solve, d, order, *dicts, t=t)])
-        return seam(solve, d, order, *dicts, t=t)
+    def spy_seam(solve, d, order, *ins, t=None):
+        polys = type(t) is TPoly or any(_holds_tpoly(x, order) for x in ins)
+        seen.append([polys, _majorant_top(solve, d, order, *ins, t=t)])
+        return seam(solve, d, order, *ins, t=t)
 
     def spy_bits(top):
         seen[-1].append(top)
@@ -1014,8 +1030,8 @@ def test_each_word_kernel_satisfies_its_equation(seed, shape, mode):
         return [NCSeries.letter(i, d, n) * (one + m) for i in range(1, d + 1)]
 
     def graded(name, *dicts):
-        return multivariate._graded_words(getattr(multivariate, name), d, n,
-                                          *dicts)
+        return dict(multivariate._graded_words(getattr(multivariate, name),
+                                               d, n, *dicts).items())
 
     for name, check in _KERNEL_EQUATIONS.items():
         arity = len(inspect.signature(getattr(multivariate, name)).parameters)
@@ -1033,8 +1049,8 @@ def test_each_word_kernel_satisfies_its_equation(seed, shape, mode):
             assert out == want, name
         assert check(one, subs, *(NCSeries(d, n, x) for x in ins + [out])), \
             name
-        assert out == _tpoly_path(getattr(multivariate, name), d, n, *ins), \
-            name
+        assert out == dict(_tpoly_path(getattr(multivariate, name), d, n,
+                                       *ins).items()), name
         if not any(ins[0].values()):
             continue
         w = next(w for w, c in ins[0].items() if c)
@@ -1087,6 +1103,169 @@ def test_add_products_matches_a_triple_loop(seed, shape, n_p):
                     want[k] = c * v if want[k] is None else want[k] + c * v
     multivariate._add_products(row, x, y, n_p, n_g, n_i)
     assert row == want
+
+
+def _mixed_value(rng, scale, polys):
+    """An int, a Fraction or, when ``polys``, a TPoly, every denominator a
+    divisor of ``scale``; zeros included."""
+    dens = [q for q in (1, 2, 3, 6) if scale % q == 0]
+    kind = rng.randrange(3 if polys else 2)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return F(rng.randint(-3, 3), rng.choice(dens))
+    return TPoly([F(rng.randint(-2, 2), rng.choice(dens))
+                  for _ in range(rng.randint(1, 3))])
+
+
+def _mixed_draw(rng, d, order, scale, polys):
+    return {w: _mixed_value(rng, scale, polys) for w in words(d, order)
+            if rng.random() < 0.7}
+
+
+def _word_ops(mod, two_state, composition, mu, nu, raw, t, beta):
+    """Every public word operation, by name, in the module ``mod``
+    (``multivariate`` or ``ncdict``), with chains that feed outputs, at the
+    scale of t's denominator, back in as inputs."""
+    d, n = mu.d, mu.order
+    return {
+        "nc_r": lambda: mod.nc_r(mu),
+        "nc_eta": lambda: mod.nc_eta(nu),
+        "nc_moments_from_r": lambda: mod.nc_moments_from_r(raw, d, n),
+        "nc_moments_from_eta": lambda: mod.nc_moments_from_eta(raw, d, n),
+        "nc_two_state_r": lambda: two_state(mu, nu),
+        "nc_tilde_from_two_state_r": lambda: mod.nc_tilde_from_two_state_r(
+            raw, nu),
+        "nc_free_convolve": lambda: mod.nc_free_convolve(mu, nu),
+        "nc_free_deconvolve": lambda: mod.nc_free_deconvolve(nu, mu),
+        "nc_boolean_convolve": lambda: mod.nc_boolean_convolve(mu, nu),
+        "nc_free_power": lambda: mod.nc_free_power(mu, t),
+        "nc_boolean_power": lambda: mod.nc_boolean_power(nu, t),
+        "nc_phi": lambda: mod.nc_phi(nu),
+        "nc_bp": lambda: mod.nc_bp(mu),
+        "nc_bp_inverse": lambda: mod.nc_bp_inverse(nu),
+        "nc_subordination": lambda: mod.nc_subordination(mu, nu),
+        "_composition_product": lambda: composition(nu, mu),
+        "nc_subordination_inverse": lambda: mod.nc_subordination_inverse(
+            mu, nu),
+        "nc_point_mass": lambda: mod.nc_point_mass(beta, d, n),
+        "inverse of a subordination": lambda: mod.nc_subordination_inverse(
+            mod.nc_subordination(mu, nu), nu),
+        "power of a power": lambda: mod.nc_free_power(
+            mod.nc_free_power(mu, t), t),
+        "Phi of a power": lambda: mod.nc_phi(mod.nc_boolean_power(nu, t)),
+        "point mass uplus a power": lambda: mod.nc_boolean_convolve(
+            mod.nc_point_mass(beta, d, n), mod.nc_boolean_power(mu, t)),
+        "two-state R of outputs": lambda: two_state(
+            mod.nc_bp(mu), mod.nc_free_power(nu, t)),
+    }
+
+
+def _same_functional(got, want):
+    """An NCFunctional against its DictFunctional: items, m, truncate,
+    _upto and repr, type for type; items shortest first, by rank."""
+    assert type(got) is NCFunctional
+    assert (got.d, got.order) == (want.d, want.order)
+    pairs = got.items()
+    assert [w for w, _ in pairs] == sorted((w for w, _ in pairs),
+                                           key=lambda w: (len(w), w))
+    assert _typed(pairs) == _typed(want.items())
+    assert repr(got) == repr(want)
+    for w in itertools.chain([()], words(got.d, got.order)):
+        a, b = got.m(w), want.m(w)
+        assert (type(a), a) == (type(b), b), w
+    for k in range(1, got.order + 1):
+        assert _typed(got.truncate(k).items()) == \
+            _typed(want.truncate(k).items())
+        assert _typed(got._upto(k).items()) == _typed(want._upto(k).items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(d, n) for d in (1, 2, 3) for n in range(1, 7)]),
+       st.booleans())
+def test_graded_rows_match_the_dict_functional_type_for_type(seed, shape,
+                                                             polys):
+    """Every public word operation on functionals held as graded rows gives
+    what the same operation gives on functionals held as dicts of values
+    (``ncdict``), type for type, through items, m, truncate, == and _upto
+    and repr.  The inputs are user dicts that mix ints, Fractions and, when
+    ``polys``, TPolys, zeros included, at scales 1, 2, 3 and 6, so that
+    inputs are rescaled to a common D; nu may have a lower order than mu,
+    and chained operations read outputs graded by D times t's
+    denominator."""
+    d, n = shape
+    rng = random.Random(seed)
+    scales = [rng.choice((1, 2, 3, 6)) for _ in range(3)]
+    orders = (n, rng.randint(max(1, n - 2), n), n)
+    raws = [_mixed_draw(rng, d, o, s, polys) for o, s in zip(orders, scales)]
+    mu, nu = (NCFunctional(d, o, r) for o, r in zip(orders[:2], raws))
+    mu_d, nu_d = (ncdict.DictFunctional(d, o, r)
+                  for o, r in zip(orders[:2], raws))
+    t = rng.choice((F(3, 2), F(-2, 3), F(1, 6))
+                   + ((formal_t(), TPoly([F(1, 2), F(-1, 3)])) if polys
+                      else ()))
+    beta = [_mixed_value(rng, rng.choice((1, 2, 3, 6)), polys)
+            for _ in range(d)]
+    got = _word_ops(multivariate, lambda a, b: nc_two_state_r(NCPair(a, b)),
+                    _composition_product, mu, nu, raws[2], t, beta)
+    want = _word_ops(ncdict, ncdict.nc_two_state_r,
+                     ncdict.composition_product, mu_d, nu_d, raws[2], t, beta)
+    outs, refs = [mu, nu], [mu_d, nu_d]
+    for name, op in got.items():
+        out, ref = op(), want[name]()
+        if isinstance(ref, dict):
+            assert type(out) is dict, name
+            assert _typed(out.items()) == _typed(ref.items()), name
+        else:
+            _same_functional(out, ref)
+            outs.append(out)
+            refs.append(ref)
+    _same_functional(mu, mu_d)
+    _same_functional(nc_zero(d, n), ncdict.DictFunctional(d, n, {}))
+    if d == 1:
+        mf = MomentFunctional(n, [mu.m((1,) * k) for k in range(1, n + 1)])
+        _same_functional(nc_from_univariate(mf), mu_d)
+        assert nc_to_univariate(mu) == mf
+    for (a, ra), (b, rb) in itertools.product(zip(outs, refs), repeat=2):
+        assert (a == b) == (ra == rb), (a, b)
+
+
+def test_no_word_operation_changes_its_inputs_rows():
+    """The rows a functional holds are shared with the functionals built
+    from it and never written: after every public word operation, chained
+    ones included, each input functional and each raw dict holds what it
+    held before, over Q and over Q[t]."""
+    for polys in (False, True):
+        rng = random.Random(44 + polys)
+        d, n = 2, 5
+        mu = NCFunctional(d, n, _mixed_draw(rng, d, n, 6, polys))
+        nu = NCFunctional(d, n, _mixed_draw(rng, d, n, 2, polys))
+        raw = _mixed_draw(rng, d, n, 3, polys)
+        beta = [_mixed_value(rng, 2, polys) for _ in range(d)]
+        t = formal_t() if polys else F(-2, 3)
+        funcs = [mu, nu, nc_free_power(mu, t), nc_phi(nu.truncate(3)),
+                 nc_point_mass(beta, d, n), nu.truncate(3)]
+
+        def held():
+            return ([[list(row) for row in f._rows[1:]] for f in funcs],
+                    dict(raw), list(beta))
+
+        before = held()
+        for a in funcs:
+            for b in funcs:
+                if a.order != n or b.order != n:
+                    continue
+                for op in _word_ops(multivariate,
+                                    lambda x, y: nc_two_state_r(NCPair(x, y)),
+                                    _composition_product, a, b, raw, t,
+                                    beta).values():
+                    op()
+                # the operations that take a raw dict take a functional too
+                nc_moments_from_r(a, d, n)
+                nc_moments_from_eta(a, d, n)
+                nc_tilde_from_two_state_r(a, b)
+        assert held() == before
 
 
 def test_equality_reads_words_up_to_the_lower_order():

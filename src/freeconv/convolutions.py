@@ -12,9 +12,11 @@ Thm 5.4.2): m_n = sum_i C(n+1, i)/(n+1) t^i [w^n] R^i, the NC(n) sum of
 t^{|pi|} prod kappa_{|V|} (Nica-Speicher), and its twin for eta~ (see
 ``transforms.two_state_from_scaled_r``).  For a formal t that is about n^3
 integer operations where a forward solve runs a power table of polynomials
-in t; R-transforms over Q[t] take that solve.  Each result carries its
-R-transform (see ``functionals.MomentFunctional``), so a free power handed
-to free convolution is not solved back.
+in t; R-transforms over Q[t] take that solve.  Each free result carries
+its R-transform and each Boolean result its eta (see
+``functionals.MomentFunctional``), so a free power handed to free
+convolution, or a Boolean power handed to Boolean convolution, is not
+solved back.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ runs on ints, on moments graded by ``coeffs._grade``, as
 ``moments_from_jacobi`` does on rows with a repeating tail.  The named
 families are Jacobi rows expanded to moments, but for ``point_mass``,
 whose one path of each length is all flat steps: its moments are the
-powers of beta.
+powers of beta, and it carries its Boolean cumulants eta = beta w.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .coeffs import ZERO, ONE, TPoly, _grade, _scaled, as_coeff, exact_div
+from .series import TruncSeries
 
 
 class JacobiDepthError(ValueError):
@@ -44,18 +45,27 @@ class ConsistencyError(RuntimeError):
 class MomentFunctional:
     """The moments m_1..m_order of a unital functional.
 
-    A functional built from an R-transform, by ``transforms.moments_from_r``
-    or ``moments_from_scaled_r``, keeps it as ``_r``, a pair (R, s) that
-    stands for the series s R through z^order; ``transforms.r_from_moments``
-    hands it back, in the ring of the operation rule (all ``TPoly`` when a
-    moment is one), instead of solving for it.  It records how this object
-    was made, not what it equals: ``==`` and ``hash`` ignore it,
-    ``truncate`` truncates it, and a functional built from moments (a
-    family, a decoded document, any caller's list) has none, so it is no
-    cache across calls.
+    A functional built from a transform keeps it as ``_from``, which records
+    how this object was made, not what it equals:
+
+    - ("R", R, s), the R-transform s R, set by ``transforms.moments_from_r``
+      and ``moments_from_scaled_r``;
+    - ("eta", eta), the Boolean cumulants, set by
+      ``transforms.moments_from_eta`` and by ``point_mass`` (eta = beta w);
+    - None, for a functional built from moments: a family other than
+      ``point_mass``, a decoded document, any caller's list.
+
+    The series is known through z^order at least, and ``truncate`` keeps
+    it.  ``transforms.r_from_moments`` hands back a carried R and
+    ``eta_from_moments`` a carried eta, through z^order and in the ring of
+    the operation rule (all ``TPoly`` when a moment is one), instead of
+    solving for it.  No other read uses it: ``evolution.strip`` and the
+    Jacobi reads solve from the moments, so the cross-checks built on them
+    reach the moments by a route of their own.  ``==``, ``hash`` and
+    documents ignore it, and it is no cache across calls.
     """
 
-    __slots__ = ("order", "_m", "_r")
+    __slots__ = ("order", "_m", "_from")
 
     def __init__(self, order, moments):
         if order < 1:
@@ -66,7 +76,7 @@ class MomentFunctional:
         ms += [ZERO] * (order - len(ms))
         self.order = order
         self._m = tuple(ms)
-        self._r = None
+        self._from = None
 
     def m(self, k):
         """The k-th moment; m(0) = 1."""
@@ -83,9 +93,7 @@ class MomentFunctional:
         if order >= self.order:
             return self
         out = MomentFunctional(order, self._m[:order])
-        if self._r is not None:
-            r, s = self._r
-            out._r = (r.truncate(order), s)
+        out._from = self._from
         return out
 
     def mean_var(self):
@@ -411,13 +419,15 @@ def semicircular(beta, gamma, order):
 
 def point_mass(beta, order):
     """The rows (beta; 0), terminated: the one Motzkin path of length n is n
-    flat steps, so m_n = beta^n."""
+    flat steps, so m_n = beta^n.  It carries its eta = beta w."""
     beta = as_coeff(beta)
     out, m = [], ONE
     for _ in range(order):
         m = m * beta
         out.append(m)
-    return MomentFunctional(order, out)
+    mf = MomentFunctional(order, out)
+    mf._from = ("eta", TruncSeries(order, (ZERO, beta)))
+    return mf
 
 
 def bernoulli_sym(order):

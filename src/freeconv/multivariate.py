@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .coeffs import (ZERO, ONE, TPoly, _bits, _canonical, _grade, _pack,
                      _unpack, as_coeff)
@@ -266,6 +266,31 @@ def _rescaled(rows, f):
     return out
 
 
+def _reduced(rows, q):
+    """The int graded rows at the scale D / q: row n's entries over q^n,
+    which divides each of them (``_shares``)."""
+    out, p = [None], 1
+    for row in rows[1:]:
+        p *= q
+        out.append([None if c is None else c // p for c in row])
+    return out
+
+
+def _shares(rows, q):
+    """Whether every row n of the graded rows, each t-coefficient of a
+    ``TPoly`` entry included, is divisible by q^n: then the values need no
+    more than the scale D / q.  A power by t = p/q grades its output by the
+    inputs' scale times q, which its values need not all take up."""
+    p = 1
+    for row in rows[1:]:
+        p *= q
+        if gcd(*itertools.chain.from_iterable(
+                (c,) if type(c) is int else c.nums
+                for c in row if c is not None)) % p:
+            return False
+    return True
+
+
 def _packed(rows, b):
     """The graded rows with each TPoly entry packed at t = 2^b."""
     return [None] + [[c if c is None or type(c) is int else _pack(c.nums, b)
@@ -297,8 +322,10 @@ def _graded_words(solve, d, order, *ins, t=None):
     ``minus`` is the row difference, ``_minus`` in the exact run.
     ``times_t`` maps a graded table to t times it, and ``solve`` builds its
     output from values it has scaled.  D is the lcm of the inputs' scales
-    times the denominator of t, and an input at the scale D_i is rescaled,
-    row n by (D/D_i)^n, only when D_i differs from D.  Every word transform
+    times the denominator q of t, and an input at the scale D_i is rescaled,
+    row n by (D/D_i)^n, only when D_i differs from D.  The output takes the
+    scale D / q instead when every row n is divisible by q^n (``_shares``),
+    so a chain of powers does not gather q in its scale.  Every word transform
     is weight-homogeneous in |w| and divides by nothing, and a sum or
     difference of two tables graded by one D is graded by it, so a solve
     that chains fills on graded inputs stays in Z.
@@ -347,6 +374,8 @@ def _graded_words(solve, d, order, *ins, t=None):
     if not polys:
         out = run(d, [_rescaled(rows, f) for rows, f in zip(tables, fs)],
                   _pack(tn, 0), _minus)
+        if tq > 1 and _shares(out, tq):
+            out, scale = _reduced(out, tq), scale // tq
         return NCFunctional._filled(d, order, out, scale)
     tops = [_rescaled([None] + [[max(map(_norm, filter(None, row)),
                                      default=0) or None]
@@ -357,9 +386,13 @@ def _graded_words(solve, d, order, *ins, t=None):
                   default=0))
     out = run(d, [_rescaled(_packed(rows, b), f)
                   for rows, f in zip(tables, fs)], _pack(tn, b), _minus)
-    return NCFunctional._filled(d, order, [None] + [
-        [None if x is None else _unpack(x, b, 1) for x in row]
-        for row in out[1:]], scale)
+    rows = [None] + [[None if x is None else _unpack(x, b, 1) for x in row]
+                     for row in out[1:]]
+    if tq > 1 and _shares(rows, tq):
+        rows, scale = [None] + [
+            [None if x is None else _unpack(x, b, tq ** n) for x in row]
+            for n, row in enumerate(out[1:], 1)], scale // tq
+    return NCFunctional._filled(d, order, rows, scale)
 
 
 def _add_products(row, x, y, n_p, n_g, n_i):

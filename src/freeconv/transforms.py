@@ -84,7 +84,11 @@ row builder (``_power_rows``) and one reduction per output.  An R or R2
 over Q[t] would put polynomials in t into every power, so the three
 public expansions return the forward solves they equal, on R scaled by s.
 Every functional built from an R-transform keeps it, and
-``r_from_moments`` returns it instead of solving (see ``MomentFunctional``).
+``r_from_moments`` returns it instead of solving; one built by
+``moments_from_eta`` keeps its eta, which ``eta_from_moments`` returns (see
+``MomentFunctional``).  ``_strip_once`` always solves ``_eta`` on the
+moments, as the Jacobi reads of ``functionals`` read the moments, so the
+cross-checks on strip and Phi never read a carried transform.
 
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
@@ -327,18 +331,12 @@ def r_from_moments(mf):
     solve gives: all ``TPoly`` when one of m_1..m_N is, else all ``Fraction``.
     """
     n = mf.order
-    if mf._r is not None:
-        r, s = mf._r
-        return TruncSeries(n, [ZERO] + _as_ring(
-            [s * c for c in r.coeffs()[1:]], _polys(mf.moments())))
+    if mf._from is not None and mf._from[0] == "R":
+        _, r, s = mf._from
+        return TruncSeries(n, [ZERO, *_as_ring(
+            [s * c for c in r.coeffs()[1:n + 1]], _polys(mf.moments()))])
     return TruncSeries(n, _graded(lambda sub, m: _fill(
         n, lambda k, _, s: sub(m[k], s), (None, m)), _moment_table(mf)))
-
-
-def _carrying(mf, r, s):
-    """mf, keeping the R-transform s r it was built from."""
-    mf._r = (r.truncate(mf.order), s)
-    return mf
 
 
 def _solve_moments(r, order):
@@ -365,7 +363,8 @@ def moments_from_r(r, order):
         mf = _solve_moments(r, order)
     else:
         mf = MomentFunctional(order, _affine_moments(cs, *parts))
-    return _carrying(mf, r, ONE)
+    mf._from = ("R", r, ONE)
+    return mf
 
 
 def _eta(mf):
@@ -377,17 +376,28 @@ def _eta(mf):
 
 
 def eta_from_moments(mf):
-    """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}."""
-    return TruncSeries(mf.order, _eta(mf))
+    """Boolean cumulant series eta = M(1+M)^{-1}, via eta_n = m_n - sum eta_j m_{n-j}.
+
+    A functional that carries the eta it was built from gives it back
+    without a solve, in the ring the solve gives, as ``r_from_moments``
+    does a carried R."""
+    n = mf.order
+    if mf._from is not None and mf._from[0] == "eta":
+        return TruncSeries(n, [ZERO, *_as_ring(
+            mf._from[1].coeffs()[1:n + 1], _polys(mf.moments()))])
+    return TruncSeries(n, _eta(mf))
 
 
 def moments_from_eta(eta, order):
-    """Solve M = eta + eta*M forward for the moments."""
+    """Solve M = eta + eta*M forward for the moments; the functional carries
+    eta."""
     if order > eta.order:
         raise ValueError(f"eta known to order {eta.order} < {order}")
-    return MomentFunctional(order, _graded(lambda _, e: _fill(
+    mf = MomentFunctional(order, _graded(lambda _, e: _fill(
         order, lambda k, m, _: e[k] + _split_sum(e, m, k)),
         eta.coeffs()[:order + 1])[1:])
+    mf._from = ("eta", eta)
+    return mf
 
 
 def _strip_once(mf, beta, gamma):
@@ -631,7 +641,9 @@ def moments_from_scaled_r(r, s, order):
     if _polys(cs):
         return moments_from_r(r.scale(s), order)
     _, rows, weigh = _expansion(s, [cs], order)
-    return _carrying(MomentFunctional(order, _free_moments(rows, weigh)), r, s)
+    mf = MomentFunctional(order, _free_moments(rows, weigh))
+    mf._from = ("R", r, s)
+    return mf
 
 
 def two_state_from_scaled_r(r2, r, s, order):
@@ -658,7 +670,8 @@ def two_state_from_scaled_r(r2, r, s, order):
         base = moments_from_scaled_r(r, s, order)
         return TwoStatePair(tilde_from_two_state_r(r2.scale(s), base), base)
     (_, g2), rows, weigh = _expansion(s, [rc, r2c], order)
-    base = _carrying(MomentFunctional(order, _free_moments(rows, weigh)), r, s)
+    base = MomentFunctional(order, _free_moments(rows, weigh))
+    base._from = ("R", r, s)
     eta = [weigh([0, g2[1]], 1, 1)]
     r2o = [(l - 1) * c for l, c in enumerate(g2)]  # wR2' - R2
     for n in range(2, order + 1):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from test_convolutions import _draw
 
 import freeconv
-from freeconv import catalog, evolution
+from freeconv import catalog, evolution, transforms
 from freeconv.catalog import CATALOG, MIN_ORDER, check_eq, check_zero, verify
 from freeconv.cli import run
 from freeconv.coeffs import ExactDivisionError, TPoly, evaluate, formal_t
@@ -724,6 +724,63 @@ def test_jacobi_shift_cross_check_rejects_a_wrong_transform_path(
     failed = _failed_cross_checks(["verify", _SHIFT_ENTRY[label]], capsys)
     assert any(c["label"].startswith("Jacobi shift: ")
                and c["residual"].startswith(f"{label}: ") for c in failed)
+
+
+def _wrong_eta(mf, k):
+    """mf, its carried eta changed in place by 1 at coefficient k."""
+    kind, eta = mf._from
+    assert kind == "eta"
+    cs = list(eta.coeffs())
+    cs[k] += 1
+    mf._from = (kind, TruncSeries(eta.order, cs))
+    return mf
+
+
+@pytest.mark.parametrize("target", ("phi_map", "point_mass"))
+def test_a_wrong_carried_eta_fails_the_display_check(monkeypatch, capsys,
+                                                     target):
+    """free-evolution builds the display delta_{bt} uplus Phi[.]^{uplus gt}
+    from the carried eta of Phi's output and of the point mass, and compares
+    it with mu_t, built through R.  Either eta changed in one coefficient,
+    the moments left as they are, fails that identity and exits 1, and
+    fails no other check."""
+    build = getattr(catalog, target)
+    monkeypatch.setattr(catalog, target,
+                        lambda *args: _wrong_eta(build(*args), 1))
+    assert run(["verify", "free-evolution", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert [c["label"] for c in checks if not c["ok"]] == [
+        "mu_t = delta_{bt} uplus Phi[rho boxplus sigma_{b,g}^t]^{uplus gt}"]
+
+
+def test_strip_and_the_jacobi_shift_do_not_read_a_carried_eta(monkeypatch):
+    """strip and the Jacobi-shift cross-check solve for eta, or read rows,
+    from the moments: on functionals built from eta, over Q and over Q[t],
+    a carried eta changed in every coefficient leaves their results as they
+    were, and strip runs ``_eta`` once per functional all the same."""
+    t = formal_t()
+    nu = semicircular(F(1, 2), 2, 8)
+    inner = free_convolve(nu, free_power(semicircular(1, 1, 8), t))
+
+    def run_checks(wrong):
+        cross = catalog._CrossChecks()
+        outs = [cross.phi_map(nu),
+                catalog._delta_bool_phi(cross, t, inner, 2 * t, 10)]
+        if wrong:
+            for mf in outs:
+                for k in range(1, mf.order + 1):
+                    _wrong_eta(mf, k)
+        return [cross.strip(mf) for mf in outs], cross.report([])
+
+    want = run_checks(False)
+    eta, solved = transforms._eta, []
+    monkeypatch.setattr(transforms, "_eta",
+                        lambda mf: solved.append(mf.order) or eta(mf))
+    got = run_checks(True)
+    assert solved == [10, 10]
+    assert got == want
+    assert [c.ok for c in got[1][0]] == [True, True]
+    assert got[0][1] == inner.truncate(8)
 
 
 @pytest.mark.parametrize("moments", (

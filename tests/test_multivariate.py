@@ -714,6 +714,34 @@ def _tpoly_path(solve, d, order, *ins, t=None):
         for w, c in zip(row_w, row) if c is not None})
 
 
+@pytest.mark.parametrize("t", (F(1, 2), F(3, 2), formal_t() / 2,
+                               formal_t() / 3, F(2, 3)))
+def test_a_word_power_takes_q_out_of_its_scale_when_its_rows_share_it(t):
+    """A word power by t = p/q grades its output by the input's scale D
+    times q, and keeps D when every row n is divisible by q^n, on ints and
+    on packed TPolys alike: Phi[nu]^{uplus t} does at q = 2 for this nu at
+    D = 2, a chain on it keeps D, and nu^{boxplus t} keeps D q.  The values
+    are those of the kernels on the coefficients as they are."""
+    nu = NCFunctional(2, 4, {(1,): F(1, 2), (2,): F(-1), (1, 2): F(3, 2),
+                             (2, 2): F(1), (1, 1, 2): F(1, 2),
+                             (2, 1, 2, 1): F(5, 2)})
+    q = TPoly._parts(t)[1]
+    lifted = nc_phi(nu)
+    ops = {"Phi^{uplus t}": (partial(nc_boolean_power, lifted, t),
+                             2 if q == 2 else 2 * q),
+           "delta uplus Phi^{uplus t}": (lambda: nc_boolean_convolve(
+               nc_point_mass([F(1, 2), 1], 2, 6),
+               nc_boolean_power(lifted, t)), 2 if q == 2 else 2 * q),
+           "nu^{boxplus t}": (partial(nc_free_power, nu, t), 2 * q)}
+    assert nu._scale == lifted._scale == 2
+    for name, (op, scale) in ops.items():
+        got = op()
+        assert got._scale == scale, name
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multivariate, "_graded_words", _tpoly_path)
+            assert got == op(), name
+
+
 # Weights of (absent, zero, rational, constant TPoly, TPoly) per draw mode.
 _SWEEP_MODES = {
     "zero-heavy": (6, 3, 1, 1, 1),

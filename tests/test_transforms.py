@@ -14,6 +14,8 @@ import freeconv
 from freeconv import coeffs, docs, transforms
 from freeconv.coeffs import TPoly, evaluate, formal_t
 from freeconv.convolutions import (
+    boolean_convolve,
+    boolean_power,
     free_convolve,
     free_power,
     monotone_convolve,
@@ -21,6 +23,7 @@ from freeconv.convolutions import (
 )
 from freeconv.evolution import (
     belinschi_nica,
+    bercovici_pata_inverse,
     maassen_semigroup,
     phi_map,
     strip,
@@ -615,12 +618,78 @@ def test_carried_r_matches_the_solve(seed, order, source, exponent, cut):
     mf = _built_from_r(rng, order, source, exponent)
     if cut:
         mf = mf.truncate(rng.randint(1, order))
-    assert mf._r is not None and mf._r[0].order == mf.order
+    assert mf._from[0] == "R" and mf._from[1].order >= mf.order
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_fill(mp)
         got = r_from_moments(mf)
     assert calls == []
     want = r_from_moments(MomentFunctional(mf.order, mf.moments()))
+    assert _typed_series(got) == _typed_series(want)
+
+
+ETA_SOURCES = ("moments_from_eta", "phi_map", "boolean_power",
+               "boolean_convolve", "tilde_from_two_state_r",
+               "two_state_from_scaled_r", "belinschi_nica",
+               "bercovici_pata_inverse", "point_mass")
+
+
+def _built_from_eta(rng, order, source, exponent):
+    """A functional of at least the given order built from its eta: by
+    ``moments_from_eta`` itself, by each operator that ends in it, or by
+    ``point_mass``, over Q or over Q[t]."""
+    t = formal_t()
+    formal = rng.random() < 0.5
+    kind = rng.choice(DRAW_KINDS)
+
+    def draw(n=order):
+        return _draw(rng, n, formal, kind)
+
+    def series():
+        top = order + rng.randint(0, 2)
+        return TruncSeries(top, [F(0)] + list(draw(top).moments()))
+
+    if source == "moments_from_eta":
+        return moments_from_eta(series(), order)
+    if source == "phi_map":
+        return phi_map(draw(max(order - 2, 1)))
+    if source == "boolean_power":
+        return boolean_power(draw(), _exponent(rng, exponent))
+    if source == "boolean_convolve":
+        return boolean_convolve(draw(), draw())
+    if source == "tilde_from_two_state_r":
+        return tilde_from_two_state_r(series(), draw())
+    if source == "two_state_from_scaled_r":
+        return two_state_from_scaled_r(series(), series(),
+                                       _exponent(rng, exponent), order).tilde
+    if source == "belinschi_nica":
+        s = _exponent(rng, exponent)
+        return belinschi_nica(draw(), s if 1 + s else t)
+    if source == "bercovici_pata_inverse":
+        return bercovici_pata_inverse(draw())
+    beta = rng.choice((F(0), F(rng.randint(-3, 3), 2), t - 1, TPoly(()),
+                       TPoly.constant(2)))
+    return point_mass(beta, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 14),
+       st.sampled_from(ETA_SOURCES), st.sampled_from(EXPONENTS), st.booleans())
+def test_carried_eta_matches_the_solve(seed, order, source, exponent, cut):
+    """A functional built from its eta carries it, also through truncate, and
+    eta_from_moments hands it back without a solve, value for value and
+    ring for ring as the solve on a copy built from its moments alone:
+    every eta_k is a TPoly when one of m_1..m_N is, and a Fraction
+    otherwise."""
+    rng = random.Random(seed)
+    mf = _built_from_eta(rng, order, source, exponent)
+    if cut:
+        mf = mf.truncate(rng.randint(1, mf.order))
+    assert mf._from[0] == "eta" and mf._from[1].order >= mf.order
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_fill(mp)
+        got = eta_from_moments(mf)
+    assert calls == []
+    want = eta_from_moments(MomentFunctional(mf.order, mf.moments()))
     assert _typed_series(got) == _typed_series(want)
 
 
@@ -631,13 +700,16 @@ RULE_OPS = {
     "r_from_moments solved": (1, False, lambda ins, s, n: [
         (r_from_moments(_mf(ins[0])).coeffs()[1:], {0})]),
     "r_from_moments carried": (1, True, lambda ins, s, n: [
-        (_carried_r(free_power(_mf(ins[0]), s)), {0})]),
+        (_carried(free_power(_mf(ins[0]), s), "R", r_from_moments), {0})]),
     "moments_from_r affine": (1, False, lambda ins, s, n: [
         (moments_from_r(_series(ins[0]), n).moments(), {0})]),
     "moments_from_r solve": (1, False, lambda ins, s, n: [
         (moments_from_r(_series(ins[0]), n).moments(), {0})]),
     "eta_from_moments": (1, False, lambda ins, s, n: [
         (eta_from_moments(_mf(ins[0])).coeffs()[1:], {0})]),
+    "eta_from_moments carried": (1, True, lambda ins, s, n: [
+        (_carried(boolean_power(_mf(ins[0]), s), "eta", eta_from_moments),
+         {0})]),
     "moments_from_eta": (1, False, lambda ins, s, n: [
         (moments_from_eta(_series(ins[0]), n).moments(), {0})]),
     "two_state_r": (2, False, lambda ins, s, n: [
@@ -677,9 +749,10 @@ def _triple(cs):
     return CanonicalTriple(F(1, 2), F(1), _mf(cs))
 
 
-def _carried_r(mf):
-    assert mf._r is not None
-    return r_from_moments(mf).coeffs()[1:]
+def _carried(mf, kind, read):
+    """read(mf) for the transform of this kind that mf carries."""
+    assert mf._from[0] == kind
+    return read(mf).coeffs()[1:]
 
 
 def _pair_outputs(pair):
@@ -725,16 +798,29 @@ def test_every_output_of_an_operation_has_one_ring(seed, order, kind, mode,
 
 def test_r_from_moments_solves_without_a_carried_r():
     """A family, a decoded document and a functional built from a list carry
-    no R-transform, so r_from_moments solves for it."""
+    no transform, so r_from_moments and eta_from_moments solve for theirs.
+    A point mass carries its eta = beta w, and r_from_moments solves for R
+    on it (over Q[t] the packed path runs its majorant solve too)."""
     mf = MomentFunctional(6, [F(1, 2), 1, F(-1, 3), 2, 0, 5])
     for given_mf in (free_meixner(F(1, 2), F(-1, 3), 1, 2, 8),
                      docs.decode(docs.encode_functional(free_power(mf, 2))),
+                     docs.decode(docs.encode_functional(phi_map(mf))),
                      mf):
-        assert given_mf._r is None
+        assert given_mf._from is None
+        for read in (r_from_moments, eta_from_moments):
+            with pytest.MonkeyPatch.context() as mp:
+                calls = _spy_fill(mp)
+                read(given_mf)
+            assert calls == [given_mf.order]
+    for beta in (F(-3, 2), formal_t() - 1):
+        dirac = point_mass(beta, 5)
+        assert dirac._from == ("eta", TruncSeries(5, [0, beta]))
         with pytest.MonkeyPatch.context() as mp:
             calls = _spy_fill(mp)
-            r_from_moments(given_mf)
-        assert calls == [given_mf.order]
+            assert eta_from_moments(dirac) == TruncSeries(5, [0, beta])
+            assert calls == []
+            r_from_moments(dirac)
+            assert calls and set(calls) == {5}
 
 
 # name: (number of inputs, run), where run(ins, n), each input a list

@@ -3,11 +3,12 @@
 An entry of CATALOG, or of the word layer's NC_CATALOG as ``nc:<entry>``,
 draws each parameter it is not given from a seeded rng and compares both
 sides of its identities coefficient by coefficient, over Q[t] for a
-statement "for all t >= 0".  An entry that calls strip, Phi or the
-two-state semigroup also runs their second paths (``_CrossChecks``) as
-checks marked ``cross_check``: the operators only compute.  One runner,
-``verify``, serves both catalogs and holds a word-layer entry to the size
-rule ``nc_max_order``.
+statement "for all t >= 0".  It calls strip, Phi and the two-state
+semigroup through the ``_CrossChecks`` it is handed, whose second paths end
+its report as checks marked ``cross_check``: the operators only compute.
+One runner, ``verify_runs``, owns every verify run: it validates, routes
+parameters, holds a word-layer entry to the size rule ``nc_max_order`` and
+notes what it changed.  ``verify`` is its one-name case.
 """
 
 from __future__ import annotations
@@ -305,14 +306,14 @@ def _delta_bool_phi(cross, beta_c, inner, gamma_c, order):
                             boolean_power(lifted.truncate(order), gamma_c))
 
 
-def _verify_free_evolution(order, rng, beta: Coeff = None,
+def _verify_free_evolution(order, rng, cross, beta: Coeff = None,
                            gamma: NonzeroCoeff = None, rho: Functional = None,
                            beta0: Coeff = None):
     beta = _q(beta, _rand_q(rng))
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
     t = formal_t()
-    checks, cross = [], _CrossChecks()
+    checks = []
     triple = CanonicalTriple(beta, gamma, rho)
     mu_t = maassen_semigroup(triple, t, order)
     inner = free_convolve(rho, free_power(semicircular(beta, gamma, order - 2), t))
@@ -326,16 +327,16 @@ def _verify_free_evolution(order, rng, beta: Coeff = None,
     mu0_t = maassen_semigroup(CanonicalTriple(beta0, ZERO, None), t, order)
     checks.append(check_eq("gamma = 0 branch: mu_t = delta_{beta t}",
                         mu0_t, point_mass(beta0 * t, order)))
-    return cross.report(checks)
+    return checks, []
 
 
-def _verify_bn_mean(order, rng, beta: Coeff = None, gamma: Coeff = None,
-                    rho: Functional = None):
+def _verify_bn_mean(order, rng, cross, beta: Coeff = None,
+                    gamma: Coeff = None, rho: Functional = None):
     beta = _q(beta, _rand_q(rng))
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
     t = formal_t()
-    checks, cross = [], _CrossChecks()
+    checks = []
     start = _delta_bool_phi(cross, beta, rho, gamma, order)
     lhs = belinschi_nica(start, t)
     inner = free_convolve(
@@ -349,23 +350,22 @@ def _verify_bn_mean(order, rng, beta: Coeff = None, gamma: Coeff = None,
     checks.append(check_eq("gamma = 0 branch: B_t[delta_b] = delta_b",
                         belinschi_nica(point_mass(beta, order), t),
                         point_mass(beta, order)))
-    return cross.report(checks)
+    return checks, []
 
 
-def _verify_monotone_lemma(order, rng, beta_t: Coeff = None,
+def _verify_monotone_lemma(order, rng, cross, beta_t: Coeff = None,
                            gamma_t: NonzeroCoeff = None,
                            rho_t: Functional = None, beta: Coeff = None,
                            gamma: NonzeroCoeff = None, rho: Functional = None):
     rel, base = _triples(rng, order - 2, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
     t = formal_t()
-    cross = _CrossChecks()
     base_t = maassen_semigroup(base, t, order)
     tilde_r = tilde_from_two_state_r(_triple_r_series(rel, t, order), base_t)
     lemma, sub = _monotone_check(rel, tilde_r, base_t, t)
     checks = [lemma, check_eq("J[mu~_t] = rho~ |> mu_t (gamma~ != 0)",
                               cross.strip(tilde_r), sub)]
-    return cross.report(checks)
+    return checks, []
 
 
 def _thm_b_tilde(cross, rho_t, omega, p, beta_t, gamma_t, s, order):
@@ -375,7 +375,7 @@ def _thm_b_tilde(cross, rho_t, omega, p, beta_t, gamma_t, s, order):
     return _delta_bool_phi(cross, beta_t * s, inner, gamma_t * s, order)
 
 
-def _verify_thm_b(order, rng, omega: Functional = None,
+def _verify_thm_b(order, rng, cross, omega: Functional = None,
                   rho_t: Functional = None, p: NonzeroCoeff = None,
                   beta_t: Coeff = None, gamma_t: NonzeroCoeff = None):
     omega = _functional(omega, order, rng)
@@ -384,7 +384,7 @@ def _verify_thm_b(order, rng, omega: Functional = None,
     beta_t = _q(beta_t, _rand_q(rng))
     gamma_t = _q(gamma_t, _rand_q(rng, nonzero=True))
     t = formal_t()
-    checks, cross = [], _CrossChecks()
+    checks = []
     mu = free_power(subordination(omega, rho_t), ONE / p)
 
     @cache  # one pair per s within this call
@@ -415,10 +415,10 @@ def _verify_thm_b(order, rng, omega: Functional = None,
     got = two_state_convolve(make_pair(s), pair_t)
     checks.append(check_eq("semigroup law at (s rational, t formal)",
                         got, make_pair(s + t)))
-    return cross.report(checks)
+    return checks, []
 
 
-def _verify_subord_id_power(order, rng, mu: Functional = None,
+def _verify_subord_id_power(order, rng, cross, mu: Functional = None,
                             nu: Functional = None):
     mu = _functional(mu, order, rng)
     nu = _functional(nu, order, rng)
@@ -429,7 +429,7 @@ def _verify_subord_id_power(order, rng, mu: Functional = None,
                      lhs, rhs)], []
 
 
-def _verify_subord_id_absorb(order, rng, mu: Functional = None,
+def _verify_subord_id_absorb(order, rng, cross, mu: Functional = None,
                              nu_prime: Functional = None):
     mu = _functional(mu, order, rng)
     nu_prime = _functional(nu_prime, order, rng)
@@ -438,7 +438,7 @@ def _verify_subord_id_absorb(order, rng, mu: Functional = None,
     return [check_eq("mu |> (mu boxplus nu') = B[mu |> nu']", lhs, rhs)], []
 
 
-def _verify_subord_linear(order, rng, mu: Functional = None,
+def _verify_subord_linear(order, rng, cross, mu: Functional = None,
                           nu: Functional = None, rho: Functional = None,
                           a: Coeff = None):
     mu = _functional(mu, order, rng)
@@ -446,7 +446,6 @@ def _verify_subord_linear(order, rng, mu: Functional = None,
     rho = _functional(rho, order, rng)
     a = _q(a, _rand_q(rng))
     sigma = semicircular(0, 1, order)
-    cross = _CrossChecks()
     checks = [
         check_eq("(mu boxplus nu) |> rho = (mu |> rho) boxplus (nu |> rho)",
                  subordination(free_convolve(mu, nu), rho),
@@ -463,12 +462,13 @@ def _verify_subord_linear(order, rng, mu: Functional = None,
                  subordination(point_mass(a, order), mu),
                  point_mass(a, order)),
     ]
-    return cross.report(checks)
+    return checks, []
 
 
-def _verify_meixner_subord(order, rng, b: Coeff = None, c: Coeff = None,
-                           beta: Coeff = None, gamma: Coeff = None,
-                           beta2: Coeff = None, gamma2: Coeff = None):
+def _verify_meixner_subord(order, rng, cross, b: Coeff = None,
+                           c: Coeff = None, beta: Coeff = None,
+                           gamma: Coeff = None, beta2: Coeff = None,
+                           gamma2: Coeff = None):
     b, c, beta, gamma, beta2, gamma2 = _meixner_params(
         rng, b, c, beta, gamma, beta2, gamma2)
     lhs = subordination(free_meixner(b, c, beta2, gamma2, order),
@@ -478,9 +478,10 @@ def _verify_meixner_subord(order, rng, b: Coeff = None, c: Coeff = None,
         "mu_{b,c,b',g'} |> mu_{b,c,b,g} = mu_{b+b,c+g,b',g'}", lhs, rhs)], []
 
 
-def _verify_meixner_monotone(order, rng, b: Coeff = None, c: Coeff = None,
-                             beta: Coeff = None, gamma: Coeff = None,
-                             beta2: Coeff = None, gamma2: Coeff = None):
+def _verify_meixner_monotone(order, rng, cross, b: Coeff = None,
+                             c: Coeff = None, beta: Coeff = None,
+                             gamma: Coeff = None, beta2: Coeff = None,
+                             gamma2: Coeff = None):
     b, c, beta, gamma, beta2, gamma2 = _meixner_params(
         rng, b, c, beta, gamma, beta2, gamma2)
     checks = [
@@ -501,7 +502,7 @@ def _verify_meixner_monotone(order, rng, b: Coeff = None, c: Coeff = None,
     return checks, []
 
 
-def _verify_bt_semigroup(order, rng, mu: Functional = None):
+def _verify_bt_semigroup(order, rng, cross, mu: Functional = None):
     mu = _functional(mu, order, rng)
     t = formal_t()
     s, u = Fraction(1, 2), Fraction(1, 3)
@@ -522,7 +523,7 @@ def _verify_bt_semigroup(order, rng, mu: Functional = None):
     return checks, []
 
 
-def _verify_prop_equiv_b(order, rng, rho_t: Functional = None,
+def _verify_prop_equiv_b(order, rng, cross, rho_t: Functional = None,
                          tau: Functional = None):
     rho_t = _functional(rho_t, order, rng)
     tau = _functional(tau, order, rng)
@@ -536,15 +537,14 @@ def _verify_prop_equiv_b(order, rng, rho_t: Functional = None,
         "theta_t = F_{(tau |> rho~)^{boxplus t}}", lhs, rhs)], []
 
 
-def _verify_general_b(order, rng, b_t: Coeff = None, c_t: NonzeroCoeff = None,
-                      beta: Coeff = None, gamma: NonzeroCoeff = None,
-                      rho: Functional = None):
+def _verify_general_b(order, rng, cross, b_t: Coeff = None,
+                      c_t: NonzeroCoeff = None, beta: Coeff = None,
+                      gamma: NonzeroCoeff = None, rho: Functional = None):
     b_t = _q(b_t, _rand_q(rng))
     c_t = _q(c_t, _rand_q(rng, nonzero=True))
     beta = _q(beta, _rand_q(rng))
     gamma = _q(gamma, _rand_q(rng, nonzero=True))
     rho = _functional(rho, order - 2, rng)
-    cross = _CrossChecks()
     rho_t = _delta_bool_phi(cross, b_t, rho, c_t, order)
     p = exact_div(c_t, gamma)
     u = b_t - beta * p
@@ -552,12 +552,12 @@ def _verify_general_b(order, rng, b_t: Coeff = None, c_t: NonzeroCoeff = None,
     lhs = free_power(
         subordination(free_convolve(point_mass(-u, order), rho_t), rho_t),
         ONE / p)
-    return cross.report([check_eq(
-        "((delta_{-u} boxplus rho~) |> rho~)^{boxplus 1/p} = mu", lhs, mu)])
+    return [check_eq(
+        "((delta_{-u} boxplus rho~) |> rho~)^{boxplus 1/p} = mu", lhs, mu)], []
 
 
-def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
-                              beta_t: Coeff = None,
+def _verify_two_state_meixner(order, rng, cross, b_t: Coeff = None,
+                              b: Coeff = None, beta_t: Coeff = None,
                               gamma_t: NonzeroCoeff = None,
                               beta: Coeff = None, c_t: NonzeroCoeff = None,
                               c: NonzeroCoeff = None,
@@ -584,7 +584,7 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
         if any(all(v is not None for v in given) for given in zero):
             raise ValueError("supplied parameters give degenerate Jacobi rows")
     c_t, c, gamma, t = ct, cc, g, tt
-    checks, cross = [], _CrossChecks()
+    checks = []
     rho = semicircular(b, c, order - 2)       # constant rows (b..; c..)
     rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
     rel = CanonicalTriple(beta_t, gamma_t, rho_t.truncate(order - 2))
@@ -627,10 +627,10 @@ def _verify_two_state_meixner(order, rng, b_t: Coeff = None, b: Coeff = None,
         stripped,
         free_convolve(rho_t, free_power(omega, exact_div(gamma, c_t) * t))
         .truncate(order - 2)))
-    return cross.report(checks)
+    return checks, []
 
 
-def _verify_counterexample_r(order, rng):
+def _verify_counterexample_r(order, rng, cross):
     eps = formal_t()  # the one parameter of Q[t], here read as eps
     moments = [eps ** n if n % 2 == 0 else ZERO for n in range(1, order + 1)]
     two_point = MomentFunctional(order, moments)
@@ -652,28 +652,26 @@ def _verify_counterexample_r(order, rng):
     return checks, []
 
 
-def _verify_pde(order, rng, beta_t: Coeff = None,
+def _verify_pde(order, rng, cross, beta_t: Coeff = None,
                 gamma_t: NonzeroCoeff = None, rho_t: Functional = None,
                 beta: Coeff = None, gamma: NonzeroCoeff = None,
                 rho: Functional = None):
     rel, base = _triples(rng, order + 2, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
-    cross = _CrossChecks()
     pair_t = cross.two_state_semigroup(rel, base, formal_t(), order + 2)
     res1, res2 = pde_residual(rel, base, order, pair_t)
-    return cross.report([
+    return [
         check_zero("d_t F~ equation residual = 0", res1),
         check_zero("d_t F equation residual = 0", res2),
-    ])
+    ], []
 
 
-def _verify_generator(order, rng, beta_t: Coeff = None,
+def _verify_generator(order, rng, cross, beta_t: Coeff = None,
                       gamma_t: NonzeroCoeff = None, rho_t: Functional = None,
                       beta: Coeff = None, gamma: NonzeroCoeff = None,
                       rho: Functional = None):
     rel, base = _triples(rng, order + 4, beta_t, gamma_t, rho_t,
                          beta, gamma, rho)
-    cross = _CrossChecks()
     pair_t = cross.two_state_semigroup(rel, base, formal_t(), order + 4)
     stripped = TwoStatePair(cross.strip(pair_t.tilde), cross.strip(pair_t.base))
     res, res_printed = cauchy_evolution_residual(rel, base, order, pair_t,
@@ -684,11 +682,11 @@ def _verify_generator(order, rng, beta_t: Coeff = None,
         "the printed variant (beta + gamma G_nu - beta~ + gamma~ G_nu~) "
         "leaves a nonzero residual, as reported below.",
     ]
-    return cross.report([
+    return [
         check_zero("d_t G~ residual (corrected sign) = 0", res),
         Check("d_t G~ residual (printed sign) != 0",
               not res_printed.is_zero()),
-    ], notes)
+    ], notes
 
 
 CATALOG = {
@@ -728,11 +726,11 @@ MIN_ORDER = {
 
 
 def entry_params(fn):
-    """Each parameter after order and rng -> the class (or union of classes)
-    its value must be."""
+    """Each parameter after order, rng and cross -> the class (or union of
+    classes) its value must be."""
     params = list(inspect.signature(fn, eval_str=True).parameters.values())
     return {p.name: object if p.annotation is p.empty else p.annotation
-            for p in params[2:]}
+            for p in params[3:]}
 
 
 def class_names(cls):
@@ -757,7 +755,7 @@ def _nc_functional(value, rng, d, order):
     return value.truncate(order)
 
 
-def _nc_verify_composition(order, rng, d=2, mu: NCFunctional = None,
+def _nc_verify_composition(order, rng, cross, d=2, mu: NCFunctional = None,
                            nu: NCFunctional = None):
     mu = _nc_functional(mu, rng, d, order)
     nu = _nc_functional(nu, rng, d, order)
@@ -773,7 +771,7 @@ def _nc_verify_composition(order, rng, d=2, mu: NCFunctional = None,
     return checks, []
 
 
-def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
+def _nc_verify_final_prop(order, rng, cross, d=2, rho_t: NCFunctional = None,
                           tau: NCFunctional = None, beta_t: list = None,
                           gamma_t: Coeff = None):
     rho_t = _nc_functional(rho_t, rng, d, order)
@@ -807,7 +805,7 @@ def _nc_verify_final_prop(order, rng, d=2, rho_t: NCFunctional = None,
     return checks, []
 
 
-def _nc_verify_recover_tau(order, rng, b_t: Coeff = Fraction(1, 2),
+def _nc_verify_recover_tau(order, rng, cross, b_t: Coeff = Fraction(1, 2),
                            c_t: Coeff = Fraction(2), b: Coeff = Fraction(-1),
                            c: Coeff = Fraction(1), beta_t: Coeff = Fraction(1),
                            gamma_t: NonzeroCoeff = Fraction(3, 2),
@@ -822,7 +820,6 @@ def _nc_verify_recover_tau(order, rng, b_t: Coeff = Fraction(1, 2),
     rho_t = free_meixner(b - b_t, c - c_t, b_t, c_t, order)
     rel = CanonicalTriple(beta_t, gamma_t, rho_t.truncate(order - 2))
     base = CanonicalTriple(beta, gamma, rho)
-    cross = _CrossChecks()
     pair = cross.two_state_semigroup(rel, base, t, order)
     mu = maassen_semigroup(base, 1, order)
     tau_nc = nc_subordination_inverse(nc_from_univariate(mu),
@@ -840,7 +837,7 @@ def _nc_verify_recover_tau(order, rng, b_t: Coeff = Fraction(1, 2),
                  cross.strip(pair.tilde),
                  free_convolve(rho_t, free_power(tau, t)).truncate(order - 2)),
     ]
-    return cross.report(checks)
+    return checks, []
 
 
 NC_CATALOG = {
@@ -962,26 +959,74 @@ def verify_order(name, order=None, params=()):
         if order is not None and order > high:
             raise ValueError(f"{kind} entry {key!r} at d = {d} needs an order "
                              f"<= {high} (nc_max_order), got {order}")
-        default_order = nc_capped_order(key, default_order, params)
+        default_order = min(default_order, max(high, low))
     return default_order if order is None else order
+
+
+def verify_runs(names, params=None, order=None, seed=0):
+    """The reports of the verify entries ``names``, each validated by
+    verify_order before any runs.  One entry must take every parameter;
+    each of several gets those it takes, by name and class, each must go to
+    some entry, and a word-layer entry's ``order`` is lowered to
+    nc_max_order at its d, as its default always is.  A report ends with
+    its entry's cross-checks and notes an order so lowered and the
+    parameters its entry ran without."""
+    params = dict(params or {})
+    several = len(names) > 1
+    # every cap first, so that a bad d is refused before any entry's order
+    runs = [(name, order if order is None or not several
+             or not name.startswith("nc:")
+             else nc_capped_order(name[3:], order, params)) for name in names]
+    planned = []
+    refused = {}  # parameter -> the first entry to refuse its class, and why
+    for name, at in runs:
+        own = params
+        if several:  # the names of several come from the catalogs
+            takes = entry_params(entry(name)[0])
+            own = {k: v for k, v in params.items()
+                   if k in takes and isinstance(v, takes[k])}
+            for k in takes.keys() & params.keys() - own.keys():
+                refused.setdefault(
+                    k, f" as given: {name} wants {class_names(takes[k])}")
+        planned.append((name, verify_order(name, at, own), own))
+    unused = set(params).difference(*(own for *_, own in planned))
+    if unused:
+        raise ValueError("; ".join(f"no entry takes parameter {k}"
+                                   f"{refused.get(k, '')}"
+                                   for k in sorted(unused)))
+    reports = []
+    for name, at, own in planned:
+        kind, key, catalog, _ = _split(name)
+        fn, default = catalog[key]
+        cross = _CrossChecks()
+        try:
+            checks, notes = fn(at, random.Random(seed), cross, **own)
+        except _BadParameter as e:
+            value, problem = e.args
+            keys = [k for k, v in own.items() if v is value]
+            which = keys[0] if len(keys) == 1 else f"value {value!r}"
+            raise ValueError(f"{kind} entry {key!r}: parameter {which}: "
+                             f"{problem}") from None
+        checks, notes = cross.report(checks, notes)
+        asked = default if order is None else order
+        if at != asked:
+            notes.append(f"run at order {at}, the largest the word layer's "
+                         f"size rule nc_max_order admits at d = "
+                         f"{nc_entry_d(key, own)}, not at "
+                         f"{'the default ' if order is None else ''}{asked}")
+        skipped = [k for k in params if k not in own]
+        if skipped:
+            notes.append(f"run without {', '.join(skipped)}, which this "
+                         f"entry does not take as given")
+        reports.append(VerifyReport(name, at, checks, notes))
+    return reports
 
 
 def verify(name, params=None, order=None, seed=0):
     """Check the identities of a catalog entry exactly at the given
     truncation order: ``name`` is a CATALOG entry, or ``nc:`` and an
-    NC_CATALOG entry."""
-    params = dict(params or {})
-    order = verify_order(name, order, params)
-    try:
-        checks, notes = entry(name)[0](order, random.Random(seed), **params)
-    except _BadParameter as e:
-        kind, key, *_ = _split(name)
-        value, problem = e.args
-        keys = [k for k, v in params.items() if v is value]
-        which = keys[0] if len(keys) == 1 else f"value {value!r}"
-        raise ValueError(f"{kind} entry {key!r}: parameter {which}: "
-                         f"{problem}") from None
-    return VerifyReport(name, order, checks, notes)
+    NC_CATALOG entry.  The report of ``verify_runs([name], ...)``."""
+    return verify_runs([name], params, order, seed)[0]
 
 
 def nc_verify(name, params=None, order=None, seed=0):

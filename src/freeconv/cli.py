@@ -1,10 +1,12 @@
 """Command-line verification harness.
 
-Exit codes: 0 success / identity verified, 1 identity violated (residual
-printed), 2 usage or parse error (an order outside a verify entry's range
-included), 3 domain error (zero-variance strip, non-invertible series, and
-friends), 4 internal consistency failure (two independent paths disagreed:
-a verify cross-check failed, which outranks a violated identity).
+It parses, prints and picks the exit code; ``catalog.verify_runs`` plans
+and checks a verify run.  Exit codes: 0 success / identity verified, 1
+identity violated (residual printed), 2 usage or parse error (an order
+outside a verify entry's range included), 3 domain error (zero-variance
+strip, non-invertible series, and friends), 4 internal consistency failure
+(two independent paths disagreed: a verify cross-check failed, which
+outranks a violated identity).
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import argparse
 import sys
 
 from . import docs
-from .catalog import (CATALOG, NC_CATALOG, class_names, entry, entry_params,
-                      nc_capped_order, nc_entry_d, verify, verify_order)
+from .catalog import CATALOG, NC_CATALOG, verify_runs
 from .coeffs import ExactDivisionError, formal_t
 from .convolutions import (
     boolean_convolve,
@@ -262,44 +263,10 @@ def _parse_param(text):
     return key.replace("-", "_"), value
 
 
-def _verify_entries(args, runs, params):
-    """Run and print the (name, order) pairs ``runs``, ``nc:`` on the word
-    layer; the exit code.  One entry must take every parameter; each of several
-    gets those it takes, by name and class, and each must go to some entry."""
-    planned = []
-    refused = {}  # parameter -> the first entry to refuse its class, and why
-    for name, order in runs:
-        own = params
-        if len(runs) > 1:  # the names of several come from the catalogs
-            takes = entry_params(entry(name)[0])
-            own = {k: v for k, v in params.items()
-                   if k in takes and isinstance(v, takes[k])}
-            for k in takes.keys() & params.keys() - own.keys():
-                refused.setdefault(
-                    k, f" as given: {name} wants {class_names(takes[k])}")
-        verify_order(name, order, own)
-        planned.append((name, order, own))
-    unused = set(params).difference(*(own for *_, own in planned))
-    if unused:
-        raise ValueError("; ".join(f"no entry takes parameter {k}"
-                                   f"{refused.get(k, '')}"
-                                   for k in sorted(unused)))
-    reports = []
-    for name, order, own in planned:
-        rep = verify(name, params=own, order=order, seed=args.seed)
-        asked = entry(name)[1] if args.order is None else args.order
-        if rep.order != asked:
-            rep.notes.append(f"run at order {rep.order}, the largest the word "
-                             f"layer's size rule nc_max_order admits at d = "
-                             f"{nc_entry_d(name.removeprefix('nc:'), own)}, "
-                             f"not at "
-                             f"{'the default ' if args.order is None else ''}"
-                             f"{asked}")
-        skipped = [k for k in params if k not in own]
-        if skipped:
-            rep.notes.append(f"run without {', '.join(skipped)}, which this "
-                             f"entry does not take as given")
-        reports.append(rep)
+def _verify_entries(args, names, params):
+    """Run the verify entries ``names`` (catalog.verify_runs), ``nc:`` on the
+    word layer, and print their reports; the exit code."""
+    reports = verify_runs(names, params, args.order, args.seed)
     if args.format == "json":
         _emit({"reports": [_report_doc(r) for r in reports],
                "verified": all(r.verified for r in reports)})
@@ -316,14 +283,6 @@ def _verify_entries(args, runs, params):
     return EXIT_VIOLATED if failed else EXIT_OK
 
 
-def _nc_runs(order, params):
-    """The word-layer runs of `verify all` and `nc verify all`: each entry
-    at ``order`` capped by the size rule at its d (nc_capped_order), as its
-    default order is, or at its default when ``order`` is None."""
-    return [(f"nc:{name}", order if order is None else
-             nc_capped_order(name, order, params)) for name in NC_CATALOG]
-
-
 def _params(pairs):
     """The dict of the (key, value) pairs; a key given twice is refused, so
     that neither value silently wins."""
@@ -336,20 +295,15 @@ def _params(pairs):
 
 
 def _cmd_verify(args):
-    params = _params(args.param or [])
-    if args.name != "all":
-        return _verify_entries(args, [(args.name, args.order)], params)
-    return _verify_entries(
-        args, [(name, args.order) for name in CATALOG]
-        + _nc_runs(args.order, params), params)
+    names = [args.name] if args.name != "all" else [
+        *CATALOG, *(f"nc:{name}" for name in NC_CATALOG)]
+    return _verify_entries(args, names, _params(args.param or []))
 
 
 def _cmd_nc(args):
     params = _params(("d", d) for d in args.d or [])
-    if args.name != "all":
-        return _verify_entries(args, [(f"nc:{args.name}", args.order)],
-                               params)
-    return _verify_entries(args, _nc_runs(args.order, params), params)
+    names = NC_CATALOG if args.name == "all" else [args.name]
+    return _verify_entries(args, [f"nc:{name}" for name in names], params)
 
 
 def _cmd_oracle(args):

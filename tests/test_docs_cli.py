@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import freeconv
-from freeconv import catalog, cli, docs, functionals, oracle
+from freeconv import catalog, docs, functionals, oracle
 from freeconv.catalog import (NC_CATALOG, NC_MIN_ORDER, nc_entry_d,
                               nc_max_order, nc_verify_d, verify_order)
 from freeconv.cli import build_parser, run
@@ -272,7 +272,7 @@ def test_cli_violation_with_a_long_residual_exits_1(monkeypatch, capsys):
     (not 2, the usage-error code) when a coefficient has 5000 digits."""
     big = F(10 ** 5000)
 
-    def violated(order, rng):
+    def violated(order, rng, cross):
         return [catalog.check_eq("big", MomentFunctional(1, (big,)),
                                  MomentFunctional(1, (big + 1,))),
                 catalog.check_zero("zero", TruncSeries(0, (big,)))], []
@@ -645,7 +645,7 @@ def _record_entries(monkeypatch):
         d = inspect.signature(fn).parameters.get("d")
 
         @functools.wraps(fn)
-        def entry(order, rng, **params):
+        def entry(order, rng, cross, **params):
             ran.append((name, order,
                         None if d is None else params.get("d", d.default)))
             return [], []
@@ -814,6 +814,57 @@ def test_cli_default_word_layer_order_is_capped(monkeypatch, capsys):
     assert not ran
 
 
+def test_verify_runs_validates_every_entry_once_before_any_runs(
+        monkeypatch, capsys):
+    """`verify all` and `nc verify all` check each entry once, through
+    verify_order, and all of them before the first entry runs."""
+    ran = _record_entries(monkeypatch)
+    validated = []
+    verify_order = catalog.verify_order
+
+    def spy(name, *args):
+        validated.append((name, len(ran)))
+        return verify_order(name, *args)
+
+    monkeypatch.setattr(catalog, "verify_order", spy)
+    nc_names = [f"nc:{name}" for name in NC_CATALOG]
+    for argv, names in ((["verify", "all"], [*catalog.CATALOG, *nc_names]),
+                        (["nc", "verify", "all"], nc_names)):
+        assert run(argv) == 0
+        assert validated == [(name, 0) for name in names]
+        assert [r[0] for r in ran] == names
+        validated.clear()
+        ran.clear()
+    capsys.readouterr()
+
+
+def test_a_library_verify_notes_a_lowered_default_order(monkeypatch):
+    """The note that the size rule lowered a default order is the runner's,
+    so a library call carries it as the CLI's report does."""
+    ran = _record_entries(monkeypatch)
+    rep = catalog.verify("nc:final-prop", {"d": 7})
+    assert (rep.order, ran) == (5, [("nc:final-prop", 5, 7)])
+    assert rep.notes == ["run at order 5, the largest the word layer's size "
+                         "rule nc_max_order admits at d = 7, not at the "
+                         "default 6"]
+
+
+def test_an_entry_cannot_drop_its_cross_checks(monkeypatch):
+    """The runner hands each entry its cross-checks and ends the report with
+    them: an entry that strips and returns its own checks alone still
+    reports the Jacobi-shift check of that strip."""
+    def entry(order, rng, cross):
+        cross.strip(semicircular(0, 1, order))
+        return [], []
+
+    monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 8))
+    rep = catalog.verify("pde")
+    assert [(c.label, c.ok, c.cross_check) for c in rep.checks] == [
+        (f"Jacobi shift: {catalog._SHIFTS['J'][0]} (1 of 1 inputs)", True,
+         True)]
+    assert rep.notes == []
+
+
 def test_cli_bad_json_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -900,7 +951,7 @@ def test_cli_verify_all_caps_word_layer_order(monkeypatch, capsys):
 
 
 def test_cli_consistency_error_exits_4(monkeypatch, capsys):
-    def broken(order, rng):
+    def broken(order, rng, cross):
         raise ConsistencyError("paths disagree")
 
     monkeypatch.setitem(catalog.CATALOG, "pde", (broken, 8))
@@ -923,7 +974,7 @@ def test_cli_a_failed_cross_check_exits_4_over_a_failed_identity(
     """A failed cross-check exits 4, the code for two independent paths that
     disagree, whether or not an identity failed too; a failed identity alone
     exits 1.  The report names the cross-check as one."""
-    def entry(order, rng):
+    def entry(order, rng, cross):
         return [catalog.Check(kind, False, "residual",
                               cross_check=kind == "cross-check")
                 for kind in failed], []
@@ -995,8 +1046,7 @@ def test_cli_verify_rejects_a_zero_divisor_before_any_entry_runs(
     """thm-b divides by p, so p = 0 is a usage error that names p, not a
     domain error from inside the entry; `verify all` names the entry that
     takes p and the class it wants."""
-    ran = []
-    monkeypatch.setattr(cli, "verify", lambda name, **kw: ran.append(name))
+    ran = _record_entries(monkeypatch)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert ran == [] and captured.out == ""
@@ -1069,7 +1119,7 @@ def test_a_wrong_kind_parameter_shared_by_two_keys_is_named_by_value(
         monkeypatch):
     value = object()
 
-    def entry(order, rng, a=None, b=None):
+    def entry(order, rng, cross, a=None, b=None):
         catalog._functional(a, order, rng)
 
     monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 4))
@@ -1084,8 +1134,7 @@ def test_cli_verify_all_rejects_a_wrong_kind_parameter_before_any_entry_runs(
         param, monkeypatch, tmp_path, capsys):
     """Each entry's annotations name the classes it takes, so `verify all`
     rejects a parameter no entry takes in that class up front."""
-    ran = []
-    monkeypatch.setattr(cli, "verify", lambda name, **kw: ran.append(name))
+    ran = _record_entries(monkeypatch)
     param = param.replace("DOC", write(tmp_path, "mu.json", bernoulli_doc(8)))
     assert run(["verify", "all", "--order", "16", "--param", param]) == 2
     captured = capsys.readouterr()

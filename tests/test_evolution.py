@@ -816,7 +816,9 @@ def test_jacobi_shift_cross_check_notes_the_inputs_it_skips():
     """An input whose Jacobi rows leave Q[t] is not checked, and the report
     says so: one note per operator, with the count, and one check over the
     inputs that were read.  At seed 0 and the default orders, verify all
-    reads 10 inputs' rows and notes 10 it could not read."""
+    reads 10 inputs' rows and notes 10 it could not read, and each of the
+    10 entries that reach strip, Phi or the two-state semigroup, those the
+    CI step of that name reads, reports a cross-check or such a note."""
     cross = catalog._CrossChecks()
     t = formal_t()
     mu_t = maassen_semigroup(CanonicalTriple(F(1, 2), F(1), bernoulli_sym(4)),
@@ -833,16 +835,23 @@ def test_jacobi_shift_cross_check_notes_the_inputs_it_skips():
         f"{op}: Jacobi-shift cross-check skipped on 1 of {n} inputs, whose "
         f"Jacobi rows are not over Q[t]" for op, n in (("Phi", 1), ("J", 2))]
     ran = skipped = 0
+    crossed = set()
     for name in [*CATALOG, *(f"nc:{k}" for k in catalog.NC_CATALOG)]:
         rep = verify(name)
         assert rep.verified, name
         for c in rep.checks:
             if c.label.startswith("Jacobi shift: "):
                 ran += int(c.label.split("(")[-1].split()[0])
+            if c.cross_check:
+                crossed.add(name)
         for note in rep.notes:
             if "Jacobi-shift cross-check skipped on " in note:
                 skipped += int(note.split(" skipped on ")[1].split()[0])
+                crossed.add(name)
     assert (ran, skipped) == (10, 10)
+    assert crossed == {"free-evolution", "bn-mean", "monotone-lemma", "thm-b",
+                       "subord-linear", "general-b", "two-state-meixner",
+                       "pde", "generator", "nc:recover-tau"}
 
 
 @pytest.mark.parametrize("entry", ("two-state-meixner", "pde", "generator"))

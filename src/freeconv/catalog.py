@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 from typing import get_args
 
 from .coeffs import (ExactDivisionError, TPoly, ZERO, ONE, all_digits,
@@ -159,14 +160,21 @@ def _q(value, default):
     return default if value is None else as_coeff(value)
 
 
+# Short names a family may be given by, as in ``--param rho=bernoulli``.
+FAMILY_ALIASES = {"bernoulli": "bernoulli_sym", "semicircle": "semicircular"}
+
+
 def _functional(value, order, rng):
-    """A supplied functional at ``order``, or one drawn from ``rng``."""
+    """A supplied functional at ``order``, or one drawn from ``rng``; a
+    family is named in full or by its alias."""
     if value is None:
         return MomentFunctional(order, [_rand_q(rng, 2) for _ in range(order)])
     if isinstance(value, JacobiParams):
         value = moments_from_jacobi(value, order)
     if isinstance(value, MomentFunctional) and value.order >= order:
         return value.truncate(order)
+    if isinstance(value, str):
+        value = FAMILY_ALIASES.get(value, value)
     if isinstance(value, str) and value in FAMILIES:
         defaults = {"b": ONE, "c": ONE, "beta": ZERO, "gamma": ONE}
         _, argnames = FAMILIES[value]
@@ -725,12 +733,21 @@ MIN_ORDER = {
 }
 
 
+# entry function -> its entry_params, read-only: a function's signature
+# does not change, so its annotations are evaluated once per process
+_ENTRY_PARAMS = {}
+
+
 def entry_params(fn):
     """Each parameter after order, rng and cross -> the class (or union of
-    classes) its value must be."""
-    params = list(inspect.signature(fn, eval_str=True).parameters.values())
-    return {p.name: object if p.annotation is p.empty else p.annotation
-            for p in params[3:]}
+    classes) its value must be, as a read-only mapping."""
+    takes = _ENTRY_PARAMS.get(fn)
+    if takes is None:
+        params = list(inspect.signature(fn, eval_str=True).parameters.values())
+        takes = _ENTRY_PARAMS[fn] = MappingProxyType({
+            p.name: object if p.annotation is p.empty else p.annotation
+            for p in params[3:]})
+    return takes
 
 
 def class_names(cls):

@@ -16,6 +16,7 @@ import sys
 
 from . import docs
 from .catalog import CATALOG, NC_CATALOG, verify_runs
+from .catalog import FAMILY_ALIASES  # noqa: F401 (still importable here)
 from .coeffs import ExactDivisionError, formal_t
 from .convolutions import (
     boolean_convolve,
@@ -235,9 +236,6 @@ def _report_doc(rep):
             "notes": list(rep.notes)}
 
 
-FAMILY_ALIASES = {"bernoulli": "bernoulli_sym", "semicircle": "semicircular"}
-
-
 def _parse_param(text):
     """KEY=VALUE: a JSON document path, a rational (an integer or p/q) or a
     family name; a number in any other form is refused."""
@@ -256,7 +254,7 @@ def _parse_param(text):
             try:
                 float(value)
             except ValueError:
-                value = FAMILY_ALIASES.get(value, value)  # family name
+                pass  # a family name, its alias resolved by the entry
             else:  # a number, in a form such as 2.5 or 1e3 that is refused
                 raise argparse.ArgumentTypeError(
                     f"parameter {key}: {e}") from None

@@ -16,22 +16,31 @@ reduces a result once, with one gcd, rather than once per coefficient
 among its operands (``_dot``) scales every product to the lcm of the product
 denominators and convolves them all into one accumulator, reduced once;
 only the triangular-solve kernels of ``transforms`` past the packed path's
-slack accumulate through it.  ``TPoly`` stores this layout; the series
-layer converts a series whose coefficients are all ``Fraction`` to it for
-a product, reciprocal or composition and back to ``Fraction`` on the way
-out (see ``series``).
+slack accumulate through it.  ``TPoly`` stores this layout, and a series
+product over Q uses it too (see ``series``).
 
-The one integer scheme for Q[t] lives here too, below the series engine
-and both solve layers.  ``_grade`` finds D with c_k D^k integral for every
+The one graded integer scheme lives here too, below the series engine and
+both solve layers.  ``_grade`` finds D with c_k D^k integral for every
 input coefficient c_k, k >= 1, so that a computation on the series at Dz
-runs on ints; ``_scaled`` gives those ints, each ``TPoly`` packed at
-t = 2^B (Kronecker substitution: evaluation at 2^B is a ring map), and
-``_unpack`` reads an output back as balanced base-2^B digits.  B comes from
-a majorant run: the same integer kernel on the inputs' l1 norms
-(``_norms``), plain non-negative ints, with every - read as +.  The l1 norm
-is subadditive and submultiplicative and no kernel divides, so with no
-term cancelling that run bounds every t-digit of every output, and
-B = bits(M) + 2 for its largest output M (``_bits``).
+runs on ints.  ``_on_ints`` is the one driver of the series engine and the
+single-variable solves.  It takes a kernel(minus, *rows), which divides by
+nothing and takes its difference operation as an argument, and inputs
+(cs, D, q), each row the ints c_k q D^k (``_scaled``).  Over Q, no input
+coefficient a ``TPoly`` (``_polys``), it runs the kernel once, with ``sub``,
+and B = 0.  Over Q[t] each ``TPoly`` is packed at t = 2^B (Kronecker
+substitution: evaluation at 2^B is a ring map).  B comes from a majorant
+run: the same kernel with ``add`` as its difference, on the inputs' l1
+norms (``_norms``), plain non-negative ints.  The l1 norm is subadditive
+and submultiplicative and no kernel divides, so with no term cancelling
+that run bounds every t-digit of every output, and B = bits(M) + 2 for its
+largest output M (``_bits``).  Given a slack, the driver returns None when
+B passes the bits of the largest input norm, a bound on every packed input
+digit, by more than the slack: the outputs cancel far below their
+majorant, and the caller runs on ``TPoly`` arithmetic instead.  ``_read``
+turns output x_k into x_k / (q D^k): a ``Fraction`` when B = 0, else the
+``TPoly`` of its balanced base-2^B digits (``_unpack``).  The word layer
+runs the same scheme on tables of word rows, with its own driver
+(``multivariate._graded_words``).
 
 A ``TPoly`` keeps ``nums``, a tuple of ``int`` without trailing zeros, over
 ``den``, a positive ``int``, in canonical form gcd(den, *nums) = 1, with
@@ -64,6 +73,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import add, sub
 
 _new = object.__new__
 
@@ -250,6 +260,38 @@ def _unpack(x, b, den):
         nums.append(a)
         x = (x - a) >> b
     return _canonical(nums, den, den)
+
+
+def _polys(*seqs):
+    """Whether a coefficient of the sequences seqs is a ``TPoly``: the ring
+    of an operation on them, Q[t] when one is, else Q."""
+    return TPoly in map(type, chain.from_iterable(seqs))
+
+
+def _on_ints(kernel, ins, slack=None):
+    """(xs, B): the outputs of kernel(minus, *rows) on graded ints, with B = 0
+    over Q; None when ``slack`` is given and B passes the bits of the largest
+    input norm by more than ``slack``.  Each input is (cs, D, q), its row the
+    ints c_k q D^k (``_scaled``), packed at t = 2^B over Q[t]; ``_read`` gives
+    the outputs back.  See the module docstring."""
+    if not _polys(*[cs for cs, _, _ in ins]):
+        return kernel(sub, *[_scaled(cs, d, 0, q) for cs, d, q in ins]), 0
+    norms = [_norms(cs, d, q) for cs, d, q in ins]
+    b = _bits(max(kernel(add, *norms)))
+    if slack is not None and b > max(map(max, norms)).bit_length() + slack:
+        return None
+    return kernel(sub, *[_scaled(cs, d, b, q) for cs, d, q in ins]), b
+
+
+def _read(xs, b, q, d):
+    """x_k / (q D^k), D = d, for the outputs x_0, x_1, ... of ``_on_ints``
+    at B = b: a ``Fraction`` when b = 0, else the ``TPoly`` of x_k's balanced
+    base-2^b digits (``_unpack``)."""
+    out = []
+    for x in xs:
+        out.append(_unpack(x, b, q) if b else Fraction(x, q))
+        q *= d
+    return out
 
 
 class TPoly:

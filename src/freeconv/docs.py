@@ -15,7 +15,7 @@ import json
 import re
 from fractions import Fraction
 
-from .coeffs import TPoly, all_digits
+from .coeffs import TPoly, _polys, all_digits
 from .functionals import (
     CanonicalTriple,
     FAMILIES,
@@ -96,16 +96,11 @@ def encode_coeff(c, poly=None):
     return [encode_rational(x) for x in cs] or ["0"]
 
 
-def _is_poly(cs):
-    """The ring of a document with coefficients cs: Q[t] if any is a TPoly."""
-    return any(isinstance(c, TPoly) for c in cs)
-
-
 def encode_coeffs(cs, poly=None):
     """The coefficients cs in one ring, Q[t] when ``poly`` (by default, when
     any of them is a TPoly)."""
     if poly is None:
-        poly = _is_poly(cs)
+        poly = _polys(cs)
     return [encode_coeff(c, poly) for c in cs]
 
 
@@ -131,7 +126,7 @@ def encode_functional(mf, poly=None):
 
 
 def encode_jacobi(jp):
-    poly = _is_poly(jp.betas + jp.gammas + (jp.repeat or ()))
+    poly = _polys(jp.betas + jp.gammas + (jp.repeat or ()))
     doc = {"type": "jacobi",
            "betas": encode_coeffs(jp.betas, poly),
            "gammas": encode_coeffs(jp.gammas, poly),
@@ -143,7 +138,7 @@ def encode_jacobi(jp):
 
 
 def encode_pair(pair):
-    poly = _is_poly(pair.tilde.moments() + pair.base.moments())
+    poly = _polys(pair.tilde.moments() + pair.base.moments())
     return {"type": "pair", "order": pair.order,
             "tilde": encode_functional(pair.tilde, poly),
             "base": encode_functional(pair.base, poly)}
@@ -151,8 +146,8 @@ def encode_pair(pair):
 
 def encode_triple(triple):
     rho = triple.rho
-    poly = _is_poly((triple.beta, triple.gamma)
-                    + (() if rho is None else rho.moments()))
+    poly = _polys((triple.beta, triple.gamma)
+                  + (() if rho is None else rho.moments()))
     return {"type": "triple",
             "beta": encode_coeff(triple.beta, poly),
             "gamma": encode_coeff(triple.gamma, poly),

@@ -8,25 +8,19 @@ stored as ``top`` and its chart c_0 + c_1 w + ... + c_K w^K in w = 1/z, a
 TruncSeries, so every product, reciprocal and composition of either type runs
 through TruncSeries.
 
-A series stores a tuple of coefficients, ``Fraction`` or ``TPoly``, and the
-coefficient types choose how it multiplies, inverts and composes.  A series
-over Q (every coefficient a ``Fraction``) is a polynomial in z with a
-truncation order: those three operations convert it once to ``int``
-numerators, run on the integer kernel of ``coeffs`` that ``TPoly`` uses,
-and convert back to ``Fraction`` once.  A product's and a reciprocal's
-factors go over one denominator each; a composition is graded as over Q[t]
-below, without the packing.  A series over Q[t], or one that mixes the two
-rings, runs the same integer kernels on the one integer scheme of
-``coeffs``: the inputs are graded (z -> Dz, D from ``_grade``, a product's
-and a reciprocal's factors times the denominator of their constant terms, a
-composition's outer series over one denominator), each t-polynomial is
-packed at t = 2^B, and each output is read back with ``_unpack``; B comes
-from the same kernel run on the inputs' l1 norms with every - read as +.
-Every output coefficient is then a ``TPoly``, as the solves of
-``transforms`` give theirs.  Reversion takes one reciprocal and then one
-coefficient of each power v^k: over Q by Miller's power recurrence on one
-graded integer series, about n^3/6 terms and no gcd but each output's, and
-over Q[t] by one packed series product per power.
+A series stores a tuple of coefficients, ``Fraction`` or ``TPoly``.  A
+product, reciprocal or composition runs its integer kernel on graded ints
+through the driver ``coeffs._on_ints`` and its reader ``_read`` (the
+protocol is in the ``coeffs`` docstring): z -> Dz, D from ``_grade``, a
+product's and a reciprocal's factors times the denominator of their
+constant terms, a composition's outer series over one denominator.  Every
+output coefficient is a ``Fraction`` over Q and a ``TPoly`` when an input
+coefficient is one, as the solves of ``transforms`` give theirs.  A
+product over Q alone puts each factor over one common denominator instead
+(see ``__mul__``).  Reversion takes one reciprocal and then one coefficient
+of each power v^k: over Q by Miller's power recurrence on one graded
+integer series, about n^3/6 terms and no gcd but each output's, and over
+Q[t] by one packed series product per power.
 
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
@@ -37,19 +31,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul, neg, pos
+from operator import mul
 
 from .coeffs import (
     ZERO,
     ONE,
     TPoly,
-    _bits,
     _common,
     _convolve,
     _grade,
-    _norms,
+    _on_ints,
+    _polys,
+    _read,
     _scaled,
-    _unpack,
     as_coeff,
     t_derivative,
 )
@@ -61,11 +55,6 @@ class NotInvertibleError(ArithmeticError):
 
 class CompositionDomainError(ValueError):
     """Inner series outside the domain of formal composition."""
-
-
-def _rational(*seqs):
-    """True when every coefficient in the sequences is a ``Fraction``."""
-    return all(type(c) is Fraction for cs in seqs for c in cs)
 
 
 def _series(order, cs):
@@ -83,21 +72,11 @@ def _from_ints(order, nums, den):
                    [Fraction(x, den) if x else ZERO for x in nums[:order + 1]])
 
 
-def _from_packed(order, xs, b, q, d):
-    """The TruncSeries of the TPolys x_k / (q D^k), D = d, for the ints
-    x_0..x_order packed at t = 2^b."""
-    out = []
-    for x in xs:
-        out.append(_unpack(x, b, q))
-        q *= d
-    return _series(order, out)
-
-
-def _inverse_ints(a, n, negate, first=1):
+def _inverse_ints(a, n, minus, first):
     """C_0..C_n for ints a_0..a_n, a_0 != 0, with C_0 = first and
-    C_k = -sum_{j=1..k} a_j a_0^(j-1) C_{k-j}, so that first / A has
-    coefficients C_k / a_0^(k+1) for A = sum a_k z^k: no division.
-    ``negate`` is the - of the recurrence, the identity in a majorant run."""
+    C_k = 0 - sum_{j=1..k} a_j a_0^(j-1) C_{k-j}, ``minus`` the -, so that
+    first / A has coefficients C_k / a_0^(k+1) for A = sum a_k z^k: no
+    division."""
     a0 = a[0]
     w, p = [], 1
     for x in a[1:n + 1]:
@@ -105,7 +84,7 @@ def _inverse_ints(a, n, negate, first=1):
         p *= a0
     cs = [first]
     for k in range(1, n + 1):
-        cs.append(negate(sum(map(mul, w[:k], reversed(cs)))))
+        cs.append(minus(0, sum(map(mul, w[:k], reversed(cs)))))
     return cs
 
 
@@ -180,17 +159,20 @@ class TruncSeries:
         other = self._promote(other)
         n = min(self.order, other.order)
         f, g = self._c[: n + 1], other._c[: n + 1]
-        if _rational(f, g):
+        if not _polys(f, g):
+            # over Q each factor over one common denominator, not graded:
+            # 1.6-6.8x faster than the graded product at orders 40-256 on
+            # denominators up to 6 (CPython 3.11, 2 cores), and no bench
+            # workload multiplies series over Q
             (a, da), (b, db) = _common(f), _common(g)
             return _from_ints(n, _convolve(a, b, n + 1), da * db)
-        # over Q[t]: z -> Dz, each series times the denominator q of its
-        # constant term, packed at t = 2^B; output k is x_k / (q_f q_g D^k)
+        # z -> Dz, each series times the denominator q of its constant
+        # term; output k is x_k / (q_f q_g D^k)
         d = _grade(enumerate(f), enumerate(g))
         qf, qg = f[0].denominator, g[0].denominator
-        b = _bits(max(_convolve(_norms(f, d, qf), _norms(g, d, qg), n + 1)))
-        return _from_packed(n, _convolve(_scaled(f, d, b, qf),
-                                         _scaled(g, d, b, qg), n + 1),
-                            b, qf * qg, d)
+        xs, b = _on_ints(lambda _, a, b: _convolve(a, b, n + 1),
+                         [(f, d, qf), (g, d, qg)])
+        return _series(n, _read(xs, b, qf * qg, d))
 
     def _promote(self, other):
         if isinstance(other, TruncSeries):
@@ -211,24 +193,17 @@ class TruncSeries:
         if not self._c[0]:
             raise NotInvertibleError("constant term is zero")
         n, cs = self.order, self._c
-        if _rational(cs):
-            # self = A/d with A = a_0 + a_1 z + ... in Z[z], and 1/A has
-            # coefficients C_k / a_0^(k+1) (``_inverse_ints``).
-            a, d = _common(cs)
-            out, p = [], a[0]
-            for x in _inverse_ints(a, n, neg):
-                out.append(Fraction(d * x, p))
-                p *= a[0]
-            return _series(n, out)
-        # over Q[t] the constant term has an inverse u/v (else this raises
-        # ExactDivisionError), and f(z) = self(Dz) u has f_0 = v > 0 and
-        # int coefficients, packed at t = 2^B: output k is
-        # (u C_k) / (v^(k+1) D^k) for the C_k of f
+        # the constant term has an inverse u/v (over Q[t] else this raises
+        # ExactDivisionError), and f(z) = self(Dz) u has f_0 = v > 0 and int
+        # coefficients, so 1/self(Dz) = u/f: C_0 = u comes in as a second
+        # input, so that the majorant run starts from |u|, and output k is
+        # C_k / (v^(k+1) D^k) (``_inverse_ints``)
         (u,), v = TPoly._parts(ONE / cs[0])
         d = _grade(enumerate(cs))
-        b = _bits(max(_inverse_ints(_norms(cs, d, u), n, pos, abs(u))))
-        return _from_packed(n, _inverse_ints(_scaled(cs, d, b, u), n, neg, u),
-                            b, v, v * d)
+        xs, b = _on_ints(
+            lambda minus, a, first: _inverse_ints(a, n, minus, first[0]),
+            [(cs, d, u), ((ONE,), 1, u)])
+        return _series(n, _read(xs, b, v, v * d))
 
     def compose(self, inner):
         """self(inner(z)); inner must have zero constant term."""
@@ -239,20 +214,12 @@ class TruncSeries:
         n = min(self.order, inner.order)
         f, h = self._c[: n + 1], inner._c[: n + 1]
         # inner(z) at Dz, self over one denominator q, so no Horner step
-        # multiplies by a power of D; output k is x_k / (q D^k), over Q read
-        # as one Fraction, over Q[t] packed at t = 2^B
+        # multiplies by a power of D; output k is x_k / (q D^k)
         d = _grade(enumerate(h))
         q = lcm(*[c.denominator for c in f])
-        if _rational(f, h):
-            xs, den = _horner(_scaled(f, 1, 0, q), _scaled(h, d), n), q
-            out = []
-            for x in xs:
-                out.append(Fraction(x, den) if x else ZERO)
-                den *= d
-            return _series(n, out)
-        b = _bits(max(_horner(_norms(f, 1, q), _norms(h, d), n)))
-        return _from_packed(n, _horner(_scaled(f, 1, b, q), _scaled(h, d, b),
-                                       n), b, q, d)
+        xs, b = _on_ints(lambda _, f, h: _horner(f, h, n),
+                         [(f, 1, q), (h, d, 1)])
+        return _series(n, _read(xs, b, q, d))
 
     def reversion(self):
         """Compositional inverse; requires c_0 = 0 and c_1 invertible.
@@ -279,7 +246,7 @@ class TruncSeries:
         n = self.order
         v = self.shift_down(1).reciprocal()
         out = [ZERO, v._c[0]]
-        if _rational(v._c):
+        if not _polys(v._c):
             d, q = _grade(enumerate(v._c)), v._c[0].denominator
             a0, *a = _scaled(v._c, d, 0, q)
             ia = [i * x for i, x in enumerate(a, 1)]

@@ -36,26 +36,16 @@ s = S(a) = [z^n] A(W); P(l, r) = _split_sum(l, r, n):
 Each solve is one ``_graded(solve, *seqs)`` call, the one place that grades
 a single-variable solve (``multivariate._graded_words`` is the word
 layer's), and takes its difference operation as an explicit argument,
-solve(sub, *seqs).  It picks an integer D with c_k D^k integral for every
-input coefficient c_k, k >= 1, a ``TPoly`` by its common denominator, and
-runs the solve on the inputs scaled so, which is the same solve for the
-series at Dz.  There W = z(1+M) still has [z^k] W^k = 1, so every unknown
-is an integer combination of integers and the unchanged kernels keep the
-whole recursion in Z.  Over Q output k comes back as the reduced Fraction
-x_k / D^k.  Over Q[t] the graded int polynomials are packed at t = 2^B
-(Kronecker substitution), the one integer scheme of ``coeffs`` that the
-series engine and the word layer use too: one run of the solve with
-``add`` as its difference, on the inputs' l1 norms as plain non-negative
-ints, bounds every t-digit of every output and gives B, and a second run
-with ``sub`` on the packed ints gives output k as its balanced base-2^B
-digits over D^k.  The packed ints carry B bits in every t-digit, so a
-solve whose outputs cancel far below its majorant, B passing the largest
-input norm by more than ``_SLACK`` bits (the inverse solves
-``r_from_moments`` and ``two_state_r`` at high order), runs on ``TPoly``
-arithmetic instead.  ``_grade`` grades every coefficient and refuses any
-other value.  Every operation, solve or expansion, gives its outputs one
-ring, as the word layer does: all ``TPoly`` when an input coefficient (or
-the s of an expansion) is one, else all ``Fraction``.
+solve(sub, *seqs).  It runs the solve on the series at Dz through the
+driver of ``coeffs``, ``_on_ints``, whose docstring states the protocol:
+there W = z(1+M) still has [z^k] W^k = 1, so the unchanged kernels keep the
+whole recursion in Z.  A solve whose outputs cancel far below its
+majorant, B passing the largest input norm by more than ``_SLACK`` bits
+(the inverse solves ``r_from_moments`` and ``two_state_r`` at high order),
+runs on ``TPoly`` arithmetic instead.  ``_grade`` grades every coefficient
+and refuses any other value.  Every operation, solve or expansion, gives
+its outputs one ring, as the word layer does: all ``TPoly`` when an input
+coefficient (or the s of an expansion) is one, else all ``Fraction``.
 ``_graded`` applies that rule to each solve, and an expansion's weights
 give a ``TPoly`` exactly when s is one.
 
@@ -103,12 +93,11 @@ inversion.  It calls none of the kernels, so the two paths share no solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import comb
-from operator import add, mul, sub
+from operator import mul, sub
 
-from .coeffs import (ZERO, ONE, TPoly, _bits, _canonical, _convolve, _dot,
-                     _grade, _norms, _scaled, _unpack, as_coeff, exact_div,
+from .coeffs import (ZERO, ONE, TPoly, _canonical, _convolve, _dot, _grade,
+                     _on_ints, _polys, _read, _scaled, as_coeff, exact_div,
                      formal_t)
 from .functionals import ConsistencyError, MomentFunctional, TwoStatePair
 from .series import LaurentAtInfinity, TruncSeries
@@ -131,51 +120,23 @@ def _moment_table(mf):
 
 
 def _graded(solve, *seqs):
-    """solve(sub, *seqs), run on graded integers: over Q, and over Q[t]
-    packed.
-
-    ``_grade`` finds D for the coefficients c_k in degree order, so that
-    D^k clears every c_k (a ``TPoly`` by its common denominator), and the
-    solve runs on the inputs scaled by z -> Dz.  Every solve is a
+    """solve(sub, *seqs), run on graded integers by ``coeffs._on_ints``, D
+    from ``_grade`` for all of seqs, and output k >= 1 read as x_k / D^k;
+    output 0 comes back as the solve gives it.  Every solve is a
     weight-homogeneous recursion with integer coefficients and
-    [z^k] W^k = 1, so the kernels keep the entries integral.  Over Q, input
-    k is the int c_k D^k and output k comes back as the reduced Fraction
-    x_k / D^k.
-
-    Over Q[t] (some input coefficient a ``TPoly``) input k is the int
-    polynomial c_k D^k packed at t = 2^B, Kronecker substitution as in
-    ``multivariate._graded_words`` at d = 1: evaluation at 2^B is a ring
-    map, so output k is its graded polynomial at 2^B, read back as balanced
-    base-2^B digits over D^k (``_unpack``).  B comes from a first run of the
-    solve, solve(add, *norms), on the l1 norms sum_i |[t^i] c_k| D^k of the
-    inputs as plain ints (``_width``): the l1 norm is subadditive and
-    submultiplicative, the kernels divide by nothing, and with - read as +
-    no term cancels, so that run bounds every t-digit of every output, and
-    B = bits(M) + 2 for its largest output M.  When B passes the
-    bits of the largest input norm, a bound on every packed input digit, by
-    more than ``_SLACK``, the outputs cancel far below their majorant, and
-    ``solve`` gets the sequences as they are, to run on ``TPoly``
-    arithmetic.  Every output k >= 1 is a ``TPoly`` when some input
-    coefficient is one, else a ``Fraction``: one ring per operation, as in
-    the word layer.
+    [z^k] W^k = 1, so the kernels keep the entries integral.  When B passes
+    the largest input norm by more than ``_SLACK`` bits, ``solve`` gets the
+    sequences as they are, to run on ``TPoly`` arithmetic.  Every output
+    k >= 1 is a ``TPoly`` when some input coefficient is one, else a
+    ``Fraction``: one ring per operation, as in the word layer.
     """
     d = _grade(*map(enumerate, seqs))
-    if not _polys(*seqs):
-        out, dk = [], 1
-        for x in solve(sub, *[_scaled(cs, d) for cs in seqs]):
-            out.append(Fraction(x, dk))
-            dk *= d
-        return out
-    b = _width(solve, seqs, d)
-    if b is None:
+    run = _on_ints(solve, [(cs, d, 1) for cs in seqs], _SLACK)
+    if run is None:
         out = solve(sub, *seqs)
         return out[:1] + _as_ring(out[1:], True)
-    xs = solve(sub, *[_scaled(cs, d, b) for cs in seqs])
-    out, dk = xs[:1], 1
-    for x in xs[1:]:
-        dk *= d
-        out.append(_unpack(x, b, dk))
-    return out
+    xs, b = run
+    return xs[:1] + _read(xs[1:], b, d, d)
 
 
 # The packed path's limit on the bits that a solve's majorant adds to its
@@ -194,23 +155,6 @@ def _graded(solve, *seqs):
 # packed and 9.0 s with none (medians of 5 on a host running about 1.5x
 # slower than the 4.09 s this rule read when it was set).
 _SLACK = 128
-
-
-def _width(solve, seqs, d):
-    """B for the packed run of solve on seqs graded by D = d, from a run of
-    solve with ``add`` as its difference on the inputs' graded l1 norms,
-    plain non-negative ints; None when B passes the largest of those norms,
-    which bounds every packed input digit, by more than ``_SLACK`` bits."""
-    norms = [_norms(cs, d) for cs in seqs]
-    b = _bits(max(solve(add, *norms)))
-    top = max(map(max, norms)).bit_length()
-    return None if b > top + _SLACK else b
-
-
-def _polys(*seqs):
-    """Whether a coefficient of seqs is a ``TPoly``.  Then every output of an
-    operation on seqs is one; else every output is a ``Fraction``."""
-    return TPoly in map(type, chain.from_iterable(seqs))
 
 
 def _as_ring(cs, poly):

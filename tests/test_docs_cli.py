@@ -838,6 +838,30 @@ def test_verify_runs_validates_every_entry_once_before_any_runs(
     capsys.readouterr()
 
 
+def test_a_run_of_several_entries_reads_each_signature_once(monkeypatch,
+                                                             capsys):
+    """A run of several entries sorts the parameters among them and then
+    validates each through verify_order; each entry's annotations, an
+    inspect.signature with eval_str, are evaluated once for both runs."""
+    _record_entries(monkeypatch)
+    signature, evaluated = inspect.signature, []
+
+    def spy(fn, **kwargs):
+        if kwargs.get("eval_str"):
+            evaluated.append(fn)
+        return signature(fn, **kwargs)
+
+    monkeypatch.setattr(inspect, "signature", spy)
+    monkeypatch.setattr(catalog, "_ENTRY_PARAMS", {})
+    for argv in (["verify", "all"], ["verify", "all", "--param", "p=1"]):
+        assert run(argv) == 0
+    entries = [fn for fn, _ in (*catalog.CATALOG.values(),
+                                *NC_CATALOG.values())]
+    assert len(evaluated) == len(entries)
+    assert set(evaluated) == set(entries)
+    capsys.readouterr()
+
+
 def test_a_library_verify_notes_a_lowered_default_order(monkeypatch):
     """The note that the size rule lowered a default order is the runner's,
     so a library call carries it as the CLI's report does."""
@@ -1011,6 +1035,10 @@ def test_verify_parser_has_one_parameter_path():
     (["verify", "thm-b", "--param", "d=2"], ("d", "omega, rho_t")),
     (["nc", "verify", "recover-tau", "--d", "3"], ("recover-tau", "d")),
     (["verify", "nc:recover-tau", "--param", "d=1"], ("recover-tau", "d")),
+    # the value as typed: a family alias is resolved only where a family
+    # becomes a functional
+    (["verify", "all", "--param", "d=bernoulli"],
+     ("error: d must be an integer >= 1, got bernoulli\n",)),
 ))
 def test_cli_verify_rejects_a_parameter_no_entry_takes(argv, named, capsys):
     assert run(argv) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_convolutions import DRAW_KINDS, _draw
 
-from freeconv import series as engine
+from freeconv import coeffs as packing, series as engine
 from freeconv.coeffs import ONE, ExactDivisionError, TPoly, formal_t
 from freeconv.series import (
     CompositionDomainError,
@@ -123,8 +123,9 @@ def test_t_specialization_commutes(a, b, q):
 
 # -- the rational path against a plain list-of-Fraction model -----------------
 #
-# A series over Q multiplies, inverts and composes on integer numerators over
-# one denominator; any TPoly coefficient sends it to ints packed at t = 2^B.
+# A series over Q multiplies on integer numerators over one denominator and
+# inverts and composes on graded ints; any TPoly coefficient sends it to ints
+# packed at t = 2^B.
 # The model below works coefficient by coefficient in Fraction and shares no
 # algorithm with the library: composition sums powers of the inner series,
 # and reversion solves g(f(z)) = z over the powers of f, where the library
@@ -170,7 +171,10 @@ def _model_reversion(f, n):
 def _check_against_model(seed, order, poly):
     """Product, reciprocal, composition and reversion of random Q-series of
     the given order, with the leading coefficient of the left operand a
-    constant TPoly when ``poly``; returns the results' coefficients."""
+    constant TPoly when ``poly``, and the reciprocal of a series with a
+    negative constant term whose coefficient k has the denominator p^k,
+    where one common denominator would be p^order throughout; returns the
+    results' coefficients."""
     rng = random.Random(seed)
 
     def draw(n):
@@ -193,6 +197,11 @@ def _check_against_model(seed, order, poly):
         f = [F(0), a[1] or F(1)] + a[2:]
         cases.append((TruncSeries(order, [f[0], lead(f[1])] + f[2:]).reversion(),
                       _model_reversion(f, order)))
+    p = rng.choice((2, 3, 7))
+    e = [F(-rng.randint(1, 9), rng.randint(1, 6))]
+    e += [F(rng.randint(-9, 9), p ** k) for k in range(1, order + 1)]
+    cases.append((TruncSeries(order, [lead(e[0])] + e[1:]).reciprocal(),
+                  _model_reciprocal(e, order)))
     for got, want in cases:
         assert got.order == order
         assert list(got.coeffs()) == want
@@ -470,9 +479,10 @@ def test_packed_series_op_one_bit_short_misreads_an_output(op):
     """Each packed series operation reads its outputs as B-bit balanced
     digits, so B must pass the largest t-digit of every packed output.  The
     majorant run's B does; at the least width that holds every digit the
-    outputs equal the fold's, and one bit short some output differs."""
+    outputs equal the fold's, and one bit short some output differs.  B is
+    forced, and the digits read, in the driver ``coeffs._on_ints``."""
     run, want = _one_bit_short_cases()[op]
-    unpack, seen = engine._unpack, []
+    unpack, seen = packing._unpack, []
 
     def spy(x, b, den):
         p = unpack(x, b, den)
@@ -480,10 +490,10 @@ def test_packed_series_op_one_bit_short_misreads_an_output(op):
         return p
 
     def run_at(b):
-        with mock.patch.object(engine, "_bits", lambda top: b):
+        with mock.patch.object(packing, "_bits", lambda top: b):
             return list(run().coeffs())
 
-    with mock.patch.object(engine, "_unpack", spy):
+    with mock.patch.object(packing, "_unpack", spy):
         assert list(run().coeffs()) == want
     need = max(digit for _, digit in seen).bit_length() + 1
     assert seen[0][0] >= need

@@ -264,14 +264,19 @@ SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
                  "_graded")
 
 
-# The grading and packing of Q[t] values, owned by ``coeffs``, and the
-# modules that use each one.
+# The grading and packing of Q[t] values, the graded-integer driver, its
+# reader and the ring test, owned by ``coeffs``, and the modules that use
+# each one: only the word layer's own driver picks B or reads digits outside
+# ``coeffs``.
 PACKING = {"_grade": {"series", "transforms", "multivariate", "functionals"},
            "_scaled": {"series", "transforms", "functionals"},
-           "_norms": {"series", "transforms"},
-           "_bits": {"series", "transforms", "multivariate"},
+           "_norms": set(),
+           "_bits": {"multivariate"},
            "_pack": {"multivariate"},
-           "_unpack": {"series", "transforms", "multivariate"}}
+           "_unpack": {"multivariate"},
+           "_on_ints": {"series", "transforms"},
+           "_read": {"series", "transforms"},
+           "_polys": {"series", "transforms", "docs"}}
 
 
 def test_only_transforms_holds_the_solve_kernels():
@@ -279,13 +284,16 @@ def test_only_transforms_holds_the_solve_kernels():
     module holds one of its kernel objects, checked by identity, so that
     ``oracle._graded``, the oracle's own grading, is another object.  Only
     ``evolution`` also holds ``_strip_once``, where the Jacobi wrong-path
-    tests patch it.  The grading and packing of Q[t] values live in
+    tests patch it.  The grading and packing of Q[t] values, and the one
+    driver that runs a kernel on them and reads its outputs back, live in
     ``coeffs``, below the series engine, both solve layers and the Jacobi
     reads of ``functionals``, and each of those holds exactly the ones it
-    uses (``PACKING``)."""
+    uses (``PACKING``); the per-layer drivers they replaced are gone."""
+    assert not hasattr(transforms, "_width")
+    assert not hasattr(freeconv.series, "_from_packed")
     owners = {name: {"transforms"} for name in (
         "_fill", "_graded", "_add_diagonal", "_substitute_at", "_split_sum",
-        "_moment_table", "_polys", "_as_ring", "_eta", "_width")}
+        "_moment_table", "_as_ring", "_eta")}
     owners["_strip_once"] = {"transforms", "evolution"}
     kernels = {id(getattr(transforms, name)): name for name in owners}
     for name, users in PACKING.items():
@@ -846,13 +854,13 @@ def _run_path(mp, path, run, ins, n):
     """The typed outputs of run on ins with ``_graded`` held to one path:
     "packed" for every gradable Q[t] solve, "tpoly" for none, and "chosen"
     by the slack rule; and how many outputs were read from a packed int."""
-    unpack, unpacked = transforms._unpack, []
+    unpack, unpacked = coeffs._unpack, []
 
     def spy(*args):
         unpacked.append(args)
         return unpack(*args)
 
-    mp.setattr(transforms, "_unpack", spy)
+    mp.setattr(coeffs, "_unpack", spy)
     if path != "chosen":
         mp.setattr(transforms, "_SLACK",
                    float("inf") if path == "packed" else float("-inf"))
@@ -926,19 +934,18 @@ def test_packed_solve_one_bit_short_misreads_an_output():
     ins = [list(_draw(random.Random(7), 16, True, "plain").moments())]
     _, run = PACKED_SOLVES["r_from_moments"]
     d = transforms._grade(enumerate([F(1)] + ins[0]))
-    width, widths = transforms._width, []
+    bits, widths = coeffs._bits, []
 
     def run_at(b):
-        """The outputs packed at B = b, or at the majorant's B, which is
-        recorded in widths, when b is None."""
-        def forced(*args):
-            if b is None:
-                widths.append(width(*args))
-                return widths[-1]
-            return b
+        """The outputs packed at B = b, forced in the driver
+        ``coeffs._on_ints``, or at the majorant's B, which is recorded in
+        widths, when b is None."""
+        def forced(top):
+            widths.append(bits(top) if b is None else b)
+            return widths[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(transforms, "_width", forced)
+            mp.setattr(coeffs, "_bits", forced)
             return _run_path(mp, "chosen", run, ins, 16)[0]
 
     want = run_at(None)
@@ -975,12 +982,13 @@ class _Majorant(int):
         return _Majorant(int.__floordiv__(self, other))
 
 
-def _majorant_top(solve, seqs, d):
+def _majorant_top(solve, ins):
     """The largest output of solve, run with its difference - in
-    ``_Majorant`` on the graded l1 norms of seqs, as ``_width`` ran it."""
+    ``_Majorant`` on the graded l1 norms of the driver's inputs ins, each
+    (cs, D, q) with row k |c_k| q D^k, as ``coeffs._on_ints`` runs it."""
     norms = []
-    for cs in seqs:
-        row, dk = [], 1
+    for cs, d, q in ins:
+        row, dk = [], abs(q)
         for c in cs:
             if type(c) is TPoly:
                 row.append(_Majorant(sum(map(abs, c.nums)) * (dk // c.den)))
@@ -998,28 +1006,28 @@ def _majorant_top(solve, seqs, d):
 def test_plain_int_majorant_matches_the_majorant_ring(seed, order, kind,
                                                       name):
     """Each single-variable solve bounds its packed outputs by a run on
-    plain non-negative ints with ``add`` as its difference; that run's
-    largest output, and so B, equals the run in ``_Majorant``, where every
-    - acts as +, bit for bit, on every draw kind."""
+    plain non-negative ints with ``add`` as its difference, in the driver
+    ``coeffs._on_ints``; that run's largest output, and so B, equals the run
+    in ``_Majorant``, where every - acts as +, bit for bit, on every draw
+    kind."""
     rng = random.Random(seed)
     count, run = PACKED_SOLVES[name]
     ins = [list(_draw(rng, order, True, kind).moments())
            for _ in range(count)]
-    bits, seen = transforms._bits, []
+    on_ints, bits, calls, seen = transforms._on_ints, coeffs._bits, [], []
 
-    def spy_width(solve, seqs, d):
-        seen.append([_majorant_top(solve, seqs, d)])
-        return width(solve, seqs, d)
+    def spy_on_ints(kernel, inputs, slack=None):
+        calls.append((kernel, inputs))
+        return on_ints(kernel, inputs, slack)
 
     def spy_bits(top):
-        seen[-1].append(top)
         assert type(top) is int
+        seen.append([_majorant_top(*calls[-1]), top])
         return bits(top)
 
-    width = transforms._width
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transforms, "_width", spy_width)
-        mp.setattr(transforms, "_bits", spy_bits)
+        mp.setattr(transforms, "_on_ints", spy_on_ints)
+        mp.setattr(coeffs, "_bits", spy_bits)
         run(ins, order)
     poly = TPoly in map(type, itertools.chain.from_iterable(ins))
     assert bool(seen) == poly

@@ -16,7 +16,9 @@ in t; R-transforms over Q[t] take that solve.  Each free result carries
 its R-transform and each Boolean result its eta (see
 ``functionals.MomentFunctional``), so a free power handed to free
 convolution, or a Boolean power handed to Boolean convolution, is not
-solved back.
+solved back; and each builds its moments only when they are read, so such
+a power is not expanded or solved forward either, unless its moments are
+read too.
 """
 
 from __future__ import annotations

@@ -58,14 +58,26 @@ class MomentFunctional:
     The series is known through z^order at least, and ``truncate`` keeps
     it.  ``transforms.r_from_moments`` hands back a carried R and
     ``eta_from_moments`` a carried eta, through z^order and in the ring of
-    the operation rule (all ``TPoly`` when a moment is one), instead of
-    solving for it.  No other read uses it: ``evolution.strip`` and the
-    Jacobi reads solve from the moments, so the cross-checks built on them
-    reach the moments by a route of their own.  ``==``, ``hash`` and
-    documents ignore it, and it is no cache across calls.
+    the operation rule, ``_poly`` (all ``TPoly`` when True), set when the
+    functional was built, instead of solving for it.  No other read uses
+    it: ``evolution.strip`` and the Jacobi reads solve from the moments, so
+    the cross-checks built on them reach the moments by a route of their
+    own.  ``==``, ``hash`` and documents ignore it.
+
+    Moments are built on first read.  The three builders from a transform
+    (``_deferred``) leave their forward solve or expansion, which divides
+    by nothing, to the first read of the moments: ``moments``, ``m``,
+    ``mean_var``, ``==``, ``hash``, ``repr``, a document, a Jacobi read or
+    ``strip``.  It runs once per object and fills the slot ``_m``; only
+    while that slot is empty does reading it run ``__getattr__``, so a read
+    of moments that exist costs no call.  ``truncate`` takes its slice of
+    the parent's moments on its own first read, so a truncation of an
+    unread functional stays unread.  This is not a cache across calls:
+    each object builds and holds its own moments, and an equal functional
+    built again builds them again.
     """
 
-    __slots__ = ("order", "_m", "_from")
+    __slots__ = ("order", "_m", "_build", "_from", "_poly")
 
     def __init__(self, order, moments):
         if order < 1:
@@ -76,7 +88,27 @@ class MomentFunctional:
         ms += [ZERO] * (order - len(ms))
         self.order = order
         self._m = tuple(ms)
-        self._from = None
+        self._from = self._poly = None
+
+    @classmethod
+    def _deferred(cls, order, build, source, poly):
+        """The functional of the given order that carries the transform
+        ``source`` (see ``_from``), whose moments m_1..m_order are build(),
+        run on their first read; ``poly`` says whether they are all
+        ``TPoly``, which the carried reads take as their ring."""
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        mf = cls.__new__(cls)
+        mf.order, mf._build, mf._from, mf._poly = order, build, source, poly
+        return mf
+
+    def __getattr__(self, name):
+        # runs only for a slot not yet filled: _m before the first read
+        if name != "_m":
+            raise AttributeError(name)
+        self._m = m = tuple(self._build())
+        self._build = None
+        return m
 
     def m(self, k):
         """The k-th moment; m(0) = 1."""
@@ -92,9 +124,8 @@ class MomentFunctional:
     def truncate(self, order):
         if order >= self.order:
             return self
-        out = MomentFunctional(order, self._m[:order])
-        out._from = self._from
-        return out
+        return MomentFunctional._deferred(
+            order, lambda: self._m[:order], self._from, self._poly)
 
     def mean_var(self):
         if self.order < 2:
@@ -108,7 +139,7 @@ class MomentFunctional:
             if order > n:
                 raise ValueError(f"cannot compare to order {order}: have {n}")
             n = order
-        return all(self.m(k) == other.m(k) for k in range(1, n + 1))
+        return self._m[:n] == other._m[:n]
 
     def __eq__(self, other):
         if not isinstance(other, MomentFunctional):
@@ -427,6 +458,7 @@ def point_mass(beta, order):
         out.append(m)
     mf = MomentFunctional(order, out)
     mf._from = ("eta", TruncSeries(order, (ZERO, beta)))
+    mf._poly = type(beta) is TPoly
     return mf
 
 

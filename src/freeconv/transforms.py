@@ -75,10 +75,12 @@ over Q[t] would put polynomials in t into every power, so the three
 public expansions return the forward solves they equal, on R scaled by s.
 Every functional built from an R-transform keeps it, and
 ``r_from_moments`` returns it instead of solving; one built by
-``moments_from_eta`` keeps its eta, which ``eta_from_moments`` returns (see
-``MomentFunctional``).  ``_strip_once`` always solves ``_eta`` on the
-moments, as the Jacobi reads of ``functionals`` read the moments, so the
-cross-checks on strip and Phi never read a carried transform.
+``moments_from_eta`` keeps its eta, which ``eta_from_moments`` returns.
+The three builders run their forward solve or expansion only on the first
+read of the moments, so an output whose transform alone is read is never
+solved (see ``MomentFunctional``).  ``_strip_once`` always solves ``_eta``
+on the moments, as the Jacobi reads of ``functionals`` read the moments,
+so the cross-checks on strip and Phi never read a carried transform.
 
 Laurent expansions at infinity are built as shifts of their w = 1/z charts:
 F(1/w) = (1 - eta(w))/w gives F the chart -eta(w)/w, G(1/w) = w(1 + M(w)),
@@ -271,14 +273,17 @@ def r_from_moments(mf):
     """Free cumulants kappa_1..kappa_N as the coefficients of R(z).
 
     A functional that carries the R-transform s R it was built from (see
-    ``MomentFunctional``) gives s R back without a solve, in the ring the
-    solve gives: all ``TPoly`` when one of m_1..m_N is, else all ``Fraction``.
+    ``MomentFunctional``) gives s R back without a solve and without reading
+    its moments, in the ring the solve gives: all ``TPoly`` when one of
+    m_1..m_N is, else all ``Fraction``, as the functional's ``_poly`` says.
     """
     n = mf.order
     if mf._from is not None and mf._from[0] == "R":
         _, r, s = mf._from
-        return TruncSeries(n, [ZERO, *_as_ring(
-            [s * c for c in r.coeffs()[1:n + 1]], _polys(mf.moments()))])
+        cs = r.coeffs()[1:n + 1]
+        if s != 1:
+            cs = [s * c for c in cs]
+        return TruncSeries(n, [ZERO, *_as_ring(cs, mf._poly)])
     return TruncSeries(n, _graded(lambda sub, m: _fill(
         n, lambda k, _, s: sub(m[k], s), (None, m)), _moment_table(mf)))
 
@@ -286,8 +291,24 @@ def r_from_moments(mf):
 def _solve_moments(r, order):
     """The forward solve of R(z(1+M)) = M for m_1..m_order; the functional
     carries no R."""
-    return MomentFunctional(order, _graded(lambda _, kappa: _fill(
-        order, lambda k, _, s: s, (kappa, None)), r.coeffs()[:order + 1])[1:])
+    return MomentFunctional(order, _forward_moments(r.coeffs()[:order + 1]))
+
+
+def _forward_moments(cs):
+    """m_1..m_n from R = cs, the list r_0..r_n: the forward solve of
+    R(z(1+M)) = M."""
+    return _graded(lambda _, kappa: _fill(
+        len(cs) - 1, lambda k, _, s: s, (kappa, None)), cs)[1:]
+
+
+def _moments_of_r(cs):
+    """m_1..m_n from R = cs, the list r_0..r_n, as ``moments_from_r`` gives
+    them: expanded in t when R is affine in t (``_affine_parts``), else the
+    forward solve."""
+    parts = _affine_parts(cs)
+    if parts is None:
+        return _forward_moments(cs)
+    return _affine_moments(cs, *parts)
 
 
 def moments_from_r(r, order):
@@ -297,18 +318,14 @@ def moments_from_r(r, order):
     at least one ``TPoly``, R = A + tB expands in t over Q
     (``_affine_moments``); otherwise R(z(1+M)) = M is solved forward.  Both
     give each moment the same value, and every moment is a ``TPoly`` when
-    one of r_0..r_order is.
+    one of r_0..r_order is.  The functional carries r and runs either on
+    the first read of its moments (``MomentFunctional``).
     """
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
     cs = r.coeffs()[:order + 1]
-    parts = _affine_parts(cs)
-    if parts is None:
-        mf = _solve_moments(r, order)
-    else:
-        mf = MomentFunctional(order, _affine_moments(cs, *parts))
-    mf._from = ("R", r, ONE)
-    return mf
+    return MomentFunctional._deferred(
+        order, lambda: _moments_of_r(cs), ("R", r, ONE), _polys(cs))
 
 
 def _eta(mf):
@@ -328,20 +345,25 @@ def eta_from_moments(mf):
     n = mf.order
     if mf._from is not None and mf._from[0] == "eta":
         return TruncSeries(n, [ZERO, *_as_ring(
-            mf._from[1].coeffs()[1:n + 1], _polys(mf.moments()))])
+            mf._from[1].coeffs()[1:n + 1], mf._poly)])
     return TruncSeries(n, _eta(mf))
 
 
 def moments_from_eta(eta, order):
     """Solve M = eta + eta*M forward for the moments; the functional carries
-    eta."""
+    eta and runs the solve on the first read of its moments."""
     if order > eta.order:
         raise ValueError(f"eta known to order {eta.order} < {order}")
-    mf = MomentFunctional(order, _graded(lambda _, e: _fill(
-        order, lambda k, m, _: e[k] + _split_sum(e, m, k)),
-        eta.coeffs()[:order + 1])[1:])
-    mf._from = ("eta", eta)
-    return mf
+    cs = eta.coeffs()[:order + 1]
+    return MomentFunctional._deferred(
+        order, lambda: _moments_of_eta(cs), ("eta", eta), _polys(cs))
+
+
+def _moments_of_eta(cs):
+    """m_1..m_n from eta = cs, the list eta_0..eta_n: the forward solve of
+    M = eta + eta*M."""
+    return _graded(lambda _, e: _fill(
+        len(cs) - 1, lambda k, m, _: e[k] + _split_sum(e, m, k)), cs)[1:]
 
 
 def _strip_once(mf, beta, gamma):
@@ -576,7 +598,8 @@ def moments_from_scaled_r(r, s, order):
     of Free Probability*).
 
     Equal, value and ring, to ``moments_from_r(r.scale(s), order)``, which
-    it returns when one of r_0..r_order is a ``TPoly``; over Q it expands.
+    it returns when one of r_0..r_order is a ``TPoly``; over Q it expands,
+    on the first read of the moments, and the functional carries (r, s).
     """
     if order > r.order:
         raise ValueError(f"cumulants known to order {r.order} < {order}")
@@ -584,10 +607,9 @@ def moments_from_scaled_r(r, s, order):
     cs = r.coeffs()[:order + 1]
     if _polys(cs):
         return moments_from_r(r.scale(s), order)
-    _, rows, weigh = _expansion(s, [cs], order)
-    mf = MomentFunctional(order, _free_moments(rows, weigh))
-    mf._from = ("R", r, s)
-    return mf
+    return MomentFunctional._deferred(
+        order, lambda: _free_moments(*_expansion(s, [cs], order)[1:]),
+        ("R", r, s), type(s) is TPoly)
 
 
 def two_state_from_scaled_r(r2, r, s, order):
@@ -615,7 +637,7 @@ def two_state_from_scaled_r(r2, r, s, order):
         return TwoStatePair(tilde_from_two_state_r(r2.scale(s), base), base)
     (_, g2), rows, weigh = _expansion(s, [rc, r2c], order)
     base = MomentFunctional(order, _free_moments(rows, weigh))
-    base._from = ("R", r, s)
+    base._from, base._poly = ("R", r, s), type(s) is TPoly
     eta = [weigh([0, g2[1]], 1, 1)]
     r2o = [(l - 1) * c for l, c in enumerate(g2)]  # wR2' - R2
     for n in range(2, order + 1):

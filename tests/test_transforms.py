@@ -12,17 +12,19 @@ from test_convolutions import DRAW_KINDS, EXPONENTS, _draw, _exponent, _typed
 
 import freeconv
 from freeconv import coeffs, docs, transforms
-from freeconv.coeffs import TPoly, evaluate, formal_t
+from freeconv.coeffs import ONE, TPoly, evaluate, formal_t
 from freeconv.convolutions import (
     boolean_convolve,
     boolean_power,
     free_convolve,
+    free_deconvolve,
     free_power,
     monotone_convolve,
     two_state_power,
 )
 from freeconv.evolution import (
     belinschi_nica,
+    bercovici_pata,
     bercovici_pata_inverse,
     maassen_semigroup,
     phi_map,
@@ -699,6 +701,170 @@ def test_carried_eta_matches_the_solve(seed, order, source, exponent, cut):
     assert calls == []
     want = eta_from_moments(MomentFunctional(mf.order, mf.moments()))
     assert _typed_series(got) == _typed_series(want)
+
+
+# builder: run(draw, series, s), draw(n) a functional of order n, series(n)
+# a series through z^n, both drawn over Q or over Q[t], and s an exponent
+LAZY_BUILDERS = {
+    "moments_from_r": lambda draw, series, s: moments_from_r(
+        series(draw.order), draw.order),
+    "moments_from_scaled_r": lambda draw, series, s: moments_from_scaled_r(
+        series(draw.order), s, draw.order),
+    "moments_from_eta": lambda draw, series, s: moments_from_eta(
+        series(draw.order), draw.order),
+    "free_power": lambda draw, series, s: free_power(draw(), s),
+    "free_convolve": lambda draw, series, s: free_convolve(
+        draw(), free_power(draw(), s)),
+    "free_deconvolve": lambda draw, series, s: free_deconvolve(draw(), draw()),
+    "subordination": lambda draw, series, s: subordination(draw(), draw()),
+    "maassen_semigroup": lambda draw, series, s: maassen_semigroup(
+        CanonicalTriple(F(1, 2), F(1), draw(max(draw.order - 2, 1))), s,
+        draw.order),
+    "phi_map": lambda draw, series, s: phi_map(draw(max(draw.order - 2, 1))),
+    "boolean_power": lambda draw, series, s: boolean_power(draw(), s),
+    "boolean_convolve": lambda draw, series, s: boolean_convolve(
+        draw(), boolean_power(draw(), s)),
+    "belinschi_nica": lambda draw, series, s: belinschi_nica(
+        draw(), s if 1 + s else formal_t()),
+    "bercovici_pata": lambda draw, series, s: bercovici_pata(draw()),
+    "bercovici_pata_inverse": lambda draw, series, s: bercovici_pata_inverse(
+        draw()),
+    "tilde_from_two_state_r": lambda draw, series, s: tilde_from_two_state_r(
+        series(draw.order), draw()),
+    "two_state_from_scaled_r": lambda draw, series, s: two_state_from_scaled_r(
+        series(draw.order), series(draw.order), s, draw.order).tilde,
+}
+
+
+def _unread(mf):
+    """Whether mf's moments are still to be built: reading ``_build`` never
+    builds them, where reading ``_m`` would."""
+    return getattr(mf, "_build", None) is not None
+
+
+def _direct(mf):
+    """m_1..m_N of a functional built from a transform, by the forward solve
+    or expansion its builder leaves to the first read, run here directly on
+    the transform that the functional carries."""
+    n, (kind, x, *s) = mf.order, mf._from
+    cs = list(x.coeffs()[:n + 1])
+    if kind == "eta":
+        return transforms._graded(lambda _, e: transforms._fill(
+            n, lambda k, m, _: e[k] + transforms._split_sum(e, m, k)), cs)[1:]
+    if s[0] is not ONE:
+        return transforms._free_moments(
+            *transforms._expansion(s[0], [cs], n)[1:])
+    parts = transforms._affine_parts(cs)
+    if parts is not None:
+        return transforms._affine_moments(cs, *parts)
+    return transforms._graded(lambda _, kappa: transforms._fill(
+        n, lambda k, _, s: s, (kappa, None)), cs)[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 24), st.booleans(),
+       st.sampled_from(DRAW_KINDS), st.sampled_from(EXPONENTS),
+       st.sampled_from(sorted(LAZY_BUILDERS)), st.booleans())
+def test_moments_built_on_first_read_match_the_direct_solve(
+        seed, order, formal, kind, exponent, builder, cut):
+    """Each builder from a transform, and each operator that ends in one,
+    returns a functional whose moments are not yet built; on their first
+    read they equal, type for type, the forward solve or expansion run
+    directly on the transform it carries.  A truncation of an unread
+    functional stays unread, and its first read reads its parent."""
+    rng = random.Random(seed)
+
+    def draw(n=order):
+        return _draw(rng, n, formal, kind)
+
+    def series(n):
+        return TruncSeries(n, [F(0)] + list(draw(n).moments()))
+
+    draw.order = order
+    mf = LAZY_BUILDERS[builder](draw, series, _exponent(rng, exponent))
+    assert _unread(mf)
+    want = [(type(c), c) for c in _direct(mf)]
+    if cut:
+        part = mf.truncate(rng.randint(1, mf.order))
+        assert _unread(part) and _unread(mf)
+        assert _typed(part) == want[:part.order]
+        assert not _unread(mf)
+    assert _typed(mf) == want
+
+
+def _spy_builds(mp):
+    """Patch ``_fill``, ``_expansion`` and ``MomentFunctional.__getattr__``,
+    which builds the moments of an unread functional, with wrappers; returns
+    the list of the names called."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_fill", "_expansion"):
+        _patch_kernel(mp, name, spy(name, getattr(transforms, name)))
+    mp.setattr(MomentFunctional, "__getattr__",
+               spy("__getattr__", MomentFunctional.__getattr__))
+    return calls
+
+
+def test_a_carried_read_runs_no_solve_and_a_second_read_runs_nothing():
+    """Reading the carried R or eta of an unread functional builds none of
+    its moments; the first read of the moments runs the deferred solve or
+    expansion, and every later read, by any route, runs nothing."""
+    t = formal_t()
+    mu = MomentFunctional(8, [F(1, 2), 1, F(-1, 3), 2, 0, 5, F(1, 7), 3])
+    nu = MomentFunctional(8, [t, 1 + t, F(1, 3), 2 * t, 0, 5, t * t, 1])
+    builds = [
+        (free_power(mu, F(3, 2)), r_from_moments, "_expansion"),
+        (free_power(mu, t), r_from_moments, "_expansion"),
+        (free_power(nu, 2), r_from_moments, "_fill"),
+        (free_convolve(mu, nu), r_from_moments, "_fill"),
+        (boolean_power(nu, t).truncate(5), eta_from_moments, "_fill"),
+        (phi_map(mu), eta_from_moments, "_fill"),
+    ]
+    for mf, carried, kernel in builds:
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_builds(mp)
+            carried(mf)
+            assert calls == []
+            first = mf.moments()
+            assert "__getattr__" in calls and kernel in calls
+            del calls[:]
+            assert mf.moments() is first
+            assert mf.m(mf.order) == first[-1]
+            assert mf == MomentFunctional(mf.order, first)
+            hash(mf), repr(mf), mf.mean_var()
+            docs.encode_functional(mf)
+            carried(mf)
+            assert calls == []
+
+
+def test_the_builders_refuse_an_order_at_the_call():
+    """An order above the transform's, or below 1, raises at the call of
+    each builder, before any solve or expansion runs."""
+    t = formal_t()
+    r = TruncSeries(4, [0, F(1, 2), 1, F(-1, 3), 2])
+    rt = TruncSeries(4, [0, t, 1, F(-1, 3), 2])
+    builders = [
+        lambda n: moments_from_r(r, n), lambda n: moments_from_r(rt, n),
+        lambda n: moments_from_scaled_r(r, F(3, 2), n),
+        lambda n: moments_from_scaled_r(r, t, n),
+        lambda n: moments_from_scaled_r(rt, F(3, 2), n),
+        lambda n: moments_from_eta(r, n), lambda n: moments_from_eta(rt, n),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_builds(mp)
+        for build in builders:
+            with pytest.raises(ValueError, match="known to order 4 < 5"):
+                build(5)
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                build(0)
+    assert calls == []
+    assert [build(4).order for build in builders] == [4] * len(builders)
 
 
 # op: (number of inputs, whether it takes the parameter s, run), where

@@ -20,15 +20,18 @@ slack accumulate through it.  ``TPoly`` stores this layout, and a series
 product over Q uses it too (see ``series``).
 
 The one graded integer scheme lives here too, below the series engine and
-both solve layers.  ``_grade`` finds D with c_k D^k integral for every
-input coefficient c_k, k >= 1, so that a computation on the series at Dz
-runs on ints.  ``_on_ints`` is the one driver of the series engine and the
-single-variable solves.  It takes a kernel(minus, *rows), which divides by
-nothing and takes its difference operation as an argument, and inputs
-(cs, D, q), each row the ints c_k q D^k (``_scaled``).  Over Q, no input
-coefficient a ``TPoly`` (``_polys``), it runs the kernel once, with ``sub``,
-and B = 0.  Over Q[t] each ``TPoly`` is packed at t = 2^B (Kronecker
-substitution: evaluation at 2^B is a ring map).  B comes from a majorant
+both solve layers.  ``_grade`` reads each input coefficient once, a
+``Fraction`` by ``as_integer_ratio`` and a ``TPoly`` by its slots, into
+parts (nums, dens), and finds D with c_k D^k integral for every c_k,
+k >= 1, so that a computation on the series at Dz runs on ints; everything
+after it reads the parts, not the coefficients.  ``_on_ints`` is the one
+driver of the series engine and the single-variable solves.  It takes a
+kernel(minus, *rows), which divides by nothing and takes its difference
+operation as an argument, and inputs (parts, D, q), each row the ints
+c_k q D^k (``_scaled``).  Over Q, no input coefficient a ``TPoly``, it runs
+the kernel once, with ``sub``, and B = 0.  Over Q[t] each ``TPoly`` is
+packed at t = 2^B (Kronecker substitution: evaluation at 2^B is a ring
+map).  B comes from a majorant
 run: the same kernel with ``add`` as its difference, on the inputs' l1
 norms (``_norms``), plain non-negative ints.  The l1 norm is subadditive
 and submultiplicative and no kernel divides, so with no term cancelling
@@ -61,9 +64,17 @@ raises: ``ExactDivisionError`` when the quotient is not a polynomial,
 ``ZeroDivisionError`` for a zero divisor.  A reciprocal is ``ONE / c``, so
 only nonzero constants have one in Q[t]: no operation of the package needs
 a power series in t (``belinschi_nica`` expands in 1 + t rather than divide
-by it, see its docstring).  Beyond the operators, ``as_coeff`` admits a
-value from outside the program, a ``Fraction``, a ``TPoly`` or an int, and
-``t_derivative`` and ``evaluate`` act on the parameter.
+by it, see its docstring).  Beyond the operators, ``t_derivative`` and
+``evaluate`` act on the parameter.
+
+One entry rule holds at the ring boundary.  ``as_coeff`` admits a value
+from outside the library, a ``Fraction``, a ``TPoly`` or an int (made a
+``Fraction``), and refuses any other; the public constructors of series,
+functionals and Jacobi rows apply it to each value they are given.  A value
+the library made, the output of a kernel, a product or a ring operation on
+coefficients, is a ``Fraction`` or a ``TPoly`` already, and enters a series
+or a functional as it is (``series._series``,
+``functionals.MomentFunctional._made``), never checked again.
 """
 
 from __future__ import annotations
@@ -100,8 +111,9 @@ def _common(cs):
     Each c is in lowest terms, so the numerators have no factor in common
     with the lcm: the pair is already reduced.
     """
-    den = lcm(*[c.denominator for c in cs])
-    return [c.numerator * (den // c.denominator) for c in cs], den
+    parts = [c.as_integer_ratio() for c in cs]
+    den = lcm(*[q for _, q in parts])
+    return [n * (den // q) for n, q in parts], den
 
 
 def _convolve(a, b, n):
@@ -186,51 +198,62 @@ def _dot(start, xs, ys):
 
 
 def _grade(*groups):
-    """The one D of a set of inputs, each a group of pairs (k, c_k): grown
-    from 1 so that q divides D^k for every (k, a/q) with k >= 1,
+    """(D, parts) for a set of inputs, each a group of pairs (k, c_k).
+
+    Each c_k is read once, into ints: a ``Fraction`` by
+    ``as_integer_ratio``, a ``TPoly`` by its ``nums`` and ``den`` slots, and
+    a plain int as itself over 1.  Any other value raises TypeError, before
+    any kernel runs.  parts[i] = (nums, dens) for group i, in its order:
+    nums[j] an int, or a ``TPoly``'s tuple of ints, over dens[j] > 0.
+    ``_scaled`` and ``_norms`` read these parts, never the coefficients, so
+    a graded run reads each coefficient once.
+
+    D is grown from 1 so that q divides D^k for every (k, a/q) with k >= 1,
     D <- D q / gcd(q, D^k), in their order.  A constant term (k = 0) never
-    decides D.  A ``TPoly`` counts by its common denominator, so D^k clears
-    every one of its t-coefficients, and a plain int by its denominator 1;
-    any other value raises TypeError, before any kernel runs.  Every graded
-    integer path of the series engine and of the single- and multi-variate
-    solves takes D from here."""
-    d = 1
-    for k, c in chain.from_iterable(groups):
-        if (type(c) is not Fraction and type(c) is not TPoly
-                and not isinstance(c, int)):
-            raise TypeError(f"not a coefficient: {c!r}")
-        q = c.denominator
-        if q != 1 and k:
-            dk = d ** k
-            if dk % q:
-                d *= q // gcd(q, dk)
-    return d
+    decides D, and a ``TPoly`` counts by its common denominator, so D^k
+    clears every one of its t-coefficients.  Every graded integer path of
+    the series engine and of the single- and multi-variate solves takes D
+    from here."""
+    d, parts = 1, []
+    for group in groups:
+        nums, dens = [], []
+        for k, c in group:
+            if type(c) is TPoly:
+                n, q = c.nums, c.den
+            elif type(c) is Fraction or isinstance(c, int):
+                n, q = c.as_integer_ratio()
+            else:
+                raise TypeError(f"not a coefficient: {c!r}")
+            nums.append(n)
+            dens.append(q)
+            if q != 1 and k:
+                dk = d ** k
+                if dk % q:
+                    d *= q // gcd(q, dk)
+        parts.append((nums, dens))
+    return d, parts
 
 
-def _scaled(cs, d, b=0, q=1):
-    """The ints c_k q D^k, for coefficients c_k that q D^k clears (see
-    ``_grade``), each ``TPoly`` packed at t = 2^b.  With q = 1 a constant
-    term that is not an integer, which no solve reads, comes out 0."""
+def _scaled(parts, d, b=0, q=1):
+    """The ints c_k q D^k of the parts (nums, dens) of coefficients c_k that
+    q D^k clears (see ``_grade``), each ``TPoly`` packed at t = 2^b.  With
+    q = 1 a constant term that is not an integer, which no solve reads,
+    comes out 0."""
     row, s = [], q
-    for c in cs:
-        if type(c) is TPoly:
-            row.append(_pack(c.nums, b) * (s // c.den))
-        else:
-            row.append(c.numerator * (s // c.denominator))
+    for n, den in zip(*parts):
+        row.append((_pack(n, b) if type(n) is tuple else n) * (s // den))
         s *= d
     return row
 
 
-def _norms(cs, d, q=1):
+def _norms(parts, d, q=1):
     """The l1 norms sum_i |[t^i] c_k| q D^k of the ints ``_scaled`` packs:
     with - read as +, a kernel run on them bounds every t-digit of every
     output of its run on the packed ints."""
     row, s = [], abs(q)
-    for c in cs:
-        if type(c) is TPoly:
-            row.append(sum(map(abs, c.nums)) * (s // c.den))
-        else:
-            row.append(abs(c.numerator) * (s // c.denominator))
+    for n, den in zip(*parts):
+        row.append((sum(map(abs, n)) if type(n) is tuple else abs(n))
+                   * (s // den))
         s *= d
     return row
 
@@ -271,16 +294,19 @@ def _polys(*seqs):
 def _on_ints(kernel, ins, slack=None):
     """(xs, B): the outputs of kernel(minus, *rows) on graded ints, with B = 0
     over Q; None when ``slack`` is given and B passes the bits of the largest
-    input norm by more than ``slack``.  Each input is (cs, D, q), its row the
-    ints c_k q D^k (``_scaled``), packed at t = 2^B over Q[t]; ``_read`` gives
-    the outputs back.  See the module docstring."""
-    if not _polys(*[cs for cs, _, _ in ins]):
-        return kernel(sub, *[_scaled(cs, d, 0, q) for cs, d, q in ins]), 0
-    norms = [_norms(cs, d, q) for cs, d, q in ins]
+    input norm by more than ``slack``.  Each input is (parts, D, q), parts
+    the (nums, dens) of its coefficients c_k as ``_grade`` reads them and
+    its row the ints c_k q D^k (``_scaled``), packed at t = 2^B over Q[t]
+    (when a ``TPoly`` gave some nums a tuple); ``_read`` gives the outputs
+    back.  See the module docstring."""
+    if tuple not in map(type, chain.from_iterable(
+            nums for (nums, _), _, _ in ins)):
+        return kernel(sub, *[_scaled(p, d, 0, q) for p, d, q in ins]), 0
+    norms = [_norms(p, d, q) for p, d, q in ins]
     b = _bits(max(kernel(add, *norms)))
     if slack is not None and b > max(map(max, norms)).bit_length() + slack:
         return None
-    return kernel(sub, *[_scaled(cs, d, b, q) for cs, d, q in ins]), b
+    return kernel(sub, *[_scaled(p, d, b, q) for p, d, q in ins]), b
 
 
 def _read(xs, b, q, d):
@@ -346,7 +372,8 @@ class TPoly:
         if isinstance(other, int):
             return ((other,) if other else ()), 1
         if isinstance(other, Fraction):
-            return ((other.numerator,) if other else ()), other.denominator
+            n, q = other.as_integer_ratio()
+            return ((n,) if n else ()), q
         return None
 
     def __add__(self, other):

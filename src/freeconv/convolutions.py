@@ -80,7 +80,7 @@ def monotone_convolve(a, b):
     m_1..m_n of a or b is.
     """
     n = min(a.order, b.order)
-    return MomentFunctional(n, _composition(a, b, n)[1:])
+    return MomentFunctional._made(n, _composition(a, b, n)[1:])
 
 
 def two_state_convolve(p, q):

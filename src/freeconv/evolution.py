@@ -15,10 +15,10 @@ through the same entry points.
 
 from __future__ import annotations
 
-from .coeffs import ZERO, ONE, as_coeff, exact_div, formal_t
+from .coeffs import ZERO, ONE, as_coeff, formal_t
 from .functionals import (CanonicalTriple, MomentFunctional, TwoStatePair,
                           ZeroVarianceError)
-from .series import TruncSeries
+from .series import _series
 from .transforms import (
     belinschi_nica_eta, cauchy_g, eta_from_moments, f_at_infinity,
     moments_from_eta, moments_from_r, moments_from_scaled_r, phi_from_r_series,
@@ -46,7 +46,7 @@ def phi_map(nu):
     The output order is nu.order + 2.
     """
     n = nu.order + 2
-    eta = TruncSeries(n, (ZERO, ZERO, ONE) + nu.moments())
+    eta = _series(n, (ZERO, ZERO, ONE) + nu.moments())
     return moments_from_eta(eta, n)
 
 
@@ -138,7 +138,7 @@ def _triple_r_series(triple, t, order):
         gt = triple.gamma * t
         kap.append(gt)
         kap.extend(gt * triple.rho.m(k) for k in range(1, order - 1))
-    return TruncSeries(order, kap)
+    return _series(order, kap)
 
 
 def maassen_semigroup(triple, t, order=None):
@@ -176,9 +176,9 @@ def triple_from_semigroup(mu):
         return CanonicalTriple(beta, ZERO, None)
     if mu.order < 4:
         raise ValueError("need order >= 4 to extract rho")
-    rho = MomentFunctional(
+    rho = MomentFunctional._made(
         mu.order - 2,
-        [exact_div(r.coeff(k + 2), gamma) for k in range(1, mu.order - 1)])
+        [r.coeff(k + 2) / gamma for k in range(1, mu.order - 1)])
     return CanonicalTriple(beta, gamma, rho)
 
 

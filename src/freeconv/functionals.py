@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .coeffs import ZERO, ONE, TPoly, _grade, _scaled, as_coeff, exact_div
-from .series import TruncSeries
+from .series import _series
 
 
 class JacobiDepthError(ValueError):
@@ -75,6 +75,13 @@ class MomentFunctional:
     unread functional stays unread.  This is not a cache across calls:
     each object builds and holds its own moments, and an equal functional
     built again builds them again.
+
+    Moments enter by one rule.  The constructor admits values from outside
+    the library and checks each by ``as_coeff``, an int made a ``Fraction``
+    and any other non-coefficient refused.  Moments the library made, each
+    a ``Fraction`` or a ``TPoly`` already (a solve, an expansion, a Jacobi
+    expansion, a strip), enter as they are, through ``_made`` or
+    ``_deferred``, and are never checked again.
     """
 
     __slots__ = ("order", "_m", "_build", "_from", "_poly")
@@ -89,6 +96,20 @@ class MomentFunctional:
         self.order = order
         self._m = tuple(ms)
         self._from = self._poly = None
+
+    @classmethod
+    def _made(cls, order, moments):
+        """The functional of moments m_1..m_order that the library made,
+        each a ``Fraction`` or a ``TPoly`` already, cut and padded as the
+        constructor does but not checked again: the one entry of a solve's,
+        an expansion's or a Jacobi expansion's moments."""
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        ms = tuple(moments[:order])
+        mf = cls.__new__(cls)
+        mf.order, mf._from, mf._poly = order, None, None
+        mf._m = ms + (ZERO,) * (order - len(ms))
+        return mf
 
     @classmethod
     def _deferred(cls, order, build, source, poly):
@@ -218,6 +239,16 @@ class JacobiParams:
         self.terminated = terminated
         self.repeat = repeat
 
+    @classmethod
+    def _made(cls, betas, gammas):
+        """The open rows (betas; gammas) that the Chebyshev algorithm made,
+        of one length, each a ``Fraction`` or a ``TPoly`` already: not
+        checked again."""
+        j = cls.__new__(cls)
+        j.betas, j.gammas = tuple(betas), tuple(gammas)
+        j.terminated, j.repeat = False, None
+        return j
+
     def depth(self):
         return len(self.betas)
 
@@ -296,9 +327,10 @@ def moments_from_jacobi(j, order):
     v, d = [one] + [zero] * levels_needed, None
     if j.repeat is not None and all(
             type(c) is Fraction for c in betas + gammas):
-        d = lcm(*[c.denominator for c in betas + gammas])
-        betas = [b.numerator * (d // b.denominator) for b in betas]
-        gammas = [g.numerator * (d // g.denominator) * d for g in gammas]
+        ratios = [c.as_integer_ratio() for c in betas + gammas]
+        d = lcm(*[q for _, q in ratios])
+        betas = [n * (d // q) for n, q in ratios[:len(betas)]]
+        gammas = [n * (d // q) * d for n, q in ratios[len(betas):]]
         v, zero = [1] + [0] * levels_needed, 0
     out = []
     for _ in range(order):
@@ -317,7 +349,7 @@ def moments_from_jacobi(j, order):
         out.append(v[0])
     if d is not None:
         out = [Fraction(x, d ** n) for n, x in enumerate(out, 1)]
-    return MomentFunctional(order, out)
+    return MomentFunctional._made(order, out)
 
 
 def jacobi_from_moments(mf, levels):
@@ -378,7 +410,7 @@ def jacobi_from_moments(mf, levels):
         if not g:
             return _terminated(mf, betas, gammas)
         ratio = r
-    return JacobiParams(betas, gammas)
+    return JacobiParams._made(betas, gammas)
 
 
 def _jacobi_on_ints(mf, ms, levels):
@@ -402,9 +434,9 @@ def _jacobi_on_ints(mf, ms, levels):
     common factor that grows with every level.
     """
     row = (ONE,) + ms
-    d = _grade(enumerate(row))
+    d, (parts,) = _grade(enumerate(row))
     # cur[i] = S_{k,k+i} for k + i <= 2 levels - k, prev[i] = S_{k-1,k-1+i}
-    cur, prev = _scaled(row, d), [0] * (len(row) + 2)
+    cur, prev = _scaled(parts, d), [0] * (len(row) + 2)
     a1, b1, dd = 1, 0, d * d
     betas, gammas = [], []
     for k in range(levels):
@@ -420,7 +452,7 @@ def _jacobi_on_ints(mf, ms, levels):
         if c != 1:
             nxt = [x // c for x in nxt]
         prev, cur, a1, b1 = cur, nxt, a, b
-    return JacobiParams(betas, gammas)
+    return JacobiParams._made(betas, gammas)
 
 
 def _terminated(mf, betas, gammas):
@@ -456,8 +488,8 @@ def point_mass(beta, order):
     for _ in range(order):
         m = m * beta
         out.append(m)
-    mf = MomentFunctional(order, out)
-    mf._from = ("eta", TruncSeries(order, (ZERO, beta)))
+    mf = MomentFunctional._made(order, out)
+    mf._from = ("eta", _series(order, (ZERO, beta)))
     mf._poly = type(beta) is TPoly
     return mf
 

@@ -99,8 +99,8 @@ class NCFunctional:
             raise ValueError(f"word {w} outside alphabet 1..{d}")
         self.d = d
         self.order = order
-        self._scale = _grade(zip(map(len, kept), kept.values()))
-        self._rows = _graded_rows(kept, d, order, self._scale)
+        self._scale, (parts,) = _grade(zip(map(len, kept), kept.values()))
+        self._rows = _graded_rows(kept, parts, d, order, self._scale)
 
     @classmethod
     def _filled(cls, d, order, rows, scale):
@@ -217,8 +217,8 @@ def nc_from_univariate(mf):
 def nc_to_univariate(ncf):
     if ncf.d != 1:
         raise ValueError("only d = 1 converts to a moment sequence")
-    return MomentFunctional(ncf.order,
-                            [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
+    return MomentFunctional._made(
+        ncf.order, [ncf.m((1,) * k) for k in range(1, ncf.order + 1)])
 
 
 # -- graded rows --------------------------------------------------------------
@@ -237,21 +237,23 @@ def _value(c, p):
     return _canonical(list(c.nums), p, p)
 
 
-def _graded_rows(dct, d, order, scale):
-    """The graded rows of a word dict at the scale D: row n holds c_w D^n for
-    the words w of length n by rank, an int for a rational or int c_w and an
-    integer-coefficient TPoly for a TPoly, None at a missing or zero word.
-    No other key is read: not the empty word, a word past ``order`` or one
-    off the alphabet."""
+def _graded_rows(dct, parts, d, order, scale):
+    """The graded rows of a word dict at the scale D, from the parts
+    (nums, dens) that ``_grade`` read off its values, in the dict's order:
+    row n holds c_w D^n for the words w of length n by rank, an int for a
+    rational or int c_w and an integer-coefficient TPoly for a TPoly, None
+    at a missing or zero word.  No other key is read: not the empty word, a
+    word past ``order`` or one off the alphabet."""
+    at = dict(zip(dct, zip(*parts)))
     rows, p = [None], 1
     for n in range(1, order + 1):
         p *= scale
         rows.append([
-            None if c is None
-            else (_canonical([x * (p // c.den) for x in c.nums], 1, 1)
-                  if c else None) if type(c) is TPoly
-            else c.numerator * (p // c.denominator) or None
-            for c in map(dct.get, _ranked(d, n))])
+            None if e is None
+            else (_canonical([x * (p // e[1]) for x in e[0]], 1, 1)
+                  if e[0] else None) if type(e[0]) is tuple
+            else e[0] * (p // e[1]) or None
+            for e in map(at.get, _ranked(d, n))])
     return rows
 
 
@@ -359,9 +361,10 @@ def _graded_words(solve, d, order, *ins, t=None):
             scales.append(x._scale)
             polys = polys or any(TPoly in map(type, row) for row in rows[1:])
         else:
-            scales.append(_grade(zip(map(len, x), x.values())))
-            rows = _graded_rows(x, d, order, scales[-1])
-            polys = polys or any(type(c) is TPoly for c in x.values())
+            scale, (parts,) = _grade(zip(map(len, x), x.values()))
+            scales.append(scale)
+            rows = _graded_rows(x, parts, d, order, scale)
+            polys = polys or tuple in map(type, parts[0])
         tables.append(rows)
     scale = lcm(*scales) * tq
 

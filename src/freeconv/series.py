@@ -8,19 +8,21 @@ stored as ``top`` and its chart c_0 + c_1 w + ... + c_K w^K in w = 1/z, a
 TruncSeries, so every product, reciprocal and composition of either type runs
 through TruncSeries.
 
-A series stores a tuple of coefficients, ``Fraction`` or ``TPoly``.  A
-product, reciprocal or composition runs its integer kernel on graded ints
-through the driver ``coeffs._on_ints`` and its reader ``_read`` (the
-protocol is in the ``coeffs`` docstring): z -> Dz, D from ``_grade``, a
-product's and a reciprocal's factors times the denominator of their
-constant terms, a composition's outer series over one denominator.  Every
-output coefficient is a ``Fraction`` over Q and a ``TPoly`` when an input
-coefficient is one, as the solves of ``transforms`` give theirs.  A
-product over Q alone puts each factor over one common denominator instead
-(see ``__mul__``).  Reversion takes one reciprocal and then one coefficient
-of each power v^k: over Q by Miller's power recurrence on one graded
-integer series, about n^3/6 terms and no gcd but each output's, and over
-Q[t] by one packed series product per power.
+A series stores a tuple of coefficients, ``Fraction`` or ``TPoly``.  The
+constructor checks values from outside the library by ``as_coeff``; every
+result of the engine, and of the solves of ``transforms``, enters through
+``_series`` as it is.  A product, reciprocal or composition runs its
+integer kernel on graded ints through the driver ``coeffs._on_ints`` and
+its reader ``_read`` (the protocol is in the ``coeffs`` docstring):
+z -> Dz, D from ``_grade``, a product's and a reciprocal's factors times
+the denominator of their constant terms, a composition's outer series over
+one denominator.  Every output coefficient is a ``Fraction`` over Q and a
+``TPoly`` when an input coefficient is one, as the solves of ``transforms``
+give theirs.  A product over Q alone puts each factor over one common
+denominator instead (see ``__mul__``).  Reversion takes one reciprocal and
+then one coefficient of each power v^k: over Q by Miller's power
+recurrence on one graded integer series, about n^3/6 terms and no gcd but
+each output's, and over Q[t] by one packed series product per power.
 
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
@@ -30,8 +32,9 @@ Laurent product keeps the order its factors' leading terms determine.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .coeffs import (
     ZERO,
@@ -58,18 +61,24 @@ class CompositionDomainError(ValueError):
 
 
 def _series(order, cs):
-    """A TruncSeries of a list of order + 1 or fewer coefficients, padded
-    with zeros, without the constructor's coercion."""
+    """The TruncSeries of the coefficients cs through z^order, cut at
+    order + 1 and padded with zeros, as the constructor cuts and pads: the
+    one entry of the library's own results.  Each of cs must already be a
+    ``Fraction`` or a ``TPoly``, as every solve, product and ring operation
+    on coefficients gives it, so none is checked again; only a value from
+    outside the library goes through the constructor's ``as_coeff``."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     out = TruncSeries.__new__(TruncSeries)
     out.order = order
-    out._c = tuple(cs + [ZERO] * (order + 1 - len(cs)))
+    cs = tuple(cs[:order + 1])
+    out._c = cs + (ZERO,) * (order + 1 - len(cs))
     return out
 
 
 def _from_ints(order, nums, den):
     """The TruncSeries sum(nums[k] z^k) / den through z^order."""
-    return _series(order,
-                   [Fraction(x, den) if x else ZERO for x in nums[:order + 1]])
+    return _series(order, [Fraction(x, den) if x else ZERO for x in nums])
 
 
 def _inverse_ints(a, n, minus, first):
@@ -140,20 +149,20 @@ class TruncSeries:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TruncSeries(order, self._c[: order + 1])
+        return _series(order, self._c)
 
     def __add__(self, other):
         other = self._promote(other)
-        n = min(self.order, other.order)
-        return TruncSeries(n, [self._c[k] + other._c[k] for k in range(n + 1)])
+        return _series(min(self.order, other.order),
+                       list(map(add, self._c, other._c)))
 
     def __sub__(self, other):
         other = self._promote(other)
-        n = min(self.order, other.order)
-        return TruncSeries(n, [self._c[k] - other._c[k] for k in range(n + 1)])
+        return _series(min(self.order, other.order),
+                       list(map(sub, self._c, other._c)))
 
     def __neg__(self):
-        return TruncSeries(self.order, [-c for c in self._c])
+        return _series(self.order, [-c for c in self._c])
 
     def __mul__(self, other):
         other = self._promote(other)
@@ -168,26 +177,26 @@ class TruncSeries:
             return _from_ints(n, _convolve(a, b, n + 1), da * db)
         # z -> Dz, each series times the denominator q of its constant
         # term; output k is x_k / (q_f q_g D^k)
-        d = _grade(enumerate(f), enumerate(g))
-        qf, qg = f[0].denominator, g[0].denominator
+        d, (fp, gp) = _grade(enumerate(f), enumerate(g))
+        qf, qg = fp[1][0], gp[1][0]
         xs, b = _on_ints(lambda _, a, b: _convolve(a, b, n + 1),
-                         [(f, d, qf), (g, d, qg)])
+                         [(fp, d, qf), (gp, d, qg)])
         return _series(n, _read(xs, b, qf * qg, d))
 
     def _promote(self, other):
         if isinstance(other, TruncSeries):
             return other
-        return TruncSeries(self.order, (as_coeff(other),))
+        return _series(self.order, (as_coeff(other),))
 
     def scale(self, c):
         c = as_coeff(c)
-        return TruncSeries(self.order, [c * x for x in self._c])
+        return _series(self.order, [c * x for x in self._c])
 
     def shift_down(self, k):
         """Divide by z^k; the low-order coefficients must vanish."""
         if any(self._c[:k]):
             raise ValueError(f"series not divisible by z^{k}")
-        return TruncSeries(self.order - k, self._c[k:])
+        return _series(self.order - k, self._c[k:])
 
     def reciprocal(self):
         if not self._c[0]:
@@ -199,10 +208,10 @@ class TruncSeries:
         # input, so that the majorant run starts from |u|, and output k is
         # C_k / (v^(k+1) D^k) (``_inverse_ints``)
         (u,), v = TPoly._parts(ONE / cs[0])
-        d = _grade(enumerate(cs))
+        d, (parts,) = _grade(enumerate(cs))
         xs, b = _on_ints(
             lambda minus, a, first: _inverse_ints(a, n, minus, first[0]),
-            [(cs, d, u), ((ONE,), 1, u)])
+            [(parts, d, u), (([1], [1]), 1, u)])
         return _series(n, _read(xs, b, v, v * d))
 
     def compose(self, inner):
@@ -214,11 +223,12 @@ class TruncSeries:
         n = min(self.order, inner.order)
         f, h = self._c[: n + 1], inner._c[: n + 1]
         # inner(z) at Dz, self over one denominator q, so no Horner step
-        # multiplies by a power of D; output k is x_k / (q D^k)
-        d = _grade(enumerate(h))
-        q = lcm(*[c.denominator for c in f])
+        # multiplies by a power of D; output k is x_k / (q D^k).  Self's
+        # coefficients are read at k = 0, which never decides D
+        d, (hp, fp) = _grade(enumerate(h), zip(repeat(0), f))
+        q = lcm(*fp[1])
         xs, b = _on_ints(lambda _, f, h: _horner(f, h, n),
-                         [(f, 1, q), (h, d, 1)])
+                         [(fp, 1, q), (hp, d, 1)])
         return _series(n, _read(xs, b, q, d))
 
     def reversion(self):
@@ -247,8 +257,9 @@ class TruncSeries:
         v = self.shift_down(1).reciprocal()
         out = [ZERO, v._c[0]]
         if not _polys(v._c):
-            d, q = _grade(enumerate(v._c)), v._c[0].denominator
-            a0, *a = _scaled(v._c, d, 0, q)
+            d, (parts,) = _grade(enumerate(v._c))
+            q = parts[1][0]
+            a0, *a = _scaled(parts, d, 0, q)
             ia = [i * x for i, x in enumerate(a, 1)]
             qk, dk = q, 1
             for k in range(2, n + 1):
@@ -263,10 +274,10 @@ class TruncSeries:
         for k in range(2, n + 1):
             p = p * v
             out.append(p.coeff(k - 1) / k)
-        return TruncSeries(n, out)
+        return _series(n, out)
 
     def t_derivative(self):
-        return TruncSeries(self.order, [t_derivative(c) for c in self._c])
+        return _series(self.order, [t_derivative(c) for c in self._c])
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -356,7 +367,8 @@ class LaurentAtInfinity:
     def _promote(self, other):
         if isinstance(other, LaurentAtInfinity):
             return other
-        return LaurentAtInfinity(ZERO, as_coeff(other), (), self.tail_order)
+        return LaurentAtInfinity.from_chart(
+            ZERO, _series(self.tail_order, (as_coeff(other),)))
 
     def scale(self, c):
         c = as_coeff(c)
@@ -366,7 +378,7 @@ class LaurentAtInfinity:
 
     def _over_z(self):
         """self/z = top + c_0 w + c_1 w^2 + ..., exact through w^(K+1)."""
-        return TruncSeries(self.tail_order + 1, (self.top,) + self.d.coeffs())
+        return _series(self.tail_order + 1, (self.top,) + self.d.coeffs())
 
     def __mul__(self, other):
         """z^2 (self/z)(other/z), exact as far as both factors determine it.
@@ -383,14 +395,14 @@ class LaurentAtInfinity:
         n = min(a.order + b.valuation(), b.order + a.valuation())
         if n < 2:
             raise ValueError("operands too short to determine the product")
-        p = TruncSeries(n, a.coeffs()) * TruncSeries(n, b.coeffs())
+        p = _series(n, a.coeffs()) * _series(n, b.coeffs())
         return LaurentAtInfinity.from_chart(p.coeff(1),
-                                            TruncSeries(n - 2, p.coeffs()[2:]))
+                                            _series(n - 2, p.coeffs()[2:]))
 
     def derivative(self):
         """d/dz, term by term: c_k/z^k -> -k*c_k/z^(k+1)."""
         c = self.d.coeffs()
-        return LaurentAtInfinity.from_chart(ZERO, TruncSeries(
+        return LaurentAtInfinity.from_chart(ZERO, _series(
             self.tail_order + 1,
             [self.top, ZERO] + [c[k] * Fraction(-k) for k in range(1, len(c))]))
 
@@ -404,7 +416,7 @@ class LaurentAtInfinity:
             raise NotInvertibleError("only z - c0 - c1/z - ... is inverted here")
         inv = self._over_z().reciprocal()
         return LaurentAtInfinity.from_chart(
-            ZERO, TruncSeries(inv.order + 1, (ZERO,) + inv.coeffs()))
+            ZERO, _series(inv.order + 1, (ZERO,) + inv.coeffs()))
 
     def compose_descending(self, inner):
         """self(inner(z)) for descending self (top = 0) and monic inner (top = 1)."""

@@ -102,7 +102,7 @@ from .coeffs import (ZERO, ONE, TPoly, _canonical, _convolve, _dot, _grade,
                      _on_ints, _polys, _read, _scaled, as_coeff, exact_div,
                      formal_t)
 from .functionals import ConsistencyError, MomentFunctional, TwoStatePair
-from .series import LaurentAtInfinity, TruncSeries
+from .series import LaurentAtInfinity, TruncSeries, _series
 
 
 # -- triangular-solve kernels (coefficient lists indexed by degree) -------------
@@ -123,22 +123,22 @@ def _moment_table(mf):
 
 def _graded(solve, *seqs):
     """solve(sub, *seqs), run on graded integers by ``coeffs._on_ints``, D
-    from ``_grade`` for all of seqs, and output k >= 1 read as x_k / D^k;
-    output 0 comes back as the solve gives it.  Every solve is a
-    weight-homogeneous recursion with integer coefficients and
+    from ``_grade`` for all of seqs, which reads each coefficient once, and
+    output k >= 1 read as x_k / D^k; output 0, which no caller reads, comes
+    back as ``ZERO``, so the outputs enter a series as they are.  Every
+    solve is a weight-homogeneous recursion with integer coefficients and
     [z^k] W^k = 1, so the kernels keep the entries integral.  When B passes
     the largest input norm by more than ``_SLACK`` bits, ``solve`` gets the
     sequences as they are, to run on ``TPoly`` arithmetic.  Every output
     k >= 1 is a ``TPoly`` when some input coefficient is one, else a
     ``Fraction``: one ring per operation, as in the word layer.
     """
-    d = _grade(*map(enumerate, seqs))
-    run = _on_ints(solve, [(cs, d, 1) for cs in seqs], _SLACK)
+    d, parts = _grade(*map(enumerate, seqs))
+    run = _on_ints(solve, [(p, d, 1) for p in parts], _SLACK)
     if run is None:
-        out = solve(sub, *seqs)
-        return out[:1] + _as_ring(out[1:], True)
+        return [ZERO] + _as_ring(solve(sub, *seqs)[1:], True)
     xs, b = run
-    return xs[:1] + _read(xs[1:], b, d, d)
+    return [ZERO] + _read(xs[1:], b, d, d)
 
 
 # The packed path's limit on the bits that a solve's majorant adds to its
@@ -266,7 +266,7 @@ def _fill(n, coeff, subst=None):
 
 def m_series(mf):
     """The moment generating series M(z) = sum m_n z^n (zero constant term)."""
-    return TruncSeries(mf.order, (ZERO,) + mf.moments())
+    return _series(mf.order, (ZERO,) + mf.moments())
 
 
 def r_from_moments(mf):
@@ -283,15 +283,16 @@ def r_from_moments(mf):
         cs = r.coeffs()[1:n + 1]
         if s != 1:
             cs = [s * c for c in cs]
-        return TruncSeries(n, [ZERO, *_as_ring(cs, mf._poly)])
-    return TruncSeries(n, _graded(lambda sub, m: _fill(
+        return _series(n, [ZERO, *_as_ring(cs, mf._poly)])
+    return _series(n, _graded(lambda sub, m: _fill(
         n, lambda k, _, s: sub(m[k], s), (None, m)), _moment_table(mf)))
 
 
 def _solve_moments(r, order):
     """The forward solve of R(z(1+M)) = M for m_1..m_order; the functional
     carries no R."""
-    return MomentFunctional(order, _forward_moments(r.coeffs()[:order + 1]))
+    return MomentFunctional._made(
+        order, _forward_moments(r.coeffs()[:order + 1]))
 
 
 def _forward_moments(cs):
@@ -344,9 +345,9 @@ def eta_from_moments(mf):
     does a carried R."""
     n = mf.order
     if mf._from is not None and mf._from[0] == "eta":
-        return TruncSeries(n, [ZERO, *_as_ring(
+        return _series(n, [ZERO, *_as_ring(
             mf._from[1].coeffs()[1:n + 1], mf._poly)])
-    return TruncSeries(n, _eta(mf))
+    return _series(n, _eta(mf))
 
 
 def moments_from_eta(eta, order):
@@ -372,15 +373,16 @@ def _strip_once(mf, beta, gamma):
     The eta coefficients come from the division-free ``_eta`` solve; only
     the final division by gamma must be exact (it always is over Q; over
     Q[t] it validates that the functional really strips within the
-    polynomial ring).
+    polynomial ring).  eta and gamma are in the ring already, so the
+    division is ``/`` on them as they are.
     """
     n = mf.order
     eta = _eta(mf)
     # eta_1 = m_1 = beta cancels; eta_2 / gamma = 1 restores unitality
-    out = [exact_div(eta[k], gamma) for k in range(2, n + 1)]
+    out = [eta[k] / gamma for k in range(2, n + 1)]
     if not (out[0] == 1):
         raise ConsistencyError("stripped series must be unital")
-    return MomentFunctional(n - 2, out[1:])
+    return MomentFunctional._made(n - 2, out[1:])
 
 
 def f_at_infinity(mf):
@@ -396,7 +398,7 @@ def f_at_infinity(mf):
 def cauchy_g(mf):
     """Expansion G(z) = 1/z + m_1/z^2 + ... + m_N/z^(N+1)."""
     return LaurentAtInfinity.from_chart(
-        ZERO, TruncSeries(mf.order + 1, (ZERO, ONE) + mf.moments()))
+        ZERO, _series(mf.order + 1, (ZERO, ONE) + mf.moments()))
 
 
 def voiculescu_phi(mf):
@@ -419,7 +421,7 @@ def f_inverse_at_infinity(mf):
     h = cauchy_g(mf).d.reversion()
     g = h.shift_down(1).reciprocal()  # h(w) = w/g(w), g(0) = 1
     return LaurentAtInfinity.from_chart(
-        ONE, TruncSeries(g.order - 1, g.coeffs()[1:]))
+        ONE, _series(g.order - 1, g.coeffs()[1:]))
 
 
 def voiculescu_phi_by_reversion(mf):
@@ -431,7 +433,7 @@ def voiculescu_phi_by_reversion(mf):
 def two_state_r(pair):
     """Solve eta^tilde = R2(z(1+M)) (1+M)^{-1} for the two-state R-transform."""
     n = pair.order
-    return TruncSeries(n, _graded(lambda sub, e, m: _fill(
+    return _series(n, _graded(lambda sub, e, m: _fill(
         n, lambda k, _, s: sub(e[k] + _split_sum(e, m, k), s), (None, m)),
         eta_from_moments(pair.tilde).coeffs(), _moment_table(pair.base)))
 
@@ -439,14 +441,15 @@ def two_state_r(pair):
 def _substitute_divide(a, mf, n):
     """A(z(1+M)) (1+M)^{-1} through z^n, for the series a and M = M^mf:
     eta~ from R2, and R^{mu |> nu} from R^mu with mf = nu."""
-    return TruncSeries(n, _graded(lambda sub, x, m: _fill(
+    return _series(n, _graded(lambda sub, x, m: _fill(
         n, lambda k, out, s: sub(s, _split_sum(out, m, k)), (x, m)),
         a.coeffs()[:n + 1], _moment_table(mf)[:n + 1]))
 
 
 def _composition(a, mf, n):
-    """[1, c_1, ..., c_n], the coefficients of (1+M)(1 + M^a(W)) through z^n,
-    for the functionals a and mf, M = M^mf: 1 + M^{a |> mf}.  It is B(W)/z
+    """[ZERO, c_1, ..., c_n], the coefficients of (1+M)(1 + M^a(W)) through
+    z^n but c_0 = 1, which ``_graded`` does not hand back, for the
+    functionals a and mf, M = M^mf: 1 + M^{a |> mf}.  It is B(W)/z
     for B(z) = z(1 + M^a(z)), so c_k = [z^{k+1}] B(W), one substitution
     through mf's power table."""
     # b[k] = [z^{k+1}] B, which _graded grades by k: so the solve hands
@@ -471,9 +474,9 @@ def two_state_r_by_reversion(pair):
     """
     n = pair.order
     inv = (TruncSeries.one(n) + m_series(pair.tilde)).reciprocal()
-    phi = (-TruncSeries(n - 1, inv.coeffs()[1:])).compose(
+    phi = (-_series(n - 1, inv.coeffs()[1:])).compose(
         cauchy_g(pair.base).d.reversion())
-    return TruncSeries(n, (ZERO,) + phi.coeffs())
+    return _series(n, (ZERO,) + phi.coeffs())
 
 
 # -- the semigroups by their expansion in s -------------------------------------
@@ -511,8 +514,8 @@ def _expansion(s, seqs, n):
     polynomial over one denominator, reduced once, and a ``TPoly`` exactly
     when s is one, else a ``Fraction``.
     """
-    d = _grade(*map(enumerate, seqs))
-    seqs = [_scaled(cs, d) for cs in seqs]
+    d, parts = _grade(*map(enumerate, seqs))
+    seqs = [_scaled(p, d) for p in parts]
     rows = _power_rows(seqs[0], n, n)
     # s = S / den for an int polynomial S (a constant when s is rational)
     nums, den = TPoly._parts(s)
@@ -636,7 +639,7 @@ def two_state_from_scaled_r(r2, r, s, order):
         base = moments_from_scaled_r(r, s, order)
         return TwoStatePair(tilde_from_two_state_r(r2.scale(s), base), base)
     (_, g2), rows, weigh = _expansion(s, [rc, r2c], order)
-    base = MomentFunctional(order, _free_moments(rows, weigh))
+    base = MomentFunctional._made(order, _free_moments(rows, weigh))
     base._from, base._poly = ("R", r, s), type(s) is TPoly
     eta = [weigh([0, g2[1]], 1, 1)]
     r2o = [(l - 1) * c for l, c in enumerate(g2)]  # wR2' - R2
@@ -646,7 +649,7 @@ def two_state_from_scaled_r(r2, r, s, order):
                     for i in range(n - 1)]
         eta.append(weigh(ys, n - 1, n))
     return TwoStatePair(
-        moments_from_eta(TruncSeries(order, [ZERO] + eta), order), base)
+        moments_from_eta(_series(order, [ZERO] + eta), order), base)
 
 
 def belinschi_nica_eta(r, s, order):
@@ -671,8 +674,8 @@ def belinschi_nica_eta(r, s, order):
     cs = r.coeffs()[:order + 1]
     if _polys(cs):
         eta = _eta(moments_from_r(r.scale(s), order))[1:]
-        return TruncSeries(order, [ZERO] + [exact_div(c, s) for c in eta])
+        return _series(order, [ZERO] + [exact_div(c, s) for c in eta])
     (g,), rows, weigh = _expansion(s, [cs], order)
-    return TruncSeries(order, [ZERO, weigh([g[1]], 1, 1)] + [
+    return _series(order, [ZERO, weigh([g[1]], 1, 1)] + [
         weigh([comb(k - 1, e + 1) * rows[e + 1][k] for e in range(k - 1)],
               k - 1, k) for k in range(2, order + 1)])

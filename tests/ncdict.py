@@ -105,7 +105,8 @@ def graded_words(solve, d, order, *dicts, t=None):
     ws = [None] + [list(itertools.product(range(1, d + 1), repeat=n))
                    for n in range(1, order + 1)]
     tn, tq = ((), 1) if t is None else TPoly._parts(t)
-    scale = _grade(*(zip(map(len, dct), dct.values()) for dct in dicts)) * tq
+    scale = _grade(*(zip(map(len, dct), dct.values())
+                     for dct in dicts))[0] * tq
     pw = [1]
     for _ in range(max(order, max(map(len, itertools.chain(*dicts)),
                                   default=0))):

@@ -678,7 +678,7 @@ def test_a_value_that_is_no_coefficient_is_refused_before_any_fill(
     with pytest.raises(TypeError, match="not a coefficient: 0.5"):
         transforms._graded(lambda m: transforms._fill(2, None), [F(1), 0.5])
     assert transforms._grade(enumerate([F(1, 2), 1, F(1, 3), TPoly(
-        [F(1, 5)])])) == 15
+        [F(1, 5)])])) == (15, [([1, 1, 1, (1,)], [2, 1, 3, 5])])
 
 
 def _as_dict(x):
@@ -874,7 +874,7 @@ def _majorant_top(solve, d, order, *ins, t=None):
     ``_grade``, times the denominator of t."""
     tn, tq = ((), 1) if t is None else TPoly._parts(t)
     scale = math.lcm(*(x._scale if isinstance(x, NCFunctional) else
-                       transforms._grade(zip(map(len, x), x.values()))
+                       transforms._grade(zip(map(len, x), x.values()))[0]
                        for x in ins)) * tq
     tops = []
     for x in map(_as_dict, ins):

@@ -427,7 +427,7 @@ def test_fill_substitution_matches_series_composition(seed, order, formal):
     a, c = draw(), draw()
     m = [F(1)] + c[1:]  # 1 + C
     if not formal:
-        d = transforms._grade(
+        d, _ = transforms._grade(
             itertools.chain(enumerate(a), enumerate(c), enumerate(m)))
         assert d is not None
         a, c, m = ([x.numerator * (d ** k // x.denominator)
@@ -1099,7 +1099,7 @@ def test_packed_solve_one_bit_short_misreads_an_output():
     so the sweep above would see a B too small."""
     ins = [list(_draw(random.Random(7), 16, True, "plain").moments())]
     _, run = PACKED_SOLVES["r_from_moments"]
-    d = transforms._grade(enumerate([F(1)] + ins[0]))
+    d, _ = transforms._grade(enumerate([F(1)] + ins[0]))
     bits, widths = coeffs._bits, []
 
     def run_at(b):
@@ -1151,16 +1151,17 @@ class _Majorant(int):
 def _majorant_top(solve, ins):
     """The largest output of solve, run with its difference - in
     ``_Majorant`` on the graded l1 norms of the driver's inputs ins, each
-    (cs, D, q) with row k |c_k| q D^k, as ``coeffs._on_ints`` runs it."""
+    (parts, D, q) with row k |c_k| q D^k, as ``coeffs._on_ints`` runs it:
+    parts = (nums, dens), c_k = nums[k] / dens[k] with nums[k] an int or a
+    ``TPoly``'s tuple of ints (``coeffs._grade``)."""
     norms = []
-    for cs, d, q in ins:
+    for (nums, dens), d, q in ins:
         row, dk = [], abs(q)
-        for c in cs:
-            if type(c) is TPoly:
-                row.append(_Majorant(sum(map(abs, c.nums)) * (dk // c.den)))
+        for n, den in zip(nums, dens):
+            if type(n) is tuple:
+                row.append(_Majorant(sum(map(abs, n)) * (dk // den)))
             else:
-                row.append(_Majorant(abs(c.numerator)
-                                     * (dk // c.denominator)))
+                row.append(_Majorant(abs(n) * (dk // den)))
             dk *= d
         norms.append(row)
     return max(solve(operator.sub, *norms))

@@ -52,8 +52,7 @@ from .functionals import (
 )
 from .oracle import (
     boolean_cumulants_oracle,
-    enumerate_interval,
-    enumerate_nc,
+    count_partitions,
     free_cumulants_oracle,
 )
 from .series import CompositionDomainError, NotInvertibleError
@@ -306,9 +305,8 @@ def _cmd_nc(args):
 
 def _cmd_oracle(args):
     if args.what == "count":
-        n = args.n
-        parts = enumerate_nc(n) if args.kind == "nc" else enumerate_interval(n)
-        _emit({"kind": args.kind, "n": n, "count": len(parts)})
+        _emit({"kind": args.kind, "n": args.n,
+               "count": count_partitions(args.kind, args.n)})
         return EXIT_OK
     mf = _load_functional(args.file, args.order)
     fn = free_cumulants_oracle if args.kind == "free" \

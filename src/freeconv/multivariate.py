@@ -204,10 +204,6 @@ def nc_point_mass(beta, d, order):
                          {(i,): b for i, b in enumerate(beta, 1) if b})
 
 
-def nc_zero(d, order):
-    return NCFunctional(d, order, {})
-
-
 def nc_from_univariate(mf):
     """A MomentFunctional as the d = 1 word functional."""
     return NCFunctional(1, mf.order,
@@ -631,14 +627,13 @@ def nc_tilde_from_two_state_r(r2, base):
         base.d, base.order, r2, base)
 
 
-def _combine_cumulants(a, b, cumulants, moments, subtract=False):
-    """moments(cumulants(a) + cumulants(b)) word by word, or with - when
-    ``subtract``, at one order, for the raw kernels ``cumulants`` and
-    ``moments``."""
+def _combine_cumulants(a, b, cumulants, moments):
+    """moments(cumulants(a) + cumulants(b)) word by word, at one order, for
+    the raw kernels ``cumulants`` and ``moments``."""
     return _graded_words(
         lambda d, order, minus, x, y: moments(d, order, minus, _merge(
             cumulants(d, order, minus, x), cumulants(d, order, minus, y),
-            minus if subtract else _plus)),
+            _plus)),
         a.d, min(a.order, b.order), a, b)
 
 
@@ -657,10 +652,6 @@ def nc_free_convolve(a, b):
 
 def nc_free_power(a, t):
     return _power(a, t, _r, _moments_from_r)
-
-
-def nc_free_deconvolve(a, b):
-    return _combine_cumulants(a, b, _r, _moments_from_r, subtract=True)
 
 
 def nc_boolean_convolve(a, b):

@@ -7,11 +7,17 @@ with the transforms module — only partition enumeration and coefficient
 products.  Over Q those products run on ints, graded by the oracle's own lcm
 rule (``_graded``), not by the grading of the triangular solves.
 
-Each kind of partition has one cached recursion: ``_nc_raw(n, a)`` lists the
-non-crossing partitions of the run {a+1..a+n} by the block of a+1 and the
-cached partitions of the gaps that block leaves, and ``_interval_size_tuples``
-lists the compositions of n by their first part.  Building NC(1..12) cold
-takes about 0.5 s and 58 MB peak RSS (CPython 3.11, 2-core x86 host).
+``_nc_raw(n, a)`` lists the non-crossing partitions of the run {a+1..a+n} by
+the block of a+1 and the cached partitions of the gaps that block leaves; it
+serves ``enumerate_nc`` alone.  The sums read block sizes only.
+``_nc_block_sizes`` runs the same recursion on sizes, keeping the size tuples
+of each length it reads as a gap, and ``_interval_size_tuples`` lists the
+compositions of n by their first part.  The sums read the partitions of
+{1..n} as block-size columns of bytes, one group per block count
+(``_columns``), and take one product per partition.  So the cache holds
+block-size columns, not partitions: ``free_cumulants_oracle`` at order 12,
+cold, takes about 0.4 s in-process with 26 MB peak RSS (CPython 3.11, 2-core
+x86 host).
 """
 
 from __future__ import annotations
@@ -19,19 +25,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, product
-from math import lcm
+from math import lcm, prod
 
 from .coeffs import ONE, ZERO, as_coeff
 from .functionals import MomentFunctional
 
 # Catalan(12) = 208,012 partitions.  free_cumulants_oracle enumerates NC(n)
-# for every n up to its order: a cold call at order 12 takes about 0.8 s
-# (CPython 3.11, one core of a 2-core x86 host), about 0.5 s of it the
-# enumeration in _nc_raw; a cold `freeconv oracle cumulants --kind free` at
-# 12 takes about 1 s, start-up included, with 86 MB peak RSS.  At 13 the
-# enumeration alone takes 1.4-1.8 s and 170 MB for 742,900 partitions, and
-# both grow about fourfold per order, so the cap stays at 12.  It is a
-# constant, not a flag; the CLI rejects a larger order before enumerating.
+# for every n up to its order.  Cold, start-up included (CPython 3.11, one
+# core of a 2-core x86 host), `freeconv oracle cumulants --kind free` at 12
+# takes about 0.45 s with 27 MB peak RSS, and `oracle count nc 12` about
+# 0.25 s with 24 MB.  At 13, with 742,900 partitions, the same two take
+# about 1.4 s with 55 MB and 0.7 s with 45 MB: time grows about threefold
+# per order and memory about twofold.  The cap stays at 12; the cost at 13 is
+# here for a later choice.  It is a constant, not a flag; the CLI rejects a
+# larger order before enumerating.
 MAX_ORACLE_ORDER = 12
 
 
@@ -126,10 +133,39 @@ def enumerate_nc(n):
     return [SetPartition._of_sorted_blocks(bs, n) for bs in _nc_raw(n)]
 
 
-@lru_cache(maxsize=None)
+def _nc_size_stream(n):
+    """The block-size tuples of the NC partitions of {1..n}, n >= 1, one per
+    partition in ``_nc_raw``'s order, by ``_nc_raw``'s recursion on sizes: a
+    gap's blocks depend only on its length, so each gap is read from the
+    kept tuples of its length."""
+    # every length below n is a gap of n; a call only for one not yet kept
+    kept = [_NC_SIZES.get(g) or _nc_block_sizes(g) for g in range(n)]
+    for mask in range(1 << (n - 1)):
+        # the block of 1 holds 1 and each i + 2 with bit i of mask set; it
+        # leaves one gap after each of its elements
+        gaps, last = [], 1
+        for i in range(n - 1):
+            if mask >> i & 1:
+                gaps.append(kept[i + 1 - last])
+                last = i + 2
+        gaps.append(kept[n - last])
+        size = len(gaps)
+        for subs in product(*gaps):
+            yield (size, *chain.from_iterable(reversed(subs)))
+
+
+# _nc_block_sizes by length, for the lengths read so far: the gaps of the
+# runs streamed, and those asked for directly
+_NC_SIZES = {0: ((),)}
+
+
 def _nc_block_sizes(n):
-    """Block-size tuples of every NC partition of {1..n}, one per partition."""
-    return tuple(tuple(map(len, bs)) for bs in _nc_raw(n))
+    """Block-size tuples of every NC partition of {1..n}, one per partition,
+    kept for the next read."""
+    sizes = _NC_SIZES.get(n)
+    if sizes is None:
+        sizes = _NC_SIZES[n] = tuple(_nc_size_stream(n))
+    return sizes
 
 
 def enumerate_interval(n):
@@ -148,6 +184,40 @@ def _interval_size_tuples(n):
         return ((),)
     return tuple((first, *rest) for first in range(1, n + 1)
                  for rest in _interval_size_tuples(n - first))
+
+
+def count_partitions(kind, n):
+    """The number of NC (``kind`` "nc") or interval ("interval") partitions
+    of {1..n}, counted over their block-size tuples, not by a closed form."""
+    _check_order(n)
+    sizes = _nc_size_stream(n) if kind == "nc" else _interval_size_tuples(n)
+    return sum(1 for _ in sizes)
+
+
+def _columns(size_tuples, n):
+    """The block-size tuples of partitions of {1..n} as (k, columns) for each
+    block count k that occurs: column i is the bytes of the i-th block sizes
+    of the k-block partitions, so that zip(*columns) gives their tuples."""
+    flats = [bytearray() for _ in range(n + 1)]
+    for sizes in size_tuples:
+        flats[len(sizes)].extend(sizes)
+    return tuple((k, [bytes(flat[i::k]) for i in range(k)])
+                 for k, flat in enumerate(flats) if flat)
+
+
+@lru_cache(maxsize=None)
+def _nc_columns(n):
+    """NC(1..n) as ``_columns``: from the kept tuples when n has been read
+    as a gap, else streamed, keeping no tuple of n.  The sums ask for their
+    top length first, so each shorter length is enumerated once, as a gap,
+    and the top one is never kept as tuples."""
+    return _columns(_NC_SIZES.get(n) or _nc_size_stream(n), n)
+
+
+@lru_cache(maxsize=None)
+def _interval_columns(n):
+    """The interval partitions of {1..n} as ``_columns``."""
+    return _columns(_interval_size_tuples(n), n)
 
 
 def _graded(cs):
@@ -186,50 +256,51 @@ def moments_from_free_cumulants(kappa, t, order):
     else:
         (d, ks), zero = graded, 0
         a, b = t.numerator, t.denominator
+    ks = (None, *ks[:order])
+    _nc_columns(order)  # first: see _nc_columns
     ms = []
     for n in range(1, order + 1):
         weight = tpow if graded is None else [a ** j * b ** (n - j)
                                               for j in range(n + 1)]
         total = zero
-        for sizes in _nc_block_sizes(n):
-            prod = weight[len(sizes)]
-            for sz in sizes:
-                prod = prod * ks[sz - 1]
-            total = total + prod
+        # one product of kappa_{|V|} per partition; t^{|pi|} is one factor
+        # per block count
+        for k, cols in _nc_columns(n):
+            total = total + weight[k] * sum(map(prod, zip(
+                *[map(ks.__getitem__, col) for col in cols])))
         ms.append(total if graded is None else Fraction(total, d ** n * b ** n))
     return MomentFunctional(order, ms)
 
 
-def _invert(mf, size_tuples):
-    """c_1..c_N with m_n = sum over the partitions of {1..n}, one per tuple of
-    ``size_tuples(n)``, of prod c_{|V|}: a triangular inversion that subtracts
-    one product per partition other than the full block.  Rational moments
-    run on ints graded by ``_graded`` and come back as Fractions."""
+def _invert(mf, columns):
+    """c_1..c_N with m_n = sum over the partitions of {1..n}, held by
+    ``columns(n)`` (see ``_columns``), of prod c_{|V|}: a triangular
+    inversion that subtracts one product per partition other than the full
+    block, the one partition with one block.  Rational moments run on ints
+    graded by ``_graded`` and come back as Fractions."""
     _check_order(mf.order)
-    ms, one = mf.moments(), ONE
+    ms = mf.moments()
     graded = _graded(ms)
     if graded is not None:
-        (d, ms), one = graded, 1
-    cs = []
+        d, ms = graded
+    columns(mf.order)  # first: see _nc_columns
+    cs = [None]
     for n, s in enumerate(ms, 1):
-        for sizes in size_tuples(n):
-            if sizes == (n,):
-                continue  # the full block carries the unknown c_n
-            prod = one
-            for sz in sizes:
-                prod = prod * cs[sz - 1]
-            s = s - prod
+        for k, cols in columns(n):
+            if k > 1:  # the full block carries the unknown c_n
+                s = s - sum(map(prod, zip(
+                    *[map(cs.__getitem__, col) for col in cols])))
         cs.append(s)
     if graded is None:
-        return cs
-    return [Fraction(c, d ** n) for n, c in enumerate(cs, 1)]
+        return cs[1:]
+    return [Fraction(c, d ** n) for n, c in enumerate(cs[1:], 1)]
 
 
 def free_cumulants_oracle(mf):
     """kappa_1..kappa_N by triangular inversion of the NC partition sums."""
-    return _invert(mf, _nc_block_sizes)
+    return _invert(mf, _nc_columns)
 
 
 def boolean_cumulants_oracle(mf):
     """b_1..b_N by triangular inversion of the interval partition sums."""
-    return _invert(mf, _interval_size_tuples)
+    return _invert(mf, _interval_columns)

@@ -288,13 +288,6 @@ def r_from_moments(mf):
         n, lambda k, _, s: sub(m[k], s), (None, m)), _moment_table(mf)))
 
 
-def _solve_moments(r, order):
-    """The forward solve of R(z(1+M)) = M for m_1..m_order; the functional
-    carries no R."""
-    return MomentFunctional._made(
-        order, _forward_moments(r.coeffs()[:order + 1]))
-
-
 def _forward_moments(cs):
     """m_1..m_n from R = cs, the list r_0..r_n: the forward solve of
     R(z(1+M)) = M."""

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+from extra_ops import solve_moments
 from hypothesis import given, settings, strategies as st
 
 from freeconv.coeffs import TPoly, evaluate, formal_t
@@ -28,7 +29,6 @@ from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
     eta_from_moments,
     f_at_infinity,
-    _solve_moments,
     moments_from_eta,
     r_from_moments,
     tilde_from_two_state_r,
@@ -293,7 +293,7 @@ def test_powers_by_expansion_match_the_solves(seed, order, formal, kind,
     s = _exponent(rng, exponent)
     p = TwoStatePair(_draw(rng, order, formal, kind),
                      _draw(rng, order, formal, kind))
-    base = _solve_moments(r_from_moments(p.base).scale(s), order)
+    base = solve_moments(r_from_moments(p.base).scale(s), order)
     tilde = tilde_from_two_state_r(two_state_r(p).scale(s), base)
     assert _typed(free_power(p.base, s)) == _typed(base)
     pair = two_state_power(p, s)

@@ -577,8 +577,9 @@ def test_cli_oracle_order_cap(monkeypatch, capsys, tmp_path, argv):
     """Above MAX_ORACLE_ORDER = 12 the oracle exits 2 with empty standard
     output, before it enumerates anything."""
     assert MAX_ORACLE_ORDER == 12
-    monkeypatch.setattr(oracle, "_nc_raw", _no_enumeration)
-    monkeypatch.setattr(oracle, "_interval_size_tuples", _no_enumeration)
+    for name in ("_nc_raw", "_nc_size_stream", "_nc_block_sizes",
+                 "_nc_columns", "_interval_size_tuples", "_interval_columns"):
+        monkeypatch.setattr(oracle, name, _no_enumeration)
     paths = {"DOC": write(tmp_path, "d.json",
                           bernoulli_doc(MAX_ORACLE_ORDER + 1)),
              "SHORT": write(tmp_path, "s.json", _semicircle_jacobi(order=4))}

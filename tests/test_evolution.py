@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from extra_ops import solve_moments
 from hypothesis import given, settings, strategies as st
 from test_convolutions import _draw
 
@@ -44,7 +45,6 @@ from freeconv.functionals import (
 from freeconv.multivariate import NCFunctional
 from freeconv.series import TruncSeries
 from freeconv.transforms import (
-    _solve_moments,
     cauchy_g,
     eta_from_moments,
     f_at_infinity,
@@ -355,7 +355,7 @@ def test_semigroups_by_expansion_match_the_solves(seed, order, exponent):
                                MomentFunctional(max(order - 2, 1), rho))
 
     rel, base = triple(), triple()
-    want = _solve_moments(_triple_r_series(base, s, order), order)
+    want = solve_moments(_triple_r_series(base, s, order), order)
     assert _typed(maassen_semigroup(base, s, order)) == _typed(want)
     tilde = tilde_from_two_state_r(_triple_r_series(rel, s, order), want)
     pair = two_state_semigroup(rel, base, s, order)

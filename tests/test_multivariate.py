@@ -31,7 +31,6 @@ from freeconv.multivariate import (
     nc_boolean_power,
     nc_eta,
     nc_free_convolve,
-    nc_free_deconvolve,
     nc_free_power,
     nc_from_univariate,
     nc_moments_from_eta,
@@ -44,7 +43,6 @@ from freeconv.multivariate import (
     nc_tilde_from_two_state_r,
     nc_to_univariate,
     nc_two_state_r,
-    nc_zero,
     words,
 )
 from freeconv.transforms import (
@@ -55,6 +53,7 @@ from freeconv.transforms import (
 from freeconv.functionals import TwoStatePair
 from freeconv.series import TruncSeries
 import ncdict
+from extra_ops import nc_free_deconvolve, nc_zero
 from ncseries import NCSeries, nc_m_series, nc_series_from_cumulants
 from test_transforms import _Majorant, _nine_solves, _patch_kernel
 
@@ -1151,10 +1150,12 @@ def _mixed_draw(rng, d, order, scale, polys):
             if rng.random() < 0.7}
 
 
-def _word_ops(mod, two_state, composition, mu, nu, raw, t, beta):
+def _word_ops(mod, two_state, composition, deconvolve, mu, nu, raw, t,
+              beta):
     """Every public word operation, by name, in the module ``mod``
-    (``multivariate`` or ``ncdict``), with chains that feed outputs, at the
-    scale of t's denominator, back in as inputs."""
+    (``multivariate`` or ``ncdict``), and free deconvolution as
+    ``deconvolve``, with chains that feed outputs, at the scale of t's
+    denominator, back in as inputs."""
     d, n = mu.d, mu.order
     return {
         "nc_r": lambda: mod.nc_r(mu),
@@ -1165,7 +1166,7 @@ def _word_ops(mod, two_state, composition, mu, nu, raw, t, beta):
         "nc_tilde_from_two_state_r": lambda: mod.nc_tilde_from_two_state_r(
             raw, nu),
         "nc_free_convolve": lambda: mod.nc_free_convolve(mu, nu),
-        "nc_free_deconvolve": lambda: mod.nc_free_deconvolve(nu, mu),
+        "nc_free_deconvolve": lambda: deconvolve(nu, mu),
         "nc_boolean_convolve": lambda: mod.nc_boolean_convolve(mu, nu),
         "nc_free_power": lambda: mod.nc_free_power(mu, t),
         "nc_boolean_power": lambda: mod.nc_boolean_power(nu, t),
@@ -1236,9 +1237,11 @@ def test_graded_rows_match_the_dict_functional_type_for_type(seed, shape,
     beta = [_mixed_value(rng, rng.choice((1, 2, 3, 6)), polys)
             for _ in range(d)]
     got = _word_ops(multivariate, lambda a, b: nc_two_state_r(NCPair(a, b)),
-                    _composition_product, mu, nu, raws[2], t, beta)
+                    _composition_product, nc_free_deconvolve, mu, nu, raws[2],
+                    t, beta)
     want = _word_ops(ncdict, ncdict.nc_two_state_r,
-                     ncdict.composition_product, mu_d, nu_d, raws[2], t, beta)
+                     ncdict.composition_product, ncdict.nc_free_deconvolve,
+                     mu_d, nu_d, raws[2], t, beta)
     outs, refs = [mu, nu], [mu_d, nu_d]
     for name, op in got.items():
         out, ref = op(), want[name]()
@@ -1286,8 +1289,8 @@ def test_no_word_operation_changes_its_inputs_rows():
                     continue
                 for op in _word_ops(multivariate,
                                     lambda x, y: nc_two_state_r(NCPair(x, y)),
-                                    _composition_product, a, b, raw, t,
-                                    beta).values():
+                                    _composition_product, nc_free_deconvolve,
+                                    a, b, raw, t, beta).values():
                     op()
                 # the operations that take a raw dict take a functional too
                 nc_moments_from_r(a, d, n)

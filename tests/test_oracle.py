@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 
@@ -208,3 +209,63 @@ def test_oracle_keeps_formal_t_outputs_on_tpoly():
         assert all(isinstance(x, TPoly) for x in got)
     assert free_cumulants_oracle(mf) == [t * k for k in kappa]
     assert boolean_cumulants_oracle(mf) == _inverted("interval", mf.moments())
+
+
+def _rows(columns):
+    """The block-size tuples that ``oracle._columns`` holds, group by group:
+    each group's columns are of one length and give tuples of its block
+    count."""
+    rows = []
+    for k, cols in columns:
+        assert len(cols) == k and all(type(c) is bytes for c in cols)
+        assert len({len(c) for c in cols}) == 1
+        rows += zip(*cols)
+    return rows
+
+
+def test_columns_hold_one_row_per_partition():
+    """The sums read one row per partition: the NC columns of {1..n} hold
+    Catalan(n) rows and the interval columns 2^(n-1), and as multisets the
+    rows are the enumerations' block-size tuples, nothing aggregated."""
+    for n in range(1, MAX_ORACLE_ORDER + 1):
+        for columns, sizes, count in (
+                (oracle._nc_columns(n), oracle._nc_block_sizes(n), catalan(n)),
+                (oracle._interval_columns(n), oracle._interval_size_tuples(n),
+                 2 ** (n - 1))):
+            rows = _rows(columns)
+            assert len(rows) == len(sizes) == count
+            assert Counter(rows) == Counter(sizes)
+            assert [k for k, _ in columns] == sorted({len(s) for s in sizes})
+
+
+def test_block_sizes_follow_the_partitions():
+    """The recursion on sizes and the one on blocks agree partition by
+    partition, in order."""
+    for n in range(0, 11):
+        assert oracle._nc_block_sizes(n) == tuple(
+            tuple(map(len, bs)) for bs in oracle._nc_raw(n))
+
+
+def _no_blocks(*args):
+    raise AssertionError("the sums enumerated partitions as blocks")
+
+
+def test_the_sums_read_no_partition_blocks(monkeypatch):
+    """The three oracle sums give the plain partition sums with
+    ``_nc_raw`` unavailable and every size cache cold: they read block
+    sizes alone."""
+    rng = random.Random(46)
+    order = 10
+    mf = MomentFunctional(order, _draw(rng, "primes", order))
+    kappa = _draw(rng, "zeros", order)
+    t = F(-2, 3)
+    want = (_inverted("nc", mf.moments()), _inverted("interval", mf.moments()),
+            _nc_moments(kappa, t, order))
+    monkeypatch.setattr(oracle, "_nc_raw", _no_blocks)
+    monkeypatch.setattr(oracle, "_NC_SIZES", {0: ((),)})
+    oracle._nc_columns.cache_clear()
+    oracle._interval_columns.cache_clear()
+    got = (free_cumulants_oracle(mf), boolean_cumulants_oracle(mf),
+           list(moments_from_free_cumulants(kappa, t, order).moments()))
+    assert got == want
+    assert all(type(x) is F for out in got for x in out)

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from extra_ops import solve_moments
 from hypothesis import given, settings, strategies as st
 from test_convolutions import DRAW_KINDS, _draw
 
@@ -20,9 +21,8 @@ from freeconv.convolutions import monotone_convolve
 from freeconv.functionals import (JacobiParams, MomentFunctional, TwoStatePair,
                                   moments_from_jacobi)
 from freeconv.series import TruncSeries, _series
-from freeconv.transforms import (_solve_moments, eta_from_moments,
-                                 moments_from_eta, moments_from_r,
-                                 r_from_moments, two_state_r)
+from freeconv.transforms import (eta_from_moments, moments_from_eta,
+                                 moments_from_r, r_from_moments, two_state_r)
 
 
 def _typed(cs):
@@ -117,7 +117,7 @@ def test_trusted_entries_equal_the_public_constructors(seed, order, formal,
         functionals = {
             "_strip_once": transforms._strip_once(lifted, *beta_gamma),
             "monotone_convolve": monotone_convolve(mu, nu),
-            "_solve_moments": _solve_moments(r, order),
+            "solve_moments": solve_moments(r, order),
             "moments_from_jacobi": moments_from_jacobi(rows, order),
             "moments_from_jacobi, repeating":
                 moments_from_jacobi(repeating, order),

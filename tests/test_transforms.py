@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from extra_ops import solve_moments
 from hypothesis import assume, given, settings, strategies as st
 from test_convolutions import DRAW_KINDS, EXPONENTS, _draw, _exponent, _typed
 
@@ -47,7 +48,6 @@ from freeconv.functionals import (
 from freeconv.oracle import MAX_ORACLE_ORDER, free_cumulants_oracle
 from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
-    _solve_moments,
     belinschi_nica_eta,
     cauchy_g,
     eta_from_moments,
@@ -352,7 +352,7 @@ def _nine_solves(mu, nu, r):
     n = mu.order
     out = [
         r_from_moments(mu).coeffs(),
-        _solve_moments(r, n).moments(),
+        solve_moments(r, n).moments(),
         eta_from_moments(mu).coeffs(),
         moments_from_eta(r, n).moments(),
         two_state_r(TwoStatePair(mu, nu)).coeffs(),
@@ -509,7 +509,7 @@ def test_affine_r_expansion_matches_the_solve(seed, order, kind):
         calls = _spy_fill(mp)
         got = moments_from_r(r, order)
     assert calls == []
-    assert _typed(got) == _typed(_solve_moments(r, order))
+    assert _typed(got) == _typed(solve_moments(r, order))
 
 
 def _formal_r(rng, order, kind):
@@ -1002,7 +1002,7 @@ def test_r_from_moments_solves_without_a_carried_r():
 PACKED_SOLVES = {
     "r_from_moments": (1, lambda ins, n: r_from_moments(
         _mf(ins[0])).coeffs()[1:]),
-    "_solve_moments": (1, lambda ins, n: _solve_moments(
+    "solve_moments": (1, lambda ins, n: solve_moments(
         _series(ins[0]), n).moments()),
     "_eta": (1, lambda ins, n: transforms._eta(_mf(ins[0]))[1:]),
     "moments_from_eta": (1, lambda ins, n: moments_from_eta(
@@ -1289,7 +1289,7 @@ def _short_solves(rng, n, support):
     return [
         ("moments_from_r", lambda ins, n: moments_from_r(
             _series(ins[0]), n).moments(), [kappa], mu),
-        ("_solve_moments", lambda ins, n: _solve_moments(
+        ("solve_moments", lambda ins, n: solve_moments(
             _series(ins[0]), n).moments(), [kappa], mu),
         ("r_from_moments", lambda ins, n: r_from_moments(
             _mf(ins[0])).coeffs()[1:], [mu], kappa),

@@ -168,7 +168,8 @@ def _functional(value, order, rng):
     """A supplied functional at ``order``, or one drawn from ``rng``; a
     family is named in full or by its alias."""
     if value is None:
-        return MomentFunctional(order, [_rand_q(rng, 2) for _ in range(order)])
+        return MomentFunctional._made(
+            order, [_rand_q(rng, 2) for _ in range(order)])
     if isinstance(value, JacobiParams):
         value = moments_from_jacobi(value, order)
     if isinstance(value, MomentFunctional) and value.order >= order:
@@ -463,7 +464,7 @@ def _verify_subord_linear(order, rng, cross, mu: Functional = None,
                  subordination(sigma, mu),
                  bercovici_pata(cross.phi_map(mu.truncate(order - 2)))),
         check_eq("mu |> delta_0 = mu",
-                 subordination(mu, MomentFunctional(order, ())), mu),
+                 subordination(mu, MomentFunctional._made(order, ())), mu),
         check_eq("mu |> mu = B[mu]",
                  subordination(mu, mu), bercovici_pata(mu)),
         check_eq("delta_a |> mu = delta_a",
@@ -641,7 +642,7 @@ def _verify_two_state_meixner(order, rng, cross, b_t: Coeff = None,
 def _verify_counterexample_r(order, rng, cross):
     eps = formal_t()  # the one parameter of Q[t], here read as eps
     moments = [eps ** n if n % 2 == 0 else ZERO for n in range(1, order + 1)]
-    two_point = MomentFunctional(order, moments)
+    two_point = MomentFunctional._made(order, moments)
     kappa = r_from_moments(two_point)
     # reference: R(z) = (sqrt(1 + 4 eps^2 z^2) - 1)/(2z)
     #   = sum_{k>=1} binom(1/2, k) 4^k eps^{2k} z^{2k-1} / 2,

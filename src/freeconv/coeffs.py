@@ -25,21 +25,25 @@ both solve layers.  ``_grade`` reads each input coefficient once, a
 parts (nums, dens), and finds D with c_k D^k integral for every c_k,
 k >= 1, so that a computation on the series at Dz runs on ints; everything
 after it reads the parts, not the coefficients.  ``_on_ints`` is the one
-driver of the series engine and the single-variable solves.  It takes a
-kernel(minus, *rows), which divides by nothing and takes its difference
-operation as an argument, and inputs (parts, D, q), each row the ints
-c_k q D^k (``_scaled``).  Over Q, no input coefficient a ``TPoly``, it runs
-the kernel once, with ``sub``, and B = 0.  Over Q[t] each ``TPoly`` is
-packed at t = 2^B (Kronecker substitution: evaluation at 2^B is a ring
-map).  B comes from a majorant
-run: the same kernel with ``add`` as its difference, on the inputs' l1
-norms (``_norms``), plain non-negative ints.  The l1 norm is subadditive
-and submultiplicative and no kernel divides, so with no term cancelling
-that run bounds every t-digit of every output, and B = bits(M) + 2 for its
-largest output M (``_bits``).  Given a slack, the driver returns None when
-B passes the bits of the largest input norm, a bound on every packed input
-digit, by more than the slack: the outputs cancel far below their
-majorant, and the caller runs on ``TPoly`` arithmetic instead.  ``_read``
+driver of the series engine, the single-variable solves and both second
+paths that check them, the reversion of ``series`` and the partition sums
+of ``oracle``, which grades its inputs by a rule of its own.  It takes a
+kernel(minus, *rows), which takes its difference operation as an argument,
+and inputs (parts, D, q), each row the ints c_k q D^k (``_scaled``).  Over
+Q, no input coefficient a ``TPoly``, it runs the kernel once, with ``sub``,
+and B = 0.  Over Q[t] each ``TPoly`` is packed at t = 2^B (Kronecker
+substitution: evaluation at 2^B is a ring map, so a division that is exact
+in Z[t] stays exact on the packed ints).  B comes from a majorant run: the
+same kernel with ``add`` as its difference, on the inputs' l1 norms
+(``_norms``), plain non-negative ints.  The l1 norm is subadditive and
+submultiplicative, and a kernel divides by nothing but an int constant,
+exactly and written as a ceiling (reversion's j a_0), so with no term
+cancelling that run bounds every t-digit of every output, and
+B = bits(M) + 2 for its largest output M (``_bits``).  Given a slack, the
+driver returns None when B passes the bits of the largest input norm, a
+bound on every packed input digit, by more than the slack: the outputs
+cancel far below their majorant, and the caller runs on ``TPoly``
+arithmetic instead.  ``_read``
 turns output x_k into x_k / (q D^k): a ``Fraction`` when B = 0, else the
 ``TPoly`` of its balanced base-2^B digits (``_unpack``).  The word layer
 runs the same scheme on tables of word rows, with its own driver

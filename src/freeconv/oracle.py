@@ -4,12 +4,17 @@ This module is the independent cross-check for the transform recursions: free
 cumulants come from sums over non-crossing partitions, Boolean cumulants from
 sums over interval partitions.  It deliberately shares no series arithmetic
 with the transforms module — only partition enumeration and coefficient
-products.  Over Q those products run on ints, graded by the oracle's own lcm
-rule (``_graded``), not by the grading of the triangular solves.
+products.  Those products run on ints over Q and over Q[t] alike, graded by
+the oracle's own lcm rule (``_graded``), not by the grading of the
+triangular solves: each sum is one kernel of ``coeffs._on_ints``, the driver
+that the series engine and the solves run on, which packs every ``TPoly``
+at t = 2^B and reads the outputs back.  So the oracle shares no solve kernel
+and no grading rule with ``transforms``, only that driver.
 
-``_nc_raw(n, a)`` lists the non-crossing partitions of the run {a+1..a+n} by
-the block of a+1 and the cached partitions of the gaps that block leaves; it
-serves ``enumerate_nc`` alone.  The sums read block sizes only.
+``_nc_raw(n)`` lists the non-crossing partitions of {1..n} by the block of 1
+and the partitions of the gaps that block leaves, those of each gap's length
+shifted by its offset, and keeps them per length; it serves ``enumerate_nc``
+alone.  The sums read block sizes only.
 ``_nc_block_sizes`` runs the same recursion on sizes, keeping the size tuples
 of each length it reads as a gap, and ``_interval_size_tuples`` lists the
 compositions of n by their first part.  The sums read the partitions of
@@ -17,17 +22,19 @@ compositions of n by their first part.  The sums read the partitions of
 (``_columns``), and take one product per partition.  So the cache holds
 block-size columns, not partitions: ``free_cumulants_oracle`` at order 12,
 cold, takes about 0.4 s in-process with 26 MB peak RSS (CPython 3.11, 2-core
-x86 host).
+x86 host).  Over Q[t], with the columns built, it takes about 0.3-0.4 s at
+12 on moments of t-degree 1 and small denominators, and 1.3-2 s on the
+free power at formal t of ``tests/data/mu12.json``, whose lcm grading
+makes each packed t-digit about 315 bits wide.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, product
 from math import lcm, prod
 
-from .coeffs import ONE, ZERO, as_coeff
+from .coeffs import TPoly, _on_ints, _read, as_coeff
 from .functionals import MomentFunctional
 
 # Catalan(12) = 208,012 partitions.  free_cumulants_oracle enumerates NC(n)
@@ -110,17 +117,30 @@ def _check_order(n):
 
 
 @lru_cache(maxsize=None)
-def _nc_raw(n, a=0):
-    """The non-crossing partitions of the run {a+1..a+n}, as block tuples."""
+def _nc_raw(n):
+    """The non-crossing partitions of {1..n}, as block tuples, kept per
+    length: a gap's partitions are those of its length, shifted by its
+    offset."""
     if n == 0:
         return ((),)
-    out = []
-    # choose the block of a+1 as a+1 plus a subset of a+2..a+n; non-crossing
-    # forces every other block inside a single gap between chosen elements
+    out, shifted = [], {}
+
+    def gap(lo, hi):
+        # the partitions of lo+1..hi-1, each distinct block shifted once in
+        # this call
+        if (lo, hi) not in shifted:
+            raw = _nc_raw(hi - lo - 1)
+            moved = {b: tuple(x + lo for x in b)
+                     for b in set(chain.from_iterable(raw))}
+            shifted[lo, hi] = [tuple(map(moved.__getitem__, bs)) for bs in raw]
+        return shifted[lo, hi]
+
+    # choose the block of 1 as 1 plus a subset of 2..n; non-crossing forces
+    # every other block inside a single gap between chosen elements
     for mask in range(1 << (n - 1)):
-        block = (a + 1, *(a + 2 + i for i in range(n - 1) if mask >> i & 1))
-        bounds = (*block, a + n + 1)
-        gaps = [_nc_raw(hi - lo - 1, lo) for lo, hi in zip(bounds, bounds[1:])]
+        block = (1, *(i + 2 for i in range(n - 1) if mask >> i & 1))
+        bounds = (*block, n + 1)
+        gaps = [gap(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         # the last gap's blocks first: the order that the tests pin
         out.extend((block, *chain.from_iterable(reversed(subs)))
                    for subs in product(*gaps))
@@ -221,79 +241,80 @@ def _interval_columns(n):
 
 
 def _graded(cs):
-    """(D, [c_k D^k for k = 1..N]) as ints, with D the lcm of the denominators
-    of the rationals c_1..c_N; None when some c_k is not rational.
+    """(parts, D, D): the coefficients c_1..c_N as a ``coeffs._on_ints``
+    input, D the lcm of their denominators (a ``TPoly``'s common one), so
+    that its row is the ints c_k D^k, each ``TPoly`` packed at t = 2^B.
 
     Every block-size tuple of a partition of {1..n} sums to n, so each product
     of c_{|V|} over its blocks scales by D^n, and a sum over the partitions of
-    {1..n} can run on these ints and be divided by D^n once at the end.
+    {1..n} runs on these ints and is divided by D^n once, at the end.
     """
-    if not all(isinstance(c, (int, Fraction)) for c in cs):
-        return None
-    d = lcm(*(c.denominator for c in cs))
-    return d, [c.numerator * (d ** k // c.denominator)
-               for k, c in enumerate(cs, 1)]
+    nums, dens = zip(*[(c.nums, c.den) if type(c) is TPoly
+                       else c.as_integer_ratio() for c in map(as_coeff, cs)])
+    d = lcm(*dens)
+    return (nums, dens), d, d
 
 
 def moments_from_free_cumulants(kappa, t, order):
     """m_n(t) = sum over NC(n) of t^{|pi|} * prod kappa_{|V|}.
 
     The sum runs over every enumerated partition (one term each; no
-    aggregation shortcuts).  ``kappa`` is a sequence kappa_1..kappa_order.
-    For rational t = a/b and rational kappa it runs on ints: with K_k =
-    kappa_k D^k, m_n D^n b^n = sum of a^{|pi|} b^{n-|pi|} prod K_{|V|}.
+    aggregation shortcuts).  ``kappa`` is a sequence kappa_1..kappa_order
+    and t a coefficient, t = a/b with b > 0.  The sums run on ints through
+    ``coeffs._on_ints``: with K_k = kappa_k D^k (``_graded``),
+    m_n D^n b^n = sum of a^{|pi|} b^{n-|pi|} prod K_{|V|}, and a enters as a
+    second one-term input, so that over Q[t] it is packed with the K_k.
+    Every m_n is a ``TPoly`` when t or some kappa_k is one, else a
+    ``Fraction``.
     """
     _check_order(order)
     if len(kappa) < order:
         raise ValueError("need cumulants up to the requested order")
-    t = as_coeff(t)
-    graded = _graded(kappa[:order]) if isinstance(t, Fraction) else None
-    if graded is None:
-        ks, zero = kappa, ZERO
-        tpow = [ONE]
-        for _ in range(order):
-            tpow.append(tpow[-1] * t)
-    else:
-        (d, ks), zero = graded, 0
-        a, b = t.numerator, t.denominator
-    ks = (None, *ks[:order])
+    graded = _graded(kappa[:order])
+    (a,), (b,) = _graded((t,))[0]  # t = a/b
     _nc_columns(order)  # first: see _nc_columns
-    ms = []
-    for n in range(1, order + 1):
-        weight = tpow if graded is None else [a ** j * b ** (n - j)
-                                              for j in range(n + 1)]
-        total = zero
-        # one product of kappa_{|V|} per partition; t^{|pi|} is one factor
-        # per block count
-        for k, cols in _nc_columns(n):
-            total = total + weight[k] * sum(map(prod, zip(
-                *[map(ks.__getitem__, col) for col in cols])))
-        ms.append(total if graded is None else Fraction(total, d ** n * b ** n))
-    return MomentFunctional(order, ms)
+
+    def sums(_, ks, a):
+        ks, a, ms = (None, *ks), a[0], []
+        for n in range(1, order + 1):
+            weight = [a ** j * b ** (n - j) for j in range(n + 1)]
+            # one product of K_{|V|} per partition; a^{|pi|} b^{n-|pi|} is
+            # one factor per block count
+            total = 0
+            for k, cols in _nc_columns(n):
+                total += weight[k] * sum(map(prod, zip(
+                    *[map(ks.__getitem__, col) for col in cols])))
+            ms.append(total)
+        return ms
+
+    xs, bits = _on_ints(sums, [graded, (((a,), (1,)), 1, 1)])
+    db = graded[1] * b
+    return MomentFunctional._made(order, _read(xs, bits, db, db))
 
 
 def _invert(mf, columns):
     """c_1..c_N with m_n = sum over the partitions of {1..n}, held by
     ``columns(n)`` (see ``_columns``), of prod c_{|V|}: a triangular
     inversion that subtracts one product per partition other than the full
-    block, the one partition with one block.  Rational moments run on ints
-    graded by ``_graded`` and come back as Fractions."""
+    block, the one partition with one block.  It runs on the ints
+    C_n = c_n D^n, D from ``_graded``, through ``coeffs._on_ints``: every
+    c_n is a ``TPoly`` when some moment is one, else a ``Fraction``."""
     _check_order(mf.order)
-    ms = mf.moments()
-    graded = _graded(ms)
-    if graded is not None:
-        d, ms = graded
+    graded = _graded(mf.moments())
     columns(mf.order)  # first: see _nc_columns
-    cs = [None]
-    for n, s in enumerate(ms, 1):
-        for k, cols in columns(n):
-            if k > 1:  # the full block carries the unknown c_n
-                s = s - sum(map(prod, zip(
-                    *[map(cs.__getitem__, col) for col in cols])))
-        cs.append(s)
-    if graded is None:
+
+    def solve(minus, ms):
+        cs = [None]
+        for n, s in enumerate(ms, 1):
+            for k, cols in columns(n):
+                if k > 1:  # the full block carries the unknown c_n
+                    s = minus(s, sum(map(prod, zip(
+                        *[map(cs.__getitem__, col) for col in cols]))))
+            cs.append(s)
         return cs[1:]
-    return [Fraction(c, d ** n) for n, c in enumerate(cs[1:], 1)]
+
+    xs, bits = _on_ints(solve, [graded])
+    return _read(xs, bits, graded[1], graded[1])
 
 
 def free_cumulants_oracle(mf):

@@ -20,9 +20,9 @@ one denominator.  Every output coefficient is a ``Fraction`` over Q and a
 ``TPoly`` when an input coefficient is one, as the solves of ``transforms``
 give theirs.  A product over Q alone puts each factor over one common
 denominator instead (see ``__mul__``).  Reversion takes one reciprocal and
-then one coefficient of each power v^k: over Q by Miller's power
-recurrence on one graded integer series, about n^3/6 terms and no gcd but
-each output's, and over Q[t] by one packed series product per power.
+then one coefficient of each power v^k by Miller's power recurrence, one
+kernel on the graded ints of v in both rings, about n^3/6 terms, no series
+product and no gcd but each output's.
 
 All values are immutable; operations return fresh objects and propagate the
 guaranteed-exact order as the minimum of the inputs' orders, except that a
@@ -46,7 +46,6 @@ from .coeffs import (
     _on_ints,
     _polys,
     _read,
-    _scaled,
     as_coeff,
     t_derivative,
 )
@@ -107,6 +106,29 @@ def _horner(f, h, n):
         acc = _convolve(acc, h, n + 1 - k)
         acc[0] += f[k]
     return acc
+
+
+def _lagrange_ints(a, n, minus, scale):
+    """[z^(k-1)] A^k scale / k, k = 1..n, for ints a_0..a_n, a_0 != 0, and
+    ``scale`` a multiple of 1..n, ``minus`` the -.  J.C.P. Miller's
+    recurrence for the powers of a series (Knuth, TAOCP 2, 4.7), from
+    A (A^k)' = k A' A^k, gives c_j = [z^j] A^k by j a_0 c_j =
+    sum_{i=1..j} ((k+1) i - j) a_i c_{j-i} from c_0 = a_0^k, two products
+    per term: the sums of i a_i c_{j-i} and of a_i c_{j-i}.  Each division
+    is exact, also on ints packed at t = 2^B, since packing is a ring map;
+    written as a ceiling, it keeps the run with ``add`` as its ``minus`` an
+    upper bound on the l1 norms of the c_j."""
+    a0, a = a[0], a[1:n]
+    ia = [i * x for i, x in enumerate(a, 1)]
+    out = [a0 * scale]
+    for k in range(2, n + 1):
+        c = [a0 ** k]
+        for j in range(1, k):
+            s = minus((k + 1) * sum(map(mul, ia, reversed(c))),
+                      j * sum(map(mul, a, reversed(c))))
+            c.append(-(-s // (j * a0)))
+        out.append(c[k - 1] * (scale // k))
+    return out
 
 
 class TruncSeries:
@@ -238,43 +260,28 @@ class TruncSeries:
         [z^(k-1)] v^k / k for v = z/self, one reciprocal and then one
         coefficient of each power v^k.
 
-        When every coefficient of v is a ``Fraction``, v is graded as a
-        product's factor is over Q[t]: A(z) = q v(Dz), D from ``_grade`` and
-        q the denominator of v_0, is a series of ints with a_0 != 0.  J.C.P.
-        Miller's recurrence for the powers of a series (Knuth, TAOCP 2,
-        4.7), from A (A^k)' = k A' A^k, gives c_j = [z^j] A^k by
-        j a_0 c_j = sum_{i=1..j} ((k+1) i - j) a_i c_{j-i} from
-        c_0 = a_0^k, each division exact, so only c_0..c_{k-1} are built,
-        about n^3/6 terms in all (two products each: the sums of i a_i c_{j-i}
-        and of a_i c_{j-i}), and output k is the one Fraction
-        c_{k-1} / (q^k D^(k-1) k).  Otherwise each power is one series
-        product, packed over Q[t], about n^3/2 ring operations."""
+        v is graded as a product's factor is: A(z) = q v(Dz), D from
+        ``_grade`` and q the denominator of v_0, is a series of ints with
+        a_0 != 0, each ``TPoly`` packed at t = 2^B by ``coeffs._on_ints``.
+        ``_lagrange_ints`` takes every [z^(k-1)] A^k by Miller's power
+        recurrence on those ints, about n^3/6 terms and no series product,
+        and output k is [z^(k-1)] A^k / (q^k D^(k-1) k).  The kernel scales
+        output k by L/k, L = lcm(1..n), so that ``_read`` reads every output
+        over the denominators (q L) (q D)^(k-1), one division each; over
+        Q[t] that widens B by the bits of L, about 1.44 n.  Over Q[t],
+        v_0 = 1/c_1 is a constant (else the reciprocal raises), so a_0 is an
+        int in both rings."""
         if self._c[0]:
             raise CompositionDomainError("reversion needs zero constant term")
         if not self.coeff(1):
             raise NotInvertibleError("linear coefficient is zero")
         n = self.order
         v = self.shift_down(1).reciprocal()
-        out = [ZERO, v._c[0]]
-        if not _polys(v._c):
-            d, (parts,) = _grade(enumerate(v._c))
-            q = parts[1][0]
-            a0, *a = _scaled(parts, d, 0, q)
-            ia = [i * x for i, x in enumerate(a, 1)]
-            qk, dk = q, 1
-            for k in range(2, n + 1):
-                c = [a0 ** k]
-                for j in range(1, k):
-                    c.append(((k + 1) * sum(map(mul, ia, reversed(c)))
-                              - j * sum(map(mul, a, reversed(c)))) // (j * a0))
-                qk, dk = qk * q, dk * d
-                out.append(Fraction(c[k - 1], qk * dk * k))
-            return _series(n, out)
-        p = v
-        for k in range(2, n + 1):
-            p = p * v
-            out.append(p.coeff(k - 1) / k)
-        return _series(n, out)
+        d, (parts,) = _grade(enumerate(v._c))
+        q, scale = parts[1][0], lcm(*range(1, n + 1))
+        xs, b = _on_ints(lambda minus, a: _lagrange_ints(a, n, minus, scale),
+                         [(parts, d, q)])
+        return _series(n, [ZERO] + _read(xs, b, q * scale, q * d))
 
     def t_derivative(self):
         return _series(self.order, [t_derivative(c) for c in self._c])
@@ -309,19 +316,21 @@ class LaurentAtInfinity:
 
     def __init__(self, top, constant, tail, tail_order=None):
         tail = tuple(tail)
-        self._set(top, TruncSeries(
+        self._set(as_coeff(top), TruncSeries(
             len(tail) if tail_order is None else tail_order,
             (constant,) + tail))
 
     @classmethod
     def from_chart(cls, top, d):
-        """top*z + d(1/z) for a TruncSeries d."""
+        """top*z + d(1/z) for a TruncSeries d and a ``Fraction`` or ``TPoly``
+        top, as every library caller hands it: not checked by ``as_coeff``
+        again, as ``_series`` does not check its coefficients."""
         out = cls.__new__(cls)
         out._set(top, d)
         return out
 
     def _set(self, top, d):
-        top = as_coeff(top)
+        # a sum of two monic expansions would have top = 2
         if not (top == 0 or top == 1):
             raise ValueError("coefficient of z must be 0 or 1")
         self.top = top

@@ -89,7 +89,9 @@ and phi(1/w) = R(w)/w.
 A second path is provided purely as a cross-check: phi = F^{<-1>}(z) - z and
 phi_{tilde,base} = (z - F_tilde) o F_base^{<-1>}, through the reversion h of
 G's chart w(1 + M(w)), which ``TruncSeries.reversion`` takes by Lagrange
-inversion.  It calls none of the kernels, so the two paths share no solve.
+inversion, Miller's power recurrence run as one kernel on graded ints over
+Q and over Q[t].  It shares the driver ``coeffs._on_ints`` with the solves
+but calls none of their kernels, so the two paths share no solve.
 """
 
 from __future__ import annotations

@@ -199,6 +199,56 @@ def test_oracle_matches_plain_partition_sums(seed, order, shape):
         assert all(type(x) is F for x in got)
 
 
+def _draw_ring(rng, ring, order):
+    """order coefficients over Q ("fraction"), over Q[t] ("tpoly") or a mix
+    of both ("mixed"), with zeros among them."""
+    t = formal_t()
+
+    def q():
+        return F(rng.choice((0, 0, 1, -1, 2, -3, 5)), rng.choice((1, 2, 3, 7)))
+
+    if ring == "fraction":
+        return [q() for _ in range(order)]
+    if ring == "tpoly":
+        return [q() + q() * t for _ in range(order)]
+    return [q() + q() * t if rng.random() < 0.5 else q() for _ in range(order)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
+       st.sampled_from(["fraction", "tpoly", "mixed"]),
+       st.sampled_from(["rational", "formal"]))
+def test_oracle_rings_match_plain_partition_sums(seed, order, ring, t_kind):
+    """On Fraction, TPoly and mixed inputs, at a rational or the formal t,
+    the three oracle sums, on ints packed at t = 2^B whenever a TPoly is
+    among their inputs, equal the partition sums in plain coefficient
+    arithmetic value for value, and give every output one ring: a TPoly
+    when some input or t is one, else a Fraction."""
+    rng = random.Random(seed)
+    ms = _draw_ring(rng, ring, order)
+    kappa = _draw_ring(rng, ring, order)
+    t = formal_t() if t_kind == "formal" else F(rng.randint(-3, 3),
+                                                 rng.randint(1, 4))
+    mf = MomentFunctional(order, ms)
+    for got, want, ins in (
+            (free_cumulants_oracle(mf), _inverted("nc", ms), ms),
+            (boolean_cumulants_oracle(mf), _inverted("interval", ms), ms),
+            (moments_from_free_cumulants(kappa, t, order).moments(),
+             _nc_moments(kappa, t, order), [*kappa, t])):
+        assert list(got) == want
+        ring_type = TPoly if TPoly in map(type, ins) else F
+        assert all(type(x) is ring_type for x in got)
+
+
+def test_nc_raw_keeps_one_entry_per_length():
+    """The partitions of a gap are those of its length, shifted: one cache
+    entry per length, 13 for {1..12} and its gaps, not one per (length,
+    offset)."""
+    oracle._nc_raw.cache_clear()
+    enumerate_nc(12)
+    assert oracle._nc_raw.cache_info().currsize <= 13
+
+
 def test_oracle_keeps_formal_t_outputs_on_tpoly():
     t = formal_t()
     kappa = [F(1, 2), F(1), F(0), F(-2, 3), F(1, 7), F(0)]

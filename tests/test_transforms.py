@@ -45,7 +45,9 @@ from freeconv.functionals import (
     point_mass,
     semicircular,
 )
-from freeconv.oracle import MAX_ORACLE_ORDER, free_cumulants_oracle
+from freeconv.oracle import (MAX_ORACLE_ORDER, boolean_cumulants_oracle,
+                             free_cumulants_oracle,
+                             moments_from_free_cumulants)
 from freeconv.series import LaurentAtInfinity, TruncSeries
 from freeconv.transforms import (
     belinschi_nica_eta,
@@ -271,13 +273,13 @@ SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
 # each one: only the word layer's own driver picks B or reads digits outside
 # ``coeffs``.
 PACKING = {"_grade": {"series", "transforms", "multivariate", "functionals"},
-           "_scaled": {"series", "transforms", "functionals"},
+           "_scaled": {"transforms", "functionals"},
            "_norms": set(),
            "_bits": {"multivariate"},
            "_pack": {"multivariate"},
            "_unpack": {"multivariate"},
-           "_on_ints": {"series", "transforms"},
-           "_read": {"series", "transforms"},
+           "_on_ints": {"series", "transforms", "oracle"},
+           "_read": {"series", "transforms", "oracle"},
            "_polys": {"series", "transforms", "docs"}}
 
 
@@ -288,9 +290,10 @@ def test_only_transforms_holds_the_solve_kernels():
     ``evolution`` also holds ``_strip_once``, where the Jacobi wrong-path
     tests patch it.  The grading and packing of Q[t] values, and the one
     driver that runs a kernel on them and reads its outputs back, live in
-    ``coeffs``, below the series engine, both solve layers and the Jacobi
-    reads of ``functionals``, and each of those holds exactly the ones it
-    uses (``PACKING``); the per-layer drivers they replaced are gone."""
+    ``coeffs``, below the series engine, both solve layers, the partition
+    oracle and the Jacobi reads of ``functionals``, and each of those holds
+    exactly the ones it uses (``PACKING``); the per-layer drivers they
+    replaced are gone."""
     assert not hasattr(transforms, "_width")
     assert not hasattr(freeconv.series, "_from_packed")
     owners = {name: {"transforms"} for name in (
@@ -344,6 +347,39 @@ def test_cross_checks_share_no_solve_kernel(monkeypatch):
     assert free_cumulants_oracle(mf) == list(kappa.coeffs()[1:])
     assert jacobi_from_moments(mf, 4) == jacobi
     assert moments_from_jacobi(jacobi, mf.order) == mf
+
+
+def test_cross_checks_share_no_solve_kernel_over_formal_t(monkeypatch):
+    """Over Q[t] too, the reversion path and the partition oracle run on
+    the graded driver alone, with every solve kernel of ``transforms``
+    raising, and agree with the solves' outputs."""
+    rng = random.Random(34)
+    t = formal_t()
+
+    def draw(order):
+        return MomentFunctional(order, [
+            F(rng.randint(-3, 3), rng.randint(1, 3))
+            + F(rng.randint(-2, 2), rng.randint(1, 3)) * t
+            for _ in range(order)])
+
+    mf = draw(8)
+    pair = TwoStatePair(draw(8), draw(8))
+    phi, kappa, r2 = voiculescu_phi(mf), r_from_moments(mf), two_state_r(pair)
+    eta = eta_from_moments(mf)
+
+    def broken(*args):
+        raise AssertionError("a solve kernel ran")
+
+    for name in SOLVE_KERNELS:
+        _patch_kernel(monkeypatch, name, broken)
+    with pytest.raises(AssertionError):
+        r_from_moments(mf)
+
+    assert voiculescu_phi_by_reversion(mf) == phi
+    assert two_state_r_by_reversion(pair) == r2
+    assert free_cumulants_oracle(mf) == list(kappa.coeffs()[1:])
+    assert boolean_cumulants_oracle(mf) == list(eta.coeffs()[1:])
+    assert moments_from_free_cumulants(kappa.coeffs()[1:], ONE, 8) == mf
 
 
 def _nine_solves(mu, nu, r):

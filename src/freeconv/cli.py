@@ -2,11 +2,15 @@
 
 It parses, prints and picks the exit code; ``catalog.verify_runs`` plans
 and checks a verify run.  Exit codes: 0 success / identity verified, 1
-identity violated (residual printed), 2 usage or parse error (an order
-outside a verify entry's range included), 3 domain error (zero-variance
-strip, non-invertible series, and friends), 4 internal consistency failure
-(two independent paths disagreed: a verify cross-check failed, which
-outranks a violated identity).
+identity violated (residual printed; a verify check whose operands raised
+a domain error is one, with the exception as its residual), 2 usage or
+parse error (an order outside a verify entry's range included), 3 domain
+error outside any check (``catalog.DOMAIN_ERRORS``: zero-variance strip,
+non-invertible series, and friends, raised on a document by a command
+such as ``map`` or ``power``, or in a verify entry's body before its
+claims run), 4 internal consistency failure (two independent paths
+disagreed: a verify cross-check failed, which outranks a violated
+identity).
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ import argparse
 import sys
 
 from . import docs
-from .catalog import CATALOG, NC_CATALOG, verify_runs
-from .catalog import FAMILY_ALIASES  # noqa: F401 (still importable here)
-from .coeffs import ExactDivisionError, formal_t
+from .catalog import CATALOG, DOMAIN_ERRORS, NC_CATALOG, verify_runs
+from .coeffs import formal_t
 from .convolutions import (
     boolean_convolve,
     boolean_power,
@@ -45,9 +48,7 @@ from .functionals import (
     CanonicalTriple,
     ConsistencyError,
     MomentFunctional,
-    NoJacobiRepresentationError,
     TwoStatePair,
-    ZeroVarianceError,
     jacobi_from_moments,
 )
 from .oracle import (
@@ -55,11 +56,6 @@ from .oracle import (
     count_partitions,
     free_cumulants_oracle,
 )
-from .series import CompositionDomainError, NotInvertibleError
-
-DOMAIN_ERRORS = (ZeroVarianceError, NoJacobiRepresentationError,
-                 NotInvertibleError, CompositionDomainError,
-                 ExactDivisionError, ZeroDivisionError)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1

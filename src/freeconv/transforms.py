@@ -101,8 +101,7 @@ from math import comb
 from operator import mul, sub
 
 from .coeffs import (ZERO, ONE, TPoly, _canonical, _convolve, _dot, _grade,
-                     _on_ints, _polys, _read, _scaled, as_coeff, exact_div,
-                     formal_t)
+                     _on_ints, _polys, _read, _scaled, as_coeff, formal_t)
 from .functionals import ConsistencyError, MomentFunctional, TwoStatePair
 from .series import LaurentAtInfinity, TruncSeries, _series
 
@@ -669,7 +668,7 @@ def belinschi_nica_eta(r, s, order):
     cs = r.coeffs()[:order + 1]
     if _polys(cs):
         eta = _eta(moments_from_r(r.scale(s), order))[1:]
-        return _series(order, [ZERO] + [exact_div(c, s) for c in eta])
+        return _series(order, [ZERO] + [c / s for c in eta])
     (g,), rows, weigh = _expansion(s, [cs], order)
     return _series(order, [ZERO, weigh([g[1]], 1, 1)] + [
         weigh([comb(k - 1, e + 1) * rows[e + 1][k] for e in range(k - 1)],

@@ -13,7 +13,7 @@ from freeconv import catalog, docs, functionals, oracle
 from freeconv.catalog import (NC_CATALOG, NC_MIN_ORDER, nc_entry_d,
                               nc_max_order, nc_verify_d, verify_order)
 from freeconv.cli import build_parser, run
-from freeconv.coeffs import formal_t
+from freeconv.coeffs import ExactDivisionError, formal_t
 from freeconv.docs import DocumentError
 from freeconv.functionals import (
     CanonicalTriple,
@@ -21,12 +21,13 @@ from freeconv.functionals import (
     JacobiParams,
     MomentFunctional,
     TwoStatePair,
+    ZeroVarianceError,
     bernoulli_sym,
     moments_from_jacobi,
     semicircular,
 )
 from freeconv.oracle import MAX_ORACLE_ORDER
-from freeconv.series import TruncSeries
+from freeconv.series import NotInvertibleError, TruncSeries
 
 
 def test_rational_encoding():
@@ -273,9 +274,9 @@ def test_cli_violation_with_a_long_residual_exits_1(monkeypatch, capsys):
     big = F(10 ** 5000)
 
     def violated(order, rng, cross):
-        return [catalog.check_eq("big", MomentFunctional(1, (big,)),
-                                 MomentFunctional(1, (big + 1,))),
-                catalog.check_zero("zero", TruncSeries(0, (big,)))], []
+        yield "big", lambda: (MomentFunctional(1, (big,)),
+                              MomentFunctional(1, (big + 1,)))
+        yield "zero", lambda: (TruncSeries(0, (big,)),)
 
     monkeypatch.setitem(catalog.CATALOG, "pde", (violated, 8))
     before = _LIMIT and _LIMIT()
@@ -649,7 +650,7 @@ def _record_entries(monkeypatch):
         def entry(order, rng, cross, **params):
             ran.append((name, order,
                         None if d is None else params.get("d", d.default)))
-            return [], []
+            yield from ()
         return entry
 
     for entries, prefix in ((catalog.CATALOG, ""), (NC_CATALOG, "nc:")):
@@ -876,11 +877,11 @@ def test_a_library_verify_notes_a_lowered_default_order(monkeypatch):
 
 def test_an_entry_cannot_drop_its_cross_checks(monkeypatch):
     """The runner hands each entry its cross-checks and ends the report with
-    them: an entry that strips and returns its own checks alone still
+    them: an entry that strips and yields no claim of its own still
     reports the Jacobi-shift check of that strip."""
     def entry(order, rng, cross):
         cross.strip(semicircular(0, 1, order))
-        return [], []
+        yield from ()
 
     monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 8))
     rep = catalog.verify("pde")
@@ -1000,9 +1001,10 @@ def test_cli_a_failed_cross_check_exits_4_over_a_failed_identity(
     disagree, whether or not an identity failed too; a failed identity alone
     exits 1.  The report names the cross-check as one."""
     def entry(order, rng, cross):
-        return [catalog.Check(kind, False, "residual",
-                              cross_check=kind == "cross-check")
-                for kind in failed], []
+        cross.checks.extend(catalog.Check(kind, False, "residual",
+                                          cross_check=kind == "cross-check")
+                            for kind in failed)
+        yield from ()
 
     monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 8))
     assert run(["verify", "pde", "--format", fmt]) == code
@@ -1017,6 +1019,92 @@ def test_cli_a_failed_cross_check_exits_4_over_a_failed_identity(
         for kind in failed:
             marker = "cross-check: " if kind == "cross-check" else ""
             assert f"FAIL [pde] {marker}{kind}\n" in out
+
+
+def test_a_domain_error_in_a_claim_fails_that_check_alone(monkeypatch,
+                                                          capsys):
+    """An operator that raises a domain error inside an entry's second
+    claim fails that claim alone, with the exception as its residual:
+    free-evolution's claims before and after it still report, and verify
+    exits 1, not 3."""
+    def raises(mu):
+        raise ExactDivisionError("(1 + t) not divisible by (2*t)")
+
+    monkeypatch.setattr(catalog, "strip", raises)
+    assert run(["verify", "free-evolution", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert [(c["label"], c["ok"], c.get("residual")) for c in checks[:3]] == [
+        ("mu_t = delta_{bt} uplus Phi[rho boxplus sigma_{b,g}^t]^{uplus gt}",
+         True, None),
+        ("J[mu_t] = rho boxplus sigma_{b,g}^{boxplus t}", False,
+         "ExactDivisionError: (1 + t) not divisible by (2*t)"),
+        ("gamma = 0 branch: mu_t = delta_{beta t}", True, None)]
+    assert all(c["ok"] for c in checks[3:])
+    assert run(["verify", "free-evolution"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL [free-evolution] J[mu_t] = rho boxplus sigma_{b,g}^"
+            "{boxplus t}\n     residual: ExactDivisionError: ") in out
+
+
+@pytest.mark.parametrize("where", (0, -1), ids=("lowest", "highest"))
+def test_a_wrong_boolean_power_fails_its_checks_not_the_run(
+        monkeypatch, capsys, where):
+    """A Boolean power with 1 added to its lowest or highest moment makes
+    the strip in thm-b's first claim divide inexactly.  That claim fails
+    naming ExactDivisionError, the claims after it still run and catch the
+    wrong value, and verify exits 1, not 3."""
+    power = catalog.boolean_power
+
+    def wrong(mf, t):
+        moments = list(power(mf, t).moments())
+        moments[where] += 1
+        return MomentFunctional(mf.order, moments)
+
+    monkeypatch.setattr(catalog, "boolean_power", wrong)
+    assert run(["verify", "thm-b", "--seed", "5", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert checks[0]["label"] == "J[mu~_t] = rho~ boxplus omega^{boxplus t/p}"
+    assert checks[0]["residual"].startswith("ExactDivisionError: ")
+    laws = [c for c in checks if c["label"].startswith("semigroup law")]
+    assert len(laws) == 4 and not any(c["ok"] for c in laws)
+
+
+def test_a_domain_error_in_an_entry_body_exits_3(monkeypatch, capsys):
+    """A domain error raised in an entry's body, before its first claim,
+    is outside any check: exit 3, with nothing on standard output, also
+    where other entries ran before it."""
+    def entry(order, rng, cross):
+        raise ZeroVarianceError("no variance to strip")
+        yield
+
+    monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 8))
+    for argv in (["verify", "pde"], ["verify", "all"]):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: no variance to strip\n"
+
+
+def test_a_shared_operand_that_raises_fails_every_claim_that_reads_it(
+        monkeypatch, capsys):
+    """two-state-meixner shares one two-state pair among four claims, two
+    of them through its strip.  A pair that cannot be built fails each of
+    those four, each named with the exception, and the two claims that do
+    not read it pass."""
+    def raises(*args):
+        raise NotInvertibleError("constant term 0")
+
+    monkeypatch.setattr(catalog, "two_state_semigroup", raises)
+    assert run(["verify", "two-state-meixner", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert [(c["label"], c.get("residual")) for c in report["checks"]] == [
+        ("J(mu~_t) rows", "NotInvertibleError: constant term 0"),
+        ("J(mu_t) rows", "NotInvertibleError: constant term 0"),
+        ("J(J[mu~_t]) rows", "NotInvertibleError: constant term 0"),
+        ("J(omega) rows", None),
+        ("J(tau) rows", None),
+        ("J[mu~_t] = rho~ boxplus omega^{boxplus (gamma/c~) t}",
+         "NotInvertibleError: constant term 0")]
 
 
 def test_verify_parser_has_one_parameter_path():

@@ -629,6 +629,18 @@ def test_every_check_compares_operands_of_one_order(name, monkeypatch):
     assert [x for x in seen if x[1] != x[2]] == []
 
 
+@pytest.mark.parametrize("name", sorted(_BOTH_CATALOGS))
+def test_every_entry_verifies_at_seeds_1_to_6(name):
+    """Every entry of both catalogs verifies at seeds 1-6, at its minimum
+    order and at its default order."""
+    for order in _BOTH_CATALOGS[name]:
+        for seed in range(1, 7):
+            rep = verify(name, order=order, seed=seed)
+            assert rep.verified, (order, seed, [(c.label, c.detail)
+                                                for c in rep.checks
+                                                if not c.ok])
+
+
 def test_cli_prints_the_residual_of_a_failed_semigroup_law(monkeypatch,
                                                            capsys):
     """A two-state convolution that is off by one in every tilde moment

@@ -9,26 +9,29 @@ a 1-tuple holding a series that must vanish; an entry returns its notes.
 An entry's body draws its parameters; the operators run inside its
 claims, each when the runner asks for it, and claims share values through
 ``functools.cache``.  An entry calls strip, Phi and the two-state semigroup
-through the ``_CrossChecks`` it is handed, whose second paths end its
-report as checks marked ``cross_check``: the operators only compute.
+through the ``_CrossChecks`` it is handed, which records what they made;
+the operators only compute.  After the entry's claims, the runner evaluates
+the claims of their second paths, ``_CrossChecks.claims``, as checks
+marked ``cross_check``.
 
 One runner, ``verify_runs``, owns every verify run: it validates, routes
 parameters, holds a word-layer entry to the size rule ``nc_max_order`` and
 notes what it changed.  Its evaluator ``_checks`` is the one place that
-turns a claim into a Check, in yield order.  A claim whose operands or
-comparison raise one of DOMAIN_ERRORS fails as its own check, with the
-exception as its residual, and the entry goes on to its next claim: under
-an entry's parameter rules its identities hold over Q[t], so a failed
-division there is a wrong value, not a fact about the domain.  A domain
-error in an entry's body, outside any claim, leaves the run.  ``verify``
-is the runner's one-name case.
+turns a claim into a Check, in yield order, an entry's and its second
+paths' alike.  A claim whose operands or comparison raise one of
+DOMAIN_ERRORS fails as its own check, with the exception as its residual,
+and the next claim runs: under an entry's parameter rules its identities
+hold over Q[t], so a failed division there is a wrong value, not a fact
+about the domain, and a second path that raises fails its cross-check, not
+an identity.  A domain error in an entry's body, outside any claim, leaves
+the run.  ``verify`` is the runner's one-name case.
 """
 
 from __future__ import annotations
 
 import inspect
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -90,8 +93,12 @@ def _order(value):
 
 
 def _first_difference(lhs, rhs):
-    """Human-readable locator of the first disagreeing coefficient, or both
+    """Human-readable locator of the first disagreeing coefficient, or of
+    the first disagreeing value of two dicts with the same keys, or both
     orders when every coefficient the two carry in common agrees."""
+    if isinstance(lhs, dict) and lhs.keys() == rhs.keys():
+        return next(f"{k}: {lhs[k]!r} != {rhs[k]!r}" for k in lhs
+                    if not (lhs[k] == rhs[k]))
     if type(lhs) is not type(rhs) or _order(lhs) is None:
         return f"{lhs!r} != {rhs!r}"
     n = min(_order(lhs), _order(rhs))
@@ -139,11 +146,11 @@ def check_zero(label, series):
         return Check(label, False, f"residual = {series!r}")
 
 
-def _checks(claims):
-    """(checks, notes) of an entry: the Check of each claim ``claims``
-    yields, in yield order, and the notes it returns.  A claim whose thunk
-    or comparison raises one of DOMAIN_ERRORS fails with the exception as
-    its residual, and the next claim runs."""
+def _checks(claims, cross_check=False):
+    """(checks, notes): the Check of each claim ``claims`` yields, in yield
+    order, each marked ``cross_check``, and the notes it returns.  A claim
+    whose thunk or comparison raises one of DOMAIN_ERRORS fails with the
+    exception as its residual, and the next claim runs."""
     checks = []
     while True:
         try:
@@ -152,10 +159,11 @@ def _checks(claims):
             return checks, list(end.value or ())
         try:
             ops = operands()
-            checks.append((check_eq if len(ops) == 2 else check_zero)(
-                label, *ops))
+            check = (check_eq if len(ops) == 2 else check_zero)(label, *ops)
         except DOMAIN_ERRORS as e:
-            checks.append(Check(label, False, f"{type(e).__name__}: {e}"))
+            check = Check(label, False, f"{type(e).__name__}: {e}")
+        check.cross_check = cross_check
+        checks.append(check)
 
 
 @dataclass
@@ -247,14 +255,23 @@ def _meixner_params(rng, b, c, beta, gamma, beta2, gamma2):
 # -- cross-checks: the operators' second paths --------------------------------
 
 
+# Why the Jacobi rows of an input cannot be read, by the error the read
+# raised; the shift is not checked on such an input.
+_NO_ROWS = {ExactDivisionError: "whose Jacobi rows are not over Q[t]",
+            NoJacobiRepresentationError: "which have no Jacobi rows: a gamma "
+                                         "vanishes and the deeper moments "
+                                         "disagree"}
+
+
 def _jacobi_rows(mf):
     """The Jacobi rows of ``mf`` at every level it decides, read by the
     Chebyshev algorithm, which shares no solve kernel with the transform
-    paths; None where they are not over Q[t]."""
+    paths; where there are none over Q[t], the error of _NO_ROWS that says
+    why."""
     try:
         return jacobi_from_moments(mf, mf.order // 2)
-    except (NoJacobiRepresentationError, ExactDivisionError):
-        return None
+    except tuple(_NO_ROWS) as e:
+        return e
 
 
 # The Jacobi shift of each operator: Phi inserts the row (0; 1), J drops the
@@ -287,69 +304,62 @@ def _tilde_by_monotone(rel, base_t, t):
 _MONOTONE = "mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}"
 
 
-def _monotone_check(rel, tilde, base_t, t):
-    """The cross-check of ``tilde`` against the Boolean/monotone formula on
-    the base mu_t = ``base_t``."""
-    return replace(check_eq(_MONOTONE, tilde,
-                            _tilde_by_monotone(rel, base_t, t)[0]),
-                   cross_check=True)
-
-
 class _CrossChecks:
     """The second paths of the operators one entry calls through it.
 
-    Each two-state semigroup is checked against the Boolean/monotone formula
-    when it is built.  Each strip and Phi is kept with its input, and
-    ``report`` checks them against the Jacobi shift: one check per operator
-    over the inputs whose rows are over Q[t], and a note counting the rest.
+    Each call records what it made.  ``claims`` then yields a claim per
+    two-state semigroup against the Boolean/monotone formula, and a claim
+    per operator against the Jacobi shift, over the inputs whose rows are
+    over Q[t]; it returns a note per reason for the rest.
     """
 
     def __init__(self):
-        self.checks = []
+        self.pairs = []
         self.seen = {op: [] for op in _SHIFTS}
 
     def phi_map(self, nu):
-        out = phi_map(nu)
-        self.seen["Phi"].append((nu, out))
-        return out
+        return self._record("Phi", nu, phi_map(nu))
 
     def strip(self, mu):
-        out = strip(mu)
-        self.seen["J"].append((mu, out))
+        return self._record("J", mu, strip(mu))
+
+    def _record(self, op, mf, out):
+        self.seen[op].append((mf, out))
         return out
 
     def two_state_semigroup(self, rel, base, t, order):
         pair = two_state_semigroup(rel, base, t, order)
-        self.checks.append(_monotone_check(rel, pair.tilde, pair.base, t))
+        self.pairs.append((rel, pair, t))
         return pair
 
-    def report(self, checks, notes=()):
-        """(checks, notes) of the entry: its own, then the cross-checks and
-        the notes of the Jacobi reads that could not run."""
-        checks, notes = checks + self.checks, list(notes)
+    def claims(self):
+        """The claims of the second paths, in build order and then Phi
+        before J, and the notes of the Jacobi reads that could not run.
+        The inputs' rows are read here, for the count in the label; the
+        outputs' rows inside the claim."""
+        for rel, pair, t in self.pairs:
+            yield _MONOTONE, lambda rel=rel, pair=pair, t=t: (
+                pair.tilde, _tilde_by_monotone(rel, pair.base, t)[0])
+        notes = []
         for op, seen in self.seen.items():
             label, shift = _SHIFTS[op]
-            ran, wrong = 0, []
+            n, read, skipped = len(seen), {}, []
             for i, (mf, out) in enumerate(seen, 1):
                 jp = _jacobi_rows(mf)
-                if jp is None:
-                    continue
-                ran += 1
-                if _jacobi_rows(out) != JacobiParams(
-                        *shift(jp), terminated=jp.terminated):
-                    wrong.append(str(i))
-            n = len(seen)
-            if ran:
-                checks.append(Check(
-                    f"Jacobi shift: {label} ({ran} of {n} inputs)", not wrong,
-                    f"{op}: transform and Jacobi paths disagree on input "
-                    f"{', '.join(wrong)} of {n}" if wrong else "",
-                    cross_check=True))
-            if ran < n:
-                notes.append(f"{op}: Jacobi-shift cross-check skipped on "
-                             f"{n - ran} of {n} inputs, whose Jacobi rows "
-                             f"are not over Q[t]")
-        return checks, notes
+                if isinstance(jp, JacobiParams):
+                    read[f"{op}: input {i} of {n}"] = out, JacobiParams._made(
+                        *shift(jp), terminated=jp.terminated)
+                else:
+                    skipped.append(type(jp))
+            if read:  # the outputs' rows against the inputs' shifted rows
+                yield (f"Jacobi shift: {label} ({len(read)} of {n} inputs)",
+                       lambda read=read: (
+                           {k: _jacobi_rows(o) for k, (o, _) in read.items()},
+                           {k: rows for k, (_, rows) in read.items()}))
+            notes += [f"{op}: Jacobi-shift cross-check skipped on "
+                      f"{skipped.count(error)} of {n} inputs, {why}"
+                      for error, why in _NO_ROWS.items() if error in skipped]
+        return notes
 
 
 def _delta_bool_phi(cross, beta_c, inner, gamma_c, order):
@@ -632,7 +642,7 @@ def _verify_two_state_meixner(order, rng, cross, b_t: Coeff = None,
     def jrows(head_b, head_g, tail_b, tail_g, extra_b=None, extra_g=None):
         betas = [head_b] + ([extra_b] if extra_b is not None else [])
         gammas = [head_g] + ([extra_g] if extra_g is not None else [])
-        return JacobiParams(betas, gammas, repeat=(tail_b, tail_g))
+        return JacobiParams._made(betas, gammas, repeat=(tail_b, tail_g))
 
     yield "J(mu~_t) rows", lambda: (
         jacobi_from_moments(pair().tilde, depth),
@@ -859,8 +869,9 @@ def _nc_verify_recover_tau(order, rng, cross, b_t: Coeff = Fraction(1, 2),
     yield ("d=1 reduction: nc path matches single-variable inverse",
            lambda: (tau(), subordination_inverse(mu(), rho_t())))
     yield ("J(tau) = (beta, beta+b-b~, ...; gamma, gamma+c-c~, ...)",
-           lambda: (jacobi_from_moments(tau(), order // 2), JacobiParams(
-               (beta,), (gamma,), repeat=(beta + b - b_t, gamma + c - c_t))))
+           lambda: (jacobi_from_moments(tau(), order // 2),
+                    JacobiParams._made((beta,), (gamma,), repeat=(
+                        beta + b - b_t, gamma + c - c_t))))
     yield ("J[mu~_t] = rho~ boxplus tau^{boxplus t} (J-level display)",
            display)
 
@@ -1025,14 +1036,15 @@ def verify_runs(names, params=None, order=None, seed=0):
         fn, default = catalog[key]
         cross = _CrossChecks()
         try:
-            checks, notes = cross.report(*_checks(
-                fn(at, random.Random(seed), cross, **own)))
+            checks, notes = _checks(fn(at, random.Random(seed), cross, **own))
         except _BadParameter as e:
             value, problem = e.args
             keys = [k for k, v in own.items() if v is value]
             which = keys[0] if len(keys) == 1 else f"value {value!r}"
             raise ValueError(f"{kind} entry {key!r}: parameter {which}: "
                              f"{problem}") from None
+        crossed, more = _checks(cross.claims(), cross_check=True)
+        checks, notes = checks + crossed, notes + more
         asked = default if order is None else order
         if at != asked:
             notes.append(f"run at order {at}, the largest the word layer's "

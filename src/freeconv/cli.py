@@ -10,7 +10,8 @@ non-invertible series, and friends, raised on a document by a command
 such as ``map`` or ``power``, or in a verify entry's body before its
 claims run), 4 internal consistency failure (two independent paths
 disagreed: a verify cross-check failed, which outranks a violated
-identity).
+identity; a cross-check whose second path raised a domain error is one,
+with the exception as its residual).
 """
 
 from __future__ import annotations

@@ -240,13 +240,13 @@ class JacobiParams:
         self.repeat = repeat
 
     @classmethod
-    def _made(cls, betas, gammas):
-        """The open rows (betas; gammas) that the Chebyshev algorithm made,
-        of one length, each a ``Fraction`` or a ``TPoly`` already: not
-        checked again."""
+    def _made(cls, betas, gammas, terminated=False, repeat=None):
+        """The rows that the library made, as ``JacobiParams(betas, gammas,
+        terminated, repeat)`` would hold them, each value a ``Fraction`` or
+        a ``TPoly`` already: not checked again."""
         j = cls.__new__(cls)
         j.betas, j.gammas = tuple(betas), tuple(gammas)
-        j.terminated, j.repeat = False, None
+        j.terminated, j.repeat = terminated, repeat
         return j
 
     def depth(self):
@@ -458,7 +458,7 @@ def _jacobi_on_ints(mf, ms, levels):
 def _terminated(mf, betas, gammas):
     """The closed rows (betas; gammas), gamma = 0 last, if they give every
     moment of mf, or NoJacobiRepresentationError."""
-    candidate = JacobiParams(betas, gammas, terminated=True)
+    candidate = JacobiParams._made(betas, gammas, terminated=True)
     if moments_from_jacobi(candidate, mf.order) == mf:
         return candidate
     raise NoJacobiRepresentationError(
@@ -472,7 +472,7 @@ def free_meixner(b, c, beta, gamma, order):
     """Jacobi rows (beta, b+beta, b+beta, ...; gamma, c+gamma, c+gamma, ...)."""
     b, c = as_coeff(b), as_coeff(c)
     beta, gamma = as_coeff(beta), as_coeff(gamma)
-    j = JacobiParams((beta,), (gamma,), repeat=(b + beta, c + gamma))
+    j = JacobiParams._made((beta,), (gamma,), repeat=(b + beta, c + gamma))
     return moments_from_jacobi(j, order)
 
 

@@ -998,23 +998,27 @@ def test_cli_consistency_error_exits_4(monkeypatch, capsys):
 def test_cli_a_failed_cross_check_exits_4_over_a_failed_identity(
         monkeypatch, capsys, fmt, failed, code):
     """A failed cross-check exits 4, the code for two independent paths that
-    disagree, whether or not an identity failed too; a failed identity alone
-    exits 1.  The report names the cross-check as one."""
+    disagree, whether or not an identity failed too; a failed identity
+    alone exits 1.  The report names the cross-check as one, after the
+    entry's own checks, in whatever order the two are listed."""
+    def claims(kind):
+        yield from ((kind, lambda: (0, 1)) for _ in range(failed.count(kind)))
+
     def entry(order, rng, cross):
-        cross.checks.extend(catalog.Check(kind, False, "residual",
-                                          cross_check=kind == "cross-check")
-                            for kind in failed)
-        yield from ()
+        return claims("identity")
 
     monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 8))
+    monkeypatch.setattr(catalog._CrossChecks, "claims",
+                        lambda self: claims("cross-check"))
     assert run(["verify", "pde", "--format", fmt]) == code
     out = capsys.readouterr().out
     if fmt == "json":
         checks = json.loads(out)["reports"][0]["checks"]
-        assert checks == [{"label": kind, "ok": False, "residual": "residual",
+        assert checks == [{"label": kind, "ok": False, "residual": "0 != 1",
                            **({"cross_check": True}
                               if kind == "cross-check" else {})}
-                          for kind in failed]
+                          for kind in sorted(failed,
+                                             key=lambda k: k == "cross-check")]
     else:
         for kind in failed:
             marker = "cross-check: " if kind == "cross-check" else ""

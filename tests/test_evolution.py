@@ -32,6 +32,7 @@ from freeconv.evolution import (
 )
 from freeconv.functionals import (
     CanonicalTriple,
+    JacobiParams,
     MomentFunctional,
     NoJacobiRepresentationError,
     TwoStatePair,
@@ -474,10 +475,18 @@ def test_evolution_entries_build_each_value_once(monkeypatch, entry, want):
     assert counts == want
 
 
+def _cross_checks(cross):
+    """The checks and notes of the claims of ``cross``, as the runner
+    evaluates them after an entry's own."""
+    return catalog._checks(cross.claims(), cross_check=True)
+
+
 def test_operators_run_no_cross_check(monkeypatch):
     """The operators only compute: a library call of two_state_semigroup
     runs no monotone convolution, and strip and phi_map read no Jacobi
-    rows.  The second paths run in ``catalog``."""
+    rows, nor do they when an entry calls them through its cross-checks,
+    which only record what they made.  The second paths run in
+    ``catalog``, when the runner evaluates the cross-checks' claims."""
     def ran(*args):
         raise AssertionError("a cross-check path ran")
 
@@ -492,8 +501,12 @@ def test_operators_run_no_cross_check(monkeypatch):
     strip(pair.tilde)
     strip(semicircular(0, 1, 8))
     phi_map(bernoulli_sym(8))
+    cross = catalog._CrossChecks()
+    cross.two_state_semigroup(rel, base, formal_t(), 8)
+    cross.strip(semicircular(0, 1, 8))
+    cross.phi_map(bernoulli_sym(8))
     with pytest.raises(AssertionError, match="^a cross-check path ran$"):
-        catalog._monotone_check(rel, pair.tilde, pair.base, formal_t())
+        _cross_checks(cross)
 
 
 def test_verify_unknown_name():
@@ -562,8 +575,10 @@ def test_check_eq_locates_the_residual_on_every_value_kind():
     """The residual names the first coefficient that differs: m_k of a
     functional, the component of a pair, [z^k] of a Laurent series at
     infinity or of a power series, m_w of a word functional, shortest word
-    first and then by rank, or its d, or both values when their kinds
-    differ.  == reads only the coefficients both operands carry, so operands
+    first and then by rank, or its d, the key of two dicts with the same
+    keys, as the Jacobi-shift cross-checks compare, or both values when
+    their kinds differ.  == reads only the coefficients both operands
+    carry, so operands
     that agree on all of them but differ in truncation order fail too, with
     both orders."""
     sigma, sigma2 = semicircular(0, 1, 6), semicircular(0, 2, 6)
@@ -597,6 +612,9 @@ def test_check_eq_locates_the_residual_on_every_value_kind():
          "[z^2]: Fraction(1, 1) != Fraction(2, 1)"),
         (sigma, r_from_moments(sigma),
          f"{sigma!r} != {r_from_moments(sigma)!r}"),
+        ({"J: input 1 of 2": sigma, "J: input 2 of 2": sigma},
+         {"J: input 1 of 2": sigma, "J: input 2 of 2": sigma2},
+         f"J: input 2 of 2: {sigma!r} != {sigma2!r}"),
     )
     for lhs, rhs, detail in cases:
         assert check_eq("label", lhs, rhs) == catalog.Check(
@@ -681,7 +699,8 @@ def test_two_state_semigroup_cross_check_rejects_a_wrong_path(
     """The catalog checks each two-state semigroup against the tilde of the
     Boolean/monotone formula; a tilde off by one in every moment on either
     path fails that cross-check, and verify exits 4 naming it, also where a
-    residual identity fails with it."""
+    residual identity fails with it.  The claim reads both paths when the
+    runner evaluates it."""
     module = evolution if target == "two_state_from_scaled_r" else catalog
     path = getattr(module, target)
     if target == "two_state_from_scaled_r":
@@ -695,14 +714,16 @@ def test_two_state_semigroup_cross_check_rejects_a_wrong_path(
 
     rel = CanonicalTriple(F(1, 2), F(1), bernoulli_sym(6))
     base = CanonicalTriple(F(-1), F(2), semicircular(0, 1, 6))
-    cross = catalog._CrossChecks()
-    cross.two_state_semigroup(rel, base, formal_t(), 8)
-    assert [c.ok for c in cross.checks] == [True]
-    monkeypatch.setattr(module, target, wrong)
-    cross.two_state_semigroup(rel, base, formal_t(), 8)
+
+    def checks():
+        cross = catalog._CrossChecks()
+        cross.two_state_semigroup(rel, base, formal_t(), 8)
+        return [(c.label, c.ok, c.cross_check) for c in _cross_checks(cross)[0]]
+
     label = "mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}"
-    assert [(c.label, c.ok, c.cross_check) for c in cross.report([])[0]] == [
-        (label, True, True), (label, False, True)]
+    assert checks() == [(label, True, True)]
+    monkeypatch.setattr(module, target, wrong)
+    assert checks() == [(label, False, True)]
     assert [c["label"] for c in _failed_cross_checks(
         ["verify", "generator"], capsys)] == [label]
     assert run(["verify", "generator"]) == 4
@@ -723,19 +744,28 @@ def test_jacobi_shift_cross_check_rejects_a_wrong_transform_path(
         monkeypatch, capsys, mf, target, op, label):
     """The catalog checks each Phi and J against the shifted Jacobi rows of
     a rational input; a transform path that is off by one in every moment
-    fails that cross-check, and verify exits 4 naming it."""
+    fails that cross-check, whose residual names the input and prints the
+    output's rows and the input's shifted rows, and verify exits 4 naming
+    it."""
     transform = getattr(evolution, target)
     monkeypatch.setattr(evolution, target,
                         lambda *args: _off_by_one(transform(*args)))
     cross = catalog._CrossChecks()
-    getattr(cross, op.__name__)(mf)
-    (check,), notes = cross.report([])
+    out = getattr(cross, op.__name__)(mf)
+    (check,), notes = _cross_checks(cross)
     assert (check.ok, check.cross_check, notes) == (False, True, [])
-    assert check.detail == (f"{label}: transform and Jacobi paths disagree "
-                            f"on input 1 of 1")
+    rows = jacobi_from_moments(mf, mf.order // 2)
+    if label == "Phi":
+        shifted = ((0,) + rows.betas, (1,) + rows.gammas)
+    else:
+        shifted = (rows.betas[1:], rows.gammas[1:])
+    got = jacobi_from_moments(out, out.order // 2)
+    want = JacobiParams(*shifted, terminated=rows.terminated)
+    assert check.detail == f"{label}: input 1 of 1: {got!r} != {want!r}"
     failed = _failed_cross_checks(["verify", _SHIFT_ENTRY[label]], capsys)
     assert any(c["label"].startswith("Jacobi shift: ")
-               and c["residual"].startswith(f"{label}: ") for c in failed)
+               and c["residual"].startswith(f"{label}: input ")
+               for c in failed)
 
 
 def _wrong_eta(mf, k):
@@ -782,7 +812,7 @@ def test_strip_and_the_jacobi_shift_do_not_read_a_carried_eta(monkeypatch):
             for mf in outs:
                 for k in range(1, mf.order + 1):
                     _wrong_eta(mf, k)
-        return [cross.strip(mf) for mf in outs], cross.report([])
+        return [cross.strip(mf) for mf in outs], _cross_checks(cross)
 
     want = run_checks(False)
     eta, solved = transforms._eta, []
@@ -807,46 +837,66 @@ def test_jacobi_shift_cross_check_rejects_an_output_without_rows(
         monkeypatch, moments, target, op, label):
     """When the input has Jacobi rows and the transform path returns a
     functional that has none, the two paths disagree: the cross-check must
-    fail, not skip as it does for an input without rows."""
+    fail, not skip as it does for an input without rows, and its residual
+    prints the error of the output's read against the input's shifted
+    rows."""
     mf = semicircular(0, 1, 8)
     order = op(mf).order
     rowless = MomentFunctional(order, moments)
-    with pytest.raises((NoJacobiRepresentationError, ExactDivisionError)):
+    with pytest.raises((NoJacobiRepresentationError,
+                        ExactDivisionError)) as caught:
         jacobi_from_moments(rowless, order // 2)
     monkeypatch.setattr(evolution, target, lambda *args: rowless)
     cross = catalog._CrossChecks()
     getattr(cross, op.__name__)(mf)
-    checks, notes = cross.report([])
+    checks, notes = _cross_checks(cross)
+    depth = 5 if label == "Phi" else 3
+    want = JacobiParams([0] * depth, [1] * depth)
     assert [(c.label, c.ok, c.detail, c.cross_check) for c in checks] == [(
         f"Jacobi shift: {catalog._SHIFTS[label][0]} (1 of 1 inputs)", False,
-        f"{label}: transform and Jacobi paths disagree on input 1 of 1",
-        True)]
+        f"{label}: input 1 of 1: {caught.value!r} != {want!r}", True)]
     assert notes == []
 
 
-def test_jacobi_shift_cross_check_notes_the_inputs_it_skips():
-    """An input whose Jacobi rows leave Q[t] is not checked, and the report
-    says so: one note per operator, with the count, and one check over the
-    inputs that were read.  At seed 0 and the default orders, verify all
-    reads 10 inputs' rows and notes 10 it could not read, and each of the
-    10 entries that reach strip, Phi or the two-state semigroup, those the
-    CI step of that name reads, reports a cross-check or such a note."""
-    cross = catalog._CrossChecks()
-    t = formal_t()
-    mu_t = maassen_semigroup(CanonicalTriple(F(1, 2), F(1), bernoulli_sym(4)),
-                             t, 6)
-    for mf in (mu_t, semicircular(0, 1, 6)):
-        cross.strip(mf)
-    cross.phi_map(MomentFunctional(4, (0, t, 1, 0)))  # beta_1 = 1/t
-    checks, notes = cross.report([catalog.Check("identity", True)], ["note"])
-    assert [(c.label, c.ok, c.cross_check) for c in checks] == [
+def test_jacobi_shift_cross_check_notes_the_inputs_it_skips(monkeypatch):
+    """An input without Jacobi rows over Q[t] is not checked, and the report
+    says so after the entry's own checks and notes: one note per operator
+    and reason, with the count, and one check over the inputs that were
+    read.  Rows leave Q[t] where a division by a t-polynomial is not exact;
+    a rational input whose variance is 0 and whose deeper moments are not
+    those of the point mass has no rows at all.  At seed 0 and the default
+    orders, verify all reads 10 inputs' rows and notes 10 it could not
+    read: 9 whose rows leave Q[t], and bn-mean's drawn rho, which has none.
+    Each of the 10 entries that reach strip, Phi or the two-state
+    semigroup, those the CI step of that name reads, reports a cross-check
+    or such a note."""
+    def entry(order, rng, cross):
+        t = formal_t()
+        mu_t = maassen_semigroup(
+            CanonicalTriple(F(1, 2), F(1), bernoulli_sym(4)), t, 6)
+        for mf in (mu_t, semicircular(0, 1, 6)):
+            cross.strip(mf)
+        cross.phi_map(MomentFunctional(4, (0, t, 1, 0)))  # beta_1 = 1/t
+        cross.phi_map(MomentFunctional(4, (-1, 1, F(1, 2), 0)))  # gamma_0 = 0
+        yield "identity", lambda: (1, 1)
+        return ["note"]
+
+    monkeypatch.setitem(catalog.CATALOG, "pde", (entry, 8))
+    rep = catalog.verify("pde")
+    assert [(c.label, c.ok, c.cross_check) for c in rep.checks] == [
         ("identity", True, False),
         (f"Jacobi shift: {catalog._SHIFTS['J'][0]} (1 of 2 inputs)", True,
          True)]
-    assert notes == ["note"] + [
-        f"{op}: Jacobi-shift cross-check skipped on 1 of {n} inputs, whose "
-        f"Jacobi rows are not over Q[t]" for op, n in (("Phi", 1), ("J", 2))]
-    ran = skipped = 0
+    leave_q_t = "whose Jacobi rows are not over Q[t]"
+    no_rows = ("which have no Jacobi rows: a gamma vanishes and the deeper "
+               "moments disagree")
+    assert rep.notes == ["note"] + [
+        f"{op}: Jacobi-shift cross-check skipped on 1 of {n} inputs, {why}"
+        for op, n, why in (("Phi", 2, leave_q_t), ("Phi", 2, no_rows),
+                           ("J", 2, leave_q_t))]
+    monkeypatch.undo()
+    ran = 0
+    skipped = {leave_q_t: 0, no_rows: 0}
     crossed = set()
     for name in [*CATALOG, *(f"nc:{k}" for k in catalog.NC_CATALOG)]:
         rep = verify(name)
@@ -858,9 +908,10 @@ def test_jacobi_shift_cross_check_notes_the_inputs_it_skips():
                 crossed.add(name)
         for note in rep.notes:
             if "Jacobi-shift cross-check skipped on " in note:
-                skipped += int(note.split(" skipped on ")[1].split()[0])
+                count, why = note.split(" skipped on ")[1].split(" inputs, ")
+                skipped[why] += int(count.split()[0])
                 crossed.add(name)
-    assert (ran, skipped) == (10, 10)
+    assert (ran, skipped) == (10, {leave_q_t: 9, no_rows: 1})
     assert crossed == {"free-evolution", "bn-mean", "monotone-lemma", "thm-b",
                        "subord-linear", "general-b", "two-state-meixner",
                        "pde", "generator", "nc:recover-tau"}
@@ -877,3 +928,44 @@ def test_a_wrong_monotone_convolution_exits_4(monkeypatch, capsys, entry):
     assert [c["label"] for c in _failed_cross_checks(
         ["verify", entry], capsys)] == [
         "mu~_t = delta_{b~t} uplus Phi[rho~ |> mu_t]^{uplus g~t}"]
+
+
+@pytest.mark.parametrize("entry,path", (
+    ("pde", "monotone"), ("generator", "monotone"),
+    ("two-state-meixner", "monotone"), ("nc:recover-tau", "monotone"),
+    ("two-state-meixner", "jacobi"), ("nc:recover-tau", "jacobi"),
+))
+def test_a_second_path_that_raises_fails_its_cross_check(monkeypatch, capsys,
+                                                          entry, path):
+    """A second path that raises a domain error fails its own cross-check,
+    naming the exception, and the entry's identities still stand: exit 4,
+    not 1 for an identity or 3 for a domain error.  The monotone formula
+    raises ExactDivisionError; the Jacobi read of a strip's output raises
+    ZeroDivisionError, which the read of an input would not skip."""
+    if path == "monotone":
+        def raises(*args):
+            raise ExactDivisionError("(1 + t) not divisible by (2*t)")
+
+        monkeypatch.setattr(catalog, "_tilde_by_monotone", raises)
+        label, residual = catalog._MONOTONE, "ExactDivisionError: (1 + t) "
+    else:
+        outputs, stripped, rows = [], catalog.strip, catalog._jacobi_rows
+
+        def recorded(mu):
+            outputs.append(stripped(mu))
+            return outputs[-1]
+
+        def read(mf):
+            if any(mf is out for out in outputs):
+                raise ZeroDivisionError("Fraction(1, 0)")
+            return rows(mf)
+
+        monkeypatch.setattr(catalog, "strip", recorded)
+        monkeypatch.setattr(catalog, "_jacobi_rows", read)
+        label = f"Jacobi shift: {catalog._SHIFTS['J'][0]} (1 of 1 inputs)"
+        residual = "ZeroDivisionError: Fraction(1, 0)"
+    assert run(["verify", entry, "--format", "json"]) == 4
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert all(c["ok"] for c in checks if not c.get("cross_check"))
+    assert [(c["label"], c["residual"][:len(residual)]) for c in checks
+            if not c["ok"]] == [(label, residual)]

@@ -19,7 +19,7 @@ from freeconv import coeffs, transforms
 from freeconv.coeffs import TPoly, formal_t
 from freeconv.convolutions import monotone_convolve
 from freeconv.functionals import (JacobiParams, MomentFunctional, TwoStatePair,
-                                  moments_from_jacobi)
+                                  free_meixner, moments_from_jacobi)
 from freeconv.series import TruncSeries, _series
 from freeconv.transforms import (eta_from_moments, moments_from_eta,
                                  moments_from_r, r_from_moments, two_state_r)
@@ -70,7 +70,8 @@ def test_trusted_entries_equal_the_public_constructors(seed, order, formal,
     a ``Fraction`` or a ``TPoly``, never an int, and each series holds
     order + 1 of them.  The series operations equal their results built
     through the constructor from the inputs.  No ``as_coeff`` runs on any
-    of those paths; ``scale`` checks only its scalar."""
+    of those paths; ``scale`` checks only its scalar, and ``free_meixner``
+    its four parameters, not the Jacobi rows it builds from them."""
     rng = random.Random(seed)
     t = formal_t()
     mu, nu = _draw(rng, order, formal, kind), _draw(rng, order, formal, kind)
@@ -94,6 +95,7 @@ def test_trusted_entries_equal_the_public_constructors(seed, order, formal,
     rows = JacobiParams([q() for _ in range(depth)],
                         [q() for _ in range(depth)])
     repeating = JacobiParams([q()], [q()], repeat=(q(), q()))
+    meixner = [q() for _ in range(4)]
     s = q()
 
     with pytest.MonkeyPatch.context() as mp:
@@ -121,8 +123,9 @@ def test_trusted_entries_equal_the_public_constructors(seed, order, formal,
             "moments_from_jacobi": moments_from_jacobi(rows, order),
             "moments_from_jacobi, repeating":
                 moments_from_jacobi(repeating, order),
+            "free_meixner": free_meixner(*meixner, order),
         }
-    assert seen == [s]
+    assert seen == [s, *meixner]
     for name, (got, want) in ops.items():
         series[name] = got
         public = TruncSeries(got.order, want)

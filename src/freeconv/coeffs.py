@@ -555,8 +555,14 @@ def t_derivative(c):
 
 
 def exact_div(a, b):
-    """a / b in the coefficient ring; exact or raises."""
-    return as_coeff(a) / as_coeff(b)
+    """a / b in the coefficient ring; exact or raises.  A ``Fraction`` or a
+    ``TPoly`` is divided as it is; any other operand goes through
+    ``as_coeff``, which makes an int a ``Fraction`` and refuses the rest."""
+    if type(a) is not Fraction and type(a) is not TPoly:
+        a = as_coeff(a)
+    if type(b) is not Fraction and type(b) is not TPoly:
+        b = as_coeff(b)
+    return a / b
 
 
 def evaluate(c, value):

@@ -264,19 +264,19 @@ def test_two_state_r_of_phi_sigma_pair():
     assert two_state_r_by_reversion(pair) == r2
 
 
-SOLVE_KERNELS = ("_add_diagonal", "_fill", "_substitute_at", "_split_sum",
-                 "_graded")
+SOLVE_KERNELS = ("_add_diagonal", "_packed_rows", "_fill", "_substitute_at",
+                 "_split_sum", "_graded")
 
 
 # The grading and packing of Q[t] values, the graded-integer driver, its
 # reader and the ring test, owned by ``coeffs``, and the modules that use
 # each one: only the word layer's own driver picks B or reads digits outside
-# ``coeffs``.
+# ``coeffs``, and ``transforms`` packs power-table rows in z with ``_pack``.
 PACKING = {"_grade": {"series", "transforms", "multivariate", "functionals"},
            "_scaled": {"transforms", "functionals"},
            "_norms": set(),
            "_bits": {"multivariate"},
-           "_pack": {"multivariate"},
+           "_pack": {"multivariate", "transforms"},
            "_unpack": {"multivariate"},
            "_on_ints": {"series", "transforms", "oracle"},
            "_read": {"series", "transforms", "oracle"},
@@ -297,8 +297,8 @@ def test_only_transforms_holds_the_solve_kernels():
     assert not hasattr(transforms, "_width")
     assert not hasattr(freeconv.series, "_from_packed")
     owners = {name: {"transforms"} for name in (
-        "_fill", "_graded", "_add_diagonal", "_substitute_at", "_split_sum",
-        "_moment_table", "_as_ring", "_eta")}
+        "_fill", "_graded", "_add_diagonal", "_packed_rows", "_slot_bytes",
+        "_substitute_at", "_split_sum", "_moment_table", "_as_ring", "_eta")}
     owners["_strip_once"] = {"transforms", "evolution"}
     kernels = {id(getattr(transforms, name)): name for name in owners}
     for name, users in PACKING.items():
@@ -1359,3 +1359,88 @@ def test_short_support_solves_match_across_the_packed_and_tpoly_paths(
         assert all(t is TPoly for t, _ in outs[0]), name
         if want is not None:
             assert [c for _, c in outs[0]] == list(want), name
+
+
+# the four solves that substitute through the power table of a known M
+KNOWN_M_SOLVES = ("r_from_moments", "two_state_r", "_substitute_divide",
+                  "_composition")
+TABLE_SHAPES = ("dense", "semicircle", "alternating", "huge")
+
+
+def _table_input(rng, n, shape, formal):
+    """c_1..c_n of one shape: dense draws; "semicircle" with every odd
+    coefficient zero, as a symmetric law's moments; "alternating" with sign
+    (-1)^k; "huge" zero but for one coefficient of 20-40 digits.  When
+    ``formal`` each nonzero coefficient may gain a multiple of t."""
+    t = formal_t()
+    hit = rng.randrange(n)
+    cs = []
+    for k in range(1, n + 1):
+        c = F(rng.randint(1, 3), rng.choice((1, 2, 3)))
+        if shape == "dense":
+            c *= rng.choice((-1, 1))
+        elif shape == "semicircle":
+            c = c if k % 2 == 0 else F(0)
+        elif shape == "alternating":
+            c = c if k % 2 == 0 else -c
+        else:
+            c = (F(rng.choice((-1, 1)) * 10 ** rng.randint(19, 39) + 1,
+                   rng.choice((1, 3))) if k == hit + 1 else F(0))
+        if formal and c and rng.random() < 0.5:
+            c += rng.choice((-2, -1, 1)) * t
+        cs.append(c)
+    return cs
+
+
+# the cutoff and the cap that hold every power table to one path: "rows"
+# packed by ``_packed_rows``, "refused" by the cap when the table first reads
+# row 3, then grown by ``_add_diagonal``, and "loop" grown by it throughout
+TABLE_PATHS = {"rows": (0, float("inf")), "refused": (0, 0),
+               "loop": (float("inf"), float("inf"))}
+
+
+def _table_path(mp, path, run, ins, n):
+    """The typed outputs of run on ins with every power table held to one
+    of ``TABLE_PATHS``, and the slack at infinity so that a Q[t] input runs
+    the kernels on plain ints twice, as l1 norms and packed at t = 2^B;
+    with the tables (p, m, n) that ``_add_diagonal`` grew."""
+    mp.setattr(transforms, "_SLACK", float("inf"))
+    cutoff, cap = TABLE_PATHS[path]
+    mp.setattr(transforms, "_PACK_FROM", cutoff)
+    mp.setattr(transforms, "_PACK_CAP", cap)
+    grow, tables = transforms._add_diagonal, {}
+
+    def spy(p, m, s, top):
+        tables[id(p)] = (p, m, s)
+        return grow(p, m, s, top)
+
+    mp.setattr(transforms, "_add_diagonal", spy)
+    out = [(type(c), c) for c in run(ins, n)]
+    mp.undo()
+    return out, list(tables.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 48),
+       st.sampled_from(TABLE_SHAPES), st.booleans(),
+       st.sampled_from(KNOWN_M_SOLVES))
+def test_packed_rows_match_the_row_loop(seed, order, shape, formal, name):
+    """Each solve through the power table of a known M gives the same
+    outputs, value for value and ring for ring, with its rows packed in
+    ``_slot_bytes`` slots, with the packing refused by the cap midway and
+    with its rows grown entry by entry.  A Q[t] input reaches the kernels
+    twice, as the l1 majorant run and on ints packed at t = 2^B.  The slot
+    holds every entry of the loop's table: |[z^j] (1+M)^k| < 2^(8w - 1)."""
+    rng = random.Random(seed)
+    count, run = PACKED_SOLVES[name]
+    ins = [_table_input(rng, order, shape, formal) for _ in range(count)]
+    with pytest.MonkeyPatch.context() as mp:
+        rows, _ = _table_path(mp, "rows", run, ins, order)
+        refused, _ = _table_path(mp, "refused", run, ins, order)
+        loop, tables = _table_path(mp, "loop", run, ins, order)
+    assert rows == refused == loop
+    for p, m, n in tables:
+        if type(m[1]) is not int:
+            continue
+        bits = 8 * transforms._slot_bytes(m, n) - 1
+        assert all(abs(c).bit_length() <= bits for row in p[1:] for c in row)
